@@ -5,9 +5,12 @@ import numpy as np
 
 
 def polygon_area(pts):
-    """Signed area of a polygon given as an (m, 2) array (CCW positive)."""
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    """Signed area of a polygon given as an (m, 2) array (CCW positive).
+
+    A (..., m, 2) batch of polygons gives an array of areas of shape (...).
+    """
+    x, y = pts[..., 0], pts[..., 1]
+    return 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1)
 
 
 def clip_polygon_halfplane(pts, normal, offset, tol=0.0):

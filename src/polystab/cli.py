@@ -437,8 +437,6 @@ def build_parser():
         sp.add_argument("--tol", type=float, default=None, help="solver tolerance")
         sp.add_argument("--out", default=None, help="write the report here")
         sp.add_argument("--seed", type=int, default=20240, help="seed for randomized audits")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="cap for parallel assemblies (current assemblies are serial)")
 
     sp = sub.add_parser("extremal-affine", help="solve the canonical affine field")
     common(sp, need_A=False)

@@ -156,21 +156,6 @@ class SmoothConvexFunc:
             guillemin_type=self.guillemin_type,
         )
 
-    def add(self, other: "SmoothConvexFunc"):
-        return SmoothConvexFunc(
-            value=lambda p: self._value(p) + other._value(p),
-            grad=lambda p: self._grad(p) + other._grad(p),
-            hess=lambda p: self._hess(p) + other._hess(p),
-            dimension=self.dimension,
-            domain=self.domain or other.domain,
-            guillemin_type=self.guillemin_type or other.guillemin_type,
-        )
-
-
-def from_expressions(value, grad, hess, dimension, domain=None):
-    """SmoothConvexFunc from vectorized lambdas (no convexity check)."""
-    return SmoothConvexFunc(value, grad, hess, dimension, domain=domain)
-
 
 class MeshConvexFunc:
     """Piecewise-linear function from per-vertex values on a mesh."""

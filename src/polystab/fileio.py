@@ -206,10 +206,6 @@ class Report:
                 buf.write(f"{key}: {value}\n")
         return buf.getvalue()
 
-    def write(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.render())
-
 
 def tolerance_section(report: Report, tolerances: dict):
     report.section("tolerances")

@@ -29,10 +29,11 @@ from .quadrature import (
     graded_scheme,
     integrate_boundary,
     integrate_interior,
+    map_triangles,
     mesh_graded_scheme,
     split_scheme,
     standard_scheme,
-    triangle_rule,
+    triangle_rule,  # noqa: F401  (perfbench/tests patch and restore it here)
     _segment_rule,
 )
 
@@ -84,18 +85,16 @@ def mesh_linear_forms(mesh: Mesh, A, degree=DEFAULT_DEGREE):
             np.add.at(a, cell[0], np.dot(w * Av, 1.0 - t))
             np.add.at(a, cell[1], np.dot(w * Av, t))
         return b, a
-    for cell in mesh.cells:
-        v0, v1, v2 = mesh.vertices[cell]
-        p, w = triangle_rule(v0, v1, v2, degree)
-        Av = Af(p)
-        e1, e2 = v1 - v0, v2 - v0
-        det = e1[0] * e2[1] - e1[1] * e2[0]
-        r = p - v0
-        lam1 = (r[:, 0] * e2[1] - r[:, 1] * e2[0]) / det
-        lam2 = (-r[:, 0] * e1[1] + r[:, 1] * e1[0]) / det
-        lam0 = 1.0 - lam1 - lam2
-        for local, lam in zip(cell, (lam0, lam1, lam2)):
-            a[local] += float(np.dot(w * Av, lam))
+    M = len(mesh.cells)
+    p, w = map_triangles(mesh.vertices[mesh.cells], degree)
+    q = len(w) // M
+    wA = (w * Af(p)).reshape(M, 1, q)
+    lam = np.ascontiguousarray(mesh.barycentric(np.repeat(np.arange(M), q), p).T)
+    # one (1, q) @ (q, 1) product per cell and local vertex, the same dot
+    # product as np.dot on each cell; np.add.at accumulates in cell order
+    contrib = np.stack([np.matmul(wA, lam_k.reshape(M, q, 1))[:, 0, 0] for lam_k in lam],
+                       axis=1)
+    np.add.at(a, mesh.cells.ravel(), contrib.ravel())
     return b, a
 
 
@@ -130,23 +129,25 @@ class FunctionalEvaluator:
         self._A = as_field(A, P.dimension)
         self.scheme = standard_scheme(P, degree)
         self.graded = graded_scheme(P, degree, layers=layers)
-        self._mesh_forms: dict = {}
-        self._surrogates: dict = {}
-        self._mesh_ops: dict = {}
+        self._mesh_cache: dict = {}
 
     # -- helpers -------------------------------------------------------------
 
+    def _cached(self, kind, objs, build):
+        """Per-mesh data, keyed by the ids of objs; each entry keeps objs alive
+        (so no id is reused while it is cached) and is checked with `is`."""
+        key = (kind,) + tuple(id(o) for o in objs)
+        hit = self._mesh_cache.get(key)
+        if hit is None or any(a is not b for a, b in zip(hit[0], objs)):
+            hit = self._mesh_cache[key] = (objs, build())
+        return hit[1]
+
     def _forms_for(self, mesh: Mesh):
-        key = id(mesh)
-        if key not in self._mesh_forms:
-            self._mesh_forms[key] = mesh_linear_forms(mesh, self.A, self.degree)
-        return self._mesh_forms[key]
+        return self._cached("forms", (mesh,),
+                            lambda: mesh_linear_forms(mesh, self.A, self.degree))
 
     def _surrogate_for(self, mesh: Mesh):
-        key = id(mesh)
-        if key not in self._surrogates:
-            self._surrogates[key] = HessianSurrogate(mesh)
-        return self._surrogates[key]
+        return self._cached("surrogate", (mesh,), lambda: HessianSurrogate(mesh))
 
     def _scheme_for(self, u):
         if isinstance(u, PLConvexFunc):
@@ -203,23 +204,18 @@ class FunctionalEvaluator:
         return MabuchiResult(term + lin, term, lin, trunc)
 
     def _mesh_graded_for(self, mesh: Mesh):
-        key = ("mgq", id(mesh))
-        if key not in self._mesh_ops:
-            self._mesh_ops[key] = mesh_graded_scheme(mesh, self.degree)
-        return self._mesh_ops[key]
+        return self._cached("mgq", (mesh,), lambda: mesh_graded_scheme(mesh, self.degree))
 
-    def _mesh_point_hessians(self, u: MeshConvexFunc, Q: QuadratureScheme):
-        key = (id(u.mesh), id(Q))
-        if key not in self._mesh_ops:
-            sur = self._surrogate_for(u.mesh)
-            self._mesh_ops[key] = sur.point_operator(Q.interior_points)
-        op = self._mesh_ops[key]
+    def _mesh_point_hessians(self, u: MeshConvexFunc, Q: QuadratureScheme, cells=None):
+        """Surrogate Hessians of u at Q's points; cells: their cells in u.mesh."""
+        op = self._cached("op", (u.mesh, Q), lambda: self._surrogate_for(u.mesh)
+                          .point_operator(Q.interior_points, cells))
         comp = op @ u.values
         return components_to_matrices(comp, u.dimension)
 
     def _mabuchi_mesh(self, u: MeshConvexFunc) -> MabuchiResult:
         Q = self._mesh_graded_for(u.mesh)
-        H = self._mesh_point_hessians(u, Q)
+        H = self._mesh_point_hessians(u, Q, Q.interior_cells)
         det = _dets(H)
         if np.any(det <= 0.0):
             raise NonConvexAtQuadraturePoint(

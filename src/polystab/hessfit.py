@@ -80,29 +80,19 @@ class HessianSurrogate:
                 data.extend(op[c].tolist())
         return sparse.csr_matrix((data, (rows, cols)), shape=(self.ncomp * V, V))
 
-    def vertex_hessians(self, values):
-        """(V, n, n) Hessian fit per vertex."""
-        comp = (self._vertex_matrix @ np.asarray(values, dtype=float)).reshape(-1, self.ncomp)
-        V = self.mesh.num_vertices
-        n = self.mesh.dimension
-        H = np.empty((V, n, n))
-        if n == 1:
-            H[:, 0, 0] = comp[:, 0]
-        else:
-            H[:, 0, 0] = comp[:, 0]
-            H[:, 0, 1] = H[:, 1, 0] = comp[:, 1]
-            H[:, 1, 1] = comp[:, 2]
-        return H
-
-    def point_operator(self, points):
+    def point_operator(self, points, cells=None):
         """Sparse (ncomp*m, V): values -> Hessian components at given points.
 
         Per-vertex fits are interpolated with the barycentric weights of the
-        containing cell; built as (interpolation) @ (vertex fits) so assembly
-        stays vectorized.
+        containing cell (cells[i] when given, e.g. a mesh-graded scheme's
+        interior_cells; else Mesh.locate); built as (interpolation) @ (vertex
+        fits) so assembly stays vectorized.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ids, bary = self.mesh.locate(pts)
+        if cells is None:
+            ids, bary = self.mesh.locate(pts)
+        else:
+            ids, bary = np.asarray(cells, dtype=int), self.mesh.barycentric(cells, pts)
         if np.any(ids < 0):
             raise ValueError("point outside mesh in Hessian assembly")
         m = pts.shape[0]

@@ -37,7 +37,9 @@ class Mesh:
     hinges: np.ndarray            # (E, 3) in 1D, (E, 4) in 2D
     boundary_facets: dict = field(repr=False)
     grid_shape: tuple = ()        # (nx, ny, x0, y0, sx, sy) for 2D point location
-    cell_index: dict = field(default_factory=dict, repr=False)
+    # (nx+2, ny+2, k): ids of the cells cut from each grid square, -1 padded,
+    # with a one-square halo so neighbour lookups need no bounds checks
+    cell_index: np.ndarray = field(default=None, repr=False)
 
     @property
     def dimension(self):
@@ -46,15 +48,6 @@ class Mesh:
     @property
     def num_vertices(self):
         return self.vertices.shape[0]
-
-    @property
-    def boundary_vertices(self):
-        return sorted(self.boundary_facets)
-
-    def interior_vertices(self):
-        mask = np.ones(self.num_vertices, dtype=bool)
-        mask[list(self.boundary_facets)] = False
-        return np.where(mask)[0]
 
     def nearest_vertex(self, point):
         d = np.linalg.norm(self.vertices - np.asarray(point, dtype=float), axis=1)
@@ -83,31 +76,34 @@ class Mesh:
             bary[inside, 1] = t[inside]
             return ids, bary
         nx, ny, x0, y0, sx, sy = self.grid_shape
-        ix = np.clip(((pts[:, 0] - x0) / sx).astype(int), 0, nx - 1)
-        iy = np.clip(((pts[:, 1] - y0) / sy).astype(int), 0, ny - 1)
-        for i in range(m):
-            found = False
-            for dxy in ((0, 0), (-1, 0), (0, -1), (1, 0), (0, 1), (-1, -1), (1, 1), (-1, 1), (1, -1)):
-                cx, cy = ix[i] + dxy[0], iy[i] + dxy[1]
-                for t in self.cell_index.get((cx, cy), ()):
-                    lam = self._bary(t, pts[i])
-                    if np.all(lam >= -1e-9):
-                        ids[i] = t
-                        bary[i] = lam
-                        found = True
-                        break
-                if found:
-                    break
+        ix = np.clip(((pts[:, 0] - x0) / sx).astype(int), 0, nx - 1) + 1  # halo offset
+        iy = np.clip(((pts[:, 1] - y0) / sy).astype(int), 0, ny - 1) + 1
+        # first hit in (neighbour square, slot) order; unresolved points stay -1
+        todo = np.arange(m)
+        for dx, dy in ((0, 0), (-1, 0), (0, -1), (1, 0), (0, 1), (-1, -1), (1, 1), (-1, 1), (1, -1)):
+            for slot in range(self.cell_index.shape[2]):
+                cand = self.cell_index[ix[todo] + dx, iy[todo] + dy, slot]
+                sel, cand = todo[cand >= 0], cand[cand >= 0]
+                lam = self.barycentric(cand, pts[sel])
+                hit = np.all(lam >= -1e-9, axis=1)
+                ids[sel[hit]] = cand[hit]
+                bary[sel[hit]] = lam[hit]
+                todo = todo[ids[todo] < 0]
         return ids, bary
 
-    def _bary(self, tri_id, p):
-        v = self.vertices[self.cells[tri_id]]
-        T = np.array([v[1] - v[0], v[2] - v[0]]).T
-        rhs = p - v[0]
-        det = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
-        l1 = (T[1, 1] * rhs[0] - T[0, 1] * rhs[1]) / det
-        l2 = (-T[1, 0] * rhs[0] + T[0, 0] * rhs[1]) / det
-        return np.array([1.0 - l1 - l2, l1, l2])
+    def barycentric(self, cell_ids, points):
+        """(m, n+1) barycentric coordinates of points[i] in cell cell_ids[i]."""
+        v = self.vertices[self.cells[np.asarray(cell_ids, dtype=int)]]
+        pts = np.asarray(points, dtype=float)
+        if self.dimension == 1:
+            t = (pts[:, 0] - v[:, 0, 0]) / (v[:, 1, 0] - v[:, 0, 0])
+            return np.column_stack([1.0 - t, t])
+        e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+        rhs = pts - v[:, 0]
+        det = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
+        l1 = (e2[:, 1] * rhs[:, 0] - e2[:, 0] * rhs[:, 1]) / det
+        l2 = (-e1[:, 1] * rhs[:, 0] + e1[:, 0] * rhs[:, 1]) / det
+        return np.column_stack([1.0 - l1 - l2, l1, l2])
 
     def boundary_edges(self):
         """(edge vertex pair, facet id) for every boundary edge (2D only)."""
@@ -209,6 +205,9 @@ def make_mesh(P: Polytope, h: float) -> Mesh:
 
     vertices = np.array(verts)
     cells = np.array(tris, dtype=int)
+    buckets = np.full((nx + 2, ny + 2, max(map(len, cell_index.values()), default=1)), -1)
+    for (i, j), ts in cell_index.items():
+        buckets[i + 1, j + 1, :len(ts)] = ts
 
     # orientation fix: make every triangle CCW
     v0, v1, v2 = vertices[cells[:, 0]], vertices[cells[:, 1]], vertices[cells[:, 2]]
@@ -243,7 +242,7 @@ def make_mesh(P: Polytope, h: float) -> Mesh:
             bfacets[v] = tuple(int(k) for k in on)
 
     return Mesh(P, h, vertices, cells, hinges, bfacets,
-                grid_shape=(nx, ny, xlo, ylo, sx, sy), cell_index=cell_index)
+                grid_shape=(nx, ny, xlo, ylo, sx, sy), cell_index=buckets)
 
 
 def midpoint_integral(f, mesh: Mesh) -> float:

@@ -1,20 +1,28 @@
 """Exact quadrature over polytopes and their boundaries.
 
-Three scheme builders cover the toolkit's needs:
+Every 2D interior rule comes from one kernel, map_triangles, which maps a
+cached collapsed-tensor reference rule onto a whole (T, 3, 2) batch of
+triangles in a few broadcast operations.  The scheme builders only produce
+triangle batches (and per-triangle tags) and call it once:
 
-* standard_scheme  -- fan decomposition with rules exact for polynomials up to
-  the requested degree (both interior and boundary);
-* graded_scheme    -- geometric refinement toward every facet (ratio 1/2) for
-  integrands with logarithmic boundary singularities; carries per-point layer
-  indices so truncation can be estimated by comparing layer depths;
-* split_scheme     -- standard scheme whose cells are pre-split along given
-  lines, making piecewise-linear integrands piecewise-polynomial per cell.
+* standard_scheme    -- fan decomposition with rules exact for polynomials up
+  to the requested degree (both interior and boundary);
+* graded_scheme      -- geometric refinement toward every facet (ratio 1/2)
+  for integrands with logarithmic boundary singularities; carries per-point
+  layer indices so truncation can be estimated by comparing layer depths;
+* split_scheme       -- standard scheme whose cells are pre-split along given
+  lines, making piecewise-linear integrands piecewise-polynomial per cell;
+* mesh_graded_scheme -- rules subordinate to the cells of a mesh, graded
+  toward the boundary; each point records its parent mesh cell in
+  interior_cells (-1 in the schemes above), so mesh data can be interpolated
+  there without locating the point again.
 
 Boundary integrals use the facet-weighted measure dsigma = dS / |h_k|.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,10 +32,17 @@ from .polytope import Polytope
 DEFAULT_DEGREE = 6
 
 
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
 def gauss_rule(npts):
-    """Gauss-Legendre nodes/weights on [0, 1]."""
+    """Gauss-Legendre nodes/weights on [0, 1] (cached, read-only)."""
     x, w = np.polynomial.legendre.leggauss(npts)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return _frozen(0.5 * (x + 1.0), 0.5 * w)
 
 
 def _segment_rule(a, b, npts):
@@ -38,21 +53,46 @@ def _segment_rule(a, b, npts):
     return pts, w * np.linalg.norm(b - a)
 
 
-def triangle_rule(v0, v1, v2, degree):
-    """Rule exact for total degree <= `degree` on the triangle (collapsed tensor)."""
-    ma = (degree + 3) // 2  # handles the extra (1-a) Jacobian factor
-    mb = (degree + 2) // 2
-    xa, wa = gauss_rule(ma)
-    xb, wb = gauss_rule(mb)
+@lru_cache(maxsize=None)
+def _reference_triangle(degree):
+    """Collapsed-tensor rule (U, V, W) on the unit triangle, exact to `degree`."""
+    xa, wa = gauss_rule((degree + 3) // 2)  # handles the extra (1-a) Jacobian factor
+    xb, wb = gauss_rule((degree + 2) // 2)
     A, B = np.meshgrid(xa, xb, indexing="ij")
     U = A.ravel()
     V = (B * (1.0 - A)).ravel()
     W = (wa[:, None] * wb[None, :]).ravel() * (1.0 - A.ravel())
-    e1 = np.asarray(v1, dtype=float) - v0
-    e2 = np.asarray(v2, dtype=float) - v0
-    jac = abs(e1[0] * e2[1] - e1[1] * e2[0])
-    pts = np.asarray(v0)[None, :] + U[:, None] * e1[None, :] + V[:, None] * e2[None, :]
-    return pts, W * jac
+    return _frozen(U, V, W)
+
+
+def map_triangles(tris, degree):
+    """Rule exact for total degree <= `degree` on every triangle of a batch.
+
+    tris has shape (T, 3, 2); returns (T*q, 2) points and (T*q,) weights,
+    triangle by triangle, each point v0 + U e1 + V e2 with weight W |det|.
+    """
+    U, V, W = _reference_triangle(degree)
+    tris = np.asarray(tris, dtype=float).reshape(-1, 3, 2)
+    v0 = tris[:, 0]
+    e1 = tris[:, 1] - v0
+    e2 = tris[:, 2] - v0
+    jac = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    pts = v0[:, None, :] + U[:, None] * e1[:, None, :] + V[:, None] * e2[:, None, :]
+    return pts.reshape(-1, 2), (W * jac[:, None]).ravel()
+
+
+def triangle_rule(v0, v1, v2, degree):
+    """Rule exact for total degree <= `degree` on one triangle (collapsed tensor)."""
+    return map_triangles([[v0, v1, v2]], degree)
+
+
+def _tagged_rule(tris, tags, degree):
+    """map_triangles on the non-degenerate triangles; each tag repeated per point."""
+    tris = np.asarray(tris, dtype=float).reshape(-1, 3, 2)
+    keep = np.abs(polygon_area(tris)) > 1e-300
+    pts, wts = map_triangles(tris[keep], degree)
+    per = len(_reference_triangle(degree)[2])
+    return (pts, wts) + tuple(np.repeat(np.asarray(t).ravel()[keep], per) for t in tags)
 
 
 @dataclass(frozen=True)
@@ -68,6 +108,12 @@ class QuadratureScheme:
     boundary_weights: tuple              # per facet: (M_k,), sigma weight included
     kind: str = "standard"
     meta: dict = field(default_factory=dict)
+    interior_cells: np.ndarray = None    # (N,) int parent mesh cell; -1 off a mesh
+
+    def __post_init__(self):
+        if self.interior_cells is None:
+            object.__setattr__(self, "interior_cells",
+                               np.full(len(self.interior_weights), -1, dtype=int))
 
     def restricted_to_layers(self, max_layer):
         """Interior sub-rule using only points with layer < max_layer."""
@@ -99,6 +145,10 @@ def _boundary_1d(P):
     return tuple(bp), tuple(bw)
 
 
+def _facet_segments(P):
+    return np.array([P.facet_segment(k) for k in range(P.num_facets)])
+
+
 def standard_scheme(P: Polytope, degree: int = DEFAULT_DEGREE) -> QuadratureScheme:
     """Fan decomposition with per-cell rules exact to `degree`."""
     if P.dimension == 1:
@@ -106,28 +156,23 @@ def standard_scheme(P: Polytope, degree: int = DEFAULT_DEGREE) -> QuadratureSche
         bp, bw = _boundary_1d(P)
         nsimp = len(iwts) // ((degree + 2) // 2)
     else:
-        center = P.vertex_centroid()
-        pts, wts = [], []
-        nsimp = 0
-        for k in range(P.num_facets):
-            a, b = P.facet_segment(k)
-            p, w = triangle_rule(center, a, b, degree)
-            pts.append(p)
-            wts.append(w)
-            nsimp += 1
-        ipts, iwts = np.vstack(pts), np.concatenate(wts)
-        bp, bw = _boundary_2d(P, degree, [])
+        segs = _facet_segments(P)
+        center = np.broadcast_to(P.vertex_centroid(), (len(segs), 1, 2))
+        ipts, iwts = map_triangles(np.concatenate([center, segs], axis=1), degree)
+        nsimp = len(segs)
+        bp, bw = _boundary_2d(P, degree, [[]] * P.num_facets)
     layers = np.full(len(iwts), -1, dtype=int)
     return QuadratureScheme(P.dimension, degree, ipts, iwts, layers, bp, bw,
                             kind="standard", meta={"num_simplices": nsimp})
 
 
 def _boundary_2d(P, degree, s_breaks):
+    """Per-facet Gauss rules split at the relative positions s_breaks[k] in [0, 1]."""
     npts = (degree + 2) // 2
     bp, bw = [], []
     for k in range(P.num_facets):
         a, b = P.facet_segment(k)
-        ss = np.unique(np.concatenate([[0.0, 1.0], np.asarray(s_breaks, dtype=float)]))
+        ss = np.unique(np.concatenate([[0.0, 1.0], np.asarray(s_breaks[k], dtype=float)]))
         ss = ss[(ss >= 0.0) & (ss <= 1.0)]
         pts, wts = [], []
         for s0, s1 in zip(ss[:-1], ss[1:]):
@@ -145,6 +190,16 @@ def _geometric_breaks(nlayers):
     """0 < 2^-nlayers < ... < 1/2 < ... < 1 - 2^-nlayers < 1, graded to both ends."""
     half = [2.0 ** (-j) for j in range(nlayers, 0, -1)]
     return np.array([0.0] + half[:-1] + [0.5] + [1.0 - v for v in reversed(half[:-1])] + [1.0])
+
+
+def _strip_triangles(lo, hi):
+    """Fan triangles of the quads [lo_i, lo_i+1, hi_i+1, hi_i] between point rows.
+
+    lo and hi have shape (..., m, 2); the result has shape (..., m-1, 2, 3, 2).
+    """
+    q0, q1, q2, q3 = lo[..., :-1, :], lo[..., 1:, :], hi[..., 1:, :], hi[..., :-1, :]
+    return np.stack([np.stack([q0, q1, q2], axis=-2),
+                     np.stack([q0, q2, q3], axis=-2)], axis=-3)
 
 
 def graded_scheme(P: Polytope, degree: int = DEFAULT_DEGREE, layers: int = 40,
@@ -178,28 +233,14 @@ def graded_scheme(P: Polytope, degree: int = DEFAULT_DEGREE, layers: int = 40,
     else:
         center = P.vertex_centroid()
         ss = _geometric_breaks(tangential_layers)
-        pts, wts, lay = [], [], []
-        for k in range(P.num_facets):
-            a, b = P.facet_segment(k)
-            edge = lambda s: a + s * (b - a)
-            for j in range(layers):
-                for s0, s1 in zip(ss[:-1], ss[1:]):
-                    q = [center + t[j] * (edge(s0) - center),
-                         center + t[j] * (edge(s1) - center),
-                         center + t[j + 1] * (edge(s1) - center),
-                         center + t[j + 1] * (edge(s0) - center)]
-                    for tri in fan_triangles(np.array(q)):
-                        area = abs(polygon_area(tri))
-                        if area <= 1e-300:
-                            continue
-                        p, w = triangle_rule(tri[0], tri[1], tri[2], degree)
-                        pts.append(p)
-                        wts.append(w)
-                        lay.append(np.full(len(w), j))
-        ipts = np.vstack(pts)
-        iwts = np.concatenate(wts)
-        ilay = np.concatenate(lay)
-        bp, bw = _boundary_2d(P, degree, _geometric_breaks(tangential_layers))
+        segs = _facet_segments(P)
+        a, b = segs[:, None, 0], segs[:, None, 1]
+        edge = a + ss[:, None] * (b - a)                                  # (K, S, 2)
+        ring = center + t[:, None, None] * (edge[:, None] - center)      # (K, L+1, S, 2)
+        tris = _strip_triangles(ring[:, :-1], ring[:, 1:])                # (K, L, S-1, 2, 3, 2)
+        tags = np.broadcast_to(np.arange(layers)[:, None, None], tris.shape[:4])
+        ipts, iwts, ilay = _tagged_rule(tris, [tags], degree)
+        bp, bw = _boundary_2d(P, degree, [_geometric_breaks(tangential_layers)] * P.num_facets)
     return QuadratureScheme(P.dimension, degree, ipts, iwts, ilay, bp, bw,
                             kind="graded",
                             meta={"layers": layers, "tangential_layers": tangential_layers})
@@ -217,10 +258,7 @@ def split_scheme(P: Polytope, lines, degree: int = DEFAULT_DEGREE) -> Quadrature
         bp, bw = _boundary_1d(P)
     else:
         center = P.vertex_centroid()
-        polys = []
-        for k in range(P.num_facets):
-            a, b = P.facet_segment(k)
-            polys.append(np.array([center, a, b]))
+        polys = [np.array([center, a, b]) for a, b in _facet_segments(P)]
         for eta, c in lines:
             eta = np.asarray(eta, dtype=float)
             nxt = []
@@ -230,36 +268,18 @@ def split_scheme(P: Polytope, lines, degree: int = DEFAULT_DEGREE) -> Quadrature
                     if len(clipped) >= 3 and abs(polygon_area(clipped)) > 1e-300:
                         nxt.append(clipped)
             polys = nxt
-        pts, wts = [], []
-        for poly in polys:
-            for tri in fan_triangles(poly):
-                p, w = triangle_rule(tri[0], tri[1], tri[2], degree)
-                pts.append(p)
-                wts.append(w)
-        ipts, iwts = np.vstack(pts), np.concatenate(wts)
+        ipts, iwts = map_triangles([tri for poly in polys for tri in fan_triangles(poly)],
+                                   degree)
         # boundary: split each facet segment where a line crosses it
-        bp, bw = [], []
-        npts = (degree + 2) // 2
-        for k in range(P.num_facets):
-            a, b = P.facet_segment(k)
-            ss = [0.0, 1.0]
+        crossings = [[] for _ in range(P.num_facets)]
+        for k, (a, b) in enumerate(_facet_segments(P)):
             for eta, c in lines:
                 eta = np.asarray(eta, dtype=float)
                 ga = eta @ a - c
                 gb = eta @ b - c
                 if (ga > 0) != (gb > 0) and ga != gb:
-                    ss.append(ga / (ga - gb))
-            ss = np.unique(np.clip(ss, 0.0, 1.0))
-            pts_k, wts_k = [], []
-            for s0, s1 in zip(ss[:-1], ss[1:]):
-                if s1 - s0 <= 0:
-                    continue
-                p, w = _segment_rule(a + s0 * (b - a), a + s1 * (b - a), npts)
-                pts_k.append(p)
-                wts_k.append(w * P.boundary_weights[k])
-            bp.append(np.vstack(pts_k))
-            bw.append(np.concatenate(wts_k))
-        bp, bw = tuple(bp), tuple(bw)
+                    crossings[k].append(ga / (ga - gb))
+        bp, bw = _boundary_2d(P, degree, crossings)
     layers = np.full(len(iwts), -1, dtype=int)
     return QuadratureScheme(P.dimension, degree, ipts, iwts, layers, bp, bw,
                             kind="split", meta={"num_lines": len(lines)})
@@ -269,40 +289,33 @@ def mesh_graded_scheme(mesh, degree: int = DEFAULT_DEGREE, layers: int = 30,
                        tangential_layers: int = 16) -> QuadratureScheme:
     """Quadrature subordinate to mesh cells, graded toward the boundary.
 
-    Every quadrature cell lies inside a single mesh cell, so piecewise data
-    attached to the mesh has no kinks inside any cell.  Cells with an edge on
-    the polytope boundary get geometric layers (ratio 1/2) toward that edge,
-    tangentially refined toward endpoints sitting on two facets; cells
-    touching the boundary only at a vertex get a geometric point grading.
-    The slivers beyond `layers` are dropped and carry the layer bookkeeping
-    for truncation estimates.
+    Every quadrature cell lies inside a single mesh cell, recorded per point
+    in interior_cells, so piecewise data attached to the mesh has no kinks
+    inside any cell.  Cells with an edge on the polytope boundary get
+    geometric layers (ratio 1/2) toward that edge, tangentially refined
+    toward endpoints sitting on two facets; cells touching the boundary only
+    at a vertex get a geometric point grading.  The slivers beyond `layers`
+    are dropped and carry the layer bookkeeping for truncation estimates.
     """
     P = mesh.polytope
     tol = 1e-9 * max(1.0, P._scale)
-    pts, wts, lay = [], [], []
-
-    def emit_seg(a, b, level):
-        p, w = _segment_rule([a], [b], (degree + 2) // 2)
-        pts.append(p)
-        wts.append(w)
-        lay.append(np.full(len(w), level))
-
-    def emit_tri(tri, level):
-        area = abs(polygon_area(np.asarray(tri)))
-        if area <= 1e-300:
-            return
-        p, w = triangle_rule(tri[0], tri[1], tri[2], degree)
-        pts.append(p)
-        wts.append(w)
-        lay.append(np.full(len(w), level))
 
     if mesh.dimension == 1:
-        for cell in mesh.cells:
+        pts, wts, lay, cel = [], [], [], []
+
+        def emit_seg(a, b, level, cell):
+            p, w = _segment_rule([a], [b], (degree + 2) // 2)
+            pts.append(p)
+            wts.append(w)
+            lay.append(np.full(len(w), level))
+            cel.append(np.full(len(w), cell))
+
+        for ci, cell in enumerate(mesh.cells):
             a, b = float(mesh.vertices[cell[0], 0]), float(mesh.vertices[cell[1], 0])
             on_a = P.boundary_distance([[a]]) <= tol
             on_b = P.boundary_distance([[b]]) <= tol
             if not on_a and not on_b:
-                emit_seg(a, b, 0)
+                emit_seg(a, b, 0, ci)
                 continue
             mid = 0.5 * (a + b) if (on_a and on_b) else (b if on_a else a)
             for e, far, touch in (((a), mid, on_a), ((b), mid, on_b)):
@@ -311,9 +324,18 @@ def mesh_graded_scheme(mesh, degree: int = DEFAULT_DEGREE, layers: int = 30,
                 for j in range(layers):
                     hi = e + (far - e) * 2.0 ** (-j)
                     lo = e + (far - e) * 2.0 ** (-(j + 1))
-                    emit_seg(min(lo, hi), max(lo, hi), j)
+                    emit_seg(min(lo, hi), max(lo, hi), j, ci)
+        ipts, iwts = np.vstack(pts), np.concatenate(wts)
+        ilay, icell = np.concatenate(lay), np.concatenate(cel)
+        bp, bw = _boundary_1d(P)
     else:
         norm_h = np.linalg.norm(P.normals, axis=1)
+        tris, levels = [], []
+
+        def emit(block, level):
+            """Queue a (..., 3, 2) block of triangles; level broadcasts to (...)."""
+            tris.append(block.reshape(-1, 3, 2))
+            levels.append(np.broadcast_to(level, block.shape[:-2]).ravel())
 
         def facets_of(p):
             g = np.abs(P.gaps(p)) / norm_h
@@ -328,7 +350,7 @@ def mesh_graded_scheme(mesh, degree: int = DEFAULT_DEGREE, layers: int = 30,
             bverts = [i for i in range(3) if fsets[i]]
             if not bedges:
                 if not bverts:
-                    emit_tri(tri, base_level)
+                    emit(tri, base_level)
                     return
                 # point contact: geometric quadtree, only corner children recurse
                 stack = [(tri, base_level)]
@@ -345,7 +367,7 @@ def mesh_graded_scheme(mesh, degree: int = DEFAULT_DEGREE, layers: int = 30,
                         if any(facets_of(v) for v in ch):
                             stack.append((ch, lv + 1))
                         else:
-                            emit_tri(ch, lv + 1)
+                            emit(ch, lv + 1)
                 return
             if len(bedges) > 1 or fsets[(bedges[0] + 2) % 3]:
                 # corner cell or boundary-opposite vertex: split at the centroid
@@ -361,32 +383,26 @@ def mesh_graded_scheme(mesh, degree: int = DEFAULT_DEGREE, layers: int = 30,
                 tau.extend(2.0 ** (-j) for j in range(1, tangential_layers))
             if len(fsets[(i + 1) % 3]) >= 2:
                 tau.extend(1.0 - 2.0 ** (-j) for j in range(1, tangential_layers))
-            tau = np.unique(tau)
-            svals = 2.0 ** (-np.arange(layers + 1, dtype=float))  # 1, 1/2, ...
+            tau = np.unique(tau)[:, None]
+            s = 2.0 ** (-np.arange(layers + 1, dtype=float))[:, None, None]  # 1, 1/2, ...
+            # grid[j, m] = (1 - s_j) ((1 - tau_m) e0 + tau_m e1) + s_j c; layer j
+            # lies between rows j + 1 (nearer the edge) and j
+            grid = (1.0 - s) * ((1.0 - tau) * e0 + tau * e1) + s * c
+            emit(_strip_triangles(grid[1:], grid[:-1]),
+                 (base_level + np.arange(layers))[:, None, None])
 
-            def point(s, t):
-                return (1.0 - s) * ((1.0 - t) * e0 + t * e1) + s * c
-
-            for j in range(layers):
-                s_hi, s_lo = svals[j], svals[j + 1]
-                for t0, t1 in zip(tau[:-1], tau[1:]):
-                    quad = np.array([point(s_lo, t0), point(s_lo, t1),
-                                     point(s_hi, t1), point(s_hi, t0)])
-                    for sub in fan_triangles(quad):
-                        emit_tri(sub, base_level + j)
-
+        counts = []
         for cell in mesh.cells:
+            before = len(tris)
             handle(mesh.vertices[cell], 0)
-
-    ipts = np.vstack(pts)
-    iwts = np.concatenate(wts)
-    ilay = np.concatenate(lay)
-    if mesh.dimension == 1:
-        bp, bw = _boundary_1d(P)
-    else:
-        bp, bw = _boundary_2d(P, degree, _geometric_breaks(tangential_layers))
+            counts.append(sum(len(b) for b in tris[before:]))
+        owner = np.repeat(np.arange(len(mesh.cells)), counts)
+        ipts, iwts, ilay, icell = _tagged_rule(np.concatenate(tris),
+                                               [np.concatenate(levels), owner], degree)
+        bp, bw = _boundary_2d(P, degree, [_geometric_breaks(tangential_layers)] * P.num_facets)
     return QuadratureScheme(mesh.dimension, degree, ipts, iwts, ilay, bp, bw,
-                            kind="mesh-graded", meta={"layers": layers})
+                            kind="mesh-graded", meta={"layers": layers},
+                            interior_cells=icell)
 
 
 def integrate_interior(f, P: Polytope, Q: QuadratureScheme | None = None) -> float:

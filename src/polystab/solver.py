@@ -233,7 +233,7 @@ class DiscreteEnergy:
         self.H_o = self.u_o.hess(pts)
         sur = HessianSurrogate(mesh)
         self.surrogate = sur
-        op = sur.point_operator(pts).tocsc()
+        op = sur.point_operator(pts, self.scheme.interior_cells).tocsc()
         self.op_free = op[:, self.free].tocsr() if len(self.free) else op[:, :0].tocsr()
         b, a = mesh_linear_forms(mesh, A, degree=degree)
         self.lin_free = (b - a)[self.free]

@@ -385,22 +385,18 @@ def properness_certificate(P: Polytope, A, lam: float, mesh: Mesh, p_o=None,
     u_o = guillemin_potential(P)
     xc = center_of_mass(P)
 
+    d_c = P.gaps(xc) * P.boundary_weights  # facet distances at the center
+
     def pull_back(pts):
+        # along xc + s (p - xc) each facet distance is affine in s; stop where
+        # the first approaching facet comes within fd_margin
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = pts.copy()
-        d = P.boundary_distance(pts)
-        close = np.atleast_1d(d) < fd_margin
-        for i in np.where(close)[0]:
-            loi, hii = 0.0, 1.0
-            for _ in range(60):
-                s = 0.5 * (loi + hii)
-                q = xc + s * (pts[i] - xc)
-                if P.boundary_distance(q) > fd_margin:
-                    loi = s
-                else:
-                    hii = s
-            out[i] = xc + loi * (pts[i] - xc)
-        return out
+        slope = ((pts - xc) @ P.normals.T) * P.boundary_weights
+        steps = np.divide(d_c - fd_margin, -slope, out=np.full(slope.shape, np.inf),
+                          where=slope < 0.0)
+        s = np.clip(np.min(steps, axis=1), 0.0, 1.0)[:, None]
+        close = (P.boundary_distance(pts) < fd_margin)[:, None]
+        return np.where(close, xc + s * (pts - xc), pts)
 
     def a_o_field(pts):
         return evaluator.abreu_operator(u_o, pull_back(pts), h_fd=1e-3)

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -297,3 +299,36 @@ def test_mesh_linear_forms_match_evaluator():
 
 def test_volume(ev_square):
     assert ev_square.volume() == pytest.approx(1.0, rel=1e-13)
+
+
+def test_mesh_caches_survive_freed_meshes():
+    # one evaluator over a sequence of meshes that are freed in turn: a cache
+    # keyed by id(mesh) alone can hand a new mesh the data of a dead one
+    S = unit_square()
+    ev = FunctionalEvaluator(S, 4.0)
+    expected = {}
+    for h in (1 / 8, 1 / 16) * 4:
+        mesh = make_mesh(S, h)
+        u = MeshConvexFunc(mesh, np.sum((mesh.vertices - 0.5) ** 2, axis=1))
+        fresh = FunctionalEvaluator(S, 4.0)
+        assert ev.linear_functional(u) == fresh.linear_functional(u)
+        if h == 1 / 8:
+            expected.setdefault(h, fresh.mabuchi(u).value)
+            assert ev.mabuchi(u).value == expected[h]
+        del mesh, u, fresh
+        gc.collect()
+
+
+def test_mesh_caches_check_identity_not_only_id(monkeypatch):
+    # force every id() seen by the evaluator's caches to collide, as CPython
+    # may do for a mesh allocated where a freed one lived
+    import polystab.functionals as functionals
+
+    S = unit_square()
+    meshes = [make_mesh(S, h) for h in (1 / 4, 1 / 8, 1 / 4)]
+    funcs = [MeshConvexFunc(m, np.sum((m.vertices - 0.5) ** 2, axis=1)) for m in meshes]
+    expected = [(FunctionalEvaluator(S, 4.0).linear_functional(u),
+                 FunctionalEvaluator(S, 4.0).mabuchi(u).value) for u in funcs]
+    ev = FunctionalEvaluator(S, 4.0)
+    monkeypatch.setattr(functionals, "id", lambda obj: 0, raising=False)
+    assert [(ev.linear_functional(u), ev.mabuchi(u).value) for u in funcs] == expected

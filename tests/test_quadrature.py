@@ -3,17 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from polystab.hessfit import HessianSurrogate
 from polystab.mesh import make_mesh
 from polystab.polytope import build_polytope, interval, standard_simplex, unit_square
 from polystab.quadrature import (
     graded_scheme,
     integrate_boundary,
     integrate_interior,
+    map_triangles,
     mesh_graded_scheme,
     split_scheme,
     standard_scheme,
     triangle_rule,
 )
+
+PENTAGON = [((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, 0.0), -3.0),
+            ((0.0, -1.0), -2.0), ((-1.0, -1.0), -4.0)]
 
 
 def reference_triangle_moment(a, b):
@@ -149,3 +154,60 @@ def test_truncation_layers_bookkeeping():
     assert len(shallow_pts) < len(G.interior_points)
     # shallow rule misses only ~2^-30 of the length
     assert float(np.sum(shallow_wts)) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("degree", [2, 6, 9])
+def test_map_triangles_matches_stacked_triangle_rule(degree):
+    rng = np.random.default_rng(degree)
+    tris = rng.uniform(-3.0, 3.0, size=(40, 3, 2))
+    pts, wts = map_triangles(tris, degree)
+    rules = [triangle_rule(t[0], t[1], t[2], degree) for t in tris]
+    assert np.array_equal(pts, np.vstack([p for p, _ in rules]))
+    assert np.array_equal(wts, np.concatenate([w for _, w in rules]))
+
+
+@pytest.fixture(scope="module")
+def pentagon_mesh_graded():
+    """The pentagon at h = 1/5 with the solver's mesh-graded scheme."""
+    mesh = make_mesh(build_polytope(PENTAGON), 1 / 5)
+    return mesh, mesh_graded_scheme(mesh, layers=20, tangential_layers=8)
+
+
+def test_mesh_graded_cells_match_locate(pentagon_mesh_graded):
+    mesh, Q = pentagon_mesh_graded
+    ids, _ = mesh.locate(Q.interior_points)
+    assert Q.interior_cells.shape == Q.interior_weights.shape
+    assert np.array_equal(Q.interior_cells, ids)
+    assert np.all(standard_scheme(mesh.polytope).interior_cells == -1)
+
+
+def test_mesh_graded_cells_contain_their_points():
+    # at 30 layers some points lie within locate's 1e-9 barycentric tolerance
+    # of a neighbouring cell, which locate may return instead; the parent cell
+    # contains every point strictly
+    for P in (build_polytope(PENTAGON), unit_square(), standard_simplex()):
+        mesh = make_mesh(P, 1 / 5)
+        Q = mesh_graded_scheme(mesh)
+        assert np.all(mesh.barycentric(Q.interior_cells, Q.interior_points) > 0.0)
+        ids, bary = mesh.locate(Q.interior_points)
+        other = ids != Q.interior_cells
+        assert np.all(ids >= 0)
+        assert np.all(np.min(bary[other], axis=1) < 0.0)
+
+
+def test_point_operator_with_cells_matches_locate(pentagon_mesh_graded):
+    mesh, Q = pentagon_mesh_graded
+    sur = HessianSurrogate(mesh)
+    with_cells = sur.point_operator(Q.interior_points, Q.interior_cells)
+    located = sur.point_operator(Q.interior_points)
+    assert with_cells.shape == located.shape
+    assert (with_cells != located).nnz == 0
+
+
+def test_point_operator_with_cells_matches_locate_1d():
+    mesh = make_mesh(interval(), 1 / 8)
+    Q = mesh_graded_scheme(mesh)
+    sur = HessianSurrogate(mesh)
+    assert np.array_equal(Q.interior_cells, mesh.locate(Q.interior_points)[0])
+    with_cells = sur.point_operator(Q.interior_points, Q.interior_cells)
+    assert (with_cells != sur.point_operator(Q.interior_points)).nnz == 0
