@@ -9,7 +9,6 @@ makes functional gradients of log-det terms available in closed form.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from .mesh import Mesh
 
@@ -69,6 +68,8 @@ class HessianSurrogate:
 
     def _build_vertex_matrix(self):
         """Sparse (ncomp*V, V): values -> stacked per-vertex Hessian components."""
+        from scipy import sparse
+
         V = self.mesh.num_vertices
         rows, cols, data = [], [], []
         for v in range(V):
@@ -88,6 +89,8 @@ class HessianSurrogate:
         interior_cells; else Mesh.locate); built as (interpolation) @ (vertex
         fits) so assembly stays vectorized.
         """
+        from scipy import sparse
+
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if cells is None:
             ids, bary = self.mesh.locate(pts)
@@ -108,6 +111,15 @@ class HessianSurrogate:
             (vals, (rows, cols)),
             shape=(k * m, k * self.mesh.num_vertices)).tocsr()
         return interp @ self._vertex_matrix
+
+    def reads(self, columns):
+        """(V,) bool: whether each vertex's fit stores a coefficient on `columns`.
+
+        A point Hessian is interpolated from the fits at its cell's vertices,
+        so it depends on the values at `columns` only through such vertices.
+        """
+        stored = np.diff(self._vertex_matrix[:, columns].indptr)
+        return stored.reshape(-1, self.ncomp).any(axis=1)
 
 
 def components_to_matrices(comp, n):

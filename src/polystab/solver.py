@@ -211,6 +211,14 @@ class DiscreteEnergy:
     the quadric-fit surrogate of the piecewise-linear correction, sampled on
     a boundary-graded quadrature; the gradient follows analytically from the
     (linear) surrogate assembly.
+
+    Only the active samples can change: those whose parent cell has a vertex
+    whose quadric fit reads a free vertex.  The point operator and the
+    Guillemin Hessian components (hxx, hxy, hyy) are kept for them alone.  On
+    every other sample Hess u = Hess u_o, so its -w log det term is folded
+    into a constant once, its det is checked positive once (else every value
+    is inf) and its smallest det joins the convexity margin.  `gradient(f)`
+    reuses the Hessians of the last `value(f)` when f has not changed since.
     """
 
     def __init__(self, P: Polytope, A, mesh: Mesh, margin=None, layers=20,
@@ -229,43 +237,57 @@ class DiscreteEnergy:
                                          tangential_layers=8)
         self.u_o = guillemin_potential(P)
         pts = self.scheme.interior_points
-        self.wq = self.scheme.interior_weights
-        self.H_o = self.u_o.hess(pts)
+        cells = self.scheme.interior_cells
+        wq = self.scheme.interior_weights
+        self.npts = pts.shape[0]
         sur = HessianSurrogate(mesh)
         self.surrogate = sur
-        op = sur.point_operator(pts, self.scheme.interior_cells).tocsc()
-        self.op_free = op[:, self.free].tocsr() if len(self.free) else op[:, :0].tocsr()
+        self.active = active = sur.reads(self.free)[mesh.cells[cells]].any(axis=1)
+        H_o = self.u_o.hess(pts)
+        # H_o is exactly symmetric, so hxx hyy - hxy hxy is the full 2x2 det
+        hxx, hxy, hyy = H_o[:, 0, 0], H_o[:, 0, 1], H_o[:, 1, 1]
+        fixed_det = hxx[~active] * hyy[~active] - hxy[~active] * hxy[~active]
+        self.fixed_margin = float(fixed_det.min(initial=np.inf))
+        self.fixed_logdet = (float(np.dot(wq[~active], np.log(fixed_det)))
+                             if self.fixed_margin > 0.0 else np.nan)
+        self.w = wq[active]
+        self.hxx_o, self.hxy_o, self.hyy_o = hxx[active], hxy[active], hyy[active]
+        op = sur.point_operator(pts[active], cells[active]).tocsc()
+        self.op_free = op[:, self.free].tocsr()
         b, a = mesh_linear_forms(mesh, A, degree=degree)
         self.lin_free = (b - a)[self.free]
         ev = FunctionalEvaluator(P, A, degree=degree, layers=40)
         self.evaluator = ev
         self.lin_const = ev.linear_functional(self.u_o)
-        self.npts = pts.shape[0]
+        self._last = (None, None)
 
-    def hessians(self, f):
+    def _active_hessians(self, f):
+        """(hxx, hxy, hyy, det) of u_o + f on the active samples."""
+        last_f, parts = self._last
+        if last_f is not None and np.array_equal(last_f, f):
+            return parts
         comp = self.op_free @ f
-        H = components_to_matrices(comp, 2)
-        return self.H_o + H
-
-    def dets(self, f):
-        H = self.hessians(f)
-        return H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
+        hxx = self.hxx_o + comp[0::3]
+        hxy = self.hxy_o + comp[1::3]
+        hyy = self.hyy_o + comp[2::3]
+        parts = hxx, hxy, hyy, hxx * hyy - hxy * hxy
+        self._last = (np.array(f, dtype=float), parts)
+        return parts
 
     def value(self, f):
-        det = self.dets(f)
-        if np.any(det <= 0.0):
+        det = self._active_hessians(f)[3]
+        if self.fixed_margin <= 0.0 or np.any(det <= 0.0):
             return np.inf, 0.0
-        margin = float(np.min(det))
-        val = -float(np.dot(self.wq, np.log(det)))
+        margin = min(float(det.min(initial=np.inf)), self.fixed_margin)
+        val = -(float(np.dot(self.w, np.log(det))) + self.fixed_logdet)
         return val + self.lin_const + float(self.lin_free @ f), margin
 
     def gradient(self, f):
-        H = self.hessians(f)
-        det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
-        z = np.empty(3 * self.npts)
-        z[0::3] = self.wq * H[:, 1, 1] / det
-        z[1::3] = self.wq * (-2.0 * H[:, 0, 1] / det)
-        z[2::3] = self.wq * H[:, 0, 0] / det
+        hxx, hxy, hyy, det = self._active_hessians(f)
+        z = np.empty(3 * len(det))
+        z[0::3] = self.w * hyy / det
+        z[1::3] = self.w * (-2.0 * hxy / det)
+        z[2::3] = self.w * hxx / det
         return -(self.op_free.T @ z) + self.lin_free
 
 

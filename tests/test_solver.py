@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from polystab.convex import guillemin_potential
+from polystab.errors import LineSearchStall, LostConvexity
 from polystab.functionals import extremal_affine
+from polystab.hessfit import components_to_matrices
 from polystab.mesh import make_mesh
 from polystab.polytope import build_polytope, interval, unit_square
-from polystab.solver import solve_1d, solve_2d_descent
+from polystab.solver import DiscreteEnergy, solve_1d, solve_2d_descent
 
 PENTAGON = [((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, 0.0), -3.0),
             ((0.0, -1.0), -2.0), ((-1.0, -1.0), -4.0)]
@@ -55,3 +57,125 @@ def test_energy_history_never_increases():
     assert len(hist) == state.iterations + 1 > 1
     assert np.all(np.diff(hist) < 0.0)
     assert state.residual_history[-1] <= 1e-6
+
+
+def full_sample_energy(E, f):
+    """Value, margin, gradient and point operator of E over every sample.
+
+    The reference the restricted kernel is checked against: full 2x2
+    Hessians of u_o + f on the whole mesh-graded scheme.
+    """
+    Q = E.scheme
+    op = E.surrogate.point_operator(Q.interior_points, Q.interior_cells)
+    op = op.tocsc()[:, E.free].tocsr()
+    H = E.u_o.hess(Q.interior_points) + components_to_matrices(op @ f, 2)
+    det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
+    w = Q.interior_weights
+    value = -float(np.dot(w, np.log(det))) + E.lin_const + float(E.lin_free @ f)
+    z = np.empty(3 * len(det))
+    z[0::3] = w * H[:, 1, 1] / det
+    z[1::3] = w * (-2.0 * H[:, 0, 1] / det)
+    z[2::3] = w * H[:, 0, 0] / det
+    return value, float(np.min(det)), -(op.T @ z) + E.lin_free, op
+
+
+@pytest.mark.parametrize("case", ["pentagon-1/5", "square-1/8", "square-all-free"])
+def test_energy_matches_full_sample_reference(case):
+    if case == "pentagon-1/5":
+        P = build_polytope(PENTAGON)
+        E = DiscreteEnergy(P, extremal_affine(P), make_mesh(P, 1 / 5))
+    elif case == "square-1/8":
+        S = unit_square()
+        E = DiscreteEnergy(S, 4.0, make_mesh(S, 1 / 8))
+    else:
+        # every vertex free, so no sample is inactive
+        S = unit_square()
+        mesh = make_mesh(S, 1 / 4)
+        E = DiscreteEnergy(S, 4.0, mesh, margin=-1.0)
+        assert len(E.free) == mesh.num_vertices
+        assert np.all(E.active)
+    assert 0 < np.count_nonzero(E.active) <= E.npts == len(E.scheme.interior_weights)
+    rng = np.random.default_rng(11)
+    for trial in range(3):
+        f = 1e-3 * rng.standard_normal(len(E.free))
+        ref_value, ref_margin, ref_grad, op = full_sample_energy(E, f)
+        value, margin = E.value(f)
+        assert value == pytest.approx(ref_value, rel=1e-13)
+        assert margin == ref_margin
+        assert np.array_equal(E.gradient(f), ref_grad)
+        # the gradient of a fresh argument must not reuse the previous Hessians
+        g = f + 1e-4
+        assert np.array_equal(E.gradient(g), full_sample_energy(E, g)[2])
+    rows = np.repeat(E.active, 3)
+    assert op[~rows].nnz == 0
+    assert (op[rows] != E.op_free).nnz == 0
+
+
+def test_gradient_does_not_reuse_a_mutated_argument():
+    S = unit_square()
+    E = DiscreteEnergy(S, 4.0, make_mesh(S, 1 / 8))
+    f = 1e-3 * np.arange(len(E.free))
+    E.value(f)
+    f *= -1.0
+    assert np.array_equal(E.gradient(f), full_sample_energy(E, f)[2])
+
+
+@pytest.mark.parametrize("h, energy", [(1 / 2, -1.9999771524254237),
+                                       (0.3, -1.9999854091102431)])
+def test_descent_without_free_vertices(h, energy):
+    S = unit_square()
+    state = solve_2d_descent(S, 4.0, make_mesh(S, h))
+    assert len(state.free) == 0
+    assert not np.any(state.energy.active)
+    assert state.converged
+    assert state.iterations == 0
+    assert state.energy_history == [pytest.approx(energy, rel=1e-12)]
+    assert state.convexity_margin > 0.0
+
+
+def test_descent_rejects_a_nonconvex_start():
+    # a mesa of height 100 on the free vertices: its rim is strongly concave
+    S = unit_square()
+    mesh = make_mesh(S, 1 / 8)
+    E = DiscreteEnergy(S, 4.0, mesh)
+    f0 = np.full(len(E.free), 100.0)
+    assert E.value(f0) == (np.inf, 0.0)
+    with pytest.raises(LostConvexity):
+        solve_2d_descent(S, 4.0, mesh, f0=f0)
+
+
+def _reject_every_trial(monkeypatch):
+    """Let only the first energy evaluation (the start) through."""
+    value = DiscreteEnergy.value
+    calls = []
+
+    def first_only(self, f):
+        calls.append(1)
+        return value(self, f) if len(calls) == 1 else (np.inf, 0.0)
+
+    monkeypatch.setattr(DiscreteEnergy, "value", first_only)
+    return calls
+
+
+def test_descent_stalls_when_every_trial_fails(monkeypatch):
+    S = unit_square()
+    mesh = make_mesh(S, 1 / 8)
+    f0 = 1e-2 * np.random.default_rng(7).standard_normal(9)
+    calls = _reject_every_trial(monkeypatch)
+    with pytest.raises(LineSearchStall):
+        solve_2d_descent(S, 4.0, mesh, f0=f0)
+    assert len(calls) > 40  # the step was halved down to 1e-14
+
+
+def test_descent_stops_at_float_resolution(monkeypatch):
+    # near the minimum the Armijo decrease is below the energy's float
+    # resolution: a failed line search there ends the descent without error
+    S = unit_square()
+    mesh = make_mesh(S, 1 / 8)
+    calls = _reject_every_trial(monkeypatch)
+    state = solve_2d_descent(S, 4.0, mesh, f0=np.full(9, 1e-9), tol=0.0)
+    assert state.meta["stopped"] == "float-resolution"
+    assert not state.converged
+    assert state.iterations == 0
+    assert 0.0 < state.residual_history[0] < 1e-6
+    assert len(calls) > 40
