@@ -426,41 +426,44 @@ def build_parser():
     p.add_argument("--version", action="version", version=f"polystab {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_A=True):
+    options = {
+        "A": dict(default="extremal", help='scalar field: "extremal", '
+                  '"affine:c0,c1[,c2]", or a quadratic expression in x[,y]'),
+        "h": dict(type=float, default=1 / 16, help="mesh parameter"),
+        "degree": dict(type=int, default=6, help="quadrature degree"),
+        "tol": dict(type=float, default=None, help="solver tolerance"),
+        "seed": dict(type=int, default=20240, help="seed for randomized audits"),
+    }
+
+    def common(sp, *names):
         sp.add_argument("--polytope", required=True, help="polytope file")
-        if need_A:
-            sp.add_argument("--A", default="extremal",
-                            help='scalar field: "extremal", "affine:c0,c1[,c2]", '
-                                 "or a quadratic expression in x[,y]")
-        sp.add_argument("--h", type=float, default=1 / 16, help="mesh parameter")
-        sp.add_argument("--degree", type=int, default=6, help="quadrature degree")
-        sp.add_argument("--tol", type=float, default=None, help="solver tolerance")
+        for name in names:  # only the options the command reads
+            sp.add_argument(f"--{name}", **options[name])
         sp.add_argument("--out", default=None, help="write the report here")
-        sp.add_argument("--seed", type=int, default=20240, help="seed for randomized audits")
 
     sp = sub.add_parser("extremal-affine", help="solve the canonical affine field")
-    common(sp, need_A=False)
+    common(sp, "degree")
     sp.set_defaults(fn=cmd_extremal_affine)
 
     sp = sub.add_parser("stability", help="crease sweep plus the cone LP at h and h/2")
-    common(sp)
+    common(sp, "A", "h")
     sp.add_argument("--lp-mode", choices=("float", "exact"), default="float")
     sp.set_defaults(fn=cmd_stability)
 
     sp = sub.add_parser("solve", help="solve the 4th-order equation")
-    common(sp)
+    common(sp, "A", "h", "tol")
     sp.add_argument("--max-iter", type=int, default=5000)
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("verify", help="run the built-in audit suite")
-    common(sp, need_A=False)
+    common(sp, "h", "seed")
     sp.add_argument("--sigma-scale", type=float, default=1.0,
                     help="scale boundary weights (consistency tripwire)")
     sp.add_argument("--audit-count", type=int, default=50)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("eval", help="evaluate one functional")
-    common(sp)
+    common(sp, "A", "h", "degree")
     sp.add_argument("--op", required=True,
                     choices=("boundary-norm", "linear-functional", "mabuchi",
                              "extremal-affine", "abreu-residual", "ibp", "l1-constant"))

@@ -1,10 +1,11 @@
 """Discrete Hessian surrogate for mesh functions.
 
 Piecewise-linear interpolants have distributional Hessians, so second
-derivatives are recovered by least-squares quadric fits over vertex stars
-(the vertex and its 1-ring); the per-vertex Hessians are then interpolated
-linearly inside each cell.  The fit is a linear map of vertex values, which
-makes functional gradients of log-det terms available in closed form.
+derivatives come from two linear maps, applied in turn and never multiplied
+out: least-squares quadric fits over each vertex star (the vertex and its
+1-ring) give per-vertex Hessians, which are then interpolated linearly inside
+each cell.  Both maps are linear in the vertex values, so gradients of log-det
+terms follow in closed form from their transposes.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from .mesh import Mesh
 
 
 class HessianSurrogate:
-    """Per-vertex quadric-fit Hessians and their linear assembly operators."""
+    """Per-vertex quadric fits and the point operators built on them."""
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
@@ -29,8 +30,11 @@ class HessianSurrogate:
                     if a != b:
                         rings[a].add(int(b))
 
-        self.star_idx: list[np.ndarray] = [None] * V
-        self.star_op: list[np.ndarray] = [None] * V  # (ncomp, len(star)) row maps
+        # fit of v: star_idx[v] (S,) and star_op[v] (ncomp, S), S = 1 + the
+        # largest ring; shorter stars are padded with v and coefficient 0
+        S = 1 + max(len(r) for r in rings)
+        self.star_idx = np.repeat(np.arange(V)[:, None], S, axis=1)
+        self.star_op = np.zeros((V, self.ncomp, S))
         need = 3 if n == 1 else 6
         valid = np.zeros(V, dtype=bool)
         for v in range(V):
@@ -49,8 +53,8 @@ class HessianSurrogate:
                 ])
             G = np.linalg.pinv(B, rcond=1e-10)
             rows = G[2:3] if n == 1 else G[3:6]
-            self.star_idx[v] = star
-            self.star_op[v] = rows / s**2
+            self.star_idx[v, :len(star)] = star
+            self.star_op[v, :, :len(star)] = rows / s**2
             valid[v] = True
 
         # vertices with deficient stars borrow the nearest valid fit
@@ -64,33 +68,13 @@ class HessianSurrogate:
                 self.star_idx[v] = self.star_idx[donor]
                 self.star_op[v] = self.star_op[donor]
 
-        self._vertex_matrix = self._build_vertex_matrix()
-
-    def _build_vertex_matrix(self):
-        """Sparse (ncomp*V, V): values -> stacked per-vertex Hessian components."""
-        from scipy import sparse
-
-        V = self.mesh.num_vertices
-        rows, cols, data = [], [], []
-        for v in range(V):
-            idx = self.star_idx[v]
-            op = self.star_op[v]
-            for c in range(self.ncomp):
-                rows.extend([self.ncomp * v + c] * len(idx))
-                cols.extend(idx.tolist())
-                data.extend(op[c].tolist())
-        return sparse.csr_matrix((data, (rows, cols)), shape=(self.ncomp * V, V))
-
     def point_operator(self, points, cells=None):
-        """Sparse (ncomp*m, V): values -> Hessian components at given points.
+        """PointOperator: vertex values -> Hessian components at given points.
 
         Per-vertex fits are interpolated with the barycentric weights of the
         containing cell (cells[i] when given, e.g. a mesh-graded scheme's
-        interior_cells; else Mesh.locate); built as (interpolation) @ (vertex
-        fits) so assembly stays vectorized.
+        interior_cells; else Mesh.locate).
         """
-        from scipy import sparse
-
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if cells is None:
             ids, bary = self.mesh.locate(pts)
@@ -98,19 +82,8 @@ class HessianSurrogate:
             ids, bary = np.asarray(cells, dtype=int), self.mesh.barycentric(cells, pts)
         if np.any(ids < 0):
             raise ValueError("point outside mesh in Hessian assembly")
-        m = pts.shape[0]
-        k = self.ncomp
-        tri = self.mesh.cells[ids]  # (m, nloc)
-        nloc = tri.shape[1]
-        comp = np.arange(k)
-        rows = (np.arange(m)[:, None, None] * k + comp[None, None, :])
-        rows = np.broadcast_to(rows, (m, nloc, k)).ravel()
-        cols = (tri[:, :, None] * k + comp[None, None, :]).ravel()
-        vals = np.broadcast_to(bary[:, :, None], (m, nloc, k)).ravel()
-        interp = sparse.coo_matrix(
-            (vals, (rows, cols)),
-            shape=(k * m, k * self.mesh.num_vertices)).tocsr()
-        return interp @ self._vertex_matrix
+        return PointOperator(self, np.ascontiguousarray(self.mesh.cells[ids].T),
+                             np.ascontiguousarray(bary.T))
 
     def reads(self, columns):
         """(V,) bool: whether each vertex's fit stores a coefficient on `columns`.
@@ -118,18 +91,42 @@ class HessianSurrogate:
         A point Hessian is interpolated from the fits at its cell's vertices,
         so it depends on the values at `columns` only through such vertices.
         """
-        stored = np.diff(self._vertex_matrix[:, columns].indptr)
-        return stored.reshape(-1, self.ncomp).any(axis=1)
+        return np.isin(self.star_idx, columns).any(axis=1)
+
+
+class PointOperator:
+    """(ncomp*m, V) map: per-vertex fits, then interpolation at m points.
+
+    tri, bary: (n+1, m) cell vertices and barycentric weights of the points.
+    """
+
+    def __init__(self, surrogate: HessianSurrogate, tri, bary):
+        self.surrogate = surrogate
+        self.tri = tri
+        self.bary = bary
+        self.shape = (surrogate.ncomp * tri.shape[1], surrogate.mesh.num_vertices)
+
+    def __matmul__(self, values):
+        """(ncomp, m) Hessian components of the (V,) vertex values."""
+        sur = self.surrogate
+        fits = np.einsum("vks,vs->kv", sur.star_op, values[sur.star_idx])
+        return sum(b * fits.take(t, axis=1) for t, b in zip(self.tri, self.bary))
+
+    def rmatvec(self, z):
+        """(V,) transpose applied to (ncomp, m) components z."""
+        sur = self.surrogate
+        k, V = sur.ncomp, self.shape[1]
+        # interpolation transposed: scatter each point's share onto its vertices' fits
+        slot = np.arange(k)[:, None, None] * V + self.tri
+        fit_z = np.bincount(slot.ravel(), weights=(z[:, None, :] * self.bary).ravel(),
+                            minlength=k * V).reshape(k, V)
+        # fits transposed: scatter each fit's coefficients onto its star
+        star = np.broadcast_to(sur.star_idx[:, None, :], sur.star_op.shape)
+        return np.bincount(star.ravel(), weights=(sur.star_op * fit_z.T[:, :, None]).ravel(),
+                           minlength=V)
 
 
 def components_to_matrices(comp, n):
-    """Stacked (ncomp*m,) component vector -> (m, n, n) symmetric matrices."""
-    if n == 1:
-        c = comp.reshape(-1, 1)
-        return c[:, :, None]
-    c = comp.reshape(-1, 3)
-    H = np.empty((c.shape[0], 2, 2))
-    H[:, 0, 0] = c[:, 0]
-    H[:, 0, 1] = H[:, 1, 0] = c[:, 1]
-    H[:, 1, 1] = c[:, 2]
-    return H
+    """(ncomp, m) Hessian components -> (m, n, n) symmetric matrices."""
+    order = [0] if n == 1 else [0, 1, 1, 2]  # xx, or xx, xy, yx, yy
+    return comp[order].T.reshape(-1, n, n)

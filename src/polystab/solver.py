@@ -251,9 +251,8 @@ class DiscreteEnergy:
         self.fixed_logdet = (float(np.dot(wq[~active], np.log(fixed_det)))
                              if self.fixed_margin > 0.0 else np.nan)
         self.w = wq[active]
-        self.hxx_o, self.hxy_o, self.hyy_o = hxx[active], hxy[active], hyy[active]
-        op = sur.point_operator(pts[active], cells[active]).tocsc()
-        self.op_free = op[:, self.free].tocsr()
+        self.h_o = np.stack([hxx[active], hxy[active], hyy[active]])
+        self.op = sur.point_operator(pts[active], cells[active])
         b, a = mesh_linear_forms(mesh, A, degree=degree)
         self.lin_free = (b - a)[self.free]
         ev = FunctionalEvaluator(P, A, degree=degree, layers=40)
@@ -266,10 +265,9 @@ class DiscreteEnergy:
         last_f, parts = self._last
         if last_f is not None and np.array_equal(last_f, f):
             return parts
-        comp = self.op_free @ f
-        hxx = self.hxx_o + comp[0::3]
-        hxy = self.hxy_o + comp[1::3]
-        hyy = self.hyy_o + comp[2::3]
+        vals = np.zeros(self.mesh.num_vertices)
+        vals[self.free] = f
+        hxx, hxy, hyy = self.h_o + self.op @ vals
         parts = hxx, hxy, hyy, hxx * hyy - hxy * hxy
         self._last = (np.array(f, dtype=float), parts)
         return parts
@@ -284,11 +282,8 @@ class DiscreteEnergy:
 
     def gradient(self, f):
         hxx, hxy, hyy, det = self._active_hessians(f)
-        z = np.empty(3 * len(det))
-        z[0::3] = self.w * hyy / det
-        z[1::3] = self.w * (-2.0 * hxy / det)
-        z[2::3] = self.w * hxx / det
-        return -(self.op_free.T @ z) + self.lin_free
+        z = np.stack([self.w * hyy / det, self.w * (-2.0 * hxy / det), self.w * hxx / det])
+        return -self.op.rmatvec(z)[self.free] + self.lin_free
 
 
 def solve_2d_descent(P: Polytope, A, mesh: Mesh, max_iter=5000, tol=1e-6,

@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import polystab
 from polystab.cli import main
 
@@ -41,15 +43,12 @@ def test_missing_polytope_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_1d_stability_run_does_not_import_scipy(tmp_path):
-    # SciPy is needed only by the 2D Hessian surrogate; a fresh interpreter
-    # keeps the import cost and memory out of every other run
-    path = tmp_path / "interval.txt"
-    path.write_text(INTERVAL)
+def imports_scipy(argv):
+    """Whether a fresh interpreter imports SciPy while running `polystab argv`."""
     code = (
         "import sys\n"
         "from polystab.cli import main\n"
-        f"assert main(['stability', '--polytope', {str(path)!r}, '--h', '0.0625']) == 0\n"
+        f"assert main({argv!r}) == 0\n"
         "print('scipy' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(polystab.__file__))
@@ -57,4 +56,36 @@ def test_1d_stability_run_does_not_import_scipy(tmp_path):
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
-    assert out.splitlines()[-1] == "False"
+    return out.splitlines()[-1] == "True"
+
+
+def test_1d_stability_run_does_not_import_scipy(tmp_path):
+    # polystab depends on NumPy alone; a fresh interpreter shows that no
+    # import pulls SciPy in and adds its start-up time and memory to a run
+    path = tmp_path / "interval.txt"
+    path.write_text(INTERVAL)
+    assert not imports_scipy(["stability", "--polytope", str(path), "--h", "0.0625"])
+
+
+def test_2d_solve_does_not_import_scipy(tmp_path):
+    path = tmp_path / "pentagon.txt"
+    path.write_text(PENTAGON)
+    assert not imports_scipy(["solve", "--polytope", str(path), "--h", "0.25"])
+
+
+def test_unread_option_is_rejected(tmp_path, capsys):
+    # stability reads neither the quadrature degree nor a seed or tolerance
+    path = tmp_path / "interval.txt"
+    path.write_text(INTERVAL)
+    with pytest.raises(SystemExit) as exc:
+        main(["stability", "--polytope", str(path), "--degree", "6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --degree 6" in capsys.readouterr().err
+
+
+def test_incompatible_1d_field_exits_4(tmp_path, capsys):
+    # A = 1 on [0, 1]: w = x - x^2 / 2 misses the endpoint condition, w(1) = 1/2
+    path = tmp_path / "interval.txt"
+    path.write_text(INTERVAL)
+    assert main(["solve", "--polytope", str(path), "--A", "affine:1,0"]) == 4
+    assert "incompatible A" in capsys.readouterr().err

@@ -201,7 +201,8 @@ def test_point_operator_with_cells_matches_locate(pentagon_mesh_graded):
     with_cells = sur.point_operator(Q.interior_points, Q.interior_cells)
     located = sur.point_operator(Q.interior_points)
     assert with_cells.shape == located.shape
-    assert (with_cells != located).nnz == 0
+    assert np.array_equal(with_cells.tri, located.tri)
+    assert np.array_equal(with_cells.bary, located.bary)
 
 
 def test_point_operator_with_cells_matches_locate_1d():
@@ -210,4 +211,25 @@ def test_point_operator_with_cells_matches_locate_1d():
     sur = HessianSurrogate(mesh)
     assert np.array_equal(Q.interior_cells, mesh.locate(Q.interior_points)[0])
     with_cells = sur.point_operator(Q.interior_points, Q.interior_cells)
-    assert (with_cells != sur.point_operator(Q.interior_points)).nnz == 0
+    located = sur.point_operator(Q.interior_points)
+    assert np.array_equal(with_cells.tri, located.tri)
+    assert np.array_equal(with_cells.bary, located.bary)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_point_operator_transpose_is_the_adjoint(dim, pentagon_mesh_graded):
+    # <z, op @ v> = <op.rmatvec(z), v> checks the hand-written transpose
+    # against the forward map, which no other test does
+    if dim == 1:
+        mesh = make_mesh(interval(), 1 / 8)
+        Q = mesh_graded_scheme(mesh)
+    else:
+        mesh, Q = pentagon_mesh_graded
+    sur = HessianSurrogate(mesh)
+    op = sur.point_operator(Q.interior_points, Q.interior_cells)
+    rng = np.random.default_rng(dim)
+    for _ in range(3):
+        v = rng.standard_normal(mesh.num_vertices)
+        z = rng.standard_normal((sur.ncomp, len(Q.interior_weights)))
+        forward = float(np.sum(z * (op @ v)))
+        assert float(op.rmatvec(z) @ v) == pytest.approx(forward, rel=1e-12)
