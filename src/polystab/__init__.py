@@ -81,7 +81,6 @@ from .solver import (  # noqa: F401
     Compatibility1D,
     SolverState,
     residual,
-    solution_function,
     solve_1d,
     solve_2d_descent,
 )

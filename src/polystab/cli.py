@@ -36,7 +36,7 @@ from .fileio import (
 from .functionals import FunctionalEvaluator, extremal_affine
 from .mesh import make_mesh
 from .polytope import center_of_mass
-from .solver import residual, solution_function, solve_1d, solve_2d_descent
+from .solver import residual, solve_1d, solve_2d_descent
 from .stability import (
     TOLERANCES,
     analyze_stability,
@@ -155,8 +155,7 @@ def cmd_solve(args):
         rep.add("residual.l2", l2)
     else:
         mesh = make_mesh(P, args.h)
-        state = solve_2d_descent(P, A, mesh, max_iter=args.max_iter, tol=args.tol or 1e-6)
-        u = solution_function(state)
+        state = solve_2d_descent(P, A, mesh, tol=args.tol or 1e-6)
         rep.add("method", "2d-descent")
         rep.add("h", args.h)
         rep.add("iterations", state.iterations)
@@ -171,9 +170,10 @@ def cmd_solve(args):
             write_mesh_function(MeshConvexFunc(mesh, state.full_values()), ckpt)
             rep.add("checkpoint.file", ckpt)
         hist = state.energy_history
-        stride = max(1, len(hist) // 20)
-        rep.table("descent", ["step", "energy"],
-                  [[i, hist[i]] for i in range(0, len(hist), stride)] + [[len(hist) - 1, hist[-1]]])
+        steps = list(range(0, len(hist), max(1, len(hist) // 20)))
+        if steps[-1] != len(hist) - 1:
+            steps.append(len(hist) - 1)
+        rep.table("descent", ["step", "energy"], [[i, hist[i]] for i in steps])
     _emit(rep, args.out)
     return 0
 
@@ -320,7 +320,7 @@ def _random_normalized_mesh_function(mesh, rng):
         a = rng.uniform(-2.0, 2.0, size=n)
         vals = vals + mesh.vertices @ a
         u = MeshConvexFunc(mesh, vals)
-        u = normalize(u, center_of_mass(P))
+        u = normalize(u, mesh.vertices[mesh.nearest_vertex(center_of_mass(P))])
         if u.is_discretely_convex(slack=1e-10):
             return u
     raise RuntimeError("failed to draw a discretely convex sample")
@@ -452,7 +452,6 @@ def build_parser():
 
     sp = sub.add_parser("solve", help="solve the 4th-order equation")
     common(sp, "A", "h", "tol")
-    sp.add_argument("--max-iter", type=int, default=5000)
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("verify", help="run the built-in audit suite")

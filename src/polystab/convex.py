@@ -233,10 +233,6 @@ class MeshConvexFunc:
             b[c] += 0.5 * L * P.boundary_weights[k]
         return b
 
-    def with_values(self, values, normalized=False):
-        return MeshConvexFunc(self.mesh, values, p_o_index=self.p_o_index,
-                              normalized=normalized)
-
 
 def convexity_coefficients(mesh: Mesh):
     """2D hinge inequalities: rows (p, q, r, s) with sum(coef * u[idx]) >= 0.

@@ -4,8 +4,8 @@ Piecewise-linear interpolants have distributional Hessians, so second
 derivatives come from two linear maps, applied in turn and never multiplied
 out: least-squares quadric fits over each vertex star (the vertex and its
 1-ring) give per-vertex Hessians, which are then interpolated linearly inside
-each cell.  Both maps are linear in the vertex values, so gradients of log-det
-terms follow in closed form from their transposes.
+each cell.  Both maps are linear in the vertex values, so gradients and
+Hessians of log-det terms follow in closed form from their transposes.
 """
 from __future__ import annotations
 
@@ -124,6 +124,34 @@ class PointOperator:
         star = np.broadcast_to(sur.star_idx[:, None, :], sur.star_op.shape)
         return np.bincount(star.ravel(), weights=(sur.star_op * fit_z.T[:, :, None]).ravel(),
                            minlength=V)
+
+    def gram(self, K, cols):
+        """Dense (c, c) matrix op^T K op on the vertex columns `cols`.
+
+        K: (m, ncomp, ncomp), one block per point.
+        """
+        sur = self.surrogate
+        k, V = sur.ncomp, self.shape[1]
+        # sum b_i b_j K over the points for each (ordered) pair of cell vertices
+        ends = len(self.tri)
+        ia, ib = np.repeat(np.arange(ends), ends), np.tile(np.arange(ends), ends)
+        pairs, slot = np.unique((self.tri[ia] * V + self.tri[ib]).ravel(), return_inverse=True)
+        bb = self.bary[ia] * self.bary[ib]
+        block = np.stack([np.bincount(slot, weights=(bb * K[:, e // k, e % k]).ravel(),
+                                      minlength=len(pairs))
+                          for e in range(k * k)], axis=1).reshape(-1, k, k)
+        # map each pair's block through the two vertices' fits
+        pa, pb = pairs // V, pairs % V
+        full = np.einsum("pks,pkl,plr->psr", sur.star_op[pa], block, sur.star_op[pb])
+        # scatter onto the columns; fixed vertices map to -1 and drop out
+        pos = np.full(V, -1)
+        pos[cols] = np.arange(len(cols))
+        r = pos[sur.star_idx[pa]][:, :, None]
+        c = pos[sur.star_idx[pb]][:, None, :]
+        keep = (r >= 0) & (c >= 0)
+        n = len(cols)
+        flat = np.broadcast_to(r * n + c, full.shape)[keep]
+        return np.bincount(flat, weights=full[keep], minlength=n * n).reshape(n, n)
 
 
 def components_to_matrices(comp, n):

@@ -3,9 +3,10 @@
 1D admits a closed integration: w = 1/u'' solves w'' = -A with w(p) = 0 and
 w'(p) equal to the boundary weight at p; the remaining endpoint conditions
 are an overdetermined compatibility test on A.  2D minimizes the discretized
-Mabuchi energy over corrections u = u_o + f by gradient descent with an
-Armijo backtracking line search, keeping every accepted iterate strictly
-convex on the quadrature samples.
+Mabuchi energy over corrections u = u_o + f by damped Newton with an Armijo
+backtracking line search, keeping every accepted iterate strictly convex on
+the quadrature samples.  -log det is self-concordant, so the number of
+Newton steps does not grow with the conditioning of the discrete problem.
 """
 from __future__ import annotations
 
@@ -17,12 +18,13 @@ from .convex import SmoothConvexFunc, guillemin_potential
 from .errors import IncompatibleA, LineSearchStall, LostConvexity, NonpositiveW
 from .fields import QuadraticPoly
 from .functionals import FunctionalEvaluator, as_field, field_degree, mesh_linear_forms
-from .hessfit import HessianSurrogate, components_to_matrices
+from .hessfit import HessianSurrogate
 from .mesh import Mesh
 from .polytope import Polytope, center_of_mass
 from .quadrature import gauss_rule, mesh_graded_scheme
 
 COMPAT_TOL = 1e-8
+MAX_NEWTON_STEPS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +211,18 @@ class DiscreteEnergy:
 
     The Hessian of u = u_o + f combines the analytic Guillemin Hessian with
     the quadric-fit surrogate of the piecewise-linear correction, sampled on
-    a boundary-graded quadrature; the gradient follows analytically from the
-    (linear) surrogate assembly.
+    a boundary-graded quadrature; the gradient and the Hessian in f follow
+    analytically from the (linear) surrogate assembly.
 
     Only the active samples can change: those whose parent cell has a vertex
     whose quadric fit reads a free vertex.  The point operator and the
     Guillemin Hessian components (hxx, hxy, hyy) are kept for them alone.  On
     every other sample Hess u = Hess u_o, so its -w log det term is folded
     into a constant once, its det is checked positive once (else every value
-    is inf) and its smallest det joins the convexity margin.  `gradient(f)`
-    reuses the Hessians of the last `value(f)` when f has not changed since.
+    is inf) and its smallest det joins the convexity margin.
     """
 
-    def __init__(self, P: Polytope, A, mesh: Mesh, margin=None, layers=20,
-                 degree=6):
+    def __init__(self, P: Polytope, A, mesh: Mesh, margin=None, degree=6):
         self.polytope = P
         self.mesh = mesh
         if margin is None:
@@ -233,7 +233,7 @@ class DiscreteEnergy:
         self.margin = margin
         dist = P.boundary_distance(mesh.vertices)
         self.free = np.where(dist > margin)[0]
-        self.scheme = mesh_graded_scheme(mesh, degree=degree, layers=layers,
+        self.scheme = mesh_graded_scheme(mesh, degree=degree, layers=20,
                                          tangential_layers=8)
         self.u_o = guillemin_potential(P)
         pts = self.scheme.interior_points
@@ -258,19 +258,13 @@ class DiscreteEnergy:
         ev = FunctionalEvaluator(P, A, degree=degree, layers=40)
         self.evaluator = ev
         self.lin_const = ev.linear_functional(self.u_o)
-        self._last = (None, None)
 
     def _active_hessians(self, f):
         """(hxx, hxy, hyy, det) of u_o + f on the active samples."""
-        last_f, parts = self._last
-        if last_f is not None and np.array_equal(last_f, f):
-            return parts
         vals = np.zeros(self.mesh.num_vertices)
         vals[self.free] = f
         hxx, hxy, hyy = self.h_o + self.op @ vals
-        parts = hxx, hxy, hyy, hxx * hyy - hxy * hxy
-        self._last = (np.array(f, dtype=float), parts)
-        return parts
+        return hxx, hxy, hyy, hxx * hyy - hxy * hxy
 
     def value(self, f):
         det = self._active_hessians(f)[3]
@@ -285,17 +279,30 @@ class DiscreteEnergy:
         z = np.stack([self.w * hyy / det, self.w * (-2.0 * hxy / det), self.w * hxx / det])
         return -self.op.rmatvec(z)[self.free] + self.lin_free
 
+    def hessian(self, f):
+        """(c, c) Hessian of the energy in the free values f."""
+        hxx, hxy, hyy, det = self._active_hessians(f)
+        g = np.stack([hyy, -2.0 * hxy, hxx], axis=1) / det[:, None]
+        # Hessian of -log det in (hxx, hxy, hyy): g g^T - D^2 det / det
+        K = g[:, :, None] * g[:, None, :]
+        K[:, 0, 2] -= 1.0 / det
+        K[:, 2, 0] -= 1.0 / det
+        K[:, 1, 1] += 2.0 / det
+        return self.op.gram(self.w[:, None, None] * K, self.free)
 
-def solve_2d_descent(P: Polytope, A, mesh: Mesh, max_iter=5000, tol=1e-6,
-                     step_rule="bb", margin=None, f0=None,
-                     layers=20) -> SolverState:
-    """Minimize the discretized energy by descent with Armijo backtracking.
 
-    Every accepted step keeps det Hess positive on the quadrature samples
-    (infeasible trial steps are halved like Armijo failures).  Stops when the
-    gradient sup-norm drops below tol or after max_iter accepted steps.
+def solve_2d_descent(P: Polytope, A, mesh: Mesh, tol=1e-6, f0=None) -> SolverState:
+    """Minimize the discretized energy by damped Newton with Armijo backtracking.
+
+    A Newton step d = -H^{-1} g with decrement dec^2 = -g.d starts at
+    t = 1/(1 + dec) while dec >= 1/2 (the self-concordant damped phase) and
+    at t = 1 after that, halving on an Armijo failure.  Every accepted step
+    keeps det Hess positive on the quadrature samples (infeasible trial steps
+    are halved like Armijo failures).  Stops when the gradient sup-norm drops
+    below tol, when the Armijo target falls below the energy's float
+    resolution, or after MAX_NEWTON_STEPS accepted steps.
     """
-    energy = DiscreteEnergy(P, A, mesh, margin=margin, layers=layers)
+    energy = DiscreteEnergy(P, A, mesh)
     nfree = len(energy.free)
     f = np.zeros(nfree) if f0 is None else np.asarray(f0, dtype=float).copy()
     F, cmargin = energy.value(f)
@@ -304,83 +311,40 @@ def solve_2d_descent(P: Polytope, A, mesh: Mesh, max_iter=5000, tol=1e-6,
     state = SolverState(mesh=mesh, free=energy.free, f=f,
                         energy_history=[F], residual_history=[],
                         convexity_margin=cmargin,
-                        meta={"step_rule": step_rule, "margin": energy.margin,
-                              "tol": tol})
+                        meta={"margin": energy.margin, "tol": tol})
     state.energy = energy
 
-    prev_f = None
-    prev_g = None
-    step = None
-    for it in range(max_iter):
+    for it in range(MAX_NEWTON_STEPS):
         g = energy.gradient(f)
         gnorm = float(np.max(np.abs(g))) if nfree else 0.0
         state.residual_history.append(gnorm)
         if gnorm <= tol:
             state.converged = True
             break
-        gg = float(g @ g)
-        if step_rule == "bb" and prev_f is not None:
-            df = f - prev_f
-            dg = g - prev_g
-            denom = float(df @ dg)
-            t = float(df @ df) / denom if denom > 0 else 1.0
-            t = float(np.clip(t, 1e-12, 1e4))
-        elif step is not None:
-            t = step * 2.0
-        else:
-            t = 1.0 / max(gnorm, 1.0)
+        d = -np.linalg.solve(energy.hessian(f), g)
+        dec2 = -float(g @ d)
+        t = t0 = 1.0 / (1.0 + np.sqrt(dec2)) if dec2 >= 0.25 else 1.0
         accepted = False
-        t0 = t
         while t >= 1e-14:
-            trial = f - t * g
+            trial = f + t * d
             Ft, cm = energy.value(trial)
-            if np.isfinite(Ft) and Ft <= F - 1e-4 * t * gg and Ft < F:
-                prev_f, prev_g = f, g
+            if np.isfinite(Ft) and Ft <= F - 1e-4 * t * dec2 and Ft < F:
                 f, F, cmargin = trial, Ft, cm
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
-            if 1e-4 * t0 * gg < 8.0 * np.finfo(float).eps * abs(F):
+            if 1e-4 * t0 * dec2 < 8.0 * np.finfo(float).eps * abs(F):
                 # the Armijo target is below float resolution of the energy:
                 # numerically stationary, not a stall
                 state.meta["stopped"] = "float-resolution"
                 break
             raise LineSearchStall(f"step fell below 1e-14 at iteration {it}")
-        step = t
         state.f = f
         state.energy_history.append(F)
         state.convexity_margin = cmargin
         state.iterations = it + 1
     return state
-
-
-def solution_function(state: SolverState) -> SmoothConvexFunc:
-    """u_o + correction as an evaluable function with a surrogate Hessian."""
-    energy = state.energy
-    mesh = state.mesh
-    u_o = energy.u_o
-    vals = state.full_values()
-    from .convex import MeshConvexFunc
-
-    fmesh = MeshConvexFunc(mesh, vals)
-    sur = energy.surrogate
-
-    def value(pts):
-        return u_o(np.atleast_2d(pts)) + np.asarray(fmesh(np.atleast_2d(pts)), dtype=float)
-
-    def grad(pts):
-        pts = np.atleast_2d(pts)
-        ids, _ = mesh.locate(pts)
-        return u_o.grad(pts) + fmesh.cell_gradients()[ids]
-
-    def hess(pts):
-        pts = np.atleast_2d(pts)
-        comp = sur.point_operator(pts) @ vals
-        return u_o.hess(pts) + components_to_matrices(comp, 2)
-
-    return SmoothConvexFunc(value, grad, hess, 2, domain=mesh.polytope,
-                            guillemin_type=True, meta={"state": state})
 
 
 def residual(u, A, P: Polytope, margin=0.05, samples=9, h_fd=1e-3,

@@ -17,6 +17,14 @@ facet: 0.0 -1.0 -2.0
 facet: -1.0 -1.0 -4.0
 """
 
+SIMPLEX = """# polystab polytope
+dimension: 2
+name: standard-simplex
+facet: 1.0 0.0 0.0
+facet: 0.0 1.0 0.0
+facet: -1.0 -1.0 -1.0
+"""
+
 INTERVAL = """# polystab polytope
 dimension: 1
 name: unit-interval
@@ -35,6 +43,28 @@ def test_solve_report_is_byte_identical_on_rerun(tmp_path, capsys):
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
     assert "converged: 1" in reports[0].splitlines()
+
+
+def test_solve_descent_table_ends_once_at_the_last_step(tmp_path, capsys):
+    path = tmp_path / "pentagon.txt"
+    path.write_text(PENTAGON)
+    assert main(["solve", "--polytope", str(path), "--A", "extremal", "--h", "0.2"]) == 0
+    report = capsys.readouterr().out
+    values = dict(line.split(": ", 1) for line in report.splitlines() if ": " in line)
+    rows = report.split("[table descent]\n")[1].split("\n\n")[0].splitlines()[1:]
+    steps = [int(row.split()[0]) for row in rows]
+    assert steps == sorted(set(steps))
+    assert steps[0] == 0
+    assert steps[-1] == int(values["iterations"])
+    assert rows[-1].split()[1] == values["energy.final"]
+
+
+def test_verify_passes_on_the_simplex(tmp_path, capsys):
+    # the centroid of the standard simplex is not a vertex of its mesh
+    path = tmp_path / "simplex.txt"
+    path.write_text(SIMPLEX)
+    assert main(["verify", "--polytope", str(path), "--h", "0.25"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out.splitlines()
 
 
 def test_missing_polytope_file_exits_2(tmp_path, capsys):
@@ -74,13 +104,15 @@ def test_2d_solve_does_not_import_scipy(tmp_path):
 
 
 def test_unread_option_is_rejected(tmp_path, capsys):
-    # stability reads neither the quadrature degree nor a seed or tolerance
+    # stability reads neither the quadrature degree nor a seed or tolerance,
+    # and Newton's step cap is fixed, not an option of solve
     path = tmp_path / "interval.txt"
     path.write_text(INTERVAL)
-    with pytest.raises(SystemExit) as exc:
-        main(["stability", "--polytope", str(path), "--degree", "6"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --degree 6" in capsys.readouterr().err
+    for command, option in (("stability", ["--degree", "6"]), ("solve", ["--max-iter", "10"])):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--polytope", str(path)] + option)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
 def test_incompatible_1d_field_exits_4(tmp_path, capsys):

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polystab.convex import guillemin_potential
 from polystab.errors import LineSearchStall, LostConvexity
@@ -138,6 +142,55 @@ def test_gradient_matches_central_differences():
         d /= np.linalg.norm(d)
         slope = (E.value(f + eps * d)[0] - E.value(f - eps * d)[0]) / (2.0 * eps)
         assert slope == pytest.approx(float(g @ d), rel=1e-6)
+
+
+def test_hessian_matches_central_differences():
+    # the Newton matrix against the gradient alone, so the pair sums and the
+    # fit maps in PointOperator.gram are checked independently of rmatvec
+    P = build_polytope(PENTAGON)
+    E = DiscreteEnergy(P, extremal_affine(P), make_mesh(P, 1 / 5))
+    rng = np.random.default_rng(3)
+    f = 1e-3 * rng.standard_normal(len(E.free))
+    H = E.hessian(f)
+    assert H.shape == (len(E.free), len(E.free))
+    assert np.max(np.abs(H - H.T)) <= 1e-14 * np.max(np.abs(H))
+    eps = 1e-5
+    for _ in range(3):
+        d = rng.standard_normal(len(E.free))
+        d /= np.linalg.norm(d)
+        fd = (E.gradient(f + eps * d) - E.gradient(f - eps * d)) / (2.0 * eps)
+        assert np.linalg.norm(fd - H @ d) <= 1e-6 * np.linalg.norm(H @ d)
+
+
+def test_newton_converges_at_the_default_mesh_size():
+    # h = 1/16 has 1,056 free vertices; the step count does not grow with them
+    P = build_polytope(PENTAGON)
+    state = solve_2d_descent(P, extremal_affine(P), make_mesh(P, 1 / 16))
+    assert state.converged
+    assert 0 < state.iterations <= 10
+    assert state.residual_history[-1] <= 1e-6
+    assert np.all(np.diff(state.energy_history) < 0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _square_h8():
+    S = unit_square()
+    mesh = make_mesh(S, 1 / 8)
+    return S, mesh, DiscreteEnergy(S, 4.0, mesh)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.lists(st.floats(-1e-2, 1e-2), min_size=9, max_size=9))
+def test_newton_returns_to_the_exact_solution_on_the_square(start):
+    # A = 4 on the unit square: the exact discrete minimizer is f = 0
+    S, mesh, E = _square_h8()
+    f0 = np.array(start)
+    assume(np.isfinite(E.value(f0)[0]))  # e.g. a +-1e-2 checkerboard is not convex
+    state = solve_2d_descent(S, 4.0, mesh, f0=f0)
+    assert state.converged
+    assert state.iterations <= 10
+    assert np.max(np.abs(state.f)) <= 1e-5
+    assert np.all(np.diff(state.energy_history) < 0.0)
 
 
 @pytest.mark.parametrize("h, energy", [(1 / 2, -1.9999771524254237),
