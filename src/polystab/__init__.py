@@ -11,6 +11,7 @@ from .errors import (  # noqa: F401
     LineSearchStall,
     LostConvexity,
     LPInfeasible,
+    LPNotConverged,
     LPUnbounded,
     MeshTooFine,
     NonConvexAtQuadraturePoint,
@@ -61,6 +62,7 @@ from .functionals import (  # noqa: F401
     extremal_affine,
     mesh_linear_forms,
 )
+from .cone_lp import ConeLPResult, solve_cone_lp  # noqa: F401
 from .simplex_lp import LPResult, solve_lp  # noqa: F401
 from .stability import (  # noqa: F401
     DegeneracyReport,

@@ -20,6 +20,7 @@ from .errors import (
     EmptyInterior,
     IncompatibleA,
     LPInfeasible,
+    LPNotConverged,
     LPUnbounded,
     NonIntegerNormals,
     PolystabError,
@@ -102,7 +103,7 @@ def cmd_stability(args):
         return 2
     try:
         report = analyze_stability(P, A, args.h, mode=args.lp_mode)
-    except (LPInfeasible, LPUnbounded) as exc:
+    except (LPInfeasible, LPUnbounded, LPNotConverged) as exc:
         print(f"LP failure: {exc}", file=sys.stderr)
         return 3
     rep = Report("stability")
@@ -114,6 +115,7 @@ def cmd_stability(args):
     rep.add("lambda_hat", report.lambda_hat)
     rep.add("lambda_hat_refined", report.lambda_hat_refined)
     rep.add("crease_sweep_min", report.crease_sweep_min)
+    rep.add("lp.iterations", report.lp_iterations)
     if report.certificates is not None:
         c = report.certificates
         rep.section("certificate")
@@ -447,7 +449,9 @@ def build_parser():
 
     sp = sub.add_parser("stability", help="crease sweep plus the cone LP at h and h/2")
     common(sp, "A", "h")
-    sp.add_argument("--lp-mode", choices=("float", "exact"), default="float")
+    sp.add_argument("--lp-mode", choices=("float", "exact"), default="float",
+                    help="float: interior point with purification; "
+                         "exact: Fraction simplex, for small meshes")
     sp.set_defaults(fn=cmd_stability)
 
     sp = sub.add_parser("solve", help="solve the 4th-order equation")

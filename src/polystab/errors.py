@@ -65,6 +65,10 @@ class LPUnbounded(PolystabError):
     """Linear program is unbounded (signals a missing normalization row)."""
 
 
+class LPNotConverged(PolystabError):
+    """Interior-point LP solver reached its iteration cap."""
+
+
 class EmptyGrid(PolystabError):
     """Crease sweep invoked with an empty grid of affine functions."""
 

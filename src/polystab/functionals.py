@@ -316,13 +316,17 @@ def _invert(H, det):
 def extremal_affine(P: Polytope, degree: int = DEFAULT_DEGREE, return_residuals=False):
     """The unique affine A with L_A = 0 on all affine functions.
 
-    Solves the (n+1)x(n+1) moment system: Gram matrix of {1, x_i} against dmu,
-    right-hand side their boundary integrals.
+    Solves the (n+1)x(n+1) moment system: Gram matrix of {1, y_i} against dmu,
+    right-hand side their boundary integrals, where y = (x - centroid) / diam
+    is centred at the vertex centroid and scaled by the diameter, so the
+    system's condition does not depend on the position or size of P.
     """
     Q = standard_scheme(P, max(degree, 4))
     n = P.dimension
+    centre = P.vertices.mean(axis=0)
+    diam = np.max(np.linalg.norm(P.vertices[:, None] - P.vertices[None], axis=-1))
     basis = [lambda p: np.ones(p.shape[0])] + [
-        (lambda i: (lambda p: p[:, i]))(i) for i in range(n)
+        (lambda i: (lambda p: (p[:, i] - centre[i]) / diam))(i) for i in range(n)
     ]
     M = np.empty((n + 1, n + 1))
     rhs = np.empty(n + 1)
@@ -338,7 +342,8 @@ def extremal_affine(P: Polytope, degree: int = DEFAULT_DEGREE, return_residuals=
         coeffs = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularMoments(str(exc)) from exc
-    A = AffineFunc(float(coeffs[0]), tuple(float(c) for c in coeffs[1:]))
+    slopes = coeffs[1:] / diam
+    A = AffineFunc(float(coeffs[0] - slopes @ centre), tuple(float(c) for c in slopes))
     if not return_residuals:
         return A
     ev = FunctionalEvaluator(P, A, degree=max(degree, 4))

@@ -132,14 +132,18 @@ class PointOperator:
         """
         sur = self.surrogate
         k, V = sur.ncomp, self.shape[1]
-        # sum b_i b_j K over the points for each (ordered) pair of cell vertices
-        ends = len(self.tri)
-        ia, ib = np.repeat(np.arange(ends), ends), np.tile(np.arange(ends), ends)
-        pairs, slot = np.unique((self.tri[ia] * V + self.tri[ib]).ravel(), return_inverse=True)
-        bb = self.bary[ia] * self.bary[ib]
-        block = np.stack([np.bincount(slot, weights=(bb * K[:, e // k, e % k]).ravel(),
-                                      minlength=len(pairs))
-                          for e in range(k * k)], axis=1).reshape(-1, k, k)
+        # K and op^T K op are symmetric: sum the distinct entries of b_i b_j K
+        # over unordered pairs of cell vertices (diagonal pairs halved), then mirror
+        ia, ib = np.triu_indices(len(self.tri))
+        ta, tb = self.tri[ia], self.tri[ib]
+        pairs, slot = np.unique((np.minimum(ta, tb) * V + np.maximum(ta, tb)).ravel(),
+                                return_inverse=True)
+        bb = self.bary[ia] * self.bary[ib] * np.where(ia == ib, 0.5, 1.0)[:, None]
+        er, ec = np.triu_indices(k)
+        block = np.empty((len(pairs), k, k))
+        block[:, er, ec] = block[:, ec, er] = np.stack(
+            [np.bincount(slot, weights=(bb * K[:, r, c]).ravel(), minlength=len(pairs))
+             for r, c in zip(er, ec)], axis=1)
         # map each pair's block through the two vertices' fits
         pa, pb = pairs // V, pairs % V
         full = np.einsum("pks,pkl,plr->psr", sur.star_op[pa], block, sur.star_op[pb])
@@ -151,7 +155,8 @@ class PointOperator:
         keep = (r >= 0) & (c >= 0)
         n = len(cols)
         flat = np.broadcast_to(r * n + c, full.shape)[keep]
-        return np.bincount(flat, weights=full[keep], minlength=n * n).reshape(n, n)
+        half = np.bincount(flat, weights=full[keep], minlength=n * n).reshape(n, n)
+        return half + half.T
 
 
 def components_to_matrices(comp, n):

@@ -115,7 +115,9 @@ def _reduce_2d(normals, offsets):
     if _recession_direction_2d(normals):
         raise UnboundedDomain("facet normals lie in a half-plane")
 
-    scale = max(1.0, float(np.max(np.abs(offsets)) / max(np.min(np.linalg.norm(normals, axis=1)), 1e-30)))
+    # the largest facet distance from the origin: tolerances follow the size of P
+    scale = float(np.max(np.abs(offsets))
+                  / max(np.min(np.linalg.norm(normals, axis=1)), 1e-30)) or 1.0
     cands = []
     for i in range(K):
         for j in range(i + 1, K):

@@ -1,63 +1,48 @@
-"""Dense two-phase simplex with Bland's rule.
+"""Exact two-phase simplex with Bland's rule: the oracle for the cone LPs.
 
-Solves  min c.x  subject to  A x = b, x >= 0.  Bland's entering/leaving rule
-makes the pivot sequence (and hence the reported optimum and optimizer)
-deterministic and cycle-free.  Two arithmetic modes:
-
-* "float": float64 tableau with feasibility tolerance 1e-9 (default);
-* "exact": Fraction arithmetic with zero tolerances, intended for small
-  problems (hundreds of variables) as a cross-check of the float path.
-  Float inputs convert exactly (binary rationals).
+Solves  min c.x  subject to  A x = b, x >= 0  in Fraction arithmetic with zero
+tolerances; float inputs convert exactly (binary rationals).  Bland's
+entering/leaving rule makes the pivot sequence, and hence the reported optimum
+and optimizer, deterministic and cycle-free.  The dense tableau suits small
+problems (hundreds of variables): `--lp-mode exact` and the tests that check
+the interior-point solver of `cone_lp` against it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import LPInfeasible, LPUnbounded
 
-FEAS_TOL = 1e-9
-
 
 @dataclass
 class LPResult:
-    x: np.ndarray
-    value: float
+    x: np.ndarray       # object array of Fractions
+    value: object       # Fraction
     iterations: int
-    basis: np.ndarray
 
 
 def _pivot(T, basis, r, j):
-    piv = T[r, j]
-    T[r] = T[r] / piv
+    T[r] = T[r] / T[r, j]
     col = T[:, j].copy()
-    col[r] = 0 * col[r]
+    col[r] = 0
     T -= np.outer(col, T[r])
     basis[r] = j
 
 
-def _bland_iterate(T, basis, ncols, tol, max_iter):
+def _bland_iterate(T, basis, ncols, max_iter):
     """Bland pivots on tableau T (last row costs, last col rhs) to optimality."""
     it = 0
-    exact = isinstance(tol, Fraction)
     while True:
-        costs = T[-1, :ncols]
-        if exact:
-            neg = [j for j in range(ncols) if costs[j] < 0]
-        else:
-            neg = np.where(costs < -tol)[0]
-        if len(neg) == 0:
+        j = next((j for j in range(ncols) if T[-1, j] < 0), None)
+        if j is None:
             return it
-        j = int(neg[0])
-        col = T[:-1, j]
-        rhs = T[:-1, -1]
         best = None
-        for i in range(len(col)):
-            ci = col[i]
-            if ci > tol:
-                ratio = rhs[i] / ci
+        for i in range(len(T) - 1):
+            ci = T[i, j]
+            if ci > 0:
+                ratio = T[i, -1] / ci
                 if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
                     best = (ratio, i)
         if best is None:
@@ -68,108 +53,58 @@ def _bland_iterate(T, basis, ncols, tol, max_iter):
             raise RuntimeError("simplex iteration cap exceeded (cycling guard)")
 
 
-def solve_lp(c, A, b, mode="float", tol=FEAS_TOL, max_iter=None):
-    """Minimize c.x subject to A x = b, x >= 0.
+def solve_lp(c, A, b, max_iter=None):
+    """Minimize c.x subject to A x = b, x >= 0, exactly.
 
     Raises LPInfeasible / LPUnbounded; returns an LPResult otherwise.
     """
-    if mode == "exact":
-        conv = np.vectorize(
-            lambda v: v if isinstance(v, Fraction) else Fraction(v), otypes=[object])
-        A = conv(np.asarray(A))
-        b = conv(np.asarray(b))
-        c = conv(np.asarray(c))
-        zero = Fraction(0)
-        tol = Fraction(0)
-    elif mode == "float":
-        A = np.array(A, dtype=float)
-        b = np.array(b, dtype=float)
-        c = np.array(c, dtype=float)
-        zero = 0.0
-        tol = float(tol)
-    else:
-        raise ValueError(f"unknown LP mode {mode!r}")
+    # imported here: float-mode runs never need it, and it costs ~5 ms to import
+    from fractions import Fraction
+
+    conv = np.vectorize(Fraction, otypes=[object])
+    A, b, c = conv(np.asarray(A)), conv(np.asarray(b)), conv(np.asarray(c))
     m, n = A.shape
     if max_iter is None:
         max_iter = 200 * (m + n) + 2000
 
-    flip = np.array([bi < zero for bi in b], dtype=bool)
-    if np.any(flip):
-        A = A.copy()
-        b = b.copy()
-        A[flip] = -A[flip]
-        b[flip] = -b[flip]
+    flip = np.array([bi < 0 for bi in b], dtype=bool)
+    A[flip] = -A[flip]
+    b[flip] = -b[flip]
 
     # phase I tableau [A | I | b] with artificial basis
-    if mode == "exact":
-        T = np.empty((m + 1, n + m + 1), dtype=object)
-        T[:m, :n] = A
-        eye = np.zeros((m, m), dtype=object)
-        eye[:] = Fraction(0)
-        for i in range(m):
-            eye[i, i] = Fraction(1)
-        T[:m, n:n + m] = eye
-        T[:m, -1] = b
-        for j in range(n):
-            T[-1, j] = -sum(T[i, j] for i in range(m))
-        for j in range(n, n + m):
-            T[-1, j] = Fraction(0)
-        T[-1, -1] = -sum(b)
-    else:
-        T = np.zeros((m + 1, n + m + 1))
-        T[:m, :n] = A
-        T[:m, n:n + m] = np.eye(m)
-        T[:m, -1] = b
-        T[-1, :n] = -A.sum(axis=0)
-        T[-1, -1] = -b.sum()
+    T = np.full((m + 1, n + m + 1), Fraction(0), dtype=object)
+    T[:m, :n] = A
+    T[np.arange(m), n + np.arange(m)] = Fraction(1)
+    T[:m, -1] = b
+    T[-1, :n] = -A.sum(axis=0)
+    T[-1, -1] = -b.sum()
     basis = np.arange(n, n + m)
 
-    it1 = _bland_iterate(T, basis, n, tol, max_iter)
-    infeas = -T[-1, -1]
-    if mode == "exact":
-        if infeas > 0:
-            raise LPInfeasible(f"phase-I objective {float(infeas):.3e} > 0")
-    else:
-        scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
-        if infeas > 1e-7 * scale:
-            raise LPInfeasible(f"phase-I objective {infeas:.3e} > 0")
+    it1 = _bland_iterate(T, basis, n, max_iter)
+    if T[-1, -1] < 0:
+        raise LPInfeasible(f"phase-I objective {float(-T[-1, -1]):.3e} > 0")
 
     # drive basic artificials out; rows that cannot pivot are redundant
     keep = np.ones(m, dtype=bool)
     for i in range(m):
         if basis[i] >= n:
-            row = T[i, :n]
-            if mode == "exact":
-                nz = [j for j in range(n) if row[j] != 0]
-            else:
-                nz = np.where(np.abs(row) > 1e-9)[0]
-            if len(nz):
-                _pivot(T, basis, i, int(nz[0]))
+            nz = [j for j in range(n) if T[i, j] != 0]
+            if nz:
+                _pivot(T, basis, i, nz[0])
             else:
                 keep[i] = False
-    if not np.all(keep):
-        T = np.vstack([T[:m][keep], T[-1:]])
-        basis = basis[keep]
-        m = int(keep.sum())
+    T = np.vstack([T[:m][keep], T[-1:]])
+    basis = basis[keep]
 
     # drop artificial columns, rebuild the cost row for c
     T = np.hstack([T[:, :n], T[:, -1:]])
-    cost = np.concatenate([c, [zero]])
-    for i in range(m):
-        cb = c[basis[i]]
-        if cb != zero:
-            cost = cost - cb * T[i]
-    T[-1] = cost
+    T[-1] = np.concatenate([c, [Fraction(0)]])
+    for i, j in enumerate(basis):
+        if c[j] != 0:
+            T[-1] -= c[j] * T[i]
 
-    it2 = _bland_iterate(T, basis, n, tol, max_iter)
+    it2 = _bland_iterate(T, basis, n, max_iter)
 
-    x = np.zeros(n, dtype=object if mode == "exact" else float)
-    if mode == "exact":
-        x[:] = Fraction(0)
-    for i in range(m):
-        x[basis[i]] = T[i, -1]
-    if mode == "exact":
-        value = sum(ci * xi for ci, xi in zip(c, x))
-    else:
-        value = float(c @ x)
-    return LPResult(x, value, it1 + it2, basis.copy())
+    x = np.full(n, Fraction(0), dtype=object)
+    x[basis] = T[:-1, -1]
+    return LPResult(x, c @ x, it1 + it2)

@@ -5,11 +5,18 @@ lambdaHat is the minimum of L_A(u) over the discrete normalized cone
     { u mesh-convex : u >= 0, u(p_o) = 0, |u|_b = 1 },
 
 solved as a linear program whose objective and normalization row come from the
-same vertex-weight assembly the functional evaluator uses.  The discrete value
-only upper-bounds the true constant restricted to mesh functions, so statuses
-are evidence, not proofs; refinement monotonicity is reported, and the
-"uniformly-stable" verdict requires the threshold to hold across two mesh
-refinements.
+same vertex-weight assembly the functional evaluator uses.  Its convexity rows
+stay sparse, three or four vertices each.  The default mode="float" solves it
+with the interior-point method of `cone_lp` (Mehrotra steps on the normal
+matrix of those rows), then purifies: the last iterate is projected onto the
+constraints it identifies as active, which gives the optimum to rounding.
+mode="exact" solves the same LP with the Fraction Bland simplex of
+`simplex_lp`, the oracle for small meshes.
+
+The discrete value only upper-bounds the true constant restricted to mesh
+functions, so statuses are evidence, not proofs; refinement monotonicity is
+reported, and the "uniformly-stable" verdict requires the threshold to hold
+across two mesh refinements.
 """
 from __future__ import annotations
 
@@ -17,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cone_lp import FEAS_TOL as LP_FEAS_TOL, solve_cone_lp
 from .convex import (
     AffineFunc,
     MeshConvexFunc,
@@ -36,7 +44,7 @@ from .simplex_lp import solve_lp
 LAMBDA_STABLE_THRESHOLD = 1e-3
 LAMBDA_ZERO_BAND = 1e-6
 TOLERANCES = {
-    "lp.feasibility": 1e-9,
+    "lp.feasibility": LP_FEAS_TOL,
     "status.stable_threshold": LAMBDA_STABLE_THRESHOLD,
     "status.zero_band": LAMBDA_ZERO_BAND,
     "crease.skip_boundary_norm": 1e-9,
@@ -80,7 +88,11 @@ class StabilityReport:
 # ---------------------------------------------------------------------------
 
 class StabilityLP:
-    """Shared assembly for the cone LPs on one mesh."""
+    """Shared assembly for the cone LPs on one mesh.
+
+    `rows = (idx, coef)` are the sparse convexity rows over the free vertices,
+    with the entries of p_o zeroed.
+    """
 
     def __init__(self, P: Polytope, A, mesh: Mesh, p_o=None):
         self.polytope = P
@@ -91,48 +103,43 @@ class StabilityLP:
         if self.p_o_index in mesh.boundary_facets:
             raise ValueError("normalization vertex p_o must be strictly interior")
         self.p_o = mesh.vertices[self.p_o_index]
-        V = mesh.num_vertices
         if mesh.dimension == 1:
-            l, c, r = mesh.hinges.T
-            xl = mesh.vertices[l, 0]
-            xc = mesh.vertices[c, 0]
-            xr = mesh.vertices[r, 0]
-            C = np.zeros((len(l), V))
-            rows = np.arange(len(l))
-            C[rows, l] = 1.0 / (xc - xl)
-            C[rows, c] = -(1.0 / (xc - xl) + 1.0 / (xr - xc))
-            C[rows, r] = 1.0 / (xr - xc)
+            idx = mesh.hinges
+            x = mesh.vertices[idx, 0]
+            left, right = 1.0 / (x[:, 1] - x[:, 0]), 1.0 / (x[:, 2] - x[:, 1])
+            coef = np.column_stack([left, -(left + right), right])
         else:
             idx, coef = convexity_coefficients(mesh)
-            C = np.zeros((len(idx), V))
-            for col in range(4):
-                np.add.at(C, (np.arange(len(idx)), idx[:, col]), coef[:, col])
-        self.constraints = C
+        po = self.p_o_index
+        self.rows = (np.where(idx == po, 0, idx - (idx > po)), np.where(idx == po, 0.0, coef))
         self.b_weights, self.a_weights = mesh_linear_forms(mesh, A, degree=6)
         _, self.mass_weights = mesh_linear_forms(mesh, 1.0, degree=6)
-        self.free = np.array([i for i in range(V) if i != self.p_o_index])
+        self.free = np.delete(np.arange(mesh.num_vertices), po)
 
     def _solve(self, objective, norm_row, mode):
-        E = self.constraints.shape[0]
-        U = len(self.free)
-        A_eq = np.zeros((E + 1, U + E))
-        A_eq[:E, :U] = self.constraints[:, self.free]
-        A_eq[:E, U:] = -np.eye(E)
-        A_eq[E, :U] = norm_row[self.free]
-        b_eq = np.zeros(E + 1)
-        b_eq[E] = 1.0
-        c = np.zeros(U + E)
-        c[:U] = objective[self.free]
-        res = solve_lp(c, A_eq, b_eq, mode=mode)
-        values = np.zeros(self.mesh.num_vertices)
-        if mode == "exact":
-            values[self.free] = [float(v) for v in res.x[:U]]
-            value = float(res.value)
+        c, b = objective[self.free], norm_row[self.free]
+        if mode == "float":
+            res = solve_cone_lp(c, *self.rows, b)
+            x, value = res.u, res.value
+        elif mode == "exact":
+            res = solve_lp(*self._equality_form(c, b))
+            x, value = [float(v) for v in res.x[:len(c)]], float(res.value)
         else:
-            values[self.free] = res.x[:U]
-            value = res.value
+            raise ValueError(f"unknown LP mode {mode!r}")
+        values = np.zeros(self.mesh.num_vertices)
+        values[self.free] = x
         u = MeshConvexFunc(self.mesh, values, p_o_index=self.p_o_index, normalized=True)
         return value, u, res.iterations
+
+    def _equality_form(self, c, b):
+        """Dense (cost, A, rhs) of [C -I; b 0] (u, slack) = (0, 1) for the exact simplex."""
+        idx, coef = self.rows
+        E, U = idx.shape[0], len(c)
+        A_eq = np.zeros((E + 1, U + E))
+        np.add.at(A_eq, (np.repeat(np.arange(E), idx.shape[1]), idx.ravel()), coef.ravel())
+        A_eq[np.arange(E), U + np.arange(E)] = -1.0
+        A_eq[E, :U] = b
+        return np.concatenate([c, np.zeros(E)]), A_eq, np.eye(E + 1)[E]
 
     def minimize_linear_functional(self, mode="float"):
         """min L_A(u) over the cone with |u|_b = 1."""

@@ -6,6 +6,7 @@ import pytest
 
 import polystab
 from polystab.cli import main
+from polystab.errors import LPNotConverged
 
 PENTAGON = """# polystab polytope
 dimension: 2
@@ -121,3 +122,40 @@ def test_incompatible_1d_field_exits_4(tmp_path, capsys):
     path.write_text(INTERVAL)
     assert main(["solve", "--polytope", str(path), "--A", "affine:1,0"]) == 4
     assert "incompatible A" in capsys.readouterr().err
+
+
+def test_stability_report_prints_lp_iterations_identically(tmp_path, capsys):
+    path = tmp_path / "interval.txt"
+    path.write_text(INTERVAL)
+    argv = ["stability", "--polytope", str(path), "--h", "0.0625"]
+    reports = []
+    for _ in range(2):
+        assert main(argv) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    values = dict(line.split(": ", 1) for line in reports[0].splitlines() if ": " in line)
+    assert int(values["lp.iterations"]) > 0
+
+
+def test_lp_failure_exits_3(tmp_path, capsys, monkeypatch):
+    import polystab.stability
+
+    def not_converged(*args, **kwargs):
+        raise LPNotConverged("iteration cap reached")
+
+    monkeypatch.setattr(polystab.stability, "solve_cone_lp", not_converged)
+    path = tmp_path / "interval.txt"
+    path.write_text(INTERVAL)
+    assert main(["stability", "--polytope", str(path), "--h", "0.0625"]) == 3
+    assert "LP failure" in capsys.readouterr().err
+
+
+def test_extremal_affine_on_the_simplex(tmp_path, capsys):
+    path = tmp_path / "simplex.txt"
+    path.write_text(SIMPLEX)
+    assert main(["extremal-affine", "--polytope", str(path)]) == 0
+    values = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()
+                  if ": " in line)
+    assert float(values["A.constant"]) == pytest.approx(6.0, abs=1e-9)
+    assert abs(float(values["A.x1"])) <= 1e-9 and abs(float(values["A.x2"])) <= 1e-9
+    assert float(values["residual.max"]) <= 1e-10

@@ -108,6 +108,21 @@ def test_extremal_affine_shifted_interval():
     assert A.a[0] == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("s", [1e-8, 1.0, 1e4])
+@pytest.mark.parametrize("facets", [
+    [((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, -1.0), -1.0)],
+    [((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, 0.0), -3.0), ((0.0, -1.0), -2.0),
+     ((-1.0, -1.0), -4.0)],
+], ids=["simplex", "pentagon"])
+def test_extremal_affine_is_scale_free(facets, s):
+    # dsigma scales as s^(n-1) and dmu as s^n, so A_{sP}(s x) = A_P(x) / s
+    P = build_polytope(facets)
+    Ps = build_polytope([(h, c * s) for h, c in facets])
+    x = np.vstack([P.vertices, P.vertices.mean(axis=0)])
+    A, As = extremal_affine(P), extremal_affine(Ps)
+    assert np.max(np.abs(s * As(s * x) - A(x)) / np.abs(A(x))) <= 1e-10
+
+
 # -- Mabuchi functional ----------------------------------------------------------
 
 def test_mabuchi_guillemin_interval(ev_interval):

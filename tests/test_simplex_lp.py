@@ -20,7 +20,7 @@ def test_exact_mode_matches_float():
     A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
     b = np.array([4.0, 6.0])
     c = np.array([-1.0, -2.0, 0.0, 0.0])
-    res = solve_lp(c, A, b, mode="exact")
+    res = solve_lp(c, A, b)
     assert res.value == Fraction(-5)
     assert list(res.x) == [Fraction(3), Fraction(1), Fraction(0), Fraction(0)]
 

@@ -132,7 +132,7 @@ def test_gradient_matches_central_differences():
     # checks the gradient against value alone, so a wrong transpose in the
     # point operator cannot cancel out as it would against the reference
     P = build_polytope(PENTAGON)
-    E = DiscreteEnergy(P, extremal_affine(P), make_mesh(P, 1 / 5))
+    E = DiscreteEnergy(P, extremal_affine(P), make_mesh(P, 1 / 3))
     rng = np.random.default_rng(5)
     f = 1e-3 * rng.standard_normal(len(E.free))
     g = E.gradient(f)
@@ -160,6 +160,22 @@ def test_hessian_matches_central_differences():
         d /= np.linalg.norm(d)
         fd = (E.gradient(f + eps * d) - E.gradient(f - eps * d)) / (2.0 * eps)
         assert np.linalg.norm(fd - H @ d) <= 1e-6 * np.linalg.norm(H @ d)
+
+
+def test_gram_matches_dense_reference():
+    # op^T K op from the dense operator, one column per vertex; gram sums
+    # only the distinct entries over unordered vertex pairs and mirrors them
+    P = build_polytope(PENTAGON)
+    E = DiscreteEnergy(P, extremal_affine(P), make_mesh(P, 1 / 3))
+    rng = np.random.default_rng(5)
+    m = E.op.tri.shape[1]
+    K = rng.standard_normal((m, 3, 3))
+    K = K + K.transpose(0, 2, 1)
+    V = E.op.shape[1]
+    dense = np.stack([E.op @ np.eye(V)[j] for j in range(V)])  # (V, 3, m)
+    ref = np.einsum("akp,pkl,blp->ab", dense, K, dense)[np.ix_(E.free, E.free)]
+    G = E.op.gram(K, E.free)
+    assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_newton_converges_at_the_default_mesh_size():
