@@ -70,22 +70,28 @@ def test_nearly_extremal_field_reaches_the_exact_optimum(P, A, h, delta):
         assert _in_cone(lp, uf)
 
 
-def test_unpurified_iterate_stays_in_the_cone(monkeypatch):
-    # with the purification check made impossible the interior-point iterate
-    # itself is returned: feasible to the stopping tolerance, near-optimal
-    P = unit_square()
-    lp = StabilityLP(P, 4.0, make_mesh(P, 1 / 4))
-    vx, _, _ = lp.minimize_linear_functional(mode="exact")
+@pytest.mark.parametrize("P, field, h", [
+    (interval(), AffineFunc(2.0 - 5e-7, (1e-6,)), 1 / 16),
+    (unit_square(), 4.0, 1 / 4),
+], ids=["interval-stall-exit", "square-converged"])
+def test_failed_purification_raises(monkeypatch, P, field, h):
+    # the nearly extremal interval leaves the iteration on the stall rule,
+    # its dual residual unconverged; the square converges.  With the check on
+    # the purified vertex made impossible, neither returns a point
+    lp = StabilityLP(P, field, make_mesh(P, h))
     monkeypatch.setattr(cone_lp, "FEAS_TOL", -1.0)
-    c, b = (lp.b_weights - lp.a_weights)[lp.free], lp.b_weights[lp.free]
-    res = cone_lp.solve_cone_lp(c, *lp.rows, b)
-    assert not res.purified
-    assert abs(res.value - vx) <= 1e-8
-    assert abs(b @ res.u - 1.0) <= 1e-10
-    assert np.min(res.u) > 0.0
-    idx, coef = lp.rows
-    rows = np.einsum("ij,ij->i", coef, res.u[idx]) / np.linalg.norm(coef, axis=1)
-    assert np.min(rows) >= -1e-10 * np.max(res.u)
+    with pytest.raises(LPNotConverged):
+        lp.minimize_linear_functional()
+
+
+def test_purified_vertex_above_the_iterate_raises(monkeypatch):
+    # moving up c within the nearly flat face of the nearly extremal interval
+    # ends at a feasible vertex whose objective is worse than the iterate's
+    purify = cone_lp._purify
+    monkeypatch.setattr(cone_lp, "_purify", lambda C, b, c, *rest: purify(C, b, -c, *rest))
+    lp = StabilityLP(interval(), AffineFunc(2.0 - 5e-7, (1e-6,)), make_mesh(interval(), 1 / 16))
+    with pytest.raises(LPNotConverged):
+        lp.minimize_linear_functional()
 
 
 def test_iteration_cap_raises(monkeypatch):

@@ -132,7 +132,7 @@ def test_gradient_matches_central_differences():
     # checks the gradient against value alone, so a wrong transpose in the
     # point operator cannot cancel out as it would against the reference
     P = build_polytope(PENTAGON)
-    E = DiscreteEnergy(P, extremal_affine(P), make_mesh(P, 1 / 3))
+    E = DiscreteEnergy(P, extremal_affine(P), make_mesh(P, 1 / 5))
     rng = np.random.default_rng(5)
     f = 1e-3 * rng.standard_normal(len(E.free))
     g = E.gradient(f)
