@@ -52,6 +52,7 @@ from .convex import (  # noqa: F401
     dilate_mollify_approx,
     guillemin_potential,
     normalize,
+    random_normalized_mesh_function,
     segment_ma_measure,
     supporting_affine,
 )
@@ -78,6 +79,7 @@ from .stability import (  # noqa: F401
     relative_kpolystability_check,
     scripted_sequences,
     solution_norm_bound,
+    verify_audits,
 )
 from .solver import (  # noqa: F401
     Compatibility1D,

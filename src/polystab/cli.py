@@ -3,29 +3,25 @@
 Subcommands: extremal-affine, stability, solve, verify, eval.  Reports are
 structured text (key-value plus tables) with the tolerance ledger and toolkit
 version embedded; identical configurations and seeds produce byte-identical
-output.  Exit codes: 0 success, 1 failed verify audit, 2 polytope errors,
-3 LP failures, 4 incompatible 1D data.
+output.  Exit codes, with the stderr prefix of the failures:
+
+    0  success
+    1  failed verify audit
+    2  "error": bad input or a failure of the computation (any other
+       PolystabError, FileNotFoundError or ValueError)
+    3  "LP failure": LPInfeasible, LPUnbounded or LPNotConverged
+    4  "incompatible A": IncompatibleA (1D data with no solution)
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .convex import AffineFunc, MeshConvexFunc, crease, guillemin_potential, normalize
-from .errors import (
-    EmptyInterior,
-    IncompatibleA,
-    LPInfeasible,
-    LPNotConverged,
-    LPUnbounded,
-    NonIntegerNormals,
-    PolystabError,
-    UnboundedDomain,
-)
+from .errors import IncompatibleA, LPInfeasible, LPNotConverged, LPUnbounded, PolystabError
 from .fields import parse_field
 from .fileio import (
     Report,
@@ -38,25 +34,25 @@ from .functionals import FunctionalEvaluator, extremal_affine
 from .mesh import make_mesh
 from .polytope import center_of_mass
 from .solver import residual, solve_1d, solve_2d_descent
-from .stability import (
-    TOLERANCES,
-    analyze_stability,
-    degeneracy_diagnostic,
-    l1_boundary_constant,
-    lp_stability_estimate,
-    properness_certificate,
-    scripted_sequences,
-    solution_norm_bound,
+from .stability import TOLERANCES, analyze_stability, l1_boundary_constant, verify_audits
+
+# exception types -> (exit code, stderr prefix); the first match wins
+EXIT_CODES = (
+    ((LPInfeasible, LPUnbounded, LPNotConverged), 3, "LP failure"),
+    (IncompatibleA, 4, "incompatible A"),
+    ((PolystabError, FileNotFoundError, ValueError), 2, "error"),
 )
 
-POLYTOPE_ERRORS = (UnboundedDomain, EmptyInterior, NonIntegerNormals,
-                   FileNotFoundError, ValueError)
 
-
-def _field_for(P, spec):
+def _load(args):
+    """(P, A): the polytope file and, for commands that take --A, its field."""
+    P = read_polytope(args.polytope)
+    spec = getattr(args, "A", None)
+    if spec is None:
+        return P, None
     if spec.strip() == "extremal":
-        return extremal_affine(P)
-    return parse_field(spec, P.dimension)
+        return P, extremal_affine(P)
+    return P, parse_field(spec, P.dimension)
 
 
 def _emit(report: Report, out):
@@ -67,26 +63,22 @@ def _emit(report: Report, out):
     sys.stdout.write(text)
 
 
-def _scaled_polytope(P, sigma_scale):
-    if sigma_scale == 1.0:
-        return P
-    return replace(P, boundary_weights=P.boundary_weights * sigma_scale)
-
-
-def cmd_extremal_affine(args):
-    try:
-        P = read_polytope(args.polytope)
-        A, residuals = extremal_affine(P, degree=args.degree, return_residuals=True)
-    except POLYTOPE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rep = Report("extremal-affine")
-    rep.add("polytope", args.polytope)
-    rep.add("dimension", P.dimension)
+def _add_extremal_affine(rep, P, degree):
+    """Write the A.* and residual.max lines; return the residuals."""
+    A, residuals = extremal_affine(P, degree=degree, return_residuals=True)
     rep.add("A.constant", A.a0)
     for i, c in enumerate(A.a):
         rep.add(f"A.x{i + 1}", c)
     rep.add("residual.max", float(np.max(residuals)))
+    return residuals
+
+
+def cmd_extremal_affine(args):
+    P, _ = _load(args)
+    rep = Report("extremal-affine")
+    rep.add("polytope", args.polytope)
+    rep.add("dimension", P.dimension)
+    residuals = _add_extremal_affine(rep, P, args.degree)
     rep.table("residuals", ["basis", "abs_residual"],
               [["1"] + [repr(float(residuals[0]))]] +
               [[f"x{i + 1}", repr(float(residuals[i + 1]))] for i in range(P.dimension)])
@@ -95,17 +87,8 @@ def cmd_extremal_affine(args):
 
 
 def cmd_stability(args):
-    try:
-        P = read_polytope(args.polytope)
-        A = _field_for(P, args.A)
-    except POLYTOPE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = analyze_stability(P, A, args.h, mode=args.lp_mode)
-    except (LPInfeasible, LPUnbounded, LPNotConverged) as exc:
-        print(f"LP failure: {exc}", file=sys.stderr)
-        return 3
+    P, A = _load(args)
+    report = analyze_stability(P, A, args.h, mode=args.lp_mode)
     rep = Report("stability")
     rep.add("polytope", args.polytope)
     rep.add("A", args.A)
@@ -133,21 +116,12 @@ def cmd_stability(args):
 
 
 def cmd_solve(args):
-    try:
-        P = read_polytope(args.polytope)
-        A = _field_for(P, args.A)
-    except POLYTOPE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    P, A = _load(args)
     rep = Report("solve")
     rep.add("polytope", args.polytope)
     rep.add("A", args.A)
     if P.dimension == 1:
-        try:
-            u, compat = solve_1d(P, A, tol=args.tol if args.tol else 1e-8)
-        except IncompatibleA as exc:
-            print(f"incompatible A: {exc}", file=sys.stderr)
-            return 4
+        u, compat = solve_1d(P, A, tol=args.tol if args.tol else 1e-8)
         sup, l2, _ = residual(u, A, P, margin=0.05)
         rep.add("method", "1d-integration")
         rep.add("w.end_residual", compat.w_end)
@@ -180,160 +154,8 @@ def cmd_solve(args):
     return 0
 
 
-def _verify_audits(P, args):
-    """Yield (name, passed, measured, tolerance) audit rows."""
-    rng = np.random.default_rng(args.seed)
-    sigma = args.sigma_scale
-    Pa = _scaled_polytope(P, sigma)
-    A = extremal_affine(Pa)
-    ev = FunctionalEvaluator(Pa, A)
-    u_o = guillemin_potential(Pa)
-    n = Pa.dimension
-    vol = ev.volume()
-
-    # integration-by-parts identity (v = u_o solves for the extremal A on fixtures)
-    gaps = []
-    xsq = _quadratic_func(Pa)
-    for u in (xsq, AffineFunc(0.3, (0.7,) * n), u_o):
-        _, _, gap = ev.ibp_identity_check(u_o, u)
-        gaps.append(gap)
-    yield ("ibp-identity", max(gaps) <= 1e-5, max(gaps), 1e-5)
-
-    # L_A(u_o) = n Vol
-    la = ev.linear_functional(u_o)
-    yield ("linear-functional-of-solution", abs(la - n * vol) <= 1e-6,
-           abs(la - n * vol), 1e-6)
-
-    # stability + norm bound + certificate audit
-    mesh = make_mesh(Pa, args.h)
-    rep = lp_stability_estimate(Pa, A, mesh, refine=False)
-    lam = rep.lambda_hat
-    yield ("lambda-positive", lam > TOLERANCES["status.stable_threshold"], lam,
-           TOLERANCES["status.stable_threshold"])
-    if lam > 0:
-        bound = solution_norm_bound(Pa, A, lam)
-        bnorm_solution = ev.boundary_norm(u_o)
-        yield ("solution-norm-bound", bnorm_solution <= bound + 1e-9,
-               bnorm_solution, bound)
-        cert = properness_certificate(Pa, A, lam, mesh, evaluator=ev)
-        violations = 0
-        worst = np.inf
-        for _ in range(args.audit_count):
-            u = _random_normalized_mesh_function(mesh, rng)
-            val = ev.mabuchi(u).value
-            slack = val - (-cert.c_const + cert.epsilon_prime * ev.boundary_norm(u))
-            worst = min(worst, slack)
-            if slack < -1e-9:
-                violations += 1
-        yield ("properness-bound", violations == 0, worst, 0.0)
-
-    # degeneracy diagnostics on the built-in sequences
-    seqs, _ks = scripted_sequences(Pa) if n == 1 else scripted_sequences_2d(Pa)
-    segs = _default_segments(Pa)
-    d1 = degeneracy_diagnostic(seqs["escaping-crease"], segs, ev)
-    yield ("degeneracy-escaping-flagged", d1.status == "degenerating-to-affine"
-           and not d1.l_a_vanishing, d1.status, "degenerating-to-affine")
-    d2 = degeneracy_diagnostic(seqs["fixed-mass"], segs, ev)
-    yield ("degeneracy-fixed-not-flagged", d2.status == "stable-mass"
-           and len(d2.tau) > 0, d2.status, "stable-mass")
-    d3 = degeneracy_diagnostic(seqs["shrinking"], segs, ev)
-    yield ("degeneracy-shrinking-flagged", d3.status == "degenerating-to-zero"
-           and d3.l_a_vanishing, d3.status, "degenerating-to-zero")
-
-
-def _quadratic_func(P):
-    from .convex import SmoothConvexFunc
-
-    n = P.dimension
-    if n == 1:
-        return SmoothConvexFunc(lambda p: p[:, 0] ** 2,
-                                lambda p: np.column_stack([2.0 * p[:, 0]]),
-                                lambda p: np.full((p.shape[0], 1, 1), 2.0), 1, domain=P)
-    return SmoothConvexFunc(lambda p: p[:, 0] ** 2 + p[:, 1] ** 2,
-                            lambda p: 2.0 * p,
-                            lambda p: np.tile(2.0 * np.eye(2), (p.shape[0], 1, 1)),
-                            2, domain=P)
-
-
-def _default_segments(P):
-    c = center_of_mass(P)
-    if P.dimension == 1:
-        lo, hi = float(P.vertices[0, 0]), float(P.vertices[1, 0])
-        w = hi - lo
-        return [(c[0] - 0.25 * w, c[0] + 0.25 * w), (c[0] - 0.1 * w, c[0] + 0.3 * w)]
-    lo = P.vertices.min(axis=0)
-    hi = P.vertices.max(axis=0)
-    w = hi[0] - lo[0]
-    return [((c[0] - 0.2 * w, c[1]), (c[0] + 0.2 * w, c[1]))]
-
-
-def scripted_sequences_2d(P, ks=(10, 100, 10_000, 1_000_000, 10_000_000)):
-    """2D analogues of the built-in sequences: creases marching to a facet."""
-    from .convex import PLConvexFunc
-
-    lo = P.vertices.min(axis=0)
-    hi = P.vertices.max(axis=0)
-    width = hi[0] - lo[0]
-    cx = 0.5 * (lo[0] + hi[0])
-    ev = FunctionalEvaluator(P, 0.0)
-
-    def escaping(k):
-        s = k / width
-        u = crease(AffineFunc(-s * (hi[0] - width / k), (s, 0.0)))
-        bn = ev.boundary_norm(u)
-        return PLConvexFunc(tuple(AffineFunc(p.a0 / bn, tuple(np.asarray(p.a) / bn))
-                                  for p in u.pieces))
-
-    def fixed(k):
-        return PLConvexFunc((AffineFunc(cx, (-1.0, 0.0)), AffineFunc(-cx, (1.0, 0.0))))
-
-    def shrinking(k):
-        return PLConvexFunc((AffineFunc(cx / k, (-1.0 / k, 0.0)),
-                             AffineFunc(-cx / k, (1.0 / k, 0.0))))
-
-    return {
-        "escaping-crease": [escaping(k) for k in ks],
-        "fixed-mass": [fixed(k) for k in ks],
-        "shrinking": [shrinking(k) for k in ks],
-    }, list(ks)
-
-
-def _random_normalized_mesh_function(mesh, rng):
-    """Sample of a random strictly convex smooth function, normalized.
-
-    Mixed second derivatives are kept nonpositive so samples stay discretely
-    convex on the "/" triangulation; draws are rejected otherwise.
-    """
-    P = mesh.polytope
-    lo = P.vertices.min(axis=0)
-    hi = P.vertices.max(axis=0)
-    n = mesh.dimension
-    for _ in range(100):
-        z = lo + (hi - lo) * rng.uniform(0.2, 0.8, size=n)
-        if n == 1:
-            q = rng.uniform(0.5, 6.0)
-            vals = 0.5 * q * (mesh.vertices[:, 0] - z[0]) ** 2
-        else:
-            d1, d2 = rng.uniform(0.5, 6.0, size=2)
-            off = -rng.uniform(0.0, 0.9) * np.sqrt(d1 * d2)
-            dx = mesh.vertices - z
-            vals = 0.5 * (d1 * dx[:, 0] ** 2 + 2 * off * dx[:, 0] * dx[:, 1]
-                          + d2 * dx[:, 1] ** 2)
-        a = rng.uniform(-2.0, 2.0, size=n)
-        vals = vals + mesh.vertices @ a
-        u = MeshConvexFunc(mesh, vals)
-        u = normalize(u, mesh.vertices[mesh.nearest_vertex(center_of_mass(P))])
-        if u.is_discretely_convex(slack=1e-10):
-            return u
-    raise RuntimeError("failed to draw a discretely convex sample")
-
-
 def cmd_verify(args):
-    try:
-        P = read_polytope(args.polytope)
-    except POLYTOPE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    P, _ = _load(args)
     rep = Report("verify")
     rep.add("polytope", args.polytope)
     rep.add("h", args.h)
@@ -341,7 +163,8 @@ def cmd_verify(args):
     rep.add("sigma_scale", args.sigma_scale)
     rows = []
     all_pass = True
-    for name, passed, measured, tol in _verify_audits(P, args):
+    for name, passed, measured, tol in verify_audits(P, args.h, args.seed, args.sigma_scale,
+                                                     args.audit_count):
         rows.append([name, "PASS" if passed else "FAIL", measured, tol])
         all_pass = all_pass and passed
     rep.table("audits", ["audit", "result", "measured", "tolerance"], rows)
@@ -351,13 +174,23 @@ def cmd_verify(args):
     return 0 if all_pass else 1
 
 
+def _eval_u(P, spec):
+    """The function named by `eval --u`."""
+    spec = spec or "guillemin"
+    if spec == "guillemin":
+        return guillemin_potential(P)
+    if spec.startswith("crease:"):
+        ell = parse_field(spec[len("crease:"):], P.dimension)
+        if not isinstance(ell, AffineFunc):
+            raise ValueError("crease spec must be affine")
+        return normalize(crease(ell), center_of_mass(P))
+    if spec.startswith("plfile:"):
+        return read_pl_function(spec[len("plfile:"):])
+    raise ValueError(f"unknown u spec {spec!r}")
+
+
 def cmd_eval(args):
-    try:
-        P = read_polytope(args.polytope)
-        A = _field_for(P, args.A)
-    except POLYTOPE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    P, A = _load(args)
     ev = FunctionalEvaluator(P, A, degree=args.degree)
     rep = Report("eval")
     rep.add("polytope", args.polytope)
@@ -365,58 +198,31 @@ def cmd_eval(args):
     rep.add("op", args.op)
     rep.add("quadrature.degree", ev.degree)
     rep.add("quadrature.graded_layers", ev.layers)
-
-    def get_u():
-        spec = args.u or "guillemin"
-        if spec == "guillemin":
-            return guillemin_potential(P)
-        if spec.startswith("crease:"):
-            ell = parse_field(spec[len("crease:"):], P.dimension)
-            if not isinstance(ell, AffineFunc):
-                raise ValueError("crease spec must be affine")
-            return normalize(crease(ell), center_of_mass(P))
-        if spec.startswith("plfile:"):
-            return read_pl_function(spec[len("plfile:"):])
-        raise ValueError(f"unknown u spec {spec!r}")
-
-    try:
-        if args.op == "boundary-norm":
-            rep.add("value", ev.boundary_norm(get_u()))
-        elif args.op == "linear-functional":
-            rep.add("value", ev.linear_functional(get_u()))
-        elif args.op == "mabuchi":
-            m = ev.mabuchi(get_u())
-            rep.add("value", m.value)
-            rep.add("log_det_term", m.log_det_term)
-            rep.add("linear_term", m.linear_term)
-            rep.add("truncation_estimate", m.truncation_estimate)
-        elif args.op == "extremal-affine":
-            A2, res = extremal_affine(P, return_residuals=True)
-            rep.add("A.constant", A2.a0)
-            for i, c in enumerate(A2.a):
-                rep.add(f"A.x{i + 1}", c)
-            rep.add("residual.max", float(np.max(res)))
-        elif args.op == "abreu-residual":
-            u = get_u()
-            sup, l2, _ = residual(u, A, P, margin=args.margin)
-            rep.add("residual.sup", sup)
-            rep.add("residual.l2", l2)
-            rep.add("margin", args.margin)
-        elif args.op == "ibp":
-            u_o = guillemin_potential(P)
-            lhs, rhs, gap = ev.ibp_identity_check(u_o, get_u())
-            rep.add("lhs", lhs)
-            rep.add("rhs", rhs)
-            rep.add("gap", gap)
-        elif args.op == "l1-constant":
-            mesh = make_mesh(P, args.h)
-            val, _ = l1_boundary_constant(P, center_of_mass(P), mesh)
-            rep.add("value", val)
-        else:
-            raise ValueError(f"unknown op {args.op!r}")
-    except PolystabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.op == "boundary-norm":
+        rep.add("value", ev.boundary_norm(_eval_u(P, args.u)))
+    elif args.op == "linear-functional":
+        rep.add("value", ev.linear_functional(_eval_u(P, args.u)))
+    elif args.op == "mabuchi":
+        m = ev.mabuchi(_eval_u(P, args.u))
+        rep.add("value", m.value)
+        rep.add("log_det_term", m.log_det_term)
+        rep.add("linear_term", m.linear_term)
+        rep.add("truncation_estimate", m.truncation_estimate)
+    elif args.op == "extremal-affine":
+        _add_extremal_affine(rep, P, args.degree)
+    elif args.op == "abreu-residual":
+        sup, l2, _ = residual(_eval_u(P, args.u), A, P, margin=args.margin)
+        rep.add("residual.sup", sup)
+        rep.add("residual.l2", l2)
+        rep.add("margin", args.margin)
+    elif args.op == "ibp":
+        lhs, rhs, gap = ev.ibp_identity_check(guillemin_potential(P), _eval_u(P, args.u))
+        rep.add("lhs", lhs)
+        rep.add("rhs", rhs)
+        rep.add("gap", gap)
+    elif args.op == "l1-constant":
+        val, _ = l1_boundary_constant(P, center_of_mass(P), make_mesh(P, args.h))
+        rep.add("value", val)
     _emit(rep, args.out)
     return 0
 
@@ -479,7 +285,14 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as exc:
+        for types, code, prefix in EXIT_CODES:
+            if isinstance(exc, types):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

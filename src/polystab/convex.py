@@ -346,6 +346,37 @@ def crease(ell: AffineFunc) -> PLConvexFunc:
     return PLConvexFunc((AffineFunc.constant(0.0, len(ell.a)), ell))
 
 
+def random_normalized_mesh_function(mesh: Mesh, rng) -> MeshConvexFunc:
+    """Sample of a random strictly convex quadratic, normalized.
+
+    The normalization point is the mesh vertex nearest the center of mass.
+    Mixed second derivatives are kept nonpositive so samples stay discretely
+    convex on the "/" triangulation; draws are rejected otherwise.
+    """
+    P = mesh.polytope
+    lo = P.vertices.min(axis=0)
+    hi = P.vertices.max(axis=0)
+    n = mesh.dimension
+    for _ in range(100):
+        z = lo + (hi - lo) * rng.uniform(0.2, 0.8, size=n)
+        if n == 1:
+            q = rng.uniform(0.5, 6.0)
+            vals = 0.5 * q * (mesh.vertices[:, 0] - z[0]) ** 2
+        else:
+            d1, d2 = rng.uniform(0.5, 6.0, size=2)
+            off = -rng.uniform(0.0, 0.9) * np.sqrt(d1 * d2)
+            dx = mesh.vertices - z
+            vals = 0.5 * (d1 * dx[:, 0] ** 2 + 2 * off * dx[:, 0] * dx[:, 1]
+                          + d2 * dx[:, 1] ** 2)
+        a = rng.uniform(-2.0, 2.0, size=n)
+        vals = vals + mesh.vertices @ a
+        u = MeshConvexFunc(mesh, vals)
+        u = normalize(u, mesh.vertices[mesh.nearest_vertex(center_of_mass(P))])
+        if u.is_discretely_convex(slack=1e-10):
+            return u
+    raise RuntimeError("failed to draw a discretely convex sample")
+
+
 _BUMP_NODES = 32
 
 

@@ -171,13 +171,24 @@ class FunctionalEvaluator:
         if isinstance(u, MeshConvexFunc):
             _, a = self._forms_for(u.mesh)
             return float(a @ u.values)
-        Q = self._scheme_for(u)
+        return self._interior(u, self._scheme_for(u))
+
+    def _interior(self, u, Q):
         return integrate_interior(lambda p: self._A(p) * np.asarray(u(p), dtype=float),
                                   self.polytope, Q)
 
     def linear_functional(self, u) -> float:
         """L_A(u) = |u|_b - integral of A u."""
-        return self.boundary_norm(u) - self.interior_integral(u)
+        return self.norm_and_linear(u)[1]
+
+    def norm_and_linear(self, u):
+        """(|u|_b, L_A(u)), both from one quadrature scheme."""
+        if isinstance(u, MeshConvexFunc):
+            bn, au = self.boundary_norm(u), self.interior_integral(u)
+        else:
+            Q = self._scheme_for(u)
+            bn, au = integrate_boundary(u, self.polytope, Q), self._interior(u, Q)
+        return bn, bn - au
 
     def volume(self) -> float:
         return integrate_interior(lambda p: np.ones(p.shape[0]), self.polytope, self.scheme)

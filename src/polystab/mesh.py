@@ -123,8 +123,8 @@ class Mesh:
         return out
 
 
-def _round_key(p):
-    return (round(float(p[0]), 12), round(float(p[1]), 12))
+def _round_key(p, digits):
+    return (round(float(p[0]), digits), round(float(p[1]), digits))
 
 
 def make_mesh(P: Polytope, h: float) -> Mesh:
@@ -160,15 +160,19 @@ def make_mesh(P: Polytope, h: float) -> Mesh:
     tris: list[tuple] = []
     cell_index: dict = {}
 
+    # vertices merge at 12 decimals of the size of P (its power of ten)
+    size = max(xhi - xlo, yhi - ylo)
+    digits = 12 - int(np.floor(np.log10(size)))
+
     def vid(p):
-        key = _round_key(p)
+        key = _round_key(p, digits)
         if key not in vmap:
             vmap[key] = len(verts)
             verts.append(np.array([key[0], key[1]]))
         return vmap[key]
 
     area_tol = 1e-13 * sx * sy
-    scale_tol = 1e-12 * max(abs(xhi - xlo), abs(yhi - ylo))
+    scale_tol = 1e-12 * size
     for i in range(nx):
         for j in range(ny):
             cell = np.array([[xs[i], ys[j]], [xs[i + 1], ys[j]],
@@ -237,7 +241,7 @@ def make_mesh(P: Polytope, h: float) -> Mesh:
     gv = P.gaps(vertices)
     bfacets = {}
     for v in range(len(vertices)):
-        on = np.where(np.abs(gv[v]) <= 1e-9 * max(1.0, P._scale) * norm_h)[0]
+        on = np.where(np.abs(gv[v]) <= 1e-9 * size * norm_h)[0]
         if on.size:
             bfacets[v] = tuple(int(k) for k in on)
 

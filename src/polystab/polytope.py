@@ -115,8 +115,8 @@ def _reduce_2d(normals, offsets):
     if _recession_direction_2d(normals):
         raise UnboundedDomain("facet normals lie in a half-plane")
 
-    # the largest facet distance from the origin: tolerances follow the size of P
-    scale = float(np.max(np.abs(offsets))
+    # the largest facet distance from the origin bounds the rounding of the gaps
+    reach = float(np.max(np.abs(offsets))
                   / max(np.min(np.linalg.norm(normals, axis=1)), 1e-30)) or 1.0
     cands = []
     for i in range(K):
@@ -131,10 +131,14 @@ def _reduce_2d(normals, offsets):
         raise EmptyInterior("no facet intersections")
     cands = np.array(cands)
     g = cands @ normals.T - offsets
-    feas = np.all(g >= -1e-9 * scale * np.linalg.norm(normals, axis=1), axis=1)
-    pts = cands[feas]
+    norms = np.linalg.norm(normals, axis=1)
+    pts = cands[np.all(g >= -1e-9 * reach * norms, axis=1)]
     if pts.shape[0] == 0:
         raise EmptyInterior("no feasible vertex")
+    # tolerances follow the size of P, not its distance from the origin; the
+    # reach term covers the rounding of gaps far from the origin
+    scale = float(np.max(np.ptp(pts, axis=0))) + 1e-5 * reach
+    pts = cands[np.all(g >= -1e-9 * scale * norms, axis=1)]
     # dedupe
     uniq: list[np.ndarray] = []
     for p in pts:
@@ -147,14 +151,14 @@ def _reduce_2d(normals, offsets):
     order = np.argsort(np.arctan2(verts[:, 1] - center[1], verts[:, 0] - center[0]))
     verts = verts[order]
     gap_c = normals @ center - offsets
-    if np.any(gap_c <= _FEAS_TOL * scale * np.linalg.norm(normals, axis=1)):
+    if np.any(gap_c <= _FEAS_TOL * scale * norms):
         raise EmptyInterior("vertex centroid is not strictly feasible")
 
     keep = []
     facet_vertices = []
     gv = verts @ normals.T - offsets  # (V, K)
     for k in range(K):
-        on_k = np.where(np.abs(gv[:, k]) <= 1e-8 * scale * np.linalg.norm(normals[k]))[0]
+        on_k = np.where(np.abs(gv[:, k]) <= 1e-8 * scale * norms[k])[0]
         if on_k.size >= 2:
             # duplicate facet guard: same vertex pair under an earlier facet
             pair = tuple(sorted(on_k.tolist()))
@@ -166,7 +170,7 @@ def _reduce_2d(normals, offsets):
                 d = verts[on_k] - center
                 on_k = on_k[np.argsort(np.arctan2(d[:, 1], d[:, 0]))]
             facet_vertices.append(tuple(int(i) for i in on_k[:2]))
-    return keep, verts, facet_vertices, scale
+    return keep, verts, facet_vertices, reach
 
 
 def build_polytope(facets, name=None):

@@ -16,11 +16,12 @@ mode="exact" solves the same LP with the Fraction Bland simplex of
 The discrete value only upper-bounds the true constant restricted to mesh
 functions, so statuses are evidence, not proofs; refinement monotonicity is
 reported, and the "uniformly-stable" verdict requires the threshold to hold
-across two mesh refinements.
+across two mesh refinements.  `verify_audits` checks the chain from a
+positive constant to the properness bound; `polystab verify` reports it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,13 +30,16 @@ from .convex import (
     AffineFunc,
     MeshConvexFunc,
     PLConvexFunc,
+    SmoothConvexFunc,
     convexity_coefficients,
     crease,
+    guillemin_potential,
     normalize,
+    random_normalized_mesh_function,
     segment_ma_measure,
 )
 from .errors import EmptyGrid, NonpositiveLambda
-from .functionals import FunctionalEvaluator, mesh_linear_forms
+from .functionals import FunctionalEvaluator, extremal_affine, mesh_linear_forms
 from .mesh import Mesh, make_mesh
 from .polytope import Polytope, center_of_mass
 from .quadrature import standard_scheme
@@ -162,15 +166,15 @@ class StabilityLP:
 def default_crease_grid(P: Polytope, resolution=64, degree=6):
     """Affine functions whose creases sweep the polytope.
 
-    1D: kinks at `resolution` uniform interior positions, both orientations;
-    2D: lines through pairs of boundary quadrature nodes, both orientations.
+    1D: kinks at `resolution` uniform interior positions; 2D: lines through
+    pairs of boundary quadrature nodes.  One orientation per line: ell and
+    -ell have the same normalized crease (see `crease_sweep`).
     """
     out = []
     if P.dimension == 1:
         lo, hi = float(P.vertices[0, 0]), float(P.vertices[1, 0])
         for t in np.linspace(lo, hi, resolution + 1)[1:-1]:
             out.append(AffineFunc(-t, (1.0,)))
-            out.append(AffineFunc(t, (-1.0,)))
         return out
     Q = standard_scheme(P, degree)
     nodes = np.vstack([pts for pts in Q.boundary_points])
@@ -184,16 +188,17 @@ def default_crease_grid(P: Polytope, resolution=64, degree=6):
             eta = np.array([-d[1], d[0]]) / L
             c = float(eta @ nodes[i])
             out.append(AffineFunc(-c, tuple(eta)))
-            out.append(AffineFunc(c, tuple(-eta)))
     return out
 
 
 def crease_sweep(P: Polytope, A, grid=None, p_o=None, evaluator=None):
     """Minimum of L_A over normalized creases in the grid.
 
-    Creases whose normalized boundary norm falls below 1e-9 (affine on the
-    polytope, or vanishing) are skipped.  Returns (min ratio, minimizing
-    normalized crease).
+    Each ell is first oriented to be <= 0 at p_o: the normalized crease of
+    either orientation is then (ell)_+, and normalizing it is exact.  Creases
+    whose normalized boundary norm falls below 1e-9 (affine on the polytope,
+    or vanishing) are skipped.  Returns (min ratio, minimizing normalized
+    crease).
     """
     if grid is None:
         grid = default_crease_grid(P)
@@ -205,11 +210,13 @@ def crease_sweep(P: Polytope, A, grid=None, p_o=None, evaluator=None):
         p_o = center_of_mass(P)
     best = (np.inf, None)
     for ell in grid:
+        if ell(p_o) > 0.0:
+            ell = AffineFunc(-ell.a0, tuple(-a for a in ell.a))
         u = normalize(crease(ell), p_o)
-        bn = evaluator.boundary_norm(u)
+        bn, la = evaluator.norm_and_linear(u)  # one split rule per crease
         if bn < TOLERANCES["crease.skip_boundary_norm"]:
             continue
-        ratio = evaluator.linear_functional(u) / bn
+        ratio = la / bn
         if ratio < best[0]:
             best = (ratio, u)
     if best[1] is None:
@@ -302,8 +309,7 @@ def degeneracy_diagnostic(functions, segments, evaluator: FunctionalEvaluator,
     segs = [(np.atleast_1d(np.asarray(a, dtype=float)),
              np.atleast_1d(np.asarray(b, dtype=float))) for a, b in segments]
     lengths = np.array([np.linalg.norm(b - a) for a, b in segs])
-    bnorms = np.array([evaluator.boundary_norm(u) for u in fns])
-    lvals = np.array([evaluator.linear_functional(u) for u in fns])
+    bnorms, lvals = np.array([evaluator.norm_and_linear(u) for u in fns]).T
     masses = np.array([[segment_ma_measure(u, a, b, P) for a, b in segs] for u in fns])
 
     thresh = TOLERANCES["degeneracy.mass_per_length"] * lengths
@@ -329,30 +335,46 @@ def degeneracy_diagnostic(functions, segments, evaluator: FunctionalEvaluator,
 
 
 def scripted_sequences(P: Polytope, ks=(10, 100, 10_000, 1_000_000, 10_000_000)):
-    """The three built-in 1D diagnostic sequences (interval polytopes only)."""
-    if P.dimension != 1:
-        raise ValueError("scripted sequences are defined on intervals")
-    lo, hi = float(P.vertices[0, 0]), float(P.vertices[1, 0])
+    """The three built-in diagnostic sequences, all varying along x1.
+
+    escaping-crease: the crease with kink at hi - width/k and slope k/width,
+    divided by its boundary norm; fixed-mass: |x1 - mid|; shrinking:
+    |x1 - mid| / k.
+    """
+    xs = P.vertices[:, 0]
+    lo, hi = float(xs.min()), float(xs.max())
     mid = 0.5 * (lo + hi)
     width = hi - lo
+    zeros = (0.0,) * (P.dimension - 1)
+    ev = FunctionalEvaluator(P, 0.0)
 
     def escaping(k):
-        # crease with kink at hi - width/k and slope k/width, boundary norm 1
         s = k / width
-        return crease(AffineFunc(-s * (hi - width / k), (s,)))
+        u = crease(AffineFunc(-s * (hi - width / k), (s,) + zeros))
+        bn = ev.boundary_norm(u)
+        return PLConvexFunc(tuple(AffineFunc(p.a0 / bn, tuple(np.asarray(p.a) / bn))
+                                  for p in u.pieces))
 
-    def fixed(k):
-        return PLConvexFunc((AffineFunc(mid, (-1.0,)), AffineFunc(-mid, (1.0,))))
-
-    def shrinking(k):
-        return PLConvexFunc((AffineFunc(mid / k, (-1.0 / k,)),
-                             AffineFunc(-mid / k, (1.0 / k,))))
+    def vee(k):
+        return PLConvexFunc((AffineFunc(mid / k, (-1.0 / k,) + zeros),
+                             AffineFunc(-mid / k, (1.0 / k,) + zeros)))
 
     return {
         "escaping-crease": [escaping(k) for k in ks],
-        "fixed-mass": [fixed(k) for k in ks],
-        "shrinking": [shrinking(k) for k in ks],
+        "fixed-mass": [vee(1) for k in ks],
+        "shrinking": [vee(k) for k in ks],
     }, list(ks)
+
+
+def _default_segments(P: Polytope):
+    """Interior segments, around the center of mass, that the audits track."""
+    c = center_of_mass(P)
+    lo = P.vertices.min(axis=0)
+    hi = P.vertices.max(axis=0)
+    w = hi[0] - lo[0]
+    if P.dimension == 1:
+        return [(c[0] - 0.25 * w, c[0] + 0.25 * w), (c[0] - 0.1 * w, c[0] + 0.3 * w)]
+    return [((c[0] - 0.2 * w, c[1]), (c[0] + 0.2 * w, c[1]))]
 
 
 def l1_boundary_constant(P: Polytope, p_o, mesh: Mesh, mode="float"):
@@ -373,7 +395,7 @@ def solution_norm_bound(P: Polytope, A, lam: float) -> float:
 
 def properness_certificate(P: Polytope, A, lam: float, mesh: Mesh, p_o=None,
                            evaluator: FunctionalEvaluator | None = None,
-                           fd_margin=2e-2) -> PropernessCertificate:
+                           fd_margin=2e-2, mode="float") -> PropernessCertificate:
     """Theorem-4.8-style constants from lambda and the Guillemin reference.
 
     A_o = S(u_o) is sampled on a graded interior grid (finite differences
@@ -381,10 +403,8 @@ def properness_certificate(P: Polytope, A, lam: float, mesh: Mesh, p_o=None,
     along rays from the center before differencing); its sup gets a 1.05
     safety factor.  C_o = -F_{A_o}(u_o), C' solves the L1-vs-boundary LP,
     R = 1 + sup|A_o| C', r = lambda / (2R), eps' = lambda/2,
-    C = C_o - n Vol log r, eps = eps' / C'.
+    C = C_o - n Vol log r, eps = eps' / C'.  `mode` is the LP mode for C'.
     """
-    from .convex import guillemin_potential
-
     if lam <= 0:
         raise NonpositiveLambda("properness certificate needs lambda > 0")
     if evaluator is None:
@@ -417,7 +437,7 @@ def properness_certificate(P: Polytope, A, lam: float, mesh: Mesh, p_o=None,
     ev_o = FunctionalEvaluator(P, a_o_field, degree=evaluator.degree,
                                layers=evaluator.layers)
     c_o = -ev_o.mabuchi(u_o).value
-    c_prime, _ = l1_boundary_constant(P, p_o, mesh)
+    c_prime, _ = l1_boundary_constant(P, p_o, mesh, mode=mode)
     R = 1.0 + a_sup * c_prime
     r = lam / (2.0 * R)
     eps_prime = lam - r * R
@@ -447,5 +467,66 @@ def analyze_stability(P: Polytope, A, h: float, p_o=None, mode="float",
     report.crease_sweep_argmin = sweep_arg
     if report.status == "uniformly-stable":
         report.certificates = properness_certificate(
-            P, A, report.lambda_hat, mesh, p_o=p_o, evaluator=evaluator)
+            P, A, report.lambda_hat, mesh, p_o=p_o, evaluator=evaluator, mode=mode)
     return report
+
+
+def verify_audits(P: Polytope, h: float, seed: int, sigma_scale=1.0, audit_count=50):
+    """Audit the chain from uniform stability to properness on P.
+
+    Uses the extremal field of P with its boundary weights scaled by
+    `sigma_scale`; a scale other than 1 breaks the identities, so the suite
+    must fail (a consistency tripwire).  Yields (name, passed, measured,
+    tolerance) rows.
+    """
+    rng = np.random.default_rng(seed)
+    if sigma_scale != 1.0:
+        P = replace(P, boundary_weights=P.boundary_weights * sigma_scale)
+    A = extremal_affine(P)
+    ev = FunctionalEvaluator(P, A)
+    u_o = guillemin_potential(P)
+    n = P.dimension
+    vol = ev.volume()
+
+    # integration-by-parts identity (v = u_o solves for the extremal A on fixtures)
+    eye = 2.0 * np.eye(n)
+    xsq = SmoothConvexFunc(lambda p: np.sum(p * p, axis=1), lambda p: 2.0 * p,
+                           lambda p: np.tile(eye, (p.shape[0], 1, 1)), n, domain=P)
+    gaps = [ev.ibp_identity_check(u_o, u)[2]
+            for u in (xsq, AffineFunc(0.3, (0.7,) * n), u_o)]
+    yield ("ibp-identity", max(gaps) <= 1e-5, max(gaps), 1e-5)
+
+    # L_A(u_o) = n Vol
+    la = ev.linear_functional(u_o)
+    yield ("linear-functional-of-solution", abs(la - n * vol) <= 1e-6,
+           abs(la - n * vol), 1e-6)
+
+    # stability + norm bound + certificate audit
+    mesh = make_mesh(P, h)
+    lam = lp_stability_estimate(P, A, mesh, refine=False).lambda_hat
+    threshold = TOLERANCES["status.stable_threshold"]
+    yield ("lambda-positive", lam > threshold, lam, threshold)
+    if lam > 0:
+        bound = solution_norm_bound(P, A, lam)
+        bnorm_solution = ev.boundary_norm(u_o)
+        yield ("solution-norm-bound", bnorm_solution <= bound + 1e-9,
+               bnorm_solution, bound)
+        cert = properness_certificate(P, A, lam, mesh, evaluator=ev)
+        samples = (random_normalized_mesh_function(mesh, rng) for _ in range(audit_count))
+        worst = min((ev.mabuchi(u).value
+                     - (-cert.c_const + cert.epsilon_prime * ev.boundary_norm(u))
+                     for u in samples), default=np.inf)
+        yield ("properness-bound", worst >= -1e-9, worst, 0.0)
+
+    # degeneracy diagnostics on the built-in sequences
+    seqs, _ = scripted_sequences(P)
+    segs = _default_segments(P)
+    d1 = degeneracy_diagnostic(seqs["escaping-crease"], segs, ev)
+    yield ("degeneracy-escaping-flagged", d1.status == "degenerating-to-affine"
+           and not d1.l_a_vanishing, d1.status, "degenerating-to-affine")
+    d2 = degeneracy_diagnostic(seqs["fixed-mass"], segs, ev)
+    yield ("degeneracy-fixed-not-flagged", d2.status == "stable-mass"
+           and len(d2.tau) > 0, d2.status, "stable-mass")
+    d3 = degeneracy_diagnostic(seqs["shrinking"], segs, ev)
+    yield ("degeneracy-shrinking-flagged", d3.status == "degenerating-to-zero"
+           and d3.l_a_vanishing, d3.status, "degenerating-to-zero")

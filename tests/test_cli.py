@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import polystab
@@ -32,6 +33,18 @@ name: unit-interval
 facet: 1.0 0.0
 facet: -1.0 -1.0
 """
+
+# [0, 1] again, with weight 1/2 at the upper endpoint
+WEIGHTED_INTERVAL = """# polystab polytope
+dimension: 1
+name: weighted-interval
+facet: 1.0 0.0
+facet: -2.0 -2.0
+"""
+
+
+def report_values(text):
+    return dict(line.split(": ", 1) for line in text.splitlines() if ": " in line)
 
 
 def test_solve_report_is_byte_identical_on_rerun(tmp_path, capsys):
@@ -159,3 +172,68 @@ def test_extremal_affine_on_the_simplex(tmp_path, capsys):
     assert float(values["A.constant"]) == pytest.approx(6.0, abs=1e-9)
     assert abs(float(values["A.x1"])) <= 1e-9 and abs(float(values["A.x2"])) <= 1e-9
     assert float(values["residual.max"]) <= 1e-10
+
+
+@pytest.mark.parametrize("op", ["boundary-norm", "linear-functional", "mabuchi",
+                                "extremal-affine", "abreu-residual", "ibp", "l1-constant"])
+def test_eval_op_on_the_interval(op, tmp_path, capsys):
+    path = tmp_path / "interval.txt"
+    path.write_text(INTERVAL)
+    assert main(["eval", "--polytope", str(path), "--op", op, "--h", "0.125"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    results = [line.split(": ", 1) for line in lines[lines.index(f"op: {op}") + 3:] if line]
+    assert results
+    assert all(np.isfinite(float(value)) for _, value in results)
+
+
+def test_eval_unknown_u_exits_2(tmp_path, capsys):
+    path = tmp_path / "interval.txt"
+    path.write_text(INTERVAL)
+    assert main(["eval", "--polytope", str(path), "--op", "mabuchi", "--u", "bogus"]) == 2
+    assert "error: unknown u spec 'bogus'" in capsys.readouterr().err
+
+
+def test_eval_extremal_affine_reads_the_degree(tmp_path, capsys):
+    path = tmp_path / "pentagon.txt"
+    path.write_text(PENTAGON)
+    assert main(["extremal-affine", "--polytope", str(path), "--degree", "8"]) == 0
+    expected = report_values(capsys.readouterr().out)
+    assert main(["eval", "--polytope", str(path), "--op", "extremal-affine",
+                 "--degree", "8"]) == 0
+    values = report_values(capsys.readouterr().out)
+    for key in ("A.constant", "A.x1", "A.x2", "residual.max"):
+        assert values[key] == expected[key]
+
+
+def test_verify_passes_on_the_interval_and_trips_on_scaled_weights(tmp_path, capsys):
+    path = tmp_path / "interval.txt"
+    path.write_text(INTERVAL)
+    argv = ["verify", "--polytope", str(path), "--h", "0.125"]
+    assert main(argv) == 0
+    assert "overall: PASS" in capsys.readouterr().out.splitlines()
+    # dsigma scaled by 2 no longer matches the extremal field's identities
+    assert main(argv + ["--sigma-scale", "2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "overall: FAIL" in out
+    assert any(line.startswith("ibp-identity  FAIL") for line in out)
+
+
+def test_verify_escaping_crease_on_a_weighted_interval(tmp_path, capsys):
+    # the escaping creases are divided by their boundary norm, which is not
+    # their value at the upper endpoint when its weight is not 1
+    path = tmp_path / "weighted.txt"
+    path.write_text(WEIGHTED_INTERVAL)
+    main(["verify", "--polytope", str(path), "--h", "0.125"])
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("degeneracy-escaping-flagged"))
+    assert row.split() == ["degeneracy-escaping-flagged", "PASS", "degenerating-to-affine",
+                           "degenerating-to-affine"]
+
+
+def test_exact_mode_reaches_the_certificate(tmp_path, capsys):
+    # the L1 constant of [0, 1] is 1/4; the exact simplex gives it without rounding
+    path = tmp_path / "interval.txt"
+    path.write_text(INTERVAL)
+    assert main(["stability", "--polytope", str(path), "--h", "0.0625",
+                 "--lp-mode", "exact"]) == 0
+    assert "C_prime: 0.25" in capsys.readouterr().out.splitlines()

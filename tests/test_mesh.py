@@ -3,7 +3,7 @@ import pytest
 
 from polystab.errors import MeshTooFine
 from polystab.mesh import make_mesh, midpoint_integral
-from polystab.polytope import interval, standard_simplex, unit_square
+from polystab.polytope import build_polytope, interval, standard_simplex, unit_square
 from polystab.quadrature import integrate_interior, standard_scheme
 
 
@@ -84,3 +84,20 @@ def test_locate_boundary_and_interior():
 def test_nearest_vertex():
     m = make_mesh(unit_square(), 1 / 4)
     assert np.allclose(m.vertices[m.nearest_vertex([0.5, 0.5])], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("s", [1e-13, 1e-12, 1e-11, 1e4])
+def test_mesh_is_scale_free(s):
+    # vertices merge at 12 decimals of the size of P, and boundary vertices are
+    # found within a tolerance of that size, so [0, s]^2 at h = s/4 is the unit
+    # square's mesh scaled by s
+    def square(s):
+        return build_polytope([((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0),
+                               ((-1.0, 0.0), -s), ((0.0, -1.0), -s)])
+
+    unit, scaled = make_mesh(square(1.0), 0.25), make_mesh(square(s), s / 4)
+    assert scaled.num_vertices == unit.num_vertices == 25
+    assert np.allclose(scaled.vertices, s * unit.vertices, rtol=0.0, atol=1e-12 * s)
+    assert np.array_equal(scaled.cells, unit.cells)
+    assert np.array_equal(scaled.hinges, unit.hinges)
+    assert scaled.boundary_facets == unit.boundary_facets

@@ -94,3 +94,19 @@ def test_facet_segments_cover_boundary():
     P = standard_simplex()
     total = sum(np.linalg.norm(np.diff(P.facet_segment(k), axis=0)) for k in range(3))
     assert total == pytest.approx(2.0 + np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("corner", [1e3, 1e6])
+def test_small_simplex_far_from_the_origin(corner):
+    # tolerances follow the size of P, not its distance from the origin: the
+    # simplex of size 1e-4 at (corner, corner) is the one at the origin, moved
+    def simplex(c, size):
+        return build_polytope([((1.0, 0.0), c), ((0.0, 1.0), c), ((-1.0, -1.0), -(2 * c + size))])
+
+    at_origin, moved = simplex(0.0, 1e-4), simplex(corner, 1e-4)
+    assert np.allclose(at_origin.vertices, 1e-4 * standard_simplex().vertices,
+                       rtol=0.0, atol=1e-16)
+    # the moved offsets carry the rounding of 2 corner + 1e-4
+    assert np.allclose(moved.vertices - corner, at_origin.vertices, rtol=0.0, atol=1e-9)
+    assert moved.facet_vertices == at_origin.facet_vertices
+    assert np.array_equal(moved.boundary_weights, at_origin.boundary_weights)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from polystab.convex import AffineFunc, crease, guillemin_potential, normalize
+from polystab.convex import (
+    AffineFunc,
+    crease,
+    guillemin_potential,
+    normalize,
+    random_normalized_mesh_function,
+)
 from polystab.errors import EmptyGrid, NonpositiveLambda
 from polystab.fields import parse_field
 from polystab.functionals import (
@@ -11,7 +17,7 @@ from polystab.functionals import (
     field_degree,
 )
 from polystab.mesh import make_mesh
-from polystab.polytope import interval, standard_simplex, unit_square
+from polystab.polytope import build_polytope, interval, standard_simplex, unit_square
 from polystab.quadrature import gauss_rule
 from polystab.stability import (
     StabilityLP,
@@ -85,6 +91,36 @@ def test_crease_ratio_matches_closed_form():
         assert crease_ratio_oracle_interval(t, 2.0) == pytest.approx(t, abs=1e-12)
     for t in (0.1875, 0.25, 0.375, 0.4375):
         assert crease_ratio_oracle_interval(t, 2.0) == pytest.approx(1 - t, abs=1e-12)
+
+
+PENTAGON = build_polytope([((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, 0.0), -3.0),
+                           ((0.0, -1.0), -2.0), ((-1.0, -1.0), -4.0)])
+SWEEP_FIXTURES = {
+    "interval": (interval(), None),
+    "square": (unit_square(), AffineFunc(-2.0, (12.0, 0.0))),
+    "pentagon": (PENTAGON, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_FIXTURES))
+def test_sweep_over_one_orientation_per_line(name, monkeypatch):
+    # ell and -ell normalize to the same crease, so the two-orientation grid
+    # finds the same minimum; each crease builds one split rule
+    import polystab.functionals
+
+    P, A = SWEEP_FIXTURES[name]
+    A = extremal_affine(P) if A is None else A
+    grid = default_crease_grid(P)
+    both = [m for ell in grid for m in (ell, AffineFunc(-ell.a0, tuple(-a for a in ell.a)))]
+    expected, _ = crease_sweep(P, A, grid=both)
+
+    calls = []
+    split = polystab.functionals.split_scheme
+    monkeypatch.setattr(polystab.functionals, "split_scheme",
+                        lambda *args, **kwargs: calls.append(1) or split(*args, **kwargs))
+    ratio, _ = crease_sweep(P, A, grid=grid, evaluator=FunctionalEvaluator(P, A))
+    assert ratio == expected
+    assert 0 < len(calls) <= len(grid)
 
 
 # -- LP stability estimate -----------------------------------------------------------
@@ -242,6 +278,33 @@ def test_degeneracy_deterministic():
     assert np.array_equal(a.linear_values, b.linear_values)
 
 
+def test_escaping_crease_has_unit_boundary_norm_on_a_weighted_interval():
+    # [0, 1] written as {x >= 0, -2x >= -2}: the upper endpoint has weight 1/2
+    P = build_polytope([((1.0,), 0.0), ((-2.0,), -2.0)])
+    ev = FunctionalEvaluator(P, extremal_affine(P))
+    seqs, _ = scripted_sequences(P)
+    d = degeneracy_diagnostic(seqs["escaping-crease"], [(0.25, 0.75)], ev)
+    assert np.allclose(d.boundary_norms, 1.0, rtol=0.0, atol=1e-12)
+    assert d.status == "degenerating-to-affine"
+
+
+def test_scripted_sequences_in_2d():
+    P = unit_square()
+    ev = FunctionalEvaluator(P, 4.0)
+    seqs, ks = scripted_sequences(P)
+    segments = [((0.3, 0.5), (0.7, 0.5))]
+    d1 = degeneracy_diagnostic(seqs["escaping-crease"], segments, ev)
+    assert d1.status == "degenerating-to-affine"
+    # slope 1e7 at k = 1e7 amplifies the rounding of the kink position
+    assert np.allclose(d1.boundary_norms, 1.0, rtol=0.0, atol=1e-8)
+    d2 = degeneracy_diagnostic(seqs["fixed-mass"], segments, ev)
+    assert d2.status == "stable-mass"
+    assert np.allclose(d2.masses, 2.0)
+    d3 = degeneracy_diagnostic(seqs["shrinking"], segments, ev)
+    assert d3.status == "degenerating-to-zero"
+    assert d3.masses[-1, 0] == pytest.approx(2.0 / ks[-1])
+
+
 # -- L1-boundary constant ----------------------------------------------------------------
 
 def test_l1_constant_interval():
@@ -291,8 +354,6 @@ def test_certificate_requires_positive_lambda():
 
 
 def test_certificate_bound_on_random_normalized_mesh_functions():
-    from polystab.cli import _random_normalized_mesh_function
-
     P = interval()
     m = make_mesh(P, 1 / 32)
     rep = lp_stability_estimate(P, 2.0, m, p_o=[0.5], refine=False)
@@ -300,7 +361,7 @@ def test_certificate_bound_on_random_normalized_mesh_functions():
     cert = properness_certificate(P, 2.0, rep.lambda_hat, m, p_o=[0.5], evaluator=ev)
     rng = np.random.default_rng(101)
     for _ in range(50):
-        u = _random_normalized_mesh_function(m, rng)
+        u = random_normalized_mesh_function(m, rng)
         F = ev.mabuchi(u).value
         assert F >= -cert.c_const + cert.epsilon_prime * ev.boundary_norm(u) - 1e-9
     # smallest audit member: F_A(u_o) = -1 >= -C
@@ -309,8 +370,6 @@ def test_certificate_bound_on_random_normalized_mesh_functions():
 
 
 def test_theorem_properness_square():
-    from polystab.cli import _random_normalized_mesh_function
-
     P = unit_square()
     m = make_mesh(P, 1 / 8)
     rep = lp_stability_estimate(P, 4.0, m, refine=False)
@@ -319,7 +378,7 @@ def test_theorem_properness_square():
     rng = np.random.default_rng(55)
     worst = np.inf
     for _ in range(20):
-        u = _random_normalized_mesh_function(m, rng)
+        u = random_normalized_mesh_function(m, rng)
         F = ev.mabuchi(u).value
         worst = min(worst, F + cert.c_const)
         assert F >= -cert.c_const - 1e-9
