@@ -70,6 +70,7 @@ from .stability import (  # noqa: F401
     PropernessCertificate,
     StabilityReport,
     analyze_stability,
+    crease_functionals,
     crease_sweep,
     default_crease_grid,
     degeneracy_diagnostic,

@@ -15,6 +15,7 @@ Guillemin-type functions get boundary-graded rules.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -128,8 +129,12 @@ class FunctionalEvaluator:
         self.layers = layers
         self._A = as_field(A, P.dimension)
         self.scheme = standard_scheme(P, degree)
-        self.graded = graded_scheme(P, degree, layers=layers)
         self._mesh_cache: dict = {}
+
+    @cached_property
+    def graded(self) -> QuadratureScheme:
+        """Boundary-graded rule for Guillemin-type integrands, built on first use."""
+        return graded_scheme(self.polytope, self.degree, layers=self.layers)
 
     # -- helpers -------------------------------------------------------------
 

@@ -16,7 +16,17 @@ mode="exact" solves the same LP with the Fraction Bland simplex of
 The discrete value only upper-bounds the true constant restricted to mesh
 functions, so statuses are evidence, not proofs; refinement monotonicity is
 reported, and the "uniformly-stable" verdict requires the threshold to hold
-across two mesh refinements.  `verify_audits` checks the chain from a
+across two mesh refinements.
+
+The crease sweep bounds the constant from above by L_A(u) / |u|_b over the
+normalized creases u = normalize((ell)_+, p_o) of a grid of affine ell.  It
+evaluates the whole grid at once: u = (ell)_+ - s, where s is the supporting
+affine function at p_o (zero unless ell(p_o) lies within 1e-12 of 0 and the
+gradient of ell is lexicographically negative, the tie rule of `normalize`),
+and both functionals are linear.  The boundary integral of (ell)_+ over each
+facet segment has a closed form in the values of ell at its ends; the
+interior integral of A ell over P clipped to {ell >= 0} comes from one
+quadrature call on the fan triangles of every clipped polygon.  `verify_audits` checks the chain from a
 positive constant to the properness bound; `polystab verify` reports it.
 """
 from __future__ import annotations
@@ -39,11 +49,12 @@ from .convex import (
     segment_ma_measure,
 )
 from .errors import EmptyGrid, NonpositiveLambda
-from .functionals import FunctionalEvaluator, extremal_affine, mesh_linear_forms
+from .functionals import FunctionalEvaluator, as_field, extremal_affine, mesh_linear_forms
 from .mesh import Mesh, make_mesh
 from .polytope import Polytope, center_of_mass
-from .quadrature import standard_scheme
+from .quadrature import gauss_rule, map_triangles, standard_scheme
 from .simplex_lp import solve_lp
+from .solver import solve_1d
 
 LAMBDA_STABLE_THRESHOLD = 1e-3
 LAMBDA_ZERO_BAND = 1e-6
@@ -167,38 +178,142 @@ def default_crease_grid(P: Polytope, resolution=64, degree=6):
     """Affine functions whose creases sweep the polytope.
 
     1D: kinks at `resolution` uniform interior positions; 2D: lines through
-    pairs of boundary quadrature nodes.  One orientation per line: ell and
-    -ell have the same normalized crease (see `crease_sweep`).
+    pairs of boundary quadrature nodes, in the pair order (i, j), i < j.  One
+    orientation per line: ell and -ell have the same normalized crease (see
+    `crease_sweep`).
     """
-    out = []
     if P.dimension == 1:
         lo, hi = float(P.vertices[0, 0]), float(P.vertices[1, 0])
-        for t in np.linspace(lo, hi, resolution + 1)[1:-1]:
-            out.append(AffineFunc(-t, (1.0,)))
-        return out
-    Q = standard_scheme(P, degree)
-    nodes = np.vstack([pts for pts in Q.boundary_points])
-    m = len(nodes)
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = nodes[j] - nodes[i]
-            L = np.hypot(d[0], d[1])
-            if L < 1e-12:
-                continue
-            eta = np.array([-d[1], d[0]]) / L
-            c = float(eta @ nodes[i])
-            out.append(AffineFunc(-c, tuple(eta)))
-    return out
+        return [AffineFunc(-t, (1.0,)) for t in np.linspace(lo, hi, resolution + 1)[1:-1]]
+    nodes = np.vstack(standard_scheme(P, degree).boundary_points)
+    i, j = np.triu_indices(len(nodes), k=1)
+    d = nodes[j] - nodes[i]
+    L = np.hypot(d[:, 0], d[:, 1])
+    keep = L >= 1e-12
+    i, d, L = i[keep], d[keep], L[keep]
+    eta = np.column_stack([-d[:, 1], d[:, 0]]) / L[:, None]
+    # row by row matmul: the same dot product as eta @ nodes[i] on one pair
+    c = (eta[:, None, :] @ nodes[i][:, :, None])[:, 0, 0]
+    return [AffineFunc(-float(ci), tuple(e)) for ci, e in zip(c, eta)]
+
+
+def _affine_values(a0, a, x):
+    """a0[c] + a[c] . x for every crease c: x is (m, n) shared or (C, m, n) per crease.
+
+    Elementwise products, so every crease gets the same rounding wherever it
+    sits in the batch.
+    """
+    return a0[:, None] + sum(a[:, [k]] * x[..., k] for k in range(a.shape[1]))
+
+
+def _clipped_fans(V, g):
+    """Fan triangles of the convex polygon V (m, 2) clipped to {g >= 0}, per crease.
+
+    g is (C, m), the crease values at V.  Sutherland-Hodgman on padded
+    (C, 2m, 2) arrays: slot 2i holds vertex i, slot 2i + 1 the crossing of
+    edge (i, i + 1); a stable argsort moves the valid slots to the front in
+    order.  Returns (C, T, 3, 2) triangles, the padding collapsed onto one
+    point so it has zero area.
+    """
+    C, m = g.shape
+    gj = np.roll(g, -1, axis=1)
+    inside = g >= 0.0
+    cross = inside != (gj >= 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(cross, g / (g - gj), 0.0)
+    X = V + t[..., None] * (np.roll(V, -1, axis=0) - V)
+    slots = np.stack([np.broadcast_to(V, X.shape), X], axis=2).reshape(C, 2 * m, 2)
+    valid = np.stack([inside, cross], axis=2).reshape(C, 2 * m)
+    order = np.argsort(~valid, axis=1, kind="stable")
+    poly = np.take_along_axis(slots, order[..., None], axis=1)
+    nv = valid.sum(axis=1)
+    k = np.arange(1, max(int(nv.max()) - 1, 2))
+    apex = np.broadcast_to(poly[:, None, :1], (C, len(k), 1, 2))
+    tris = np.concatenate([apex, poly[:, k, None], poly[:, k + 1, None]], axis=2)
+    return np.where((k + 1 < nv[:, None])[..., None, None], tris, apex)
+
+
+def crease_functionals(grid, p_o, evaluator: FunctionalEvaluator):
+    """(|u|_b, L_A(u), a0, a) of u = normalize(crease(ell), p_o) for every ell in grid.
+
+    Each ell is oriented to be <= 0 at p_o; (a0, a) are the oriented
+    coefficients, one row per crease.  Then u = (ell)_+ - s with s the
+    supporting affine function `normalize` removes: s = 0, except when
+    ell(p_o) lies in the 1e-12 tie band of `PLConvexFunc.active_gradients`
+    and a is lexicographically below 0, where s = a . (x - p_o).  Both
+    functionals are linear, so the affine part comes from the moments of
+    (x - p_o) on `evaluator.scheme`, and the (ell)_+ part is exact:
+
+    * boundary: on a facet segment whose ends take the values g_A, g_B,
+      the mean of (ell)_+ is (g_A + g_B)/2 when both are >= 0,
+      g^2 / (2 |g_A - g_B|) for the positive one g on a sign change, else 0;
+      in 1D it is (ell)_+ at the endpoint;
+    * interior: A ell over P clipped to {ell >= 0}, with one rule of
+      `evaluator.degree` on all the clipped polygons' fan triangles at once
+      (one `map_triangles` call), or in 1D one Gauss rule per crease on the
+      part of the interval where ell >= 0.
+    """
+    P = evaluator.polytope
+    Q = evaluator.scheme
+    Af = as_field(evaluator.A, P.dimension)
+    p = np.atleast_1d(np.asarray(p_o, dtype=float))
+    a0 = np.array([ell.a0 for ell in grid], dtype=float)
+    a = np.array([ell.a for ell in grid], dtype=float).reshape(len(grid), P.dimension)
+    sign = np.where(_affine_values(a0, a, p[None])[:, 0] > 0.0, -1.0, 1.0)
+    a0, a = sign * a0, sign[:, None] * a
+    tie = _affine_values(a0, a, p[None])[:, 0] >= -1e-12
+    lead = a[np.arange(len(a)), np.argmax(a != 0.0, axis=1)]
+    g = np.where((tie & (lead < 0.0))[:, None], a, 0.0)  # gradient of s
+
+    bpts = np.vstack(Q.boundary_points)
+    bw = np.concatenate(Q.boundary_weights)
+    Aw = Q.interior_weights * Af(Q.interior_points)
+    b_s = np.sum(g * (bw @ (bpts - p)), axis=1)
+    int_s = np.sum(g * (Aw @ (Q.interior_points - p)), axis=1)
+
+    if P.dimension == 1:
+        b_plus = np.sum(np.maximum(_affine_values(a0, a, bpts), 0.0) * bw, axis=1)
+        lo, hi = float(P.vertices[0, 0]), float(P.vertices[1, 0])
+        slope = a[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kink = np.clip(-a0 / slope, lo, hi)
+        left = np.where(slope > 0.0, kink, lo)
+        right = np.where(slope < 0.0, kink, np.where(slope > 0.0, hi, lo))
+        t, wt = gauss_rule((evaluator.degree + 2) // 2)
+        x = (left[:, None] + t * (right - left)[:, None])[..., None]
+        w = wt * (right - left)[:, None]
+    else:
+        V = P.vertices
+        fv = np.array(P.facet_vertices)
+        gv = _affine_values(a0, a, V)
+        gA, gB = gv[:, fv[:, 0]], gv[:, fv[:, 1]]
+        g_lo, g_hi = np.minimum(gA, gB), np.maximum(gA, gB)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = np.where(g_lo >= 0.0, 0.5 * (gA + gB),
+                            np.where(g_hi > 0.0, 0.5 * g_hi * g_hi / (g_hi - g_lo), 0.0))
+        seg = V[fv[:, 1]] - V[fv[:, 0]]
+        b_plus = np.sum(mean * (P.boundary_weights * np.hypot(seg[:, 0], seg[:, 1])), axis=1)
+        x, w = map_triangles(_clipped_fans(V, gv), evaluator.degree)
+        x, w = x.reshape(len(a0), -1, 2), w.reshape(len(a0), -1)
+    interior = np.sum(w * Af(x.reshape(-1, P.dimension)).reshape(w.shape)
+                      * _affine_values(a0, a, x), axis=1)
+    bn = b_plus - b_s
+    return bn, bn - (interior - int_s), a0, a
 
 
 def crease_sweep(P: Polytope, A, grid=None, p_o=None, evaluator=None):
     """Minimum of L_A over normalized creases in the grid.
 
-    Each ell is first oriented to be <= 0 at p_o: the normalized crease of
-    either orientation is then (ell)_+, and normalizing it is exact.  Creases
-    whose normalized boundary norm falls below 1e-9 (affine on the polytope,
-    or vanishing) are skipped.  Returns (min ratio, minimizing normalized
-    crease).
+    Every crease is evaluated at once by `crease_functionals` (closed-form
+    boundary term, one batched rule for the interior term); only the
+    minimizer is built as a `PLConvexFunc`.  Each ell is first oriented to be
+    <= 0 at p_o, so either orientation gives the same normalized crease.
+    Creases whose normalized boundary norm falls below 1e-9 (affine on the
+    polytope, or vanishing) are skipped.  Creases whose ratios lie within
+    1e-12 (relative) of the minimum count as tied, as the mirror images of a
+    symmetric polytope do, and the tie goes to the lexicographically smallest
+    oriented (a, a0), so the minimizer does not depend on rounding or on the
+    order of the grid.  Returns (min ratio, minimizing normalized crease).
     """
     if grid is None:
         grid = default_crease_grid(P)
@@ -208,20 +323,18 @@ def crease_sweep(P: Polytope, A, grid=None, p_o=None, evaluator=None):
         evaluator = FunctionalEvaluator(P, A)
     if p_o is None:
         p_o = center_of_mass(P)
-    best = (np.inf, None)
-    for ell in grid:
-        if ell(p_o) > 0.0:
-            ell = AffineFunc(-ell.a0, tuple(-a for a in ell.a))
-        u = normalize(crease(ell), p_o)
-        bn, la = evaluator.norm_and_linear(u)  # one split rule per crease
-        if bn < TOLERANCES["crease.skip_boundary_norm"]:
-            continue
+    bn, la, a0, a = crease_functionals(grid, p_o, evaluator)
+    with np.errstate(divide="ignore", invalid="ignore"):
         ratio = la / bn
-        if ratio < best[0]:
-            best = (ratio, u)
-    if best[1] is None:
+    ok = (bn >= TOLERANCES["crease.skip_boundary_norm"]) & (ratio < np.inf)
+    if not ok.any():
         raise EmptyGrid("every crease in the grid normalized to zero")
-    return best
+    ratio = np.where(ok, ratio, np.inf)
+    best = float(ratio.min())
+    tied = np.flatnonzero((ratio == best) | (ratio <= best + 1e-12 * max(1.0, abs(best))))
+    keys = np.column_stack([a, a0])[tied]
+    i = tied[np.lexsort(keys.T[::-1])[0]]  # lexicographically smallest (a, a0)
+    return best, normalize(crease(AffineFunc(float(a0[i]), tuple(a[i].tolist()))), p_o)
 
 
 def lp_stability_estimate(P: Polytope, A, mesh: Mesh, p_o=None, mode="float",
@@ -474,30 +587,33 @@ def analyze_stability(P: Polytope, A, h: float, p_o=None, mode="float",
 def verify_audits(P: Polytope, h: float, seed: int, sigma_scale=1.0, audit_count=50):
     """Audit the chain from uniform stability to properness on P.
 
-    Uses the extremal field of P with its boundary weights scaled by
-    `sigma_scale`; a scale other than 1 breaks the identities, so the suite
-    must fail (a consistency tripwire).  Yields (name, passed, measured,
+    A is the extremal field of P and v the solution for it: `solve_1d`'s in
+    1D, and in 2D the Guillemin potential u_o, which solves only where it is
+    extremal (the square, the simplex).  The audits evaluate on P with its
+    boundary weights scaled by `sigma_scale`, while A and v stay those of P
+    as given; a scale other than 1 breaks the identities, so the suite must
+    fail (a consistency tripwire).  Yields (name, passed, measured,
     tolerance) rows.
     """
     rng = np.random.default_rng(seed)
+    A = extremal_affine(P)
+    v = solve_1d(P, A)[0] if P.dimension == 1 else guillemin_potential(P)
     if sigma_scale != 1.0:
         P = replace(P, boundary_weights=P.boundary_weights * sigma_scale)
-    A = extremal_affine(P)
     ev = FunctionalEvaluator(P, A)
-    u_o = guillemin_potential(P)
     n = P.dimension
     vol = ev.volume()
 
-    # integration-by-parts identity (v = u_o solves for the extremal A on fixtures)
+    # integration-by-parts identity L_A(u) = int v^{ij} u_ij
     eye = 2.0 * np.eye(n)
     xsq = SmoothConvexFunc(lambda p: np.sum(p * p, axis=1), lambda p: 2.0 * p,
                            lambda p: np.tile(eye, (p.shape[0], 1, 1)), n, domain=P)
-    gaps = [ev.ibp_identity_check(u_o, u)[2]
-            for u in (xsq, AffineFunc(0.3, (0.7,) * n), u_o)]
+    gaps = [ev.ibp_identity_check(v, u)[2]
+            for u in (xsq, AffineFunc(0.3, (0.7,) * n), v)]
     yield ("ibp-identity", max(gaps) <= 1e-5, max(gaps), 1e-5)
 
-    # L_A(u_o) = n Vol
-    la = ev.linear_functional(u_o)
+    # L_A(v) = n Vol
+    la = ev.linear_functional(v)
     yield ("linear-functional-of-solution", abs(la - n * vol) <= 1e-6,
            abs(la - n * vol), 1e-6)
 
@@ -508,7 +624,7 @@ def verify_audits(P: Polytope, h: float, seed: int, sigma_scale=1.0, audit_count
     yield ("lambda-positive", lam > threshold, lam, threshold)
     if lam > 0:
         bound = solution_norm_bound(P, A, lam)
-        bnorm_solution = ev.boundary_norm(u_o)
+        bnorm_solution = ev.boundary_norm(v)
         yield ("solution-norm-bound", bnorm_solution <= bound + 1e-9,
                bnorm_solution, bound)
         cert = properness_certificate(P, A, lam, mesh, evaluator=ev)

@@ -230,6 +230,17 @@ def test_verify_escaping_crease_on_a_weighted_interval(tmp_path, capsys):
                            "degenerating-to-affine"]
 
 
+def test_verify_passes_on_a_weighted_interval(tmp_path, capsys):
+    # the audits take the solution from solve_1d, not the Guillemin potential,
+    # which does not solve the extremal equation when the weights differ
+    path = tmp_path / "weighted.txt"
+    path.write_text(WEIGHTED_INTERVAL)
+    assert main(["verify", "--polytope", str(path), "--h", "0.125"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "overall: PASS" in out
+    assert any(line.startswith("ibp-identity  PASS") for line in out)
+
+
 def test_exact_mode_reaches_the_certificate(tmp_path, capsys):
     # the L1 constant of [0, 1] is 1/4; the exact simplex gives it without rounding
     path = tmp_path / "interval.txt"

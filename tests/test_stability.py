@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polystab.convex import (
     AffineFunc,
@@ -17,10 +19,18 @@ from polystab.functionals import (
     field_degree,
 )
 from polystab.mesh import make_mesh
-from polystab.polytope import build_polytope, interval, standard_simplex, unit_square
-from polystab.quadrature import gauss_rule
+from polystab.polytope import (
+    build_polytope,
+    center_of_mass,
+    interval,
+    standard_simplex,
+    unit_square,
+)
+from polystab.quadrature import gauss_rule, standard_scheme
 from polystab.stability import (
     StabilityLP,
+    analyze_stability,
+    crease_functionals,
     crease_sweep,
     default_crease_grid,
     degeneracy_diagnostic,
@@ -97,15 +107,18 @@ PENTAGON = build_polytope([((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, 0.0), -
                            ((0.0, -1.0), -2.0), ((-1.0, -1.0), -4.0)])
 SWEEP_FIXTURES = {
     "interval": (interval(), None),
+    "interval-unstable": (interval(), A_UNSTABLE),
     "square": (unit_square(), AffineFunc(-2.0, (12.0, 0.0))),
+    "square-constant": (unit_square(), 4.0),
     "pentagon": (PENTAGON, None),
+    "simplex": (standard_simplex(2), None),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_FIXTURES))
 def test_sweep_over_one_orientation_per_line(name, monkeypatch):
     # ell and -ell normalize to the same crease, so the two-orientation grid
-    # finds the same minimum; each crease builds one split rule
+    # finds the same minimum; the sweep builds no split rule
     import polystab.functionals
 
     P, A = SWEEP_FIXTURES[name]
@@ -120,7 +133,177 @@ def test_sweep_over_one_orientation_per_line(name, monkeypatch):
                         lambda *args, **kwargs: calls.append(1) or split(*args, **kwargs))
     ratio, _ = crease_sweep(P, A, grid=grid, evaluator=FunctionalEvaluator(P, A))
     assert ratio == expected
-    assert 0 < len(calls) <= len(grid)
+    assert calls == []
+
+
+def _oriented(ell, p_o):
+    """ell flipped, as crease_sweep does, to be <= 0 at p_o."""
+    return AffineFunc(-ell.a0, tuple(-a for a in ell.a)) if ell(p_o) > 0.0 else ell
+
+
+def _per_crease(P, A, grid, p_o):
+    """(|u|_b, L_A(u)) of every normalized crease, one split rule each."""
+    ev = FunctionalEvaluator(P, A)
+    return np.array([ev.norm_and_linear(normalize(crease(_oriented(ell, p_o)), p_o))
+                     for ell in grid]).T
+
+
+def _assert_close(batched, oracle, tol=1e-12):
+    assert np.all(np.abs(batched - oracle) <= tol * np.maximum(1.0, np.abs(oracle)))
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_FIXTURES))
+def test_crease_functionals_match_per_crease_rules(name):
+    # the square's grid has many lines through p_o, where the tie rule of
+    # `normalize` subtracts ell itself
+    P, A = SWEEP_FIXTURES[name]
+    A = extremal_affine(P) if A is None else A
+    p_o = center_of_mass(P)
+    grid = default_crease_grid(P)
+    bn, la, _, _ = crease_functionals(grid, p_o, FunctionalEvaluator(P, A))
+    bn_ref, la_ref = _per_crease(P, A, grid, p_o)
+    _assert_close(bn, bn_ref)
+    _assert_close(la, la_ref)
+
+
+@pytest.mark.parametrize("P", [unit_square(), PENTAGON], ids=["square", "pentagon"])
+def test_default_crease_grid_matches_pairwise_construction(P):
+    nodes = np.vstack(standard_scheme(P, 6).boundary_points)
+    oracle = []
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            d = nodes[j] - nodes[i]
+            L = np.hypot(d[0], d[1])
+            if L < 1e-12:
+                continue
+            eta = np.array([-d[1], d[0]]) / L
+            oracle.append(AffineFunc(-float(eta @ nodes[i]), tuple(eta)))
+    assert default_crease_grid(P) == oracle
+
+
+@pytest.mark.parametrize("P", [unit_square(), PENTAGON], ids=["square", "pentagon"])
+def test_sweep_makes_one_triangle_rule_call(P, monkeypatch):
+    import polystab.stability
+
+    calls = []
+    rule = polystab.stability.map_triangles
+    monkeypatch.setattr(polystab.stability, "map_triangles",
+                        lambda *args, **kwargs: calls.append(1) or rule(*args, **kwargs))
+    A = extremal_affine(P)
+    crease_sweep(P, A, evaluator=FunctionalEvaluator(P, A))
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("name", ["square", "square-constant", "simplex"])
+def test_sweep_ties_go_to_the_lexicographically_smallest_crease(name):
+    # mirror images of a symmetric polytope tie up to rounding; the per-crease
+    # rules round differently from the batch, yet pick out the same crease
+    P, A = SWEEP_FIXTURES[name]
+    A = extremal_affine(P) if A is None else A
+    p_o = center_of_mass(P)
+    grid = default_crease_grid(P)
+    bn, la = _per_crease(P, A, grid, p_o)
+    ratio = np.full(len(grid), np.inf)
+    np.divide(la, bn, out=ratio, where=bn >= 1e-9)
+    tied = [_oriented(grid[i], p_o) for i in np.flatnonzero(ratio <= ratio.min() + 1e-12)]
+    assert len(tied) > 1
+    expected = normalize(crease(min(tied, key=lambda ell: (ell.a, ell.a0))), p_o)
+    sweep_min, u = crease_sweep(P, A, grid=grid, p_o=p_o)
+    assert sweep_min == pytest.approx(ratio.min(), abs=1e-12)
+    mesh = make_mesh(P, 0.1)
+    np.testing.assert_allclose(u(mesh.vertices), expected(mesh.vertices), rtol=0, atol=1e-12)
+
+
+def _hull(points):
+    """Counterclockwise convex hull of integer points (Andrew's monotone chain)."""
+    pts = sorted(set(points))
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and ((out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                                     - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return half(pts) + half(pts[::-1])
+
+
+def _lattice_polygon(points):
+    """Facet form of the hull, with primitive integer inward normals; None if flat."""
+    hull = _hull(points)
+    if len(hull) < 3:
+        return None
+    facets = []
+    for p, q in zip(hull, hull[1:] + hull[:1]):
+        dx, dy = q[0] - p[0], q[1] - p[1]
+        g = np.gcd(dx, dy)
+        h = (-dy // g, dx // g)
+        facets.append((h, h[0] * p[0] + h[1] * p[1]))
+    return build_polytope([((float(h[0]), float(h[1])), float(c)) for h, c in facets])
+
+
+lattice_points = st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                          min_size=3, max_size=8)
+directions = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+                      .filter(lambda d: d != (0, 0)), min_size=1, max_size=4)
+
+
+def _creases_for(P, p_o, dirs, offsets):
+    """Lines through p_o (exercising the tie rule) and lines offset from P's vertices."""
+    grid = []
+    for d in dirs:
+        eta = np.array(d, dtype=float)
+        grid.append(AffineFunc(-float(eta @ p_o), tuple(eta)))
+        for v, off in zip(P.vertices, offsets):
+            grid.append(AffineFunc(-float(eta @ v) + off, tuple(eta)))
+    return grid
+
+
+@settings(max_examples=30, deadline=None)
+@given(points=lattice_points, dirs=directions,
+       offsets=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+       coeffs=st.tuples(st.integers(-5, 5), st.integers(-3, 3), st.integers(-3, 3)))
+def test_crease_functionals_on_lattice_polygons(points, dirs, offsets, coeffs):
+    P = _lattice_polygon(points)
+    assume(P is not None)
+    A = AffineFunc(float(coeffs[0]), (float(coeffs[1]), float(coeffs[2])))
+    p_o = center_of_mass(P)
+    grid = _creases_for(P, p_o, dirs, offsets)
+    bn, la, _, _ = crease_functionals(grid, p_o, FunctionalEvaluator(P, A))
+    bn_ref, la_ref = _per_crease(P, A, grid, p_o)
+    _assert_close(bn, bn_ref)
+    _assert_close(la, la_ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(points=lattice_points, dirs=directions,
+       offsets=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+       k=st.integers(-3, 3), t=st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+def test_crease_linear_functional_is_unimodular_invariant(points, dirs, offsets, k, t):
+    # y = M x + t with M = [[1, k], [0, 1]]: normals and gradients map by
+    # M^-T, which keeps them primitive and integer, and dsigma and dmu are
+    # preserved.  With A extremal, L_A vanishes on affine functions, so the
+    # normalization at p_o (and its tie rule) cannot change L_A.
+    P = _lattice_polygon(points)
+    assume(P is not None)
+    Minv_T = np.array([[1.0, 0.0], [-float(k), 1.0]])
+    t = np.array(t, dtype=float)
+
+    def push(ell):
+        # ell(x) = a0 + a . x  ->  ell(M^-1 (y - t)) = a0 - a' . t + a' . y, a' = M^-T a
+        a = Minv_T @ ell.gradient()
+        return AffineFunc(float(ell.a0 - a @ t), tuple(a))
+
+    gaps = [push(AffineFunc(-c, tuple(h))) for h, c in zip(P.normals, P.offsets)]
+    Q = build_polytope([(g.a, -g.a0) for g in gaps])
+    A = extremal_affine(P)
+    grid = _creases_for(P, center_of_mass(P), dirs, offsets)
+    _, la, _, _ = crease_functionals(grid, center_of_mass(P), FunctionalEvaluator(P, A))
+    _, la_Q, _, _ = crease_functionals([push(ell) for ell in grid], center_of_mass(Q),
+                                       FunctionalEvaluator(Q, push(A)))
+    np.testing.assert_allclose(la_Q, la, rtol=1e-10, atol=1e-10)
 
 
 # -- LP stability estimate -----------------------------------------------------------
@@ -344,6 +527,29 @@ def test_certificate_interval_closed_forms():
     assert cert.epsilon == pytest.approx(cert.epsilon_prime / cert.c_prime)
     assert cert.epsilon_prime > 0
     assert cert.r_small < rep.lambda_hat / cert.r_bound
+
+
+def test_graded_rule_is_built_only_when_read(monkeypatch):
+    import polystab.functionals
+
+    calls = []
+    graded = polystab.functionals.graded_scheme
+    monkeypatch.setattr(polystab.functionals, "graded_scheme",
+                        lambda *args, **kwargs: calls.append(1) or graded(*args, **kwargs))
+    # the relatively-unstable branch never reads the graded rule
+    rep = analyze_stability(unit_square(), AffineFunc(-2.0, (12.0, 0.0)), 1 / 6)
+    assert rep.status == "relatively-unstable"
+    assert calls == []
+    # the certificate reads it, on the sweep's evaluator and on the one for
+    # A_o, and gets the constants the eager rule gave
+    P = interval()
+    rep = analyze_stability(P, extremal_affine(P), 1 / 16)
+    assert calls == [1, 1]
+    cert = rep.certificates
+    got = (cert.a_o_sup, cert.c_o, cert.c_prime, cert.r_bound, cert.r_small,
+           cert.epsilon_prime, cert.c_const, cert.epsilon)
+    assert got == pytest.approx((2.100000000060387, 0.9999998537143773, 0.25, 1.5250000000150967,
+                                 0.16393442622788532, 0.25, 2.8082886249035424, 1.0), rel=1e-12)
 
 
 def test_certificate_requires_positive_lambda():
