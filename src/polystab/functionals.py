@@ -35,7 +35,7 @@ from .quadrature import (
     split_scheme,
     standard_scheme,
     triangle_rule,  # noqa: F401  (perfbench/tests patch and restore it here)
-    _segment_rule,
+    _segments,
 )
 
 GRADED_LAYERS = 40
@@ -76,18 +76,11 @@ def mesh_linear_forms(mesh: Mesh, A, degree=DEFAULT_DEGREE):
     V = mesh.num_vertices
     b = MeshConvexFunc(mesh, np.zeros(V)).boundary_norm_weights()
     a = np.zeros(V)
-    if mesh.dimension == 1:
-        npts = (degree + 2) // 2
-        for cell in mesh.cells:
-            x0, x1 = mesh.vertices[cell[0], 0], mesh.vertices[cell[1], 0]
-            p, w = _segment_rule([x0], [x1], npts)
-            Av = Af(p)
-            t = (p[:, 0] - x0) / (x1 - x0)
-            np.add.at(a, cell[0], np.dot(w * Av, 1.0 - t))
-            np.add.at(a, cell[1], np.dot(w * Av, t))
-        return b, a
     M = len(mesh.cells)
-    p, w = map_triangles(mesh.vertices[mesh.cells], degree)
+    if mesh.dimension == 1:
+        p, w = _segments(mesh.vertices[mesh.cells, 0], degree)
+    else:
+        p, w = map_triangles(mesh.vertices[mesh.cells], degree)
     q = len(w) // M
     wA = (w * Af(p)).reshape(M, 1, q)
     lam = np.ascontiguousarray(mesh.barycentric(np.repeat(np.arange(M), q), p).T)

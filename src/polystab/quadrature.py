@@ -15,7 +15,11 @@ triangle batches (and per-triangle tags) and call it once:
 * mesh_graded_scheme -- rules subordinate to the cells of a mesh, graded
   toward the boundary; each point records its parent mesh cell in
   interior_cells (-1 in the schemes above), so mesh data can be interpolated
-  there without locating the point again.
+  there without locating the point again.  It is built from whole arrays
+  too: one gaps call classifies every mesh vertex and edge, edge strips take
+  one broadcast per tangential pattern, and the quadtree toward boundary
+  vertices is a loop over levels in which each boundary vertex's corner
+  child passes down by construction, not by a tolerance test.
 
 Boundary integrals use the facet-weighted measure dsigma = dS / |h_k|.
 """
@@ -45,12 +49,14 @@ def gauss_rule(npts):
     return _frozen(0.5 * (x + 1.0), 0.5 * w)
 
 
-def _segment_rule(a, b, npts):
-    t, w = gauss_rule(npts)
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    pts = a[None, :] + t[:, None] * (b - a)[None, :]
-    return pts, w * np.linalg.norm(b - a)
+def _segments(ab, degree):
+    """Rule exact to `degree` on every interval ab[i] = (a_i, b_i) of a batch.
+
+    Returns (S*q, 1) points and (S*q,) weights, interval by interval.
+    """
+    t, w = gauss_rule((degree + 2) // 2)
+    a, b = ab[:, :1], ab[:, 1:]
+    return (a + t * (b - a)).reshape(-1, 1), (w * np.abs(b - a)).ravel()
 
 
 @lru_cache(maxsize=None)
@@ -74,11 +80,11 @@ def map_triangles(tris, degree):
     U, V, W = _reference_triangle(degree)
     tris = np.asarray(tris, dtype=float).reshape(-1, 3, 2)
     v0 = tris[:, 0]
-    e1 = tris[:, 1] - v0
-    e2 = tris[:, 2] - v0
+    e1, e2 = tris[:, 1] - v0, tris[:, 2] - v0
     jac = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    pts = v0[:, None, :] + U[:, None] * e1[:, None, :] + V[:, None] * e2[:, None, :]
-    return pts.reshape(-1, 2), (W * jac[:, None]).ravel()
+    x0, x1, x2 = (np.ascontiguousarray(a.T)[:, :, None] for a in (v0, e1, e2))  # (2, T, 1)
+    pts = x0 + U * x1 + V * x2  # coordinate-major, so the broadcasts run along rows
+    return pts.reshape(2, -1).T.copy(), (W * jac[:, None]).ravel()
 
 
 def triangle_rule(v0, v1, v2, degree):
@@ -122,27 +128,14 @@ class QuadratureScheme:
 
 
 def _interior_1d(P, degree, breakpoints):
-    lo, hi = float(P.vertices[0, 0]), float(P.vertices[1, 0])
-    xs = np.unique(np.clip(np.asarray(breakpoints, dtype=float), lo, hi))
-    xs = np.union1d(xs, [lo, hi])
-    npts = (degree + 2) // 2
-    pts, wts = [], []
-    for a, b in zip(xs[:-1], xs[1:]):
-        if b - a <= 0:
-            continue
-        p, w = _segment_rule([a], [b], npts)
-        pts.append(p)
-        wts.append(w)
-    return np.vstack(pts), np.concatenate(wts)
+    ends = P.vertices[:, 0]
+    xs = np.union1d(np.clip(np.asarray(breakpoints, dtype=float), *ends), ends)
+    return _segments(np.column_stack([xs[:-1], xs[1:]]), degree)
 
 
 def _boundary_1d(P):
-    bp, bw = [], []
-    for k in range(P.num_facets):
-        v = P.facet_segment(k).reshape(1, 1)
-        bp.append(v)
-        bw.append(np.array([P.boundary_weights[k]]))
-    return tuple(bp), tuple(bw)
+    return (tuple(P.facet_segment(k).reshape(1, 1) for k in range(P.num_facets)),
+            tuple(np.array([w]) for w in P.boundary_weights))
 
 
 def _facet_segments(P):
@@ -168,7 +161,7 @@ def standard_scheme(P: Polytope, degree: int = DEFAULT_DEGREE) -> QuadratureSche
 
 def _boundary_2d(P, degree, s_breaks):
     """Per-facet Gauss rules split at the relative positions s_breaks[k] in [0, 1]."""
-    npts = (degree + 2) // 2
+    t, w = gauss_rule((degree + 2) // 2)
     bp, bw = [], []
     for k in range(P.num_facets):
         a, b = P.facet_segment(k)
@@ -178,9 +171,9 @@ def _boundary_2d(P, degree, s_breaks):
         for s0, s1 in zip(ss[:-1], ss[1:]):
             if s1 - s0 <= 0:
                 continue
-            p, w = _segment_rule(a + s0 * (b - a), a + s1 * (b - a), npts)
-            pts.append(p)
-            wts.append(w * P.boundary_weights[k])
+            p, q = a + s0 * (b - a), a + s1 * (b - a)
+            pts.append(p + t[:, None] * (q - p))
+            wts.append(w * np.linalg.norm(q - p) * P.boundary_weights[k])
         bp.append(np.vstack(pts))
         bw.append(np.concatenate(wts))
     return tuple(bp), tuple(bw)
@@ -213,22 +206,12 @@ def graded_scheme(P: Polytope, degree: int = DEFAULT_DEGREE, layers: int = 40,
     boundary singularities of Guillemin-type integrands).
     """
     t = 1.0 - 2.0 ** (-np.arange(layers + 1, dtype=float))
-    npts = (degree + 2) // 2
     if P.dimension == 1:
-        lo, hi = float(P.vertices[0, 0]), float(P.vertices[1, 0])
-        c = 0.5 * (lo + hi)
-        pts, wts, lay = [], [], []
-        for e in (lo, hi):
-            for j in range(layers):
-                a = c + (e - c) * t[j]
-                b = c + (e - c) * t[j + 1]
-                p, w = _segment_rule([min(a, b)], [max(a, b)], npts)
-                pts.append(p)
-                wts.append(w)
-                lay.append(np.full(len(w), j))
-        ipts = np.vstack(pts)
-        iwts = np.concatenate(wts)
-        ilay = np.concatenate(lay)
+        c = 0.5 * (P.vertices[0, 0] + P.vertices[1, 0])
+        x = c + (P.vertices - c) * t                                      # (2, L+1)
+        ipts, iwts = _segments(np.sort(np.stack([x[:, :-1], x[:, 1:]], axis=-1), axis=-1)
+                               .reshape(-1, 2), degree)
+        ilay = np.repeat(np.tile(np.arange(layers), 2), len(iwts) // (2 * layers))
         bp, bw = _boundary_1d(P)
     else:
         center = P.vertex_centroid()
@@ -285,123 +268,147 @@ def split_scheme(P: Polytope, lines, degree: int = DEFAULT_DEGREE) -> Quadrature
                             kind="split", meta={"num_lines": len(lines)})
 
 
+# the quadtree children of [t0, t1, t2] as indices into [t0, t1, t2, m0, m1, m2],
+# m_i the midpoint of edge (t_i, t_i+1): corner child k keeps t_k in slot k
+_QUADTREE = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
+
+
+def _boundary_tol(P):
+    """Distance within which a mesh point counts as lying on a facet.
+
+    1e-9 of P's vertex extent plus, as in polytope._reduce_2d, the rounding
+    of gaps far from the origin, so the rule scales with P.
+    """
+    reach = float(np.max(np.abs(P.offsets) * P.boundary_weights))
+    return 1e-9 * (float(np.max(np.ptp(P.vertices, axis=0))) + 1e-5 * reach)
+
+
+def _mesh_graded_1d(mesh, degree, layers, tol):
+    """Whole free cells, and layers (ratio 1/2) toward every cell end on the boundary."""
+    ends = mesh.vertices[mesh.cells, 0]                                   # (M, 2)
+    on = mesh.polytope.boundary_distance(mesh.vertices)[mesh.cells] <= tol
+    free = np.flatnonzero(~on.any(axis=1))
+    ab, lay, cel = [ends[free]], [np.zeros_like(free)], [free]
+    scale = 2.0 ** -np.arange(layers + 1)
+    for k in (0, 1):
+        c = np.flatnonzero(on[:, k])
+        e = ends[c, k]
+        # layers run toward the midpoint when both ends are on the boundary
+        far = np.where(on[c].all(axis=1), 0.5 * (ends[c, 0] + ends[c, 1]), ends[c, 1 - k])
+        x = e[:, None] + (far - e)[:, None] * scale                      # e + (far - e) 2^-j
+        ab.append(np.sort(np.stack([x[:, 1:], x[:, :-1]], axis=-1), axis=-1).reshape(-1, 2))
+        lay.append(np.tile(np.arange(layers), len(c)))
+        cel.append(np.repeat(c, layers))
+    ab, lay, cel = (np.concatenate(z) for z in (ab, lay, cel))
+    pts, wts = _segments(ab, degree)
+    return pts, wts, *(np.repeat(tag, len(wts) // len(ab)) for tag in (lay, cel))
+
+
+def _mesh_graded_2d(mesh, layers, tangential_layers, tol):
+    """Triangles (T, 3, 2) of the mesh-graded rule with their layers and cells."""
+    P = mesh.polytope
+    V, tris = mesh.vertices, mesh.vertices[mesh.cells]                    # (M, 3, 2)
+    mids = 0.5 * (tris + np.roll(tris, -1, axis=1))                       # edge (t_i, t_i+1)
+    # the facets each vertex and each edge midpoint lies on, from one gaps call
+    on = np.abs(P.gaps(np.concatenate([V, mids.reshape(-1, 2)]))) * P.boundary_weights <= tol
+    fs, fs_next = on[mesh.cells], np.roll(on[mesh.cells], -1, axis=1)   # (M, 3, K)
+    bedge = (fs & fs_next).any(axis=2) & on[len(V):].reshape(fs.shape).any(axis=2)
+    cell = np.arange(len(tris))
+    # corner cells and cells with a boundary-opposite vertex: the centroid
+    # pieces [t_i, t_i+1, g] keep edge i, and g lies inside P
+    bvert = fs.any(axis=2)
+    split = (bedge.sum(axis=1) > 1) | (bedge & np.roll(bvert, -2, axis=1)).any(axis=1)
+    cut = np.flatnonzero(split)
+    g = np.broadcast_to(tris[cut].mean(axis=1, keepdims=True), tris[cut].shape)
+    no = np.zeros_like(bedge[cut])
+    tris = np.concatenate([tris[~split], np.stack([tris[cut], np.roll(tris[cut], -1, axis=1), g],
+                                                  axis=2).reshape(-1, 3, 2)])
+    fs = np.concatenate([fs[~split], np.stack([fs[cut], fs_next[cut], np.zeros_like(fs[cut])],
+                                              axis=2).reshape(-1, 3, fs.shape[2])])
+    bedge = np.concatenate([bedge[~split], np.stack([bedge[cut], no, no], axis=2).reshape(-1, 3)])
+    cell = np.concatenate([cell[~split], np.repeat(cut, 3)])
+    nb, bvert = bedge.sum(axis=1), fs.any(axis=2)
+
+    out = []
+
+    def emit(block, level, owner):
+        """Queue a (..., 3, 2) block; level and owner broadcast to (...)."""
+        shape = block.shape[:-2]
+        out.append((block.reshape(-1, 3, 2), np.broadcast_to(level, shape).ravel(),
+                    np.broadcast_to(owner, shape).ravel()))
+
+    inner = (nb == 0) & ~bvert.any(axis=1)
+    emit(tris[inner], 0, cell[inner])
+
+    # edge cells: layers (ratio 1/2) toward the boundary edge, tangentially
+    # graded toward its endpoints on two facets (polytope corners)
+    e = np.flatnonzero(nb == 1)
+    turn = (np.argmax(bedge[e], axis=1)[:, None] + np.arange(3)) % 3     # boundary edge first
+    t = np.take_along_axis(tris[e], turn[:, :, None], axis=1)
+    corner = np.take_along_axis(fs[e].sum(axis=2), turn, axis=1) >= 2
+    s = 2.0 ** (-np.arange(layers + 1, dtype=float))[:, None, None]      # 1, 1/2, ...
+    half = 2.0 ** -np.arange(1.0, tangential_layers)
+    for c0 in (False, True):
+        for c1 in (False, True):
+            sel = (corner[:, 0] == c0) & (corner[:, 1] == c1)
+            tau = np.unique(np.concatenate([[0.0, 1.0], half if c0 else [],
+                                            1.0 - half if c1 else []]))[:, None]
+            e0, e1, c = (t[sel, k, None, None] for k in range(3))
+            # grid[:, j, m] = (1 - s_j) ((1 - tau_m) e0 + tau_m e1) + s_j c; layer j
+            # lies between rows j + 1 (nearer the edge) and j
+            grid = (1.0 - s) * ((1.0 - tau) * e0 + tau * e1) + s * c
+            strips = _strip_triangles(grid[:, 1:], grid[:, :-1])         # (n, L, m-1, 2, 3, 2)
+            owner = cell[e[sel]]
+            # row 0 is c itself, so layer 0 is a fan of the quads' first triangles
+            emit(strips[:, 0, :, 0], 0, owner[:, None])
+            emit(strips[:, 1:], np.arange(1, layers)[:, None, None], owner[:, None, None, None])
+
+    # point contact: a quadtree run level by level; each boundary vertex's
+    # corner child passes down, the other children are emitted, and the
+    # corner children left after `layers` levels are dropped
+    p = np.flatnonzero((nb == 0) & bvert.any(axis=1))
+    t, down, owner = tris[p], bvert[p], cell[p]
+    for level in range(1, layers + 1):
+        kids = np.concatenate([t, 0.5 * (t + np.roll(t, -1, axis=1))], axis=1)[:, _QUADTREE]
+        down = np.pad(down, ((0, 0), (0, 1)))
+        owner = np.broadcast_to(owner[:, None], down.shape)
+        emit(kids[~down], level, owner[~down])
+        t, owner = kids[down], owner[down]
+        down = np.eye(3, dtype=bool)[np.nonzero(down)[1]]
+    return tuple(np.concatenate(z) for z in zip(*out))
+
+
 def mesh_graded_scheme(mesh, degree: int = DEFAULT_DEGREE, layers: int = 30,
                        tangential_layers: int = 16) -> QuadratureScheme:
     """Quadrature subordinate to mesh cells, graded toward the boundary.
 
     Every quadrature cell lies inside a single mesh cell, recorded per point
     in interior_cells, so piecewise data attached to the mesh has no kinks
-    inside any cell.  Cells with an edge on the polytope boundary get
-    geometric layers (ratio 1/2) toward that edge, tangentially refined
-    toward endpoints sitting on two facets; cells touching the boundary only
-    at a vertex get a geometric point grading.  The slivers beyond `layers`
-    are dropped and carry the layer bookkeeping for truncation estimates.
+    inside any cell.  One gaps call on the mesh vertices and edge midpoints
+    classifies every cell, with the tolerance of _boundary_tol.  Cells with
+    an edge on the boundary get geometric layers (ratio 1/2) toward that
+    edge, tangentially refined toward endpoints on two facets; corner cells
+    and cells with a boundary-opposite vertex are first split at the
+    centroid.  Cells touching the boundary only at vertices get a quadtree
+    whose levels are built one batch at a time: each boundary vertex's
+    corner child passes down and the other children are emitted, so levels
+    2 to layers - 1 hold equal counts.  No loop runs over cells.  The slivers
+    beyond `layers` are dropped and carry the layer bookkeeping for
+    truncation estimates.
     """
     P = mesh.polytope
-    tol = 1e-9 * max(1.0, P._scale)
-
+    tol = _boundary_tol(P)
     if mesh.dimension == 1:
-        pts, wts, lay, cel = [], [], [], []
-
-        def emit_seg(a, b, level, cell):
-            p, w = _segment_rule([a], [b], (degree + 2) // 2)
-            pts.append(p)
-            wts.append(w)
-            lay.append(np.full(len(w), level))
-            cel.append(np.full(len(w), cell))
-
-        for ci, cell in enumerate(mesh.cells):
-            a, b = float(mesh.vertices[cell[0], 0]), float(mesh.vertices[cell[1], 0])
-            on_a = P.boundary_distance([[a]]) <= tol
-            on_b = P.boundary_distance([[b]]) <= tol
-            if not on_a and not on_b:
-                emit_seg(a, b, 0, ci)
-                continue
-            mid = 0.5 * (a + b) if (on_a and on_b) else (b if on_a else a)
-            for e, far, touch in (((a), mid, on_a), ((b), mid, on_b)):
-                if not touch:
-                    continue
-                for j in range(layers):
-                    hi = e + (far - e) * 2.0 ** (-j)
-                    lo = e + (far - e) * 2.0 ** (-(j + 1))
-                    emit_seg(min(lo, hi), max(lo, hi), j, ci)
-        ipts, iwts = np.vstack(pts), np.concatenate(wts)
-        ilay, icell = np.concatenate(lay), np.concatenate(cel)
+        ipts, iwts, ilay, icell = _mesh_graded_1d(mesh, degree, layers, tol)
         bp, bw = _boundary_1d(P)
     else:
-        norm_h = np.linalg.norm(P.normals, axis=1)
-        tris, levels = [], []
-
-        def emit(block, level):
-            """Queue a (..., 3, 2) block of triangles; level broadcasts to (...)."""
-            tris.append(block.reshape(-1, 3, 2))
-            levels.append(np.broadcast_to(level, block.shape[:-2]).ravel())
-
-        def facets_of(p):
-            g = np.abs(P.gaps(p)) / norm_h
-            return frozenset(np.where(g <= tol)[0].tolist())
-
-        def handle(tri, base_level):
-            tri = np.asarray(tri, dtype=float)
-            fsets = [facets_of(v) for v in tri]
-            bedges = [i for i in range(3)
-                      if fsets[i] & fsets[(i + 1) % 3]
-                      and facets_of(0.5 * (tri[i] + tri[(i + 1) % 3]))]
-            bverts = [i for i in range(3) if fsets[i]]
-            if not bedges:
-                if not bverts:
-                    emit(tri, base_level)
-                    return
-                # point contact: geometric quadtree, only corner children recurse
-                stack = [(tri, base_level)]
-                while stack:
-                    t, lv = stack.pop()
-                    if lv >= layers:
-                        continue
-                    mids = [0.5 * (t[i] + t[(i + 1) % 3]) for i in range(3)]
-                    children = [np.array([t[0], mids[0], mids[2]]),
-                                np.array([mids[0], t[1], mids[1]]),
-                                np.array([mids[2], mids[1], t[2]]),
-                                np.array([mids[0], mids[1], mids[2]])]
-                    for ch in children:
-                        if any(facets_of(v) for v in ch):
-                            stack.append((ch, lv + 1))
-                        else:
-                            emit(ch, lv + 1)
-                return
-            if len(bedges) > 1 or fsets[(bedges[0] + 2) % 3]:
-                # corner cell or boundary-opposite vertex: split at the centroid
-                g = tri.mean(axis=0)
-                for i in range(3):
-                    handle(np.array([tri[i], tri[(i + 1) % 3], g]), base_level)
-                return
-            i = bedges[0]
-            e0, e1, c = tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3]
-            # tangential grading toward endpoints on two facets (polytope corners)
-            tau = [0.0, 1.0]
-            if len(fsets[i]) >= 2:
-                tau.extend(2.0 ** (-j) for j in range(1, tangential_layers))
-            if len(fsets[(i + 1) % 3]) >= 2:
-                tau.extend(1.0 - 2.0 ** (-j) for j in range(1, tangential_layers))
-            tau = np.unique(tau)[:, None]
-            s = 2.0 ** (-np.arange(layers + 1, dtype=float))[:, None, None]  # 1, 1/2, ...
-            # grid[j, m] = (1 - s_j) ((1 - tau_m) e0 + tau_m e1) + s_j c; layer j
-            # lies between rows j + 1 (nearer the edge) and j
-            grid = (1.0 - s) * ((1.0 - tau) * e0 + tau * e1) + s * c
-            emit(_strip_triangles(grid[1:], grid[:-1]),
-                 (base_level + np.arange(layers))[:, None, None])
-
-        counts = []
-        for cell in mesh.cells:
-            before = len(tris)
-            handle(mesh.vertices[cell], 0)
-            counts.append(sum(len(b) for b in tris[before:]))
-        owner = np.repeat(np.arange(len(mesh.cells)), counts)
-        ipts, iwts, ilay, icell = _tagged_rule(np.concatenate(tris),
-                                               [np.concatenate(levels), owner], degree)
+        tris, lay, cell = _mesh_graded_2d(mesh, layers, tangential_layers, tol)
+        ipts, iwts = map_triangles(tris, degree)
+        ilay, icell = (np.repeat(tag, len(iwts) // len(tris)) for tag in (lay, cell))
         bp, bw = _boundary_2d(P, degree, [_geometric_breaks(tangential_layers)] * P.num_facets)
     return QuadratureScheme(mesh.dimension, degree, ipts, iwts, ilay, bp, bw,
-                            kind="mesh-graded", meta={"layers": layers},
+                            kind="mesh-graded",
+                            meta={"layers": layers, "tangential_layers": tangential_layers},
                             interior_cells=icell)
 
 

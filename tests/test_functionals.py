@@ -14,7 +14,7 @@ from polystab.errors import NonConvexAtQuadraturePoint, SingularHessian
 from polystab.functionals import FunctionalEvaluator, extremal_affine, mesh_linear_forms
 from polystab.mesh import make_mesh
 from polystab.polytope import build_polytope, interval, standard_simplex, unit_square
-from polystab.quadrature import integrate_interior
+from polystab.quadrature import DEFAULT_DEGREE, gauss_rule, integrate_interior
 
 
 def smooth_1d(value, d1, d2, P):
@@ -310,6 +310,24 @@ def test_mesh_linear_forms_match_evaluator():
     u = MeshConvexFunc(m, vals)
     assert ev.boundary_norm(u) == pytest.approx(float(b @ vals), abs=1e-13)
     assert ev.interior_integral(u) == pytest.approx(float(a @ vals), abs=1e-13)
+
+
+def test_mesh_linear_forms_1d_match_cell_by_cell_loop():
+    # the 1D assembly is one batch over cells; this loop is the reference,
+    # with the same arithmetic on each cell
+    P = interval(-0.5, 2.0)
+    m = make_mesh(P, 0.3)
+    A = AffineFunc(1.5, (-2.0,))
+    t, w = gauss_rule((DEFAULT_DEGREE + 2) // 2)
+    ref = np.zeros(m.num_vertices)
+    for c0, c1 in m.cells:
+        x0, x1 = m.vertices[c0, 0], m.vertices[c1, 0]
+        p = x0 + t * (x1 - x0)
+        wA = w * abs(x1 - x0) * A(p[:, None])
+        s = (p - x0) / (x1 - x0)
+        ref[c0] += np.dot(wA, 1.0 - s)
+        ref[c1] += np.dot(wA, s)
+    assert np.array_equal(mesh_linear_forms(m, A)[1], ref)
 
 
 def test_volume(ev_square):

@@ -1,12 +1,27 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_stability import _hull, _lattice_polygon, directions, lattice_points
 
 from polystab.hessfit import HessianSurrogate
 from polystab.mesh import make_mesh
-from polystab.polytope import build_polytope, interval, standard_simplex, unit_square
+from polystab.polytope import (
+    Polytope,
+    build_polytope,
+    interval,
+    standard_simplex,
+    unit_square,
+)
 from polystab.quadrature import (
+    DEFAULT_DEGREE,
+    _boundary_tol,
+    _strip_triangles,
+    _tagged_rule,
+    gauss_rule,
     graded_scheme,
     integrate_boundary,
     integrate_interior,
@@ -156,6 +171,30 @@ def test_truncation_layers_bookkeeping():
     assert float(np.sum(shallow_wts)) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_1d_rules_match_interval_by_interval_loops():
+    # the 1D builders are broadcasts over intervals; these loops are the
+    # reference, with the same arithmetic on each interval
+    t, w = gauss_rule((DEFAULT_DEGREE + 2) // 2)
+
+    def loop(intervals):
+        return (np.concatenate([a + t * (b - a) for a, b in intervals])[:, None],
+                np.concatenate([w * abs(b - a) for a, b in intervals]))
+
+    lo, hi = -0.5, 2.0
+    P = interval(lo, hi)
+    c, s = 0.5 * (lo + hi), 1.0 - 2.0 ** (-np.arange(13, dtype=float))
+    G = graded_scheme(P, layers=12)
+    pts, wts = loop([sorted((c + (e - c) * s[j], c + (e - c) * s[j + 1]))
+                     for e in (lo, hi) for j in range(12)])
+    assert np.array_equal(G.interior_points, pts)
+    assert np.array_equal(G.interior_weights, wts)
+    assert np.array_equal(G.interior_layers, np.repeat(np.tile(np.arange(12), 2), len(t)))
+    S = split_scheme(P, [((1.0,), 0.3), ((2.0,), 5.0), ((1.0,), -0.5)])
+    pts, wts = loop([(lo, 0.3), (0.3, hi)])
+    assert np.array_equal(S.interior_points, pts)
+    assert np.array_equal(S.interior_weights, wts)
+
+
 @pytest.mark.parametrize("degree", [2, 6, 9])
 def test_map_triangles_matches_stacked_triangle_rule(degree):
     rng = np.random.default_rng(degree)
@@ -233,3 +272,223 @@ def test_point_operator_transpose_is_the_adjoint(dim, pentagon_mesh_graded):
         z = rng.standard_normal((sur.ncomp, len(Q.interior_weights)))
         forward = float(np.sum(z * (op @ v)))
         assert float(op.rmatvec(z) @ v) == pytest.approx(forward, rel=1e-12)
+
+
+# -- the mesh-graded rule ------------------------------------------------------
+
+def _square(s, o=0.0):
+    return build_polytope([((1.0, 0.0), o), ((0.0, 1.0), o),
+                           ((-1.0, 0.0), -(o + s)), ((0.0, -1.0), -(o + s))])
+
+
+def recursive_mesh_graded(mesh, degree=DEFAULT_DEGREE, layers=30, tangential_layers=16):
+    """Oracle: the mesh-graded interior rule built cell by cell, by recursion.
+
+    Rows (point, weight, layer, cell), in no particular order.  Boundary
+    contact is tested on every triangle the recursion makes, by a gaps call
+    per point.
+    """
+    P = mesh.polytope
+    tol = _boundary_tol(P)
+    if mesh.dimension == 1:
+        t, w = gauss_rule((degree + 2) // 2)
+        rows = []
+
+        def emit_seg(a, b, level, cell):
+            rows.extend((a + ti * (b - a), wi * abs(b - a), level, cell) for ti, wi in zip(t, w))
+
+        for ci, (ia, ib) in enumerate(mesh.cells):
+            a, b = float(mesh.vertices[ia, 0]), float(mesh.vertices[ib, 0])
+            on_a = P.boundary_distance([[a]]) <= tol
+            on_b = P.boundary_distance([[b]]) <= tol
+            if not on_a and not on_b:
+                emit_seg(a, b, 0, ci)
+                continue
+            mid = 0.5 * (a + b) if (on_a and on_b) else (b if on_a else a)
+            for e, touch in ((a, on_a), (b, on_b)):
+                for j in range(layers if touch else 0):
+                    hi = e + (mid - e) * 2.0 ** (-j)
+                    lo = e + (mid - e) * 2.0 ** (-(j + 1))
+                    emit_seg(min(lo, hi), max(lo, hi), j, ci)
+        return np.array(rows)
+
+    norm_h = np.linalg.norm(P.normals, axis=1)
+    tris, levels, cells = [], [], []
+
+    def emit(block, level, cell):
+        tris.append(block.reshape(-1, 3, 2))
+        levels.append(np.broadcast_to(level, block.shape[:-2]).ravel())
+        cells.append(np.full(len(levels[-1]), cell))
+
+    def facets_of(p):
+        return frozenset(np.where(np.abs(P.gaps(p)) / norm_h <= tol)[0].tolist())
+
+    def handle(tri, cell):
+        fsets = [facets_of(v) for v in tri]
+        bedges = [i for i in range(3) if fsets[i] & fsets[(i + 1) % 3]
+                  and facets_of(0.5 * (tri[i] + tri[(i + 1) % 3]))]
+        if not bedges:
+            if not any(fsets):
+                emit(tri, 0, cell)
+                return
+            stack = [(tri, 0)]
+            while stack:
+                t, lv = stack.pop()
+                if lv >= layers:
+                    continue
+                m = [0.5 * (t[i] + t[(i + 1) % 3]) for i in range(3)]
+                for ch in (np.array([t[0], m[0], m[2]]), np.array([m[0], t[1], m[1]]),
+                           np.array([m[2], m[1], t[2]]), np.array([m[0], m[1], m[2]])):
+                    if any(facets_of(v) for v in ch):
+                        stack.append((ch, lv + 1))
+                    else:
+                        emit(ch, lv + 1, cell)
+            return
+        if len(bedges) > 1 or fsets[(bedges[0] + 2) % 3]:
+            g = tri.mean(axis=0)
+            for i in range(3):
+                handle(np.array([tri[i], tri[(i + 1) % 3], g]), cell)
+            return
+        i = bedges[0]
+        e0, e1, c = tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3]
+        tau = [0.0, 1.0]
+        if len(fsets[i]) >= 2:
+            tau.extend(2.0 ** (-j) for j in range(1, tangential_layers))
+        if len(fsets[(i + 1) % 3]) >= 2:
+            tau.extend(1.0 - 2.0 ** (-j) for j in range(1, tangential_layers))
+        tau = np.unique(tau)[:, None]
+        s = 2.0 ** (-np.arange(layers + 1, dtype=float))[:, None, None]
+        grid = (1.0 - s) * ((1.0 - tau) * e0 + tau * e1) + s * c
+        emit(_strip_triangles(grid[1:], grid[:-1]), np.arange(layers)[:, None, None], cell)
+
+    for ci, cell in enumerate(mesh.cells):
+        handle(mesh.vertices[cell], ci)
+    pts, wts, lay, cel = _tagged_rule(np.concatenate(tris),
+                                      [np.concatenate(levels), np.concatenate(cells)], degree)
+    return np.column_stack([pts, wts, lay, cel])
+
+
+def _sorted_rows(rows):
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def _rows(Q):
+    return np.column_stack([Q.interior_points, Q.interior_weights,
+                            Q.interior_layers, Q.interior_cells])
+
+
+@pytest.mark.parametrize("h", [1 / 5, 1 / 8])
+@pytest.mark.parametrize("name", ["pentagon", "square", "simplex", "interval"])
+def test_mesh_graded_scheme_matches_recursive_oracle(name, h):
+    P = {"pentagon": lambda: build_polytope(PENTAGON), "square": unit_square,
+         "simplex": standard_simplex, "interval": interval}[name]()
+    mesh = make_mesh(P, h)
+    Q = mesh_graded_scheme(mesh, layers=20, tangential_layers=8)
+    expected = _sorted_rows(recursive_mesh_graded(mesh, layers=20, tangential_layers=8))
+    assert np.array_equal(_sorted_rows(_rows(Q)), expected)
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e-8, 1e-4, 1.0, 1e4])
+def test_mesh_graded_scheme_is_scale_free(s):
+    # deep-layer weights come from differences of coordinates some 2^20 times
+    # larger than the triangle, so each carries that many ulps of rounding;
+    # weights are compared against the area of P instead of one by one
+    unit = mesh_graded_scheme(make_mesh(_square(1.0), 1 / 4), layers=20, tangential_layers=8)
+    Q = mesh_graded_scheme(make_mesh(_square(s), s / 4), layers=20, tangential_layers=8)
+    assert np.array_equal(Q.interior_layers, unit.interior_layers)
+    assert np.array_equal(Q.interior_cells, unit.interior_cells)
+    np.testing.assert_allclose(Q.interior_points, s * unit.interior_points, rtol=0, atol=1e-12 * s)
+    np.testing.assert_allclose(Q.interior_weights, s * s * unit.interior_weights,
+                               rtol=0, atol=1e-12 * s * s)
+
+
+@pytest.mark.parametrize("origin", [1e4, -1e4])
+def test_mesh_graded_scheme_far_from_the_origin(origin):
+    # a side of 2^-10 keeps the mesh vertices exact (make_mesh adds a sliver
+    # row and column when the side rounds above a multiple of h)
+    s = 2.0 ** -10
+    unit = mesh_graded_scheme(make_mesh(_square(1.0), 1 / 4), layers=20, tangential_layers=8)
+    Q = mesh_graded_scheme(make_mesh(_square(s, origin), s / 4), layers=20, tangential_layers=8)
+    assert np.array_equal(Q.interior_layers, unit.interior_layers)
+    assert np.array_equal(Q.interior_cells, unit.interior_cells)
+    np.testing.assert_allclose(Q.interior_points, origin + s * unit.interior_points,
+                               rtol=0, atol=1e-15 * abs(origin))
+    assert float(np.sum(Q.interior_weights)) == pytest.approx(
+        s * s * float(np.sum(unit.interior_weights)), rel=1e-8)
+
+
+def test_mesh_graded_levels_hold_equal_counts():
+    # every boundary vertex's corner child passes down, so each level below
+    # `layers` gets the same triangles; level 1 holds fewer, as a triangle
+    # touching the boundary at two vertices emits two children there and six
+    # on every later level
+    mesh = make_mesh(build_polytope(PENTAGON), 1 / 5)
+    Q = mesh_graded_scheme(mesh, layers=30, tangential_layers=16)
+    counts = np.bincount(Q.interior_layers, minlength=31)
+    assert len(set(counts[2:30].tolist())) == 1
+    assert 0 < counts[1] <= counts[2]
+    assert Q.meta == {"layers": 30, "tangential_layers": 16}
+
+
+@pytest.mark.parametrize("layers", [5, 30])
+@pytest.mark.parametrize("P, h", [(build_polytope(PENTAGON), 1 / 5), (unit_square(), 1 / 8),
+                                  (interval(), 1 / 8)], ids=["pentagon", "square", "interval"])
+def test_mesh_graded_scheme_makes_at_most_two_gaps_calls(P, h, layers, monkeypatch):
+    mesh = make_mesh(P, h)
+    calls = []
+    gaps = Polytope.gaps
+    monkeypatch.setattr(Polytope, "gaps",
+                        lambda self, points: calls.append(1) or gaps(self, points))
+    mesh_graded_scheme(mesh, layers=layers)
+    assert 1 <= len(calls) <= 2
+
+
+# -- exactness on lattice polygons ----------------------------------------------
+
+def _exact_moment(hull, i, j):
+    """int x^i y^j over the polygon with CCW integer vertices `hull`, exactly.
+
+    Green's theorem, edge by edge: the sum of int x^(i+1) y^j dy / (i+1)
+    along x = x0 + t dx, y = y0 + t dy, expanded binomially in t.
+    """
+    total = Fraction(0)
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
+        dx, dy = x1 - x0, y1 - y0
+        for a in range(i + 2):
+            for b in range(j + 1):
+                total += Fraction(math.comb(i + 1, a) * x0 ** (i + 1 - a) * dx ** a
+                                  * math.comb(j, b) * y0 ** (j - b) * dy ** b * dy, a + b + 1)
+    return total / (i + 1)
+
+
+def _moment_errors(Q, hull, degree):
+    """(i, j, |rule - exact|, bound of |x^i y^j| on P) for i + j <= degree."""
+    x, y = Q.interior_points[:, 0], Q.interior_points[:, 1]
+    xm, ym = max(abs(p[0]) for p in hull), max(abs(p[1]) for p in hull)
+    for i in range(degree + 1):
+        for j in range(degree + 1 - i):
+            val = float(np.dot(Q.interior_weights, x ** i * y ** j))
+            exact = float(_exact_moment(hull, i, j))
+            yield i, j, abs(val - exact), float(xm) ** i * float(ym) ** j
+
+
+@settings(max_examples=30, deadline=None)
+@given(points=lattice_points, dirs=directions,
+       offsets=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+def test_schemes_integrate_monomials_on_lattice_polygons(points, dirs, offsets):
+    P = _lattice_polygon(points)
+    assume(P is not None)
+    hull = _hull(points)
+    area = float(_exact_moment(hull, 0, 0))
+    lines = [(d, float(np.dot(d, v)) + off) for d in dirs for v, off in zip(P.vertices, offsets)]
+    for Q in (standard_scheme(P), split_scheme(P, lines)):
+        for i, j, err, bound in _moment_errors(Q, hull, DEFAULT_DEGREE):
+            assert err <= 1e-12 * area * bound, (Q.kind, i, j)
+    # the mesh-graded rule is exact on every triangle it keeps, so it misses
+    # at most the dropped slivers' area times max |x^i y^j|
+    Q = mesh_graded_scheme(make_mesh(P, float(np.max(np.ptp(P.vertices, axis=0))) / 4),
+                           layers=10, tangential_layers=4)
+    dropped = area - float(np.sum(Q.interior_weights))
+    assert dropped >= -1e-12 * area
+    for i, j, err, bound in _moment_errors(Q, hull, DEFAULT_DEGREE):
+        assert err <= (max(dropped, 0.0) + 1e-12 * area) * bound, (i, j)
