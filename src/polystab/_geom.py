@@ -1,7 +1,17 @@
-"""Small planar-geometry helpers shared by quadrature and meshing."""
+"""Small planar-geometry and array helpers shared by quadrature and meshing."""
 from __future__ import annotations
 
 import numpy as np
+
+
+def sorted_unique(a):
+    """Sorted distinct values of an array, by one sort and a mask.
+
+    np.unique asked for no index outputs imports numpy.ma (about 15 ms) on
+    its first call, which every run would pay.
+    """
+    a = np.sort(np.ravel(a))
+    return np.concatenate([a[:1], a[1:][a[1:] != a[:-1]]])
 
 
 def polygon_area(pts):

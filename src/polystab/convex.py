@@ -227,11 +227,11 @@ class MeshConvexFunc:
                 for k in facets:
                     b[v] += P.boundary_weights[k]
             return b
-        for (a, c), k in m.boundary_edges():
-            L = np.linalg.norm(m.vertices[c] - m.vertices[a])
-            b[a] += 0.5 * L * P.boundary_weights[k]
-            b[c] += 0.5 * L * P.boundary_weights[k]
-        return b
+        # each boundary edge puts half its sigma-length on both ends
+        a, c, k = m.boundary_edges.T
+        half = 0.5 * np.linalg.norm(m.vertices[c] - m.vertices[a], axis=1) * P.boundary_weights[k]
+        return np.bincount(np.column_stack([a, c]).ravel(), weights=np.repeat(half, 2),
+                           minlength=m.num_vertices)
 
 
 def convexity_coefficients(mesh: Mesh):
@@ -275,6 +275,8 @@ def guillemin_potential(P: Polytope) -> SmoothConvexFunc:
         g = P.gaps(pts)
         if np.any(g < -tol):
             raise EvaluationOutsideDomain("Guillemin potential asked outside the closure")
+        if np.all(g > 0.0):
+            return np.sum(g * np.log(g), axis=-1)
         gc = np.maximum(g, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             term = np.where(gc > 0.0, gc * np.log(np.where(gc > 0.0, gc, 1.0)), 0.0)

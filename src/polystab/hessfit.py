@@ -4,13 +4,15 @@ Piecewise-linear interpolants have distributional Hessians, so second
 derivatives come from two linear maps, applied in turn and never multiplied
 out: least-squares quadric fits over each vertex star (the vertex and its
 1-ring) give per-vertex Hessians, which are then interpolated linearly inside
-each cell.  Both maps are linear in the vertex values, so gradients and
+each cell.  The rings come from the cell array, and the stars of one size
+share one stacked pseudo-inverse.  Both maps are linear in the vertex values, so gradients and
 Hessians of log-det terms follow in closed form from their transposes.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from ._geom import sorted_unique
 from .mesh import Mesh
 
 
@@ -23,50 +25,44 @@ class HessianSurrogate:
         self.ncomp = 1 if n == 1 else 3  # (xx,) or (xx, xy, yy)
         V = mesh.num_vertices
 
-        rings: list[set] = [set() for _ in range(V)]
-        for cell in mesh.cells:
-            for a in cell:
-                for b in cell:
-                    if a != b:
-                        rings[a].add(int(b))
+        # rings: every ordered pair of distinct vertices of a cell, once,
+        # sorted by vertex and then by neighbour
+        c = mesh.cells
+        pair = (np.repeat(c, c.shape[1], axis=1) * V + np.tile(c, c.shape[1])).ravel()
+        pair = sorted_unique(pair[pair // V != pair % V])
+        nbr = pair % V
+        deg = np.bincount(pair // V, minlength=V)
+        start = np.cumsum(deg) - deg
 
-        # fit of v: star_idx[v] (S,) and star_op[v] (ncomp, S), S = 1 + the
-        # largest ring; shorter stars are padded with v and coefficient 0
-        S = 1 + max(len(r) for r in rings)
+        # fit of v: star_idx[v] (S,) and star_op[v] (ncomp, S) over the star
+        # [v] + ring, S = 1 + the largest ring; shorter stars are padded with v
+        # and coefficient 0.  Stars of one size share one stacked pinv.
+        S = 1 + deg.max()
         self.star_idx = np.repeat(np.arange(V)[:, None], S, axis=1)
         self.star_op = np.zeros((V, self.ncomp, S))
-        need = 3 if n == 1 else 6
-        valid = np.zeros(V, dtype=bool)
-        for v in range(V):
-            star = np.array([v] + sorted(rings[v]), dtype=int)
-            if len(star) < need:
-                continue
-            dx = mesh.vertices[star] - mesh.vertices[v]
-            s = max(float(np.max(np.abs(dx))), 1e-300)
-            dxs = dx / s
+        valid = deg + 1 >= (3 if n == 1 else 6)
+        if not valid.any():
+            raise ValueError("mesh too coarse for quadric fits")
+        for d in sorted_unique(deg[valid]):
+            vs = np.flatnonzero(valid & (deg == d))
+            star = np.column_stack([vs, nbr[start[vs, None] + np.arange(d)]])
+            dx = mesh.vertices[star] - mesh.vertices[vs, None]
+            s = np.maximum(np.max(np.abs(dx), axis=(1, 2)), 1e-300)[:, None, None]
+            x, one = dx / s, np.ones(star.shape)
             if n == 1:
-                B = np.column_stack([np.ones(len(star)), dxs[:, 0], 0.5 * dxs[:, 0] ** 2])
+                B = np.stack([one, x[..., 0], 0.5 * x[..., 0] ** 2], axis=-1)
             else:
-                B = np.column_stack([
-                    np.ones(len(star)), dxs[:, 0], dxs[:, 1],
-                    0.5 * dxs[:, 0] ** 2, dxs[:, 0] * dxs[:, 1], 0.5 * dxs[:, 1] ** 2,
-                ])
-            G = np.linalg.pinv(B, rcond=1e-10)
-            rows = G[2:3] if n == 1 else G[3:6]
-            self.star_idx[v, :len(star)] = star
-            self.star_op[v, :, :len(star)] = rows / s**2
-            valid[v] = True
+                x, y = x[..., 0], x[..., 1]
+                B = np.stack([one, x, y, 0.5 * x ** 2, x * y, 0.5 * y ** 2], axis=-1)
+            self.star_idx[vs, :d + 1] = star
+            self.star_op[vs, :, :d + 1] = np.linalg.pinv(B, rcond=1e-10)[:, -self.ncomp:] / s**2
 
         # vertices with deficient stars borrow the nearest valid fit
-        if not np.all(valid):
-            vv = np.where(valid)[0]
-            if len(vv) == 0:
-                raise ValueError("mesh too coarse for quadric fits")
-            for v in np.where(~valid)[0]:
-                d = np.linalg.norm(mesh.vertices[vv] - mesh.vertices[v], axis=1)
-                donor = int(vv[np.argmin(d)])
-                self.star_idx[v] = self.star_idx[donor]
-                self.star_op[v] = self.star_op[donor]
+        bad, vv = np.flatnonzero(~valid), np.flatnonzero(valid)
+        d = np.linalg.norm(mesh.vertices[vv] - mesh.vertices[bad, None], axis=-1)
+        donor = vv[np.argmin(d, axis=1)]
+        self.star_idx[bad] = self.star_idx[donor]
+        self.star_op[bad] = self.star_op[donor]
 
     def point_operator(self, points, cells=None):
         """PointOperator: vertex values -> Hessian components at given points.

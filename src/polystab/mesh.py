@@ -1,11 +1,14 @@
 """Boundary-conforming meshes of polytopes.
 
-2D meshes are structured grids over the bounding box, clipped cell-by-cell
-against the facet half-planes; interior cells get the "/" diagonal split.  The
-mesh parameter h is the grid spacing (maximum edge length in the max-norm),
-which reproduces the 9-vertex / 8-triangle unit-square mesh at h = 1/2.
-Halving h refines every cell in place, so coarse piecewise-linear functions
-remain representable on the refined mesh.
+2D meshes are structured grids over the bounding box.  One gaps call sorts
+the grid cells: those inside P get the "/" diagonal split by broadcasting, and
+only the cells the boundary cuts are clipped against the facet half-planes and
+fanned.  Vertices are numbered by the first appearance of their rounded
+coordinates, and the hinges, boundary edges and point-location buckets come
+from sorted key arrays.  The mesh parameter h is the grid spacing (maximum edge
+length in the max-norm), which reproduces the 9-vertex / 8-triangle
+unit-square mesh at h = 1/2.  Halving h refines every cell in place, so coarse
+piecewise-linear functions remain representable on the refined mesh.
 """
 from __future__ import annotations
 
@@ -27,7 +30,8 @@ class Mesh:
     cells are positively oriented index triples (pairs in 1D); hinges describe
     the convexity stencils: in 1D rows (left, mid, right) per interior vertex,
     in 2D rows (p, q, r, s) per interior edge (p, q) with opposite vertices r
-    and s.  boundary_facets maps vertex index -> tuple of facet ids it lies on.
+    and s.  boundary_facets maps vertex index -> tuple of facet ids it lies on;
+    in 2D, boundary_edges lists each boundary edge with the facet it lies on.
     """
 
     polytope: Polytope
@@ -40,6 +44,8 @@ class Mesh:
     # (nx+2, ny+2, k): ids of the cells cut from each grid square, -1 padded,
     # with a one-square halo so neighbour lookups need no bounds checks
     cell_index: np.ndarray = field(default=None, repr=False)
+    # (B, 3) rows (a, b, facet id) per boundary edge (a, b), a < b, sorted (2D)
+    boundary_edges: np.ndarray = field(default=None, repr=False)
 
     @property
     def dimension(self):
@@ -105,27 +111,6 @@ class Mesh:
         l2 = (-e1[:, 1] * rhs[:, 0] + e1[:, 0] * rhs[:, 1]) / det
         return np.column_stack([1.0 - l1 - l2, l1, l2])
 
-    def boundary_edges(self):
-        """(edge vertex pair, facet id) for every boundary edge (2D only)."""
-        count = {}
-        for tri in self.cells:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (min(a, b), max(a, b))
-                count[key] = count.get(key, 0) + 1
-        out = []
-        P = self.polytope
-        for (a, b), c in sorted(count.items()):
-            if c != 1:
-                continue
-            mid = 0.5 * (self.vertices[a] + self.vertices[b])
-            g = np.abs(P.gaps(mid)) * P.boundary_weights
-            out.append(((a, b), int(np.argmin(g))))
-        return out
-
-
-def _round_key(p, digits):
-    return (round(float(p[0]), digits), round(float(p[1]), digits))
-
 
 def make_mesh(P: Polytope, h: float) -> Mesh:
     """Boundary-conforming mesh with grid spacing <= h; deterministic."""
@@ -146,107 +131,104 @@ def make_mesh(P: Polytope, h: float) -> Mesh:
 
     xlo, ylo = P.vertices.min(axis=0)
     xhi, yhi = P.vertices.max(axis=0)
-    nx = int(np.ceil((xhi - xlo) / h - 1e-12))
-    ny = int(np.ceil((yhi - ylo) / h - 1e-12))
+    size = max(xhi - xlo, yhi - ylo)
+    # coordinates carry rounding of their own magnitude (a few ulps are
+    # 1e-15 max|x|), so the slack in the cell counts, the clipping tolerance
+    # and the merge digits follow that as well as the size of P
+    scale = max(size, 1e-3 * float(np.max(np.abs(P.vertices))))
+    shrink = 1.0 - 1e-12 * scale / size
+    nx = int(np.ceil((xhi - xlo) / h * shrink))
+    ny = int(np.ceil((yhi - ylo) / h * shrink))
     if (nx + 1) * (ny + 1) > VERTEX_CAP:
         raise MeshTooFine(f"{(nx + 1) * (ny + 1)} grid vertices exceed the cap {VERTEX_CAP}")
     sx = (xhi - xlo) / nx
     sy = (yhi - ylo) / ny
     xs = xlo + sx * np.arange(nx + 1)
     ys = ylo + sy * np.arange(ny + 1)
-
-    verts: list[np.ndarray] = []
-    vmap: dict = {}
-    tris: list[tuple] = []
-    cell_index: dict = {}
-
-    # vertices merge at 12 decimals of the size of P (its power of ten)
-    size = max(xhi - xlo, yhi - ylo)
-    digits = 12 - int(np.floor(np.log10(size)))
-
-    def vid(p):
-        key = _round_key(p, digits)
-        if key not in vmap:
-            vmap[key] = len(verts)
-            verts.append(np.array([key[0], key[1]]))
-        return vmap[key]
-
     area_tol = 1e-13 * sx * sy
-    scale_tol = 1e-12 * size
-    for i in range(nx):
-        for j in range(ny):
-            cell = np.array([[xs[i], ys[j]], [xs[i + 1], ys[j]],
-                             [xs[i + 1], ys[j + 1]], [xs[i], ys[j + 1]]])
-            g = P.gaps(cell)
-            if np.all(g >= -scale_tol * np.linalg.norm(P.normals, axis=1)):
-                poly = cell
-            else:
-                poly = cell
-                for k in range(P.num_facets):
-                    poly = clip_polygon_halfplane(poly, P.normals[k], P.offsets[k],
-                                                  tol=scale_tol * np.linalg.norm(P.normals[k]))
-                    if len(poly) < 3:
-                        break
-                if len(poly) < 3 or abs(polygon_area(poly)) <= area_tol:
-                    continue
-            if polygon_area(poly) < 0:
-                poly = poly[::-1]
-            if len(poly) == 4 and np.allclose(poly, cell):
-                ll, lr, ur, ul = (vid(p) for p in cell)
-                new = [(ll, lr, ur), (ll, ur, ul)]
-            else:
-                new = []
-                for tri in fan_triangles(poly):
-                    if abs(polygon_area(tri)) <= area_tol:
-                        continue
-                    ids = tuple(vid(p) for p in tri)
-                    if len(set(ids)) == 3:
-                        new.append(ids)
-            base = len(tris)
-            tris.extend(new)
-            if new:
-                cell_index[(i, j)] = tuple(range(base, base + len(new)))
+    scale_tol = 1e-12 * scale
+    norm_h = np.linalg.norm(P.normals, axis=1)
 
-    vertices = np.array(verts)
-    cells = np.array(tris, dtype=int)
-    buckets = np.full((nx + 2, ny + 2, max(map(len, cell_index.values()), default=1)), -1)
-    for (i, j), ts in cell_index.items():
-        buckets[i + 1, j + 1, :len(ts)] = ts
+    # grid cells in (i, j) order, corners counter-clockwise from the lower left;
+    # only the cells the boundary cuts are clipped
+    gi, gj = (a.ravel() for a in np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij"))
+    corners = np.stack([np.column_stack([xs[gi + di], ys[gj + dj]])
+                        for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1))], axis=1)
+    g = P.gaps(corners.reshape(-1, 2)).reshape(len(corners), -1)
+    whole = np.all(g >= -scale_tol * np.tile(norm_h, 4), axis=1)
+    cut_tris, cut_cell = [], []
+    for c in np.flatnonzero(~whole):
+        poly = corners[c]
+        for k in range(P.num_facets):
+            poly = clip_polygon_halfplane(poly, P.normals[k], P.offsets[k],
+                                          tol=scale_tol * norm_h[k])
+            if len(poly) < 3:
+                break
+        if len(poly) < 3 or abs(polygon_area(poly)) <= area_tol:
+            continue
+        if polygon_area(poly) < 0:
+            poly = poly[::-1]
+        # a cut within 1e-8 of the size of P still leaves the whole cell
+        if len(poly) == 4 and np.allclose(poly, corners[c], rtol=0.0, atol=1e-8 * size):
+            whole[c] = True
+            continue
+        tris = np.array(list(fan_triangles(poly)))
+        tris = tris[np.abs(polygon_area(tris)) > area_tol]
+        cut_tris.append(tris)
+        cut_cell.append(np.full(len(tris), c))
+
+    # triangles in cell order: a whole cell's "/" split, then the kept fan
+    # triangles of a cut one; vertices are numbered by the first appearance
+    # of their rounded coordinates in that order
+    w = np.flatnonzero(whole)
+    tris = np.concatenate([corners[w][:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3, 2)] + cut_tris)
+    tri_cell = np.concatenate([np.repeat(w, 2)] + cut_cell)
+    order = np.argsort(tri_cell, kind="stable")
+    tri_cell = tri_cell[order]
+    keys = np.round(tris[order].reshape(-1, 2), 12 - int(np.floor(np.log10(scale))))
+    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    vertices = keys[first[order]]
+    cells = np.argsort(order)[inv.ravel()].reshape(-1, 3)
+    ok = np.all(cells != np.roll(cells, 1, axis=1), axis=1)
+    cells, tri_cell = cells[ok], tri_cell[ok]
+    slot = np.arange(len(cells)) - np.searchsorted(tri_cell, tri_cell)
+    buckets = np.full((nx + 2, ny + 2, slot.max(initial=0) + 1), -1)
+    buckets[gi[tri_cell] + 1, gj[tri_cell] + 1, slot] = np.arange(len(cells))
 
     # orientation fix: make every triangle CCW
-    v0, v1, v2 = vertices[cells[:, 0]], vertices[cells[:, 1]], vertices[cells[:, 2]]
-    e1, e2 = v1 - v0, v2 - v0
-    sgn = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    flip = sgn < 0
-    cells[flip, 1], cells[flip, 2] = cells[flip, 2].copy(), cells[flip, 1].copy()
+    v = vertices[cells]
+    e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
+    cells[flip] = cells[flip][:, [0, 2, 1]]
 
-    # interior-edge adjacency
-    edge_tris: dict = {}
-    for t, tri in enumerate(cells):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            edge_tris.setdefault((min(a, b), max(a, b)), []).append(t)
-    hinge_rows = []
-    for (a, b), ts in sorted(edge_tris.items()):
-        if len(ts) != 2:
-            continue
-        opp = []
-        for t in ts:
-            tri = set(cells[t])
-            opp.append((tri - {a, b}).pop())
-        hinge_rows.append((a, b, opp[0], opp[1]))
-    hinges = np.array(hinge_rows, dtype=int) if hinge_rows else np.zeros((0, 4), dtype=int)
+    # edges (c0, c1), (c1, c2), (c2, c0) of every triangle, sorted by (a, b)
+    # with triangle order kept among equal edges: an edge of two triangles is a
+    # hinge (a, b, opposite in the first, opposite in the second), an edge of
+    # one a boundary edge, on the facet nearest its midpoint
+    V = len(vertices)
+    nxt = np.roll(cells, -1, axis=1)
+    key = (np.minimum(cells, nxt) * V + np.maximum(cells, nxt)).ravel()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    opp = cells[:, [2, 0, 1]].ravel()[order]
+    run = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    count = np.diff(np.r_[run, len(key)])
+    two, one = run[count == 2], run[count == 1]
+    hinges = np.column_stack([key[two] // V, key[two] % V, opp[two], opp[two + 1]])
+    ea, eb = key[one] // V, key[one] % V
+    mid = 0.5 * (vertices[ea] + vertices[eb])
+    facet = np.argmin(np.abs(P.gaps(mid)) * P.boundary_weights, axis=1)
 
     # boundary vertices and their facets
-    norm_h = np.linalg.norm(P.normals, axis=1)
-    gv = P.gaps(vertices)
+    bv, bk = np.nonzero(np.abs(P.gaps(vertices)) <= 1e-9 * size * norm_h)
     bfacets = {}
-    for v in range(len(vertices)):
-        on = np.where(np.abs(gv[v]) <= 1e-9 * size * norm_h)[0]
-        if on.size:
-            bfacets[v] = tuple(int(k) for k in on)
+    for v, k in zip(bv.tolist(), bk.tolist()):
+        bfacets[v] = bfacets.get(v, ()) + (k,)
 
     return Mesh(P, h, vertices, cells, hinges, bfacets,
-                grid_shape=(nx, ny, xlo, ylo, sx, sy), cell_index=buckets)
+                grid_shape=(nx, ny, xlo, ylo, sx, sy), cell_index=buckets,
+                boundary_edges=np.column_stack([ea, eb, facet]))
 
 
 def midpoint_integral(f, mesh: Mesh) -> float:

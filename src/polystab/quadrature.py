@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._geom import clip_polygon_halfplane, fan_triangles, polygon_area
+from ._geom import clip_polygon_halfplane, fan_triangles, polygon_area, sorted_unique
 from .polytope import Polytope
 
 DEFAULT_DEGREE = 6
@@ -93,9 +93,10 @@ def triangle_rule(v0, v1, v2, degree):
 
 
 def _tagged_rule(tris, tags, degree):
-    """map_triangles on the non-degenerate triangles; each tag repeated per point."""
+    """map_triangles on the triangles of nonzero Jacobian; each tag repeated per point."""
     tris = np.asarray(tris, dtype=float).reshape(-1, 3, 2)
-    keep = np.abs(polygon_area(tris)) > 1e-300
+    e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    keep = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]) > 0.0
     pts, wts = map_triangles(tris[keep], degree)
     per = len(_reference_triangle(degree)[2])
     return (pts, wts) + tuple(np.repeat(np.asarray(t).ravel()[keep], per) for t in tags)
@@ -129,7 +130,7 @@ class QuadratureScheme:
 
 def _interior_1d(P, degree, breakpoints):
     ends = P.vertices[:, 0]
-    xs = np.union1d(np.clip(np.asarray(breakpoints, dtype=float), *ends), ends)
+    xs = sorted_unique(np.concatenate([np.clip(np.asarray(breakpoints, dtype=float), *ends), ends]))
     return _segments(np.column_stack([xs[:-1], xs[1:]]), degree)
 
 
@@ -165,7 +166,7 @@ def _boundary_2d(P, degree, s_breaks):
     bp, bw = [], []
     for k in range(P.num_facets):
         a, b = P.facet_segment(k)
-        ss = np.unique(np.concatenate([[0.0, 1.0], np.asarray(s_breaks[k], dtype=float)]))
+        ss = sorted_unique(np.concatenate([[0.0, 1.0], np.asarray(s_breaks[k], dtype=float)]))
         ss = ss[(ss >= 0.0) & (ss <= 1.0)]
         pts, wts = [], []
         for s0, s1 in zip(ss[:-1], ss[1:]):
@@ -351,8 +352,8 @@ def _mesh_graded_2d(mesh, layers, tangential_layers, tol):
     for c0 in (False, True):
         for c1 in (False, True):
             sel = (corner[:, 0] == c0) & (corner[:, 1] == c1)
-            tau = np.unique(np.concatenate([[0.0, 1.0], half if c0 else [],
-                                            1.0 - half if c1 else []]))[:, None]
+            tau = sorted_unique(np.concatenate([[0.0, 1.0], half if c0 else [],
+                                                1.0 - half if c1 else []]))[:, None]
             e0, e1, c = (t[sel, k, None, None] for k in range(3))
             # grid[:, j, m] = (1 - s_j) ((1 - tau_m) e0 + tau_m e1) + s_j c; layer j
             # lies between rows j + 1 (nearer the edge) and j

@@ -14,8 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._geom import sorted_unique
 from .convex import SmoothConvexFunc, guillemin_potential
-from .errors import IncompatibleA, LineSearchStall, LostConvexity, NonpositiveW
+from .errors import (EvaluationOutsideDomain, IncompatibleA, LineSearchStall, LostConvexity,
+                     NonpositiveW)
 from .fields import QuadraticPoly
 from .functionals import FunctionalEvaluator, as_field, field_degree, mesh_linear_forms
 from .hessfit import HessianSurrogate
@@ -57,7 +59,7 @@ class _PanelIntegrator:
         bp.extend(np.linspace(frac, 1.0 - frac, self.uniform + 1).tolist())
         bp.extend([1.0 - frac * v for v in reversed(g)])
         bp.append(1.0)
-        bp = np.unique(np.clip(bp, 0.0, 1.0))
+        bp = sorted_unique(np.clip(bp, 0.0, 1.0))
         xs = a + (b - a) * bp
         starts = xs[:-1]
         widths = np.diff(xs)
@@ -243,9 +245,12 @@ class DiscreteEnergy:
         sur = HessianSurrogate(mesh)
         self.surrogate = sur
         self.active = active = sur.reads(self.free)[mesh.cells[cells]].any(axis=1)
-        H_o = self.u_o.hess(pts)
-        # H_o is exactly symmetric, so hxx hyy - hxy hxy is the full 2x2 det
-        hxx, hxy, hyy = H_o[:, 0, 0], H_o[:, 0, 1], H_o[:, 1, 1]
+        # Hess u_o = sum_k n_k n_k^T / g_k, one (xx, xy, yy) product per point
+        g = P.gaps(pts)
+        if np.any(g <= 0.0):
+            raise EvaluationOutsideDomain("Guillemin Hessian needs interior points")
+        nx, ny = P.normals.T
+        hxx, hxy, hyy = ((1.0 / g) @ np.column_stack([nx * nx, nx * ny, ny * ny])).T
         fixed_det = hxx[~active] * hyy[~active] - hxy[~active] * hxy[~active]
         self.fixed_margin = float(fixed_det.min(initial=np.inf))
         self.fixed_logdet = (float(np.dot(wq[~active], np.log(fixed_det)))

@@ -19,6 +19,15 @@ facet: 0.0 -1.0 -2.0
 facet: -1.0 -1.0 -4.0
 """
 
+SQUARE = """# polystab polytope
+dimension: 2
+name: unit-square
+facet: 1.0 0.0 0.0
+facet: 0.0 1.0 0.0
+facet: -1.0 0.0 -1.0
+facet: 0.0 -1.0 -1.0
+"""
+
 SIMPLEX = """# polystab polytope
 dimension: 2
 name: standard-simplex
@@ -87,14 +96,10 @@ def test_missing_polytope_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def imports_scipy(argv):
-    """Whether a fresh interpreter imports SciPy while running `polystab argv`."""
-    code = (
-        "import sys\n"
-        "from polystab.cli import main\n"
-        f"assert main({argv!r}) == 0\n"
-        "print('scipy' in sys.modules)\n"
-    )
+def imports(module, *argvs):
+    """Whether a fresh interpreter imports `module` while running `polystab argv`, argv by argv."""
+    code = "import sys\nfrom polystab.cli import main\n" + "".join(
+        f"assert main({argv!r}) == 0\n" for argv in argvs) + f"print({module!r} in sys.modules)\n"
     src = os.path.dirname(os.path.dirname(polystab.__file__))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -108,13 +113,29 @@ def test_1d_stability_run_does_not_import_scipy(tmp_path):
     # import pulls SciPy in and adds its start-up time and memory to a run
     path = tmp_path / "interval.txt"
     path.write_text(INTERVAL)
-    assert not imports_scipy(["stability", "--polytope", str(path), "--h", "0.0625"])
+    assert not imports("scipy", ["stability", "--polytope", str(path), "--h", "0.0625"])
 
 
 def test_2d_solve_does_not_import_scipy(tmp_path):
     path = tmp_path / "pentagon.txt"
     path.write_text(PENTAGON)
-    assert not imports_scipy(["solve", "--polytope", str(path), "--h", "0.25"])
+    assert not imports("scipy", ["solve", "--polytope", str(path), "--h", "0.25"])
+
+
+def test_benchmark_runs_do_not_import_numpy_ma(tmp_path):
+    # np.unique and np.union1d asked for no index outputs import numpy.ma
+    # (about 15 ms) on their first call; no run should pay that
+    paths = {}
+    for name, text in (("interval", INTERVAL), ("square", SQUARE), ("pentagon", PENTAGON)):
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    assert not imports(
+        "numpy.ma",
+        ["stability", "--polytope", str(paths["square"]), "--A", "affine:-2,12,0",
+         "--h", "0.16666666666666666"],
+        ["stability", "--polytope", str(paths["interval"]), "--A", "extremal", "--h", "0.0625"],
+        ["solve", "--polytope", str(paths["pentagon"]), "--A", "extremal", "--h", "0.2"],
+        ["extremal-affine", "--polytope", str(paths["pentagon"])])
 
 
 def test_unread_option_is_rejected(tmp_path, capsys):

@@ -58,6 +58,18 @@ def test_guillemin_boundary_value_and_errors():
         u.grad(np.array([0.0]))
 
 
+def test_guillemin_value_inside_matches_the_masked_form():
+    # points with every gap > 0 skip the mask; the value is the same, bit for bit
+    S = unit_square()
+    pts = np.random.default_rng(3).uniform(1e-9, 1.0 - 1e-9, size=(200, 2))
+    g = S.gaps(pts)
+    masked = np.sum(np.where(g > 0.0, g * np.log(np.where(g > 0.0, g, 1.0)), 0.0), axis=-1)
+    assert np.array_equal(guillemin_potential(S)(pts), masked)
+    # a point on a facet still takes the masked branch
+    edge = np.array([[0.0, 0.5], [0.5, 0.5]])
+    assert guillemin_potential(S)(edge) == pytest.approx([np.log(0.5), np.log(0.25)], rel=1e-15)
+
+
 # -- normalize ----------------------------------------------------------------
 
 def test_normalize_affine_collapses():

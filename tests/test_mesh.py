@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from polystab._geom import clip_polygon_halfplane, fan_triangles, polygon_area
+from polystab.convex import MeshConvexFunc
 from polystab.errors import MeshTooFine
+from polystab.hessfit import HessianSurrogate
 from polystab.mesh import make_mesh, midpoint_integral
 from polystab.polytope import build_polytope, interval, standard_simplex, unit_square
 from polystab.quadrature import integrate_interior, standard_scheme
+
+from test_stability import _lattice_polygon, lattice_points
+
+PENTAGON = [((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, 0.0), -3.0),
+            ((0.0, -1.0), -2.0), ((-1.0, -1.0), -4.0)]
 
 
 def test_interval_mesh():
@@ -101,3 +111,191 @@ def test_mesh_is_scale_free(s):
     assert np.array_equal(scaled.cells, unit.cells)
     assert np.array_equal(scaled.hinges, unit.hinges)
     assert scaled.boundary_facets == unit.boundary_facets
+
+
+@pytest.mark.parametrize("origin, s", [(1e4, 0.01), (-5e3, 1e-3)])
+def test_mesh_far_from_the_origin(origin, s):
+    # the grid slack and the merge digits follow max|x|, so a small square far
+    # from the origin gets the unit square's 4 x 4 grid, moved and scaled
+    P = build_polytope([((1.0, 0.0), origin), ((0.0, 1.0), origin),
+                        ((-1.0, 0.0), -(origin + s)), ((0.0, -1.0), -(origin + s))])
+    m, unit = make_mesh(P, s / 4), make_mesh(unit_square(), 0.25)
+    assert m.num_vertices == 25 and len(m.cells) == 32
+    np.testing.assert_allclose(m.vertices, origin + s * unit.vertices,
+                               rtol=0, atol=1e-12 * abs(origin))
+    assert np.array_equal(m.cells, unit.cells)
+    assert np.array_equal(m.hinges, unit.hinges)
+    assert np.array_equal(m.boundary_edges, unit.boundary_edges)
+    assert m.boundary_facets == unit.boundary_facets
+
+
+@pytest.mark.parametrize("origin, s", [(0.0, 1.0), (0.0, 1e-9), (1e4, 0.01)])
+def test_cut_cells_are_clipped_at_any_scale_and_position(origin, s):
+    # the facet x + 3y <= 3.3 s cuts cells across two opposite edges; such a
+    # 4-gon counts as the whole cell only within 1e-8 of the size of P
+    P = build_polytope([((1.0, 0.0), origin), ((0.0, 1.0), origin), ((-1.0, 0.0), -(origin + s)),
+                        ((0.0, -1.0), -(origin + s)), ((-1.0, -3.0), -(4 * origin + 3.3 * s))])
+    m = make_mesh(P, s / 5)
+    v = m.vertices[m.cells] - origin
+    e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    area = 0.5 * float(np.sum(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]))
+    assert area == pytest.approx((1.0 - 0.7 ** 2 / 6) * s * s, rel=1e-9)
+    # no vertex lies outside P by more than the rounding of the vertices
+    dist = P.gaps(m.vertices) * P.boundary_weights
+    assert np.min(dist) >= -1e-12 * max(s, 1e-3 * abs(origin))
+
+
+# -- the array mesh and fits against the cell-by-cell loops -----------------------
+
+def loop_make_mesh(P, h):
+    """Oracle: the 2D mesh built cell by cell and vertex by vertex, with dicts.
+
+    Returns (vertices, cells, hinges, boundary_facets, cell_index, boundary
+    edges as [((a, b), facet)]).
+    """
+    xlo, ylo = P.vertices.min(axis=0)
+    xhi, yhi = P.vertices.max(axis=0)
+    nx = int(np.ceil((xhi - xlo) / h - 1e-12))
+    ny = int(np.ceil((yhi - ylo) / h - 1e-12))
+    sx, sy = (xhi - xlo) / nx, (yhi - ylo) / ny
+    xs, ys = xlo + sx * np.arange(nx + 1), ylo + sy * np.arange(ny + 1)
+    verts, vmap, tris, cell_index = [], {}, [], {}
+    size = max(xhi - xlo, yhi - ylo)
+    digits = 12 - int(np.floor(np.log10(size)))
+
+    def vid(p):
+        key = (round(float(p[0]), digits), round(float(p[1]), digits))
+        if key not in vmap:
+            vmap[key] = len(verts)
+            verts.append(np.array([key[0], key[1]]))
+        return vmap[key]
+
+    area_tol, scale_tol = 1e-13 * sx * sy, 1e-12 * size
+    for i in range(nx):
+        for j in range(ny):
+            cell = np.array([[xs[i], ys[j]], [xs[i + 1], ys[j]],
+                             [xs[i + 1], ys[j + 1]], [xs[i], ys[j + 1]]])
+            poly = cell
+            if not np.all(P.gaps(cell) >= -scale_tol * np.linalg.norm(P.normals, axis=1)):
+                for k in range(P.num_facets):
+                    poly = clip_polygon_halfplane(poly, P.normals[k], P.offsets[k],
+                                                  tol=scale_tol * np.linalg.norm(P.normals[k]))
+                    if len(poly) < 3:
+                        break
+                if len(poly) < 3 or abs(polygon_area(poly)) <= area_tol:
+                    continue
+            if polygon_area(poly) < 0:
+                poly = poly[::-1]
+            if len(poly) == 4 and np.allclose(poly, cell):
+                ll, lr, ur, ul = (vid(p) for p in cell)
+                new = [(ll, lr, ur), (ll, ur, ul)]
+            else:
+                new = []
+                for tri in fan_triangles(poly):
+                    if abs(polygon_area(tri)) > area_tol:
+                        ids = tuple(vid(p) for p in tri)
+                        if len(set(ids)) == 3:
+                            new.append(ids)
+            if new:
+                cell_index[(i, j)] = tuple(range(len(tris), len(tris) + len(new)))
+            tris.extend(new)
+    vertices, cells = np.array(verts), np.array(tris, dtype=int)
+    buckets = np.full((nx + 2, ny + 2, max(map(len, cell_index.values()), default=1)), -1)
+    for (i, j), ts in cell_index.items():
+        buckets[i + 1, j + 1, :len(ts)] = ts
+    v0, v1, v2 = vertices[cells[:, 0]], vertices[cells[:, 1]], vertices[cells[:, 2]]
+    e1, e2 = v1 - v0, v2 - v0
+    flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
+    cells[flip, 1], cells[flip, 2] = cells[flip, 2].copy(), cells[flip, 1].copy()
+    edge_tris = {}
+    for t, tri in enumerate(cells):
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            edge_tris.setdefault((min(a, b), max(a, b)), []).append(t)
+    hinges, bedges = [], []
+    for (a, b), ts in sorted(edge_tris.items()):
+        if len(ts) == 2:
+            hinges.append((a, b) + tuple((set(cells[t]) - {a, b}).pop() for t in ts))
+        elif len(ts) == 1:
+            g = np.abs(P.gaps(0.5 * (vertices[a] + vertices[b]))) * P.boundary_weights
+            bedges.append(((a, b), int(np.argmin(g))))
+    gv, norm_h = P.gaps(vertices), np.linalg.norm(P.normals, axis=1)
+    bfacets = {}
+    for v in range(len(vertices)):
+        on = np.where(np.abs(gv[v]) <= 1e-9 * size * norm_h)[0]
+        if on.size:
+            bfacets[v] = tuple(int(k) for k in on)
+    return (vertices, cells, np.array(hinges, dtype=int).reshape(-1, 4), bfacets, buckets,
+            bedges)
+
+
+def loop_quadric_fits(mesh):
+    """Oracle: star_idx and star_op from one pinv per vertex (2D meshes)."""
+    V = mesh.num_vertices
+    rings = [set() for _ in range(V)]
+    for cell in mesh.cells:
+        for a in cell:
+            rings[a].update(int(b) for b in cell if b != a)
+    S = 1 + max(len(r) for r in rings)
+    star_idx = np.repeat(np.arange(V)[:, None], S, axis=1)
+    star_op = np.zeros((V, 3, S))
+    valid = np.zeros(V, dtype=bool)
+    for v in range(V):
+        star = np.array([v] + sorted(rings[v]), dtype=int)
+        if len(star) < 6:
+            continue
+        dx = mesh.vertices[star] - mesh.vertices[v]
+        s = max(float(np.max(np.abs(dx))), 1e-300)
+        x, y = (dx / s).T
+        B = np.column_stack([np.ones(len(star)), x, y, 0.5 * x ** 2, x * y, 0.5 * y ** 2])
+        star_idx[v, :len(star)] = star
+        star_op[v, :, :len(star)] = np.linalg.pinv(B, rcond=1e-10)[3:6] / s**2
+        valid[v] = True
+    vv = np.where(valid)[0]
+    if len(vv) == 0:
+        raise ValueError("mesh too coarse for quadric fits")
+    for v in np.where(~valid)[0]:
+        donor = int(vv[np.argmin(np.linalg.norm(mesh.vertices[vv] - mesh.vertices[v], axis=1))])
+        star_idx[v], star_op[v] = star_idx[donor], star_op[donor]
+    return star_idx, star_op
+
+
+def _assert_matches_loops(P, h):
+    m = make_mesh(P, h)
+    vertices, cells, hinges, bfacets, buckets, bedges = loop_make_mesh(P, h)
+    assert np.array_equal(m.vertices, vertices)
+    assert np.array_equal(m.cells, cells)
+    assert np.array_equal(m.hinges, hinges)
+    assert m.boundary_facets == bfacets
+    assert np.array_equal(m.cell_index, buckets)
+    assert [((a, b), k) for a, b, k in m.boundary_edges.tolist()] == bedges
+    try:
+        star_idx, star_op = loop_quadric_fits(m)
+    except ValueError:
+        with pytest.raises(ValueError, match="too coarse"):
+            HessianSurrogate(m)
+    else:
+        sur = HessianSurrogate(m)
+        assert np.array_equal(sur.star_idx, star_idx)
+        assert np.array_equal(sur.star_op, star_op)
+    b = np.zeros(m.num_vertices)
+    for (a, c), k in bedges:
+        L = np.linalg.norm(vertices[c] - vertices[a])
+        b[a] += 0.5 * L * P.boundary_weights[k]
+        b[c] += 0.5 * L * P.boundary_weights[k]
+    np.testing.assert_allclose(MeshConvexFunc(m, np.zeros(m.num_vertices)).boundary_norm_weights(),
+                               b, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("h", [1 / 2, 1 / 5, 1 / 6, 1 / 8, 1 / 12, 1 / 16])
+@pytest.mark.parametrize("P", [unit_square(), standard_simplex(), build_polytope(PENTAGON)],
+                         ids=["square", "simplex", "pentagon"])
+def test_mesh_and_fits_match_the_loops(P, h):
+    _assert_matches_loops(P, h)
+
+
+@settings(max_examples=30, deadline=None)
+@given(points=lattice_points, n=st.sampled_from([1, 2, 3, 5]))
+def test_mesh_and_fits_match_the_loops_on_lattice_polygons(points, n):
+    P = _lattice_polygon(points)
+    assume(P is not None)
+    _assert_matches_loops(P, 1 / n)

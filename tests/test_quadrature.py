@@ -404,17 +404,30 @@ def test_mesh_graded_scheme_is_scale_free(s):
 
 @pytest.mark.parametrize("origin", [1e4, -1e4])
 def test_mesh_graded_scheme_far_from_the_origin(origin):
-    # a side of 2^-10 keeps the mesh vertices exact (make_mesh adds a sliver
-    # row and column when the side rounds above a multiple of h)
-    s = 2.0 ** -10
+    # make_mesh sizes its grid and merges its vertices at the resolution of
+    # coordinates this far out, so a side that is not dyadic works as well
     unit = mesh_graded_scheme(make_mesh(_square(1.0), 1 / 4), layers=20, tangential_layers=8)
-    Q = mesh_graded_scheme(make_mesh(_square(s, origin), s / 4), layers=20, tangential_layers=8)
-    assert np.array_equal(Q.interior_layers, unit.interior_layers)
-    assert np.array_equal(Q.interior_cells, unit.interior_cells)
-    np.testing.assert_allclose(Q.interior_points, origin + s * unit.interior_points,
-                               rtol=0, atol=1e-15 * abs(origin))
-    assert float(np.sum(Q.interior_weights)) == pytest.approx(
-        s * s * float(np.sum(unit.interior_weights)), rel=1e-8)
+    for s in (2.0 ** -10, 1e-3):
+        Q = mesh_graded_scheme(make_mesh(_square(s, origin), s / 4), layers=20, tangential_layers=8)
+        assert np.array_equal(Q.interior_layers, unit.interior_layers)
+        assert np.array_equal(Q.interior_cells, unit.interior_cells)
+        np.testing.assert_allclose(Q.interior_points, origin + s * unit.interior_points,
+                                   rtol=0, atol=1e-15 * abs(origin))
+        assert float(np.sum(Q.interior_weights)) == pytest.approx(
+            s * s * float(np.sum(unit.interior_weights)), rel=1e-8)
+
+
+def test_tagged_rule_keeps_small_triangles_far_from_the_origin():
+    # the shoelace area of absolute coordinates cancels to 0 for a triangle of
+    # side 1e-9 at (1e4, 1e4); its Jacobian e1 x e2 does not, so it is kept
+    tiny = np.array([[1e4, 1e4], [1e4 + 1e-9, 1e4], [1e4, 1e4 + 1e-9]])
+    flat = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    pts, wts, tag = _tagged_rule(np.stack([flat, tiny]), [np.array([0, 1])], 2)
+    assert len(wts) > 0 and np.all(tag == 1) and np.all(wts > 0)
+    # 40 layers: 79 of the pentagon's 12,800 triangles are such (16 of the
+    # square's 10,240); what is still dropped has e1 x e2 = 0 exactly
+    assert len(graded_scheme(build_polytope(PENTAGON), layers=40).interior_weights) == 16 * 12_640
+    assert len(graded_scheme(unit_square(), layers=40).interior_weights) == 16 * 10_112
 
 
 def test_mesh_graded_levels_hold_equal_counts():
