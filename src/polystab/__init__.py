@@ -7,13 +7,13 @@ from .errors import (  # noqa: F401
     EmptyInterior,
     EvaluationOutsideDomain,
     IncompatibleA,
-    InvalidK,
     LineSearchStall,
     LostConvexity,
     LPInfeasible,
     LPNotConverged,
     LPUnbounded,
     MeshTooFine,
+    NeedsSmoothFunction,
     NonConvexAtQuadraturePoint,
     NonIntegerNormals,
     NonpositiveLambda,
@@ -42,14 +42,13 @@ from .quadrature import (  # noqa: F401
     split_scheme,
     standard_scheme,
 )
-from .mesh import Mesh, make_mesh, midpoint_integral  # noqa: F401
+from .mesh import Mesh, make_mesh  # noqa: F401
 from .convex import (  # noqa: F401
     AffineFunc,
     MeshConvexFunc,
     PLConvexFunc,
     SmoothConvexFunc,
     crease,
-    dilate_mollify_approx,
     guillemin_potential,
     normalize,
     random_normalized_mesh_function,

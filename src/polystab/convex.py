@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationOutsideDomain, InvalidK, SegmentTouchesBoundary
+from .errors import EvaluationOutsideDomain, SegmentTouchesBoundary
 from .mesh import Mesh
 from .polytope import Polytope, center_of_mass
 
@@ -111,14 +111,13 @@ class SmoothConvexFunc:
     """
 
     def __init__(self, value, grad, hess, dimension, domain=None,
-                 guillemin_type=False, meta=None):
+                 guillemin_type=False):
         self._value = value
         self._grad = grad
         self._hess = hess
         self.dimension = dimension
         self.domain = domain
         self.guillemin_type = guillemin_type
-        self.meta = meta or {}
 
     def __call__(self, x):
         pts, single = _pts(x, self.dimension)
@@ -140,17 +139,6 @@ class SmoothConvexFunc:
             value=lambda p: self._value(p) - (ell.a0 + p @ g),
             grad=lambda p: self._grad(p) - g[None, :],
             hess=self._hess,
-            dimension=self.dimension,
-            domain=self.domain,
-            guillemin_type=self.guillemin_type,
-        )
-
-    def scale(self, r):
-        r = float(r)
-        return SmoothConvexFunc(
-            value=lambda p: r * self._value(p),
-            grad=lambda p: r * self._grad(p),
-            hess=lambda p: r * self._hess(p),
             dimension=self.dimension,
             domain=self.domain,
             guillemin_type=self.guillemin_type,
@@ -377,141 +365,6 @@ def random_normalized_mesh_function(mesh: Mesh, rng) -> MeshConvexFunc:
         if u.is_discretely_convex(slack=1e-10):
             return u
     raise RuntimeError("failed to draw a discretely convex sample")
-
-
-_BUMP_NODES = 32
-
-
-def _bump(t):
-    out = np.zeros_like(t)
-    m = np.abs(t) < 1.0
-    out[m] = np.exp(-1.0 / (1.0 - t[m] ** 2))
-    return out
-
-
-def _bump_d1(t):
-    out = np.zeros_like(t)
-    m = np.abs(t) < 1.0
-    s = 1.0 - t[m] ** 2
-    out[m] = np.exp(-1.0 / s) * (-2.0 * t[m] / s**2)
-    return out
-
-
-def _bump_d2(t):
-    out = np.zeros_like(t)
-    m = np.abs(t) < 1.0
-    tm = t[m]
-    s = 1.0 - tm**2
-    out[m] = np.exp(-1.0 / s) * (4.0 * tm**2 / s**4 - 2.0 * (1.0 + 3.0 * tm**2) / s**3)
-    return out
-
-
-def _bump_rule():
-    x, w = np.polynomial.legendre.leggauss(_BUMP_NODES)
-    mass = float(np.dot(w, _bump(x)))
-    return x, w, mass
-
-
-def dilate_mollify_approx(u, P: Polytope, k: int, sup_samples=None) -> SmoothConvexFunc:
-    """Smooth convex approximation of u on the closed polytope.
-
-    Dilates toward the center of mass with ratio 1 - 1/k, then convolves with
-    a tensor-product bump mollifier whose radius starts at one quarter of
-    (1/k) dist(center, boundary) and halves until the sup distance to the
-    dilate is at most 1/k.
-    """
-    if k < 2:
-        raise InvalidK("dilate-and-mollify needs k >= 2")
-    n = P.dimension
-    xc = center_of_mass(P)
-    r = 1.0 - 1.0 / k
-    eps0 = (1.0 - r) / 4.0 * float(P.boundary_distance(xc))
-
-    def dilate(pts):
-        return np.asarray(u(xc[None, :] + r * (np.atleast_2d(pts) - xc[None, :])), dtype=float)
-
-    nodes, wts, mass = _bump_rule()
-    if n == 1:
-        offs = nodes[:, None]
-        wb = wts * _bump(nodes) / mass
-        wg = wts * _bump_d1(nodes) / mass
-        wh = wts * _bump_d2(nodes) / mass
-    else:
-        TX, TY = np.meshgrid(nodes, nodes, indexing="ij")
-        offs = np.column_stack([TX.ravel(), TY.ravel()])
-        bx, by = _bump(TX.ravel()), _bump(TY.ravel())
-        dx, dy = _bump_d1(TX.ravel()), _bump_d1(TY.ravel())
-        hx, hy = _bump_d2(TX.ravel()), _bump_d2(TY.ravel())
-        ww = (wts[:, None] * wts[None, :]).ravel()
-        wb = ww * bx * by / mass**2
-        wgx = ww * dx * by / mass**2
-        wgy = ww * bx * dy / mass**2
-        whxx = ww * hx * by / mass**2
-        whyy = ww * bx * hy / mass**2
-        whxy = ww * dx * dy / mass**2
-
-    if sup_samples is None:
-        if n == 1:
-            lo, hi = float(P.vertices[0, 0]), float(P.vertices[1, 0])
-            sup_samples = np.linspace(lo, hi, 401)[:, None]
-        else:
-            lo = P.vertices.min(axis=0)
-            hi = P.vertices.max(axis=0)
-            gx = np.linspace(lo[0], hi[0], 25)
-            gy = np.linspace(lo[1], hi[1], 25)
-            GX, GY = np.meshgrid(gx, gy)
-            grid = np.column_stack([GX.ravel(), GY.ravel()])
-            sup_samples = np.vstack([grid[P.contains(grid)], P.vertices])
-
-    def conv_value(pts, eps):
-        pts = np.atleast_2d(pts)
-        shifted = pts[:, None, :] - eps * offs[None, :, :]
-        vals = dilate(shifted.reshape(-1, n)).reshape(pts.shape[0], -1)
-        return vals @ wb
-
-    eps = eps0
-    target = 1.0 / k
-    for _ in range(60):
-        gap = np.max(np.abs(conv_value(sup_samples, eps) - dilate(sup_samples)))
-        if gap <= target:
-            break
-        eps *= 0.5
-    chosen = eps
-
-    def value(pts):
-        return conv_value(pts, chosen)
-
-    if n == 1:
-        def grad(pts):
-            pts = np.atleast_2d(pts)
-            shifted = pts[:, None, :] - chosen * offs[None, :, :]
-            vals = dilate(shifted.reshape(-1, 1)).reshape(pts.shape[0], -1)
-            return (vals @ wg / chosen)[:, None]
-
-        def hess(pts):
-            pts = np.atleast_2d(pts)
-            shifted = pts[:, None, :] - chosen * offs[None, :, :]
-            vals = dilate(shifted.reshape(-1, 1)).reshape(pts.shape[0], -1)
-            return (vals @ wh / chosen**2)[:, None, None]
-    else:
-        def grad(pts):
-            pts = np.atleast_2d(pts)
-            shifted = pts[:, None, :] - chosen * offs[None, :, :]
-            vals = dilate(shifted.reshape(-1, 2)).reshape(pts.shape[0], -1)
-            return np.column_stack([vals @ wgx, vals @ wgy]) / chosen
-
-        def hess(pts):
-            pts = np.atleast_2d(pts)
-            shifted = pts[:, None, :] - chosen * offs[None, :, :]
-            vals = dilate(shifted.reshape(-1, 2)).reshape(pts.shape[0], -1)
-            H = np.empty((pts.shape[0], 2, 2))
-            H[:, 0, 0] = vals @ whxx / chosen**2
-            H[:, 1, 1] = vals @ whyy / chosen**2
-            H[:, 0, 1] = H[:, 1, 0] = vals @ whxy / chosen**2
-            return H
-
-    return SmoothConvexFunc(value, grad, hess, n, domain=P,
-                            meta={"epsilon": chosen, "ratio": r, "k": k})
 
 
 def _directional(u, point, direction, forward=True):

@@ -33,10 +33,6 @@ class EvaluationOutsideDomain(PolystabError):
     """Point lies outside the closed polytope (or derivative asked on it)."""
 
 
-class InvalidK(PolystabError):
-    """Dilate-and-mollify approximation needs k >= 2."""
-
-
 class SegmentTouchesBoundary(PolystabError):
     """Segment for a Monge-Ampere mass must be strictly interior."""
 
@@ -45,6 +41,10 @@ class SegmentTouchesBoundary(PolystabError):
 
 class SingularMoments(PolystabError):
     """Moment Gram matrix is singular (degenerate polytope)."""
+
+
+class NeedsSmoothFunction(PolystabError):
+    """The functional reads pointwise Hessians, which a piecewise-linear u lacks."""
 
 
 class NonConvexAtQuadraturePoint(PolystabError):

@@ -20,7 +20,12 @@ from functools import cached_property
 import numpy as np
 
 from .convex import AffineFunc, MeshConvexFunc, PLConvexFunc, SmoothConvexFunc
-from .errors import NonConvexAtQuadraturePoint, SingularHessian, SingularMoments
+from .errors import (
+    NeedsSmoothFunction,
+    NonConvexAtQuadraturePoint,
+    SingularHessian,
+    SingularMoments,
+)
 from .hessfit import HessianSurrogate, components_to_matrices
 from .mesh import Mesh
 from .polytope import Polytope
@@ -195,8 +200,7 @@ class FunctionalEvaluator:
         """F_A(u) with a reported truncation estimate for the log-det term."""
         if isinstance(u, MeshConvexFunc):
             return self._mabuchi_mesh(u)
-        if not isinstance(u, SmoothConvexFunc):
-            raise TypeError("mabuchi needs a smooth or mesh convex function")
+        _require_smooth(u, "the Mabuchi energy")
         Q = self.graded if u.guillemin_type else self.scheme
         H = u.hess(Q.interior_points)
         det = _dets(H)
@@ -245,6 +249,7 @@ class FunctionalEvaluator:
         differentiated with central differences of step h_fd (default
         min(1e-3, dist/4)); the error is O(h_fd^2).
         """
+        _require_smooth(u, "Abreu's operator")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         P = self.polytope
         dist = np.atleast_1d(P.boundary_distance(pts))
@@ -297,11 +302,18 @@ class FunctionalEvaluator:
         elif isinstance(u, AffineFunc):
             Hu = np.zeros_like(Hv)
         else:
+            _require_smooth(u, "the integration-by-parts identity")
             Hu = u.hess(Q.interior_points)
         integrand = np.einsum("mij,mij->m", Wv, Hu)
         rhs = float(np.dot(Q.interior_weights, integrand))
         lhs = self.linear_functional(u)
         return lhs, rhs, abs(lhs - rhs)
+
+
+def _require_smooth(u, what):
+    if not isinstance(u, SmoothConvexFunc):
+        raise NeedsSmoothFunction(f"{what} reads pointwise Hessians, "
+                                  f"which a {type(u).__name__} does not have")
 
 
 def _dets(H):

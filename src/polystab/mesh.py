@@ -116,12 +116,18 @@ def make_mesh(P: Polytope, h: float) -> Mesh:
     """Boundary-conforming mesh with grid spacing <= h; deterministic."""
     if h <= 0:
         raise ValueError("mesh parameter h must be positive")
+    lo, hi = P.vertices.min(axis=0), P.vertices.max(axis=0)
+    size = float(np.max(hi - lo))
+    # coordinates carry rounding of their own magnitude (a few ulps are
+    # 1e-15 max|x|), so the slack in the cell counts, the clipping tolerance
+    # and the merge digits follow that as well as the size of P
+    scale = max(size, 1e-3 * float(np.max(np.abs(P.vertices))))
+    shrink = 1.0 - 1e-12 * scale / size
     if P.dimension == 1:
-        lo, hi = float(P.vertices[0, 0]), float(P.vertices[1, 0])
-        ncell = int(np.ceil((hi - lo) / h - 1e-12))
+        ncell = int(np.ceil(size / h * shrink))
         if ncell + 1 > VERTEX_CAP:
             raise MeshTooFine(f"{ncell + 1} vertices exceed the cap {VERTEX_CAP}")
-        xs = np.linspace(lo, hi, ncell + 1)
+        xs = np.linspace(lo[0], hi[0], ncell + 1)
         vertices = xs[:, None]
         cells = np.column_stack([np.arange(ncell), np.arange(1, ncell + 1)])
         hinges = np.column_stack([np.arange(ncell - 1), np.arange(1, ncell), np.arange(2, ncell + 1)])
@@ -129,14 +135,7 @@ def make_mesh(P: Polytope, h: float) -> Mesh:
                    ncell: (int(np.argmin(np.abs(P.gaps(vertices[-1])))),)}
         return Mesh(P, h, vertices, cells, hinges, bfacets)
 
-    xlo, ylo = P.vertices.min(axis=0)
-    xhi, yhi = P.vertices.max(axis=0)
-    size = max(xhi - xlo, yhi - ylo)
-    # coordinates carry rounding of their own magnitude (a few ulps are
-    # 1e-15 max|x|), so the slack in the cell counts, the clipping tolerance
-    # and the merge digits follow that as well as the size of P
-    scale = max(size, 1e-3 * float(np.max(np.abs(P.vertices))))
-    shrink = 1.0 - 1e-12 * scale / size
+    (xlo, ylo), (xhi, yhi) = lo, hi
     nx = int(np.ceil((xhi - xlo) / h * shrink))
     ny = int(np.ceil((yhi - ylo) / h * shrink))
     if (nx + 1) * (ny + 1) > VERTEX_CAP:
@@ -230,14 +229,3 @@ def make_mesh(P: Polytope, h: float) -> Mesh:
                 grid_shape=(nx, ny, xlo, ylo, sx, sy), cell_index=buckets,
                 boundary_edges=np.column_stack([ea, eb, facet]))
 
-
-def midpoint_integral(f, mesh: Mesh) -> float:
-    """Composite midpoint (centroid) rule over mesh cells; O(h^2) on smooth f."""
-    v = mesh.vertices[mesh.cells]
-    centroids = v.mean(axis=1)
-    if mesh.dimension == 1:
-        meas = np.abs(v[:, 1, 0] - v[:, 0, 0])
-    else:
-        e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
-        meas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    return float(np.dot(meas, np.asarray(f(centroids), dtype=float)))

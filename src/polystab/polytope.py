@@ -46,11 +46,6 @@ class Polytope:
         pts = np.asarray(points, dtype=float)
         return pts @ self.normals.T - self.offsets
 
-    def contains(self, points, tol=1e-12):
-        """True where all facet gaps are >= -tol (closed polytope)."""
-        g = self.gaps(points)
-        return np.all(g >= -tol * self._scale, axis=-1)
-
     def boundary_distance(self, points):
         """Euclidean distance to the nearest facet plane (min_k delta_k/|h_k|)."""
         g = self.gaps(points)

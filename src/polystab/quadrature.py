@@ -122,11 +122,6 @@ class QuadratureScheme:
             object.__setattr__(self, "interior_cells",
                                np.full(len(self.interior_weights), -1, dtype=int))
 
-    def restricted_to_layers(self, max_layer):
-        """Interior sub-rule using only points with layer < max_layer."""
-        m = self.interior_layers < max_layer
-        return self.interior_points[m], self.interior_weights[m]
-
 
 def _interior_1d(P, degree, breakpoints):
     ends = P.vertices[:, 0]

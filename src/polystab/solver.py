@@ -181,8 +181,7 @@ def solve_1d(P: Polytope, A, p_o=None, tol=COMPAT_TOL):
         xs = np.atleast_2d(pts)[:, 0]
         return (1.0 / w_fn(xs))[:, None, None]
 
-    u = SmoothConvexFunc(u_value, u_grad, u_hess, 1, domain=P, guillemin_type=True,
-                         meta={"w": w_fn, "p_o": p_o})
+    u = SmoothConvexFunc(u_value, u_grad, u_hess, 1, domain=P, guillemin_type=True)
     return u, report
 
 

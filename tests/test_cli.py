@@ -7,7 +7,9 @@ import pytest
 
 import polystab
 from polystab.cli import main
+from polystab.convex import AffineFunc, crease
 from polystab.errors import LPNotConverged
+from polystab.fileio import write_pl_function
 
 PENTAGON = """# polystab polytope
 dimension: 2
@@ -212,6 +214,22 @@ def test_eval_unknown_u_exits_2(tmp_path, capsys):
     path.write_text(INTERVAL)
     assert main(["eval", "--polytope", str(path), "--op", "mabuchi", "--u", "bogus"]) == 2
     assert "error: unknown u spec 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("op", ["mabuchi", "abreu-residual", "ibp"])
+@pytest.mark.parametrize("source", ["crease", "plfile"])
+def test_eval_rejects_piecewise_linear_u_for_hessian_ops(op, source, tmp_path, capsys):
+    # these ops read pointwise Hessians; a piecewise-linear u is bad input
+    # (exit 2), not a failed audit (exit 1) or a traceback
+    path = tmp_path / "square.txt"
+    path.write_text(SQUARE)
+    u = "crease:affine:-0.5,1,0"
+    if source == "plfile":
+        write_pl_function(crease(AffineFunc(-0.5, (1.0, 0.0))), tmp_path / "u.pl")
+        u = f"plfile:{tmp_path / 'u.pl'}"
+    assert main(["eval", "--polytope", str(path), "--op", op, "--u", u]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "PLConvexFunc" in err
 
 
 def test_eval_extremal_affine_reads_the_degree(tmp_path, capsys):

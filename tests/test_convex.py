@@ -7,13 +7,11 @@ from polystab.convex import (
     PLConvexFunc,
     SmoothConvexFunc,
     crease,
-    dilate_mollify_approx,
     guillemin_potential,
     normalize,
     segment_ma_measure,
 )
-from polystab.errors import EvaluationOutsideDomain, InvalidK, SegmentTouchesBoundary
-from polystab.functionals import FunctionalEvaluator
+from polystab.errors import EvaluationOutsideDomain, SegmentTouchesBoundary
 from polystab.mesh import make_mesh
 from polystab.polytope import interval, unit_square
 
@@ -128,79 +126,6 @@ def test_crease_examples():
     assert diag(np.array([0.2, 0.3])) == 0.0
     assert diag(np.array([0.9, 0.9])) == pytest.approx(0.8)
 
-
-# -- dilate and mollify ----------------------------------------------------------
-
-def test_mollify_affine_is_exact_dilate():
-    P = interval()
-    u = AffineFunc(0.4, (2.0,))
-    for k in (2, 5, 17):
-        out = dilate_mollify_approx(u, P, k)
-        r = 1.0 - 1.0 / k
-        xs = np.linspace(0, 1, 41)[:, None]
-        dil = u(0.5 + r * (xs - 0.5))
-        assert np.max(np.abs(out(xs) - dil)) <= 1e-13
-
-
-def test_mollify_within_target_of_dilate():
-    P = interval()
-    u = abs_kink()
-    k = 10
-    out = dilate_mollify_approx(u, P, k)
-    xs = np.linspace(0, 1, 501)[:, None]
-    r = 1.0 - 1.0 / k
-    dil = u((0.5 + r * (xs - 0.5)))
-    assert np.max(np.abs(out(xs) - dil)) <= 1.0 / k + 1e-12
-
-
-def test_mollify_invalid_k():
-    with pytest.raises(InvalidK):
-        dilate_mollify_approx(abs_kink(), interval(), 1)
-
-
-def test_mollify_boundary_norm_converges():
-    # |u^{(k)}|_b -> 1/2 for u = max(0, x - 1/2); within 0.02 by k = 50
-    P = interval()
-    u = crease(AffineFunc(-0.5, (1.0,)))
-    ev = FunctionalEvaluator(P, 2.0)
-    out = dilate_mollify_approx(u, P, 50)
-    bn = out(np.array([0.0])) + out(np.array([1.0]))
-    assert abs(bn - 0.5) <= 0.02
-    la = ev.linear_functional(out)
-    assert abs(la - 0.25) <= 0.02
-
-
-def test_mollify_local_uniform_convergence():
-    P = interval()
-    u = abs_kink()
-    xs = np.linspace(0.2, 0.8, 61)[:, None]  # fixed compact subset
-    sups = []
-    for k in (10, 50, 100):
-        out = dilate_mollify_approx(u, P, k)
-        sups.append(np.max(np.abs(out(xs) - u(xs))))
-    assert sups[0] > sups[1] > sups[2]
-    assert sups[2] <= 1.0 / 100 + 0.5 * (1 - (1 - 1 / 100)) + 1e-9
-
-
-def test_mollify_output_is_convex_and_smooth():
-    P = unit_square()
-    u = crease(AffineFunc(-1.0, (1.0, 1.0)))
-    out = dilate_mollify_approx(u, P, 8)
-    pts = np.array([[0.5, 0.5], [0.52, 0.5], [0.47, 0.55]])
-    eig = np.linalg.eigvalsh(out.hess(pts))
-    assert np.min(eig) >= -1e-10
-    # gradient evaluator agrees with differences away from the smeared kink
-    far = np.array([[0.25, 0.3], [0.75, 0.8]])
-    g = out.grad(far)
-    fd = (out(far + np.array([1e-6, 0.0])) - out(far - np.array([1e-6, 0.0]))) / 2e-6
-    assert np.allclose(g[:, 0], fd, atol=1e-8)
-    # near the kink the fixed-order convolution rule limits agreement
-    g2 = out.grad(pts)
-    fd2 = (out(pts + np.array([1e-6, 0.0])) - out(pts - np.array([1e-6, 0.0]))) / 2e-6
-    assert np.allclose(g2[:, 0], fd2, atol=5e-3)
-
-
-# -- segment Monge-Ampere mass ---------------------------------------------------
 
 def test_ma_affine_zero():
     assert segment_ma_measure(AffineFunc(0.3, (2.0,)), [0.2], [0.8], interval()) == 0.0

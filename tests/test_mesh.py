@@ -7,9 +7,8 @@ from polystab._geom import clip_polygon_halfplane, fan_triangles, polygon_area
 from polystab.convex import MeshConvexFunc
 from polystab.errors import MeshTooFine
 from polystab.hessfit import HessianSurrogate
-from polystab.mesh import make_mesh, midpoint_integral
+from polystab.mesh import make_mesh
 from polystab.polytope import build_polytope, interval, standard_simplex, unit_square
-from polystab.quadrature import integrate_interior, standard_scheme
 
 from test_stability import _lattice_polygon, lattice_points
 
@@ -70,17 +69,6 @@ def test_determinism():
     assert np.array_equal(m1.cells, m2.cells)
 
 
-def test_midpoint_rule_second_order():
-    S = unit_square()
-    exact = integrate_interior(lambda x: np.exp(x[:, 0] + 0.3 * x[:, 1]), S,
-                               standard_scheme(S, 12))
-    errs = [abs(midpoint_integral(lambda x: np.exp(x[:, 0] + 0.3 * x[:, 1]),
-                                  make_mesh(S, h)) - exact)
-            for h in (1 / 8, 1 / 16, 1 / 32)]
-    assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.0)
-    assert errs[1] / errs[2] == pytest.approx(4.0, abs=1.0)
-
-
 def test_locate_boundary_and_interior():
     m = make_mesh(standard_simplex(), 1 / 8)
     pts = np.array([[0.2, 0.3], [0.0, 0.0], [0.5, 0.5], [1 / 3, 1 / 3]])
@@ -127,6 +115,24 @@ def test_mesh_far_from_the_origin(origin, s):
     assert np.array_equal(m.hinges, unit.hinges)
     assert np.array_equal(m.boundary_edges, unit.boundary_edges)
     assert m.boundary_facets == unit.boundary_facets
+
+
+@pytest.mark.parametrize("origin, s", [(0.0, 0.01), (1e4, 0.01), (-5e3, 1e-3), (0.0, 1e-6)])
+def test_interval_mesh_is_scale_free(origin, s):
+    # the 1D cell count has the 2D branch's slack, so [origin, origin + s] at
+    # h = s/4 gets the unit interval's 4 cells wherever it sits
+    m, unit = make_mesh(interval(origin, origin + s), s / 4), make_mesh(interval(), 0.25)
+    assert m.num_vertices == 5
+    np.testing.assert_allclose(m.vertices, origin + s * unit.vertices,
+                               rtol=0, atol=1e-12 * max(abs(origin), s))
+    assert np.array_equal(m.cells, unit.cells)
+    assert np.array_equal(m.hinges, unit.hinges)
+    assert m.boundary_facets == unit.boundary_facets
+
+
+@pytest.mark.parametrize("h, nv", [(1 / 16, 17), (1 / 32, 33), (0.3, 5)])
+def test_interval_mesh_vertex_counts(h, nv):
+    assert make_mesh(interval(), h).num_vertices == nv
 
 
 @pytest.mark.parametrize("origin, s", [(0.0, 1.0), (0.0, 1e-9), (1e4, 0.01)])

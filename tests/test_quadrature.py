@@ -165,10 +165,10 @@ def test_mesh_graded_scheme_log_accuracy():
 def test_truncation_layers_bookkeeping():
     I = interval()
     G = graded_scheme(I, layers=40)
-    shallow_pts, shallow_wts = G.restricted_to_layers(30)
-    assert len(shallow_pts) < len(G.interior_points)
+    shallow = G.interior_layers < 30
+    assert np.count_nonzero(shallow) < len(G.interior_points)
     # shallow rule misses only ~2^-30 of the length
-    assert float(np.sum(shallow_wts)) == pytest.approx(1.0, abs=1e-8)
+    assert float(np.sum(G.interior_weights[shallow])) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_1d_rules_match_interval_by_interval_loops():

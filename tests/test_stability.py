@@ -306,6 +306,22 @@ def test_crease_linear_functional_is_unimodular_invariant(points, dirs, offsets,
     np.testing.assert_allclose(la_Q, la, rtol=1e-10, atol=1e-10)
 
 
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e4])
+@settings(max_examples=30, deadline=None)
+@given(points=lattice_points, a=st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+def test_extremal_field_annihilates_affine_functions(s, points, a):
+    # the extremal A is defined by L_A(affine) = 0; on s P, with ell of unit
+    # size on it, the identity holds to rounding relative to |c|_b, where c
+    # is the constant sup over P of |ell|
+    P = _lattice_polygon(points)
+    assume(P is not None)
+    P = build_polytope([(tuple(h), s * c) for h, c in zip(P.normals, P.offsets)])
+    ev = FunctionalEvaluator(P, extremal_affine(P))
+    ell = AffineFunc(a[0], (a[1] / s, a[2] / s))
+    c = float(np.max(np.abs(ell(P.vertices))))
+    assert abs(ev.linear_functional(ell)) <= 1e-12 * ev.boundary_norm(AffineFunc.constant(c, 2))
+
+
 # -- LP stability estimate -----------------------------------------------------------
 
 def test_lp_interval_lambda_half():
