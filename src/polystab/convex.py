@@ -260,15 +260,21 @@ def guillemin_potential(P: Polytope) -> SmoothConvexFunc:
     tol = 1e-12 * max(1.0, P._scale)
 
     def value(pts):
-        g = P.gaps(pts)
-        if np.any(g < -tol):
-            raise EvaluationOutsideDomain("Guillemin potential asked outside the closure")
-        if np.all(g > 0.0):
-            return np.sum(g * np.log(g), axis=-1)
-        gc = np.maximum(g, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(gc > 0.0, gc * np.log(np.where(gc > 0.0, gc, 1.0)), 0.0)
-        return np.sum(term, axis=-1)
+        # g_k log g_k summed one facet at a time, in facet order (for K < 8
+        # the order of NumPy's row sum), from (m,) gap columns, so no (m, K)
+        # array is made; 0 log 0 = 0 on the closure
+        total = np.zeros(len(pts))
+        for h, c in zip(normals, P.offsets):
+            g = pts @ h - c
+            if np.any(g < -tol):
+                raise EvaluationOutsideDomain("Guillemin potential asked outside the closure")
+            pos = g > 0.0
+            term = np.where(pos, g, 1.0)
+            np.log(term, out=term)
+            term *= g
+            term[~pos] = 0.0
+            total += term
+        return total
 
     def grad(pts):
         g = P.gaps(pts)

@@ -10,6 +10,8 @@ Hessians of log-det terms follow in closed form from their transposes.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from ._geom import sorted_unique
@@ -101,6 +103,7 @@ class PointOperator:
         self.tri = tri
         self.bary = bary
         self.shape = (surrogate.ncomp * tri.shape[1], surrogate.mesh.num_vertices)
+        self._scatter_hit = None
 
     def __matmul__(self, values):
         """(ncomp, m) Hessian components of the (V,) vertex values."""
@@ -124,35 +127,55 @@ class PointOperator:
     def gram(self, K, cols):
         """Dense (c, c) matrix op^T K op on the vertex columns `cols`.
 
-        K: (m, ncomp, ncomp), one block per point.
+        K: (m, ncomp, ncomp), one block per point.  Everything but K's
+        entries is built on the first call (and again when `cols` changes).
         """
         sur = self.surrogate
-        k, V = sur.ncomp, self.shape[1]
-        # K and op^T K op are symmetric: sum the distinct entries of b_i b_j K
-        # over unordered pairs of cell vertices (diagonal pairs halved), then mirror
+        k = sur.ncomp
+        slot, bb, pa, pb = self._pairs
+        keep, flat = self._scatter(cols)
+        # sum the distinct entries of b_i b_j K per pair of cell vertices
+        er, ec = np.triu_indices(k)
+        block = np.empty((len(pa), k, k))
+        block[:, er, ec] = block[:, ec, er] = np.stack(
+            [np.bincount(slot, weights=(bb * K[:, r, c]).ravel(), minlength=len(pa))
+             for r, c in zip(er, ec)], axis=1)
+        # map each pair's block through the two vertices' fits
+        full = np.einsum("pks,pkl,plr->psr", sur.star_op[pa], block, sur.star_op[pb])
+        n = len(cols)
+        half = np.bincount(flat, weights=full[keep], minlength=n * n).reshape(n, n)
+        return half + half.T
+
+    @cached_property
+    def _pairs(self):
+        """(slot, bb, pa, pb): the unordered pairs (pa, pb) of cell vertices,
+        each point's pair slots and the pair weights b_i b_j (diagonal pairs
+        halved, since K and op^T K op are symmetric and gram mirrors half)."""
+        V = self.shape[1]
         ia, ib = np.triu_indices(len(self.tri))
         ta, tb = self.tri[ia], self.tri[ib]
         pairs, slot = np.unique((np.minimum(ta, tb) * V + np.maximum(ta, tb)).ravel(),
                                 return_inverse=True)
         bb = self.bary[ia] * self.bary[ib] * np.where(ia == ib, 0.5, 1.0)[:, None]
-        er, ec = np.triu_indices(k)
-        block = np.empty((len(pairs), k, k))
-        block[:, er, ec] = block[:, ec, er] = np.stack(
-            [np.bincount(slot, weights=(bb * K[:, r, c]).ravel(), minlength=len(pairs))
-             for r, c in zip(er, ec)], axis=1)
-        # map each pair's block through the two vertices' fits
-        pa, pb = pairs // V, pairs % V
-        full = np.einsum("pks,pkl,plr->psr", sur.star_op[pa], block, sur.star_op[pb])
-        # scatter onto the columns; fixed vertices map to -1 and drop out
-        pos = np.full(V, -1)
+        return slot, bb, pairs // V, pairs % V
+
+    def _scatter(self, cols):
+        """(keep, flat): which entries of the per-pair star blocks land on
+        `cols`, and their flat index in the (c, c) matrix; fixed vertices
+        map to -1 and drop out.  Cached for the last `cols` seen."""
+        hit = self._scatter_hit
+        if hit is not None and np.array_equal(hit[0], cols):
+            return hit[1]
+        sur = self.surrogate
+        _, _, pa, pb = self._pairs
+        pos = np.full(self.shape[1], -1)
         pos[cols] = np.arange(len(cols))
         r = pos[sur.star_idx[pa]][:, :, None]
         c = pos[sur.star_idx[pb]][:, None, :]
         keep = (r >= 0) & (c >= 0)
-        n = len(cols)
-        flat = np.broadcast_to(r * n + c, full.shape)[keep]
-        half = np.bincount(flat, weights=full[keep], minlength=n * n).reshape(n, n)
-        return half + half.T
+        out = keep, (r * len(cols) + c)[keep]
+        self._scatter_hit = (np.array(cols, copy=True), out)
+        return out
 
 
 def components_to_matrices(comp, n):

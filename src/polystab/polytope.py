@@ -81,8 +81,7 @@ def _reduce_1d(normals, offsets):
                 upper, up_k = bound, k
     if lower is None or upper is None:
         raise UnboundedDomain("interval needs both a lower and an upper facet")
-    scale = max(abs(lower), abs(upper), 1.0)
-    if upper - lower <= _FEAS_TOL * scale:
+    if upper - lower <= _FEAS_TOL * max(abs(lower), abs(upper)):
         raise EmptyInterior(f"empty interval: [{lower}, {upper}]")
     keep = [lo_k, up_k]
     vertices = np.array([[lower], [upper]])

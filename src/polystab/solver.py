@@ -234,16 +234,20 @@ class DiscreteEnergy:
         self.margin = margin
         dist = P.boundary_distance(mesh.vertices)
         self.free = np.where(dist > margin)[0]
+        self.u_o = guillemin_potential(P)
+        # L_A(u_o) on the 40-layer graded rule, built and dropped before the
+        # mesh-graded rule exists, so the two large rules never coexist
+        self.lin_const = FunctionalEvaluator(
+            P, A, degree=degree, layers=40).linear_functional(self.u_o)
         self.scheme = mesh_graded_scheme(mesh, degree=degree, layers=20,
                                          tangential_layers=8)
-        self.u_o = guillemin_potential(P)
         pts = self.scheme.interior_points
         cells = self.scheme.interior_cells
         wq = self.scheme.interior_weights
         self.npts = pts.shape[0]
         sur = HessianSurrogate(mesh)
         self.surrogate = sur
-        self.active = active = sur.reads(self.free)[mesh.cells[cells]].any(axis=1)
+        self.active = active = sur.reads(self.free)[mesh.cells].any(axis=1)[cells]
         # Hess u_o = sum_k n_k n_k^T / g_k, one (xx, xy, yy) product per point
         g = P.gaps(pts)
         if np.any(g <= 0.0):
@@ -259,9 +263,6 @@ class DiscreteEnergy:
         self.op = sur.point_operator(pts[active], cells[active])
         b, a = mesh_linear_forms(mesh, A, degree=degree)
         self.lin_free = (b - a)[self.free]
-        ev = FunctionalEvaluator(P, A, degree=degree, layers=40)
-        self.evaluator = ev
-        self.lin_const = ev.linear_functional(self.u_o)
 
     def _active_hessians(self, f):
         """(hxx, hxy, hyy, det) of u_o + f on the active samples."""

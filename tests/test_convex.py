@@ -13,7 +13,7 @@ from polystab.convex import (
 )
 from polystab.errors import EvaluationOutsideDomain, SegmentTouchesBoundary
 from polystab.mesh import make_mesh
-from polystab.polytope import interval, unit_square
+from polystab.polytope import build_polytope, interval, unit_square
 
 
 def abs_kink(center=0.5, scale=1.0):
@@ -66,6 +66,35 @@ def test_guillemin_value_inside_matches_the_masked_form():
     # a point on a facet still takes the masked branch
     edge = np.array([[0.0, 0.5], [0.5, 0.5]])
     assert guillemin_potential(S)(edge) == pytest.approx([np.log(0.5), np.log(0.25)], rel=1e-15)
+
+
+def test_guillemin_value_is_the_row_sum_bit_for_bit():
+    # facet-by-facet accumulation against the (m, K) masked row sum on the
+    # pentagon (K = 5): the normals have entries 0 and +-1, so a gap column
+    # is the same float whether taken alone or from the (m, K) product
+    P = build_polytope([((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, 0.0), -3.0),
+                        ((0.0, -1.0), -2.0), ((-1.0, -1.0), -4.0)])
+    u = guillemin_potential(P)
+
+    def row_sum(pts):
+        g = np.maximum(P.gaps(pts), 0.0)
+        return np.sum(np.where(g > 0.0, g * np.log(np.where(g > 0.0, g, 1.0)), 0.0), axis=-1)
+
+    rng = np.random.default_rng(11)
+    inside = rng.uniform([0.0, 0.0], [3.0, 2.0], size=(4000, 2))
+    inside = inside[np.all(P.gaps(inside) > 0.0, axis=1)]
+    t = np.linspace(0.0, 1.0, 17)[:, None]
+    on_facets = np.concatenate([P.vertices] + [a + t * (b - a) for a, b in
+                                               zip(P.vertices, np.roll(P.vertices, -1, 0))])
+    assert np.all(np.min(P.gaps(on_facets), axis=1) == 0.0)
+    tol = 1e-12 * P._scale
+    near = np.array([[-0.5 * tol, 1.0], [1.5, -0.5 * tol], [3.0 + 0.5 * tol, 0.5],
+                     [2.5 + 0.25 * tol, 1.5 + 0.25 * tol]])
+    assert np.all(np.min(P.gaps(near), axis=1) < 0.0)
+    for pts in (inside, on_facets, near):
+        assert np.array_equal(u(pts), row_sum(pts))
+    with pytest.raises(EvaluationOutsideDomain):
+        u(np.array([[1.0, -2.0 * tol]]))
 
 
 # -- normalize ----------------------------------------------------------------

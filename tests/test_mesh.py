@@ -117,7 +117,8 @@ def test_mesh_far_from_the_origin(origin, s):
     assert m.boundary_facets == unit.boundary_facets
 
 
-@pytest.mark.parametrize("origin, s", [(0.0, 0.01), (1e4, 0.01), (-5e3, 1e-3), (0.0, 1e-6)])
+@pytest.mark.parametrize("origin, s", [(0.0, 0.01), (1e4, 0.01), (-5e3, 1e-3), (0.0, 1e-6),
+                                       (0.0, 1e-12)])
 def test_interval_mesh_is_scale_free(origin, s):
     # the 1D cell count has the 2D branch's slack, so [origin, origin + s] at
     # h = s/4 gets the unit interval's 4 cells wherever it sits

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from polystab.convex import guillemin_potential
 from polystab.errors import LineSearchStall, LostConvexity
-from polystab.functionals import extremal_affine
-from polystab.hessfit import components_to_matrices
+from polystab.functionals import FunctionalEvaluator, extremal_affine
+from polystab.hessfit import PointOperator, components_to_matrices
 from polystab.mesh import make_mesh
 from polystab.polytope import build_polytope, interval, unit_square
 from polystab.solver import DiscreteEnergy, solve_1d, solve_2d_descent
@@ -176,6 +177,44 @@ def test_gram_matches_dense_reference():
     ref = np.einsum("akp,pkl,blp->ab", dense, K, dense)[np.ix_(E.free, E.free)]
     G = E.op.gram(K, E.free)
     assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_gram_structure_is_rebuilt_for_new_columns():
+    # the pair sums and the column scatter are built once per operator; a
+    # second column set, and a return to the first, read as a fresh operator
+    P = build_polytope(PENTAGON)
+    E = DiscreteEnergy(P, extremal_affine(P), make_mesh(P, 1 / 5))
+    K = E.w[:, None, None] * np.random.default_rng(9).standard_normal((len(E.w), 3, 3))
+    K = K + K.transpose(0, 2, 1)
+    op = E.op
+    for cols in (E.free, E.free[::2], np.arange(op.shape[1]), E.free):
+        fresh = PointOperator(op.surrogate, op.tri, op.bary)
+        assert np.array_equal(op.gram(K, cols), fresh.gram(K, cols))
+
+
+def test_energy_setup_holds_one_large_rule_at_a_time():
+    # L_A(u_o) is taken on the 40-layer graded rule before the mesh-graded
+    # rule is built, and neither that rule nor its evaluator is kept
+    P = build_polytope(PENTAGON)
+    A, mesh = extremal_affine(P), make_mesh(P, 1 / 5)
+    DiscreteEnergy(P, A, mesh)  # warm-up: imports and first-use caches
+    tracemalloc.start()
+    try:
+        E = DiscreteEnergy(P, A, mesh)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25e6
+    assert held <= 8e6
+    assert not hasattr(E, "evaluator")
+
+
+def test_linear_constant_is_the_graded_evaluator_value():
+    P = build_polytope(PENTAGON)
+    A = extremal_affine(P)
+    E = DiscreteEnergy(P, A, make_mesh(P, 1 / 5))
+    ev = FunctionalEvaluator(P, A, degree=6, layers=40)
+    assert E.lin_const == ev.linear_functional(guillemin_potential(P))
 
 
 def test_newton_converges_at_the_default_mesh_size():

@@ -312,12 +312,17 @@ def test_crease_linear_functional_is_unimodular_invariant(points, dirs, offsets,
 def test_extremal_field_annihilates_affine_functions(s, points, a):
     # the extremal A is defined by L_A(affine) = 0; on s P, with ell of unit
     # size on it, the identity holds to rounding relative to |c|_b, where c
-    # is the constant sup over P of |ell|
+    # is the constant sup over P of |ell|.  ell is scaled to c = 1 first: a
+    # drawn coefficient near 1e-308 would put ell and L_A(ell) among the
+    # subnormal floats, whose spacing no relative bound survives
     P = _lattice_polygon(points)
     assume(P is not None)
     P = build_polytope([(tuple(h), s * c) for h, c in zip(P.normals, P.offsets)])
     ev = FunctionalEvaluator(P, extremal_affine(P))
     ell = AffineFunc(a[0], (a[1] / s, a[2] / s))
+    size = float(np.max(np.abs(ell(P.vertices))))
+    assume(size > 0.0)
+    ell = AffineFunc(a[0] / size, (a[1] / s / size, a[2] / s / size))
     c = float(np.max(np.abs(ell(P.vertices))))
     assert abs(ev.linear_functional(ell)) <= 1e-12 * ev.boundary_norm(AffineFunc.constant(c, 2))
 
