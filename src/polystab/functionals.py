@@ -32,7 +32,10 @@ from .polytope import Polytope
 from .quadrature import (
     DEFAULT_DEGREE,
     QuadratureScheme,
+    graded_blocks,
+    graded_boundary,
     graded_scheme,
+    integrate_blocks,
     integrate_boundary,
     integrate_interior,
     map_triangles,
@@ -126,12 +129,16 @@ class FunctionalEvaluator:
         self.degree = degree
         self.layers = layers
         self._A = as_field(A, P.dimension)
-        self.scheme = standard_scheme(P, degree)
         self._mesh_cache: dict = {}
 
     @cached_property
+    def scheme(self) -> QuadratureScheme:
+        """Standard rule, built on first use."""
+        return standard_scheme(self.polytope, self.degree)
+
+    @cached_property
     def graded(self) -> QuadratureScheme:
-        """Boundary-graded rule for Guillemin-type integrands, built on first use."""
+        """Whole boundary-graded rule, built on first use, for callers that need its points."""
         return graded_scheme(self.polytope, self.degree, layers=self.layers)
 
     # -- helpers -------------------------------------------------------------
@@ -152,12 +159,14 @@ class FunctionalEvaluator:
     def _surrogate_for(self, mesh: Mesh):
         return self._cached("surrogate", (mesh,), lambda: HessianSurrogate(mesh))
 
-    def _scheme_for(self, u):
-        if isinstance(u, PLConvexFunc):
-            return split_scheme(self.polytope, u.kink_lines(), self.degree)
+    def _rule_for(self, u):
+        """(interior, boundary) blocks of u's rule; the graded one comes per facet fan."""
+        P, d = self.polytope, self.degree
         if isinstance(u, SmoothConvexFunc) and u.guillemin_type:
-            return self.graded
-        return self.scheme
+            return graded_blocks(P, d, self.layers), zip(*graded_boundary(P, d))
+        Q = split_scheme(P, u.kink_lines(), d) if isinstance(u, PLConvexFunc) else self.scheme
+        return ([(Q.interior_points, Q.interior_weights, Q.interior_layers)],
+                zip(Q.boundary_points, Q.boundary_weights))
 
     # -- functionals ---------------------------------------------------------
 
@@ -166,19 +175,17 @@ class FunctionalEvaluator:
         if isinstance(u, MeshConvexFunc):
             b, _ = self._forms_for(u.mesh)
             return float(b @ u.values)
-        Q = self._scheme_for(u)
-        return integrate_boundary(u, self.polytope, Q)
+        return integrate_blocks(u, self._rule_for(u)[1])
 
     def interior_integral(self, u) -> float:
         """Integral of A u over the polytope."""
         if isinstance(u, MeshConvexFunc):
             _, a = self._forms_for(u.mesh)
             return float(a @ u.values)
-        return self._interior(u, self._scheme_for(u))
+        return self._interior(u, self._rule_for(u)[0])
 
-    def _interior(self, u, Q):
-        return integrate_interior(lambda p: self._A(p) * np.asarray(u(p), dtype=float),
-                                  self.polytope, Q)
+    def _interior(self, u, blocks):
+        return integrate_blocks(lambda p: self._A(p) * np.asarray(u(p), dtype=float), blocks)
 
     def linear_functional(self, u) -> float:
         """L_A(u) = |u|_b - integral of A u."""
@@ -189,8 +196,8 @@ class FunctionalEvaluator:
         if isinstance(u, MeshConvexFunc):
             bn, au = self.boundary_norm(u), self.interior_integral(u)
         else:
-            Q = self._scheme_for(u)
-            bn, au = integrate_boundary(u, self.polytope, Q), self._interior(u, Q)
+            blocks, rim = self._rule_for(u)
+            bn, au = integrate_blocks(u, rim), self._interior(u, blocks)
         return bn, bn - au
 
     def volume(self) -> float:
@@ -201,20 +208,20 @@ class FunctionalEvaluator:
         if isinstance(u, MeshConvexFunc):
             return self._mabuchi_mesh(u)
         _require_smooth(u, "the Mabuchi energy")
-        Q = self.graded if u.guillemin_type else self.scheme
-        H = u.hess(Q.interior_points)
-        det = _dets(H)
-        if np.any(det <= 0.0):
-            raise NonConvexAtQuadraturePoint("det Hess <= 0 at a quadrature point")
-        logdet = np.log(det)
-        term = -float(np.dot(Q.interior_weights, logdet))
-        trunc = 0.0
-        if Q.kind == "graded":
-            deep = Q.interior_layers < TRUNCATION_COMPARE
-            term_shallow = -float(np.dot(Q.interior_weights[deep], logdet[deep]))
-            trunc = abs(term - term_shallow)
-        lin = self.linear_functional(u)
-        return MabuchiResult(term + lin, term, lin, trunc)
+        # one pass: the log-det term, its tail beyond TRUNCATION_COMPARE layers, A u
+        blocks, rim = self._rule_for(u)
+        term = tail = au = 0.0
+        for pts, wts, lay in blocks:
+            det = _dets(u.hess(pts))
+            if np.any(det <= 0.0):
+                raise NonConvexAtQuadraturePoint("det Hess <= 0 at a quadrature point")
+            logdet = np.log(det)
+            deep = lay >= TRUNCATION_COMPARE
+            term -= float(np.dot(wts, logdet))
+            tail -= float(np.dot(wts[deep], logdet[deep]))
+            au += self._interior(u, [(pts, wts)])
+        lin = integrate_blocks(u, rim) - au
+        return MabuchiResult(term + lin, term, lin, abs(tail))
 
     def _mesh_graded_for(self, mesh: Mesh):
         return self._cached("mgq", (mesh,), lambda: mesh_graded_scheme(mesh, self.degree))

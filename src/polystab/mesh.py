@@ -1,14 +1,14 @@
 """Boundary-conforming meshes of polytopes.
 
 2D meshes are structured grids over the bounding box.  One gaps call sorts
-the grid cells: those inside P get the "/" diagonal split by broadcasting, and
-only the cells the boundary cuts are clipped against the facet half-planes and
-fanned.  Vertices are numbered by the first appearance of their rounded
-coordinates, and the hinges, boundary edges and point-location buckets come
-from sorted key arrays.  The mesh parameter h is the grid spacing (maximum edge
-length in the max-norm), which reproduces the 9-vertex / 8-triangle
-unit-square mesh at h = 1/2.  Halving h refines every cell in place, so coarse
-piecewise-linear functions remain representable on the refined mesh.
+the grid cells: those inside P get the "/" diagonal split by broadcasting,
+and a cell the boundary cuts is clipped against the facets a corner of it
+lies outside of, then fanned.  Vertices are numbered by the first appearance
+of their rounded coordinates, and the hinges, boundary edges and
+point-location buckets come from sorted key arrays.  The mesh parameter h is
+the grid spacing (maximum edge length in the max-norm), which reproduces the
+9-vertex / 8-triangle unit-square mesh at h = 1/2.  Halving h refines every
+cell in place, so coarse piecewise-linear functions remain representable.
 """
 from __future__ import annotations
 
@@ -153,12 +153,13 @@ def make_mesh(P: Polytope, h: float) -> Mesh:
     gi, gj = (a.ravel() for a in np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij"))
     corners = np.stack([np.column_stack([xs[gi + di], ys[gj + dj]])
                         for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1))], axis=1)
-    g = P.gaps(corners.reshape(-1, 2)).reshape(len(corners), -1)
-    whole = np.all(g >= -scale_tol * np.tile(norm_h, 4), axis=1)
+    g = P.gaps(corners.reshape(-1, 2)).reshape(len(corners), 4, -1)
+    outside = np.any(g < -scale_tol * norm_h, axis=1)                 # (cells, K)
+    whole = ~outside.any(axis=1)
     cut_tris, cut_cell = [], []
     for c in np.flatnonzero(~whole):
         poly = corners[c]
-        for k in range(P.num_facets):
+        for k in np.flatnonzero(outside[c]):  # no other facet can clip the cell
             poly = clip_polygon_halfplane(poly, P.normals[k], P.offsets[k],
                                           tol=scale_tol * norm_h[k])
             if len(poly) < 3:

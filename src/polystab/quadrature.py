@@ -10,6 +10,7 @@ triangle batches (and per-triangle tags) and call it once:
 * graded_scheme      -- geometric refinement toward every facet (ratio 1/2)
   for integrands with logarithmic boundary singularities; carries per-point
   layer indices so truncation can be estimated by comparing layer depths;
+  graded_blocks yields its interior rule one facet fan at a time;
 * split_scheme       -- standard scheme whose cells are pre-split along given
   lines, making piecewise-linear integrands piecewise-polynomial per cell;
 * mesh_graded_scheme -- rules subordinate to the cells of a mesh, graded
@@ -163,15 +164,11 @@ def _boundary_2d(P, degree, s_breaks):
         a, b = P.facet_segment(k)
         ss = sorted_unique(np.concatenate([[0.0, 1.0], np.asarray(s_breaks[k], dtype=float)]))
         ss = ss[(ss >= 0.0) & (ss <= 1.0)]
-        pts, wts = [], []
-        for s0, s1 in zip(ss[:-1], ss[1:]):
-            if s1 - s0 <= 0:
-                continue
-            p, q = a + s0 * (b - a), a + s1 * (b - a)
-            pts.append(p + t[:, None] * (q - p))
-            wts.append(w * np.linalg.norm(q - p) * P.boundary_weights[k])
-        bp.append(np.vstack(pts))
-        bw.append(np.concatenate(wts))
+        p, q = a + ss[:-1, None] * (b - a), a + ss[1:, None] * (b - a)  # (S, 2) segment ends
+        d = (q - p)[:, None]
+        length = np.sqrt(np.matmul(d, d.transpose(0, 2, 1)))[:, 0]  # np.linalg.norm's d.d
+        bp.append((p[:, None] + t[:, None] * d).reshape(-1, 2))
+        bw.append(((w * length) * P.boundary_weights[k]).ravel())
     return tuple(bp), tuple(bw)
 
 
@@ -191,6 +188,32 @@ def _strip_triangles(lo, hi):
                      np.stack([q0, q2, q3], axis=-2)], axis=-3)
 
 
+def graded_blocks(P: Polytope, degree: int = DEFAULT_DEGREE, layers: int = 40,
+                  tangential_layers: int = 16):
+    """graded_scheme's interior rule as (points, weights, layers) blocks, one per
+    facet fan in facet order (1D: one per end, left first)."""
+    t = 1.0 - 2.0 ** (-np.arange(layers + 1, dtype=float))
+    if P.dimension == 1:
+        c = 0.5 * (P.vertices[0, 0] + P.vertices[1, 0])
+        for x in c + (P.vertices - c) * t:                                # (L+1,) per end
+            pts, wts = _segments(np.sort(np.stack([x[:-1], x[1:]], axis=-1), axis=-1), degree)
+            yield pts, wts, np.repeat(np.arange(layers), len(wts) // layers)
+        return
+    center = P.vertex_centroid()
+    ss = _geometric_breaks(tangential_layers)
+    tags = np.broadcast_to(np.arange(layers)[:, None, None], (layers, len(ss) - 1, 2))
+    for a, b in _facet_segments(P):
+        ring = center + t[:, None, None] * (a + ss[:, None] * (b - a) - center)  # (L+1, S, 2)
+        yield _tagged_rule(_strip_triangles(ring[:-1], ring[1:]), [tags], degree)
+
+
+def graded_boundary(P: Polytope, degree: int = DEFAULT_DEGREE, tangential_layers: int = 16):
+    """Boundary rules of graded_scheme: two-sided tangential grading on every facet."""
+    if P.dimension == 1:
+        return _boundary_1d(P)
+    return _boundary_2d(P, degree, [_geometric_breaks(tangential_layers)] * P.num_facets)
+
+
 def graded_scheme(P: Polytope, degree: int = DEFAULT_DEGREE, layers: int = 40,
                   tangential_layers: int = 16) -> QuadratureScheme:
     """Geometric refinement (ratio 1/2) toward every facet.
@@ -199,27 +222,10 @@ def graded_scheme(P: Polytope, degree: int = DEFAULT_DEGREE, layers: int = 40,
     the fan center toward the facet; the sliver beyond layer `layers` is
     dropped, and per-point layer indices let callers compare truncation depths.
     Boundary rules get the same two-sided tangential grading (corners carry the
-    boundary singularities of Guillemin-type integrands).
-    """
-    t = 1.0 - 2.0 ** (-np.arange(layers + 1, dtype=float))
-    if P.dimension == 1:
-        c = 0.5 * (P.vertices[0, 0] + P.vertices[1, 0])
-        x = c + (P.vertices - c) * t                                      # (2, L+1)
-        ipts, iwts = _segments(np.sort(np.stack([x[:, :-1], x[:, 1:]], axis=-1), axis=-1)
-                               .reshape(-1, 2), degree)
-        ilay = np.repeat(np.tile(np.arange(layers), 2), len(iwts) // (2 * layers))
-        bp, bw = _boundary_1d(P)
-    else:
-        center = P.vertex_centroid()
-        ss = _geometric_breaks(tangential_layers)
-        segs = _facet_segments(P)
-        a, b = segs[:, None, 0], segs[:, None, 1]
-        edge = a + ss[:, None] * (b - a)                                  # (K, S, 2)
-        ring = center + t[:, None, None] * (edge[:, None] - center)      # (K, L+1, S, 2)
-        tris = _strip_triangles(ring[:, :-1], ring[:, 1:])                # (K, L, S-1, 2, 3, 2)
-        tags = np.broadcast_to(np.arange(layers)[:, None, None], tris.shape[:4])
-        ipts, iwts, ilay = _tagged_rule(tris, [tags], degree)
-        bp, bw = _boundary_2d(P, degree, [_geometric_breaks(tangential_layers)] * P.num_facets)
+    boundary singularities of Guillemin-type integrands).  The interior rule
+    concatenates graded_blocks."""
+    ipts, iwts, ilay = map(np.concatenate, zip(*graded_blocks(P, degree, layers, tangential_layers)))
+    bp, bw = graded_boundary(P, degree, tangential_layers)
     return QuadratureScheme(P.dimension, degree, ipts, iwts, ilay, bp, bw,
                             kind="graded",
                             meta={"layers": layers, "tangential_layers": tangential_layers})
@@ -396,31 +402,34 @@ def mesh_graded_scheme(mesh, degree: int = DEFAULT_DEGREE, layers: int = 30,
     tol = _boundary_tol(P)
     if mesh.dimension == 1:
         ipts, iwts, ilay, icell = _mesh_graded_1d(mesh, degree, layers, tol)
-        bp, bw = _boundary_1d(P)
     else:
         tris, lay, cell = _mesh_graded_2d(mesh, layers, tangential_layers, tol)
         ipts, iwts = map_triangles(tris, degree)
         ilay, icell = (np.repeat(tag, len(iwts) // len(tris)) for tag in (lay, cell))
-        bp, bw = _boundary_2d(P, degree, [_geometric_breaks(tangential_layers)] * P.num_facets)
+    bp, bw = graded_boundary(P, degree, tangential_layers)
     return QuadratureScheme(mesh.dimension, degree, ipts, iwts, ilay, bp, bw,
                             kind="mesh-graded",
                             meta={"layers": layers, "tangential_layers": tangential_layers},
                             interior_cells=icell)
 
 
+def integrate_blocks(f, blocks) -> float:
+    """Sum of weights . f(points) over (points, weights, ...) blocks, in block order."""
+    total = 0.0
+    for pts, wts, *_ in blocks:
+        total += float(np.dot(wts, np.asarray(f(pts), dtype=float)))
+    return total
+
+
 def integrate_interior(f, P: Polytope, Q: QuadratureScheme | None = None) -> float:
     """Integral of f over the polytope with respect to Lebesgue measure."""
     if Q is None:
         Q = standard_scheme(P)
-    vals = np.asarray(f(Q.interior_points), dtype=float)
-    return float(np.dot(Q.interior_weights, vals))
+    return integrate_blocks(f, [(Q.interior_points, Q.interior_weights)])
 
 
 def integrate_boundary(f, P: Polytope, Q: QuadratureScheme | None = None) -> float:
     """Integral of f over the boundary with respect to dsigma = dS / |h_k|."""
     if Q is None:
         Q = standard_scheme(P)
-    total = 0.0
-    for pts, wts in zip(Q.boundary_points, Q.boundary_weights):
-        total += float(np.dot(wts, np.asarray(f(pts), dtype=float)))
-    return total
+    return integrate_blocks(f, zip(Q.boundary_points, Q.boundary_weights))

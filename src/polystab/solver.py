@@ -235,8 +235,8 @@ class DiscreteEnergy:
         dist = P.boundary_distance(mesh.vertices)
         self.free = np.where(dist > margin)[0]
         self.u_o = guillemin_potential(P)
-        # L_A(u_o) on the 40-layer graded rule, built and dropped before the
-        # mesh-graded rule exists, so the two large rules never coexist
+        # L_A(u_o) on the 40-layer graded rule, taken one facet fan at a time
+        # before the mesh-graded rule exists; the evaluator builds no other rule
         self.lin_const = FunctionalEvaluator(
             P, A, degree=degree, layers=40).linear_functional(self.u_o)
         self.scheme = mesh_graded_scheme(mesh, degree=degree, layers=20,
@@ -248,19 +248,25 @@ class DiscreteEnergy:
         sur = HessianSurrogate(mesh)
         self.surrogate = sur
         self.active = active = sur.reads(self.free)[mesh.cells].any(axis=1)[cells]
-        # Hess u_o = sum_k n_k n_k^T / g_k, one (xx, xy, yy) product per point
-        g = P.gaps(pts)
-        if np.any(g <= 0.0):
-            raise EvaluationOutsideDomain("Guillemin Hessian needs interior points")
-        nx, ny = P.normals.T
-        hxx, hxy, hyy = ((1.0 / g) @ np.column_stack([nx * nx, nx * ny, ny * ny])).T
-        fixed_det = hxx[~active] * hyy[~active] - hxy[~active] * hxy[~active]
-        self.fixed_margin = float(fixed_det.min(initial=np.inf))
-        self.fixed_logdet = (float(np.dot(wq[~active], np.log(fixed_det)))
-                             if self.fixed_margin > 0.0 else np.nan)
         self.w = wq[active]
-        self.h_o = np.stack([hxx[active], hxy[active], hyy[active]])
         self.op = sur.point_operator(pts[active], cells[active])
+        # Hess u_o = sum_k n_k n_k^T / g_k, facet by facet in facet order as u_o.hess sums it
+        hxx, hxy, hyy = np.zeros((3, len(pts)))
+        for (nx, ny), c in zip(P.normals, P.offsets):
+            r = pts @ (nx, ny) - c
+            if np.any(r <= 0.0):
+                raise EvaluationOutsideDomain("Guillemin Hessian needs interior points")
+            np.divide(1.0, r, out=r)
+            hxx += r * (nx * nx)
+            hxy += r * (nx * ny)
+            hyy += r * (ny * ny)
+        self.h_o = np.stack([hxx[active], hxy[active], hyy[active]])
+        hxx *= hyy  # det Hess u_o = hxx hyy - hxy^2, taken in place
+        hxx -= np.square(hxy, out=hxy)
+        fixed_det = hxx[~active]
+        self.fixed_margin = float(fixed_det.min(initial=np.inf))
+        self.fixed_logdet = (float(np.dot(wq[~active], np.log(fixed_det, out=fixed_det)))
+                             if self.fixed_margin > 0.0 else np.nan)
         b, a = mesh_linear_forms(mesh, A, degree=degree)
         self.lin_free = (b - a)[self.free]
 

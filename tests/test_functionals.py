@@ -14,7 +14,16 @@ from polystab.errors import NonConvexAtQuadraturePoint, SingularHessian
 from polystab.functionals import FunctionalEvaluator, extremal_affine, mesh_linear_forms
 from polystab.mesh import make_mesh
 from polystab.polytope import build_polytope, interval, standard_simplex, unit_square
-from polystab.quadrature import DEFAULT_DEGREE, gauss_rule, integrate_interior
+from polystab.quadrature import (
+    DEFAULT_DEGREE,
+    gauss_rule,
+    graded_scheme,
+    integrate_boundary,
+    integrate_interior,
+)
+
+PENTAGON = [((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, 0.0), -3.0),
+            ((0.0, -1.0), -2.0), ((-1.0, -1.0), -4.0)]
 
 
 def smooth_1d(value, d1, d2, P):
@@ -138,6 +147,45 @@ def test_mabuchi_guillemin_square(ev_square):
     m = ev_square.mabuchi(uo)
     assert m.value == pytest.approx(-2.0, abs=1e-6)
     assert m.truncation_estimate <= 1e-4
+
+
+@pytest.mark.parametrize("P", [build_polytope(PENTAGON), unit_square(), standard_simplex(),
+                               interval(-0.5, 2.0)],
+                         ids=["pentagon", "square", "simplex", "interval"])
+def test_guillemin_integrals_stream_the_graded_rule(P, monkeypatch):
+    # |u_o|_b, L_A(u_o) and F_A(u_o) are summed one facet fan at a time and
+    # agree with sums over the whole graded rule; the evaluator builds
+    # neither that rule nor the standard one to get them
+    import polystab.functionals
+
+    A, u = extremal_affine(P), guillemin_potential(P)
+    G = graded_scheme(P, DEFAULT_DEGREE, layers=40)
+    x, w = G.interior_points, G.interior_weights
+    bn = integrate_boundary(u, P, G)
+    lin = bn - float(np.dot(w, A(x) * u(x)))
+    H = u.hess(x)
+    logdet = np.log(H[:, 0, 0] if P.dimension == 1
+                    else H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0])
+    term = -float(np.dot(w, logdet))
+    deep = G.interior_layers >= 30
+    trunc = abs(float(np.dot(w[deep], logdet[deep])))
+    assert trunc > 0.0
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a whole rule was built")
+
+    monkeypatch.setattr(polystab.functionals, "graded_scheme", unbuilt)
+    monkeypatch.setattr(polystab.functionals, "standard_scheme", unbuilt)
+    ev = FunctionalEvaluator(P, A, layers=40)
+    assert ev.norm_and_linear(u) == pytest.approx((bn, lin), rel=1e-13)
+    assert ev.boundary_norm(u) == pytest.approx(bn, rel=1e-13)
+    assert ev.linear_functional(u) == pytest.approx(lin, rel=1e-13)
+    m = ev.mabuchi(u)
+    assert m.log_det_term == pytest.approx(term, rel=1e-13)
+    assert m.linear_term == ev.linear_functional(u)
+    assert m.value == pytest.approx(term + lin, rel=1e-13)
+    assert m.truncation_estimate == pytest.approx(trunc, rel=1e-13)
+    assert "graded" not in vars(ev) and "scheme" not in vars(ev)
 
 
 def test_mabuchi_scaling_identity(ev_interval):

@@ -152,6 +152,24 @@ def test_cut_cells_are_clipped_at_any_scale_and_position(origin, s):
     assert np.min(dist) >= -1e-12 * max(s, 1e-3 * abs(origin))
 
 
+@pytest.mark.parametrize("P, h, calls", [(build_polytope(PENTAGON), 1 / 16, 136),
+                                         (standard_simplex(), 1 / 16, 136),
+                                         (unit_square(), 1 / 16, 0)],
+                         ids=["pentagon", "simplex", "square"])
+def test_cut_cells_are_clipped_only_by_facets_they_cross(P, h, calls, monkeypatch):
+    # each of the 136 cut cells has a corner outside one facet only; clipping
+    # against every facet would take 680 calls on the pentagon, 408 on the
+    # simplex.  test_mesh_and_fits_match_the_loops checks the mesh is unchanged
+    import polystab.mesh
+
+    made = []
+    clip = polystab.mesh.clip_polygon_halfplane
+    monkeypatch.setattr(polystab.mesh, "clip_polygon_halfplane",
+                        lambda *args, **kwargs: made.append(1) or clip(*args, **kwargs))
+    make_mesh(P, h)
+    assert len(made) == calls
+
+
 # -- the array mesh and fits against the cell-by-cell loops -----------------------
 
 def loop_make_mesh(P, h):

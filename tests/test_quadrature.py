@@ -18,10 +18,14 @@ from polystab.polytope import (
 )
 from polystab.quadrature import (
     DEFAULT_DEGREE,
+    _boundary_2d,
     _boundary_tol,
+    _geometric_breaks,
+    _segments,
     _strip_triangles,
     _tagged_rule,
     gauss_rule,
+    graded_blocks,
     graded_scheme,
     integrate_boundary,
     integrate_interior,
@@ -193,6 +197,87 @@ def test_1d_rules_match_interval_by_interval_loops():
     pts, wts = loop([(lo, 0.3), (0.3, hi)])
     assert np.array_equal(S.interior_points, pts)
     assert np.array_equal(S.interior_weights, wts)
+
+
+def loop_boundary_2d(P, degree, s_breaks):
+    """Oracle: the per-facet boundary rules built segment by segment."""
+    t, w = gauss_rule((degree + 2) // 2)
+    bp, bw = [], []
+    for k in range(P.num_facets):
+        a, b = P.facet_segment(k)
+        ss = np.unique(np.concatenate([[0.0, 1.0], np.asarray(s_breaks[k], dtype=float)]))
+        ss = ss[(ss >= 0.0) & (ss <= 1.0)]
+        pts, wts = [], []
+        for s0, s1 in zip(ss[:-1], ss[1:]):
+            p, q = a + s0 * (b - a), a + s1 * (b - a)
+            pts.append(p + t[:, None] * (q - p))
+            wts.append(w * np.linalg.norm(q - p) * P.boundary_weights[k])
+        bp.append(np.vstack(pts))
+        bw.append(np.concatenate(wts))
+    return bp, bw
+
+
+def _assert_same_boundary(Q, rules):
+    bp, bw = rules
+    assert len(Q.boundary_points) == len(bp) == len(Q.boundary_weights) == len(bw)
+    for got, want in zip(Q.boundary_points + Q.boundary_weights, bp + bw):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("P", [unit_square(), standard_simplex(), build_polytope(PENTAGON)],
+                         ids=["square", "simplex", "pentagon"])
+def test_boundary_rules_match_the_segment_loop(P):
+    # one broadcast per facet, bit for bit the segment loop: the standard
+    # rule, the graded one (16 tangential layers), the solver's mesh-graded
+    # one (8) and breaks that fall outside [0, 1] or off the grading
+    K = P.num_facets
+    _assert_same_boundary(standard_scheme(P), loop_boundary_2d(P, DEFAULT_DEGREE, [[]] * K))
+    _assert_same_boundary(graded_scheme(P, layers=4),
+                          loop_boundary_2d(P, DEFAULT_DEGREE, [_geometric_breaks(16)] * K))
+    Q = mesh_graded_scheme(make_mesh(P, 1 / 5), layers=4, tangential_layers=8)
+    _assert_same_boundary(Q, loop_boundary_2d(P, DEFAULT_DEGREE, [_geometric_breaks(8)] * K))
+    breaks = [[0.3, -0.2, 0.7, 1.5, 0.3]] * K
+    bp, bw = _boundary_2d(P, 9, breaks)
+    want = loop_boundary_2d(P, 9, breaks)
+    assert all(np.array_equal(a, b) for a, b in zip(bp + bw, want[0] + want[1]))
+
+
+def whole_graded_rule(P, degree, layers, tangential_layers):
+    """Oracle: the graded interior rule built from one (K, L, S-1) triangle array
+    (1D: both ends at once)."""
+    t = 1.0 - 2.0 ** (-np.arange(layers + 1, dtype=float))
+    if P.dimension == 1:
+        c = 0.5 * (P.vertices[0, 0] + P.vertices[1, 0])
+        x = c + (P.vertices - c) * t
+        pts, wts = _segments(np.sort(np.stack([x[:, :-1], x[:, 1:]], axis=-1), axis=-1)
+                             .reshape(-1, 2), degree)
+        return pts, wts, np.repeat(np.tile(np.arange(layers), 2), len(wts) // (2 * layers))
+    center = P.vertex_centroid()
+    ss = _geometric_breaks(tangential_layers)
+    segs = np.array([P.facet_segment(k) for k in range(P.num_facets)])
+    a, b = segs[:, None, 0], segs[:, None, 1]
+    edge = a + ss[:, None] * (b - a)
+    ring = center + t[:, None, None] * (edge[:, None] - center)
+    tris = _strip_triangles(ring[:, :-1], ring[:, 1:])
+    tags = np.broadcast_to(np.arange(layers)[:, None, None], tris.shape[:4])
+    return _tagged_rule(tris, [tags], degree)
+
+
+@pytest.mark.parametrize("P", [unit_square(), standard_simplex(), build_polytope(PENTAGON),
+                               interval(-0.5, 2.0)],
+                         ids=["square", "simplex", "pentagon", "interval"])
+@pytest.mark.parametrize("degree, layers, tangential", [(6, 40, 16), (9, 7, 3)])
+def test_graded_blocks_concatenate_to_the_whole_rule(P, degree, layers, tangential):
+    blocks = list(graded_blocks(P, degree, layers, tangential))
+    assert len(blocks) == (2 if P.dimension == 1 else P.num_facets)
+    assert len({len(w) for _, w, _ in blocks}) == 1
+    G = graded_scheme(P, degree, layers, tangential)
+    for got, scheme, want in zip(zip(*blocks),
+                                 (G.interior_points, G.interior_weights, G.interior_layers),
+                                 whole_graded_rule(P, degree, layers, tangential)):
+        assert np.array_equal(np.concatenate(got), want)
+        assert np.array_equal(scheme, want)
+        assert scheme.dtype == want.dtype
 
 
 @pytest.mark.parametrize("degree", [2, 6, 9])

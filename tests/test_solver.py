@@ -209,6 +209,33 @@ def test_energy_setup_holds_one_large_rule_at_a_time():
     assert not hasattr(E, "evaluator")
 
 
+def test_guillemin_setup_integrals_take_one_facet_fan_at_a_time(monkeypatch):
+    # L_A(u_o) sums the 40-layer graded rule one facet fan at a time, with no
+    # standard rule, and Hess u_o on the mesh-graded samples is summed from
+    # (m,) gap columns, so neither the whole rule nor an (m, K) array exists
+    import polystab.functionals
+
+    P = build_polytope(PENTAGON)
+    A, mesh, u_o = extremal_affine(P), make_mesh(P, 1 / 5), guillemin_potential(P)
+    DiscreteEnergy(P, A, mesh)  # warm-up: imports and first-use caches
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the standard rule was built")
+
+    monkeypatch.setattr(polystab.functionals, "standard_scheme", unbuilt)
+    peaks = []
+    for build in (lambda: FunctionalEvaluator(P, A, degree=6, layers=40).linear_functional(u_o),
+                  lambda: DiscreteEnergy(P, A, mesh)):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 5e6
+    assert peaks[1] <= 14e6
+
+
 def test_linear_constant_is_the_graded_evaluator_value():
     P = build_polytope(PENTAGON)
     A = extremal_affine(P)
