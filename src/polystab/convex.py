@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationOutsideDomain, SegmentTouchesBoundary
+from .hessfit import components_to_matrices
 from .mesh import Mesh
 from .polytope import Polytope, center_of_mass
 
@@ -283,14 +284,34 @@ def guillemin_potential(P: Polytope) -> SmoothConvexFunc:
         return (1.0 + np.log(g)) @ normals
 
     def hess(pts):
-        g = P.gaps(pts)
-        if np.any(g <= 0.0):
-            raise EvaluationOutsideDomain("Guillemin Hessian needs interior points")
-        outer = normals[:, :, None] * normals[:, None, :]  # (K, n, n)
-        return np.einsum("mk,kij->mij", 1.0 / g, outer)
+        return components_to_matrices(guillemin_hessian(P, pts), P.dimension)
 
     return SmoothConvexFunc(value, grad, hess, P.dimension, domain=P,
                             guillemin_type=True)
+
+
+def guillemin_hessian(P: Polytope, pts) -> np.ndarray:
+    """Hess u_o at (m, n) interior points as (ncomp, m) components: (xx,) in
+    1D, (xx, xy, yy) in 2D.
+
+    Summed as sum_k n_k n_k^T / g_k facet by facet in facet order, with the
+    gap g_k = x.h_k - c_k taken coordinate by coordinate, so no (m, K) array
+    is made and every point's value is the same in any batch of points.
+    """
+    pts = np.asarray(pts, dtype=float)
+    rows, cols = np.triu_indices(P.dimension)
+    out = np.zeros((len(rows), len(pts)))
+    for h, c in zip(P.normals, P.offsets):
+        r = pts[:, 0] * h[0]
+        for d in range(1, len(h)):
+            r += pts[:, d] * h[d]
+        r -= c
+        if np.any(r <= 0.0):
+            raise EvaluationOutsideDomain("Guillemin Hessian needs interior points")
+        np.divide(1.0, r, out=r)
+        for comp, nn in zip(out, h[rows] * h[cols]):
+            comp += r * nn
+    return out
 
 
 def supporting_affine(u, p_o) -> AffineFunc:

@@ -80,8 +80,7 @@ class HessianSurrogate:
             ids, bary = np.asarray(cells, dtype=int), self.mesh.barycentric(cells, pts)
         if np.any(ids < 0):
             raise ValueError("point outside mesh in Hessian assembly")
-        return PointOperator(self, np.ascontiguousarray(self.mesh.cells[ids].T),
-                             np.ascontiguousarray(bary.T))
+        return PointOperator(self, ids, np.ascontiguousarray(bary.T))
 
     def reads(self, columns):
         """(V,) bool: whether each vertex's fit stores a coefficient on `columns`.
@@ -95,14 +94,16 @@ class HessianSurrogate:
 class PointOperator:
     """(ncomp*m, V) map: per-vertex fits, then interpolation at m points.
 
-    tri, bary: (n+1, m) cell vertices and barycentric weights of the points.
+    cells: (m,) the points' mesh cells; bary: (n+1, m) their barycentric
+    weights; tri: (n+1, m) the cells' vertices.
     """
 
-    def __init__(self, surrogate: HessianSurrogate, tri, bary):
+    def __init__(self, surrogate: HessianSurrogate, cells, bary):
         self.surrogate = surrogate
-        self.tri = tri
+        self.cells = cells
+        self.tri = np.ascontiguousarray(surrogate.mesh.cells[cells].T)
         self.bary = bary
-        self.shape = (surrogate.ncomp * tri.shape[1], surrogate.mesh.num_vertices)
+        self.shape = (surrogate.ncomp * len(cells), surrogate.mesh.num_vertices)
         self._scatter_hit = None
 
     def __matmul__(self, values):
@@ -114,32 +115,34 @@ class PointOperator:
     def rmatvec(self, z):
         """(V,) transpose applied to (ncomp, m) components z."""
         sur = self.surrogate
-        k, V = sur.ncomp, self.shape[1]
-        # interpolation transposed: scatter each point's share onto its vertices' fits
-        slot = np.arange(k)[:, None, None] * V + self.tri
-        fit_z = np.bincount(slot.ravel(), weights=(z[:, None, :] * self.bary).ravel(),
-                            minlength=k * V).reshape(k, V)
+        V = self.shape[1]
+        # interpolation transposed: scatter each point's share onto its
+        # vertices' fits, one component and one cell vertex at a time
+        fit_z = np.stack([sum(np.bincount(t, weights=zc * b, minlength=V)
+                              for t, b in zip(self.tri, self.bary)) for zc in z])
         # fits transposed: scatter each fit's coefficients onto its star
         star = np.broadcast_to(sur.star_idx[:, None, :], sur.star_op.shape)
         return np.bincount(star.ravel(), weights=(sur.star_op * fit_z.T[:, :, None]).ravel(),
                            minlength=V)
 
-    def gram(self, K, cols):
+    def gram(self, entries, cols):
         """Dense (c, c) matrix op^T K op on the vertex columns `cols`.
 
-        K: (m, ncomp, ncomp), one block per point.  Everything but K's
+        K is one symmetric (ncomp, ncomp) block per point, given as its
+        distinct entries K[r, c], r <= c, in np.triu_indices order: an
+        iterable of (m,) columns, read one at a time.  Everything but K's
         entries is built on the first call (and again when `cols` changes).
         """
         sur = self.surrogate
         k = sur.ncomp
-        slot, bb, pa, pb = self._pairs
+        inv, bb, slot, pa, pb = self._pairs
         keep, flat = self._scatter(cols)
-        # sum the distinct entries of b_i b_j K per pair of cell vertices
-        er, ec = np.triu_indices(k)
+        # sum b_i b_j K[r, c] per cell and pair of its vertices, then per pair
         block = np.empty((len(pa), k, k))
-        block[:, er, ec] = block[:, ec, er] = np.stack(
-            [np.bincount(slot, weights=(bb * K[:, r, c]).ravel(), minlength=len(pa))
-             for r, c in zip(er, ec)], axis=1)
+        for r, c, col in zip(*np.triu_indices(k), entries):
+            per_cell = [np.bincount(inv, weights=b * col, minlength=slot.shape[1]) for b in bb]
+            block[:, r, c] = block[:, c, r] = np.bincount(
+                slot.ravel(), weights=np.concatenate(per_cell), minlength=len(pa))
         # map each pair's block through the two vertices' fits
         full = np.einsum("pks,pkl,plr->psr", sur.star_op[pa], block, sur.star_op[pb])
         n = len(cols)
@@ -148,16 +151,20 @@ class PointOperator:
 
     @cached_property
     def _pairs(self):
-        """(slot, bb, pa, pb): the unordered pairs (pa, pb) of cell vertices,
-        each point's pair slots and the pair weights b_i b_j (diagonal pairs
-        halved, since K and op^T K op are symmetric and gram mirrors half)."""
+        """(inv, bb, slot, pa, pb): the unordered pairs (pa, pb) of cell
+        vertices, the pair slots of each cell the points lie in, each point's
+        index among those cells, and the point weights b_i b_j of the cell's
+        vertex pairs (diagonal pairs halved, since K and op^T K op are
+        symmetric and gram mirrors half)."""
         V = self.shape[1]
-        ia, ib = np.triu_indices(len(self.tri))
-        ta, tb = self.tri[ia], self.tri[ib]
+        cells, inv = np.unique(self.cells, return_inverse=True)
+        tri = self.surrogate.mesh.cells[cells].T
+        ia, ib = np.triu_indices(len(tri))
+        ta, tb = tri[ia], tri[ib]
         pairs, slot = np.unique((np.minimum(ta, tb) * V + np.maximum(ta, tb)).ravel(),
                                 return_inverse=True)
         bb = self.bary[ia] * self.bary[ib] * np.where(ia == ib, 0.5, 1.0)[:, None]
-        return slot, bb, pairs // V, pairs % V
+        return inv.ravel(), bb, slot.reshape(ta.shape), pairs // V, pairs % V
 
     def _scatter(self, cols):
         """(keep, flat): which entries of the per-pair star blocks land on
@@ -167,7 +174,7 @@ class PointOperator:
         if hit is not None and np.array_equal(hit[0], cols):
             return hit[1]
         sur = self.surrogate
-        _, _, pa, pb = self._pairs
+        *_, pa, pb = self._pairs
         pos = np.full(self.shape[1], -1)
         pos[cols] = np.arange(len(cols))
         r = pos[sur.star_idx[pa]][:, :, None]

@@ -10,17 +10,20 @@ triangle batches (and per-triangle tags) and call it once:
 * graded_scheme      -- geometric refinement toward every facet (ratio 1/2)
   for integrands with logarithmic boundary singularities; carries per-point
   layer indices so truncation can be estimated by comparing layer depths;
-  graded_blocks yields its interior rule one facet fan at a time;
+  graded_blocks yields its interior rule a few layers of one facet fan at a
+  time;
 * split_scheme       -- standard scheme whose cells are pre-split along given
   lines, making piecewise-linear integrands piecewise-polynomial per cell;
 * mesh_graded_scheme -- rules subordinate to the cells of a mesh, graded
   toward the boundary; each point records its parent mesh cell in
   interior_cells (-1 in the schemes above), so mesh data can be interpolated
-  there without locating the point again.  It is built from whole arrays
-  too: one gaps call classifies every mesh vertex and edge, edge strips take
-  one broadcast per tangential pattern, and the quadtree toward boundary
-  vertices is a loop over levels in which each boundary vertex's corner
-  child passes down by construction, not by a tolerance test.
+  there without locating the point again; mesh_graded_triangles gives its 2D
+  triangles unmapped, for callers that map them a block at a time.  It is
+  built from whole arrays too: one gaps call classifies every mesh vertex and
+  edge, edge strips take one broadcast per tangential pattern, and the
+  quadtree toward boundary vertices is a loop over levels in which each
+  boundary vertex's corner child passes down by construction, not by a
+  tolerance test.
 
 Boundary integrals use the facet-weighted measure dsigma = dS / |h_k|.
 """
@@ -35,6 +38,7 @@ from ._geom import clip_polygon_halfplane, fan_triangles, polygon_area, sorted_u
 from .polytope import Polytope
 
 DEFAULT_DEGREE = 6
+_BLOCK_TRIANGLES = 512  # triangles mapped at once where a rule is streamed
 
 
 def _frozen(*arrays):
@@ -88,6 +92,18 @@ def map_triangles(tris, degree):
     return pts.reshape(2, -1).T.copy(), (W * jac[:, None]).ravel()
 
 
+def map_triangle_blocks(tris, degree):
+    """map_triangles on runs of at most _BLOCK_TRIANGLES triangles of a
+    batch, in order: one (points, weights) pair per run."""
+    for start in range(0, len(tris), _BLOCK_TRIANGLES):
+        yield map_triangles(tris[start:start + _BLOCK_TRIANGLES], degree)
+
+
+def triangle_points(degree):
+    """Number of points map_triangles puts in each triangle at `degree`."""
+    return len(_reference_triangle(degree)[2])
+
+
 def triangle_rule(v0, v1, v2, degree):
     """Rule exact for total degree <= `degree` on one triangle (collapsed tensor)."""
     return map_triangles([[v0, v1, v2]], degree)
@@ -99,7 +115,7 @@ def _tagged_rule(tris, tags, degree):
     e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
     keep = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]) > 0.0
     pts, wts = map_triangles(tris[keep], degree)
-    per = len(_reference_triangle(degree)[2])
+    per = triangle_points(degree)
     return (pts, wts) + tuple(np.repeat(np.asarray(t).ravel()[keep], per) for t in tags)
 
 
@@ -190,8 +206,9 @@ def _strip_triangles(lo, hi):
 
 def graded_blocks(P: Polytope, degree: int = DEFAULT_DEGREE, layers: int = 40,
                   tangential_layers: int = 16):
-    """graded_scheme's interior rule as (points, weights, layers) blocks, one per
-    facet fan in facet order (1D: one per end, left first)."""
+    """graded_scheme's interior rule as (points, weights, layers) blocks: facet
+    fan by facet fan in facet order, each fan in runs of whole layers of at
+    most _BLOCK_TRIANGLES triangles (1D: one block per end, left first)."""
     t = 1.0 - 2.0 ** (-np.arange(layers + 1, dtype=float))
     if P.dimension == 1:
         c = 0.5 * (P.vertices[0, 0] + P.vertices[1, 0])
@@ -202,9 +219,12 @@ def graded_blocks(P: Polytope, degree: int = DEFAULT_DEGREE, layers: int = 40,
     center = P.vertex_centroid()
     ss = _geometric_breaks(tangential_layers)
     tags = np.broadcast_to(np.arange(layers)[:, None, None], (layers, len(ss) - 1, 2))
+    step = max(1, _BLOCK_TRIANGLES // tags[0].size)                      # layers per block
     for a, b in _facet_segments(P):
         ring = center + t[:, None, None] * (a + ss[:, None] * (b - a) - center)  # (L+1, S, 2)
-        yield _tagged_rule(_strip_triangles(ring[:-1], ring[1:]), [tags], degree)
+        for j in range(0, layers, step):
+            k = min(j + step, layers)
+            yield _tagged_rule(_strip_triangles(ring[j:k], ring[j + 1:k + 1]), [tags[j:k]], degree)
 
 
 def graded_boundary(P: Polytope, degree: int = DEFAULT_DEGREE, tangential_layers: int = 16):
@@ -306,9 +326,16 @@ def _mesh_graded_1d(mesh, degree, layers, tol):
     return pts, wts, *(np.repeat(tag, len(wts) // len(ab)) for tag in (lay, cel))
 
 
-def _mesh_graded_2d(mesh, layers, tangential_layers, tol):
-    """Triangles (T, 3, 2) of the mesh-graded rule with their layers and cells."""
+def mesh_graded_triangles(mesh, layers: int = 30, tangential_layers: int = 16):
+    """The 2D mesh-graded rule before mapping: triangles (T, 3, 2) in rule
+    order with their (T,) layers and parent cells.
+
+    map_triangles on them, or on any run of them, gives the rule's points
+    and weights triangle by triangle, so a caller can map some triangles
+    and stream the rest in blocks.
+    """
     P = mesh.polytope
+    tol = _boundary_tol(P)
     V, tris = mesh.vertices, mesh.vertices[mesh.cells]                    # (M, 3, 2)
     mids = 0.5 * (tris + np.roll(tris, -1, axis=1))                       # edge (t_i, t_i+1)
     # the facets each vertex and each edge midpoint lies on, from one gaps call
@@ -399,13 +426,12 @@ def mesh_graded_scheme(mesh, degree: int = DEFAULT_DEGREE, layers: int = 30,
     truncation estimates.
     """
     P = mesh.polytope
-    tol = _boundary_tol(P)
     if mesh.dimension == 1:
-        ipts, iwts, ilay, icell = _mesh_graded_1d(mesh, degree, layers, tol)
+        ipts, iwts, ilay, icell = _mesh_graded_1d(mesh, degree, layers, _boundary_tol(P))
     else:
-        tris, lay, cell = _mesh_graded_2d(mesh, layers, tangential_layers, tol)
+        tris, lay, cell = mesh_graded_triangles(mesh, layers, tangential_layers)
         ipts, iwts = map_triangles(tris, degree)
-        ilay, icell = (np.repeat(tag, len(iwts) // len(tris)) for tag in (lay, cell))
+        ilay, icell = (np.repeat(tag, triangle_points(degree)) for tag in (lay, cell))
     bp, bw = graded_boundary(P, degree, tangential_layers)
     return QuadratureScheme(mesh.dimension, degree, ipts, iwts, ilay, bp, bw,
                             kind="mesh-graded",

@@ -15,15 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._geom import sorted_unique
-from .convex import SmoothConvexFunc, guillemin_potential
-from .errors import (EvaluationOutsideDomain, IncompatibleA, LineSearchStall, LostConvexity,
-                     NonpositiveW)
+from .convex import SmoothConvexFunc, guillemin_hessian, guillemin_potential
+from .errors import IncompatibleA, LineSearchStall, LostConvexity, NonpositiveW
 from .fields import QuadraticPoly
 from .functionals import FunctionalEvaluator, as_field, field_degree, mesh_linear_forms
 from .hessfit import HessianSurrogate
 from .mesh import Mesh
 from .polytope import Polytope, center_of_mass
-from .quadrature import gauss_rule, mesh_graded_scheme
+from .quadrature import (gauss_rule, map_triangle_blocks, map_triangles, mesh_graded_triangles,
+                         triangle_points)
 
 COMPAT_TOL = 1e-8
 MAX_NEWTON_STEPS = 100
@@ -216,11 +216,15 @@ class DiscreteEnergy:
     analytically from the (linear) surrogate assembly.
 
     Only the active samples can change: those whose parent cell has a vertex
-    whose quadric fit reads a free vertex.  The point operator and the
-    Guillemin Hessian components (hxx, hxy, hyy) are kept for them alone.  On
-    every other sample Hess u = Hess u_o, so its -w log det term is folded
-    into a constant once, its det is checked positive once (else every value
-    is inf) and its smallest det joins the convexity margin.
+    whose quadric fit reads a free vertex.  The rule's triangles carry their
+    cells, so the active cells' triangles are mapped once, in rule order, and
+    only their points, weights, point operator and Guillemin Hessian
+    components (hxx, hxy, hyy) are kept.  On every other sample Hess u =
+    Hess u_o: those samples are streamed through map_triangles a block at a
+    time, and each block adds its -w log det to a constant, checks its dets
+    positive (else every value is inf) and joins its smallest det to the
+    convexity margin.  npts counts every sample, and active is the (npts,)
+    mask of the active ones in rule order.
     """
 
     def __init__(self, P: Polytope, A, mesh: Mesh, margin=None, degree=6):
@@ -235,38 +239,31 @@ class DiscreteEnergy:
         dist = P.boundary_distance(mesh.vertices)
         self.free = np.where(dist > margin)[0]
         self.u_o = guillemin_potential(P)
-        # L_A(u_o) on the 40-layer graded rule, taken one facet fan at a time
-        # before the mesh-graded rule exists; the evaluator builds no other rule
+        # L_A(u_o) on the 40-layer graded rule, taken a few layers of one facet
+        # fan at a time before any sample of the mesh-graded rule exists
         self.lin_const = FunctionalEvaluator(
             P, A, degree=degree, layers=40).linear_functional(self.u_o)
-        self.scheme = mesh_graded_scheme(mesh, degree=degree, layers=20,
-                                         tangential_layers=8)
-        pts = self.scheme.interior_points
-        cells = self.scheme.interior_cells
-        wq = self.scheme.interior_weights
-        self.npts = pts.shape[0]
+        tris, _, cells = mesh_graded_triangles(mesh, layers=20, tangential_layers=8)
         sur = HessianSurrogate(mesh)
         self.surrogate = sur
-        self.active = active = sur.reads(self.free)[mesh.cells].any(axis=1)[cells]
-        self.w = wq[active]
-        self.op = sur.point_operator(pts[active], cells[active])
-        # Hess u_o = sum_k n_k n_k^T / g_k, facet by facet in facet order as u_o.hess sums it
-        hxx, hxy, hyy = np.zeros((3, len(pts)))
-        for (nx, ny), c in zip(P.normals, P.offsets):
-            r = pts @ (nx, ny) - c
-            if np.any(r <= 0.0):
-                raise EvaluationOutsideDomain("Guillemin Hessian needs interior points")
-            np.divide(1.0, r, out=r)
-            hxx += r * (nx * nx)
-            hxy += r * (nx * ny)
-            hyy += r * (ny * ny)
-        self.h_o = np.stack([hxx[active], hxy[active], hyy[active]])
-        hxx *= hyy  # det Hess u_o = hxx hyy - hxy^2, taken in place
-        hxx -= np.square(hxy, out=hxy)
-        fixed_det = hxx[~active]
-        self.fixed_margin = float(fixed_det.min(initial=np.inf))
-        self.fixed_logdet = (float(np.dot(wq[~active], np.log(fixed_det, out=fixed_det)))
-                             if self.fixed_margin > 0.0 else np.nan)
+        act = sur.reads(self.free)[mesh.cells].any(axis=1)[cells]
+        per = triangle_points(degree)
+        self.npts = len(tris) * per
+        self.active = np.repeat(act, per)
+        pts, self.w = map_triangles(tris[act], degree)
+        self.op = sur.point_operator(pts, np.repeat(cells[act], per))
+        self.h_o = guillemin_hessian(P, pts)
+        # det Hess u_o = hxx hyy - hxy^2 on the other samples, block by block
+        logdet, low = 0.0, np.inf
+        for bpts, bw in map_triangle_blocks(tris[~act], degree):
+            hxx, hxy, hyy = guillemin_hessian(P, bpts)
+            hxx *= hyy
+            hxx -= np.square(hxy, out=hxy)
+            low = min(low, float(hxx.min()))
+            if low > 0.0:
+                logdet += float(np.dot(bw, np.log(hxx, out=hxx)))
+        self.fixed_margin = low
+        self.fixed_logdet = logdet if low > 0.0 else np.nan
         b, a = mesh_linear_forms(mesh, A, degree=degree)
         self.lin_free = (b - a)[self.free]
 
@@ -293,13 +290,20 @@ class DiscreteEnergy:
     def hessian(self, f):
         """(c, c) Hessian of the energy in the free values f."""
         hxx, hxy, hyy, det = self._active_hessians(f)
-        g = np.stack([hyy, -2.0 * hxy, hxx], axis=1) / det[:, None]
-        # Hessian of -log det in (hxx, hxy, hyy): g g^T - D^2 det / det
-        K = g[:, :, None] * g[:, None, :]
-        K[:, 0, 2] -= 1.0 / det
-        K[:, 2, 0] -= 1.0 / det
-        K[:, 1, 1] += 2.0 / det
-        return self.op.gram(self.w[:, None, None] * K, self.free)
+        g0, g1, g2 = hyy / det, -2.0 * hxy / det, hxx / det
+        r, w = 1.0 / det, self.w
+
+        def entries():
+            # w times the Hessian of -log det in (hxx, hxy, hyy), g g^T -
+            # D^2 det / det, one distinct entry (r <= c) at a time
+            yield w * (g0 * g0)
+            yield w * (g0 * g1)
+            yield w * (g0 * g2 - r)
+            yield w * (g1 * g1 + 2.0 * r)
+            yield w * (g1 * g2)
+            yield w * (g2 * g2)
+
+        return self.op.gram(entries(), self.free)
 
 
 def solve_2d_descent(P: Polytope, A, mesh: Mesh, tol=1e-6, f0=None) -> SolverState:

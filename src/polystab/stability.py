@@ -612,8 +612,8 @@ def verify_audits(P: Polytope, h: float, seed: int, sigma_scale=1.0, audit_count
             for u in (xsq, AffineFunc(0.3, (0.7,) * n), v)]
     yield ("ibp-identity", max(gaps) <= 1e-5, max(gaps), 1e-5)
 
-    # L_A(v) = n Vol
-    la = ev.linear_functional(v)
+    # L_A(v) = n Vol; the norm-bound row's |v|_b comes from the same call
+    bnorm_solution, la = ev.norm_and_linear(v)
     yield ("linear-functional-of-solution", abs(la - n * vol) <= 1e-6,
            abs(la - n * vol), 1e-6)
 
@@ -624,7 +624,6 @@ def verify_audits(P: Polytope, h: float, seed: int, sigma_scale=1.0, audit_count
     yield ("lambda-positive", lam > threshold, lam, threshold)
     if lam > 0:
         bound = solution_norm_bound(P, A, lam)
-        bnorm_solution = ev.boundary_norm(v)
         yield ("solution-norm-bound", bnorm_solution <= bound + 1e-9,
                bnorm_solution, bound)
         cert = properness_certificate(P, A, lam, mesh, evaluator=ev)

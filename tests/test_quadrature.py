@@ -18,6 +18,7 @@ from polystab.polytope import (
 )
 from polystab.quadrature import (
     DEFAULT_DEGREE,
+    _BLOCK_TRIANGLES,
     _boundary_2d,
     _boundary_tol,
     _geometric_breaks,
@@ -33,6 +34,7 @@ from polystab.quadrature import (
     mesh_graded_scheme,
     split_scheme,
     standard_scheme,
+    triangle_points,
     triangle_rule,
 )
 
@@ -269,8 +271,14 @@ def whole_graded_rule(P, degree, layers, tangential_layers):
 @pytest.mark.parametrize("degree, layers, tangential", [(6, 40, 16), (9, 7, 3)])
 def test_graded_blocks_concatenate_to_the_whole_rule(P, degree, layers, tangential):
     blocks = list(graded_blocks(P, degree, layers, tangential))
-    assert len(blocks) == (2 if P.dimension == 1 else P.num_facets)
-    assert len({len(w) for _, w, _ in blocks}) == 1
+    if P.dimension == 1:
+        assert len(blocks) == 2 and len(blocks[0][1]) == len(blocks[1][1])
+    else:
+        # each facet fan in runs of whole layers of at most _BLOCK_TRIANGLES triangles
+        step = max(1, _BLOCK_TRIANGLES // (4 * tangential))
+        runs = [(j, min(j + step, layers)) for j in range(0, layers, step)]
+        assert [(lay[0], lay[-1] + 1) for _, _, lay in blocks] == runs * P.num_facets
+        assert max(len(w) for _, w, _ in blocks) <= _BLOCK_TRIANGLES * triangle_points(degree)
     G = graded_scheme(P, degree, layers, tangential)
     for got, scheme, want in zip(zip(*blocks),
                                  (G.interior_points, G.interior_weights, G.interior_layers),

@@ -6,16 +6,31 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polystab.convex import guillemin_potential
+from polystab.convex import guillemin_hessian, guillemin_potential
 from polystab.errors import LineSearchStall, LostConvexity
 from polystab.functionals import FunctionalEvaluator, extremal_affine
 from polystab.hessfit import PointOperator, components_to_matrices
 from polystab.mesh import make_mesh
 from polystab.polytope import build_polytope, interval, unit_square
+from polystab.quadrature import mesh_graded_scheme
 from polystab.solver import DiscreteEnergy, solve_1d, solve_2d_descent
 
 PENTAGON = [((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, 0.0), -3.0),
             ((0.0, -1.0), -2.0), ((-1.0, -1.0), -4.0)]
+# normals off 0/+-1, so the gaps x.h_k - c_k round
+TRIANGLE = [((0.617, 0.787), -1.094), ((-0.997, -0.074), -1.127), ((0.952, -0.306), -1.123)]
+
+
+def _energy(case):
+    """DiscreteEnergy of a named case: polytope, field and mesh size."""
+    if case == "pentagon-1/5":
+        P = build_polytope(PENTAGON)
+        return DiscreteEnergy(P, extremal_affine(P), make_mesh(P, 1 / 5))
+    if case == "triangle-0.2":
+        P = build_polytope(TRIANGLE)
+        return DiscreteEnergy(P, extremal_affine(P), make_mesh(P, 0.2))
+    S = unit_square()
+    return DiscreteEnergy(S, 4.0, make_mesh(S, {"square-1/8": 1 / 8, "square-1/2": 1 / 2}[case]))
 
 
 def test_solve_1d_matches_guillemin_potential():
@@ -68,10 +83,11 @@ def full_sample_energy(E, f):
     """Value, margin, gradient and Hessians of E over every sample.
 
     The reference the restricted kernel is checked against: full 2x2
-    Hessians of u_o + f on the whole mesh-graded scheme, and the surrogate's
-    Hessian components of the correction there.
+    Hessians of u_o + f on the whole mesh-graded scheme, rebuilt here since
+    the energy keeps only its active samples, and the surrogate's Hessian
+    components of the correction there.
     """
-    Q = E.scheme
+    Q = mesh_graded_scheme(E.mesh, 6, 20, 8)
     op = E.surrogate.point_operator(Q.interior_points, Q.interior_cells)
     vals = np.zeros(E.mesh.num_vertices)
     vals[E.free] = f
@@ -84,22 +100,19 @@ def full_sample_energy(E, f):
     return value, float(np.min(det)), -op.rmatvec(z)[E.free] + E.lin_free, H, comp
 
 
-@pytest.mark.parametrize("case", ["pentagon-1/5", "square-1/8", "square-all-free"])
+@pytest.mark.parametrize("case", ["pentagon-1/5", "square-1/8", "triangle-0.2",
+                                  "square-all-free"])
 def test_energy_matches_full_sample_reference(case):
-    if case == "pentagon-1/5":
-        P = build_polytope(PENTAGON)
-        E = DiscreteEnergy(P, extremal_affine(P), make_mesh(P, 1 / 5))
-    elif case == "square-1/8":
-        S = unit_square()
-        E = DiscreteEnergy(S, 4.0, make_mesh(S, 1 / 8))
-    else:
+    if case == "square-all-free":
         # every vertex free, so no sample is inactive
         S = unit_square()
         mesh = make_mesh(S, 1 / 4)
         E = DiscreteEnergy(S, 4.0, mesh, margin=-1.0)
         assert len(E.free) == mesh.num_vertices
         assert np.all(E.active)
-    assert 0 < np.count_nonzero(E.active) <= E.npts == len(E.scheme.interior_weights)
+    else:
+        E = _energy(case)
+    assert 0 < np.count_nonzero(E.active) <= E.npts
     rng = np.random.default_rng(11)
     for trial in range(3):
         f = 1e-3 * rng.standard_normal(len(E.free))
@@ -118,6 +131,26 @@ def test_energy_matches_full_sample_reference(case):
         # the gradient of a fresh argument must not reuse the previous Hessians
         g = f + 1e-4
         assert np.array_equal(E.gradient(g), full_sample_energy(E, g)[2])
+
+
+@pytest.mark.parametrize("case", ["pentagon-1/5", "square-1/8", "triangle-0.2", "square-1/2"])
+def test_streamed_setup_matches_the_whole_rule(case):
+    # the energy maps only the active cells' triangles and streams the rest;
+    # the whole mesh-graded rule, built here, must give the same samples
+    E = _energy(case)
+    Q = mesh_graded_scheme(E.mesh, 6, 20, 8)
+    active = E.surrogate.reads(E.free)[E.mesh.cells].any(axis=1)[Q.interior_cells]
+    assert E.npts == len(Q.interior_weights)
+    assert np.array_equal(E.active, active)
+    assert np.array_equal(E.w, Q.interior_weights[active])
+    hxx, hxy, hyy = guillemin_hessian(E.polytope, Q.interior_points)
+    assert np.array_equal(E.h_o, np.stack([hxx, hxy, hyy])[:, active])
+    det = (hxx * hyy - hxy * hxy)[~active]
+    assert E.fixed_margin == det.min(initial=np.inf)
+    logdet = float(np.dot(Q.interior_weights[~active], np.log(det)))
+    assert E.fixed_logdet == pytest.approx(logdet, rel=1e-13)
+    if case == "square-1/2":
+        assert len(E.free) == 0 and not np.any(E.active)
 
 
 def test_gradient_does_not_reuse_a_mutated_argument():
@@ -163,6 +196,11 @@ def test_hessian_matches_central_differences():
         assert np.linalg.norm(fd - H @ d) <= 1e-6 * np.linalg.norm(H @ d)
 
 
+def _entries(K):
+    """The distinct entries K[:, r, c], r <= c, of (m, 3, 3) blocks, as gram reads them."""
+    return [K[:, r, c] for r, c in zip(*np.triu_indices(3))]
+
+
 def test_gram_matches_dense_reference():
     # op^T K op from the dense operator, one column per vertex; gram sums
     # only the distinct entries over unordered vertex pairs and mirrors them
@@ -175,7 +213,7 @@ def test_gram_matches_dense_reference():
     V = E.op.shape[1]
     dense = np.stack([E.op @ np.eye(V)[j] for j in range(V)])  # (V, 3, m)
     ref = np.einsum("akp,pkl,blp->ab", dense, K, dense)[np.ix_(E.free, E.free)]
-    G = E.op.gram(K, E.free)
+    G = E.op.gram(_entries(K), E.free)
     assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -188,13 +226,14 @@ def test_gram_structure_is_rebuilt_for_new_columns():
     K = K + K.transpose(0, 2, 1)
     op = E.op
     for cols in (E.free, E.free[::2], np.arange(op.shape[1]), E.free):
-        fresh = PointOperator(op.surrogate, op.tri, op.bary)
-        assert np.array_equal(op.gram(K, cols), fresh.gram(K, cols))
+        fresh = PointOperator(op.surrogate, op.cells, op.bary)
+        assert np.array_equal(op.gram(_entries(K), cols), fresh.gram(_entries(K), cols))
 
 
 def test_energy_setup_holds_one_large_rule_at_a_time():
-    # L_A(u_o) is taken on the 40-layer graded rule before the mesh-graded
-    # rule is built, and neither that rule nor its evaluator is kept
+    # L_A(u_o) is taken on the 40-layer graded rule before any mesh-graded
+    # sample exists, the inactive samples are streamed, and neither rule nor
+    # the evaluator is kept (measured: peak 3.0 MB, held 1.1 MB; bounds about +50 %)
     P = build_polytope(PENTAGON)
     A, mesh = extremal_affine(P), make_mesh(P, 1 / 5)
     DiscreteEnergy(P, A, mesh)  # warm-up: imports and first-use caches
@@ -204,15 +243,38 @@ def test_energy_setup_holds_one_large_rule_at_a_time():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 25e6
-    assert held <= 8e6
+    assert peak <= 4.5e6
+    assert held <= 1.7e6
     assert not hasattr(E, "evaluator")
+    assert not hasattr(E, "scheme")
+
+
+def test_first_newton_matrix_makes_no_per_point_blocks():
+    # gram sums K's six distinct entries one (m,) column at a time over the
+    # active cells, so no (m, 3, 3) block or per-point pair key is made
+    # (measured: 1.8 MB traced on the pentagon at h = 1/5; bound +50 %)
+    P = build_polytope(PENTAGON)
+    A, mesh = extremal_affine(P), make_mesh(P, 1 / 5)
+    for warm_up in (True, False):  # the first pass fills first-use caches
+        E = DiscreteEnergy(P, A, mesh)
+        f = np.zeros(len(E.free))
+        E.value(f)
+        if warm_up:
+            E.hessian(f)
+    tracemalloc.start()
+    try:
+        E.hessian(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.7e6
 
 
 def test_guillemin_setup_integrals_take_one_facet_fan_at_a_time(monkeypatch):
-    # L_A(u_o) sums the 40-layer graded rule one facet fan at a time, with no
-    # standard rule, and Hess u_o on the mesh-graded samples is summed from
-    # (m,) gap columns, so neither the whole rule nor an (m, K) array exists
+    # L_A(u_o) sums the 40-layer graded rule a few layers of one facet fan at
+    # a time, with no standard rule, and Hess u_o on the mesh-graded samples
+    # is summed from (m,) gap columns, so neither the whole rule nor an (m, K)
+    # array exists (measured: 0.87 MB and 3.0 MB traced; bounds about +50 %)
     import polystab.functionals
 
     P = build_polytope(PENTAGON)
@@ -232,8 +294,8 @@ def test_guillemin_setup_integrals_take_one_facet_fan_at_a_time(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[0] <= 5e6
-    assert peaks[1] <= 14e6
+    assert peaks[0] <= 1.3e6
+    assert peaks[1] <= 4.5e6
 
 
 def test_linear_constant_is_the_graded_evaluator_value():
