@@ -192,59 +192,11 @@ class MeshConvexFunc:
 
     def convexity_margins(self):
         """Per-hinge slack of the discrete convexity inequalities (>= 0 iff convex)."""
-        m = self.mesh
-        u = self.values
-        if self.dimension == 1:
-            l, c, r = m.hinges.T
-            xl, xc, xr = (m.vertices[i, 0] for i in (l, c, r))
-            return (u[r] - u[c]) / (xr - xc) - (u[c] - u[l]) / (xc - xl)
-        idx, coef = convexity_coefficients(m)
-        return np.sum(u[idx] * coef, axis=1)
+        idx, coef = self.mesh.convexity_rows
+        return np.sum(self.values[idx] * coef, axis=1)
 
     def is_discretely_convex(self, slack=1e-12):
-        if len(self.mesh.hinges) == 0:
-            return True
-        return bool(np.min(self.convexity_margins()) >= -slack)
-
-    def boundary_norm_weights(self):
-        """Vertex weights b with integral of u dsigma = b . values (exact for PL u)."""
-        m = self.mesh
-        P = m.polytope
-        b = np.zeros(m.num_vertices)
-        if self.dimension == 1:
-            for v, facets in m.boundary_facets.items():
-                for k in facets:
-                    b[v] += P.boundary_weights[k]
-            return b
-        # each boundary edge puts half its sigma-length on both ends
-        a, c, k = m.boundary_edges.T
-        half = 0.5 * np.linalg.norm(m.vertices[c] - m.vertices[a], axis=1) * P.boundary_weights[k]
-        return np.bincount(np.column_stack([a, c]).ravel(), weights=np.repeat(half, 2),
-                           minlength=m.num_vertices)
-
-
-def convexity_coefficients(mesh: Mesh):
-    """2D hinge inequalities: rows (p, q, r, s) with sum(coef * u[idx]) >= 0.
-
-    s is written in the barycentric frame of triangle (p, q, r); convexity of
-    the interpolant across the shared edge (p, q) is u_s - a u_p - b u_q -
-    c u_r >= 0.
-    """
-    m = mesh
-    idx = m.hinges  # (E, 4): p, q, r, s
-    vp = m.vertices[idx[:, 0]]
-    vq = m.vertices[idx[:, 1]]
-    vr = m.vertices[idx[:, 2]]
-    vs = m.vertices[idx[:, 3]]
-    e1 = vq - vp
-    e2 = vr - vp
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    rhs = vs - vp
-    beta = (rhs[:, 0] * e2[:, 1] - rhs[:, 1] * e2[:, 0]) / det
-    gamma = (-rhs[:, 0] * e1[:, 1] + rhs[:, 1] * e1[:, 0]) / det
-    alpha = 1.0 - beta - gamma
-    coef = np.column_stack([-alpha, -beta, -gamma, np.ones(len(idx))])
-    return idx, coef
+        return bool(np.min(self.convexity_margins(), initial=np.inf) >= -slack)
 
 
 # ---------------------------------------------------------------------------

@@ -75,15 +75,13 @@ def field_degree(A):
 def mesh_linear_forms(mesh: Mesh, A, degree=DEFAULT_DEGREE):
     """Vertex weight vectors (b, a) with |u|_b = b.u and int(A u) = a.u for mesh u.
 
-    b comes from exact trapezoid integration along boundary edges; a from
-    per-cell rules applied to A times each hat function.  The same vectors
-    drive the stability LP, so LP objectives and evaluator values agree to
-    roundoff on mesh functions.
+    b is the mesh's `boundary_vertex_weights` (exact trapezoid integration
+    along boundary edges); a comes from per-cell rules applied to A times
+    each hat function.  The same vectors drive the stability LP, so LP
+    objectives and evaluator values agree to roundoff on mesh functions.
     """
     Af = as_field(A, mesh.dimension)
-    V = mesh.num_vertices
-    b = MeshConvexFunc(mesh, np.zeros(V)).boundary_norm_weights()
-    a = np.zeros(V)
+    a = np.zeros(mesh.num_vertices)
     M = len(mesh.cells)
     if mesh.dimension == 1:
         p, w = _segments(mesh.vertices[mesh.cells, 0], degree)
@@ -97,7 +95,7 @@ def mesh_linear_forms(mesh: Mesh, A, degree=DEFAULT_DEGREE):
     contrib = np.stack([np.matmul(wA, lam_k.reshape(M, q, 1))[:, 0, 0] for lam_k in lam],
                        axis=1)
     np.add.at(a, mesh.cells.ravel(), contrib.ravel())
-    return b, a
+    return mesh.boundary_vertex_weights, a
 
 
 @dataclass
@@ -129,7 +127,7 @@ class FunctionalEvaluator:
         self.degree = degree
         self.layers = layers
         self._A = as_field(A, P.dimension)
-        self._mesh_cache: dict = {}
+        self._mesh_cache: dict = {}  # (kind, mesh[, rule]) -> data; meshes hash by identity
 
     @cached_property
     def scheme(self) -> QuadratureScheme:
@@ -143,21 +141,17 @@ class FunctionalEvaluator:
 
     # -- helpers -------------------------------------------------------------
 
-    def _cached(self, kind, objs, build):
-        """Per-mesh data, keyed by the ids of objs; each entry keeps objs alive
-        (so no id is reused while it is cached) and is checked with `is`."""
-        key = (kind,) + tuple(id(o) for o in objs)
-        hit = self._mesh_cache.get(key)
-        if hit is None or any(a is not b for a, b in zip(hit[0], objs)):
-            hit = self._mesh_cache[key] = (objs, build())
-        return hit[1]
+    def _cached(self, key, build):
+        """Per-mesh data for this evaluator's A and degree, built on first use."""
+        if key not in self._mesh_cache:
+            self._mesh_cache[key] = build()
+        return self._mesh_cache[key]
 
     def _forms_for(self, mesh: Mesh):
-        return self._cached("forms", (mesh,),
-                            lambda: mesh_linear_forms(mesh, self.A, self.degree))
+        return self._cached(("forms", mesh), lambda: mesh_linear_forms(mesh, self.A, self.degree))
 
     def _surrogate_for(self, mesh: Mesh):
-        return self._cached("surrogate", (mesh,), lambda: HessianSurrogate(mesh))
+        return self._cached(("surrogate", mesh), lambda: HessianSurrogate(mesh))
 
     def _rule_for(self, u):
         """(interior, boundary) blocks of u's rule; the graded one comes per facet fan."""
@@ -173,8 +167,7 @@ class FunctionalEvaluator:
     def boundary_norm(self, u) -> float:
         """Integral of u over the boundary against dsigma."""
         if isinstance(u, MeshConvexFunc):
-            b, _ = self._forms_for(u.mesh)
-            return float(b @ u.values)
+            return float(u.mesh.boundary_vertex_weights @ u.values)
         return integrate_blocks(u, self._rule_for(u)[1])
 
     def interior_integral(self, u) -> float:
@@ -224,11 +217,11 @@ class FunctionalEvaluator:
         return MabuchiResult(term + lin, term, lin, abs(tail))
 
     def _mesh_graded_for(self, mesh: Mesh):
-        return self._cached("mgq", (mesh,), lambda: mesh_graded_scheme(mesh, self.degree))
+        return self._cached(("mgq", mesh), lambda: mesh_graded_scheme(mesh, self.degree))
 
     def _mesh_point_hessians(self, u: MeshConvexFunc, Q: QuadratureScheme, cells=None):
         """Surrogate Hessians of u at Q's points; cells: their cells in u.mesh."""
-        op = self._cached("op", (u.mesh, Q), lambda: self._surrogate_for(u.mesh)
+        op = self._cached(("op", u.mesh, Q), lambda: self._surrogate_for(u.mesh)
                           .point_operator(Q.interior_points, cells))
         comp = op @ u.values
         return components_to_matrices(comp, u.dimension)
@@ -298,6 +291,11 @@ class FunctionalEvaluator:
 
     def ibp_identity_check(self, v: SmoothConvexFunc, u):
         """(lhs, rhs, gap) for L_A(u) = integral of v^{ij} u_{ij} dmu."""
+        rhs, lhs = self.ibp_integral(v, u), self.linear_functional(u)
+        return lhs, rhs, abs(lhs - rhs)
+
+    def ibp_integral(self, v: SmoothConvexFunc, u) -> float:
+        """Integral of v^{ij} u_{ij} dmu on the graded rule, the rhs of the identity."""
         Q = self.graded
         Hv = v.hess(Q.interior_points)
         detv = _dets(Hv)
@@ -311,10 +309,7 @@ class FunctionalEvaluator:
         else:
             _require_smooth(u, "the integration-by-parts identity")
             Hu = u.hess(Q.interior_points)
-        integrand = np.einsum("mij,mij->m", Wv, Hu)
-        rhs = float(np.dot(Q.interior_weights, integrand))
-        lhs = self.linear_functional(u)
-        return lhs, rhs, abs(lhs - rhs)
+        return float(np.dot(Q.interior_weights, np.einsum("mij,mij->m", Wv, Hu)))
 
 
 def _require_smooth(u, what):

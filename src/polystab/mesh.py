@@ -13,6 +13,7 @@ cell in place, so coarse piecewise-linear functions remain representable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .polytope import Polytope
 VERTEX_CAP = 200_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Triangulation (1D: partition into segments) of a polytope.
 
@@ -32,6 +33,8 @@ class Mesh:
     in 2D rows (p, q, r, s) per interior edge (p, q) with opposite vertices r
     and s.  boundary_facets maps vertex index -> tuple of facet ids it lies on;
     in 2D, boundary_edges lists each boundary edge with the facet it lies on.
+    Arrays derived from the mesh are cached on it, read-only; it hashes by
+    identity, so other objects' per-mesh caches can key on it.
     """
 
     polytope: Polytope
@@ -54,6 +57,44 @@ class Mesh:
     @property
     def num_vertices(self):
         return self.vertices.shape[0]
+
+    @cached_property
+    def convexity_rows(self):
+        """(idx, coef), one row per hinge: sum(coef * u[idx]) >= 0 iff u is convex
+        there.  1D: the slope difference at mid; 2D: u_s - alpha u_p - beta u_q
+        - gamma u_r, with (alpha, beta, gamma) the barycentric coordinates of s
+        in triangle (p, q, r)."""
+        idx = self.hinges
+        if self.dimension == 1:
+            x = self.vertices[idx, 0]
+            left, right = 1.0 / (x[:, 1] - x[:, 0]), 1.0 / (x[:, 2] - x[:, 1])
+            coef = np.column_stack([left, -(left + right), right])
+        else:
+            vp, vq, vr, vs = (self.vertices[idx[:, k]] for k in range(4))
+            e1, e2, rhs = vq - vp, vr - vp, vs - vp
+            det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+            beta = (rhs[:, 0] * e2[:, 1] - rhs[:, 1] * e2[:, 0]) / det
+            gamma = (-rhs[:, 0] * e1[:, 1] + rhs[:, 1] * e1[:, 0]) / det
+            coef = np.column_stack([-(1.0 - beta - gamma), -beta, -gamma, np.ones(len(idx))])
+        coef.flags.writeable = False
+        return idx, coef
+
+    @cached_property
+    def boundary_vertex_weights(self):
+        """(V,) weights b with the integral of u dsigma = b . u for PL u (exact)."""
+        w = self.polytope.boundary_weights
+        if self.dimension == 1:
+            b = np.zeros(self.num_vertices)
+            for v, facets in self.boundary_facets.items():
+                b[v] = w[list(facets)].sum()
+        else:
+            # each boundary edge puts half its sigma-length on both ends
+            a, c, k = self.boundary_edges.T
+            half = 0.5 * np.linalg.norm(self.vertices[c] - self.vertices[a], axis=1) * w[k]
+            b = np.bincount(np.column_stack([a, c]).ravel(), weights=np.repeat(half, 2),
+                            minlength=self.num_vertices)
+        b.flags.writeable = False
+        return b
 
     def nearest_vertex(self, point):
         d = np.linalg.norm(self.vertices - np.asarray(point, dtype=float), axis=1)

@@ -49,9 +49,31 @@ def _frozen(*arrays):
 
 @lru_cache(maxsize=None)
 def gauss_rule(npts):
-    """Gauss-Legendre nodes/weights on [0, 1] (cached, read-only)."""
-    x, w = np.polynomial.legendre.leggauss(npts)
-    return _frozen(0.5 * (x + 1.0), 0.5 * w)
+    """Gauss-Legendre nodes/weights on [0, 1] (cached, read-only): numpy's
+    leggauss step for step, without importing numpy.polynomial.  The nodes are
+    the eigenvalues of the Legendre Jacobi matrix (Golub-Welsch) after one
+    Newton step on P_n; the weights 1 / (P_{n-1} P_n'), scaled to sum to 1."""
+    k = np.arange(npts)
+    scl = 1.0 / np.sqrt(2 * k + 1)
+    off = k[1:] * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    c = np.zeros((npts + 1, 3, 1))  # Legendre coefficients of P_n, P_n', P_{n-1}
+    c[npts, 0] = c[npts - 1, 2] = 1.0
+    c[:npts, 1, 0] = np.where((npts - 1 - k) % 2 == 0, 2 * k + 1, 0)
+
+    def clenshaw(x):  # in the operation order of numpy's legval
+        c0, c1 = c[-2], c[-1]
+        for nd in range(npts, 1, -1):
+            c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+        return c0 + c1 * x
+
+    p_n, dp_n, _ = clenshaw(x)
+    x = x - p_n / dp_n
+    p_m = clenshaw(x)[2]
+    w = 1 / ((p_m / np.abs(p_m).max()) * (dp_n / np.abs(dp_n).max()))
+    w = (w + w[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return _frozen(0.5 * ((x - x[::-1]) / 2 + 1.0), 0.5 * w)
 
 
 def _segments(ab, degree):
@@ -119,9 +141,9 @@ def _tagged_rule(tris, tags, degree):
     return (pts, wts) + tuple(np.repeat(np.asarray(t).ravel()[keep], per) for t in tags)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureScheme:
-    """Interior + per-facet boundary rules for one polytope."""
+    """Interior + per-facet boundary rules for one polytope (hashed by identity)."""
 
     dimension: int
     degree: int

@@ -11,6 +11,7 @@ Newton steps does not grow with the conditioning of the discrete problem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -68,20 +69,13 @@ class _PanelIntegrator:
         return pts, wts
 
 
-def _poly_antiderivative(coeffs):
-    out = [0.0]
-    for k, c in enumerate(coeffs):
-        out.append(c / (k + 1))
-    return np.array(out)
-
-
 def solve_1d(P: Polytope, A, p_o=None, tol=COMPAT_TOL):
     """Solve the 1D equation; returns (u, Compatibility1D).
 
-    Integrates w'' = -A from the left endpoint with w(p) = 0 and w'(p) the
-    sigma-weight there, then checks w(q) = 0 and w'(q) = -(right weight).
-    Raises IncompatibleA when the overdetermined conditions fail and
-    NonpositiveW when w is not positive inside.
+    Integrates w'' = -A (a polynomial, else ValueError) from the left endpoint
+    with w(p) = 0 and w'(p) the sigma-weight there, then checks w(q) = 0 and
+    w'(q) = -(right weight).  Raises IncompatibleA when the overdetermined
+    conditions fail and NonpositiveW when w is not positive inside.
     """
     if P.dimension != 1:
         raise ValueError("solve_1d needs an interval")
@@ -90,60 +84,31 @@ def solve_1d(P: Polytope, A, p_o=None, tol=COMPAT_TOL):
     w_left = float(P.boundary_weights[int(np.argmin(P.gaps([[p]])[0]))])
     w_right = float(P.boundary_weights[int(np.argmin(P.gaps([[q]])[0]))])
 
-    Af = as_field(A, 1)
     deg = field_degree(A)
-    if deg is not None:
-        # exact polynomial integration: w = w_left (x-p) - C(x), C'' = A, C(p) = C'(p) = 0
-        if isinstance(A, QuadraticPoly):
-            base = [A.coeffs[0], A.coeffs[1], A.coeffs[3]]
-        elif deg == 0:
-            base = [float(Af(np.array([[p]]))[0])]
-        else:  # AffineFunc
-            base = [A.a0, A.a[0]]
-        # rewrite A in s = x - p so the initial conditions sit at s = 0
-        from math import comb
-        shifted = np.zeros(len(base))
-        for k, c in enumerate(base):
-            for i in range(k + 1):
-                shifted[i] += c * comb(k, i) * p ** (k - i)
-        B = _poly_antiderivative(shifted)
-        C = _poly_antiderivative(B)
+    if deg is None:
+        raise ValueError("solve_1d needs a polynomial field A")
+    # exact polynomial integration: w = w_left (x-p) - C(x), C'' = A, C(p) = C'(p) = 0
+    if isinstance(A, QuadraticPoly):
+        base = [A.coeffs[0], A.coeffs[1], A.coeffs[3]]
+    elif deg == 0:
+        base = [float(as_field(A, 1)(np.array([[p]]))[0])]
+    else:  # AffineFunc
+        base = [A.a0, A.a[0]]
+    # rewrite A in s = x - p so the initial conditions sit at s = 0
+    shifted = np.zeros(len(base))
+    for k, c in enumerate(base):
+        for i in range(k + 1):
+            shifted[i] += c * comb(k, i) * p ** (k - i)
+    B = np.polyint(shifted[::-1])  # highest power first, as np.polyval reads them
+    C = np.polyint(B)
 
-        def w_fn(x):
-            s = np.asarray(x, dtype=float) - p
-            acc = np.zeros_like(s)
-            for c in reversed(C):
-                acc = acc * s + c
-            return w_left * s - acc
-
-        def wprime_fn(x):
-            s = np.asarray(x, dtype=float) - p
-            acc = np.zeros_like(s)
-            for c in reversed(B):
-                acc = acc * s + c
-            return w_left - acc
-    else:
-        integ = _PanelIntegrator()
-
-        def wprime_fn(x):
-            xs = np.atleast_1d(np.asarray(x, dtype=float))
-            out = np.empty_like(xs)
-            for i, xi in enumerate(xs):
-                pts, wts = integ.panels(p, xi)
-                out[i] = w_left - float(np.dot(wts, Af(pts[:, None])))
-            return out if np.ndim(x) else float(out[0])
-
-        def w_fn(x):
-            xs = np.atleast_1d(np.asarray(x, dtype=float))
-            out = np.empty_like(xs)
-            for i, xi in enumerate(xs):
-                pts, wts = integ.panels(p, xi)
-                out[i] = w_left * (xi - p) - float(np.dot(wts, (xi - pts) * Af(pts[:, None])))
-            return out if np.ndim(x) else float(out[0])
+    def w_fn(x):
+        s = np.asarray(x, dtype=float) - p
+        return w_left * s - np.polyval(C, s)
 
     scale = max(1.0, w_left * (q - p))
-    r_end = float(w_fn(np.array([q]))[0] if np.ndim(w_fn(q)) else w_fn(q))
-    r_slope = float(wprime_fn(q)) + w_right
+    r_end = float(w_fn(q))
+    r_slope = w_left - float(np.polyval(B, q - p)) + w_right
     compatible = abs(r_end) <= tol * scale and abs(r_slope) <= tol * scale
     xs = np.linspace(p, q, 4097)[1:-1]
     wmin = float(np.min(w_fn(xs)))
@@ -161,27 +126,23 @@ def solve_1d(P: Polytope, A, p_o=None, tol=COMPAT_TOL):
         p_o = float(np.atleast_1d(p_o)[0])
     integ_u = _PanelIntegrator()
 
-    def u_value(pts):
+    def integral(pts, kernel):
+        """Integral of kernel(x, s) / w(s) ds from p_o to x, at every point x."""
         xs = np.atleast_2d(pts)[:, 0]
-        out = np.empty_like(xs)
+        out = np.zeros_like(xs)
         for i, xi in enumerate(xs):
             s, wt = integ_u.panels(p_o, xi)
-            out[i] = float(np.dot(wt, (xi - s) / w_fn(s))) if len(s) else 0.0
+            if len(s):
+                out[i] = float(np.dot(wt, kernel(xi, s) / w_fn(s)))
         return out
-
-    def u_grad(pts):
-        xs = np.atleast_2d(pts)[:, 0]
-        out = np.empty_like(xs)
-        for i, xi in enumerate(xs):
-            s, wt = integ_u.panels(p_o, xi)
-            out[i] = float(np.dot(wt, 1.0 / w_fn(s))) if len(s) else 0.0
-        return out[:, None]
 
     def u_hess(pts):
         xs = np.atleast_2d(pts)[:, 0]
         return (1.0 / w_fn(xs))[:, None, None]
 
-    u = SmoothConvexFunc(u_value, u_grad, u_hess, 1, domain=P, guillemin_type=True)
+    u = SmoothConvexFunc(lambda pts: integral(pts, lambda x, s: x - s),
+                         lambda pts: integral(pts, lambda x, s: 1.0)[:, None],
+                         u_hess, 1, domain=P, guillemin_type=True)
     return u, report
 
 

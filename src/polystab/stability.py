@@ -32,6 +32,7 @@ positive constant to the properness bound; `polystab verify` reports it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from .convex import (
     MeshConvexFunc,
     PLConvexFunc,
     SmoothConvexFunc,
-    convexity_coefficients,
     crease,
     guillemin_potential,
     normalize,
@@ -105,12 +105,14 @@ class StabilityReport:
 class StabilityLP:
     """Shared assembly for the cone LPs on one mesh.
 
-    `rows = (idx, coef)` are the sparse convexity rows over the free vertices,
-    with the entries of p_o zeroed.
+    `rows = (idx, coef)` are the mesh's convexity rows over the free vertices,
+    with the entries of p_o zeroed.  The interior weights of A and of the unit
+    field (`a_weights`, `mass_weights`) are assembled when a problem reads them.
     """
 
     def __init__(self, P: Polytope, A, mesh: Mesh, p_o=None):
         self.polytope = P
+        self.A = A
         self.mesh = mesh
         if p_o is None:
             p_o = center_of_mass(P)
@@ -118,18 +120,19 @@ class StabilityLP:
         if self.p_o_index in mesh.boundary_facets:
             raise ValueError("normalization vertex p_o must be strictly interior")
         self.p_o = mesh.vertices[self.p_o_index]
-        if mesh.dimension == 1:
-            idx = mesh.hinges
-            x = mesh.vertices[idx, 0]
-            left, right = 1.0 / (x[:, 1] - x[:, 0]), 1.0 / (x[:, 2] - x[:, 1])
-            coef = np.column_stack([left, -(left + right), right])
-        else:
-            idx, coef = convexity_coefficients(mesh)
+        idx, coef = mesh.convexity_rows
         po = self.p_o_index
         self.rows = (np.where(idx == po, 0, idx - (idx > po)), np.where(idx == po, 0.0, coef))
-        self.b_weights, self.a_weights = mesh_linear_forms(mesh, A, degree=6)
-        _, self.mass_weights = mesh_linear_forms(mesh, 1.0, degree=6)
+        self.b_weights = mesh.boundary_vertex_weights
         self.free = np.delete(np.arange(mesh.num_vertices), po)
+
+    @cached_property
+    def a_weights(self):
+        return mesh_linear_forms(self.mesh, self.A, degree=6)[1]
+
+    @cached_property
+    def mass_weights(self):
+        return mesh_linear_forms(self.mesh, 1.0, degree=6)[1]
 
     def _solve(self, objective, norm_row, mode):
         c, b = objective[self.free], norm_row[self.free]
@@ -604,16 +607,17 @@ def verify_audits(P: Polytope, h: float, seed: int, sigma_scale=1.0, audit_count
     n = P.dimension
     vol = ev.volume()
 
-    # integration-by-parts identity L_A(u) = int v^{ij} u_ij
+    # integration-by-parts identity L_A(u) = int v^{ij} u_ij; for u = v its
+    # lhs is the one L_A(v), whose call also gives the norm-bound row's |v|_b
     eye = 2.0 * np.eye(n)
     xsq = SmoothConvexFunc(lambda p: np.sum(p * p, axis=1), lambda p: 2.0 * p,
                            lambda p: np.tile(eye, (p.shape[0], 1, 1)), n, domain=P)
-    gaps = [ev.ibp_identity_check(v, u)[2]
-            for u in (xsq, AffineFunc(0.3, (0.7,) * n), v)]
+    bnorm_solution, la = ev.norm_and_linear(v)
+    gaps = [ev.ibp_identity_check(v, u)[2] for u in (xsq, AffineFunc(0.3, (0.7,) * n))]
+    gaps.append(abs(la - ev.ibp_integral(v, v)))
     yield ("ibp-identity", max(gaps) <= 1e-5, max(gaps), 1e-5)
 
-    # L_A(v) = n Vol; the norm-bound row's |v|_b comes from the same call
-    bnorm_solution, la = ev.norm_and_linear(v)
+    # L_A(v) = n Vol
     yield ("linear-functional-of-solution", abs(la - n * vol) <= 1e-6,
            abs(la - n * vol), 1e-6)
 

@@ -98,10 +98,13 @@ def test_missing_polytope_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def imports(module, *argvs):
-    """Whether a fresh interpreter imports `module` while running `polystab argv`, argv by argv."""
+def imports(modules, *argvs):
+    """Whether a fresh interpreter imports `modules` (one name or a tuple, any of
+    them) while running `polystab argv`, argv by argv."""
+    names = (modules,) if isinstance(modules, str) else tuple(modules)
     code = "import sys\nfrom polystab.cli import main\n" + "".join(
-        f"assert main({argv!r}) == 0\n" for argv in argvs) + f"print({module!r} in sys.modules)\n"
+        f"assert main({argv!r}) == 0\n" for argv in argvs) + (
+        f"print(any(m in sys.modules for m in {names!r}))\n")
     src = os.path.dirname(os.path.dirname(polystab.__file__))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -126,13 +129,14 @@ def test_2d_solve_does_not_import_scipy(tmp_path):
 
 def test_benchmark_runs_do_not_import_numpy_ma(tmp_path):
     # np.unique and np.union1d asked for no index outputs import numpy.ma
-    # (about 15 ms) on their first call; no run should pay that
+    # (about 15 ms) on their first call, and numpy.polynomial's Gauss rule
+    # costs its import (3-5 ms); no run should pay either
     paths = {}
     for name, text in (("interval", INTERVAL), ("square", SQUARE), ("pentagon", PENTAGON)):
         paths[name] = tmp_path / f"{name}.txt"
         paths[name].write_text(text)
     assert not imports(
-        "numpy.ma",
+        ("numpy.ma", "numpy.polynomial"),
         ["stability", "--polytope", str(paths["square"]), "--A", "affine:-2,12,0",
          "--h", "0.16666666666666666"],
         ["stability", "--polytope", str(paths["interval"]), "--A", "extremal", "--h", "0.0625"],
@@ -287,3 +291,52 @@ def test_exact_mode_reaches_the_certificate(tmp_path, capsys):
     assert main(["stability", "--polytope", str(path), "--h", "0.0625",
                  "--lp-mode", "exact"]) == 0
     assert "C_prime: 0.25" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("text, argv, calls", [
+    (SQUARE, ["stability", "--A", "affine:-2,12,0", "--h", "0.16666666666666666"], 2),
+    (INTERVAL, ["stability", "--A", "extremal", "--h", "0.0625"], 3)],
+    ids=["stability-unstable-square", "stability-stable-interval"])
+def test_lp_assembles_only_the_weights_its_problems_read(text, argv, calls, tmp_path,
+                                                         monkeypatch, capsys):
+    # the boundary weights come from the mesh; A's interior weights are
+    # assembled for the LPs at h and h/2, and the unit field's only for the
+    # L1 constant of the certificate, which the stable interval reaches
+    import polystab.functionals
+    import polystab.solver
+    import polystab.stability
+
+    forms, meshes = polystab.functionals.mesh_linear_forms, []
+
+    def counting(mesh, *args, **kwargs):
+        meshes.append(mesh)
+        return forms(mesh, *args, **kwargs)
+
+    for module in (polystab.functionals, polystab.solver, polystab.stability):
+        monkeypatch.setattr(module, "mesh_linear_forms", counting)
+    path = tmp_path / "p.txt"
+    path.write_text(text)
+    assert main([argv[0], "--polytope", str(path)] + argv[1:]) == 0
+    assert len(meshes) == calls
+
+
+def test_verify_builds_the_convexity_rows_once_per_mesh(tmp_path, monkeypatch, capsys):
+    # the LP, the discrete convexity test of every audit sample and the L1
+    # constant all read the rows the mesh keeps
+    from functools import cached_property
+
+    from polystab.mesh import Mesh
+
+    rows, built = Mesh.__dict__["convexity_rows"].func, []
+
+    def counting(mesh):
+        built.append(mesh)
+        return rows(mesh)
+
+    prop = cached_property(counting)
+    prop.__set_name__(Mesh, "convexity_rows")
+    monkeypatch.setattr(Mesh, "convexity_rows", prop)
+    path = tmp_path / "square.txt"
+    path.write_text(SQUARE)
+    assert main(["verify", "--polytope", str(path), "--h", "0.25"]) == 0
+    assert built and len(built) == len(set(built))

@@ -4,11 +4,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polystab._geom import clip_polygon_halfplane, fan_triangles, polygon_area
-from polystab.convex import MeshConvexFunc
+from polystab.convex import random_normalized_mesh_function
 from polystab.errors import MeshTooFine
 from polystab.hessfit import HessianSurrogate
 from polystab.mesh import make_mesh
 from polystab.polytope import build_polytope, interval, standard_simplex, unit_square
+from polystab.stability import StabilityLP
 
 from test_stability import _lattice_polygon, lattice_points
 
@@ -307,8 +308,7 @@ def _assert_matches_loops(P, h):
         L = np.linalg.norm(vertices[c] - vertices[a])
         b[a] += 0.5 * L * P.boundary_weights[k]
         b[c] += 0.5 * L * P.boundary_weights[k]
-    np.testing.assert_allclose(MeshConvexFunc(m, np.zeros(m.num_vertices)).boundary_norm_weights(),
-                               b, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(m.boundary_vertex_weights, b, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("h", [1 / 2, 1 / 5, 1 / 6, 1 / 8, 1 / 12, 1 / 16])
@@ -324,3 +324,59 @@ def test_mesh_and_fits_match_the_loops_on_lattice_polygons(points, n):
     P = _lattice_polygon(points)
     assume(P is not None)
     _assert_matches_loops(P, 1 / n)
+
+
+def loop_convexity_rows(mesh):
+    """Reference convexity rows, written out apart from `Mesh.convexity_rows`:
+    the 1D slope-difference stencil, and in 2D the vertex s of every hinge in
+    the barycentric frame of triangle (p, q, r)."""
+    idx = mesh.hinges
+    if mesh.dimension == 1:
+        x = mesh.vertices[idx, 0]
+        left, right = 1.0 / (x[:, 1] - x[:, 0]), 1.0 / (x[:, 2] - x[:, 1])
+        return idx, np.column_stack([left, -(left + right), right])
+    vp, vq, vr, vs = (mesh.vertices[idx[:, k]] for k in range(4))
+    e1, e2, rhs = vq - vp, vr - vp, vs - vp
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    beta = (rhs[:, 0] * e2[:, 1] - rhs[:, 1] * e2[:, 0]) / det
+    gamma = (-rhs[:, 0] * e1[:, 1] + rhs[:, 1] * e1[:, 0]) / det
+    alpha = 1.0 - beta - gamma
+    return idx, np.column_stack([-alpha, -beta, -gamma, np.ones(len(idx))])
+
+
+MESH_FIXTURES = pytest.mark.parametrize(
+    "P", [interval(), unit_square(), standard_simplex(), build_polytope(PENTAGON)],
+    ids=["interval", "square", "simplex", "pentagon"])
+
+
+@pytest.mark.parametrize("h", [1 / 5, 1 / 8])
+@MESH_FIXTURES
+def test_convexity_rows_match_the_reference_formulas(P, h):
+    m = make_mesh(P, h)
+    idx, coef = m.convexity_rows
+    ref_idx, ref_coef = loop_convexity_rows(m)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(coef, ref_coef)
+    assert m.convexity_rows is m.convexity_rows  # built once, then kept
+    assert not coef.flags.writeable and not m.boundary_vertex_weights.flags.writeable
+
+
+@pytest.mark.parametrize("h", [1 / 5, 1 / 8])
+@MESH_FIXTURES
+def test_margins_are_the_lp_rows_applied_to_the_values(P, h):
+    m = make_mesh(P, h)
+    u = random_normalized_mesh_function(m, np.random.default_rng(3))
+    lp = StabilityLP(P, 1.0, m, p_o=m.vertices[u.p_o_index])
+    idx, coef = lp.rows
+    assert u.values[lp.p_o_index] == 0.0
+    np.testing.assert_allclose(np.sum(u.values[lp.free][idx] * coef, axis=1),
+                               u.convexity_margins(), rtol=0, atol=1e-12)
+    if P.dimension == 1:  # the rows are the slope differences at the interior vertices
+        x, v = m.vertices[:, 0], u.values
+        slopes = np.diff(v) / np.diff(x)
+        np.testing.assert_allclose(u.convexity_margins(), np.diff(slopes), rtol=1e-12, atol=1e-12)
+
+
+def test_meshes_hash_by_identity():
+    a, b = make_mesh(unit_square(), 0.5), make_mesh(unit_square(), 0.5)
+    assert a != b and len({a, b, a}) == 2

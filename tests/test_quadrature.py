@@ -598,3 +598,13 @@ def test_schemes_integrate_monomials_on_lattice_polygons(points, dirs, offsets):
     assert dropped >= -1e-12 * area
     for i, j, err, bound in _moment_errors(Q, hull, DEFAULT_DEGREE):
         assert err <= (max(dropped, 0.0) + 1e-12 * area) * bound, (i, j)
+
+
+@pytest.mark.parametrize("npts", range(1, 13))
+def test_gauss_rule_matches_leggauss(npts):
+    # built with core NumPy; numpy.polynomial's rule, mapped to [0, 1], is the reference
+    x, w = np.polynomial.legendre.leggauss(npts)
+    t, wt = gauss_rule(npts)
+    assert np.max(np.abs(t - 0.5 * (x + 1.0))) <= 1e-15
+    assert np.max(np.abs(wt - 0.5 * w) / (0.5 * w)) <= 1e-14
+    assert np.all(np.diff(t) > 0.0) and np.array_equal(wt, wt[::-1])

@@ -48,6 +48,12 @@ def test_solve_1d_matches_guillemin_potential():
     assert u(x) == pytest.approx(g(x) - g(np.array([[0.5]])), abs=1e-12)
 
 
+def test_solve_1d_rejects_a_field_without_a_polynomial_degree():
+    # w = 1/u'' is integrated in closed form, so A must be a polynomial
+    with pytest.raises(ValueError, match="polynomial"):
+        solve_1d(interval(), lambda p: np.full(len(p), 2.0))
+
+
 def test_descent_square_keeps_the_exact_solution():
     # A = 4 on the unit square: u_o = sum delta_k log delta_k solves the
     # equation, so the discrete energy is stationary at zero correction and

@@ -40,6 +40,7 @@ from polystab.stability import (
     relative_kpolystability_check,
     scripted_sequences,
     solution_norm_bound,
+    verify_audits,
 )
 
 A_UNSTABLE = AffineFunc(2.0 - 3.5, (7.0,))  # 2 + 7(x - 1/2)
@@ -336,7 +337,7 @@ def test_lp_interval_lambda_half():
     assert 0.48 <= rep.lambda_hat <= 0.52
     assert rep.status == "uniformly-stable"
     d = rep.destabilizer
-    bn = float(d.boundary_norm_weights() @ d.values)
+    bn = float(m.boundary_vertex_weights @ d.values)
     assert bn == pytest.approx(1.0, abs=1e-9)
     assert d.values.min() >= -1e-12
     assert d.values[d.p_o_index] == 0.0
@@ -656,3 +657,22 @@ def test_instability_agreement():
     rep2 = lp_stability_estimate(P, 2.0, m, p_o=[0.5], refine=False)
     ok2, _ = relative_kpolystability_check(P, 2.0, m, p_o=[0.5])
     assert rep2.lambda_hat > 1e-3 and ok2 is True
+
+
+@pytest.mark.parametrize("P, h", [(interval(), 1 / 8), (unit_square(), 1 / 4)],
+                         ids=["interval", "square"])
+def test_verify_takes_l_a_of_the_solution_once(P, h, monkeypatch):
+    # one graded-block pass per Guillemin-type function: L_A(v), which the
+    # identity for u = v, the solution row and the norm-bound row share, and
+    # F_{A_o}(u_o) in the certificate
+    passes, rule_for = [], FunctionalEvaluator._rule_for
+
+    def counting(self, u):
+        if getattr(u, "guillemin_type", False):
+            passes.append(u)
+        return rule_for(self, u)
+
+    monkeypatch.setattr(FunctionalEvaluator, "_rule_for", counting)
+    rows = {name: ok for name, ok, _, _ in verify_audits(P, h, 0, audit_count=2)}
+    assert rows["ibp-identity"] and rows["linear-functional-of-solution"]
+    assert len(passes) == 2 and passes[0] is not passes[1]
