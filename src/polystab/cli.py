@@ -235,8 +235,10 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     options = {
-        "A": dict(default="extremal", help='scalar field: "extremal", '
-                  '"affine:c0,c1[,c2]", or a quadratic expression in x[,y]'),
+        "A": dict(default="extremal", help='scalar field: "extremal", "affine:c0,c1[,c2]", '
+                  'or a polynomial of degree <= 2 in x[,y] written as a Python '
+                  'expression, where ^ and ** mean power and unary minus binds '
+                  'looser than a power (-x^2 = -(x^2))'),
         "h": dict(type=float, default=1 / 16, help="mesh parameter"),
         "degree": dict(type=int, default=6, help="quadrature degree"),
         "tol": dict(type=float, default=None, help="solver tolerance"),

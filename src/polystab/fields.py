@@ -4,18 +4,26 @@ The CLI grammar covers the affine/quadratic fields the theory emphasizes:
 
     "extremal"                    -- solve for the canonical affine A
     "affine:a0,a1[,a2]"           -- a0 + a1 x (+ a2 y)
-    any expression in x, y (or x1, x2) built from numbers, + - * ^ and
-    parentheses, with total degree at most 2, e.g. "48*x^2 - 48*x + 10".
+    a polynomial of total degree <= 2 in x, y (or x1, x2): "48*x^2 - 48*x + 10"
+
+Polynomials are the subset of Python expressions made of int and float
+numbers, those names, parentheses, unary and binary + and -, *, division by a
+nonzero constant, and powers with a non-negative integer literal exponent.
+`^` and `**` both mean power, and unary minus binds looser than a power, as
+in Python: "2*-x^2" is -2 x^2.
 
 Richer fields require programmatic use (pass any callable to the evaluator).
 """
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
 
 import numpy as np
 
 from .convex import AffineFunc
+
+_VARIABLES = {"x": (1, 0), "x1": (1, 0), "y": (0, 1), "x2": (0, 1)}
 
 
 @dataclass(frozen=True)
@@ -48,112 +56,6 @@ class QuadraticPoly:
         return AffineFunc(c0, (cx,) if self.dimension == 1 else (cx, cy))
 
 
-class _Parser:
-    """Recursive-descent parser for quadratic polynomial expressions."""
-
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg):
-        raise ValueError(f"bad field expression at column {self.pos}: {msg} in {self.text!r}")
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self):
-        poly = self.expr()
-        if self.peek():
-            self.error("trailing input")
-        return poly
-
-    def expr(self):
-        sign = 1.0
-        ch = self.peek()
-        if ch in "+-":
-            self.pos += 1
-            sign = -1.0 if ch == "-" else 1.0
-        poly = _scale(self.term(), sign)
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                poly = _add(poly, self.term())
-            elif ch == "-":
-                self.pos += 1
-                poly = _add(poly, _scale(self.term(), -1.0))
-            else:
-                return poly
-
-    def term(self):
-        poly = self.factor()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                poly = _mul(poly, self.factor())
-            elif ch == "/":
-                self.pos += 1
-                other = self.factor()
-                if set(other) != {(0, 0)} and other:
-                    self.error("division only by constants")
-                poly = _scale(poly, 1.0 / other.get((0, 0), 0.0))
-            else:
-                return poly
-
-    def factor(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            ch = self.peek()
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == start:
-                self.error("integer exponent expected")
-            k = int(self.text[start:self.pos])
-            out = {(0, 0): 1.0}
-            for _ in range(k):
-                out = _mul(out, base)
-            return out
-        return base
-
-    def atom(self):
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            inner = self.expr()
-            if self.peek() != ")":
-                self.error("missing ')'")
-            self.pos += 1
-            return inner
-        if ch == "-":
-            self.pos += 1
-            return _scale(self.atom(), -1.0)
-        if ch.isalpha():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isalnum():
-                self.pos += 1
-            name = self.text[start:self.pos]
-            if name in ("x", "x1"):
-                return {(1, 0): 1.0}
-            if name in ("y", "x2"):
-                return {(0, 1): 1.0}
-            self.error(f"unknown symbol {name!r}")
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isdigit() or self.text[self.pos] in ".eE"):
-            nxt = self.text[self.pos]
-            if nxt in "eE" and self.pos + 1 < len(self.text) and self.text[self.pos + 1] in "+-":
-                self.pos += 2
-            else:
-                self.pos += 1
-        if start == self.pos:
-            self.error("number or symbol expected")
-        return {(0, 0): float(self.text[start:self.pos])}
-
-
 def _add(a, b):
     out = dict(a)
     for k, v in b.items():
@@ -174,6 +76,38 @@ def _mul(a, b):
     return out
 
 
+def _polynomial(node):
+    """{(i, j): c} of one node of a parsed field expression."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return {(0, 0): float(node.value)}
+    if isinstance(node, ast.Name) and node.id in _VARIABLES:
+        return {_VARIABLES[node.id]: 1.0}
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        return _scale(_polynomial(node.operand), -1.0 if isinstance(node.op, ast.USub) else 1.0)
+    if not isinstance(node, ast.BinOp):
+        raise ValueError(f"unsupported {type(node).__name__}")
+    a = _polynomial(node.left)
+    if isinstance(node.op, ast.Pow):
+        k = node.right
+        if not (isinstance(k, ast.Constant) and type(k.value) is int):
+            raise ValueError("the exponent must be a non-negative integer")
+        out = {(0, 0): 1.0}
+        for _ in range(k.value):
+            out = _mul(out, a)
+            if any(i + j > 2 for i, j in out):
+                break  # parse_field refuses it by its degree
+        return out
+    b = _polynomial(node.right)
+    if isinstance(node.op, (ast.Add, ast.Sub)):
+        return _add(a, _scale(b, -1.0) if isinstance(node.op, ast.Sub) else b)
+    if isinstance(node.op, ast.Mult):
+        return _mul(a, b)
+    if isinstance(node.op, ast.Div) and set(b) == {(0, 0)} and b[(0, 0)] != 0.0:
+        return _scale(a, 1.0 / b[(0, 0)])
+    raise ValueError("division only by nonzero constants" if isinstance(node.op, ast.Div)
+                     else f"unsupported operator {type(node.op).__name__}")
+
+
 def parse_field(text: str, dimension: int):
     """Parse a field specification into AffineFunc or QuadraticPoly.
 
@@ -185,7 +119,11 @@ def parse_field(text: str, dimension: int):
         if len(parts) != dimension + 1:
             raise ValueError(f"affine spec needs {dimension + 1} coefficients")
         return AffineFunc(parts[0], tuple(parts[1:]))
-    poly = _Parser(text).parse()
+    try:
+        poly = _polynomial(ast.parse(text.replace("^", "**"), mode="eval").body)
+    except (ValueError, SyntaxError, MemoryError, RecursionError, OverflowError) as exc:
+        reason = str(getattr(exc, "msg", exc)) or type(exc).__name__
+        raise ValueError(f"bad field expression {text!r}: {reason}") from None
     if any(i + j > 2 for i, j in poly):
         raise ValueError("field expressions are limited to total degree 2")
     if dimension == 1 and any(j > 0 for _, j in poly):

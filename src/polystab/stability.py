@@ -239,13 +239,12 @@ def _clipped_fans(V, g):
 def crease_functionals(grid, p_o, evaluator: FunctionalEvaluator):
     """(|u|_b, L_A(u), a0, a) of u = normalize(crease(ell), p_o) for every ell in grid.
 
-    Each ell is oriented to be <= 0 at p_o; (a0, a) are the oriented
-    coefficients, one row per crease.  Then u = (ell)_+ - s with s the
-    supporting affine function `normalize` removes: s = 0, except when
-    ell(p_o) lies in the 1e-12 tie band of `PLConvexFunc.active_gradients`
-    and a is lexicographically below 0, where s = a . (x - p_o).  Both
-    functionals are linear, so the affine part comes from the moments of
-    (x - p_o) on `evaluator.scheme`, and the (ell)_+ part is exact:
+    Each ell is oriented to be < 0 at p_o or, when |ell(p_o)| <= 1e-12 (the
+    tie band of `PLConvexFunc.active_gradients`), to a lexicographically
+    positive gradient, so ell and -ell give the same row; (a0, a) are the
+    oriented coefficients.  The supporting affine function that `normalize`
+    removes is then the constant c = max(ell(p_o), 0), at most 1e-12, and
+    u = (ell)_+ - c.  The (ell)_+ part is exact:
 
     * boundary: on a facet segment whose ends take the values g_A, g_B,
       the mean of (ell)_+ is (g_A + g_B)/2 when both are >= 0,
@@ -262,19 +261,15 @@ def crease_functionals(grid, p_o, evaluator: FunctionalEvaluator):
     p = np.atleast_1d(np.asarray(p_o, dtype=float))
     a0 = np.array([ell.a0 for ell in grid], dtype=float)
     a = np.array([ell.a for ell in grid], dtype=float).reshape(len(grid), P.dimension)
-    sign = np.where(_affine_values(a0, a, p[None])[:, 0] > 0.0, -1.0, 1.0)
-    a0, a = sign * a0, sign[:, None] * a
-    tie = _affine_values(a0, a, p[None])[:, 0] >= -1e-12
+    at_p = _affine_values(a0, a, p[None])[:, 0]
     lead = a[np.arange(len(a)), np.argmax(a != 0.0, axis=1)]
-    g = np.where((tie & (lead < 0.0))[:, None], a, 0.0)  # gradient of s
+    flip = np.where(np.abs(at_p) <= 1e-12, lead < 0.0, at_p > 0.0)
+    sign = np.where(flip, -1.0, 1.0)
+    a0, a, c = sign * a0, sign[:, None] * a, np.maximum(sign * at_p, 0.0)
 
-    bpts = np.vstack(Q.boundary_points)
     bw = np.concatenate(Q.boundary_weights)
-    Aw = Q.interior_weights * Af(Q.interior_points)
-    b_s = np.sum(g * (bw @ (bpts - p)), axis=1)
-    int_s = np.sum(g * (Aw @ (Q.interior_points - p)), axis=1)
-
     if P.dimension == 1:
+        bpts = np.vstack(Q.boundary_points)
         b_plus = np.sum(np.maximum(_affine_values(a0, a, bpts), 0.0) * bw, axis=1)
         lo, hi = float(P.vertices[0, 0]), float(P.vertices[1, 0])
         slope = a[:, 0]
@@ -300,8 +295,9 @@ def crease_functionals(grid, p_o, evaluator: FunctionalEvaluator):
         x, w = x.reshape(len(a0), -1, 2), w.reshape(len(a0), -1)
     interior = np.sum(w * Af(x.reshape(-1, P.dimension)).reshape(w.shape)
                       * _affine_values(a0, a, x), axis=1)
-    bn = b_plus - b_s
-    return bn, bn - (interior - int_s), a0, a
+    bn = b_plus - c * np.sum(bw)
+    int_A = np.sum(Q.interior_weights * Af(Q.interior_points))
+    return bn, bn - (interior - c * int_A), a0, a
 
 
 def crease_sweep(P: Polytope, A, grid=None, p_o=None, evaluator=None):
@@ -309,8 +305,8 @@ def crease_sweep(P: Polytope, A, grid=None, p_o=None, evaluator=None):
 
     Every crease is evaluated at once by `crease_functionals` (closed-form
     boundary term, one batched rule for the interior term); only the
-    minimizer is built as a `PLConvexFunc`.  Each ell is first oriented to be
-    <= 0 at p_o, so either orientation gives the same normalized crease.
+    minimizer is built as a `PLConvexFunc`.  Each ell is first oriented as
+    `crease_functionals` does, so either orientation gives the same crease.
     Creases whose normalized boundary norm falls below 1e-9 (affine on the
     polytope, or vanishing) are skipped.  Creases whose ratios lie within
     1e-12 (relative) of the minimum count as tied, as the mirror images of a

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_stability import _hull, _lattice_facets, lattice_points
 
 from polystab.errors import EmptyInterior, NonIntegerNormals, UnboundedDomain
 from polystab.polytope import (
@@ -110,3 +113,37 @@ def test_small_simplex_far_from_the_origin(corner):
     assert np.allclose(moved.vertices - corner, at_origin.vertices, rtol=0.0, atol=1e-9)
     assert moved.facet_vertices == at_origin.facet_vertices
     assert np.array_equal(moved.boundary_weights, at_origin.boundary_weights)
+
+
+def _sorted_rows(V):
+    return V[np.lexsort(np.round(V, 6).T[::-1])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=lattice_points, data=st.data())
+def test_build_polytope_on_lattice_polygons(points, data):
+    facets = _lattice_facets(points)
+    assume(facets is not None)
+    P = build_polytope(facets)
+    V = P.vertices
+    assert P.num_facets == len(facets)
+    assert np.allclose(_sorted_rows(V), _sorted_rows(np.array(_hull(points), dtype=float)),
+                       rtol=0.0, atol=1e-9)
+    # counterclockwise: every turn is a left turn
+    d1 = np.roll(V, -1, axis=0) - V
+    d2 = np.roll(V, -2, axis=0) - np.roll(V, -1, axis=0)
+    assert np.all(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0.0)
+    gaps = P.gaps(V)
+    assert np.all(gaps >= -1e-9)
+    for k, (i, j) in enumerate(P.facet_vertices):
+        assert i != j and np.all(np.abs(gaps[[i, j], k]) <= 1e-9)
+    assert np.all(P.gaps(P.vertex_centroid()) > 0.0)
+
+    # a shuffled facet list with one redundant facet added gives the same vertices
+    h = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda d: d != (0, 0)))
+    c = float(np.min(V @ np.array(h, dtype=float))) - data.draw(st.sampled_from([0.5, 1.0, 3.0]))
+    shuffled = data.draw(st.permutations(facets))
+    k = data.draw(st.integers(0, len(facets)))
+    Q = build_polytope(shuffled[:k] + [((float(h[0]), float(h[1])), c)] + shuffled[k:])
+    assert Q.num_facets == P.num_facets
+    assert np.allclose(_sorted_rows(Q.vertices), _sorted_rows(V), rtol=0.0, atol=1e-9)

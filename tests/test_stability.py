@@ -137,9 +137,28 @@ def test_sweep_over_one_orientation_per_line(name, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("name", sorted(SWEEP_FIXTURES))
+def test_mirror_creases_give_identical_rows(name):
+    # lines through p_o included: ell and -ell are oriented alike, so their
+    # rows agree to the bit and no tie depends on rounding
+    P, A = SWEEP_FIXTURES[name]
+    A = extremal_affine(P) if A is None else A
+    p_o = center_of_mass(P)
+    grid = default_crease_grid(P)
+    grid += [AffineFunc(-float(np.dot(ell.a, p_o)), ell.a) for ell in grid[:5]]
+    mirror = [AffineFunc(-ell.a0, tuple(-a for a in ell.a)) for ell in grid]
+    ev = FunctionalEvaluator(P, A)
+    for row, mirror_row in zip(crease_functionals(grid, p_o, ev),
+                               crease_functionals(mirror, p_o, ev)):
+        np.testing.assert_array_equal(row, mirror_row)
+
+
 def _oriented(ell, p_o):
-    """ell flipped, as crease_sweep does, to be <= 0 at p_o."""
-    return AffineFunc(-ell.a0, tuple(-a for a in ell.a)) if ell(p_o) > 0.0 else ell
+    """ell oriented as crease_sweep does: < 0 at p_o, or with a lexicographically
+    positive gradient where |ell(p_o)| <= 1e-12."""
+    v = ell(p_o)
+    flip = tuple(ell.a) < (0.0,) * len(ell.a) if abs(v) <= 1e-12 else v > 0.0
+    return AffineFunc(-ell.a0, tuple(-a for a in ell.a)) if flip else ell
 
 
 def _per_crease(P, A, grid, p_o):
@@ -155,8 +174,8 @@ def _assert_close(batched, oracle, tol=1e-12):
 
 @pytest.mark.parametrize("name", sorted(SWEEP_FIXTURES))
 def test_crease_functionals_match_per_crease_rules(name):
-    # the square's grid has many lines through p_o, where the tie rule of
-    # `normalize` subtracts ell itself
+    # the square's grid has many lines through p_o, which are oriented by
+    # their gradient, not by the sign of ell(p_o)
     P, A = SWEEP_FIXTURES[name]
     A = extremal_affine(P) if A is None else A
     p_o = center_of_mass(P)
@@ -231,8 +250,8 @@ def _hull(points):
     return half(pts) + half(pts[::-1])
 
 
-def _lattice_polygon(points):
-    """Facet form of the hull, with primitive integer inward normals; None if flat."""
+def _lattice_facets(points):
+    """Facets (h, c) of the hull, with primitive integer inward normals; None if flat."""
     hull = _hull(points)
     if len(hull) < 3:
         return None
@@ -241,8 +260,14 @@ def _lattice_polygon(points):
         dx, dy = q[0] - p[0], q[1] - p[1]
         g = np.gcd(dx, dy)
         h = (-dy // g, dx // g)
-        facets.append((h, h[0] * p[0] + h[1] * p[1]))
-    return build_polytope([((float(h[0]), float(h[1])), float(c)) for h, c in facets])
+        facets.append(((float(h[0]), float(h[1])), float(h[0] * p[0] + h[1] * p[1])))
+    return facets
+
+
+def _lattice_polygon(points):
+    """The hull of the points as a Polytope; None if flat."""
+    facets = _lattice_facets(points)
+    return None if facets is None else build_polytope(facets)
 
 
 lattice_points = st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
