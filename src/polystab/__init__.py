@@ -1,90 +1,73 @@
-"""Numerical stability testing and Abreu-equation solving on convex polytopes."""
+"""Numerical stability testing and Abreu-equation solving on convex polytopes.
+
+A run executes only the modules its subcommand uses.  `stability`, `cone_lp`
+and `simplex_lp` (the cone LP for lambda-hat) and `solver` (the Abreu-equation
+solve) are registered lazily: each is in `sys.modules` and on this package from
+the start, but its code runs on the first attribute access.  Without bytecode
+to reuse, compiling and running the unused ones would cost each `solve` or
+`stability` run tens of milliseconds.  They are registered rather than imported inside the functions
+that use them because `perfbench/tracer.py` patches only modules that are in
+`sys.modules` after `import polystab.cli`.  The names the package re-exports
+resolve on first access too (PEP 562).
+"""
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-from .errors import (  # noqa: F401
-    EmptyGrid,
-    EmptyInterior,
-    EvaluationOutsideDomain,
-    IncompatibleA,
-    LineSearchStall,
-    LostConvexity,
-    LPInfeasible,
-    LPNotConverged,
-    LPUnbounded,
-    MeshTooFine,
-    NeedsSmoothFunction,
-    NonConvexAtQuadraturePoint,
-    NonIntegerNormals,
-    NonpositiveLambda,
-    NonpositiveW,
-    PolystabError,
-    SegmentTouchesBoundary,
-    SingularHessian,
-    SingularMoments,
-    UnboundedDomain,
-)
-from .polytope import (  # noqa: F401
-    Polytope,
-    build_polytope,
-    center_of_mass,
-    delzant_check,
-    interval,
-    standard_simplex,
-    unit_square,
-)
-from .quadrature import (  # noqa: F401
-    QuadratureScheme,
-    graded_scheme,
-    integrate_boundary,
-    integrate_interior,
-    mesh_graded_scheme,
-    split_scheme,
-    standard_scheme,
-)
-from .mesh import Mesh, make_mesh  # noqa: F401
-from .convex import (  # noqa: F401
-    AffineFunc,
-    MeshConvexFunc,
-    PLConvexFunc,
-    SmoothConvexFunc,
-    crease,
-    guillemin_potential,
-    normalize,
-    random_normalized_mesh_function,
-    segment_ma_measure,
-    supporting_affine,
-)
-from .fields import QuadraticPoly, parse_field  # noqa: F401
-from .functionals import (  # noqa: F401
-    FunctionalEvaluator,
-    MabuchiResult,
-    extremal_affine,
-    mesh_linear_forms,
-)
-from .cone_lp import ConeLPResult, solve_cone_lp  # noqa: F401
-from .simplex_lp import LPResult, solve_lp  # noqa: F401
-from .stability import (  # noqa: F401
-    DegeneracyReport,
-    PropernessCertificate,
-    StabilityReport,
-    analyze_stability,
-    crease_functionals,
-    crease_sweep,
-    default_crease_grid,
-    degeneracy_diagnostic,
-    l1_boundary_constant,
-    lp_stability_estimate,
-    properness_certificate,
-    relative_kpolystability_check,
-    scripted_sequences,
-    solution_norm_bound,
-    verify_audits,
-)
-from .solver import (  # noqa: F401
-    Compatibility1D,
-    SolverState,
-    residual,
-    solve_1d,
-    solve_2d_descent,
-)
+_EXPORTS = {
+    "errors": "EmptyGrid EmptyInterior EvaluationOutsideDomain IncompatibleA LineSearchStall "
+              "LostConvexity LPInfeasible LPNotConverged LPUnbounded MeshTooFine "
+              "NeedsSmoothFunction NonConvexAtQuadraturePoint NonIntegerNormals "
+              "NonpositiveLambda NonpositiveW PolystabError SegmentTouchesBoundary "
+              "SingularHessian SingularMoments UnboundedDomain",
+    "polytope": "Polytope build_polytope center_of_mass delzant_check interval "
+                "standard_simplex unit_square",
+    "quadrature": "QuadratureScheme graded_scheme integrate_boundary integrate_interior "
+                  "mesh_graded_scheme split_scheme standard_scheme",
+    "mesh": "Mesh make_mesh",
+    "convex": "AffineFunc MeshConvexFunc PLConvexFunc SmoothConvexFunc crease "
+              "guillemin_potential normalize random_normalized_mesh_function "
+              "segment_ma_measure supporting_affine",
+    "fields": "QuadraticPoly parse_field",
+    "functionals": "FunctionalEvaluator MabuchiResult extremal_affine mesh_linear_forms",
+    "cone_lp": "ConeLPResult solve_cone_lp",
+    "simplex_lp": "LPResult solve_lp",
+    "stability": "DegeneracyReport PropernessCertificate StabilityReport analyze_stability "
+                 "crease_functionals crease_sweep default_crease_grid degeneracy_diagnostic "
+                 "l1_boundary_constant lp_stability_estimate properness_certificate "
+                 "relative_kpolystability_check scripted_sequences solution_norm_bound "
+                 "verify_audits",
+    "solver": "Compatibility1D SolverState residual solve_1d solve_2d_descent",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+
+def _register_lazily(name):
+    """Put submodule `name` in sys.modules and on the package; run it on first use.
+
+    Once the tracer patches modules as they are imported (ROADMAP item 4),
+    this can give way to plain imports inside the functions that use them.
+    """
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    globals()[name] = module
+    spec.loader.exec_module(module)
+
+
+for _name in ("cone_lp", "simplex_lp", "solver", "stability"):
+    _register_lazily(_name)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS) | set(_MODULE_OF))

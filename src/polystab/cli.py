@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, solver, stability
 from .convex import AffineFunc, MeshConvexFunc, crease, guillemin_potential, normalize
 from .errors import IncompatibleA, LPInfeasible, LPNotConverged, LPUnbounded, PolystabError
 from .fields import parse_field
@@ -33,8 +33,6 @@ from .fileio import (
 from .functionals import FunctionalEvaluator, extremal_affine
 from .mesh import make_mesh
 from .polytope import center_of_mass
-from .solver import residual, solve_1d, solve_2d_descent
-from .stability import TOLERANCES, analyze_stability, l1_boundary_constant, verify_audits
 
 # exception types -> (exit code, stderr prefix); the first match wins
 EXIT_CODES = (
@@ -88,7 +86,7 @@ def cmd_extremal_affine(args):
 
 def cmd_stability(args):
     P, A = _load(args)
-    report = analyze_stability(P, A, args.h, mode=args.lp_mode)
+    report = stability.analyze_stability(P, A, args.h, mode=args.lp_mode)
     rep = Report("stability")
     rep.add("polytope", args.polytope)
     rep.add("A", args.A)
@@ -121,8 +119,8 @@ def cmd_solve(args):
     rep.add("polytope", args.polytope)
     rep.add("A", args.A)
     if P.dimension == 1:
-        u, compat = solve_1d(P, A, tol=args.tol if args.tol else 1e-8)
-        sup, l2, _ = residual(u, A, P, margin=0.05)
+        u, compat = solver.solve_1d(P, A, tol=args.tol if args.tol else 1e-8)
+        sup, l2, _ = solver.residual(u, A, P, margin=0.05)
         rep.add("method", "1d-integration")
         rep.add("w.end_residual", compat.w_end)
         rep.add("w.slope_residual", compat.wprime_end)
@@ -131,7 +129,7 @@ def cmd_solve(args):
         rep.add("residual.l2", l2)
     else:
         mesh = make_mesh(P, args.h)
-        state = solve_2d_descent(P, A, mesh, tol=args.tol or 1e-6)
+        state = solver.solve_2d_descent(P, A, mesh, tol=args.tol or 1e-6)
         rep.add("method", "2d-descent")
         rep.add("h", args.h)
         rep.add("iterations", state.iterations)
@@ -163,13 +161,13 @@ def cmd_verify(args):
     rep.add("sigma_scale", args.sigma_scale)
     rows = []
     all_pass = True
-    for name, passed, measured, tol in verify_audits(P, args.h, args.seed, args.sigma_scale,
-                                                     args.audit_count):
+    for name, passed, measured, tol in stability.verify_audits(P, args.h, args.seed,
+                                                               args.sigma_scale, args.audit_count):
         rows.append([name, "PASS" if passed else "FAIL", measured, tol])
         all_pass = all_pass and passed
     rep.table("audits", ["audit", "result", "measured", "tolerance"], rows)
     rep.add("overall", "PASS" if all_pass else "FAIL")
-    tolerance_section(rep, TOLERANCES)
+    tolerance_section(rep, stability.TOLERANCES)
     _emit(rep, args.out)
     return 0 if all_pass else 1
 
@@ -211,7 +209,7 @@ def cmd_eval(args):
     elif args.op == "extremal-affine":
         _add_extremal_affine(rep, P, args.degree)
     elif args.op == "abreu-residual":
-        sup, l2, _ = residual(_eval_u(P, args.u), A, P, margin=args.margin)
+        sup, l2, _ = solver.residual(_eval_u(P, args.u), A, P, margin=args.margin)
         rep.add("residual.sup", sup)
         rep.add("residual.l2", l2)
         rep.add("margin", args.margin)
@@ -221,7 +219,7 @@ def cmd_eval(args):
         rep.add("rhs", rhs)
         rep.add("gap", gap)
     elif args.op == "l1-constant":
-        val, _ = l1_boundary_constant(P, center_of_mass(P), make_mesh(P, args.h))
+        val, _ = stability.l1_boundary_constant(P, center_of_mass(P), make_mesh(P, args.h))
         rep.add("value", val)
     _emit(rep, args.out)
     return 0

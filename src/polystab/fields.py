@@ -8,7 +8,8 @@ The CLI grammar covers the affine/quadratic fields the theory emphasizes:
 
 Polynomials are the subset of Python expressions made of int and float
 numbers, those names, parentheses, unary and binary + and -, *, division by a
-nonzero constant, and powers with a non-negative integer literal exponent.
+nonzero constant, and powers with a non-negative integer literal exponent (at
+most 1000 for a constant); every coefficient must come out finite.
 `^` and `**` both mean power, and unary minus binds looser than a power, as
 in Python: "2*-x^2" is -2 x^2.
 
@@ -17,6 +18,7 @@ Richer fields require programmatic use (pass any callable to the evaluator).
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,9 @@ import numpy as np
 from .convex import AffineFunc
 
 _VARIABLES = {"x": (1, 0), "x1": (1, 0), "y": (0, 1), "x2": (0, 1)}
+# a power of a constant is the repeated product (c ** k can differ from it in
+# the last bit), so its exponent is bounded to keep that quick
+MAX_CONSTANT_EXPONENT = 1000
 
 
 @dataclass(frozen=True)
@@ -91,6 +96,8 @@ def _polynomial(node):
         k = node.right
         if not (isinstance(k, ast.Constant) and type(k.value) is int):
             raise ValueError("the exponent must be a non-negative integer")
+        if set(a) == {(0, 0)} and k.value > MAX_CONSTANT_EXPONENT:
+            raise ValueError(f"a constant's exponent must be at most {MAX_CONSTANT_EXPONENT}")
         out = {(0, 0): 1.0}
         for _ in range(k.value):
             out = _mul(out, a)
@@ -102,9 +109,10 @@ def _polynomial(node):
         return _add(a, _scale(b, -1.0) if isinstance(node.op, ast.Sub) else b)
     if isinstance(node.op, ast.Mult):
         return _mul(a, b)
-    if isinstance(node.op, ast.Div) and set(b) == {(0, 0)} and b[(0, 0)] != 0.0:
+    if (isinstance(node.op, ast.Div) and set(b) == {(0, 0)} and b[(0, 0)] != 0.0
+            and math.isfinite(b[(0, 0)])):
         return _scale(a, 1.0 / b[(0, 0)])
-    raise ValueError("division only by nonzero constants" if isinstance(node.op, ast.Div)
+    raise ValueError("division only by finite nonzero constants" if isinstance(node.op, ast.Div)
                      else f"unsupported operator {type(node.op).__name__}")
 
 
@@ -118,12 +126,16 @@ def parse_field(text: str, dimension: int):
         parts = [float(v) for v in text[len("affine:"):].split(",")]
         if len(parts) != dimension + 1:
             raise ValueError(f"affine spec needs {dimension + 1} coefficients")
+        if not all(map(math.isfinite, parts)):
+            raise ValueError(f"affine spec {text!r} has a non-finite coefficient")
         return AffineFunc(parts[0], tuple(parts[1:]))
     try:
         poly = _polynomial(ast.parse(text.replace("^", "**"), mode="eval").body)
     except (ValueError, SyntaxError, MemoryError, RecursionError, OverflowError) as exc:
         reason = str(getattr(exc, "msg", exc)) or type(exc).__name__
         raise ValueError(f"bad field expression {text!r}: {reason}") from None
+    if not all(map(math.isfinite, poly.values())):
+        raise ValueError(f"bad field expression {text!r}: a coefficient is not finite")
     if any(i + j > 2 for i, j in poly):
         raise ValueError("field expressions are limited to total degree 2")
     if dimension == 1 and any(j > 0 for _, j in poly):

@@ -24,6 +24,14 @@ def _fmt(x):
     return str(x)
 
 
+def _numbers(key, text):
+    """The numbers on one `key:` line; NaN and infinities are refused."""
+    vals = [float(v) for v in text.split()]
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{key!r} line has a non-finite number: {text!r}")
+    return vals
+
+
 # -- polytope files ----------------------------------------------------------
 
 def polytope_to_text(P: Polytope) -> str:
@@ -52,7 +60,7 @@ def polytope_from_text(text: str) -> Polytope:
         elif key == "name":
             name = rest
         elif key == "facet":
-            vals = [float(v) for v in rest.split()]
+            vals = _numbers(key, rest)
             facets.append((tuple(vals[:-1]), vals[-1]))
         else:
             raise ValueError(f"unknown polytope file key {key!r}")
@@ -97,7 +105,7 @@ def pl_from_text(text: str) -> PLConvexFunc:
         if key == "dimension":
             dim = int(rest)
         elif key == "piece":
-            vals = [float(v) for v in rest.split()]
+            vals = _numbers(key, rest)
             pieces.append(AffineFunc(vals[-1], tuple(vals[:-1])))
         else:
             raise ValueError(f"unknown pl-function key {key!r}")
@@ -143,11 +151,11 @@ def mesh_function_from_text(text: str) -> MeshConvexFunc:
         if key in ("dimension", "name", "facet"):
             poly_lines.append(stripped)
         elif key == "h":
-            h = float(rest)
+            (h,) = _numbers(key, rest)
         elif key == "p_o_index":
             p_o = int(rest)
         elif key == "values":
-            values = np.array([float(v) for v in rest.split()])
+            values = np.array(_numbers(key, rest))
         else:
             raise ValueError(f"unknown mesh-function key {key!r}")
     if h is None or values is None:

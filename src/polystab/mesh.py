@@ -155,8 +155,8 @@ class Mesh:
 
 def make_mesh(P: Polytope, h: float) -> Mesh:
     """Boundary-conforming mesh with grid spacing <= h; deterministic."""
-    if h <= 0:
-        raise ValueError("mesh parameter h must be positive")
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"mesh parameter h must be finite and positive, not {h!r}")
     lo, hi = P.vertices.min(axis=0), P.vertices.max(axis=0)
     size = float(np.max(hi - lo))
     # coordinates carry rounding of their own magnitude (a few ulps are

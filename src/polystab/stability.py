@@ -36,6 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import solver
 from .cone_lp import FEAS_TOL as LP_FEAS_TOL, solve_cone_lp
 from .convex import (
     AffineFunc,
@@ -54,7 +55,6 @@ from .mesh import Mesh, make_mesh
 from .polytope import Polytope, center_of_mass
 from .quadrature import gauss_rule, map_triangles, standard_scheme
 from .simplex_lp import solve_lp
-from .solver import solve_1d
 
 LAMBDA_STABLE_THRESHOLD = 1e-3
 LAMBDA_ZERO_BAND = 1e-6
@@ -596,7 +596,7 @@ def verify_audits(P: Polytope, h: float, seed: int, sigma_scale=1.0, audit_count
     """
     rng = np.random.default_rng(seed)
     A = extremal_affine(P)
-    v = solve_1d(P, A)[0] if P.dimension == 1 else guillemin_potential(P)
+    v = solver.solve_1d(P, A)[0] if P.dimension == 1 else guillemin_potential(P)
     if sigma_scale != 1.0:
         P = replace(P, boundary_weights=P.boundary_weights * sigma_scale)
     ev = FunctionalEvaluator(P, A)

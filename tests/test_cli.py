@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -98,19 +99,51 @@ def test_missing_polytope_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def imports(modules, *argvs):
-    """Whether a fresh interpreter imports `modules` (one name or a tuple, any of
-    them) while running `polystab argv`, argv by argv."""
-    names = (modules,) if isinstance(modules, str) else tuple(modules)
-    code = "import sys\nfrom polystab.cli import main\n" + "".join(
-        f"assert main({argv!r}) == 0\n" for argv in argvs) + (
-        f"print(any(m in sys.modules for m in {names!r}))\n")
+def run_fresh(setup, argvs, result):
+    """The last line a fresh interpreter prints when it runs `setup`, then
+    `polystab argv` argv by argv, then prints the expression `result`."""
+    code = setup + "import sys\nfrom polystab.cli import main\n" + "".join(
+        f"assert main({argv!r}) == 0\n" for argv in argvs) + f"print({result})\n"
     src = os.path.dirname(os.path.dirname(polystab.__file__))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
-    return out.splitlines()[-1] == "True"
+    return out.splitlines()[-1]
+
+
+def imports(modules, *argvs):
+    """Whether a fresh interpreter imports `modules` (one name or a tuple, any of
+    them) while running `polystab argv`, argv by argv."""
+    names = (modules,) if isinstance(modules, str) else tuple(modules)
+    return run_fresh("", argvs, f"any(m in sys.modules for m in {names!r})") == "True"
+
+
+def executed_sources(*argvs):
+    """The polystab source files whose module code a fresh interpreter runs while
+    running `polystab argv`, argv by argv.  A lazily registered module is in
+    sys.modules before its code runs, so this reads the interpreter's "exec"
+    audit events instead."""
+    setup = ("import os, sys\nran = set()\n"
+             "sys.addaudithook(lambda event, args: event == 'exec' and ran.add("
+             "args[0].co_filename))\n")
+    ran = run_fresh(setup, argvs, "sorted(ran)")
+    package = os.path.dirname(polystab.__file__)
+    return {os.path.basename(f) for f in ast.literal_eval(ran) if os.path.dirname(f) == package}
+
+
+def test_solve_runs_no_stability_code_and_stability_no_solver_code(tmp_path):
+    # `stability` (with `cone_lp` and `simplex_lp`) and `solver` are registered
+    # lazily, so a run compiles and executes only the one its subcommand uses
+    pentagon, interval = tmp_path / "pentagon.txt", tmp_path / "interval.txt"
+    pentagon.write_text(PENTAGON)
+    interval.write_text(INTERVAL)
+    ran = executed_sources(["solve", "--polytope", str(pentagon), "--h", "0.2"])
+    assert "solver.py" in ran
+    assert not ran & {"stability.py", "cone_lp.py", "simplex_lp.py"}
+    ran = executed_sources(["stability", "--polytope", str(interval), "--h", "0.0625"])
+    assert {"stability.py", "cone_lp.py", "simplex_lp.py"} <= ran
+    assert "solver.py" not in ran
 
 
 def test_1d_stability_run_does_not_import_scipy(tmp_path):
@@ -119,6 +152,26 @@ def test_1d_stability_run_does_not_import_scipy(tmp_path):
     path = tmp_path / "interval.txt"
     path.write_text(INTERVAL)
     assert not imports("scipy", ["stability", "--polytope", str(path), "--h", "0.0625"])
+
+
+@pytest.mark.parametrize("case", ["h", "facet", "piece"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_input_exits_2_naming_the_key(tmp_path, capsys, case, bad):
+    # NaN passed `h <= 0` and ended in "cannot convert float NaN to integer";
+    # a NaN facet offset ended in "SVD did not converge"
+    pentagon, pl = tmp_path / "pentagon.txt", tmp_path / "u.pl"
+    pentagon.write_text(PENTAGON.replace("facet: 1.0 0.0 0.0", f"facet: 1.0 0.0 {bad}")
+                        if case == "facet" else PENTAGON)
+    pl.write_text(f"dimension: 2\npiece: 1.0 0.0 {bad}\n")
+    argv = {"h": ["solve", "--polytope", str(pentagon), f"--h={bad}"],
+            "facet": ["solve", "--polytope", str(pentagon)],
+            "piece": ["eval", "--polytope", str(pentagon), "--op", "boundary-norm",
+                      "--u", f"plfile:{pl}"]}[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert (f"h must be finite and positive, not {float(bad)!r}" in err if case == "h"
+            else f"'{case}' line has a non-finite number" in err)
 
 
 def test_2d_solve_does_not_import_scipy(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polystab import cli
+from polystab import cli, solver
 from polystab.convex import AffineFunc, MeshConvexFunc, PLConvexFunc
 from polystab.fileio import (
     mesh_function_from_text,
@@ -63,14 +63,14 @@ def test_mesh_function_round_trip_is_bit_exact(tmp_path):
 
 
 def test_solve_checkpoint_reads_back_the_solution(tmp_path, monkeypatch):
-    solve = cli.solve_2d_descent
+    solve = solver.solve_2d_descent
     states = []
 
     def recording(*args, **kwargs):
         states.append(solve(*args, **kwargs))
         return states[-1]
 
-    monkeypatch.setattr(cli, "solve_2d_descent", recording)
+    monkeypatch.setattr(solver, "solve_2d_descent", recording)
     polytope = tmp_path / "pentagon.txt"
     write_polytope(PENTAGON, polytope)
     out = str(tmp_path / "solve.txt")
@@ -90,6 +90,15 @@ def test_solve_checkpoint_reads_back_the_solution(tmp_path, monkeypatch):
 def test_readers_reject_an_unknown_key(reader, text):
     with pytest.raises(ValueError, match="unknown"):
         reader(text)
+
+
+@pytest.mark.parametrize("key", ["h", "values"])
+def test_mesh_function_rejects_a_non_finite_number(key):
+    mesh = make_mesh(PENTAGON, 1 / 2)
+    text = mesh_function_to_text(MeshConvexFunc(mesh, np.zeros(mesh.num_vertices)))
+    text = text.replace("h: 0.5", "h: nan") if key == "h" else text.replace("values: 0.0", "values: inf")
+    with pytest.raises(ValueError, match=f"'{key}' line has a non-finite number"):
+        mesh_function_from_text(text)
 
 
 def test_mesh_function_rejects_a_wrong_value_count():
