@@ -11,10 +11,18 @@ output.  Exit codes, with the stderr prefix of the failures:
        PolystabError, FileNotFoundError or ValueError)
     3  "LP failure": LPInfeasible, LPUnbounded or LPNotConverged
     4  "incompatible A": IncompatibleA (1D data with no solution)
+
+`python -m polystab.cli` and the `polystab` console script both run `entry`:
+`main` on the command line, then `gc.freeze()` before the process exits.
+Finalization still flushes the streams and runs the atexit handlers, but the
+interpreter's last garbage-collector sweep no longer walks every object made
+at import (about 18 ms of a 2D `solve` run).  An in-process `main(argv)` call
+freezes nothing.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 import numpy as np
@@ -295,5 +303,13 @@ def main(argv=None):
         raise
 
 
+def entry():
+    """Exit code of `main()` on sys.argv, with every live object frozen, so the
+    interpreter's final collection skips them; the caller exits with it."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

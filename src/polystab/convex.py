@@ -203,6 +203,17 @@ class MeshConvexFunc:
 # operations
 # ---------------------------------------------------------------------------
 
+def _gap(xy, h, c):
+    """(m,) gaps x.h - c of points given as (n, m) coordinate rows, taken
+    coordinate by coordinate with no BLAS call, so every point's gap is the
+    same in any batch of points."""
+    g = xy[0] * h[0]
+    for d in range(1, len(h)):
+        g += xy[d] * h[d]
+    g -= c
+    return g
+
+
 def guillemin_potential(P: Polytope) -> SmoothConvexFunc:
     """u_o(x) = sum_k delta_k(x) log delta_k(x), with analytic derivatives.
 
@@ -215,17 +226,23 @@ def guillemin_potential(P: Polytope) -> SmoothConvexFunc:
     def value(pts):
         # g_k log g_k summed one facet at a time, in facet order (for K < 8
         # the order of NumPy's row sum), from (m,) gap columns, so no (m, K)
-        # array is made; 0 log 0 = 0 on the closure
-        total = np.zeros(len(pts))
+        # array is made; 0 log 0 = 0 on the closure, and a gap column
+        # positive throughout skips the masking
+        xy = np.ascontiguousarray(np.asarray(pts, dtype=float).T)
+        total = np.zeros(xy.shape[1])
         for h, c in zip(normals, P.offsets):
-            g = pts @ h - c
-            if np.any(g < -tol):
+            g = _gap(xy, h, c)
+            low = g.min(initial=np.inf)
+            if low < -tol:
                 raise EvaluationOutsideDomain("Guillemin potential asked outside the closure")
-            pos = g > 0.0
-            term = np.where(pos, g, 1.0)
-            np.log(term, out=term)
+            if low > 0.0:
+                term = np.log(g)
+            else:
+                pos = g > 0.0
+                term = np.where(pos, g, 1.0)
+                np.log(term, out=term)
+                term[~pos] = 0.0
             term *= g
-            term[~pos] = 0.0
             total += term
         return total
 
@@ -246,23 +263,25 @@ def guillemin_hessian(P: Polytope, pts) -> np.ndarray:
     """Hess u_o at (m, n) interior points as (ncomp, m) components: (xx,) in
     1D, (xx, xy, yy) in 2D.
 
-    Summed as sum_k n_k n_k^T / g_k facet by facet in facet order, with the
-    gap g_k = x.h_k - c_k taken coordinate by coordinate, so no (m, K) array
-    is made and every point's value is the same in any batch of points.
+    Summed as sum_k n_k n_k^T / g_k facet by facet in facet order, from (m,)
+    gap columns, so no (m, K) array is made and every point's value is the
+    same in any batch of points.  Where an entry of n_k n_k^T is 0 or 1, as
+    most are for lattice normals, the product is skipped: adding nothing or
+    1/g_k itself gives the same float.
     """
     pts = np.asarray(pts, dtype=float)
     rows, cols = np.triu_indices(P.dimension)
     out = np.zeros((len(rows), len(pts)))
     for h, c in zip(P.normals, P.offsets):
-        r = pts[:, 0] * h[0]
-        for d in range(1, len(h)):
-            r += pts[:, d] * h[d]
-        r -= c
+        r = _gap(pts.T, h, c)
         if np.any(r <= 0.0):
             raise EvaluationOutsideDomain("Guillemin Hessian needs interior points")
         np.divide(1.0, r, out=r)
         for comp, nn in zip(out, h[rows] * h[cols]):
-            comp += r * nn
+            if nn == 1.0:
+                comp += r
+            elif nn != 0.0:
+                comp += r * nn
     return out
 
 

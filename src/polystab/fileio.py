@@ -25,8 +25,10 @@ def _fmt(x):
 
 
 def _numbers(key, text):
-    """The numbers on one `key:` line; NaN and infinities are refused."""
+    """The numbers on one `key:` line; an empty line, NaN and infinities are refused."""
     vals = [float(v) for v in text.split()]
+    if not vals:
+        raise ValueError(f"{key!r} line has no numbers")
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{key!r} line has a non-finite number: {text!r}")
     return vals
@@ -111,6 +113,8 @@ def pl_from_text(text: str) -> PLConvexFunc:
             raise ValueError(f"unknown pl-function key {key!r}")
     if dim is None or not pieces:
         raise ValueError("pl-function file needs a dimension and pieces")
+    if any(len(p.a) != dim for p in pieces):
+        raise ValueError("piece gradient length does not match dimension")
     return PLConvexFunc(tuple(pieces))
 
 

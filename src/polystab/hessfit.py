@@ -143,8 +143,8 @@ class PointOperator:
             per_cell = [np.bincount(inv, weights=b * col, minlength=slot.shape[1]) for b in bb]
             block[:, r, c] = block[:, c, r] = np.bincount(
                 slot.ravel(), weights=np.concatenate(per_cell), minlength=len(pa))
-        # map each pair's block through the two vertices' fits
-        full = np.einsum("pks,pkl,plr->psr", sur.star_op[pa], block, sur.star_op[pb])
+        # map each pair's block through the two vertices' fits: fit_a^T K fit_b
+        full = np.matmul(sur.star_op[pa].transpose(0, 2, 1), np.matmul(block, sur.star_op[pb]))
         n = len(cols)
         half = np.bincount(flat, weights=full[keep], minlength=n * n).reshape(n, n)
         return half + half.T

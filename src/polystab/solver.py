@@ -28,6 +28,7 @@ from .quadrature import (gauss_rule, map_triangle_blocks, map_triangles, mesh_gr
 
 COMPAT_TOL = 1e-8
 MAX_NEWTON_STEPS = 100
+_PANEL_BLOCK = 256  # end points whose 1D panel rules are built at once
 
 
 # ---------------------------------------------------------------------------
@@ -42,31 +43,20 @@ class Compatibility1D:
     compatible: bool
 
 
-class _PanelIntegrator:
-    """Deterministic composite Gauss integration on [p_o, x] with end grading."""
-
-    def __init__(self, nodes=12, uniform=16, graded=14):
-        self.t, self.w = gauss_rule(nodes)
-        self.uniform = uniform
-        self.graded = graded
-
-    def panels(self, a, b):
-        if a == b:
-            return np.zeros(0), np.zeros(0)
-        bp = [0.0]
-        g = [2.0 ** (-j) for j in range(self.graded, 0, -1)]
-        frac = 0.25
-        bp.extend([frac * v for v in g])
-        bp.extend(np.linspace(frac, 1.0 - frac, self.uniform + 1).tolist())
-        bp.extend([1.0 - frac * v for v in reversed(g)])
-        bp.append(1.0)
-        bp = sorted_unique(np.clip(bp, 0.0, 1.0))
-        xs = a + (b - a) * bp
-        starts = xs[:-1]
-        widths = np.diff(xs)
-        pts = (starts[:, None] + widths[:, None] * self.t[None, :]).ravel()
-        wts = (widths[:, None] * self.w[None, :]).ravel()
-        return pts, wts
+def _panel_rules(a, b):
+    """(points, weights), each (len(b), q): in row i, composite 12-point Gauss
+    on [a, b_i] with 14 halving panels at each end and 16 uniform ones between
+    (all weights 0 when b_i = a).  The breaks are fixed fractions of [a, b_i],
+    so the rules of many end points are one broadcast."""
+    g = 0.25 * 2.0 ** -np.arange(14, 0, -1)
+    breaks = sorted_unique(np.concatenate([[0.0], g, np.linspace(0.25, 0.75, 17),
+                                           1.0 - g[::-1], [1.0]]))
+    t, w = gauss_rule(12)
+    b = np.asarray(b, dtype=float)[:, None]
+    xs = a + (b - a) * breaks
+    widths = np.diff(xs, axis=1)[:, :, None]
+    pts = (xs[:, :-1, None] + widths * t).reshape(len(b), -1)
+    return pts, (widths * w).reshape(len(b), -1)
 
 
 def solve_1d(P: Polytope, A, p_o=None, tol=COMPAT_TOL):
@@ -124,16 +114,18 @@ def solve_1d(P: Polytope, A, p_o=None, tol=COMPAT_TOL):
         p_o = float(center_of_mass(P)[0])
     else:
         p_o = float(np.atleast_1d(p_o)[0])
-    integ_u = _PanelIntegrator()
 
     def integral(pts, kernel):
-        """Integral of kernel(x, s) / w(s) ds from p_o to x, at every point x."""
+        """Integral of kernel(x, s) / w(s) ds from p_o to x, at every point x,
+        _PANEL_BLOCK points at a time."""
         xs = np.atleast_2d(pts)[:, 0]
-        out = np.zeros_like(xs)
-        for i, xi in enumerate(xs):
-            s, wt = integ_u.panels(p_o, xi)
-            if len(s):
-                out[i] = float(np.dot(wt, kernel(xi, s) / w_fn(s)))
+        out = np.empty_like(xs)
+        for start in range(0, len(xs), _PANEL_BLOCK):
+            x = xs[start:start + _PANEL_BLOCK]
+            s, wt = _panel_rules(p_o, x)
+            f = kernel(x[:, None], s) / w_fn(s)
+            # one dot product per row, as np.dot takes it
+            out[start:start + len(x)] = np.matmul(wt[:, None, :], f[:, :, None])[:, 0, 0]
         return out
 
     def u_hess(pts):
@@ -186,6 +178,10 @@ class DiscreteEnergy:
     positive (else every value is inf) and joins its smallest det to the
     convexity margin.  npts counts every sample, and active is the (npts,)
     mask of the active ones in rule order.
+
+    The active Hessians of the last iterate evaluated are kept, so the
+    gradient and the Newton matrix at an accepted line-search trial reuse the
+    work of its value: the point operator is applied once per distinct f.
     """
 
     def __init__(self, P: Polytope, A, mesh: Mesh, margin=None, degree=6):
@@ -227,13 +223,21 @@ class DiscreteEnergy:
         self.fixed_logdet = logdet if low > 0.0 else np.nan
         b, a = mesh_linear_forms(mesh, A, degree=degree)
         self.lin_free = (b - a)[self.free]
+        self._last = None  # (f, its active Hessians): see _active_hessians
 
     def _active_hessians(self, f):
-        """(hxx, hxy, hyy, det) of u_o + f on the active samples."""
+        """(hxx, hxy, hyy, det) of u_o + f on the active samples, kept for
+        the last f seen (a copy, so a caller mutating f cannot stale it)."""
+        last = self._last
+        if last is not None and np.array_equal(last[0], f):
+            return last[1]
+        self._last = None  # free the old set before the new one is made
         vals = np.zeros(self.mesh.num_vertices)
         vals[self.free] = f
         hxx, hxy, hyy = self.h_o + self.op @ vals
-        return hxx, hxy, hyy, hxx * hyy - hxy * hxy
+        out = hxx, hxy, hyy, hxx * hyy - hxy * hxy
+        self._last = (np.array(f, dtype=float, copy=True), out)
+        return out
 
     def value(self, f):
         det = self._active_hessians(f)[3]

@@ -1,4 +1,5 @@
 import ast
+import gc
 import os
 import subprocess
 import sys
@@ -172,6 +173,90 @@ def test_non_finite_input_exits_2_naming_the_key(tmp_path, capsys, case, bad):
     assert err.startswith("error:")
     assert (f"h must be finite and positive, not {float(bad)!r}" in err if case == "h"
             else f"'{case}' line has a non-finite number" in err)
+
+
+@pytest.mark.parametrize("case", ["facet", "piece"])
+def test_empty_number_line_exits_2_naming_the_key(tmp_path, capsys, case):
+    # an empty `facet:` or `piece:` line ended in an IndexError traceback
+    polytope, pl = tmp_path / "polytope.txt", tmp_path / "u.pl"
+    polytope.write_text("dimension: 1\nfacet:\nfacet: -1.0 -1.0\n" if case == "facet"
+                        else INTERVAL)
+    pl.write_text("dimension: 1\npiece:\npiece: 1.0 0.0\n")
+    argv = {"facet": ["solve", "--polytope", str(polytope)],
+            "piece": ["eval", "--polytope", str(polytope), "--op", "linear-functional",
+                      "--u", f"plfile:{pl}"]}[case]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: '{case}' line has no numbers\n"
+
+
+def test_piece_of_the_wrong_dimension_exits_2(tmp_path, capsys):
+    polytope, pl = tmp_path / "square.txt", tmp_path / "u.pl"
+    polytope.write_text(SQUARE)
+    pl.write_text("dimension: 2\npiece: 1.0\n")
+    assert main(["eval", "--polytope", str(polytope), "--op", "linear-functional",
+                 "--u", f"plfile:{pl}"]) == 2
+    assert "piece gradient length does not match dimension" in capsys.readouterr().err
+
+
+def run_module(argv, setup=""):
+    """(exit code, stdout bytes, stderr text) of a fresh `python -m polystab.cli
+    argv`; with `setup`, the same entry run by `python -c` after that code."""
+    src = os.path.dirname(os.path.dirname(polystab.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "polystab.cli"] + argv
+    if setup:
+        cmd = [sys.executable, "-c", setup + "import runpy, sys\nsys.argv[0] = 'polystab'\n"
+               "runpy.run_module('polystab.cli', run_name='__main__')\n"] + argv
+    proc = subprocess.run(cmd, env=env, capture_output=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+def test_module_entry_writes_the_in_process_report(tmp_path, capsys):
+    # the entry freezes the objects left after main, then lets the process
+    # exit normally, so a piped stdout is flushed in full
+    path = tmp_path / "pentagon.txt"
+    path.write_text(PENTAGON)
+    argv = ["solve", "--polytope", str(path), "--A", "extremal", "--h", "0.2"]
+    code, out, err = run_module(argv)
+    assert (code, err) == (0, "")
+    assert main(argv) == 0
+    assert out == capsys.readouterr().out.encode()
+
+
+def test_module_entry_keeps_the_exit_codes(tmp_path):
+    interval, empty = tmp_path / "interval.txt", tmp_path / "empty.txt"
+    interval.write_text(INTERVAL)
+    empty.write_text("dimension: 1\nfacet:\nfacet: -1.0 -1.0\n")
+    lp_fails = ("import polystab.stability\nfrom polystab.errors import LPNotConverged\n"
+                "def fail(*args, **kwargs):\n    raise LPNotConverged('iteration cap reached')\n"
+                "polystab.stability.solve_cone_lp = fail\n")
+    for argv, setup, code, err in (
+            (["solve", "--polytope", str(empty)], "", 2, "error: 'facet' line has no numbers\n"),
+            (["solve", "--polytope", str(tmp_path / "missing.txt")], "", 2, "error: "),
+            (["stability", "--polytope", str(interval), "--h", "0.25"], lp_fails, 3,
+             "LP failure: iteration cap reached\n"),
+            (["solve", "--polytope", str(interval), "--A", "affine:1,0"], "", 4,
+             "incompatible A: ")):
+        got, out, stderr = run_module(argv, setup)
+        assert (got, out) == (code, b"")
+        assert stderr.startswith(err)
+
+
+def test_only_the_entry_freezes_objects(tmp_path, capsys):
+    # an in-process main (tests, the benchmark's tracer) freezes nothing; the
+    # entry of a fresh process does, just before the interpreter exits
+    path = tmp_path / "interval.txt"
+    path.write_text(INTERVAL)
+    assert gc.get_freeze_count() == 0
+    assert main(["solve", "--polytope", str(path)]) == 0
+    assert gc.get_freeze_count() == 0
+    capsys.readouterr()
+    setup = ("import atexit, gc, sys\n"
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n")
+    code, out, _ = run_module(["solve", "--polytope", str(path)], setup)
+    assert code == 0
+    assert out.decode().splitlines()[-1] == "frozen True"
 
 
 def test_2d_solve_does_not_import_scipy(tmp_path):

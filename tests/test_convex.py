@@ -7,6 +7,7 @@ from polystab.convex import (
     PLConvexFunc,
     SmoothConvexFunc,
     crease,
+    guillemin_hessian,
     guillemin_potential,
     normalize,
     segment_ma_measure,
@@ -95,6 +96,91 @@ def test_guillemin_value_is_the_row_sum_bit_for_bit():
         assert np.array_equal(u(pts), row_sum(pts))
     with pytest.raises(EvaluationOutsideDomain):
         u(np.array([[1.0, -2.0 * tol]]))
+
+
+PENTAGON = [((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, 0.0), -3.0),
+            ((0.0, -1.0), -2.0), ((-1.0, -1.0), -4.0)]
+# normals off 0/+-1, so the gaps x.h_k - c_k round
+TRIANGLE = [((0.617, 0.787), -1.094), ((-0.997, -0.074), -1.127), ((0.952, -0.306), -1.123)]
+
+
+def _inside(P, m, seed):
+    """About m random interior points of P."""
+    rng = np.random.default_rng(seed)
+    lo, hi = P.vertices.min(axis=0), P.vertices.max(axis=0)
+    pts = rng.uniform(lo, hi, size=(m, P.dimension))
+    return pts[P.boundary_distance(pts) > 1e-6]
+
+
+def _facet_sums(P, pts, term):
+    """Oracle: sum over the facets, one at a time, of term(g_k, k)."""
+    total = 0.0
+    for k, (h, c) in enumerate(zip(P.normals, P.offsets)):
+        total = total + term(pts @ h - c, k)
+    return total
+
+
+def _batches(pts, sizes):
+    """pts split into consecutive batches of the given sizes (the rest last)."""
+    cuts = np.cumsum(sizes)
+    return np.split(pts, cuts[cuts < len(pts)])
+
+
+@pytest.mark.parametrize("facets", [PENTAGON, TRIANGLE, None], ids=["pentagon", "triangle",
+                                                                    "interval"])
+def test_guillemin_hessian_and_value_match_the_facet_sums(facets):
+    P = interval() if facets is None else build_polytope(facets)
+    pts = _inside(P, 4000, 4)
+    rows, cols = np.triu_indices(P.dimension)
+    ref = np.stack([_facet_sums(P, pts, lambda g, k, r=r, c=c:
+                                P.normals[k, r] * P.normals[k, c] / g)
+                    for r, c in zip(rows, cols)])
+    H = guillemin_hessian(P, pts)
+    assert H.shape == (len(rows), len(pts))
+    assert np.max(np.abs(H - ref) / np.abs(ref).max(axis=1)[:, None]) <= 1e-13
+    ref = _facet_sums(P, pts, lambda g, k: g * np.log(g))
+    assert np.max(np.abs(guillemin_potential(P)(pts) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("facets", [PENTAGON, TRIANGLE], ids=["pentagon", "triangle"])
+def test_guillemin_hessian_and_value_do_not_depend_on_the_batch(facets):
+    # the gaps are taken coordinate by coordinate, never through BLAS, so a
+    # point's value is the same alone or in a batch of any size (a BLAS
+    # product of the triangle's normals differs between the two)
+    P = build_polytope(facets)
+    pts = _inside(P, 4000, 8)
+    u = guillemin_potential(P)
+    H, v = guillemin_hessian(P, pts), u(pts)
+    for sizes in ([1] * 40, [7, 1000, 1001, 3], [len(pts) - 1]):
+        parts = _batches(pts, sizes)
+        assert np.array_equal(np.concatenate([guillemin_hessian(P, b) for b in parts], axis=1), H)
+        assert np.array_equal(np.concatenate([u(b) for b in parts]), v)
+
+
+def test_guillemin_hessian_raises_on_a_facet_or_outside():
+    P = build_polytope(PENTAGON)
+    pts = _inside(P, 2000, 2)
+    for i in (0, len(pts) // 2, len(pts) - 1):
+        for bad in ([1.0, 0.0], [4.0, 1.0]):  # on a facet, outside
+            out = pts.copy()
+            out[i] = bad
+            with pytest.raises(EvaluationOutsideDomain):
+                guillemin_hessian(P, out)
+
+
+def test_guillemin_value_reads_zero_log_zero_on_a_facet():
+    # a block whose gaps are all positive skips the masking; one with a
+    # point on a facet still reads 0 log 0 = 0 there, and its other points
+    # keep their values
+    P = build_polytope(PENTAGON)
+    u = guillemin_potential(P)
+    pts = _inside(P, 200, 5)
+    vals = u(np.concatenate([pts, [[0.0, 0.0], [1.5, 0.0]]]))
+    assert np.array_equal(vals[:-2], u(pts))
+    # gaps (0, 0, 3, 2, 4) at the vertex and (1.5, 0, 1.5, 2, 2.5) on a facet
+    assert vals[-2] == pytest.approx(3 * np.log(3) + 2 * np.log(2) + 4 * np.log(4), rel=1e-15)
+    assert vals[-1] == pytest.approx(3 * np.log(1.5) + 2 * np.log(2) + 2.5 * np.log(2.5),
+                                     rel=1e-15)
 
 
 # -- normalize ----------------------------------------------------------------

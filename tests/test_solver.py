@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from polystab.convex import guillemin_hessian, guillemin_potential
 from polystab.errors import LineSearchStall, LostConvexity
+from polystab.fields import QuadraticPoly
 from polystab.functionals import FunctionalEvaluator, extremal_affine
 from polystab.hessfit import PointOperator, components_to_matrices
 from polystab.mesh import make_mesh
-from polystab.polytope import build_polytope, interval, unit_square
-from polystab.quadrature import mesh_graded_scheme
+from polystab.polytope import build_polytope, center_of_mass, interval, unit_square
+from polystab.quadrature import gauss_rule, mesh_graded_scheme
 from polystab.solver import DiscreteEnergy, solve_1d, solve_2d_descent
 
 PENTAGON = [((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, 0.0), -3.0),
@@ -46,6 +47,54 @@ def test_solve_1d_matches_guillemin_potential():
     assert u.hess(x)[:, 0, 0] == pytest.approx(g.hess(x)[:, 0, 0], rel=1e-12)
     assert u.grad(x)[:, 0] == pytest.approx(g.grad(x)[:, 0], abs=1e-12)
     assert u(x) == pytest.approx(g(x) - g(np.array([[0.5]])), abs=1e-12)
+
+
+def _per_point_integral(u, p_o, x, kernel):
+    """Oracle: integral of kernel(x, s) u''(s) ds from p_o to x (u'' = 1/w),
+    one end point at a time, on 12-point Gauss panels with 14 halving panels
+    at each end of [p_o, x] and 16 uniform ones between."""
+    t, wt = gauss_rule(12)
+    g = [0.25 * 2.0 ** (-j) for j in range(14, 0, -1)]
+    breaks = np.unique(np.clip([0.0] + g + np.linspace(0.25, 0.75, 17).tolist()
+                               + [1.0 - v for v in reversed(g)] + [1.0], 0.0, 1.0))
+    out = []
+    for xi in x:
+        if xi == p_o:
+            out.append(0.0)
+            continue
+        ends = p_o + (xi - p_o) * breaks
+        s = (ends[:-1, None] + np.diff(ends)[:, None] * t).ravel()
+        w = (np.diff(ends)[:, None] * wt).ravel()
+        out.append(float(np.dot(w, kernel(xi, s) * u.hess(s[:, None])[:, 0, 0])))
+    return np.array(out)
+
+
+def _interval_fields(P):
+    """The extremal affine field of P and three quadratic ones that also meet
+    solve_1d's endpoint conditions: A + c ((x - p)^2 - L (x - p) + L^2 / 6)."""
+    p, L = float(P.vertices[0, 0]), float(P.vertices[1, 0] - P.vertices[0, 0])
+    A = extremal_affine(P)
+    for c in (0.0, 1.0 / L**2, -2.0 / L**2, 4.0 / L**2):
+        yield QuadraticPoly(1, (A.a0 + c * (p * p + L * p + L * L / 6.0),
+                                A.a[0] - c * (2.0 * p + L), 0.0, c, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("P", [interval(), build_polytope([((1.0,), -0.3), ((-2.0,), -5.4)])],
+                         ids=["unit", "weighted"])
+def test_solve_1d_integrals_match_the_per_point_oracle(P):
+    # u and u' are taken for all points at once; the oracle takes the same
+    # panel rule one point at a time, p_o included
+    p, q = float(P.vertices[0, 0]), float(P.vertices[1, 0])
+    p_o = float(center_of_mass(P)[0])
+    x = np.concatenate([[p_o, p + 1e-9, q - 1e-9], np.linspace(p, q, 601)[1:-1]])
+    for A in _interval_fields(P):
+        u, compat = solve_1d(P, A)
+        assert compat.compatible
+        for got, kernel in ((u(x[:, None]), lambda xi, s: xi - s),
+                            (u.grad(x[:, None])[:, 0], lambda xi, s: 1.0)):
+            ref = _per_point_integral(u, p_o, x, kernel)
+            assert got[0] == 0.0
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_solve_1d_rejects_a_field_without_a_polynomial_degree():
@@ -258,7 +307,8 @@ def test_energy_setup_holds_one_large_rule_at_a_time():
 def test_first_newton_matrix_makes_no_per_point_blocks():
     # gram sums K's six distinct entries one (m,) column at a time over the
     # active cells, so no (m, 3, 3) block or per-point pair key is made
-    # (measured: 1.8 MB traced on the pentagon at h = 1/5; bound +50 %)
+    # (measured: 1.5 MB traced on the pentagon at h = 1/5, 1.8 MB before the
+    # energy kept the Hessians of value(f); bound 1.8 MB + 50 %)
     P = build_polytope(PENTAGON)
     A, mesh = extremal_affine(P), make_mesh(P, 1 / 5)
     for warm_up in (True, False):  # the first pass fills first-use caches
@@ -310,6 +360,39 @@ def test_linear_constant_is_the_graded_evaluator_value():
     E = DiscreteEnergy(P, A, make_mesh(P, 1 / 5))
     ev = FunctionalEvaluator(P, A, degree=6, layers=40)
     assert E.lin_const == ev.linear_functional(guillemin_potential(P))
+
+
+def test_newton_on_the_pentagon_applies_the_point_operator_once_per_iterate(monkeypatch):
+    # the energy keeps the active Hessians of the last iterate, so the
+    # gradient and the Newton matrix at an accepted trial reuse its value's;
+    # the energies are the ones computed before that reuse
+    P = build_polytope(PENTAGON)
+    seen, calls = [], {"value": 0, "gradient": 0, "hessian": 0, "matmul": 0}
+
+    def counted(cls, name, key):
+        method = getattr(cls, name)
+
+        def wrapper(self, *args):
+            calls[key] += 1
+            if cls is DiscreteEnergy:
+                seen.append(np.array(args[0], copy=True))
+            return method(self, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(DiscreteEnergy, "value", "value")
+    counted(DiscreteEnergy, "gradient", "gradient")
+    counted(DiscreteEnergy, "hessian", "hessian")
+    counted(PointOperator, "__matmul__", "matmul")
+    state = solve_2d_descent(P, extremal_affine(P), make_mesh(P, 1 / 5))
+    assert state.converged and state.iterations == 3
+    assert state.energy_history == pytest.approx(
+        [-2.3259122299769004, -2.3308155140160745, -2.330817739400291, -2.330817739404641],
+        rel=1e-12, abs=0.0)
+    assert calls["value"] == calls["gradient"] == 4
+    distinct = {f.tobytes() for f in seen}
+    assert len(distinct) == 4
+    assert calls["matmul"] == len(distinct)
 
 
 def test_newton_converges_at_the_default_mesh_size():
