@@ -1,4 +1,5 @@
-"""Small planar-geometry and array helpers shared by quadrature and meshing."""
+"""Small planar-geometry and array helpers shared by quadrature, meshing and
+the crease sweep: the one batched half-plane clipper lives here."""
 from __future__ import annotations
 
 import numpy as np
@@ -23,38 +24,42 @@ def polygon_area(pts):
     return 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1)
 
 
-def clip_polygon_halfplane(pts, normal, offset, tol=0.0):
-    """Clip a convex polygon to {x : normal.x - offset >= -tol} (Sutherland-Hodgman).
+def clip_halfplanes(polys, counts, normal, offset, tol=0.0):
+    """Clip a batch of convex polygons to {x : normal.x - offset >= -tol}.
 
-    Returns an (m, 2) array, possibly empty.  Intersection points are computed
-    from the same edge data on both sides of a shared edge, so adjacent cells
-    clipped against the same line produce bit-identical points.
+    polys is (B, m, 2): row b holds counts[b] vertices, and the slots after
+    the last one repeat it, so the padding edges have zero length.  normal is
+    (2,) or (B, 2); offset and tol are scalars or (B,).  Sutherland-Hodgman on
+    padded (B, 2m) slots: slot 2i holds vertex i, slot 2i + 1 the crossing of
+    edge (i, i + 1), and a stable argsort moves the kept slots to the front in
+    order.  Everything is elementwise, so a row gives the same bits alone or
+    in a batch, and the two sides of a line, (normal, offset) and (-normal,
+    -offset), cut at the same points.  Repeated vertices are kept.  Returns
+    (clipped, counts) in the same padded form, max(counts.max(), 3) slots
+    wide (a row with no vertex repeats junk).
     """
-    out = []
-    m = len(pts)
-    if m == 0:
-        return np.zeros((0, 2))
-    g = pts @ np.asarray(normal, dtype=float) - offset
-    for i in range(m):
-        j = (i + 1) % m
-        gi, gj = g[i], g[j]
-        if gi >= -tol:
-            out.append(pts[i])
-        if (gi >= -tol) != (gj >= -tol):
-            t = gi / (gi - gj)
-            out.append(pts[i] + t * (pts[j] - pts[i]))
-    if not out:
-        return np.zeros((0, 2))
-    res = [out[0]]
-    for p in out[1:]:
-        if np.max(np.abs(p - res[-1])) > 1e-14:
-            res.append(p)
-    if len(res) > 1 and np.max(np.abs(res[0] - res[-1])) <= 1e-14:
-        res.pop()
-    return np.array(res)
+    B, m = polys.shape[:2]
+    normal, offset, tol = (np.asarray(v, dtype=float) for v in (normal, offset, tol))
+    g = polys[..., 0] * normal[..., :1] + polys[..., 1] * normal[..., 1:] - offset[..., None]
+    gj = np.roll(g, -1, axis=1)
+    inside = g >= -tol[..., None]
+    cross = inside != np.roll(inside, -1, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(cross, g / (g - gj), 0.0)
+    X = polys + t[..., None] * (np.roll(polys, -1, axis=1) - polys)
+    slots = np.stack([polys, X], axis=2).reshape(B, 2 * m, 2)
+    valid = np.stack([inside & (np.arange(m) < counts[:, None]), cross], axis=2).reshape(B, 2 * m)
+    order = np.argsort(~valid, axis=1, kind="stable")
+    n = valid.sum(axis=1)
+    last = np.minimum(np.arange(max(int(n.max(initial=0)), 3)), np.maximum(n - 1, 0)[:, None])
+    pick = np.take_along_axis(order, last, axis=1)
+    return np.take_along_axis(slots, pick[..., None], axis=1), n
 
 
-def fan_triangles(pts):
-    """Fan triangulation of a convex polygon; yields (3, 2) vertex arrays."""
-    for i in range(1, len(pts) - 1):
-        yield np.array([pts[0], pts[i], pts[i + 1]])
+def fans(polys):
+    """Fan triangles (p0, p_k, p_k+1) of a (B, m, 2) padded batch: (B, m - 2, 3, 2).
+
+    Past a row's count the triangles repeat its last vertex and have zero area.
+    """
+    apex = np.broadcast_to(polys[:, None, :1], (len(polys), polys.shape[1] - 2, 1, 2))
+    return np.concatenate([apex, polys[:, 1:-1, None], polys[:, 2:, None]], axis=2)

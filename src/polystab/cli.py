@@ -127,7 +127,7 @@ def cmd_solve(args):
     rep.add("polytope", args.polytope)
     rep.add("A", args.A)
     if P.dimension == 1:
-        u, compat = solver.solve_1d(P, A, tol=args.tol if args.tol else 1e-8)
+        u, compat = solver.solve_1d(P, A, tol=1e-8 if args.tol is None else args.tol)
         sup, l2, _ = solver.residual(u, A, P, margin=0.05)
         rep.add("method", "1d-integration")
         rep.add("w.end_residual", compat.w_end)
@@ -137,7 +137,7 @@ def cmd_solve(args):
         rep.add("residual.l2", l2)
     else:
         mesh = make_mesh(P, args.h)
-        state = solver.solve_2d_descent(P, A, mesh, tol=args.tol or 1e-6)
+        state = solver.solve_2d_descent(P, A, mesh, tol=1e-6 if args.tol is None else args.tol)
         rep.add("method", "2d-descent")
         rep.add("h", args.h)
         rep.add("iterations", state.iterations)
@@ -191,7 +191,11 @@ def _eval_u(P, spec):
             raise ValueError("crease spec must be affine")
         return normalize(crease(ell), center_of_mass(P))
     if spec.startswith("plfile:"):
-        return read_pl_function(spec[len("plfile:"):])
+        u = read_pl_function(spec[len("plfile:"):])
+        if u.dimension != P.dimension:
+            raise ValueError(f"the pl-function has dimension {u.dimension}, "
+                             f"the polytope dimension {P.dimension}")
+        return u
     raise ValueError(f"unknown u spec {spec!r}")
 
 
@@ -233,6 +237,20 @@ def cmd_eval(args):
     return 0
 
 
+def _checked(kind, ok, rule):
+    """argparse type: `kind(text)` when ok(value), else an error naming `rule`."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, not {text!r}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+POSITIVE = _checked(float, lambda v: np.isfinite(v) and v > 0, "finite and > 0")
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="polystab",
                                 description="Stability and canonical-potential toolkit "
@@ -247,7 +265,7 @@ def build_parser():
                   'looser than a power (-x^2 = -(x^2))'),
         "h": dict(type=float, default=1 / 16, help="mesh parameter"),
         "degree": dict(type=int, default=6, help="quadrature degree"),
-        "tol": dict(type=float, default=None, help="solver tolerance"),
+        "tol": dict(type=POSITIVE, default=None, help="solver tolerance"),
         "seed": dict(type=int, default=20240, help="seed for randomized audits"),
     }
 
@@ -274,9 +292,9 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="run the built-in audit suite")
     common(sp, "h", "seed")
-    sp.add_argument("--sigma-scale", type=float, default=1.0,
+    sp.add_argument("--sigma-scale", type=POSITIVE, default=1.0,
                     help="scale boundary weights (consistency tripwire)")
-    sp.add_argument("--audit-count", type=int, default=50)
+    sp.add_argument("--audit-count", type=_checked(int, lambda v: v >= 1, ">= 1"), default=50)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("eval", help="evaluate one functional")
@@ -286,7 +304,8 @@ def build_parser():
                              "extremal-affine", "abreu-residual", "ibp", "l1-constant"))
     sp.add_argument("--u", default=None,
                     help='"guillemin", "crease:<affine expr>", or "plfile:<path>"')
-    sp.add_argument("--margin", type=float, default=0.05)
+    sp.add_argument("--margin", type=_checked(float, lambda v: np.isfinite(v) and v >= 0,
+                                              "finite and >= 0"), default=0.05)
     sp.set_defaults(fn=cmd_eval)
     return p
 

@@ -70,7 +70,7 @@ class LPNotConverged(PolystabError):
 
 
 class EmptyGrid(PolystabError):
-    """Crease sweep invoked with an empty grid of affine functions."""
+    """A crease sweep's grid of affine functions, or the residual's samples, is empty."""
 
 
 class NonpositiveLambda(PolystabError):

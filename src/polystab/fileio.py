@@ -46,17 +46,21 @@ def polytope_to_text(P: Polytope) -> str:
     return "\n".join(out) + "\n"
 
 
-def polytope_from_text(text: str) -> Polytope:
+def _entries(text):
+    """(key, rest) of every line that is neither blank nor a # comment, split
+    at its first ':' and stripped."""
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            key, _, rest = line.partition(":")
+            yield key.strip(), rest.strip()
+
+
+def _polytope(entries) -> Polytope:
     dim = None
     name = None
     facets = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, rest = line.partition(":")
-        key = key.strip()
-        rest = rest.strip()
+    for key, rest in entries:
         if key == "dimension":
             dim = int(rest)
         elif key == "name":
@@ -72,6 +76,10 @@ def polytope_from_text(text: str) -> Polytope:
         if len(h) != dim:
             raise ValueError("facet normal length does not match dimension")
     return build_polytope(facets, name=name)
+
+
+def polytope_from_text(text: str) -> Polytope:
+    return _polytope(_entries(text))
 
 
 def write_polytope(P: Polytope, path):
@@ -97,13 +105,7 @@ def pl_to_text(u: PLConvexFunc) -> str:
 def pl_from_text(text: str) -> PLConvexFunc:
     dim = None
     pieces = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, rest = line.partition(":")
-        key = key.strip()
-        rest = rest.strip()
+    for key, rest in _entries(text):
         if key == "dimension":
             dim = int(rest)
         elif key == "piece":
@@ -141,19 +143,13 @@ def mesh_function_to_text(u: MeshConvexFunc) -> str:
 
 
 def mesh_function_from_text(text: str) -> MeshConvexFunc:
-    poly_lines = []
+    poly_entries = []
     h = None
     p_o = None
     values = None
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, _, rest = stripped.partition(":")
-        key = key.strip()
-        rest = rest.strip()
+    for key, rest in _entries(text):
         if key in ("dimension", "name", "facet"):
-            poly_lines.append(stripped)
+            poly_entries.append((key, rest))
         elif key == "h":
             (h,) = _numbers(key, rest)
         elif key == "p_o_index":
@@ -164,7 +160,7 @@ def mesh_function_from_text(text: str) -> MeshConvexFunc:
             raise ValueError(f"unknown mesh-function key {key!r}")
     if h is None or values is None:
         raise ValueError("mesh-function file needs h and values")
-    P = polytope_from_text("\n".join(poly_lines))
+    P = _polytope(poly_entries)
     mesh = make_mesh(P, h)
     if mesh.num_vertices != len(values):
         raise ValueError("value count does not match the deterministic mesh")

@@ -2,8 +2,9 @@
 
 2D meshes are structured grids over the bounding box.  One gaps call sorts
 the grid cells: those inside P get the "/" diagonal split by broadcasting,
-and a cell the boundary cuts is clipped against the facets a corner of it
-lies outside of, then fanned.  Vertices are numbered by the first appearance
+and the cells the boundary cuts are clipped facet by facet, each facet in
+one `clip_halfplanes` call on the cells with a corner outside it, then
+fanned.  Vertices are numbered by the first appearance
 of their rounded coordinates, and the hinges, boundary edges and
 point-location buckets come from sorted key arrays.  The mesh parameter h is
 the grid spacing (maximum edge length in the max-norm), which reproduces the
@@ -17,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._geom import clip_polygon_halfplane, fan_triangles, polygon_area
+from ._geom import clip_halfplanes, fans, polygon_area
 from .errors import MeshTooFine
 from .polytope import Polytope
 
@@ -197,33 +198,30 @@ def make_mesh(P: Polytope, h: float) -> Mesh:
     g = P.gaps(corners.reshape(-1, 2)).reshape(len(corners), 4, -1)
     outside = np.any(g < -scale_tol * norm_h, axis=1)                 # (cells, K)
     whole = ~outside.any(axis=1)
-    cut_tris, cut_cell = [], []
-    for c in np.flatnonzero(~whole):
-        poly = corners[c]
-        for k in np.flatnonzero(outside[c]):  # no other facet can clip the cell
-            poly = clip_polygon_halfplane(poly, P.normals[k], P.offsets[k],
-                                          tol=scale_tol * norm_h[k])
-            if len(poly) < 3:
-                break
-        if len(poly) < 3 or abs(polygon_area(poly)) <= area_tol:
-            continue
-        if polygon_area(poly) < 0:
-            poly = poly[::-1]
-        # a cut within 1e-8 of the size of P still leaves the whole cell
-        if len(poly) == 4 and np.allclose(poly, corners[c], rtol=0.0, atol=1e-8 * size):
-            whole[c] = True
-            continue
-        tris = np.array(list(fan_triangles(poly)))
-        tris = tris[np.abs(polygon_area(tris)) > area_tol]
-        cut_tris.append(tris)
-        cut_cell.append(np.full(len(tris), c))
+    cut = np.flatnonzero(~whole)
+    poly, count = corners[cut], np.full(len(cut), 4)
+    for k in np.flatnonzero(outside.any(axis=0)):  # no other facet can clip a cell
+        rows = np.flatnonzero(outside[cut, k] & (count >= 3))
+        clipped, count[rows] = clip_halfplanes(poly[rows], count[rows], P.normals[k],
+                                               P.offsets[k], tol=scale_tol * norm_h[k])
+        width = clipped.shape[1]
+        if width > poly.shape[1]:  # widen every row by repeating its last slot
+            poly = np.concatenate([poly, np.repeat(poly[:, -1:], width - poly.shape[1], 1)], 1)
+        poly[rows, :width], poly[rows, width:] = clipped, clipped[:, -1:]
+    keep = (count >= 3) & (np.abs(polygon_area(poly)) > area_tol)
+    # a cut within 1e-8 of the size of P still leaves the whole cell
+    near = (count == 4) & np.all(np.abs(poly[:, :4] - corners[cut]) <= 1e-8 * size, axis=(1, 2))
+    whole[cut[keep & near]] = True
+    cut_tris = fans(poly[keep & ~near])  # clipping keeps the cells' counter-clockwise order
+    nonzero = np.abs(polygon_area(cut_tris)) > area_tol
+    cut_tris, cut_cell = cut_tris[nonzero], cut[keep & ~near][np.nonzero(nonzero)[0]]
 
     # triangles in cell order: a whole cell's "/" split, then the kept fan
     # triangles of a cut one; vertices are numbered by the first appearance
     # of their rounded coordinates in that order
     w = np.flatnonzero(whole)
-    tris = np.concatenate([corners[w][:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3, 2)] + cut_tris)
-    tri_cell = np.concatenate([np.repeat(w, 2)] + cut_cell)
+    tris = np.concatenate([corners[w][:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3, 2), cut_tris])
+    tri_cell = np.concatenate([np.repeat(w, 2), cut_cell])
     order = np.argsort(tri_cell, kind="stable")
     tri_cell = tri_cell[order]
     keys = np.round(tris[order].reshape(-1, 2), 12 - int(np.floor(np.log10(scale))))

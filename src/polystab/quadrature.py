@@ -13,7 +13,8 @@ triangle batches (and per-triangle tags) and call it once:
   graded_blocks yields its interior rule a few layers of one facet fan at a
   time;
 * split_scheme       -- standard scheme whose cells are pre-split along given
-  lines, making piecewise-linear integrands piecewise-polynomial per cell;
+  lines, one batched clip of every cell per line, making piecewise-linear
+  integrands piecewise-polynomial per cell;
 * mesh_graded_scheme -- rules subordinate to the cells of a mesh, graded
   toward the boundary; each point records its parent mesh cell in
   interior_cells (-1 in the schemes above), so mesh data can be interpolated
@@ -34,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._geom import clip_polygon_halfplane, fan_triangles, polygon_area, sorted_unique
+from ._geom import clip_halfplanes, fans, polygon_area, sorted_unique
 from .polytope import Polytope
 
 DEFAULT_DEGREE = 6
@@ -284,28 +285,25 @@ def split_scheme(P: Polytope, lines, degree: int = DEFAULT_DEGREE) -> Quadrature
         ipts, iwts = _interior_1d(P, degree, breaks)
         bp, bw = _boundary_1d(P)
     else:
-        center = P.vertex_centroid()
-        polys = [np.array([center, a, b]) for a, b in _facet_segments(P)]
+        segs = _facet_segments(P)
+        polys = np.concatenate([np.broadcast_to(P.vertex_centroid(), (len(segs), 1, 2)), segs], 1)
+        count = np.full(len(polys), 3)
         for eta, c in lines:
-            eta = np.asarray(eta, dtype=float)
-            nxt = []
-            for poly in polys:
-                for sgn in (1.0, -1.0):
-                    clipped = clip_polygon_halfplane(poly, sgn * eta, sgn * c)
-                    if len(clipped) >= 3 and abs(polygon_area(clipped)) > 1e-300:
-                        nxt.append(clipped)
-            polys = nxt
-        ipts, iwts = map_triangles([tri for poly in polys for tri in fan_triangles(poly)],
-                                   degree)
+            # every polygon's + side, then its - side, as one batch
+            sgn = np.tile([1.0, -1.0], len(polys))
+            polys, count = clip_halfplanes(np.repeat(polys, 2, axis=0), np.repeat(count, 2),
+                                           sgn[:, None] * np.asarray(eta, dtype=float), sgn * c)
+            keep = (count >= 3) & (np.abs(polygon_area(polys)) > 1e-300)
+            polys, count = polys[keep], count[keep]
+        ipts, iwts = _tagged_rule(fans(polys), [], degree)  # drops the zero-area padding
         # boundary: split each facet segment where a line crosses it
-        crossings = [[] for _ in range(P.num_facets)]
-        for k, (a, b) in enumerate(_facet_segments(P)):
-            for eta, c in lines:
-                eta = np.asarray(eta, dtype=float)
-                ga = eta @ a - c
-                gb = eta @ b - c
-                if (ga > 0) != (gb > 0) and ga != gb:
-                    crossings[k].append(ga / (ga - gb))
+        eta = np.array([e for e, _ in lines], dtype=float).reshape(-1, 2)
+        off = np.array([c for _, c in lines], dtype=float)
+        ga, gb = (end[:, None, 0] * eta[:, 0] + end[:, None, 1] * eta[:, 1] - off
+                  for end in (segs[:, 0], segs[:, 1]))                       # (K, lines)
+        hit = ((ga > 0) != (gb > 0)) & (ga != gb)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            crossings = [f[k] for f, k in zip(ga / (ga - gb), hit)]
         bp, bw = _boundary_2d(P, degree, crossings)
     layers = np.full(len(iwts), -1, dtype=int)
     return QuadratureScheme(P.dimension, degree, ipts, iwts, layers, bp, bw,

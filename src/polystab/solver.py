@@ -17,7 +17,7 @@ import numpy as np
 
 from ._geom import sorted_unique
 from .convex import SmoothConvexFunc, guillemin_hessian, guillemin_potential
-from .errors import IncompatibleA, LineSearchStall, LostConvexity, NonpositiveW
+from .errors import EmptyGrid, IncompatibleA, LineSearchStall, LostConvexity, NonpositiveW
 from .fields import QuadraticPoly
 from .functionals import FunctionalEvaluator, as_field, field_degree, mesh_linear_forms
 from .hessfit import HessianSurrogate
@@ -331,7 +331,8 @@ def residual(u, A, P: Polytope, margin=0.05, samples=9, h_fd=1e-3,
              evaluator: FunctionalEvaluator | None = None):
     """(sup, weighted L2, per-sample values) of |sum (u^{ij})_{,ij} + A|.
 
-    Samples live on a uniform interior grid at boundary distance >= margin.
+    Samples live on a uniform interior grid at boundary distance >= margin;
+    EmptyGrid when no grid point lies that far in.
     """
     if evaluator is None:
         evaluator = FunctionalEvaluator(P, A)
@@ -339,6 +340,7 @@ def residual(u, A, P: Polytope, margin=0.05, samples=9, h_fd=1e-3,
     if P.dimension == 1:
         lo, hi = float(P.vertices[0, 0]), float(P.vertices[1, 0])
         pts = np.linspace(lo + margin, hi - margin, samples)[:, None]
+        pts = pts if hi - lo >= 2 * margin else pts[:0]
         meas = (hi - lo - 2 * margin) / samples
     else:
         lo = P.vertices.min(axis=0)
@@ -350,6 +352,8 @@ def residual(u, A, P: Polytope, margin=0.05, samples=9, h_fd=1e-3,
         keep = P.boundary_distance(grid) >= margin
         pts = grid[keep]
         meas = (gx[1] - gx[0]) * (gy[1] - gy[0])
+    if not len(pts):
+        raise EmptyGrid(f"no residual sample lies at distance >= {margin!r} from the boundary")
     dev = np.abs(evaluator.abreu_operator(u, pts, h_fd=h_fd) - Af(pts))
     sup = float(np.max(dev))
     l2 = float(np.sqrt(np.sum(dev**2) * meas))

@@ -26,7 +26,8 @@ gradient of ell is lexicographically negative, the tie rule of `normalize`),
 and both functionals are linear.  The boundary integral of (ell)_+ over each
 facet segment has a closed form in the values of ell at its ends; the
 interior integral of A ell over P clipped to {ell >= 0} comes from one
-quadrature call on the fan triangles of every clipped polygon.  `verify_audits` checks the chain from a
+batched clip of P by every ell and one quadrature call on the fan triangles of
+the clipped polygons.  `verify_audits` checks the chain from a
 positive constant to the properness bound; `polystab verify` reports it.
 """
 from __future__ import annotations
@@ -37,6 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from . import solver
+from ._geom import clip_halfplanes, fans
 from .cone_lp import FEAS_TOL as LP_FEAS_TOL, solve_cone_lp
 from .convex import (
     AffineFunc,
@@ -209,33 +211,6 @@ def _affine_values(a0, a, x):
     return a0[:, None] + sum(a[:, [k]] * x[..., k] for k in range(a.shape[1]))
 
 
-def _clipped_fans(V, g):
-    """Fan triangles of the convex polygon V (m, 2) clipped to {g >= 0}, per crease.
-
-    g is (C, m), the crease values at V.  Sutherland-Hodgman on padded
-    (C, 2m, 2) arrays: slot 2i holds vertex i, slot 2i + 1 the crossing of
-    edge (i, i + 1); a stable argsort moves the valid slots to the front in
-    order.  Returns (C, T, 3, 2) triangles, the padding collapsed onto one
-    point so it has zero area.
-    """
-    C, m = g.shape
-    gj = np.roll(g, -1, axis=1)
-    inside = g >= 0.0
-    cross = inside != (gj >= 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(cross, g / (g - gj), 0.0)
-    X = V + t[..., None] * (np.roll(V, -1, axis=0) - V)
-    slots = np.stack([np.broadcast_to(V, X.shape), X], axis=2).reshape(C, 2 * m, 2)
-    valid = np.stack([inside, cross], axis=2).reshape(C, 2 * m)
-    order = np.argsort(~valid, axis=1, kind="stable")
-    poly = np.take_along_axis(slots, order[..., None], axis=1)
-    nv = valid.sum(axis=1)
-    k = np.arange(1, max(int(nv.max()) - 1, 2))
-    apex = np.broadcast_to(poly[:, None, :1], (C, len(k), 1, 2))
-    tris = np.concatenate([apex, poly[:, k, None], poly[:, k + 1, None]], axis=2)
-    return np.where((k + 1 < nv[:, None])[..., None, None], tris, apex)
-
-
 def crease_functionals(grid, p_o, evaluator: FunctionalEvaluator):
     """(|u|_b, L_A(u), a0, a) of u = normalize(crease(ell), p_o) for every ell in grid.
 
@@ -252,7 +227,8 @@ def crease_functionals(grid, p_o, evaluator: FunctionalEvaluator):
       in 1D it is (ell)_+ at the endpoint;
     * interior: A ell over P clipped to {ell >= 0}, with one rule of
       `evaluator.degree` on all the clipped polygons' fan triangles at once
-      (one `map_triangles` call), or in 1D one Gauss rule per crease on the
+      (one `clip_halfplanes` call on copies of P and one `map_triangles`
+      call), or in 1D one Gauss rule per crease on the
       part of the interval where ell >= 0.
     """
     P = evaluator.polytope
@@ -291,7 +267,9 @@ def crease_functionals(grid, p_o, evaluator: FunctionalEvaluator):
                             np.where(g_hi > 0.0, 0.5 * g_hi * g_hi / (g_hi - g_lo), 0.0))
         seg = V[fv[:, 1]] - V[fv[:, 0]]
         b_plus = np.sum(mean * (P.boundary_weights * np.hypot(seg[:, 0], seg[:, 1])), axis=1)
-        x, w = map_triangles(_clipped_fans(V, gv), evaluator.degree)
+        C, m = gv.shape
+        clipped, _ = clip_halfplanes(np.broadcast_to(V, (C, m, 2)), np.full(C, m), a, -a0)
+        x, w = map_triangles(fans(clipped), evaluator.degree)
         x, w = x.reshape(len(a0), -1, 2), w.reshape(len(a0), -1)
     interior = np.sum(w * Af(x.reshape(-1, P.dimension)).reshape(w.shape)
                       * _affine_values(a0, a, x), axis=1)

@@ -212,6 +212,50 @@ def run_module(argv, setup=""):
     return proc.returncode, proc.stdout, proc.stderr.decode()
 
 
+def test_plfile_of_another_dimension_exits_2_naming_both(tmp_path, capsys):
+    # a 1D pl-function on the square ended in NumPy's "matmul: Input operand 1
+    # has a mismatch in its core dimension 0"
+    polytope, pl = tmp_path / "square.txt", tmp_path / "u.pl"
+    polytope.write_text(SQUARE)
+    pl.write_text("dimension: 1\npiece: 1.0 0.0\n")
+    assert main(["eval", "--polytope", str(polytope), "--op", "linear-functional",
+                 "--u", f"plfile:{pl}"]) == 2
+    assert capsys.readouterr().err == ("error: the pl-function has dimension 1, "
+                                       "the polytope dimension 2\n")
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("solve", "tol", "nan"),              # ran and printed converged: 0 on the pentagon
+    ("solve", "tol", "-1"),               # exited 4, "incompatible A", on the interval
+    ("solve", "tol", "0"),                # was replaced by the default
+    ("solve", "tol", "inf"),
+    ("verify", "audit-count", "0"),       # printed properness-bound PASS inf
+    ("verify", "sigma-scale", "nan"),     # exited 3, "LP failure"
+    ("verify", "sigma-scale", "0"),
+    ("verify", "sigma-scale", "-1"),
+    ("eval", "margin", "nan"),
+    ("eval", "margin", "-0.5"),
+])
+def test_bad_numeric_option_exits_2_naming_it(command, option, value, tmp_path, capsys):
+    path = tmp_path / "interval.txt"
+    path.write_text(INTERVAL)
+    extra = ["--op", "abreu-residual"] if command == "eval" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--polytope", str(path), f"--{option}={value}"] + extra)
+    assert exc.value.code == 2
+    assert f"error: argument --{option}: must be " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [INTERVAL, SQUARE], ids=["interval", "square"])
+def test_margin_beyond_every_sample_exits_2(text, tmp_path, capsys):
+    # the square ended in NumPy's "zero-size array to reduction operation maximum"
+    path = tmp_path / "polytope.txt"
+    path.write_text(text)
+    assert main(["eval", "--polytope", str(path), "--op", "abreu-residual", "--margin", "5"]) == 2
+    assert capsys.readouterr().err == ("error: no residual sample lies at distance >= 5.0 "
+                                       "from the boundary\n")
+
+
 def test_module_entry_writes_the_in_process_report(tmp_path, capsys):
     # the entry freezes the objects left after main, then lets the process
     # exit normally, so a piped stdout is flushed in full

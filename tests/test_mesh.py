@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polystab._geom import clip_polygon_halfplane, fan_triangles, polygon_area
+from polystab._geom import clip_halfplanes, fans, polygon_area
 from polystab.convex import random_normalized_mesh_function
 from polystab.errors import MeshTooFine
 from polystab.hessfit import HessianSurrogate
@@ -11,7 +11,7 @@ from polystab.mesh import make_mesh
 from polystab.polytope import build_polytope, interval, standard_simplex, unit_square
 from polystab.stability import StabilityLP
 
-from test_stability import _lattice_polygon, lattice_points
+from test_stability import _hull, _lattice_polygon, lattice_points
 
 PENTAGON = [((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, 0.0), -3.0),
             ((0.0, -1.0), -2.0), ((-1.0, -1.0), -4.0)]
@@ -153,25 +153,151 @@ def test_cut_cells_are_clipped_at_any_scale_and_position(origin, s):
     assert np.min(dist) >= -1e-12 * max(s, 1e-3 * abs(origin))
 
 
-@pytest.mark.parametrize("P, h, calls", [(build_polytope(PENTAGON), 1 / 16, 136),
-                                         (standard_simplex(), 1 / 16, 136),
-                                         (unit_square(), 1 / 16, 0)],
+@pytest.mark.parametrize("P, h, rows", [(build_polytope(PENTAGON), 1 / 16, 136),
+                                        (standard_simplex(), 1 / 16, 136),
+                                        (unit_square(), 1 / 16, 0)],
                          ids=["pentagon", "simplex", "square"])
-def test_cut_cells_are_clipped_only_by_facets_they_cross(P, h, calls, monkeypatch):
+def test_cut_cells_are_clipped_only_by_facets_they_cross(P, h, rows, monkeypatch):
     # each of the 136 cut cells has a corner outside one facet only; clipping
-    # against every facet would take 680 calls on the pentagon, 408 on the
-    # simplex.  test_mesh_and_fits_match_the_loops checks the mesh is unchanged
+    # against every facet would pass 680 rows to the kernel on the pentagon,
+    # 408 on the simplex.  test_mesh_and_fits_match_the_loops checks the mesh
+    # is unchanged
     import polystab.mesh
 
-    made = []
-    clip = polystab.mesh.clip_polygon_halfplane
-    monkeypatch.setattr(polystab.mesh, "clip_polygon_halfplane",
-                        lambda *args, **kwargs: made.append(1) or clip(*args, **kwargs))
+    passed = []
+    clip = polystab.mesh.clip_halfplanes
+    monkeypatch.setattr(polystab.mesh, "clip_halfplanes",
+                        lambda polys, *args, **kwargs: passed.append(len(polys))
+                        or clip(polys, *args, **kwargs))
     make_mesh(P, h)
-    assert len(made) == calls
+    assert sum(passed) == rows
 
 
 # -- the array mesh and fits against the cell-by-cell loops -----------------------
+
+def clip_polygon_halfplane(pts, normal, offset, tol=0.0):
+    """Clip a convex polygon to {x : normal.x - offset >= -tol} (Sutherland-Hodgman).
+
+    Returns an (m, 2) array, possibly empty.  Intersection points are computed
+    from the same edge data on both sides of a shared edge, so adjacent cells
+    clipped against the same line produce bit-identical points.
+    """
+    out = []
+    m = len(pts)
+    if m == 0:
+        return np.zeros((0, 2))
+    g = pts @ np.asarray(normal, dtype=float) - offset
+    for i in range(m):
+        j = (i + 1) % m
+        gi, gj = g[i], g[j]
+        if gi >= -tol:
+            out.append(pts[i])
+        if (gi >= -tol) != (gj >= -tol):
+            t = gi / (gi - gj)
+            out.append(pts[i] + t * (pts[j] - pts[i]))
+    if not out:
+        return np.zeros((0, 2))
+    res = [out[0]]
+    for p in out[1:]:
+        if np.max(np.abs(p - res[-1])) > 1e-14:
+            res.append(p)
+    if len(res) > 1 and np.max(np.abs(res[0] - res[-1])) <= 1e-14:
+        res.pop()
+    return np.array(res)
+
+
+def fan_triangles(pts):
+    """Fan triangulation of a convex polygon; yields (3, 2) vertex arrays."""
+    for i in range(1, len(pts) - 1):
+        yield np.array([pts[0], pts[i], pts[i + 1]])
+
+
+def _drop_repeats(poly, tol):
+    """poly without vertices within tol (max-norm) of the one kept before
+    them, or, for the last one, of the first: the oracle's rule."""
+    res = list(poly[:1])
+    for p in poly[1:]:
+        if np.max(np.abs(p - res[-1])) > tol:
+            res.append(p)
+    if len(res) > 1 and np.max(np.abs(res[0] - res[-1])) <= tol:
+        res.pop()
+    return np.array(res).reshape(-1, 2)
+
+
+def _padded(polys):
+    """(B, m, 2) batch and (B,) counts; a row's slots after its last vertex repeat it."""
+    m = max(len(p) for p in polys)
+    batch = [np.vstack([p, np.repeat(p[-1:], m - len(p), axis=0)]) for p in polys]
+    return np.array(batch), np.array([len(p) for p in polys])
+
+
+def _assert_kernel_matches_the_loop(polys, normals, offsets, tol):
+    """clip_halfplanes on the batch against clip_polygon_halfplane row by row,
+    after repeats are dropped, within 1e-14 of the batch's size; and each row
+    clipped alone gives the batch's bits."""
+    batch, counts = _padded(polys)
+    clipped, n = clip_halfplanes(batch, counts, normals, offsets, tol=tol)
+    assert clipped.shape == (len(polys), max(n.max(), 3), 2)
+    size = float(np.ptp(np.vstack(polys)))
+    shared = np.ndim(normals) == 1
+    for b, poly in enumerate(polys):
+        normal, offset = (normals, offsets) if shared else (normals[b], offsets[b])
+        row = clipped[b, :n[b]]
+        if n[b]:  # the padding repeats the last vertex
+            assert np.array_equal(clipped[b, n[b]:], np.repeat(row[-1:], clipped.shape[1] - n[b], 0))
+        ref = clip_polygon_halfplane(poly, normal, offset, tol=tol)
+        got = _drop_repeats(row, 1e-14 * size)
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * size)
+        alone, m = clip_halfplanes(poly[None], np.array([len(poly)]), normal, offset, tol=tol)
+        assert m[0] == n[b] and np.array_equal(alone[0, :m[0]], row)
+
+
+@pytest.mark.parametrize("normal, offset, tol, counts", [
+    ((1.0, 0.0), 0.5, 0.0, [4, 4, 4]),    # cuts every polygon through two edges
+    ((1.0, 1.0), 1.0, 0.0, [3, 3, 3]),    # through vertices: the crossings repeat them
+    ((1.0, 0.0), 0.0, 0.0, [4, 3, 4]),    # along the square's edge: it is kept whole
+    ((1.0, 0.0), -5.0, 0.0, [4, 3, 4]),   # misses everything: all kept
+    ((1.0, 0.0), 5.0, 0.0, [0, 0, 0]),    # misses everything: nothing kept
+    ((0.0, 1.0), 1e-3, 2e-3, [4, 3, 4]),  # within the tolerance of the bottom edge
+])
+def test_clip_kernel_on_chosen_lines(normal, offset, tol, counts):
+    # the unit square, a triangle and a larger square in one batch
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    polys = [square, square[:3], 2.0 * square - 0.5]
+    _assert_kernel_matches_the_loop(polys, np.array(normal), offset, tol)
+    clipped, n = clip_halfplanes(*_padded(polys), np.array(normal), offset, tol=tol)
+    assert [len(_drop_repeats(row[:k], 0.0)) for row, k in zip(clipped, n)] == counts
+
+
+@settings(max_examples=80, deadline=None)
+@given(hulls=st.lists(lattice_points, min_size=1, max_size=5),
+       lines=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-12, 12)),
+                      min_size=5, max_size=5),
+       shared=st.booleans(), tol=st.sampled_from([0.0, 1.0]),
+       scale=st.sampled_from([1.0, 2.0 ** -6, 2.0 ** 10]))
+def test_clip_kernel_matches_the_polygon_loop(hulls, lines, shared, tol, scale):
+    # lattice polygons and lines with integer data, scaled exactly: vertices
+    # on the line, lines that miss, and tolerances that take in a vertex
+    polys = [scale * np.array(hull, dtype=float) for hull in map(_hull, hulls) if len(hull) >= 3]
+    lines = [line for line in lines if line[:2] != (0, 0)]
+    assume(polys and lines)
+    data = np.array(lines, dtype=float)[np.arange(len(polys)) % len(lines)]
+    normals, offsets = data[:, :2], scale * data[:, 2]
+    if shared:
+        normals, offsets = normals[0], offsets[0]
+    _assert_kernel_matches_the_loop(polys, normals, offsets, scale * tol)
+
+
+def test_fans_cover_the_polygon_and_pad_with_zero_area():
+    batch, counts = _padded([np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 2.0], [0.0, 1.0]]),
+                             np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])])
+    tris = fans(batch)
+    area = polygon_area(tris)
+    assert tris.shape == (2, 3, 3, 2)
+    np.testing.assert_allclose(area.sum(axis=1), polygon_area(batch), rtol=1e-15)
+    assert np.all(area[0] > 0) and area[1, 0] == 0.5 and np.all(area[1, 1:] == 0.0)
+
 
 def loop_make_mesh(P, h):
     """Oracle: the 2D mesh built cell by cell and vertex by vertex, with dicts.

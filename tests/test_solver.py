@@ -7,14 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polystab.convex import guillemin_hessian, guillemin_potential
-from polystab.errors import LineSearchStall, LostConvexity
+from polystab.errors import EmptyGrid, LineSearchStall, LostConvexity
 from polystab.fields import QuadraticPoly
 from polystab.functionals import FunctionalEvaluator, extremal_affine
 from polystab.hessfit import PointOperator, components_to_matrices
 from polystab.mesh import make_mesh
 from polystab.polytope import build_polytope, center_of_mass, interval, unit_square
 from polystab.quadrature import gauss_rule, mesh_graded_scheme
-from polystab.solver import DiscreteEnergy, solve_1d, solve_2d_descent
+from polystab.solver import DiscreteEnergy, residual, solve_1d, solve_2d_descent
 
 PENTAGON = [((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, 0.0), -3.0),
             ((0.0, -1.0), -2.0), ((-1.0, -1.0), -4.0)]
@@ -485,3 +485,12 @@ def test_descent_stops_at_float_resolution(monkeypatch):
     assert state.iterations == 0
     assert 0.0 < state.residual_history[0] < 1e-6
     assert len(calls) > 40
+
+
+@pytest.mark.parametrize("P, margin", [(interval(), 0.51), (unit_square(), 0.6)],
+                         ids=["interval", "square"])
+def test_residual_with_no_sample_at_the_margin_raises(P, margin):
+    # the samples lie at boundary distance >= margin; beyond half the width
+    # there are none (the square's max reached "zero-size array" before)
+    with pytest.raises(EmptyGrid, match=f"distance >= {margin!r}"):
+        residual(guillemin_potential(P), 1.0, P, margin=margin)
