@@ -1,14 +1,23 @@
 """Numerical stability testing and Abreu-equation solving on convex polytopes.
 
-A run executes only the modules its subcommand uses.  `stability`, `cone_lp`
-and `simplex_lp` (the cone LP for lambda-hat) and `solver` (the Abreu-equation
-solve) are registered lazily: each is in `sys.modules` and on this package from
-the start, but its code runs on the first attribute access.  Without bytecode
-to reuse, compiling and running the unused ones would cost each `solve` or
-`stability` run tens of milliseconds.  They are registered rather than imported inside the functions
-that use them because `perfbench/tracer.py` patches only modules that are in
-`sys.modules` after `import polystab.cli`.  The names the package re-exports
-resolve on first access too (PEP 562).
+A run executes only the modules its subcommand uses.  These are registered
+lazily: each is in `sys.modules` and on this package from the start, but its
+code runs on the first attribute access.
+
+* `stability` -- lambda-hat, the crease sweep and the properness certificate;
+* `cone_lp` -- the interior-point cone LP, which only 2D meshes need;
+* `simplex_lp` -- the Fraction simplex of `--lp-mode exact`;
+* `audits` -- the checks `polystab verify` runs;
+* `solver` -- the Abreu-equation solve;
+* `fields` -- the `--A` expression parser, unused by `--A extremal`;
+* `hessfit` -- the Hessian surrogate of mesh functions.
+
+Without bytecode to reuse, compiling and running the unused ones would cost
+each `solve` or `stability` run tens of milliseconds.  They are registered
+rather than imported inside the functions that use them because
+`perfbench/tracer.py` patches only modules that are in `sys.modules` after
+`import polystab.cli`.  The names the package re-exports resolve on first
+access too (PEP 562).
 """
 import importlib.util
 import sys
@@ -33,11 +42,11 @@ _EXPORTS = {
     "functionals": "FunctionalEvaluator MabuchiResult extremal_affine mesh_linear_forms",
     "cone_lp": "ConeLPResult solve_cone_lp",
     "simplex_lp": "LPResult solve_lp",
-    "stability": "DegeneracyReport PropernessCertificate StabilityReport analyze_stability "
-                 "crease_functionals crease_sweep default_crease_grid degeneracy_diagnostic "
-                 "l1_boundary_constant lp_stability_estimate properness_certificate "
-                 "relative_kpolystability_check scripted_sequences solution_norm_bound "
-                 "verify_audits",
+    "stability": "PropernessCertificate StabilityReport analyze_stability crease_functionals "
+                 "crease_sweep default_crease_grid l1_boundary_constant lp_stability_estimate "
+                 "properness_certificate",
+    "audits": "DegeneracyReport degeneracy_diagnostic relative_kpolystability_check "
+              "scripted_sequences solution_norm_bound verify_audits",
     "solver": "Compatibility1D SolverState residual solve_1d solve_2d_descent",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
@@ -57,7 +66,7 @@ def _register_lazily(name):
     spec.loader.exec_module(module)
 
 
-for _name in ("cone_lp", "simplex_lp", "solver", "stability"):
+for _name in ("audits", "cone_lp", "fields", "hessfit", "simplex_lp", "solver", "stability"):
     _register_lazily(_name)
 
 

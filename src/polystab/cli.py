@@ -27,10 +27,9 @@ import sys
 
 import numpy as np
 
-from . import __version__, solver, stability
+from . import __version__, audits, fields, solver, stability
 from .convex import AffineFunc, MeshConvexFunc, crease, guillemin_potential, normalize
 from .errors import IncompatibleA, LPInfeasible, LPNotConverged, LPUnbounded, PolystabError
-from .fields import parse_field
 from .fileio import (
     Report,
     read_pl_function,
@@ -58,7 +57,7 @@ def _load(args):
         return P, None
     if spec.strip() == "extremal":
         return P, extremal_affine(P)
-    return P, parse_field(spec, P.dimension)
+    return P, fields.parse_field(spec, P.dimension)
 
 
 def _emit(report: Report, out):
@@ -104,6 +103,7 @@ def cmd_stability(args):
     rep.add("lambda_hat", report.lambda_hat)
     rep.add("lambda_hat_refined", report.lambda_hat_refined)
     rep.add("crease_sweep_min", report.crease_sweep_min)
+    # interior-point (or exact simplex) steps at h and h/2: 0 where hinges give the 1D LPs
     rep.add("lp.iterations", report.lp_iterations)
     if report.certificates is not None:
         c = report.certificates
@@ -169,8 +169,8 @@ def cmd_verify(args):
     rep.add("sigma_scale", args.sigma_scale)
     rows = []
     all_pass = True
-    for name, passed, measured, tol in stability.verify_audits(P, args.h, args.seed,
-                                                               args.sigma_scale, args.audit_count):
+    for name, passed, measured, tol in audits.verify_audits(P, args.h, args.seed,
+                                                            args.sigma_scale, args.audit_count):
         rows.append([name, "PASS" if passed else "FAIL", measured, tol])
         all_pass = all_pass and passed
     rep.table("audits", ["audit", "result", "measured", "tolerance"], rows)
@@ -186,7 +186,7 @@ def _eval_u(P, spec):
     if spec == "guillemin":
         return guillemin_potential(P)
     if spec.startswith("crease:"):
-        ell = parse_field(spec[len("crease:"):], P.dimension)
+        ell = fields.parse_field(spec[len("crease:"):], P.dimension)
         if not isinstance(ell, AffineFunc):
             raise ValueError("crease spec must be affine")
         return normalize(crease(ell), center_of_mass(P))

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationOutsideDomain, SegmentTouchesBoundary
-from .hessfit import components_to_matrices
 from .mesh import Mesh
 from .polytope import Polytope, center_of_mass
 
@@ -283,6 +282,12 @@ def guillemin_hessian(P: Polytope, pts) -> np.ndarray:
             elif nn != 0.0:
                 comp += r * nn
     return out
+
+
+def components_to_matrices(comp, n):
+    """(ncomp, m) Hessian components -> (m, n, n) symmetric matrices."""
+    order = [0] if n == 1 else [0, 1, 1, 2]  # xx, or xx, xy, yx, yy
+    return comp[order].T.reshape(-1, n, n)
 
 
 def supporting_affine(u, p_o) -> AffineFunc:

@@ -19,14 +19,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .convex import AffineFunc, MeshConvexFunc, PLConvexFunc, SmoothConvexFunc
+from . import hessfit
+from .convex import (
+    AffineFunc,
+    MeshConvexFunc,
+    PLConvexFunc,
+    SmoothConvexFunc,
+    components_to_matrices,
+)
 from .errors import (
     NeedsSmoothFunction,
     NonConvexAtQuadraturePoint,
     SingularHessian,
     SingularMoments,
 )
-from .hessfit import HessianSurrogate, components_to_matrices
 from .mesh import Mesh
 from .polytope import Polytope
 from .quadrature import (
@@ -155,7 +161,7 @@ class FunctionalEvaluator:
         return self._cached(("forms", mesh), lambda: mesh_linear_forms(mesh, self.A, self.degree))
 
     def _surrogate_for(self, mesh: Mesh):
-        return self._cached(("surrogate", mesh), lambda: HessianSurrogate(mesh))
+        return self._cached(("surrogate", mesh), lambda: hessfit.HessianSurrogate(mesh))
 
     def _rule_for(self, u):
         """(interior, boundary) blocks of u's rule; the graded one comes per facet fan."""

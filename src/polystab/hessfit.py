@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from ._geom import sorted_unique
+from .convex import components_to_matrices  # noqa: F401  (kept for importers of hessfit)
 from .mesh import Mesh
 
 
@@ -183,9 +184,3 @@ class PointOperator:
         out = keep, (r * len(cols) + c)[keep]
         self._scatter_hit = (np.array(cols, copy=True), out)
         return out
-
-
-def components_to_matrices(comp, n):
-    """(ncomp, m) Hessian components -> (m, n, n) symmetric matrices."""
-    order = [0] if n == 1 else [0, 1, 1, 2]  # xx, or xx, xy, yx, yy
-    return comp[order].T.reshape(-1, n, n)

@@ -134,17 +134,26 @@ def executed_sources(*argvs):
 
 
 def test_solve_runs_no_stability_code_and_stability_no_solver_code(tmp_path):
-    # `stability` (with `cone_lp` and `simplex_lp`) and `solver` are registered
-    # lazily, so a run compiles and executes only the one its subcommand uses
-    pentagon, interval = tmp_path / "pentagon.txt", tmp_path / "interval.txt"
+    # the modules a subcommand may not need are registered lazily, so a run
+    # compiles and executes only those it uses: a float 1D stability run with
+    # the extremal field takes its LPs from the hinges and parses no field
+    pentagon, interval, square = (tmp_path / f"{n}.txt"
+                                  for n in ("pentagon", "interval", "square"))
     pentagon.write_text(PENTAGON)
     interval.write_text(INTERVAL)
+    square.write_text(SQUARE)
     ran = executed_sources(["solve", "--polytope", str(pentagon), "--h", "0.2"])
     assert "solver.py" in ran
-    assert not ran & {"stability.py", "cone_lp.py", "simplex_lp.py"}
-    ran = executed_sources(["stability", "--polytope", str(interval), "--h", "0.0625"])
-    assert {"stability.py", "cone_lp.py", "simplex_lp.py"} <= ran
-    assert "solver.py" not in ran
+    assert not ran & {"stability.py", "cone_lp.py", "simplex_lp.py", "audits.py"}
+    ran = executed_sources(["stability", "--polytope", str(interval), "--A", "extremal",
+                            "--h", "0.0625"])
+    assert {"stability.py", "simplex_lp.py"} <= ran
+    assert not ran & {"cone_lp.py", "fields.py", "hessfit.py", "audits.py", "solver.py"}
+    ran = executed_sources(["stability", "--polytope", str(square), "--A", "affine:-2,12,0",
+                            "--h", "0.25"])
+    assert {"stability.py", "cone_lp.py"} <= ran
+    assert not ran & {"audits.py", "solver.py"}
+    assert "audits.py" in executed_sources(["verify", "--polytope", str(interval), "--h", "0.25"])
 
 
 def test_1d_stability_run_does_not_import_scipy(tmp_path):
@@ -269,16 +278,18 @@ def test_module_entry_writes_the_in_process_report(tmp_path, capsys):
 
 
 def test_module_entry_keeps_the_exit_codes(tmp_path):
-    interval, empty = tmp_path / "interval.txt", tmp_path / "empty.txt"
+    interval, empty, square = (tmp_path / f"{n}.txt" for n in ("interval", "empty", "square"))
     interval.write_text(INTERVAL)
+    square.write_text(SQUARE)
     empty.write_text("dimension: 1\nfacet:\nfacet: -1.0 -1.0\n")
-    lp_fails = ("import polystab.stability\nfrom polystab.errors import LPNotConverged\n"
+    # the square's stability LPs run the cone LP (the interval's take the hinges)
+    lp_fails = ("import polystab.cone_lp\nfrom polystab.errors import LPNotConverged\n"
                 "def fail(*args, **kwargs):\n    raise LPNotConverged('iteration cap reached')\n"
-                "polystab.stability.solve_cone_lp = fail\n")
+                "polystab.cone_lp.solve_cone_lp = fail\n")
     for argv, setup, code, err in (
             (["solve", "--polytope", str(empty)], "", 2, "error: 'facet' line has no numbers\n"),
             (["solve", "--polytope", str(tmp_path / "missing.txt")], "", 2, "error: "),
-            (["stability", "--polytope", str(interval), "--h", "0.25"], lp_fails, 3,
+            (["stability", "--polytope", str(square), "--h", "0.25"], lp_fails, 3,
              "LP failure: iteration cap reached\n"),
             (["solve", "--polytope", str(interval), "--A", "affine:1,0"], "", 4,
              "incompatible A: ")):
@@ -347,28 +358,33 @@ def test_incompatible_1d_field_exits_4(tmp_path, capsys):
 
 
 def test_stability_report_prints_lp_iterations_identically(tmp_path, capsys):
-    path = tmp_path / "interval.txt"
-    path.write_text(INTERVAL)
-    argv = ["stability", "--polytope", str(path), "--h", "0.0625"]
-    reports = []
-    for _ in range(2):
-        assert main(argv) == 0
-        reports.append(capsys.readouterr().out)
-    assert reports[0] == reports[1]
-    values = dict(line.split(": ", 1) for line in reports[0].splitlines() if ": " in line)
-    assert int(values["lp.iterations"]) > 0
+    # the square's cone LPs take interior-point steps; the interval's LPs
+    # are read off the hinges and take none
+    steps = {}
+    for name, text, h in (("square", SQUARE, "0.25"), ("interval", INTERVAL, "0.0625")):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        argv = ["stability", "--polytope", str(path), "--h", h]
+        reports = []
+        for _ in range(2):
+            assert main(argv) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        steps[name] = int(report_values(reports[0])["lp.iterations"])
+    assert steps["square"] > 0
+    assert steps["interval"] == 0
 
 
 def test_lp_failure_exits_3(tmp_path, capsys, monkeypatch):
-    import polystab.stability
+    import polystab.cone_lp
 
     def not_converged(*args, **kwargs):
         raise LPNotConverged("iteration cap reached")
 
-    monkeypatch.setattr(polystab.stability, "solve_cone_lp", not_converged)
-    path = tmp_path / "interval.txt"
-    path.write_text(INTERVAL)
-    assert main(["stability", "--polytope", str(path), "--h", "0.0625"]) == 3
+    monkeypatch.setattr(polystab.cone_lp, "solve_cone_lp", not_converged)
+    path = tmp_path / "square.txt"
+    path.write_text(SQUARE)
+    assert main(["stability", "--polytope", str(path), "--h", "0.25"]) == 3
     assert "LP failure" in capsys.readouterr().err
 
 

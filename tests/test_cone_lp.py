@@ -4,11 +4,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polystab.cone_lp as cone_lp
-from polystab.convex import AffineFunc
+from polystab.convex import AffineFunc, MeshConvexFunc
 from polystab.errors import LPNotConverged
+from polystab.functionals import extremal_affine
 from polystab.mesh import make_mesh
-from polystab.polytope import interval, standard_simplex, unit_square
-from polystab.stability import StabilityLP
+from polystab.polytope import center_of_mass, interval, standard_simplex, unit_square
+from polystab.stability import (
+    TOLERANCES,
+    StabilityLP,
+    l1_boundary_constant,
+    lp_stability_estimate,
+)
 
 PROBLEMS = ("minimize_linear_functional", "minimize_linear_functional_mass", "maximize_mass")
 
@@ -23,13 +29,32 @@ def _in_cone(lp, u, tol=1e-12):
             and np.min(rows) >= -tol * scale)
 
 
+def problem_rows(lp, problem):
+    """(objective, normalization row, sign) of a StabilityLP problem: its value
+    is sign * min objective.u over the cone with row.u = 1."""
+    return {"minimize_linear_functional": (lp.b_weights - lp.a_weights, lp.b_weights, 1.0),
+            "minimize_linear_functional_mass": (lp.b_weights - lp.a_weights, lp.mass_weights, 1.0),
+            "maximize_mass": (-lp.mass_weights, lp.b_weights, -1.0)}[problem]
+
+
+def interior_point(lp, problem):
+    """(value, u) of `problem` from `solve_cone_lp` on the rows of `lp`, as the
+    StabilityLP method reports them; called directly, since on an interval
+    the method takes the hinges instead."""
+    objective, row, sign = problem_rows(lp, problem)
+    res = cone_lp.solve_cone_lp(objective[lp.free], *lp.rows, row[lp.free])
+    values = np.zeros(lp.mesh.num_vertices)
+    values[lp.free] = res.u
+    return sign * res.value, MeshConvexFunc(lp.mesh, values, p_o_index=lp.p_o_index)
+
+
 @pytest.mark.parametrize("P, A, h", [(interval(), 2.0, 1 / 8), (unit_square(), 4.0, 1 / 4),
                                      (standard_simplex(), 6.0, 1 / 4)],
                          ids=["interval", "square", "simplex"])
 @pytest.mark.parametrize("problem", PROBLEMS)
 def test_interior_point_matches_exact_simplex(P, A, h, problem):
     lp = StabilityLP(P, A, make_mesh(P, h))
-    vf, uf, _ = getattr(lp, problem)(mode="float")
+    vf, uf = interior_point(lp, problem)
     vx, _, _ = getattr(lp, problem)(mode="exact")
     assert abs(vf - vx) <= 1e-10
     assert _in_cone(lp, uf)
@@ -44,10 +69,54 @@ def test_interior_point_matches_exact_simplex_on_intervals(a, w, c0, c1):
     P = interval(a, a + w)
     A = AffineFunc((c0 - c1 * a / w) / w, (c1 / w**2,))
     lp = StabilityLP(P, A, make_mesh(P, w / 8))
-    vf, uf, _ = lp.minimize_linear_functional(mode="float")
+    vf, uf = interior_point(lp, "minimize_linear_functional")
     vx, _, _ = lp.minimize_linear_functional(mode="exact")
     assert abs(vf - vx) <= 1e-10 * max(1.0, abs(vx))
     assert _in_cone(lp, uf)
+
+
+@settings(max_examples=40, deadline=None)
+@example(a=0.0, w=1.0, cells=16, at=0.5, coeffs=(2.0 - 5e-7, 1e-6, 0.0))  # nearly extremal
+@example(a=1e3, w=1e-3, cells=7, at=0.0, coeffs=(1.0, -3.0, 4.0))
+@given(a=st.floats(-1e3, 1e3), w=st.floats(1e-3, 1e3), cells=st.integers(2, 24),
+       at=st.floats(0.0, 1.0),
+       coeffs=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+                        st.sampled_from([0.0, -6.0, 2.5])))
+def test_hinges_give_the_cone_lp_optimum_on_intervals(a, w, cells, at, coeffs):
+    # A = (c0 + c1 s + c2 s^2) / w in s = (x - a) / w, affine or quadratic,
+    # keeps L_A of order one at every width; p_o is any interior vertex
+    c0, c1, c2 = coeffs
+    P = interval(a, a + w)
+    mesh = make_mesh(P, w / cells)
+
+    def A(pts):
+        s = (pts[:, 0] - a) / w
+        return (c0 + c1 * s + c2 * s * s) / w
+
+    p_o = mesh.vertices[1 + round(at * (mesh.num_vertices - 3))]
+    lp = StabilityLP(P, A, mesh, p_o=p_o)
+    for problem in PROBLEMS:
+        objective, row, _ = problem_rows(lp, problem)
+        value, u, steps = getattr(lp, problem)()
+        assert steps == 0
+        assert _in_cone(lp, u)
+        assert abs(row @ u.values - 1.0) <= 1e-12
+        ref, ref_u = interior_point(lp, problem)
+        scale = np.abs(objective) @ np.abs(ref_u.values)  # the size of c.u's terms
+        assert abs(value - ref) <= 1e-9 * scale
+        if mesh.num_vertices <= 9:
+            exact, _, _ = getattr(lp, problem)(mode="exact")
+            assert abs(value - exact) <= 1e-12 * scale
+
+
+def test_hinges_give_the_interval_constants_exactly():
+    # on [0, 1] with A = 2 at h = 1/16 and 1/32 the best hinge is (x - 1/2)_+:
+    # lambda-hat = 1/2 and C' = 1/4 with no rounding left
+    P = interval()
+    mesh = make_mesh(P, 1 / 16)
+    report = lp_stability_estimate(P, extremal_affine(P), mesh)
+    assert (report.lambda_hat, report.lambda_hat_refined, report.lp_iterations) == (0.5, 0.5, 0)
+    assert l1_boundary_constant(P, center_of_mass(P), mesh)[0] == 0.25
 
 
 @pytest.mark.parametrize("P, A, h, delta", [
@@ -64,7 +133,7 @@ def test_nearly_extremal_field_reaches_the_exact_optimum(P, A, h, delta):
     field = AffineFunc(a0 - delta * float(np.dot(slope, centre)), tuple(delta * np.array(slope)))
     lp = StabilityLP(P, field, make_mesh(P, h))
     for problem in PROBLEMS:
-        vf, uf, _ = getattr(lp, problem)(mode="float")
+        vf, uf = interior_point(lp, problem)
         vx, _, _ = getattr(lp, problem)(mode="exact")
         assert abs(vf - vx) <= 1e-10 * max(1.0, abs(vx))
         assert _in_cone(lp, uf)
@@ -81,7 +150,7 @@ def test_failed_purification_raises(monkeypatch, P, field, h):
     lp = StabilityLP(P, field, make_mesh(P, h))
     monkeypatch.setattr(cone_lp, "FEAS_TOL", -1.0)
     with pytest.raises(LPNotConverged):
-        lp.minimize_linear_functional()
+        interior_point(lp, "minimize_linear_functional")
 
 
 def test_purified_vertex_above_the_iterate_raises(monkeypatch):
@@ -91,7 +160,7 @@ def test_purified_vertex_above_the_iterate_raises(monkeypatch):
     monkeypatch.setattr(cone_lp, "_purify", lambda C, b, c, *rest: purify(C, b, -c, *rest))
     lp = StabilityLP(interval(), AffineFunc(2.0 - 5e-7, (1e-6,)), make_mesh(interval(), 1 / 16))
     with pytest.raises(LPNotConverged):
-        lp.minimize_linear_functional()
+        interior_point(lp, "minimize_linear_functional")
 
 
 def test_iteration_cap_raises(monkeypatch):
@@ -100,3 +169,8 @@ def test_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(cone_lp, "MAX_ITER", 2)
     with pytest.raises(LPNotConverged):
         lp.minimize_linear_functional()
+
+
+def test_the_ledger_reports_the_feasibility_tolerance():
+    # stability writes the value out so that 1D runs need not load cone_lp
+    assert TOLERANCES["lp.feasibility"] == cone_lp.FEAS_TOL

@@ -3,6 +3,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from polystab.audits import (
+    degeneracy_diagnostic,
+    relative_kpolystability_check,
+    scripted_sequences,
+    solution_norm_bound,
+    verify_audits,
+)
 from polystab.convex import (
     AffineFunc,
     crease,
@@ -33,14 +40,9 @@ from polystab.stability import (
     crease_functionals,
     crease_sweep,
     default_crease_grid,
-    degeneracy_diagnostic,
     l1_boundary_constant,
     lp_stability_estimate,
     properness_certificate,
-    relative_kpolystability_check,
-    scripted_sequences,
-    solution_norm_bound,
-    verify_audits,
 )
 
 A_UNSTABLE = AffineFunc(2.0 - 3.5, (7.0,))  # 2 + 7(x - 1/2)
