@@ -9,8 +9,19 @@ code runs on the first attribute access.
 * `simplex_lp` -- the Fraction simplex of `--lp-mode exact`;
 * `audits` -- the checks `polystab verify` runs;
 * `solver` -- the Abreu-equation solve;
-* `fields` -- the `--A` expression parser, unused by `--A extremal`;
+* `fields` -- the `--A` expression parser and its `QuadraticPoly`;
 * `hessfit` -- the Hessian surrogate of mesh functions.
+
+Every run executes `cli`, `fileio`, `functionals`, `quadrature`, `convex`,
+`mesh`, `polytope`, `_geom`, `_records` and `errors`.  Beyond these:
+
+* `stability` runs `stability` and `simplex_lp`, `cone_lp` on a 2D mesh, and
+  `fields` when --A is not "extremal";
+* `solve` runs `solver`, `hessfit` in 2D, and `fields` in 1D or when --A is
+  not "extremal";
+* `verify` runs `audits`, `stability`, `simplex_lp` and `hessfit`, with
+  `solver` and `fields` in 1D and `cone_lp` in 2D;
+* `eval` and `extremal-affine` run only what their operation and --A need.
 
 Without bytecode to reuse, compiling and running the unused ones would cost
 each `solve` or `stability` run tens of milliseconds.  They are registered

@@ -9,11 +9,10 @@ cone for destabilizers and nontrivial extremal functions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from . import solver
+from ._records import Record
 from .convex import (
     AffineFunc,
     PLConvexFunc,
@@ -55,17 +54,15 @@ def relative_kpolystability_check(P: Polytope, A, mesh: Mesh, p_o=None, mode="fl
     return True, None
 
 
-@dataclass
-class DegeneracyReport:
-    labels: list
-    boundary_norms: np.ndarray
-    linear_values: np.ndarray
-    masses: np.ndarray            # (steps, segments)
-    segments: list
-    status: str
-    degenerating_to_affine: bool
-    l_a_vanishing: bool
-    tau: dict                     # segment index -> (persistent mass floor, tau)
+class DegeneracyReport(Record):
+    def __init__(self, labels: list, boundary_norms: np.ndarray, linear_values: np.ndarray,
+                 masses: np.ndarray, segments: list, status: str, degenerating_to_affine: bool,
+                 l_a_vanishing: bool, tau: dict):
+        self.labels, self.boundary_norms, self.linear_values = labels, boundary_norms, linear_values
+        self.masses = masses  # (steps, segments)
+        self.segments, self.status = segments, status
+        self.degenerating_to_affine, self.l_a_vanishing = degenerating_to_affine, l_a_vanishing
+        self.tau = tau        # segment index -> (persistent mass floor, tau)
 
 
 def degeneracy_diagnostic(functions, segments, evaluator: FunctionalEvaluator,
@@ -178,7 +175,8 @@ def verify_audits(P: Polytope, h: float, seed: int, sigma_scale=1.0, audit_count
     A = extremal_affine(P)
     v = solver.solve_1d(P, A)[0] if P.dimension == 1 else guillemin_potential(P)
     if sigma_scale != 1.0:
-        P = replace(P, boundary_weights=P.boundary_weights * sigma_scale)
+        P = Polytope(P.dimension, P.normals, P.offsets, P.vertices,
+                     P.boundary_weights * sigma_scale, P.facet_vertices, P.name, P._scale)
     ev = FunctionalEvaluator(P, A)
     n = P.dimension
     vol = ev.volume()

@@ -23,10 +23,9 @@ ever returned.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._records import Record
 from .errors import LPNotConverged
 
 STOP_TOL = 1e-10      # scaled residuals and duality gap at which the iteration stops
@@ -38,11 +37,9 @@ STEP_FRACTION = 0.99  # fraction of the step to the boundary of the positive ort
 BLOCK = 64            # block size of the triangular solves
 
 
-@dataclass
-class ConeLPResult:
-    u: np.ndarray
-    value: float
-    iterations: int
+class ConeLPResult(Record):
+    def __init__(self, u: np.ndarray, value: float, iterations: int):
+        self.u, self.value, self.iterations = u, value, iterations
 
 
 class _Rows:

@@ -13,10 +13,9 @@ Four representations:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._records import Value
 from .errors import EvaluationOutsideDomain, SegmentTouchesBoundary
 from .mesh import Mesh
 from .polytope import Polytope, center_of_mass
@@ -34,12 +33,11 @@ def _unwrap(vals, single):
     return float(vals[0]) if single else vals
 
 
-@dataclass(frozen=True)
-class AffineFunc:
+class AffineFunc(Value):
     """a0 + a . x"""
 
-    a0: float
-    a: tuple
+    def __init__(self, a0: float, a: tuple):
+        vars(self).update(a0=a0, a=a)
 
     def __call__(self, x):
         a = np.asarray(self.a, dtype=float)
@@ -54,11 +52,11 @@ class AffineFunc:
         return AffineFunc(float(c), (0.0,) * n)
 
 
-@dataclass(frozen=True)
-class PLConvexFunc:
+class PLConvexFunc(Value):
     """max over affine pieces; convex by construction."""
 
-    pieces: tuple  # of AffineFunc
+    def __init__(self, pieces: tuple):  # of AffineFunc
+        vars(self).update(pieces=pieces)
 
     @property
     def dimension(self):

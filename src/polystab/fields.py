@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._records import Value
 from .convex import AffineFunc
 
 _VARIABLES = {"x": (1, 0), "x1": (1, 0), "y": (0, 1), "x2": (0, 1)}
@@ -31,12 +30,11 @@ _VARIABLES = {"x": (1, 0), "x1": (1, 0), "y": (0, 1), "x2": (0, 1)}
 MAX_CONSTANT_EXPONENT = 1000
 
 
-@dataclass(frozen=True)
-class QuadraticPoly:
+class QuadraticPoly(Value):
     """c0 + cx x + cy y + cxx x^2 + cxy x y + cyy y^2 (1D: y-terms zero)."""
 
-    dimension: int
-    coeffs: tuple  # (c0, cx, cy, cxx, cxy, cyy)
+    def __init__(self, dimension: int, coeffs: tuple):  # (c0, cx, cy, cxx, cxy, cyy)
+        vars(self).update(dimension=dimension, coeffs=coeffs)
 
     @property
     def degree(self):

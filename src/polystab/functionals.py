@@ -14,12 +14,12 @@ Guillemin-type functions get boundary-graded rules.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import hessfit
+from ._records import Record
 from .convex import (
     AffineFunc,
     MeshConvexFunc,
@@ -108,12 +108,11 @@ def mesh_linear_forms(mesh: Mesh, A, degree=DEFAULT_DEGREE):
     return mesh.boundary_vertex_weights, a
 
 
-@dataclass
-class MabuchiResult:
-    value: float
-    log_det_term: float
-    linear_term: float
-    truncation_estimate: float
+class MabuchiResult(Record):
+    def __init__(self, value: float, log_det_term: float, linear_term: float,
+                 truncation_estimate: float):
+        self.value, self.log_det_term = value, log_det_term
+        self.linear_term, self.truncation_estimate = linear_term, truncation_estimate
 
     def __float__(self):
         return self.value

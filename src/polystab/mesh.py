@@ -13,20 +13,19 @@ cell in place, so coarse piecewise-linear functions remain representable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from ._geom import clip_halfplanes, fans, polygon_area
+from ._records import Frozen
 from .errors import MeshTooFine
 from .polytope import Polytope
 
 VERTEX_CAP = 200_000
 
 
-@dataclass(frozen=True, eq=False)
-class Mesh:
+class Mesh(Frozen):
     """Triangulation (1D: partition into segments) of a polytope.
 
     cells are positively oriented index triples (pairs in 1D); hinges describe
@@ -36,20 +35,21 @@ class Mesh:
     in 2D, boundary_edges lists each boundary edge with the facet it lies on.
     Arrays derived from the mesh are cached on it, read-only; it hashes by
     identity, so other objects' per-mesh caches can key on it.
+
+    vertices (V, n); cells (M, n+1) int; hinges (E, 3) in 1D, (E, 4) in 2D;
+    grid_shape (nx, ny, x0, y0, sx, sy) for 2D point location; cell_index
+    (nx+2, ny+2, k) the ids of the cells cut from each grid square, -1 padded,
+    with a one-square halo so neighbour lookups need no bounds checks;
+    boundary_edges (B, 3) rows (a, b, facet id) per boundary edge (a, b),
+    a < b, sorted (2D).
     """
 
-    polytope: Polytope
-    h: float
-    vertices: np.ndarray          # (V, n)
-    cells: np.ndarray             # (M, n+1) int
-    hinges: np.ndarray            # (E, 3) in 1D, (E, 4) in 2D
-    boundary_facets: dict = field(repr=False)
-    grid_shape: tuple = ()        # (nx, ny, x0, y0, sx, sy) for 2D point location
-    # (nx+2, ny+2, k): ids of the cells cut from each grid square, -1 padded,
-    # with a one-square halo so neighbour lookups need no bounds checks
-    cell_index: np.ndarray = field(default=None, repr=False)
-    # (B, 3) rows (a, b, facet id) per boundary edge (a, b), a < b, sorted (2D)
-    boundary_edges: np.ndarray = field(default=None, repr=False)
+    def __init__(self, polytope: Polytope, h: float, vertices, cells, hinges,
+                 boundary_facets: dict, grid_shape: tuple = (), cell_index=None,
+                 boundary_edges=None):
+        vars(self).update(polytope=polytope, h=h, vertices=vertices, cells=cells, hinges=hinges,
+                          boundary_facets=boundary_facets, grid_shape=grid_shape,
+                          cell_index=cell_index, boundary_edges=boundary_edges)
 
     @property
     def dimension(self):

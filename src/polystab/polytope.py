@@ -7,17 +7,15 @@ dimensions 1 and 2 are supported.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from ._records import Frozen
 from .errors import EmptyInterior, NonIntegerNormals, UnboundedDomain
 
 _FEAS_TOL = 1e-10  # strict-feasibility tolerance for redundancy reduction
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(Frozen):
     """Facet-form convex polytope with per-facet boundary weights.
 
     Attributes
@@ -30,16 +28,16 @@ class Polytope:
     facet_vertices : per facet, indices into `vertices` of its supporting
         vertices (1D: one endpoint; 2D: the two edge endpoints, CCW order)
     name : optional label carried through file round-trips
+
+    Compared and hashed by identity.
     """
 
-    dimension: int
-    normals: np.ndarray
-    offsets: np.ndarray
-    vertices: np.ndarray
-    boundary_weights: np.ndarray
-    facet_vertices: tuple
-    name: str | None = None
-    _scale: float = field(default=1.0, repr=False)
+    def __init__(self, dimension: int, normals: np.ndarray, offsets: np.ndarray,
+                 vertices: np.ndarray, boundary_weights: np.ndarray, facet_vertices: tuple,
+                 name: str | None = None, _scale: float = 1.0):
+        vars(self).update(dimension=dimension, normals=normals, offsets=offsets,
+                          vertices=vertices, boundary_weights=boundary_weights,
+                          facet_vertices=facet_vertices, name=name, _scale=_scale)
 
     def gaps(self, points):
         """delta_k(x) = h_k(x) - c_k for every facet, shape (..., K)."""

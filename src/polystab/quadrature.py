@@ -30,12 +30,12 @@ Boundary integrals use the facet-weighted measure dsigma = dS / |h_k|.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from ._geom import clip_halfplanes, fans, polygon_area, sorted_unique
+from ._records import Frozen
 from .polytope import Polytope
 
 DEFAULT_DEGREE = 6
@@ -142,25 +142,25 @@ def _tagged_rule(tris, tags, degree):
     return (pts, wts) + tuple(np.repeat(np.asarray(t).ravel()[keep], per) for t in tags)
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureScheme:
-    """Interior + per-facet boundary rules for one polytope (hashed by identity)."""
+class QuadratureScheme(Frozen):
+    """Interior + per-facet boundary rules for one polytope (hashed by identity).
 
-    dimension: int
-    degree: int
-    interior_points: np.ndarray          # (N, n)
-    interior_weights: np.ndarray         # (N,)
-    interior_layers: np.ndarray          # (N,) int; -1 when the scheme is not graded
-    boundary_points: tuple               # per facet: (M_k, n)
-    boundary_weights: tuple              # per facet: (M_k,), sigma weight included
-    kind: str = "standard"
-    meta: dict = field(default_factory=dict)
-    interior_cells: np.ndarray = None    # (N,) int parent mesh cell; -1 off a mesh
+    interior_points (N, n), interior_weights (N,), interior_layers (N,) int,
+    -1 when the scheme is not graded; boundary_points and boundary_weights
+    hold one (M_k, n) and one (M_k,) array per facet, sigma weight included;
+    interior_cells (N,) int is the parent mesh cell, -1 off a mesh.
+    """
 
-    def __post_init__(self):
-        if self.interior_cells is None:
-            object.__setattr__(self, "interior_cells",
-                               np.full(len(self.interior_weights), -1, dtype=int))
+    def __init__(self, dimension: int, degree: int, interior_points, interior_weights,
+                 interior_layers, boundary_points: tuple, boundary_weights: tuple,
+                 kind: str = "standard", meta: dict | None = None, interior_cells=None):
+        if interior_cells is None:
+            interior_cells = np.full(len(interior_weights), -1, dtype=int)
+        vars(self).update(dimension=dimension, degree=degree, interior_points=interior_points,
+                          interior_weights=interior_weights, interior_layers=interior_layers,
+                          boundary_points=boundary_points, boundary_weights=boundary_weights,
+                          kind=kind, meta={} if meta is None else meta,
+                          interior_cells=interior_cells)
 
 
 def _interior_1d(P, degree, breakpoints):

@@ -9,18 +9,17 @@ the interior-point solver of `cone_lp` against it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._records import Record
 from .errors import LPInfeasible, LPUnbounded
 
 
-@dataclass
-class LPResult:
-    x: np.ndarray       # object array of Fractions
-    value: object       # Fraction
-    iterations: int
+class LPResult(Record):
+    def __init__(self, x: np.ndarray, value, iterations: int):
+        self.x = x          # object array of Fractions
+        self.value = value  # Fraction
+        self.iterations = iterations
 
 
 def _pivot(T, basis, r, j):

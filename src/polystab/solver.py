@@ -10,17 +10,16 @@ Newton steps does not grow with the conditioning of the discrete problem.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
 
+from . import fields, hessfit
 from ._geom import sorted_unique
+from ._records import Record
 from .convex import SmoothConvexFunc, guillemin_hessian, guillemin_potential
 from .errors import EmptyGrid, IncompatibleA, LineSearchStall, LostConvexity, NonpositiveW
-from .fields import QuadraticPoly
 from .functionals import FunctionalEvaluator, as_field, field_degree, mesh_linear_forms
-from .hessfit import HessianSurrogate
 from .mesh import Mesh
 from .polytope import Polytope, center_of_mass
 from .quadrature import (gauss_rule, map_triangle_blocks, map_triangles, mesh_graded_triangles,
@@ -35,12 +34,12 @@ _PANEL_BLOCK = 256  # end points whose 1D panel rules are built at once
 # 1D closed-form path
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Compatibility1D:
-    w_end: float          # w(q), must vanish
-    wprime_end: float     # w'(q) + right boundary weight, must vanish
-    w_min: float          # min of w over the open interval
-    compatible: bool
+class Compatibility1D(Record):
+    def __init__(self, w_end: float, wprime_end: float, w_min: float, compatible: bool):
+        self.w_end = w_end              # w(q), must vanish
+        self.wprime_end = wprime_end    # w'(q) + right boundary weight, must vanish
+        self.w_min = w_min              # min of w over the open interval
+        self.compatible = compatible
 
 
 def _panel_rules(a, b):
@@ -78,7 +77,7 @@ def solve_1d(P: Polytope, A, p_o=None, tol=COMPAT_TOL):
     if deg is None:
         raise ValueError("solve_1d needs a polynomial field A")
     # exact polynomial integration: w = w_left (x-p) - C(x), C'' = A, C(p) = C'(p) = 0
-    if isinstance(A, QuadraticPoly):
+    if isinstance(A, fields.QuadraticPoly):
         base = [A.coeffs[0], A.coeffs[1], A.coeffs[3]]
     elif deg == 0:
         base = [float(as_field(A, 1)(np.array([[p]]))[0])]
@@ -142,17 +141,18 @@ def solve_1d(P: Polytope, A, p_o=None, tol=COMPAT_TOL):
 # 2D descent on the discretized energy
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SolverState:
-    mesh: Mesh
-    free: np.ndarray
-    f: np.ndarray                 # correction at free vertices
-    energy_history: list = field(default_factory=list)
-    residual_history: list = field(default_factory=list)
-    convexity_margin: float = np.inf
-    iterations: int = 0
-    converged: bool = False
-    meta: dict = field(default_factory=dict)
+class SolverState(Record):
+    def __init__(self, mesh: Mesh, free: np.ndarray, f: np.ndarray,
+                 energy_history: list | None = None, residual_history: list | None = None,
+                 convexity_margin: float = np.inf, iterations: int = 0,
+                 converged: bool = False, meta: dict | None = None):
+        self.mesh, self.free = mesh, free
+        self.f = f  # correction at free vertices
+        self.energy_history = [] if energy_history is None else energy_history
+        self.residual_history = [] if residual_history is None else residual_history
+        self.convexity_margin = convexity_margin
+        self.iterations, self.converged = iterations, converged
+        self.meta = {} if meta is None else meta
 
     def full_values(self):
         vals = np.zeros(self.mesh.num_vertices)
@@ -201,7 +201,7 @@ class DiscreteEnergy:
         self.lin_const = FunctionalEvaluator(
             P, A, degree=degree, layers=40).linear_functional(self.u_o)
         tris, _, cells = mesh_graded_triangles(mesh, layers=20, tangential_layers=8)
-        sur = HessianSurrogate(mesh)
+        sur = hessfit.HessianSurrogate(mesh)
         self.surrogate = sur
         act = sur.reads(self.free)[mesh.cells].any(axis=1)[cells]
         per = triangle_points(degree)

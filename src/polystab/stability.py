@@ -35,13 +35,13 @@ the clipped polygons.  The audits that `polystab verify` runs are in `audits`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import cone_lp
 from ._geom import clip_halfplanes, fans
+from ._records import Record
 from .convex import (
     AffineFunc,
     MeshConvexFunc,
@@ -69,34 +69,37 @@ TOLERANCES = {
 }
 
 
-@dataclass
-class PropernessCertificate:
+class PropernessCertificate(Record):
     """Constants realizing F_A(u) >= -C + eps' |u|_b >= -C + eps * int(u)."""
 
-    a_o_sup: float        # sampled sup |A_o| times the 1.05 safety factor
-    c_o: float            # -F_{A_o}(u_o)
-    c_prime: float        # |u|_L1 <= c_prime |u|_b on the normalized cone
-    r_bound: float        # R with L_{A_o}(u) <= R |u|_b
-    r_small: float        # chosen r in (0, lambda/R)
-    epsilon_prime: float  # lambda - r R
-    c_const: float        # C = C_o - n Vol log r
-    epsilon: float        # eps = eps' / c_prime
-    provenance: dict = field(default_factory=dict)
+    def __init__(self, a_o_sup: float, c_o: float, c_prime: float, r_bound: float,
+                 r_small: float, epsilon_prime: float, c_const: float, epsilon: float,
+                 provenance: dict | None = None):
+        self.a_o_sup = a_o_sup              # sampled sup |A_o| times the 1.05 safety factor
+        self.c_o = c_o                      # -F_{A_o}(u_o)
+        self.c_prime = c_prime              # |u|_L1 <= c_prime |u|_b on the normalized cone
+        self.r_bound = r_bound              # R with L_{A_o}(u) <= R |u|_b
+        self.r_small = r_small              # chosen r in (0, lambda/R)
+        self.epsilon_prime = epsilon_prime  # lambda - r R
+        self.c_const = c_const              # C = C_o - n Vol log r
+        self.epsilon = epsilon              # eps = eps' / c_prime
+        self.provenance = {} if provenance is None else provenance
 
 
-@dataclass
-class StabilityReport:
-    lambda_hat: float
-    status: str
-    mesh_parameter: float
-    p_o: np.ndarray
-    lambda_hat_refined: float | None = None
-    destabilizer: MeshConvexFunc | None = None
-    crease_sweep_min: float | None = None
-    crease_sweep_argmin: PLConvexFunc | None = None
-    certificates: PropernessCertificate | None = None
-    lp_iterations: int = 0
-    tolerances: dict = field(default_factory=lambda: dict(TOLERANCES))
+class StabilityReport(Record):
+    def __init__(self, lambda_hat: float, status: str, mesh_parameter: float, p_o: np.ndarray,
+                 lambda_hat_refined: float | None = None,
+                 destabilizer: MeshConvexFunc | None = None,
+                 crease_sweep_min: float | None = None,
+                 crease_sweep_argmin: PLConvexFunc | None = None,
+                 certificates: PropernessCertificate | None = None, lp_iterations: int = 0,
+                 tolerances: dict | None = None):
+        self.lambda_hat, self.status = lambda_hat, status
+        self.mesh_parameter, self.p_o = mesh_parameter, p_o
+        self.lambda_hat_refined, self.destabilizer = lambda_hat_refined, destabilizer
+        self.crease_sweep_min, self.crease_sweep_argmin = crease_sweep_min, crease_sweep_argmin
+        self.certificates, self.lp_iterations = certificates, lp_iterations
+        self.tolerances = dict(TOLERANCES) if tolerances is None else tolerances
 
 
 # ---------------------------------------------------------------------------

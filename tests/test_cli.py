@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import polystab
-from polystab.cli import main
+from polystab.cli import build_parser, main
 from polystab.convex import AffineFunc, crease
 from polystab.errors import LPNotConverged
 from polystab.fileio import write_pl_function
@@ -144,7 +144,8 @@ def test_solve_runs_no_stability_code_and_stability_no_solver_code(tmp_path):
     square.write_text(SQUARE)
     ran = executed_sources(["solve", "--polytope", str(pentagon), "--h", "0.2"])
     assert "solver.py" in ran
-    assert not ran & {"stability.py", "cone_lp.py", "simplex_lp.py", "audits.py"}
+    # the solver reaches fields.QuadraticPoly only inside solve_1d
+    assert not ran & {"stability.py", "cone_lp.py", "simplex_lp.py", "audits.py", "fields.py"}
     ran = executed_sources(["stability", "--polytope", str(interval), "--A", "extremal",
                             "--h", "0.0625"])
     assert {"stability.py", "simplex_lp.py"} <= ran
@@ -312,6 +313,82 @@ def test_only_the_entry_freezes_objects(tmp_path, capsys):
     code, out, _ = run_module(["solve", "--polytope", str(path)], setup)
     assert code == 0
     assert out.decode().splitlines()[-1] == "frozen True"
+
+
+def test_in_process_main_leaves_the_collector_as_it_was(tmp_path):
+    # only a CLI process's own entry turns the collector off and freezes;
+    # importing the CLI and calling main must not, with the collector on or off
+    path = tmp_path / "interval.txt"
+    path.write_text(INTERVAL)
+    argv = ["stability", "--polytope", str(path), "--h", "0.25"]
+    for setup in ("import gc\n", "import gc\ngc.disable()\n"):
+        setup += "state = (gc.isenabled(), gc.get_freeze_count())\n"
+        assert run_fresh(setup, [argv], "(gc.isenabled(), gc.get_freeze_count()) == state") \
+            == "True"
+
+
+# at the call of cli.main: (freeze count, collector on, dataclasses imported)
+AT_MAIN = ("import atexit, gc, sys\n"
+           "seen = []\n"
+           "def at_main(frame, event, arg):\n"
+           "    code = frame.f_code\n"
+           "    if event == 'call' and code.co_name == 'main' and code.co_filename.endswith("
+           "'cli.py'):\n"
+           "        seen.append((gc.get_freeze_count(), gc.isenabled(), "
+           "'dataclasses' in sys.modules))\n"
+           "        sys.setprofile(None)\n"
+           "sys.setprofile(at_main)\n"
+           "atexit.register(lambda: print('at main', *seen))\n")
+
+
+def test_module_run_freezes_the_import_time_heap_before_main(tmp_path):
+    # python -m polystab.cli imports with the collector off; entry freezes
+    # what the imports made and turns it on before main
+    path = tmp_path / "interval.txt"
+    path.write_text(INTERVAL)
+    code, out, _ = run_module(["stability", "--polytope", str(path), "--h", "0.0625"], AT_MAIN)
+    assert code == 0
+    frozen, enabled, dataclasses = ast.literal_eval(out.decode().splitlines()[-1][len("at main "):])
+    assert frozen > 0 and enabled and not dataclasses
+
+
+def test_console_script_freezes_before_main(tmp_path):
+    # the console script imports polystab.cli, then calls entry()
+    path = tmp_path / "interval.txt"
+    path.write_text(INTERVAL)
+    src = os.path.dirname(os.path.dirname(polystab.__file__))
+    code = AT_MAIN + ("sys.argv = ['polystab', 'stability', '--polytope', sys.argv[1]]\n"
+                      "from polystab.cli import entry\n"
+                      "sys.exit(entry())\n")
+    out = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True).stdout
+    frozen, enabled, dataclasses = ast.literal_eval(out.splitlines()[-1][len("at main "):])
+    assert frozen > 0 and enabled and not dataclasses
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["--version"], ["bogus"], ["extremal-affine", "--help"],
+    ["stability", "--help"], ["solve", "--help"], ["verify", "--help"], ["eval", "--help"],
+    ["stability", "--polytope", "p.txt", "--h", "abc"],
+    ["verify", "--polytope", "p.txt", "--audit-count", "0"],
+    ["eval", "--polytope", "p.txt", "--op", "bogus"],
+    ["solve", "--polytope", "p.txt", "--degree", "6"],
+    ["stability", "--h", "0.5"]])
+def test_parser_of_one_subcommand_writes_the_full_parsers_texts(argv, capsys):
+    # build_parser(argv) builds only the subcommand argv[0] names; what the
+    # CLI writes (help, usage, errors) and its exit code are the full parser's
+    def parse(parser_argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser(*parser_argv).parse_args(argv)
+        return exc.value.code, capsys.readouterr()
+
+    full = parse([])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, capsys.readouterr()) == full
+    if argv and argv[0] in ("extremal-affine", "stability", "solve", "verify", "eval"):
+        sub = build_parser(argv)._subparsers._group_actions[0]
+        assert list(sub.choices) == [argv[0]]
 
 
 def test_2d_solve_does_not_import_scipy(tmp_path):
