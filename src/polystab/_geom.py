@@ -35,8 +35,10 @@ def clip_halfplanes(polys, counts, normal, offset, tol=0.0):
     order.  Everything is elementwise, so a row gives the same bits alone or
     in a batch, and the two sides of a line, (normal, offset) and (-normal,
     -offset), cut at the same points.  Repeated vertices are kept.  Returns
-    (clipped, counts) in the same padded form, max(counts.max(), 3) slots
-    wide (a row with no vertex repeats junk).
+    (clipped, counts, source) with clipped in the same padded form,
+    max(counts.max(), 3) slots wide (a row with no vertex repeats junk), and
+    source (B, width) the slot each output vertex came from: 2i for input
+    vertex i, 2i + 1 for the crossing on edge (i, i + 1).
     """
     B, m = polys.shape[:2]
     normal, offset, tol = (np.asarray(v, dtype=float) for v in (normal, offset, tol))
@@ -53,13 +55,14 @@ def clip_halfplanes(polys, counts, normal, offset, tol=0.0):
     n = valid.sum(axis=1)
     last = np.minimum(np.arange(max(int(n.max(initial=0)), 3)), np.maximum(n - 1, 0)[:, None])
     pick = np.take_along_axis(order, last, axis=1)
-    return np.take_along_axis(slots, pick[..., None], axis=1), n
+    return np.take_along_axis(slots, pick[..., None], axis=1), n, pick
 
 
 def fans(polys):
-    """Fan triangles (p0, p_k, p_k+1) of a (B, m, 2) padded batch: (B, m - 2, 3, 2).
+    """Fan triangles (p0, p_k, p_k+1) of a (B, m, ...) padded batch: (B, m - 2, 3, ...).
 
     Past a row's count the triangles repeat its last vertex and have zero area.
+    A (B, m) batch of vertex keys gives (B, m - 2, 3) key triples.
     """
-    apex = np.broadcast_to(polys[:, None, :1], (len(polys), polys.shape[1] - 2, 1, 2))
+    apex = np.broadcast_to(polys[:, None, :1], (len(polys), polys.shape[1] - 2, 1) + polys.shape[2:])
     return np.concatenate([apex, polys[:, 1:-1, None], polys[:, 2:, None]], axis=2)

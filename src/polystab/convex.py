@@ -218,7 +218,7 @@ def guillemin_potential(P: Polytope) -> SmoothConvexFunc:
     and Hessian require strictly positive gaps and raise otherwise.
     """
     normals = P.normals
-    tol = 1e-12 * max(1.0, P._scale)
+    tol = 1e-12 * P._scale
 
     def value(pts):
         # g_k log g_k summed one facet at a time, in facet order (for K < 8
@@ -303,7 +303,7 @@ def supporting_affine(u, p_o) -> AffineFunc:
         val = u(p)
     elif isinstance(u, MeshConvexFunc):
         vi = u.mesh.nearest_vertex(p)
-        if np.linalg.norm(u.mesh.vertices[vi] - p) > 1e-9 * max(1.0, u.domain._scale):
+        if np.linalg.norm(u.mesh.vertices[vi] - p) > 1e-9 * u.domain._scale:
             raise ValueError("normalization point must be a mesh vertex")
         cells = np.where(np.any(u.mesh.cells == vi, axis=1))[0]
         grads = u.cell_gradients()[cells]

@@ -1,15 +1,16 @@
 """Boundary-conforming meshes of polytopes.
 
-2D meshes are structured grids over the bounding box.  One gaps call sorts
-the grid cells: those inside P get the "/" diagonal split by broadcasting,
-and the cells the boundary cuts are clipped facet by facet, each facet in
-one `clip_halfplanes` call on the cells with a corner outside it, then
-fanned.  Vertices are numbered by the first appearance
-of their rounded coordinates, and the hinges, boundary edges and
-point-location buckets come from sorted key arrays.  The mesh parameter h is
-the grid spacing (maximum edge length in the max-norm), which reproduces the
-9-vertex / 8-triangle unit-square mesh at h = 1/2.  Halving h refines every
-cell in place, so coarse piecewise-linear functions remain representable.
+2D meshes are structured grids over the bounding box.  Each vertex is named
+by the two lines meeting there, grid lines at a cell corner, a grid line and
+a facet at a crossing, two facets at a vertex of P (a crossing within the
+clipping tolerance of a corner or a vertex of P takes its key), and gets its
+coordinates once, from a (lines, facets) table.  Cells inside P get the "/"
+split; cut cells are clipped facet by facet as rows of keys, then fanned.
+Vertices are numbered by the first appearance of their keys.  The mesh
+parameter h is the grid spacing (maximum edge length in the max-norm), which
+reproduces the 9-vertex / 8-triangle unit-square mesh at h = 1/2.  Halving h
+refines every cell in place, so coarse piecewise-linear functions remain
+representable.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._geom import clip_halfplanes, fans, polygon_area
+from ._geom import clip_halfplanes, fans
 from ._records import Frozen
 from .errors import MeshTooFine
 from .polytope import Polytope
@@ -33,8 +34,9 @@ class Mesh(Frozen):
     in 2D rows (p, q, r, s) per interior edge (p, q) with opposite vertices r
     and s.  boundary_facets maps vertex index -> tuple of facet ids it lies on;
     in 2D, boundary_edges lists each boundary edge with the facet it lies on.
-    Arrays derived from the mesh are cached on it, read-only; it hashes by
-    identity, so other objects' per-mesh caches can key on it.
+    A 2D vertex is named by the two lines that meet there, and its facets are
+    read from them.  Arrays derived from the mesh are cached on it, read-only;
+    it hashes by identity, so other objects' per-mesh caches can key on it.
 
     vertices (V, n); cells (M, n+1) int; hinges (E, 3) in 1D, (E, 4) in 2D;
     grid_shape (nx, ny, x0, y0, sx, sy) for 2D point location; cell_index
@@ -116,12 +118,9 @@ class Mesh(Frozen):
         if self.dimension == 1:
             xs = self.vertices[:, 0]
             j = np.clip(np.searchsorted(xs, pts[:, 0], side="right") - 1, 0, len(xs) - 2)
-            a, b = xs[j], xs[j + 1]
-            t = (pts[:, 0] - a) / (b - a)
+            t = (pts[:, 0] - xs[j]) / (xs[j + 1] - xs[j])
             inside = (t >= -1e-9) & (t <= 1.0 + 1e-9)
-            ids[inside] = j[inside]
-            bary[inside, 0] = 1.0 - t[inside]
-            bary[inside, 1] = t[inside]
+            ids[inside], bary[inside] = j[inside], np.column_stack([1.0 - t, t])[inside]
             return ids, bary
         nx, ny, x0, y0, sx, sy = self.grid_shape
         ix = np.clip(((pts[:, 0] - x0) / sx).astype(int), 0, nx - 1) + 1  # halo offset
@@ -159,113 +158,114 @@ def make_mesh(P: Polytope, h: float) -> Mesh:
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"mesh parameter h must be finite and positive, not {h!r}")
     lo, hi = P.vertices.min(axis=0), P.vertices.max(axis=0)
-    size = float(np.max(hi - lo))
-    # coordinates carry rounding of their own magnitude (a few ulps are
-    # 1e-15 max|x|), so the slack in the cell counts, the clipping tolerance
-    # and the merge digits follow that as well as the size of P
-    scale = max(size, 1e-3 * float(np.max(np.abs(P.vertices))))
-    shrink = 1.0 - 1e-12 * scale / size
+    # the cell counts allow for vertices off by 1e-10 of P._scale (size plus rounding reach)
+    shrink = 1.0 - 1e-10 * P._scale / float(np.max(hi - lo))
     if P.dimension == 1:
-        ncell = int(np.ceil(size / h * shrink))
+        ncell = int(np.ceil((hi[0] - lo[0]) / h * shrink))
         if ncell + 1 > VERTEX_CAP:
             raise MeshTooFine(f"{ncell + 1} vertices exceed the cap {VERTEX_CAP}")
-        xs = np.linspace(lo[0], hi[0], ncell + 1)
-        vertices = xs[:, None]
+        vertices = np.linspace(lo[0], hi[0], ncell + 1)[:, None]
         cells = np.column_stack([np.arange(ncell), np.arange(1, ncell + 1)])
         hinges = np.column_stack([np.arange(ncell - 1), np.arange(1, ncell), np.arange(2, ncell + 1)])
         bfacets = {0: (int(np.argmin(np.abs(P.gaps(vertices[0])))),),
                    ncell: (int(np.argmin(np.abs(P.gaps(vertices[-1])))),)}
         return Mesh(P, h, vertices, cells, hinges, bfacets)
 
-    (xlo, ylo), (xhi, yhi) = lo, hi
-    nx = int(np.ceil((xhi - xlo) / h * shrink))
-    ny = int(np.ceil((yhi - ylo) / h * shrink))
+    (xlo, ylo), (nx, ny) = lo, (int(np.ceil(d / h * shrink)) for d in hi - lo)
     if (nx + 1) * (ny + 1) > VERTEX_CAP:
         raise MeshTooFine(f"{(nx + 1) * (ny + 1)} grid vertices exceed the cap {VERTEX_CAP}")
-    sx = (xhi - xlo) / nx
-    sy = (yhi - ylo) / ny
-    xs = xlo + sx * np.arange(nx + 1)
-    ys = ylo + sy * np.arange(ny + 1)
-    area_tol = 1e-13 * sx * sy
-    scale_tol = 1e-12 * scale
-    norm_h = np.linalg.norm(P.normals, axis=1)
+    sx, sy = (hi[0] - xlo) / nx, (hi[1] - ylo) / ny
+    xs, ys = xlo + sx * np.arange(nx + 1), ylo + sy * np.arange(ny + 1)
+    n, c, K, F, NC = P.normals, P.offsets, len(P.offsets), nx + ny + 2, (nx + 1) * (ny + 1)
+    tol = 1e-12 * P._scale * np.linalg.norm(n, axis=1)
 
-    # grid cells in (i, j) order, corners counter-clockwise from the lower left;
-    # only the cells the boundary cuts are clipped
+    # keys: corner (i, j) is i (ny + 1) + j; line a meets facet k at key[a, k],
+    # first NC + a K + k, for lines x = xs[i] (a = i), y = ys[j] (a = nx + 1 + j)
+    # and facets (a = F + k); xy holds every key's coordinates, computed once
+    corner = np.arange(NC).reshape(nx + 1, ny + 1)
+    gap = xs[:, None, None] * n[:, 0] + ys[:, None] * n[:, 1] - c  # the clipper's sums
+    on = np.abs(gap) <= tol                                          # corner on facet
+    line = np.concatenate([np.tile([1.0, 0.0], (nx + 1, 1)), np.tile([0.0, 1.0], (ny + 1, 1)), n])
+    at = np.concatenate([xs, ys, c])[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # parallel lines never meet in a cell
+        meet = np.stack([at * n[:, 1] - line[:, 1:] * c, line[:, :1] * c - at * n[:, 0]], -1)
+        meet /= (line[:, :1] * n[:, 1] - line[:, 1:] * n[:, 0])[..., None]
+    meet[:nx + 1, :, 0], meet[nx + 1:F, :, 1] = xs[:, None], ys[:, None]
+    key = NC + np.arange(F + K)[:, None] * K + np.arange(K)
+    key[F:] = np.minimum(key[F:], key[F:].T)
+    # vertex v of P (facets k1, k2) is a corner on both, and a grid line through v meets both at v
+    ends = [[k for k, vs in enumerate(P.facet_vertices) if v in vs] for v in range(len(P.vertices))]
+    v, k1, k2 = np.array([(v, *ks) for v, ks in enumerate(ends) if len(ks) == 2]).T
+    (vx, vy), stol = P.vertices[v].T, 1e-12 * P._scale
+    i, j = (np.clip(np.rint((t - t0) / s).astype(int), 0, m) for t, t0, s, m in
+            ((vx, xlo, sx, nx), (vy, ylo, sy, ny)))
+    meet[F + k1, k2] = meet[F + k2, k1] = P.vertices[v]
+    pkey = np.where(on[i, j, k1] & on[i, j, k2], corner[i, j], key[F + k1, k2])
+    key[F + k1, k2] = key[F + k2, k1] = pkey
+    for a, near in ((i, np.abs(xs[i] - vx) <= stol), (nx + 1 + j, np.abs(ys[j] - vy) <= stol)):
+        key[a[near], k1[near]] = key[a[near], k2[near]] = pkey[near]
+    # a grid line meets a facet at a corner on both
+    key[:nx + 1] = np.where(on.any(1), corner[np.arange(nx + 1)[:, None], on.argmax(1)], key[:nx + 1])
+    key[nx + 1:F] = np.where(on.any(0), corner[on.argmax(0), np.arange(ny + 1)[:, None]], key[nx + 1:F])
+    xy = np.concatenate([np.stack(np.meshgrid(xs, ys, indexing="ij"), -1).reshape(-1, 2),
+                         meet.reshape(-1, 2)])
+
+    # grid cells in (i, j) order, corners counter-clockwise from the lower left.
+    # A cut cell is clipped by each facet it crosses as a padded row of keys and
+    # edge lines: a crossing takes the key where its edge's line meets the facet,
+    # and the edge after it runs along the facet if the next vertex crosses too
     gi, gj = (a.ravel() for a in np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij"))
-    corners = np.stack([np.column_stack([xs[gi + di], ys[gj + dj]])
-                        for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1))], axis=1)
-    g = P.gaps(corners.reshape(-1, 2)).reshape(len(corners), 4, -1)
-    outside = np.any(g < -scale_tol * norm_h, axis=1)                 # (cells, K)
-    whole = ~outside.any(axis=1)
-    cut = np.flatnonzero(~whole)
-    poly, count = corners[cut], np.full(len(cut), 4)
-    for k in np.flatnonzero(outside.any(axis=0)):  # no other facet can clip a cell
+    ck = np.stack([corner[gi + di, gj + dj] for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1))], axis=1)
+    outside = np.any(gap.reshape(NC, K)[ck] < -tol, axis=1)          # (cells, K)
+    cut, w = np.flatnonzero(outside.any(axis=1)), np.flatnonzero(~outside.any(axis=1))
+    # edge e from corner e to e + 1 lies on y = ys[j], x = xs[i + 1], y = ys[j + 1], x = xs[i]
+    edge = np.column_stack([nx + 1 + gj[cut], gi[cut] + 1, nx + 2 + gj[cut], gi[cut]])
+    poly, edge = (np.pad(a, ((0, 0), (0, K)), mode="edge") for a in (ck[cut], edge))
+    count = np.full(len(cut), 4)
+    for k in np.flatnonzero(outside.any(axis=0)):
         rows = np.flatnonzero(outside[cut, k] & (count >= 3))
-        clipped, count[rows] = clip_halfplanes(poly[rows], count[rows], P.normals[k],
-                                               P.offsets[k], tol=scale_tol * norm_h[k])
-        width = clipped.shape[1]
-        if width > poly.shape[1]:  # widen every row by repeating its last slot
-            poly = np.concatenate([poly, np.repeat(poly[:, -1:], width - poly.shape[1], 1)], 1)
-        poly[rows, :width], poly[rows, width:] = clipped, clipped[:, -1:]
-    keep = (count >= 3) & (np.abs(polygon_area(poly)) > area_tol)
-    # a cut within 1e-8 of the size of P still leaves the whole cell
-    near = (count == 4) & np.all(np.abs(poly[:, :4] - corners[cut]) <= 1e-8 * size, axis=(1, 2))
-    whole[cut[keep & near]] = True
-    cut_tris = fans(poly[keep & ~near])  # clipping keeps the cells' counter-clockwise order
-    nonzero = np.abs(polygon_area(cut_tris)) > area_tol
-    cut_tris, cut_cell = cut_tris[nonzero], cut[keep & ~near][np.nonzero(nonzero)[0]]
+        _, count[rows], src = clip_halfplanes(xy[poly[rows]], count[rows], n[k], c[k], tol=tol[k])
+        kept, along = (np.take_along_axis(a[rows], src // 2, 1) for a in (poly, edge))
+        cross, after = src % 2 == 1, np.arange(1, src.shape[1] + 1)
+        exits = cross & np.take_along_axis(cross, np.where(after < count[rows, None], after, 0), 1)
+        for a, b in ((poly, np.where(cross, key[along, k], kept)), (edge, np.where(exits, F + k, along))):
+            a[rows, :b.shape[1]], a[rows, b.shape[1]:] = b, b[:, -1:]
 
-    # triangles in cell order: a whole cell's "/" split, then the kept fan
-    # triangles of a cut one; vertices are numbered by the first appearance
-    # of their rounded coordinates in that order
-    w = np.flatnonzero(whole)
-    tris = np.concatenate([corners[w][:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3, 2), cut_tris])
-    tri_cell = np.concatenate([np.repeat(w, 2), cut_cell])
-    order = np.argsort(tri_cell, kind="stable")
-    tri_cell = tri_cell[order]
-    keys = np.round(tris[order].reshape(-1, 2), 12 - int(np.floor(np.log10(scale))))
-    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    # triangles in cell order: a whole cell's "/" split, then a cut one's fan
+    # triangles with three distinct keys; vertices numbered by first appearance
+    tris = np.concatenate([ck[w][:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3), fans(poly).reshape(-1, 3)])
+    tri_cell = np.concatenate([np.repeat(w, 2), np.repeat(cut, poly.shape[1] - 2)])
+    distinct = np.all(tris != np.roll(tris, 1, axis=1), axis=1)
+    order = np.argsort(tri_cell[distinct], kind="stable")
+    tris, tri_cell = tris[distinct][order], tri_cell[distinct][order]
+    ukey, first, inv = np.unique(tris.ravel(), return_index=True, return_inverse=True)
     order = np.argsort(first)
-    vertices = keys[first[order]]
-    cells = np.argsort(order)[inv.ravel()].reshape(-1, 3)
-    ok = np.all(cells != np.roll(cells, 1, axis=1), axis=1)
-    cells, tri_cell = cells[ok], tri_cell[ok]
+    vkey, cells, vertices = ukey[order], np.argsort(order)[inv].reshape(-1, 3), xy[ukey[order]]
     slot = np.arange(len(cells)) - np.searchsorted(tri_cell, tri_cell)
     buckets = np.full((nx + 2, ny + 2, slot.max(initial=0) + 1), -1)
     buckets[gi[tri_cell] + 1, gj[tri_cell] + 1, slot] = np.arange(len(cells))
 
     # orientation fix: make every triangle CCW
-    v = vertices[cells]
-    e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    e1, e2 = (vertices[cells[:, k]] - vertices[cells[:, 0]] for k in (1, 2))
     flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
     cells[flip] = cells[flip][:, [0, 2, 1]]
 
-    # edges (c0, c1), (c1, c2), (c2, c0) of every triangle, sorted by (a, b)
-    # with triangle order kept among equal edges: an edge of two triangles is a
-    # hinge (a, b, opposite in the first, opposite in the second), an edge of
-    # one a boundary edge, on the facet nearest its midpoint
-    V = len(vertices)
-    nxt = np.roll(cells, -1, axis=1)
+    # a vertex lies on the facets among its key's lines, a corner on those near it
+    (a, k), eye = np.divmod(vkey - NC, K), np.eye(K + 1, K, dtype=bool)  # eye[K]: no facet
+    on = np.where((vkey < NC)[:, None], on.reshape(NC, K)[np.minimum(vkey, NC - 1)],
+                  eye[k] | eye[np.where(a >= F, a - F, K)])
+
+    # triangle edges sorted stably by (a, b): an edge of two triangles is a hinge
+    # (a, b, opposite in the first, in the second), of one a boundary edge on its ends' facet
+    V, nxt = len(vertices), np.roll(cells, -1, axis=1)
     key = (np.minimum(cells, nxt) * V + np.maximum(cells, nxt)).ravel()
     order = np.argsort(key, kind="stable")
-    key = key[order]
-    opp = cells[:, [2, 0, 1]].ravel()[order]
-    run = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    count = np.diff(np.r_[run, len(key)])
+    key, opp = key[order], cells[:, [2, 0, 1]].ravel()[order]
+    _, run, count = np.unique(key, return_index=True, return_counts=True)
     two, one = run[count == 2], run[count == 1]
     hinges = np.column_stack([key[two] // V, key[two] % V, opp[two], opp[two + 1]])
     ea, eb = key[one] // V, key[one] % V
-    mid = 0.5 * (vertices[ea] + vertices[eb])
-    facet = np.argmin(np.abs(P.gaps(mid)) * P.boundary_weights, axis=1)
-
-    # boundary vertices and their facets
-    bv, bk = np.nonzero(np.abs(P.gaps(vertices)) <= 1e-9 * size * norm_h)
-    bfacets = {}
-    for v, k in zip(bv.tolist(), bk.tolist()):
-        bfacets[v] = bfacets.get(v, ()) + (k,)
-
+    bfacets = {v: tuple(np.flatnonzero(on[v]).tolist()) for v in np.flatnonzero(on.any(1)).tolist()}
     return Mesh(P, h, vertices, cells, hinges, bfacets,
                 grid_shape=(nx, ny, xlo, ylo, sx, sy), cell_index=buckets,
-                boundary_edges=np.column_stack([ea, eb, facet]))
-
+                boundary_edges=np.column_stack([ea, eb, np.argmax(on[ea] & on[eb], axis=1)]))

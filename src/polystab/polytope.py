@@ -162,7 +162,7 @@ def _reduce_2d(normals, offsets):
                 d = verts[on_k] - center
                 on_k = on_k[np.argsort(np.arctan2(d[:, 1], d[:, 0]))]
             facet_vertices.append(tuple(int(i) for i in on_k[:2]))
-    return keep, verts, facet_vertices, reach
+    return keep, verts, facet_vertices
 
 
 def build_polytope(facets, name=None):
@@ -181,11 +181,10 @@ def build_polytope(facets, name=None):
     if n not in (1, 2):
         raise ValueError(f"only dimensions 1 and 2 are supported, got {n}")
 
-    if n == 1:
-        keep, vertices, facet_vertices = _reduce_1d(normals, offsets)
-        scale = float(np.max(np.abs(vertices))) or 1.0
-    else:
-        keep, vertices, facet_vertices, scale = _reduce_2d(normals, offsets)
+    keep, vertices, facet_vertices = (_reduce_1d if n == 1 else _reduce_2d)(normals, offsets)
+    # the tolerance scale: the size of P plus a reach term for the rounding of
+    # coordinates of magnitude max|x| (a few ulps are 1e-15 max|x|)
+    scale = float(np.max(np.ptp(vertices, axis=0))) + 1e-3 * float(np.max(np.abs(vertices)))
 
     normals = normals[keep]
     offsets = offsets[keep]
@@ -198,7 +197,7 @@ def build_polytope(facets, name=None):
         boundary_weights=weights,
         facet_vertices=tuple(facet_vertices),
         name=name,
-        _scale=max(scale, 1.0),
+        _scale=scale,
     )
 
 

@@ -291,8 +291,8 @@ def split_scheme(P: Polytope, lines, degree: int = DEFAULT_DEGREE) -> Quadrature
         for eta, c in lines:
             # every polygon's + side, then its - side, as one batch
             sgn = np.tile([1.0, -1.0], len(polys))
-            polys, count = clip_halfplanes(np.repeat(polys, 2, axis=0), np.repeat(count, 2),
-                                           sgn[:, None] * np.asarray(eta, dtype=float), sgn * c)
+            polys, count, _ = clip_halfplanes(np.repeat(polys, 2, axis=0), np.repeat(count, 2),
+                                              sgn[:, None] * np.asarray(eta, dtype=float), sgn * c)
             keep = (count >= 3) & (np.abs(polygon_area(polys)) > 1e-300)
             polys, count = polys[keep], count[keep]
         ipts, iwts = _tagged_rule(fans(polys), [], degree)  # drops the zero-area padding
@@ -316,13 +316,10 @@ _QUADTREE = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
 
 
 def _boundary_tol(P):
-    """Distance within which a mesh point counts as lying on a facet.
-
-    1e-9 of P's vertex extent plus, as in polytope._reduce_2d, the rounding
-    of gaps far from the origin, so the rule scales with P.
-    """
-    reach = float(np.max(np.abs(P.offsets) * P.boundary_weights))
-    return 1e-9 * (float(np.max(np.ptp(P.vertices, axis=0))) + 1e-5 * reach)
+    """Distance within which a mesh point counts as lying on a facet: 1e-9 of
+    P's tolerance scale (its size plus the rounding reach), so the rule
+    scales with P."""
+    return 1e-9 * P._scale
 
 
 def _mesh_graded_1d(mesh, degree, layers, tol):

@@ -307,7 +307,7 @@ def crease_functionals(grid, p_o, evaluator: FunctionalEvaluator):
         seg = V[fv[:, 1]] - V[fv[:, 0]]
         b_plus = np.sum(mean * (P.boundary_weights * np.hypot(seg[:, 0], seg[:, 1])), axis=1)
         C, m = gv.shape
-        clipped, _ = clip_halfplanes(np.broadcast_to(V, (C, m, 2)), np.full(C, m), a, -a0)
+        clipped, _, _ = clip_halfplanes(np.broadcast_to(V, (C, m, 2)), np.full(C, m), a, -a0)
         x, w = map_triangles(fans(clipped), evaluator.degree)
         x, w = x.reshape(len(a0), -1, 2), w.reshape(len(a0), -1)
     interior = np.sum(w * Af(x.reshape(-1, P.dimension)).reshape(w.shape)

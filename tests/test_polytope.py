@@ -122,28 +122,36 @@ def _sorted_rows(V):
 @settings(max_examples=40, deadline=None)
 @given(points=lattice_points, data=st.data())
 def test_build_polytope_on_lattice_polygons(points, data):
+    # the hull scaled by s and moved by o: the facets (n, s c + n.o), and
+    # tolerances of 1e-9 times the size plus the distance from the origin
     facets = _lattice_facets(points)
     assume(facets is not None)
-    P = build_polytope(facets)
+    s = data.draw(st.sampled_from([1e-6, 1.0, 1e4]), label="scale")
+    o = s * np.array(data.draw(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+                               label="offset"), dtype=float)
+    tol = 1e-9 * (8.0 * s + np.max(np.abs(o)))
+    moved = [(n, s * c + np.dot(n, o)) for n, c in facets]
+    P = build_polytope(moved)
     V = P.vertices
     assert P.num_facets == len(facets)
-    assert np.allclose(_sorted_rows(V), _sorted_rows(np.array(_hull(points), dtype=float)),
-                       rtol=0.0, atol=1e-9)
+    assert np.allclose(_sorted_rows(V), _sorted_rows(s * np.array(_hull(points), dtype=float) + o),
+                       rtol=0.0, atol=tol)
     # counterclockwise: every turn is a left turn
     d1 = np.roll(V, -1, axis=0) - V
     d2 = np.roll(V, -2, axis=0) - np.roll(V, -1, axis=0)
     assert np.all(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0.0)
-    gaps = P.gaps(V)
-    assert np.all(gaps >= -1e-9)
+    dist = P.gaps(V) * P.boundary_weights
+    assert np.all(dist >= -tol)
     for k, (i, j) in enumerate(P.facet_vertices):
-        assert i != j and np.all(np.abs(gaps[[i, j], k]) <= 1e-9)
+        assert i != j and np.all(np.abs(dist[[i, j], k]) <= tol)
     assert np.all(P.gaps(P.vertex_centroid()) > 0.0)
+    assert delzant_check(P) == delzant_check(build_polytope(facets))
 
     # a shuffled facet list with one redundant facet added gives the same vertices
     h = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda d: d != (0, 0)))
-    c = float(np.min(V @ np.array(h, dtype=float))) - data.draw(st.sampled_from([0.5, 1.0, 3.0]))
-    shuffled = data.draw(st.permutations(facets))
+    c = float(np.min(V @ np.array(h, dtype=float))) - s * data.draw(st.sampled_from([0.5, 1.0, 3.0]))
+    shuffled = data.draw(st.permutations(moved))
     k = data.draw(st.integers(0, len(facets)))
     Q = build_polytope(shuffled[:k] + [((float(h[0]), float(h[1])), c)] + shuffled[k:])
     assert Q.num_facets == P.num_facets
-    assert np.allclose(_sorted_rows(Q.vertices), _sorted_rows(V), rtol=0.0, atol=1e-9)
+    assert np.allclose(_sorted_rows(Q.vertices), _sorted_rows(V), rtol=0.0, atol=tol)
