@@ -15,7 +15,6 @@ from functools import cached_property
 import numpy as np
 
 from ._geom import sorted_unique
-from .convex import components_to_matrices  # noqa: F401  (kept for importers of hessfit)
 from .mesh import Mesh
 
 

@@ -8,9 +8,10 @@ coordinates once, from a (lines, facets) table.  Cells inside P get the "/"
 split; cut cells are clipped facet by facet as rows of keys, then fanned.
 Vertices are numbered by the first appearance of their keys.  The mesh
 parameter h is the grid spacing (maximum edge length in the max-norm), which
-reproduces the 9-vertex / 8-triangle unit-square mesh at h = 1/2.  Halving h
-refines every cell in place, so coarse piecewise-linear functions remain
-representable.
+reproduces the 9-vertex / 8-triangle unit-square mesh at h = 1/2.  The grid
+has ceil(size / h) cells a side, so halving h refines every cell in place
+(and coarse piecewise-linear functions remain representable) only when
+size / h is an integer; otherwise the finer grid is a different one.
 """
 from __future__ import annotations
 
@@ -100,8 +101,12 @@ class Mesh(Frozen):
         return b
 
     def nearest_vertex(self, point):
+        """The vertex nearest `point`; of those within 1e-12 of P's tolerance
+        scale of the least distance, the lexicographically smallest, so a near
+        tie does not turn on the last bits of the coordinates."""
         d = np.linalg.norm(self.vertices - np.asarray(point, dtype=float), axis=1)
-        return int(np.argmin(d))
+        near = np.flatnonzero(d <= d.min() + 1e-12 * self.polytope._scale)
+        return int(near[np.lexsort(self.vertices[near].T[::-1])[0]])
 
     # -- point location ------------------------------------------------------
 
@@ -167,8 +172,8 @@ def make_mesh(P: Polytope, h: float) -> Mesh:
         vertices = np.linspace(lo[0], hi[0], ncell + 1)[:, None]
         cells = np.column_stack([np.arange(ncell), np.arange(1, ncell + 1)])
         hinges = np.column_stack([np.arange(ncell - 1), np.arange(1, ncell), np.arange(2, ncell + 1)])
-        bfacets = {0: (int(np.argmin(np.abs(P.gaps(vertices[0])))),),
-                   ncell: (int(np.argmin(np.abs(P.gaps(vertices[-1])))),)}
+        (k0,), (k1,) = P.vertex_facets.tolist()  # the ends are P's vertices, ascending
+        bfacets = {0: (k0,), ncell: (k1,)}
         return Mesh(P, h, vertices, cells, hinges, bfacets)
 
     (xlo, ylo), (nx, ny) = lo, (int(np.ceil(d / h * shrink)) for d in hi - lo)
@@ -194,12 +199,10 @@ def make_mesh(P: Polytope, h: float) -> Mesh:
     key = NC + np.arange(F + K)[:, None] * K + np.arange(K)
     key[F:] = np.minimum(key[F:], key[F:].T)
     # vertex v of P (facets k1, k2) is a corner on both, and a grid line through v meets both at v
-    ends = [[k for k, vs in enumerate(P.facet_vertices) if v in vs] for v in range(len(P.vertices))]
-    v, k1, k2 = np.array([(v, *ks) for v, ks in enumerate(ends) if len(ks) == 2]).T
-    (vx, vy), stol = P.vertices[v].T, 1e-12 * P._scale
+    (k1, k2), (vx, vy), stol = P.vertex_facets.T, P.vertices.T, 1e-12 * P._scale
     i, j = (np.clip(np.rint((t - t0) / s).astype(int), 0, m) for t, t0, s, m in
             ((vx, xlo, sx, nx), (vy, ylo, sy, ny)))
-    meet[F + k1, k2] = meet[F + k2, k1] = P.vertices[v]
+    meet[F + k1, k2] = meet[F + k2, k1] = P.vertices
     pkey = np.where(on[i, j, k1] & on[i, j, k2], corner[i, j], key[F + k1, k2])
     key[F + k1, k2] = key[F + k2, k1] = pkey
     for a, near in ((i, np.abs(xs[i] - vx) <= stol), (nx + 1 + j, np.abs(ys[j] - vy) <= stol)):

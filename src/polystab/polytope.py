@@ -4,15 +4,25 @@ A polytope is the set {x : h_k(x) - c_k > 0 for all k} together with the
 Donaldson boundary measure: on the facet {h_k = c_k} the measure dsigma is the
 Euclidean surface measure divided by |h_k|, so dsigma ^ dh_k = +-dmu.  Only
 dimensions 1 and 2 are supported.
+
+A polygon is cut from a box by its facets in turn with the one half-plane
+clipper (de Berg et al., Computational Geometry, 3rd ed., 2008, section 4.2),
+which says which facet each edge lies on.  Each vertex is then named by the
+two facets of its edges and solved from them; which facets meet at a vertex
+(`Polytope.vertex_facets`) is read from these names, never from gaps.  The
+one tolerance is the vertex merge, 1e-9 of the tolerance scale `_scale`.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
+from ._geom import clip_halfplanes
 from ._records import Frozen
 from .errors import EmptyInterior, NonIntegerNormals, UnboundedDomain
 
-_FEAS_TOL = 1e-10  # strict-feasibility tolerance for redundancy reduction
+_FEAS_TOL = 1e-10  # relative margin of a nonempty interior: centroid gaps (1D: the length)
 
 
 class Polytope(Frozen):
@@ -26,10 +36,11 @@ class Polytope(Frozen):
     vertices  : (V, n) extreme points (1D: ascending; 2D: counterclockwise)
     boundary_weights : (K,) sigma-density 1/|h_k| relative to Euclidean measure
     facet_vertices : per facet, indices into `vertices` of its supporting
-        vertices (1D: one endpoint; 2D: the two edge endpoints, CCW order)
+        vertices (1D: one endpoint; 2D: the two edge endpoints, ascending)
     name : optional label carried through file round-trips
 
-    Compared and hashed by identity.
+    `vertex_facets` (derived, cached) inverts facet_vertices.  Compared and
+    hashed by identity.
     """
 
     def __init__(self, dimension: int, normals: np.ndarray, offsets: np.ndarray,
@@ -56,6 +67,15 @@ class Polytope(Frozen):
     def vertex_centroid(self):
         return self.vertices.mean(axis=0)
 
+    @cached_property
+    def vertex_facets(self):
+        """(V, n) facets meeting at each vertex, ascending: facet_vertices inverted
+        (2D: the two facets of its edges; 1D: the facet of the endpoint)."""
+        fv = np.asarray(self.facet_vertices)
+        vf = np.argsort(fv.ravel(), kind="stable").reshape(len(self.vertices), -1) // fv.shape[1]
+        vf.flags.writeable = False
+        return vf
+
     def facet_segment(self, k):
         """Endpoints of facet k: shape (2, 2) in 2D, (1,) point in 1D."""
         idx = self.facet_vertices[k]
@@ -63,28 +83,20 @@ class Polytope(Frozen):
 
 
 def _reduce_1d(normals, offsets):
-    lower = upper = None
-    lo_k = up_k = None
-    for k, (h, c) in enumerate(zip(normals[:, 0], offsets)):
-        if h == 0.0:
-            if -c <= 0.0:
-                raise EmptyInterior("zero normal with non-positive offset gap")
-            continue  # 0 > c with c < 0: vacuous inequality, drop
-        bound = c / h
-        if h > 0.0:
-            if lower is None or bound > lower:
-                lower, lo_k = bound, k
-        else:
-            if upper is None or bound < upper:
-                upper, up_k = bound, k
-    if lower is None or upper is None:
+    h = normals[:, 0]
+    if np.any((h == 0.0) & (-offsets <= 0.0)):
+        raise EmptyInterior("zero normal with non-positive offset gap")
+    if not (np.any(h > 0.0) and np.any(h < 0.0)):
         raise UnboundedDomain("interval needs both a lower and an upper facet")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = offsets / h  # a zero normal with a positive gap bounds nothing
+    # the tightest bound on each side; of equal ones the earliest facet
+    lo_k = int(np.argmax(np.where(h > 0.0, bound, -np.inf)))
+    up_k = int(np.argmin(np.where(h < 0.0, bound, np.inf)))
+    lower, upper = float(bound[lo_k]), float(bound[up_k])
     if upper - lower <= _FEAS_TOL * max(abs(lower), abs(upper)):
         raise EmptyInterior(f"empty interval: [{lower}, {upper}]")
-    keep = [lo_k, up_k]
-    vertices = np.array([[lower], [upper]])
-    facet_vertices = ((0,), (1,))
-    return keep, vertices, facet_vertices
+    return [lo_k, up_k], np.array([[lower], [upper]]), ((0,), (1,))
 
 
 def _recession_direction_2d(normals):
@@ -93,6 +105,24 @@ def _recession_direction_2d(normals):
     gaps = np.diff(np.concatenate([angles, [angles[0] + 2.0 * np.pi]]))
     # all normals within a closed half-plane <=> a circular gap >= pi
     return np.max(gaps) >= np.pi - 1e-12
+
+
+def _clip_edges(normals, offsets):
+    """A box holding every crossing of two facets, clipped by each facet in
+    turn (a repeat of an earlier facet is skipped): the corners left, (m, 2),
+    and the facet line[e] that edge e, from corner e to e + 1, lies on."""
+    pair = np.column_stack(np.triu_indices(len(normals), 1))
+    x = (np.linalg.pinv(normals[pair]) @ offsets[pair, None])[..., 0]  # parallel: least squares
+    pad = float(np.max(np.ptp(x, axis=0))) or 1.0
+    lo, hi = x.min(axis=0) - pad, x.max(axis=0) + pad
+    poly = np.array([[lo, (hi[0], lo[1]), hi, (lo[0], hi[1])]])
+    count, line = np.array([4]), np.full(4, -1)
+    same = np.all(normals[:, None] == normals, axis=2) & (offsets[:, None] == offsets)
+    for k in np.flatnonzero(~np.tril(same, -1).any(axis=1)):
+        poly, count, src = clip_halfplanes(poly, count, normals[k], offsets[k])
+        odd = src[0, :count[0]] % 2 == 1  # a crossing; followed by one, it leaves along k
+        line = np.where(odd & np.roll(odd, -1), k, line[src[0, :count[0]] // 2])
+    return poly[0, :count[0]], line
 
 
 def _reduce_2d(normals, offsets):
@@ -107,71 +137,41 @@ def _reduce_2d(normals, offsets):
     if _recession_direction_2d(normals):
         raise UnboundedDomain("facet normals lie in a half-plane")
 
-    # the largest facet distance from the origin bounds the rounding of the gaps
-    reach = float(np.max(np.abs(offsets))
-                  / max(np.min(np.linalg.norm(normals, axis=1)), 1e-30)) or 1.0
-    cands = []
-    for i in range(K):
-        for j in range(i + 1, K):
-            M = np.array([normals[i], normals[j]])
-            det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-            if abs(det) <= 1e-14 * np.linalg.norm(M[0]) * np.linalg.norm(M[1]):
-                continue
-            p = np.linalg.solve(M, np.array([offsets[i], offsets[j]]))
-            cands.append(p)
-    if not cands:
-        raise EmptyInterior("no facet intersections")
-    cands = np.array(cands)
-    g = cands @ normals.T - offsets
-    norms = np.linalg.norm(normals, axis=1)
-    pts = cands[np.all(g >= -1e-9 * reach * norms, axis=1)]
-    if pts.shape[0] == 0:
-        raise EmptyInterior("no feasible vertex")
-    # tolerances follow the size of P, not its distance from the origin; the
-    # reach term covers the rounding of gaps far from the origin
-    scale = float(np.max(np.ptp(pts, axis=0))) + 1e-5 * reach
-    pts = cands[np.all(g >= -1e-9 * scale * norms, axis=1)]
-    # dedupe
-    uniq: list[np.ndarray] = []
-    for p in pts:
-        if not any(np.linalg.norm(p - q) <= 1e-9 * scale for q in uniq):
-            uniq.append(p)
-    verts = np.array(uniq)
-    if verts.shape[0] < 3:
+    pts, line = _clip_edges(normals, offsets)
+    if len(line) < 3:
+        raise EmptyInterior("the facets cut out no polygon")
+    # corners closer than 1e-9 of the tolerance scale merge: the edge between
+    # them goes; where the normals then do not turn counterclockwise (a facet
+    # meets a multiple of itself) the lesser facet's edge stays
+    scale = float(np.max(np.ptp(pts, axis=0))) + 1e-3 * float(np.max(np.abs(pts)))
+    line = line[np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1) > 1e-9 * scale]
+    n, prev = normals[line], np.roll(line, 1)
+    flat = n[:, 0] * normals[prev, 1] >= n[:, 1] * normals[prev, 0]
+    line = line[~(flat & (line >= prev) | np.roll(flat, -1) & (line > np.roll(line, -1)))]
+    if len(line) < 3:
         raise EmptyInterior("fewer than 3 vertices: interior is empty")
+    # vertex e joins edges e - 1 and e, solved from their facets in (min, max)
+    # order, and the vertices are sorted by angle about their centroid
+    pair = np.sort(np.column_stack([np.roll(line, 1), line]), axis=1)
+    verts = np.linalg.solve(normals[pair], offsets[pair][..., None])[..., 0]
     center = verts.mean(axis=0)
     order = np.argsort(np.arctan2(verts[:, 1] - center[1], verts[:, 0] - center[0]))
-    verts = verts[order]
-    gap_c = normals @ center - offsets
-    if np.any(gap_c <= _FEAS_TOL * scale * norms):
+    if np.any(normals @ center - offsets <= _FEAS_TOL * scale * np.linalg.norm(normals, axis=1)):
         raise EmptyInterior("vertex centroid is not strictly feasible")
-
-    keep = []
-    facet_vertices = []
-    gv = verts @ normals.T - offsets  # (V, K)
-    for k in range(K):
-        on_k = np.where(np.abs(gv[:, k]) <= 1e-8 * scale * norms[k])[0]
-        if on_k.size >= 2:
-            # duplicate facet guard: same vertex pair under an earlier facet
-            pair = tuple(sorted(on_k.tolist()))
-            if any(tuple(sorted(fv)) == pair for fv in facet_vertices):
-                continue
-            keep.append(k)
-            # CCW order along the boundary
-            if on_k.size > 2:
-                d = verts[on_k] - center
-                on_k = on_k[np.argsort(np.arctan2(d[:, 1], d[:, 0]))]
-            facet_vertices.append(tuple(int(i) for i in on_k[:2]))
-    return keep, verts, facet_vertices
+    # facets in index order, each with its edge's ends as ascending vertex ids
+    rank, keep = np.argsort(order), np.argsort(line)
+    ends = np.sort(np.column_stack([rank, np.roll(rank, -1)]), axis=1)[keep]
+    return line[keep].tolist(), verts[order], [tuple(e) for e in ends.tolist()]
 
 
 def build_polytope(facets, name=None):
     """Build a bounded polytope from (normal, offset) pairs.
 
-    Vertices come from pairwise facet intersections (1D: per-facet bounds)
-    filtered by feasibility; redundant facets are dropped.  Raises
-    UnboundedDomain or EmptyInterior when the inequalities do not cut out a
-    bounded set with nonempty interior.
+    2D vertices are the corners of a box clipped by every facet, each solved
+    from its two facets; 1D vertices are the tightest per-facet bounds.
+    Facets without an edge (redundant ones, repeats of an earlier facet) are
+    dropped.  Raises UnboundedDomain or EmptyInterior when the inequalities
+    do not cut out a bounded set with nonempty interior.
     """
     if not facets:
         raise EmptyInterior("facet list is empty")
@@ -220,7 +220,7 @@ def standard_simplex(name="standard-simplex"):
 
 
 def delzant_check(P: Polytope) -> bool:
-    """True iff exactly n facets meet each vertex and their normals have |det| = 1.
+    """True iff the normals of the facets at each vertex have |det| = 1.
 
     Normals are validated to be integral but are used exactly as stored (no
     primitivization).
@@ -229,22 +229,9 @@ def delzant_check(P: Polytope) -> bool:
     rounded = np.round(normals)
     if np.max(np.abs(normals - rounded)) > 1e-9:
         raise NonIntegerNormals("facet normals must have integer entries")
-    rounded = rounded.astype(np.int64)
-    n = P.dimension
-    gv = P.gaps(P.vertices)  # (V, K)
-    tol = 1e-8 * P._scale * np.linalg.norm(normals, axis=1)
-    for v in range(P.vertices.shape[0]):
-        active = np.where(np.abs(gv[v]) <= tol)[0]
-        if active.size != n:
-            return False
-        M = rounded[active]
-        if n == 1:
-            det = int(M[0, 0])
-        else:
-            det = int(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-        if abs(det) != 1:
-            return False
-    return True
+    M = rounded.astype(np.int64)[P.vertex_facets]  # (V, n, n)
+    det = M[:, 0, 0] if P.dimension == 1 else M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    return bool(np.all(np.abs(det) == 1))
 
 
 def center_of_mass(P: Polytope):

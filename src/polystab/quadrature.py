@@ -20,11 +20,11 @@ triangle batches (and per-triangle tags) and call it once:
   interior_cells (-1 in the schemes above), so mesh data can be interpolated
   there without locating the point again; mesh_graded_triangles gives its 2D
   triangles unmapped, for callers that map them a block at a time.  It is
-  built from whole arrays too: one gaps call classifies every mesh vertex and
-  edge, edge strips take one broadcast per tangential pattern, and the
-  quadtree toward boundary vertices is a loop over levels in which each
-  boundary vertex's corner child passes down by construction, not by a
-  tolerance test.
+  built from whole arrays too: the facets of every mesh vertex and the
+  boundary edges are read from the mesh's names, not from gaps, edge strips
+  take one broadcast per tangential pattern, and the quadtree toward boundary
+  vertices is a loop over levels in which each boundary vertex's corner child
+  passes down by construction, not by a tolerance test.
 
 Boundary integrals use the facet-weighted measure dsigma = dS / |h_k|.
 """
@@ -315,17 +315,17 @@ def split_scheme(P: Polytope, lines, degree: int = DEFAULT_DEGREE) -> Quadrature
 _QUADTREE = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
 
 
-def _boundary_tol(P):
-    """Distance within which a mesh point counts as lying on a facet: 1e-9 of
-    P's tolerance scale (its size plus the rounding reach), so the rule
-    scales with P."""
-    return 1e-9 * P._scale
+def _facet_counts(mesh):
+    """(V,) how many facets each mesh vertex lies on, from the mesh's names."""
+    count = np.zeros(mesh.num_vertices, dtype=int)
+    count[list(mesh.boundary_facets)] = [len(f) for f in mesh.boundary_facets.values()]
+    return count
 
 
-def _mesh_graded_1d(mesh, degree, layers, tol):
+def _mesh_graded_1d(mesh, degree, layers):
     """Whole free cells, and layers (ratio 1/2) toward every cell end on the boundary."""
     ends = mesh.vertices[mesh.cells, 0]                                   # (M, 2)
-    on = mesh.polytope.boundary_distance(mesh.vertices)[mesh.cells] <= tol
+    on = _facet_counts(mesh)[mesh.cells] > 0
     free = np.flatnonzero(~on.any(axis=1))
     ab, lay, cel = [ends[free]], [np.zeros_like(free)], [free]
     scale = 2.0 ** -np.arange(layers + 1)
@@ -351,29 +351,26 @@ def mesh_graded_triangles(mesh, layers: int = 30, tangential_layers: int = 16):
     and weights triangle by triangle, so a caller can map some triangles
     and stream the rest in blocks.
     """
-    P = mesh.polytope
-    tol = _boundary_tol(P)
-    V, tris = mesh.vertices, mesh.vertices[mesh.cells]                    # (M, 3, 2)
-    mids = 0.5 * (tris + np.roll(tris, -1, axis=1))                       # edge (t_i, t_i+1)
-    # the facets each vertex and each edge midpoint lies on, from one gaps call
-    on = np.abs(P.gaps(np.concatenate([V, mids.reshape(-1, 2)]))) * P.boundary_weights <= tol
-    fs, fs_next = on[mesh.cells], np.roll(on[mesh.cells], -1, axis=1)   # (M, 3, K)
-    bedge = (fs & fs_next).any(axis=2) & on[len(V):].reshape(fs.shape).any(axis=2)
+    V, tris = mesh.num_vertices, mesh.vertices[mesh.cells]                 # (M, 3, 2)
+    # how many facets each vertex lies on, and which edges (t_i, t_i+1) are boundary edges
+    nf, nxt = _facet_counts(mesh)[mesh.cells], np.roll(mesh.cells, -1, axis=1)  # (M, 3)
+    edge = np.minimum(mesh.cells, nxt) * V + np.maximum(mesh.cells, nxt)
+    bkey = mesh.boundary_edges[:, 0] * V + mesh.boundary_edges[:, 1]      # ascending
+    bedge = bkey[np.minimum(np.searchsorted(bkey, edge), len(bkey) - 1)] == edge
     cell = np.arange(len(tris))
     # corner cells and cells with a boundary-opposite vertex: the centroid
     # pieces [t_i, t_i+1, g] keep edge i, and g lies inside P
-    bvert = fs.any(axis=2)
-    split = (bedge.sum(axis=1) > 1) | (bedge & np.roll(bvert, -2, axis=1)).any(axis=1)
+    split = (bedge.sum(axis=1) > 1) | (bedge & np.roll(nf > 0, -2, axis=1)).any(axis=1)
     cut = np.flatnonzero(split)
     g = np.broadcast_to(tris[cut].mean(axis=1, keepdims=True), tris[cut].shape)
     no = np.zeros_like(bedge[cut])
     tris = np.concatenate([tris[~split], np.stack([tris[cut], np.roll(tris[cut], -1, axis=1), g],
                                                   axis=2).reshape(-1, 3, 2)])
-    fs = np.concatenate([fs[~split], np.stack([fs[cut], fs_next[cut], np.zeros_like(fs[cut])],
-                                              axis=2).reshape(-1, 3, fs.shape[2])])
+    nf = np.concatenate([nf[~split], np.stack([nf[cut], np.roll(nf[cut], -1, axis=1),
+                                               np.zeros_like(nf[cut])], axis=2).reshape(-1, 3)])
     bedge = np.concatenate([bedge[~split], np.stack([bedge[cut], no, no], axis=2).reshape(-1, 3)])
     cell = np.concatenate([cell[~split], np.repeat(cut, 3)])
-    nb, bvert = bedge.sum(axis=1), fs.any(axis=2)
+    nb, bvert = bedge.sum(axis=1), nf > 0
 
     out = []
 
@@ -391,7 +388,7 @@ def mesh_graded_triangles(mesh, layers: int = 30, tangential_layers: int = 16):
     e = np.flatnonzero(nb == 1)
     turn = (np.argmax(bedge[e], axis=1)[:, None] + np.arange(3)) % 3     # boundary edge first
     t = np.take_along_axis(tris[e], turn[:, :, None], axis=1)
-    corner = np.take_along_axis(fs[e].sum(axis=2), turn, axis=1) >= 2
+    corner = np.take_along_axis(nf[e], turn, axis=1) >= 2
     s = 2.0 ** (-np.arange(layers + 1, dtype=float))[:, None, None]      # 1, 1/2, ...
     half = 2.0 ** -np.arange(1.0, tangential_layers)
     for c0 in (False, True):
@@ -430,26 +427,25 @@ def mesh_graded_scheme(mesh, degree: int = DEFAULT_DEGREE, layers: int = 30,
 
     Every quadrature cell lies inside a single mesh cell, recorded per point
     in interior_cells, so piecewise data attached to the mesh has no kinks
-    inside any cell.  One gaps call on the mesh vertices and edge midpoints
-    classifies every cell, with the tolerance of _boundary_tol.  Cells with
-    an edge on the boundary get geometric layers (ratio 1/2) toward that
-    edge, tangentially refined toward endpoints on two facets; corner cells
-    and cells with a boundary-opposite vertex are first split at the
-    centroid.  Cells touching the boundary only at vertices get a quadtree
+    inside any cell.  Which vertices lie on which facets, and which cell edges
+    are boundary edges, is read from the mesh (boundary_facets,
+    boundary_edges), so no tolerance is involved.  Cells with an edge on the
+    boundary get geometric layers (ratio 1/2) toward that edge, tangentially
+    refined toward endpoints on two facets; corner cells and cells with a
+    boundary-opposite vertex are first split at the centroid.  Cells touching the boundary only at vertices get a quadtree
     whose levels are built one batch at a time: each boundary vertex's
     corner child passes down and the other children are emitted, so levels
     2 to layers - 1 hold equal counts.  No loop runs over cells.  The slivers
     beyond `layers` are dropped and carry the layer bookkeeping for
     truncation estimates.
     """
-    P = mesh.polytope
     if mesh.dimension == 1:
-        ipts, iwts, ilay, icell = _mesh_graded_1d(mesh, degree, layers, _boundary_tol(P))
+        ipts, iwts, ilay, icell = _mesh_graded_1d(mesh, degree, layers)
     else:
         tris, lay, cell = mesh_graded_triangles(mesh, layers, tangential_layers)
         ipts, iwts = map_triangles(tris, degree)
         ilay, icell = (np.repeat(tag, triangle_points(degree)) for tag in (lay, cell))
-    bp, bw = graded_boundary(P, degree, tangential_layers)
+    bp, bw = graded_boundary(mesh.polytope, degree, tangential_layers)
     return QuadratureScheme(mesh.dimension, degree, ipts, iwts, ilay, bp, bw,
                             kind="mesh-graded",
                             meta={"layers": layers, "tangential_layers": tangential_layers},

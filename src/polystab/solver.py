@@ -70,8 +70,7 @@ def solve_1d(P: Polytope, A, p_o=None, tol=COMPAT_TOL):
         raise ValueError("solve_1d needs an interval")
     p = float(P.vertices[0, 0])
     q = float(P.vertices[1, 0])
-    w_left = float(P.boundary_weights[int(np.argmin(P.gaps([[p]])[0]))])
-    w_right = float(P.boundary_weights[int(np.argmin(P.gaps([[q]])[0]))])
+    w_left, w_right = P.boundary_weights[P.vertex_facets[:, 0]].tolist()
 
     deg = field_degree(A)
     if deg is None:

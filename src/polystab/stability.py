@@ -59,6 +59,8 @@ from .simplex_lp import solve_lp
 
 LAMBDA_STABLE_THRESHOLD = 1e-3
 LAMBDA_ZERO_BAND = 1e-6
+FD_MARGIN = 2e-2        # the certificate's finite differences stay this far inside P
+SWEEP_RESOLUTION = 64   # the 1D crease grid's kinks
 TOLERANCES = {
     "lp.feasibility": 1e-9,  # cone_lp.FEAS_TOL, written out so that 1D runs never load cone_lp
     "status.stable_threshold": LAMBDA_STABLE_THRESHOLD,
@@ -109,9 +111,11 @@ class StabilityReport(Record):
 class StabilityLP:
     """Shared assembly for the cone LPs on one mesh.
 
-    `rows = (idx, coef)` are the mesh's convexity rows over the free vertices,
-    with the entries of p_o zeroed.  The interior weights of A and of the unit
-    field (`a_weights`, `mass_weights`) are assembled when a problem reads them.
+    `rows = (idx, coef)` are the mesh's convexity rows over the free vertices.
+    An entry of p_o gets coefficient 0 at a column already in its row, so each
+    row spans no more columns than its hinge.  The interior weights of A and
+    of the unit field (`a_weights`, `mass_weights`) are assembled when a
+    problem reads them.
     """
 
     def __init__(self, P: Polytope, A, mesh: Mesh, p_o=None):
@@ -126,7 +130,9 @@ class StabilityLP:
         self.p_o = mesh.vertices[self.p_o_index]
         idx, coef = mesh.convexity_rows
         po = self.p_o_index
-        self.rows = (np.where(idx == po, 0, idx - (idx > po)), np.where(idx == po, 0.0, coef))
+        col = idx - (idx > po)
+        other = np.take_along_axis(col, np.argmax(idx != po, axis=1)[:, None], axis=1)
+        self.rows = (np.where(idx == po, other, col), np.where(idx == po, 0.0, coef))
         self.b_weights = mesh.boundary_vertex_weights
         self.free = np.delete(np.arange(mesh.num_vertices), po)
 
@@ -358,8 +364,9 @@ def lp_stability_estimate(P: Polytope, A, mesh: Mesh, p_o=None, mode="float",
     """Discrete stability constant and witness on the given mesh.
 
     Solves the cone LP on `mesh`; when `refine` is set, also on the mesh at
-    h/2 with the same normalization vertex, and the refined value gates the
-    "uniformly-stable" status.
+    h/2, normalized at its vertex nearest the coarse p_o (the same point only
+    when the finer grid refines the coarse one in place, see `make_mesh`), and
+    the refined value gates the "uniformly-stable" status.
     """
     lp = StabilityLP(P, A, mesh, p_o)
     lam, u, iters = lp.minimize_linear_functional(mode=mode)
@@ -398,11 +405,11 @@ def l1_boundary_constant(P: Polytope, p_o, mesh: Mesh, mode="float"):
 
 def properness_certificate(P: Polytope, A, lam: float, mesh: Mesh, p_o=None,
                            evaluator: FunctionalEvaluator | None = None,
-                           fd_margin=2e-2, mode="float") -> PropernessCertificate:
+                           mode="float") -> PropernessCertificate:
     """Theorem-4.8-style constants from lambda and the Guillemin reference.
 
     A_o = S(u_o) is sampled on a graded interior grid (finite differences
-    cannot reach the boundary, so queries inside `fd_margin` are pulled back
+    cannot reach the boundary, so queries inside FD_MARGIN are pulled back
     along rays from the center before differencing); its sup gets a 1.05
     safety factor.  C_o = -F_{A_o}(u_o), C' solves the L1-vs-boundary LP,
     R = 1 + sup|A_o| C', r = lambda / (2R), eps' = lambda/2,
@@ -419,13 +426,13 @@ def properness_certificate(P: Polytope, A, lam: float, mesh: Mesh, p_o=None,
 
     def pull_back(pts):
         # along xc + s (p - xc) each facet distance is affine in s; stop where
-        # the first approaching facet comes within fd_margin
+        # the first approaching facet comes within FD_MARGIN
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         slope = ((pts - xc) @ P.normals.T) * P.boundary_weights
-        steps = np.divide(d_c - fd_margin, -slope, out=np.full(slope.shape, np.inf),
+        steps = np.divide(d_c - FD_MARGIN, -slope, out=np.full(slope.shape, np.inf),
                           where=slope < 0.0)
         s = np.clip(np.min(steps, axis=1), 0.0, 1.0)[:, None]
-        close = (P.boundary_distance(pts) < fd_margin)[:, None]
+        close = (P.boundary_distance(pts) < FD_MARGIN)[:, None]
         return np.where(close, xc + s * (pts - xc), pts)
 
     def a_o_field(pts):
@@ -451,18 +458,17 @@ def properness_certificate(P: Polytope, A, lam: float, mesh: Mesh, p_o=None,
         a_o_sup=a_sup, c_o=c_o, c_prime=c_prime, r_bound=R, r_small=r,
         epsilon_prime=eps_prime, c_const=c_const, epsilon=eps,
         provenance={
-            "lambda": lam, "mesh_h": mesh.h, "fd_margin": fd_margin,
+            "lambda": lam, "mesh_h": mesh.h, "fd_margin": FD_MARGIN,
             "sup_samples": int(len(sample)), "volume": vol,
         })
 
 
-def analyze_stability(P: Polytope, A, h: float, p_o=None, mode="float",
-                      sweep_resolution=64) -> StabilityReport:
+def analyze_stability(P: Polytope, A, h: float, p_o=None, mode="float") -> StabilityReport:
     """Crease sweep plus the LP at h and h/2; the full report."""
     evaluator = FunctionalEvaluator(P, A)
     if p_o is None:
         p_o = center_of_mass(P)
-    grid = default_crease_grid(P, resolution=sweep_resolution)
+    grid = default_crease_grid(P, resolution=SWEEP_RESOLUTION)
     sweep_min, sweep_arg = crease_sweep(P, A, grid=grid, p_o=p_o, evaluator=evaluator)
     mesh = make_mesh(P, h)
     report = lp_stability_estimate(P, A, mesh, p_o=p_o, mode=mode, refine=True)

@@ -555,3 +555,23 @@ def test_margins_are_the_lp_rows_applied_to_the_values(P, h):
 def test_meshes_hash_by_identity():
     a, b = make_mesh(unit_square(), 0.5), make_mesh(unit_square(), 0.5)
     assert a != b and len({a, b, a}) == 2
+
+
+@pytest.mark.parametrize("point", [(0.25, 0.5), (0.75, 0.3), (0.6, 0.25), (0.1, 0.75)])
+def test_nearest_vertex_breaks_ties_by_coordinates(point):
+    # a point equidistant from two vertices gets the lexicographically smaller
+    # one, in P and in P moved far from the origin alike
+    t = 1e3
+    moved = build_polytope([((1.0, 0.0), t), ((0.0, 1.0), t), ((-1.0, 0.0), -(t + 1.0)),
+                            ((0.0, -1.0), -(t + 1.0))])
+    picks = []
+    for Q, shift in ((unit_square(), 0.0), (moved, t)):
+        m = make_mesh(Q, 0.5)
+        p = np.asarray(point) + shift
+        d = np.linalg.norm(m.vertices - p, axis=1)
+        tied = m.vertices[np.abs(d - d.min()) <= 1e-9] - shift
+        assert len(tied) == 2
+        v = m.vertices[m.nearest_vertex(p)] - shift
+        assert tuple(v) == min(map(tuple, tied))
+        picks.append(tuple(v))
+    assert picks[0] == picks[1]

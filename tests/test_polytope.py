@@ -155,3 +155,89 @@ def test_build_polytope_on_lattice_polygons(points, data):
     Q = build_polytope(shuffled[:k] + [((float(h[0]), float(h[1])), c)] + shuffled[k:])
     assert Q.num_facets == P.num_facets
     assert np.allclose(_sorted_rows(Q.vertices), _sorted_rows(V), rtol=0.0, atol=tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=lattice_points, data=st.data())
+def test_a_facet_through_a_vertex_is_dropped_at_any_offset(points, data):
+    # the hull scaled by s and moved by o, and a third facet moved to within
+    # 1e-12 of the size of P from a vertex v, listed first, whose normal lies
+    # strictly between the normals of the two facets at v: it cuts off at
+    # most a corner far below the merge distance, so v stays the vertex of
+    # its two facets, with their bits, and the third facet is dropped
+    facets = _lattice_facets(points)
+    assume(facets is not None)
+    s = data.draw(st.sampled_from([1e-6, 1.0, 1e4]), label="scale")
+    o = s * np.array(data.draw(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+                               label="offset"), dtype=float)
+    at_origin = build_polytope([(n, s * c) for n, c in facets])
+    P = build_polytope([(n, s * c + np.dot(n, o)) for n, c in facets])
+    # P and P + o name every vertex by the same two facets (the vertex where
+    # the angle order starts may differ, as an angle of pi may round to -pi)
+    moved = {tuple(ks): x for ks, x in zip(P.vertex_facets.tolist(), P.vertices - o)}
+    fixed = {tuple(ks): x for ks, x in zip(at_origin.vertex_facets.tolist(), at_origin.vertices)}
+    assert moved.keys() == fixed.keys()
+    for ks, x in fixed.items():
+        np.testing.assert_allclose(moved[ks], x, rtol=0, atol=1e-9 * P._scale)
+
+    v = data.draw(st.integers(0, len(P.vertices) - 1), label="vertex")
+    a, b = P.normals[P.vertex_facets[v]]
+    n = data.draw(st.integers(1, 3), label="a") * a + data.draw(st.integers(1, 3), label="b") * b
+    size = float(np.max(np.ptp(P.vertices, axis=0)))
+    shift = data.draw(st.floats(-1.0, 1.0), label="shift") * 1e-12 * size * np.linalg.norm(n)
+    Q = build_polytope([(tuple(n), float(n @ P.vertices[v]) + shift)]
+                       + [(n, s * c + np.dot(n, o)) for n, c in facets])
+    assert np.array_equal(Q.normals, P.normals) and np.array_equal(Q.offsets, P.offsets)
+    assert np.array_equal(Q.vertices, P.vertices)
+    assert Q.facet_vertices == P.facet_vertices
+
+
+def test_vertex_facets_invert_facet_vertices():
+    P = build_polytope([((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, 0.0), -3.0),
+                        ((0.0, -1.0), -2.0), ((-1.0, -1.0), -4.0)])
+    assert P.vertex_facets.tolist() == [[0, 1], [1, 2], [2, 4], [3, 4], [0, 3]]
+    for v, ks in enumerate(P.vertex_facets.tolist()):
+        assert all(v in P.facet_vertices[k] for k in ks)
+    assert interval().vertex_facets.tolist() == [[0], [1]]
+
+
+# an 8-gon with offsets far from the origin: its vertices do not round exactly,
+# so a repeated facet line is not exactly on every edge the clipper leaves
+OCTAGON_FAR = [(n, c + n[0] * -505.0 + n[1] * -976.25) for n, c in (
+    ((-0.07135017234771379, -0.018229390897886333), -0.10444890206085022),
+    ((0.08776686201811085, -2.7520203549222337), -0.9445889198584387),
+    ((0.27113212571294504, -0.03159021783582072), -0.3854910168252808),
+    ((0.15355920502810239, 0.005304431246934582), -0.2176813690277003),
+    ((0.006846206528727278, 0.0006256034995040238), -0.009753904100045315),
+    ((0.8969985666307263, 0.4363470521048174), -1.3249364622682358),
+    ((-0.3240010682291723, 2.2072110443816415), -1.9560890409523655),
+    ((-1.0209517253417257, 0.1523518324230433), -1.364232234971958))]
+
+
+@pytest.mark.parametrize("facets", [
+    [((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, 0.0), -3.0), ((0.0, -1.0), -2.0),
+     ((-1.0, -1.0), -4.0)], OCTAGON_FAR], ids=["pentagon", "octagon-far"])
+def test_repeated_and_redundant_facets_are_dropped(facets):
+    # a facet line written again, anywhere after itself, keeps its first index
+    # and the vertex bits; a redundant facet goes
+    P = build_polytope(facets)
+    far = ((-1.0, -1.0), float(np.min(P.vertices.sum(axis=1))) - 5.0)
+    for k in range(len(facets)):
+        for pos in range(k + 1, len(facets) + 1):
+            Q = build_polytope(facets[:pos] + [facets[k]] + facets[pos:] + [far])
+            assert np.array_equal(Q.normals, P.normals) and np.array_equal(Q.offsets, P.offsets)
+            assert np.array_equal(Q.vertices, P.vertices)
+            assert Q.facet_vertices == P.facet_vertices
+
+
+@pytest.mark.parametrize("f", [3.0, 10.0])
+def test_a_multiple_of_a_facet_leaves_the_polygon(f):
+    # a multiple of a facet rounds its gaps differently, so the clipper may
+    # split an edge between the two; the normals do not turn there, and one
+    # of the two facets stays
+    P = build_polytope(OCTAGON_FAR)
+    for k, (n, c) in enumerate(OCTAGON_FAR):
+        for pos in range(len(OCTAGON_FAR) + 1):
+            Q = build_polytope(OCTAGON_FAR[:pos] + [((f * n[0], f * n[1]), f * c)] + OCTAGON_FAR[pos:])
+            assert Q.num_facets == P.num_facets
+            np.testing.assert_allclose(Q.vertices, P.vertices, rtol=0, atol=1e-9 * P._scale)

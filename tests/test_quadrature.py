@@ -20,7 +20,6 @@ from polystab.quadrature import (
     DEFAULT_DEGREE,
     _BLOCK_TRIANGLES,
     _boundary_2d,
-    _boundary_tol,
     _geometric_breaks,
     _segments,
     _strip_triangles,
@@ -378,11 +377,10 @@ def recursive_mesh_graded(mesh, degree=DEFAULT_DEGREE, layers=30, tangential_lay
     """Oracle: the mesh-graded interior rule built cell by cell, by recursion.
 
     Rows (point, weight, layer, cell), in no particular order.  Boundary
-    contact is tested on every triangle the recursion makes, by a gaps call
-    per point.
+    contact comes from the mesh's names (boundary_facets, boundary_edges) and
+    is carried down to every triangle the recursion makes: a piece keeps the
+    facets of the mesh vertices it keeps, and the boundary edge it keeps.
     """
-    P = mesh.polytope
-    tol = _boundary_tol(P)
     if mesh.dimension == 1:
         t, w = gauss_rule((degree + 2) // 2)
         rows = []
@@ -392,8 +390,7 @@ def recursive_mesh_graded(mesh, degree=DEFAULT_DEGREE, layers=30, tangential_lay
 
         for ci, (ia, ib) in enumerate(mesh.cells):
             a, b = float(mesh.vertices[ia, 0]), float(mesh.vertices[ib, 0])
-            on_a = P.boundary_distance([[a]]) <= tol
-            on_b = P.boundary_distance([[b]]) <= tol
+            on_a, on_b = ia in mesh.boundary_facets, ib in mesh.boundary_facets
             if not on_a and not on_b:
                 emit_seg(a, b, 0, ci)
                 continue
@@ -405,42 +402,41 @@ def recursive_mesh_graded(mesh, degree=DEFAULT_DEGREE, layers=30, tangential_lay
                     emit_seg(min(lo, hi), max(lo, hi), j, ci)
         return np.array(rows)
 
-    norm_h = np.linalg.norm(P.normals, axis=1)
     tris, levels, cells = [], [], []
+    boundary_edges = {(a, b) for a, b, _ in mesh.boundary_edges.tolist()}
 
     def emit(block, level, cell):
         tris.append(block.reshape(-1, 3, 2))
         levels.append(np.broadcast_to(level, block.shape[:-2]).ravel())
         cells.append(np.full(len(levels[-1]), cell))
 
-    def facets_of(p):
-        return frozenset(np.where(np.abs(P.gaps(p)) / norm_h <= tol)[0].tolist())
-
-    def handle(tri, cell):
-        fsets = [facets_of(v) for v in tri]
-        bedges = [i for i in range(3) if fsets[i] & fsets[(i + 1) % 3]
-                  and facets_of(0.5 * (tri[i] + tri[(i + 1) % 3]))]
+    def handle(tri, fsets, bedges, cell):
+        """tri (3, 2) with the facet sets of its vertices and the indices i of
+        its boundary edges (t_i, t_i+1)."""
         if not bedges:
             if not any(fsets):
                 emit(tri, 0, cell)
                 return
-            stack = [(tri, 0)]
+            stack, none = [(tri, fsets, 0)], frozenset()
             while stack:
-                t, lv = stack.pop()
+                t, fs, lv = stack.pop()
                 if lv >= layers:
                     continue
                 m = [0.5 * (t[i] + t[(i + 1) % 3]) for i in range(3)]
-                for ch in (np.array([t[0], m[0], m[2]]), np.array([m[0], t[1], m[1]]),
-                           np.array([m[2], m[1], t[2]]), np.array([m[0], m[1], m[2]])):
-                    if any(facets_of(v) for v in ch):
-                        stack.append((ch, lv + 1))
+                for ch, cf in (((t[0], m[0], m[2]), (fs[0], none, none)),
+                               ((m[0], t[1], m[1]), (none, fs[1], none)),
+                               ((m[2], m[1], t[2]), (none, none, fs[2])),
+                               ((m[0], m[1], m[2]), (none, none, none))):
+                    if any(cf):
+                        stack.append((np.array(ch), cf, lv + 1))
                     else:
-                        emit(ch, lv + 1, cell)
+                        emit(np.array(ch), lv + 1, cell)
             return
         if len(bedges) > 1 or fsets[(bedges[0] + 2) % 3]:
             g = tri.mean(axis=0)
             for i in range(3):
-                handle(np.array([tri[i], tri[(i + 1) % 3], g]), cell)
+                handle(np.array([tri[i], tri[(i + 1) % 3], g]), (fsets[i], fsets[(i + 1) % 3],
+                       frozenset()), [0] if i in bedges else [], cell)
             return
         i = bedges[0]
         e0, e1, c = tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3]
@@ -454,8 +450,11 @@ def recursive_mesh_graded(mesh, degree=DEFAULT_DEGREE, layers=30, tangential_lay
         grid = (1.0 - s) * ((1.0 - tau) * e0 + tau * e1) + s * c
         emit(_strip_triangles(grid[1:], grid[:-1]), np.arange(layers)[:, None, None], cell)
 
-    for ci, cell in enumerate(mesh.cells):
-        handle(mesh.vertices[cell], ci)
+    for ci, cell in enumerate(mesh.cells.tolist()):
+        fsets = tuple(frozenset(mesh.boundary_facets.get(v, ())) for v in cell)
+        bedges = [i for i in range(3)
+                  if (min(cell[i], cell[(i + 1) % 3]), max(cell[i], cell[(i + 1) % 3])) in boundary_edges]
+        handle(mesh.vertices[cell], fsets, bedges, ci)
     pts, wts, lay, cel = _tagged_rule(np.concatenate(tris),
                                       [np.concatenate(levels), np.concatenate(cells)], degree)
     return np.column_stack([pts, wts, lay, cel])
@@ -546,7 +545,9 @@ def test_mesh_graded_scheme_makes_at_most_two_gaps_calls(P, h, layers, monkeypat
     monkeypatch.setattr(Polytope, "gaps",
                         lambda self, points: calls.append(1) or gaps(self, points))
     mesh_graded_scheme(mesh, layers=layers)
-    assert 1 <= len(calls) <= 2
+    # the rule reads which vertices and edges lie on facets from the mesh's
+    # names, so it makes no gaps call at all
+    assert calls == []
 
 
 # -- exactness on lattice polygons ----------------------------------------------

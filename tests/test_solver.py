@@ -6,11 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polystab.convex import guillemin_hessian, guillemin_potential
+from polystab.convex import components_to_matrices, guillemin_hessian, guillemin_potential
 from polystab.errors import EmptyGrid, LineSearchStall, LostConvexity
 from polystab.fields import QuadraticPoly
 from polystab.functionals import FunctionalEvaluator, extremal_affine
-from polystab.hessfit import PointOperator, components_to_matrices
+from polystab.hessfit import PointOperator
 from polystab.mesh import make_mesh
 from polystab.polytope import build_polytope, center_of_mass, interval, unit_square
 from polystab.quadrature import gauss_rule, mesh_graded_scheme

@@ -400,6 +400,23 @@ def test_lp_boundary_case_status():
     assert abs(rep.lambda_hat) <= 1e-9
 
 
+@pytest.mark.parametrize("P, h", [(interval(), 1 / 16), (unit_square(), 1 / 12),
+                                  (standard_simplex(), 1 / 8), (PENTAGON, 1 / 5)],
+                         ids=["interval", "square", "simplex", "pentagon"])
+def test_lp_rows_span_no_more_columns_than_their_hinges(P, h):
+    # the entries of p_o carry coefficient 0 at a column already in their row,
+    # so the rows are the convexity rows with p_o's column deleted
+    mesh = make_mesh(P, h)
+    lp = StabilityLP(P, 0.0, mesh)
+    idx, coef = lp.rows
+    assert np.all(np.ptp(idx, axis=1) <= np.ptp(mesh.hinges, axis=1))
+    dense = np.zeros((len(idx), mesh.num_vertices - 1))
+    np.add.at(dense, (np.arange(len(idx))[:, None], idx), coef)
+    full = np.zeros((len(idx), mesh.num_vertices))
+    np.add.at(full, (np.arange(len(idx))[:, None], mesh.convexity_rows[0]), mesh.convexity_rows[1])
+    assert np.array_equal(dense, np.delete(full, lp.p_o_index, axis=1))
+
+
 def test_cone_contains_representable_creases():
     # mesh-representable normalized creases are LP-feasible: lambdaHat <= ratio
     P = interval()
