@@ -10,7 +10,8 @@ code runs on the first attribute access.
 * `audits` -- the checks `polystab verify` runs;
 * `solver` -- the Abreu-equation solve;
 * `fields` -- the `--A` expression parser and its `QuadraticPoly`;
-* `hessfit` -- the Hessian surrogate of mesh functions.
+* `hessfit` -- the Hessian surrogate of mesh functions, which only the 2D
+  solve uses.
 
 Every run executes `cli`, `fileio`, `functionals`, `quadrature`, `convex`,
 `mesh`, `polytope`, `_geom`, `_records` and `errors`.  Beyond these:
@@ -19,8 +20,8 @@ Every run executes `cli`, `fileio`, `functionals`, `quadrature`, `convex`,
   `fields` when --A is not "extremal";
 * `solve` runs `solver`, `hessfit` in 2D, and `fields` in 1D or when --A is
   not "extremal";
-* `verify` runs `audits`, `stability`, `simplex_lp` and `hessfit`, with
-  `solver` and `fields` in 1D and `cone_lp` in 2D;
+* `verify` runs `audits`, `stability` and `simplex_lp`, with `solver` and
+  `fields` in 1D and `cone_lp` in 2D;
 * `eval` and `extremal-affine` run only what their operation and --A need.
 
 Without bytecode to reuse, compiling and running the unused ones would cost
@@ -47,8 +48,7 @@ _EXPORTS = {
                   "mesh_graded_scheme split_scheme standard_scheme",
     "mesh": "Mesh make_mesh",
     "convex": "AffineFunc MeshConvexFunc PLConvexFunc SmoothConvexFunc crease "
-              "guillemin_potential normalize random_normalized_mesh_function "
-              "segment_ma_measure supporting_affine",
+              "guillemin_potential normalize segment_ma_measure supporting_affine",
     "fields": "QuadraticPoly parse_field",
     "functionals": "FunctionalEvaluator MabuchiResult extremal_affine mesh_linear_forms",
     "cone_lp": "ConeLPResult solve_cone_lp",

@@ -3,9 +3,9 @@
 `verify_audits` runs the checks `polystab verify` reports: the
 integration-by-parts identity and L_A(v) = n Vol for the solution v, a
 positive lambda-hat, the norm bound lambda^{-1} n Vol on |v|_b, the
-properness bound on random mesh functions, and the degeneracy diagnostics on
-the built-in sequences.  `relative_kpolystability_check` tests the discrete
-cone for destabilizers and nontrivial extremal functions.
+properness bound on random Guillemin-type functions, and the degeneracy
+diagnostics on the built-in sequences.  `relative_kpolystability_check`
+tests the discrete cone for destabilizers and nontrivial extremal functions.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from .convex import (
     SmoothConvexFunc,
     crease,
     guillemin_potential,
-    random_normalized_mesh_function,
+    normalize,
     segment_ma_measure,
 )
 from .errors import NonpositiveLambda
@@ -160,6 +160,21 @@ def solution_norm_bound(P: Polytope, A, lam: float) -> float:
     return P.dimension * vol / lam
 
 
+def _random_spd(rng, n):
+    """Random positive definite (n, n) D: diagonal in [0.5, 6], |D_01| < 0.9 sqrt(D_00 D_11)."""
+    D = np.diag(rng.uniform(0.5, 6.0, size=n))
+    if n == 2:
+        D[0, 1] = D[1, 0] = rng.uniform(-0.9, 0.9) * np.sqrt(D[0, 0] * D[1, 1])
+    return D
+
+
+def _plus_quadratic(u: SmoothConvexFunc, p_o, D) -> SmoothConvexFunc:
+    """u + (x - p_o)^T D (x - p_o) / 2, Guillemin-type when u is."""
+    return SmoothConvexFunc(lambda p: u(p) + 0.5 * np.sum(((p - p_o) @ D) * (p - p_o), axis=1),
+                            lambda p: u.grad(p) + (p - p_o) @ D, lambda p: u.hess(p) + D,
+                            u.dimension, domain=u.domain, guillemin_type=u.guillemin_type)
+
+
 def verify_audits(P: Polytope, h: float, seed: int, sigma_scale=1.0, audit_count=50):
     """Audit the chain from uniform stability to properness on P.
 
@@ -169,7 +184,9 @@ def verify_audits(P: Polytope, h: float, seed: int, sigma_scale=1.0, audit_count
     boundary weights scaled by `sigma_scale`, while A and v stay those of P
     as given; a scale other than 1 breaks the identities, so the suite must
     fail (a consistency tripwire).  Yields (name, passed, measured,
-    tolerance) rows.
+    tolerance) rows.  The properness bound F_A(u) >= -C + eps' |u|_b is checked
+    on Guillemin-type u = normalize(u_o + q, p_o), q(x) = (x - p_o)^T D (x - p_o)
+    / 2 for random positive definite D and the LP's normalization vertex p_o.
     """
     rng = np.random.default_rng(seed)
     A = extremal_affine(P)
@@ -197,7 +214,8 @@ def verify_audits(P: Polytope, h: float, seed: int, sigma_scale=1.0, audit_count
 
     # stability + norm bound + certificate audit
     mesh = make_mesh(P, h)
-    lam = lp_stability_estimate(P, A, mesh, refine=False).lambda_hat
+    lp = lp_stability_estimate(P, A, mesh, refine=False)
+    lam = lp.lambda_hat
     threshold = TOLERANCES["status.stable_threshold"]
     yield ("lambda-positive", lam > threshold, lam, threshold)
     if lam > 0:
@@ -205,7 +223,9 @@ def verify_audits(P: Polytope, h: float, seed: int, sigma_scale=1.0, audit_count
         yield ("solution-norm-bound", bnorm_solution <= bound + 1e-9,
                bnorm_solution, bound)
         cert = properness_certificate(P, A, lam, mesh, evaluator=ev)
-        samples = (random_normalized_mesh_function(mesh, rng) for _ in range(audit_count))
+        u_o = guillemin_potential(P)
+        samples = (normalize(_plus_quadratic(u_o, lp.p_o, _random_spd(rng, n)), lp.p_o)
+                   for _ in range(audit_count))
         worst = min((ev.mabuchi(u).value
                      - (-cert.c_const + cert.epsilon_prime * ev.boundary_norm(u))
                      for u in samples), default=np.inf)

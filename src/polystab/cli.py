@@ -54,7 +54,7 @@ from .fileio import (
     tolerance_section,
     write_mesh_function,
 )
-from .functionals import FunctionalEvaluator, extremal_affine
+from .functionals import GRADED_LAYERS, FunctionalEvaluator, extremal_affine
 from .mesh import make_mesh
 from .polytope import center_of_mass
 
@@ -143,8 +143,9 @@ def cmd_solve(args):
     rep = Report("solve")
     rep.add("polytope", args.polytope)
     rep.add("A", args.A)
+    tol = {} if args.tol is None else {"tol": args.tol}
     if P.dimension == 1:
-        u, compat = solver.solve_1d(P, A, tol=1e-8 if args.tol is None else args.tol)
+        u, compat = solver.solve_1d(P, A, **tol)
         sup, l2, _ = solver.residual(u, A, P, margin=0.05)
         rep.add("method", "1d-integration")
         rep.add("w.end_residual", compat.w_end)
@@ -154,7 +155,7 @@ def cmd_solve(args):
         rep.add("residual.l2", l2)
     else:
         mesh = make_mesh(P, args.h)
-        state = solver.solve_2d_descent(P, A, mesh, tol=1e-6 if args.tol is None else args.tol)
+        state = solver.solve_2d_descent(P, A, mesh, **tol)
         rep.add("method", "2d-descent")
         rep.add("h", args.h)
         rep.add("iterations", state.iterations)
@@ -224,7 +225,7 @@ def cmd_eval(args):
     rep.add("A", args.A)
     rep.add("op", args.op)
     rep.add("quadrature.degree", ev.degree)
-    rep.add("quadrature.graded_layers", ev.layers)
+    rep.add("quadrature.graded_layers", GRADED_LAYERS)
     if args.op == "boundary-norm":
         rep.add("value", ev.boundary_norm(_eval_u(P, args.u)))
     elif args.op == "linear-functional":

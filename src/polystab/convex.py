@@ -18,7 +18,7 @@ import numpy as np
 from ._records import Value
 from .errors import EvaluationOutsideDomain, SegmentTouchesBoundary
 from .mesh import Mesh
-from .polytope import Polytope, center_of_mass
+from .polytope import Polytope
 
 
 def _pts(x, n):
@@ -146,13 +146,12 @@ class SmoothConvexFunc:
 class MeshConvexFunc:
     """Piecewise-linear function from per-vertex values on a mesh."""
 
-    def __init__(self, mesh: Mesh, values, p_o_index=None, normalized=False):
+    def __init__(self, mesh: Mesh, values, p_o_index=None):
         self.mesh = mesh
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != (mesh.num_vertices,):
             raise ValueError("one value per mesh vertex required")
         self.p_o_index = p_o_index
-        self.normalized = normalized
 
     @property
     def dimension(self):
@@ -328,44 +327,13 @@ def normalize(u, p_o):
         vals = u.values - np.asarray(ell(u.mesh.vertices))
         vals[vi] = 0.0
         vals[(vals < 0.0) & (vals > -1e-9)] = 0.0
-        return MeshConvexFunc(u.mesh, vals, p_o_index=vi, normalized=True)
+        return MeshConvexFunc(u.mesh, vals, p_o_index=vi)
     return u.shift(ell)
 
 
 def crease(ell: AffineFunc) -> PLConvexFunc:
     """max(0, ell) -- the elementary piecewise-linear test function."""
     return PLConvexFunc((AffineFunc.constant(0.0, len(ell.a)), ell))
-
-
-def random_normalized_mesh_function(mesh: Mesh, rng) -> MeshConvexFunc:
-    """Sample of a random strictly convex quadratic, normalized.
-
-    The normalization point is the mesh vertex nearest the center of mass.
-    Mixed second derivatives are kept nonpositive so samples stay discretely
-    convex on the "/" triangulation; draws are rejected otherwise.
-    """
-    P = mesh.polytope
-    lo = P.vertices.min(axis=0)
-    hi = P.vertices.max(axis=0)
-    n = mesh.dimension
-    for _ in range(100):
-        z = lo + (hi - lo) * rng.uniform(0.2, 0.8, size=n)
-        if n == 1:
-            q = rng.uniform(0.5, 6.0)
-            vals = 0.5 * q * (mesh.vertices[:, 0] - z[0]) ** 2
-        else:
-            d1, d2 = rng.uniform(0.5, 6.0, size=2)
-            off = -rng.uniform(0.0, 0.9) * np.sqrt(d1 * d2)
-            dx = mesh.vertices - z
-            vals = 0.5 * (d1 * dx[:, 0] ** 2 + 2 * off * dx[:, 0] * dx[:, 1]
-                          + d2 * dx[:, 1] ** 2)
-        a = rng.uniform(-2.0, 2.0, size=n)
-        vals = vals + mesh.vertices @ a
-        u = MeshConvexFunc(mesh, vals)
-        u = normalize(u, mesh.vertices[mesh.nearest_vertex(center_of_mass(P))])
-        if u.is_discretely_convex(slack=1e-10):
-            return u
-    raise RuntimeError("failed to draw a discretely convex sample")
 
 
 def _directional(u, point, direction, forward=True):

@@ -10,7 +10,10 @@ field A, and quadrature schemes, and evaluates
 
 choosing the quadrature per function class: mesh functions get exact
 vertex-weight assembly, piecewise-linear functions get kink-split rules, and
-Guillemin-type functions get boundary-graded rules.
+Guillemin-type functions get boundary-graded rules.  F_A is +infinity on a
+piecewise-linear function (mesh functions included), so the Mabuchi energy and
+the integration-by-parts integral take only functions with pointwise Hessians
+and raise NeedsSmoothFunction on the others.
 """
 from __future__ import annotations
 
@@ -18,14 +21,12 @@ from functools import cached_property
 
 import numpy as np
 
-from . import hessfit
 from ._records import Record
 from .convex import (
     AffineFunc,
     MeshConvexFunc,
     PLConvexFunc,
     SmoothConvexFunc,
-    components_to_matrices,
 )
 from .errors import (
     NeedsSmoothFunction,
@@ -45,7 +46,6 @@ from .quadrature import (
     integrate_boundary,
     integrate_interior,
     map_triangles,
-    mesh_graded_scheme,
     split_scheme,
     standard_scheme,
     triangle_rule,  # noqa: F401  (perfbench/tests patch and restore it here)
@@ -123,20 +123,19 @@ class FunctionalEvaluator:
 
     A must be evaluable pointwise on the closed polytope (measurable-only
     fields are outside the reach of quadrature); when A is polynomial the
-    interior degree is raised to at least deg(A) + 2.
+    interior degree is raised to at least deg(A) + 2.  Graded rules have
+    GRADED_LAYERS radial layers.
     """
 
-    def __init__(self, P: Polytope, A, degree: int = DEFAULT_DEGREE,
-                 layers: int = GRADED_LAYERS):
+    def __init__(self, P: Polytope, A, degree: int = DEFAULT_DEGREE):
         self.polytope = P
         self.A = A
         d = field_degree(A)
         if d is not None:
             degree = max(degree, d + 2)
         self.degree = degree
-        self.layers = layers
         self._A = as_field(A, P.dimension)
-        self._mesh_cache: dict = {}  # (kind, mesh[, rule]) -> data; meshes hash by identity
+        self._forms: dict = {}  # mesh -> mesh_linear_forms; meshes hash by identity
 
     @cached_property
     def scheme(self) -> QuadratureScheme:
@@ -146,27 +145,21 @@ class FunctionalEvaluator:
     @cached_property
     def graded(self) -> QuadratureScheme:
         """Whole boundary-graded rule, built on first use, for callers that need its points."""
-        return graded_scheme(self.polytope, self.degree, layers=self.layers)
+        return graded_scheme(self.polytope, self.degree, layers=GRADED_LAYERS)
 
     # -- helpers -------------------------------------------------------------
 
-    def _cached(self, key, build):
-        """Per-mesh data for this evaluator's A and degree, built on first use."""
-        if key not in self._mesh_cache:
-            self._mesh_cache[key] = build()
-        return self._mesh_cache[key]
-
     def _forms_for(self, mesh: Mesh):
-        return self._cached(("forms", mesh), lambda: mesh_linear_forms(mesh, self.A, self.degree))
-
-    def _surrogate_for(self, mesh: Mesh):
-        return self._cached(("surrogate", mesh), lambda: hessfit.HessianSurrogate(mesh))
+        """mesh_linear_forms for this evaluator's A and degree, built on first use."""
+        if mesh not in self._forms:
+            self._forms[mesh] = mesh_linear_forms(mesh, self.A, self.degree)
+        return self._forms[mesh]
 
     def _rule_for(self, u):
         """(interior, boundary) blocks of u's rule; the graded one comes per facet fan."""
         P, d = self.polytope, self.degree
         if isinstance(u, SmoothConvexFunc) and u.guillemin_type:
-            return graded_blocks(P, d, self.layers), zip(*graded_boundary(P, d))
+            return graded_blocks(P, d, GRADED_LAYERS), zip(*graded_boundary(P, d))
         Q = split_scheme(P, u.kink_lines(), d) if isinstance(u, PLConvexFunc) else self.scheme
         return ([(Q.interior_points, Q.interior_weights, Q.interior_layers)],
                 zip(Q.boundary_points, Q.boundary_weights))
@@ -207,8 +200,6 @@ class FunctionalEvaluator:
 
     def mabuchi(self, u) -> MabuchiResult:
         """F_A(u) with a reported truncation estimate for the log-det term."""
-        if isinstance(u, MeshConvexFunc):
-            return self._mabuchi_mesh(u)
         _require_smooth(u, "the Mabuchi energy")
         # one pass: the log-det term, its tail beyond TRUNCATION_COMPARE layers, A u
         blocks, rim = self._rule_for(u)
@@ -224,30 +215,6 @@ class FunctionalEvaluator:
             au += self._interior(u, [(pts, wts)])
         lin = integrate_blocks(u, rim) - au
         return MabuchiResult(term + lin, term, lin, abs(tail))
-
-    def _mesh_graded_for(self, mesh: Mesh):
-        return self._cached(("mgq", mesh), lambda: mesh_graded_scheme(mesh, self.degree))
-
-    def _mesh_point_hessians(self, u: MeshConvexFunc, Q: QuadratureScheme, cells=None):
-        """Surrogate Hessians of u at Q's points; cells: their cells in u.mesh."""
-        op = self._cached(("op", u.mesh, Q), lambda: self._surrogate_for(u.mesh)
-                          .point_operator(Q.interior_points, cells))
-        comp = op @ u.values
-        return components_to_matrices(comp, u.dimension)
-
-    def _mabuchi_mesh(self, u: MeshConvexFunc) -> MabuchiResult:
-        Q = self._mesh_graded_for(u.mesh)
-        H = self._mesh_point_hessians(u, Q, Q.interior_cells)
-        det = _dets(H)
-        if np.any(det <= 0.0):
-            raise NonConvexAtQuadraturePoint(
-                "quadric-fit det Hess <= 0 at a quadrature point")
-        logdet = np.log(det)
-        term = -float(np.dot(Q.interior_weights, logdet))
-        deep = Q.interior_layers < TRUNCATION_COMPARE
-        trunc = abs(term + float(np.dot(Q.interior_weights[deep], logdet[deep])))
-        lin = self.linear_functional(u)
-        return MabuchiResult(term + lin, term, lin, trunc)
 
     # -- Abreu operator -------------------------------------------------------
 
@@ -292,19 +259,15 @@ class FunctionalEvaluator:
 
     def ibp_integral(self, v: SmoothConvexFunc, u) -> float:
         """Integral of v^{ij} u_{ij} dmu on the graded rule, the rhs of the identity."""
+        if not isinstance(u, AffineFunc):
+            _require_smooth(u, "the integration-by-parts identity")
         Q = self.graded
         Hv = v.hess(Q.interior_points)
         detv = _dets(Hv)
         if np.any(detv <= 0.0):
             raise NonConvexAtQuadraturePoint("v must be strictly convex")
         Wv = _invert(Hv, detv)
-        if isinstance(u, MeshConvexFunc):
-            Hu = self._mesh_point_hessians(u, Q)
-        elif isinstance(u, AffineFunc):
-            Hu = np.zeros_like(Hv)
-        else:
-            _require_smooth(u, "the integration-by-parts identity")
-            Hu = u.hess(Q.interior_points)
+        Hu = np.zeros_like(Hv) if isinstance(u, AffineFunc) else u.hess(Q.interior_points)
         return float(np.dot(Q.interior_weights, np.einsum("mij,mij->m", Wv, Hu)))
 
 

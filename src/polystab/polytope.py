@@ -10,7 +10,9 @@ clipper (de Berg et al., Computational Geometry, 3rd ed., 2008, section 4.2),
 which says which facet each edge lies on.  Each vertex is then named by the
 two facets of its edges and solved from them; which facets meet at a vertex
 (`Polytope.vertex_facets`) is read from these names, never from gaps.  The
-one tolerance is the vertex merge, 1e-9 of the tolerance scale `_scale`.
+tolerances are the vertex merge, 1e-9 of the tolerance scale `_scale`, and
+the rounding of a facet's (n, c) / |n|, within which a multiple of a facet is
+a repeat of it.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from ._records import Frozen
 from .errors import EmptyInterior, NonIntegerNormals, UnboundedDomain
 
 _FEAS_TOL = 1e-10  # relative margin of a nonempty interior: centroid gaps (1D: the length)
+_REPEAT_RTOL = 1e-14  # relative rounding of (n, c) / |n| between a facet and its multiple
 
 
 class Polytope(Frozen):
@@ -109,15 +112,17 @@ def _recession_direction_2d(normals):
 
 def _clip_edges(normals, offsets):
     """A box holding every crossing of two facets, clipped by each facet in
-    turn (a repeat of an earlier facet is skipped): the corners left, (m, 2),
-    and the facet line[e] that edge e, from corner e to e + 1, lies on."""
+    turn (a repeat of an earlier facet, or a multiple of one, is skipped): the
+    corners left, (m, 2), and the facet line[e] that edge e, from corner e to
+    e + 1, lies on."""
     pair = np.column_stack(np.triu_indices(len(normals), 1))
     x = (np.linalg.pinv(normals[pair]) @ offsets[pair, None])[..., 0]  # parallel: least squares
     pad = float(np.max(np.ptp(x, axis=0))) or 1.0
     lo, hi = x.min(axis=0) - pad, x.max(axis=0) + pad
     poly = np.array([[lo, (hi[0], lo[1]), hi, (lo[0], hi[1])]])
     count, line = np.array([4]), np.full(4, -1)
-    same = np.all(normals[:, None] == normals, axis=2) & (offsets[:, None] == offsets)
+    unit = np.column_stack([normals, offsets]) / np.linalg.norm(normals, axis=1)[:, None]
+    same = np.all(np.isclose(unit[:, None], unit, rtol=_REPEAT_RTOL, atol=0.0), axis=2)
     for k in np.flatnonzero(~np.tril(same, -1).any(axis=1)):
         poly, count, src = clip_halfplanes(poly, count, normals[k], offsets[k])
         odd = src[0, :count[0]] % 2 == 1  # a crossing; followed by one, it leaves along k
@@ -142,7 +147,8 @@ def _reduce_2d(normals, offsets):
         raise EmptyInterior("the facets cut out no polygon")
     # corners closer than 1e-9 of the tolerance scale merge: the edge between
     # them goes; where the normals then do not turn counterclockwise (a facet
-    # meets a multiple of itself) the lesser facet's edge stays
+    # meets a parallel one within the merge distance) the lesser facet's edge
+    # stays
     scale = float(np.max(np.ptp(pts, axis=0))) + 1e-3 * float(np.max(np.abs(pts)))
     line = line[np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1) > 1e-9 * scale]
     n, prev = normals[line], np.roll(line, 1)
@@ -151,10 +157,12 @@ def _reduce_2d(normals, offsets):
     if len(line) < 3:
         raise EmptyInterior("fewer than 3 vertices: interior is empty")
     # vertex e joins edges e - 1 and e, solved from their facets in (min, max)
-    # order, and the vertices are sorted by angle about their centroid
+    # order, and the vertices are sorted by angle about their centroid, summed
+    # in sorted order so that the clipper's order cannot round an angle of pi
+    # to -pi
     pair = np.sort(np.column_stack([np.roll(line, 1), line]), axis=1)
     verts = np.linalg.solve(normals[pair], offsets[pair][..., None])[..., 0]
-    center = verts.mean(axis=0)
+    center = np.sort(verts, axis=0).mean(axis=0)
     order = np.argsort(np.arctan2(verts[:, 1] - center[1], verts[:, 0] - center[0]))
     if np.any(normals @ center - offsets <= _FEAS_TOL * scale * np.linalg.norm(normals, axis=1)):
         raise EmptyInterior("vertex centroid is not strictly feasible")
@@ -169,8 +177,8 @@ def build_polytope(facets, name=None):
 
     2D vertices are the corners of a box clipped by every facet, each solved
     from its two facets; 1D vertices are the tightest per-facet bounds.
-    Facets without an edge (redundant ones, repeats of an earlier facet) are
-    dropped.  Raises UnboundedDomain or EmptyInterior when the inequalities
+    Facets without an edge (redundant ones, repeats or multiples of an
+    earlier facet) are dropped.  Raises UnboundedDomain or EmptyInterior when the inequalities
     do not cut out a bounded set with nonempty interior.
     """
     if not facets:

@@ -197,8 +197,7 @@ class DiscreteEnergy:
         self.u_o = guillemin_potential(P)
         # L_A(u_o) on the 40-layer graded rule, taken a few layers of one facet
         # fan at a time before any sample of the mesh-graded rule exists
-        self.lin_const = FunctionalEvaluator(
-            P, A, degree=degree, layers=40).linear_functional(self.u_o)
+        self.lin_const = FunctionalEvaluator(P, A, degree=degree).linear_functional(self.u_o)
         tris, _, cells = mesh_graded_triangles(mesh, layers=20, tangential_layers=8)
         sur = hessfit.HessianSurrogate(mesh)
         self.surrogate = sur

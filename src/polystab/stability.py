@@ -78,7 +78,7 @@ class PropernessCertificate(Record):
                  r_small: float, epsilon_prime: float, c_const: float, epsilon: float,
                  provenance: dict | None = None):
         self.a_o_sup = a_o_sup              # sampled sup |A_o| times the 1.05 safety factor
-        self.c_o = c_o                      # -F_{A_o}(u_o)
+        self.c_o = c_o                      # -F_{A_o}(u_o) = int log det Hess u_o - n Vol
         self.c_prime = c_prime              # |u|_L1 <= c_prime |u|_b on the normalized cone
         self.r_bound = r_bound              # R with L_{A_o}(u) <= R |u|_b
         self.r_small = r_small              # chosen r in (0, lambda/R)
@@ -160,7 +160,7 @@ class StabilityLP:
             x, value, iterations = res.u, res.value, res.iterations
         values = np.zeros(self.mesh.num_vertices)
         values[self.free] = x
-        u = MeshConvexFunc(self.mesh, values, p_o_index=self.p_o_index, normalized=True)
+        u = MeshConvexFunc(self.mesh, values, p_o_index=self.p_o_index)
         return value, u, iterations
 
     def _best_hinge(self, c, b):
@@ -411,7 +411,10 @@ def properness_certificate(P: Polytope, A, lam: float, mesh: Mesh, p_o=None,
     A_o = S(u_o) is sampled on a graded interior grid (finite differences
     cannot reach the boundary, so queries inside FD_MARGIN are pulled back
     along rays from the center before differencing); its sup gets a 1.05
-    safety factor.  C_o = -F_{A_o}(u_o), C' solves the L1-vs-boundary LP,
+    safety factor.  C_o = -F_{A_o}(u_o) = int log det Hess u_o dmu - n Vol,
+    since L_{A_o}(u_o) = int u_o^{ij} (u_o)_{ij} dmu = n Vol for A_o = S(u_o);
+    the log-det integral is the Mabuchi pass of u_o on the graded rule, so A_o
+    itself is never integrated.  C' solves the L1-vs-boundary LP,
     R = 1 + sup|A_o| C', r = lambda / (2R), eps' = lambda/2,
     C = C_o - n Vol log r, eps = eps' / C'.  `mode` is the LP mode for C'.
     """
@@ -435,23 +438,18 @@ def properness_certificate(P: Polytope, A, lam: float, mesh: Mesh, p_o=None,
         close = (P.boundary_distance(pts) < FD_MARGIN)[:, None]
         return np.where(close, xc + s * (pts - xc), pts)
 
-    def a_o_field(pts):
-        return evaluator.abreu_operator(u_o, pull_back(pts), h_fd=1e-3)
-
     # sampled sup on the graded grid (pulled back where needed)
     Qg = evaluator.graded
     sample = Qg.interior_points[:: max(1, len(Qg.interior_points) // 4000)]
-    a_o_vals = a_o_field(sample)
+    a_o_vals = evaluator.abreu_operator(u_o, pull_back(sample), h_fd=1e-3)
     a_sup = float(np.max(np.abs(a_o_vals))) * TOLERANCES["certificate.sup_safety"]
 
-    ev_o = FunctionalEvaluator(P, a_o_field, degree=evaluator.degree,
-                               layers=evaluator.layers)
-    c_o = -ev_o.mabuchi(u_o).value
+    vol = evaluator.volume()
+    c_o = -evaluator.mabuchi(u_o).log_det_term - P.dimension * vol
     c_prime, _ = l1_boundary_constant(P, p_o, mesh, mode=mode)
     R = 1.0 + a_sup * c_prime
     r = lam / (2.0 * R)
     eps_prime = lam - r * R
-    vol = evaluator.volume()
     c_const = c_o - P.dimension * vol * np.log(r)
     eps = eps_prime / c_prime
     return PropernessCertificate(

@@ -154,7 +154,11 @@ def test_solve_runs_no_stability_code_and_stability_no_solver_code(tmp_path):
                             "--h", "0.25"])
     assert {"stability.py", "cone_lp.py"} <= ran
     assert not ran & {"audits.py", "solver.py"}
-    assert "audits.py" in executed_sources(["verify", "--polytope", str(interval), "--h", "0.25"])
+    # verify takes the Mabuchi energy of Guillemin-type functions only, so
+    # the Hessian surrogate of mesh functions stays unrun
+    for path in (interval, square):
+        ran = executed_sources(["verify", "--polytope", str(path), "--h", "0.25"])
+        assert "audits.py" in ran and "hessfit.py" not in ran
 
 
 def test_1d_stability_run_does_not_import_scipy(tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polystab._geom import clip_halfplanes, fans, polygon_area
-from polystab.convex import random_normalized_mesh_function
+from polystab.convex import MeshConvexFunc, normalize
 from polystab.errors import MeshTooFine
 from polystab.functionals import extremal_affine
 from polystab.hessfit import HessianSurrogate
@@ -540,7 +540,13 @@ def test_convexity_rows_match_the_reference_formulas(P, h):
 @MESH_FIXTURES
 def test_margins_are_the_lp_rows_applied_to_the_values(P, h):
     m = make_mesh(P, h)
-    u = random_normalized_mesh_function(m, np.random.default_rng(3))
+    # a random quadratic with a linear part, normalized at the vertex nearest
+    # the center of mass
+    rng = np.random.default_rng(3)
+    n = P.dimension
+    x = m.vertices - rng.uniform(0.2, 0.8, size=n)
+    vals = np.sum(rng.uniform(0.5, 6.0, n) * x * x, axis=1) + x @ rng.uniform(-2.0, 2.0, n)
+    u = normalize(MeshConvexFunc(m, vals), m.vertices[m.nearest_vertex(center_of_mass(P))])
     lp = StabilityLP(P, 1.0, m, p_o=m.vertices[u.p_o_index])
     idx, coef = lp.rows
     assert u.values[lp.p_o_index] == 0.0

@@ -192,6 +192,21 @@ def test_a_facet_through_a_vertex_is_dropped_at_any_offset(points, data):
     assert Q.facet_vertices == P.facet_vertices
 
 
+def test_vertex_order_does_not_depend_on_the_clipper_order():
+    # a falsifying example of the property above: the facet through vertex 0
+    # changes the order the clipper leaves the corners in, and the centroid
+    # summed in that order once put the vertex at angle pi below -pi
+    s = 1e-6
+    o = s * np.array([0.0, -999.0])
+    facets = _lattice_facets([(0, 1), (3, 4), (4, -2)])
+    P = build_polytope([(n, s * c + np.dot(n, o)) for n, c in facets])
+    n = P.normals[0] + P.normals[1]
+    Q = build_polytope([(tuple(n), float(n @ P.vertices[0]))]
+                       + [(m, c) for m, c in zip(P.normals, P.offsets)])
+    assert np.array_equal(Q.vertices, P.vertices)
+    assert Q.facet_vertices == P.facet_vertices
+
+
 def test_vertex_facets_invert_facet_vertices():
     P = build_polytope([((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, 0.0), -3.0),
                         ((0.0, -1.0), -2.0), ((-1.0, -1.0), -4.0)])
@@ -230,14 +245,29 @@ def test_repeated_and_redundant_facets_are_dropped(facets):
             assert Q.facet_vertices == P.facet_vertices
 
 
-@pytest.mark.parametrize("f", [3.0, 10.0])
+# a polygon far from the origin with 5 of its 8 facets kept: inserting 3 times
+# its facet 6 anywhere from position 3 on once left the clipper a sliver edge
+# on the multiple, and the vertex centroid came out infeasible
+OCTAGON_FIVE_KEPT = [
+    ((1.1890497302792806, 0.27815157805103496), 1028.6357406529382),
+    ((-1.1315199044295585, 1.6948123572004388), -191.5200639947428),
+    ((-1.262828348949784, 1.2167671991848674), -484.9754769255839),
+    ((-2.0178201073225432, 1.5566557900667146), -931.5667156812265),
+    ((-1.052708502234162, 0.516727445285728), -605.3752558429187),
+    ((-2.6494756656880676, 0.5665166210863423), -1818.3115048386899),
+    ((0.25753701395434553, -0.31518163262599647), 71.42507604786204),
+    ((0.7684620287859555, -0.4749103407534467), 400.75226822258077)]
+
+
+@pytest.mark.parametrize("f", [3.0, 7.0, 10.0, 13.0])
 def test_a_multiple_of_a_facet_leaves_the_polygon(f):
-    # a multiple of a facet rounds its gaps differently, so the clipper may
-    # split an edge between the two; the normals do not turn there, and one
-    # of the two facets stays
-    P = build_polytope(OCTAGON_FAR)
-    for k, (n, c) in enumerate(OCTAGON_FAR):
-        for pos in range(len(OCTAGON_FAR) + 1):
-            Q = build_polytope(OCTAGON_FAR[:pos] + [((f * n[0], f * n[1]), f * c)] + OCTAGON_FAR[pos:])
-            assert Q.num_facets == P.num_facets
-            np.testing.assert_allclose(Q.vertices, P.vertices, rtol=0, atol=1e-9 * P._scale)
+    # a multiple of a facet rounds its gaps differently; its (n, c) / |n|
+    # matches the facet's to rounding, so it is a repeat, and whichever of
+    # the two comes first stays
+    for facets in (OCTAGON_FAR, OCTAGON_FIVE_KEPT):
+        P = build_polytope(facets)
+        for k, (n, c) in enumerate(facets):
+            for pos in range(len(facets) + 1):
+                Q = build_polytope(facets[:pos] + [((f * n[0], f * n[1]), f * c)] + facets[pos:])
+                assert Q.num_facets == P.num_facets
+                np.testing.assert_allclose(Q.vertices, P.vertices, rtol=0, atol=1e-9 * P._scale)

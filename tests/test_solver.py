@@ -342,7 +342,7 @@ def test_guillemin_setup_integrals_take_one_facet_fan_at_a_time(monkeypatch):
 
     monkeypatch.setattr(polystab.functionals, "standard_scheme", unbuilt)
     peaks = []
-    for build in (lambda: FunctionalEvaluator(P, A, degree=6, layers=40).linear_functional(u_o),
+    for build in (lambda: FunctionalEvaluator(P, A, degree=6).linear_functional(u_o),
                   lambda: DiscreteEnergy(P, A, mesh)):
         tracemalloc.start()
         try:
@@ -358,7 +358,7 @@ def test_linear_constant_is_the_graded_evaluator_value():
     P = build_polytope(PENTAGON)
     A = extremal_affine(P)
     E = DiscreteEnergy(P, A, make_mesh(P, 1 / 5))
-    ev = FunctionalEvaluator(P, A, degree=6, layers=40)
+    ev = FunctionalEvaluator(P, A, degree=6)
     assert E.lin_const == ev.linear_functional(guillemin_potential(P))
 
 

@@ -4,6 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polystab.audits import (
+    _plus_quadratic,
+    _random_spd,
     degeneracy_diagnostic,
     relative_kpolystability_check,
     scripted_sequences,
@@ -15,7 +17,6 @@ from polystab.convex import (
     crease,
     guillemin_potential,
     normalize,
-    random_normalized_mesh_function,
 )
 from polystab.errors import EmptyGrid, NonpositiveLambda
 from polystab.fields import parse_field
@@ -595,6 +596,16 @@ def test_certificate_interval_closed_forms():
     assert cert.r_small < rep.lambda_hat / cert.r_bound
 
 
+@pytest.mark.parametrize("P, c_o", [(interval(), 1.0), (unit_square(), 2.0),
+                                     (standard_simplex(), 1.25), (PENTAGON, 3.819077379)],
+                         ids=["interval", "square", "simplex", "pentagon"])
+def test_c_o_is_the_log_det_integral_of_u_o_less_n_vol(P, c_o):
+    # C_o = -F_{A_o}(u_o) = int log det Hess u_o - n Vol, by L_{A_o}(u_o) = n Vol;
+    # the values are the closed-form integrals of log det Hess u_o less n Vol
+    cert = properness_certificate(P, 4.0, 0.5, make_mesh(P, 1 / 4))
+    assert cert.c_o == pytest.approx(c_o, abs=2e-7)
+
+
 def test_graded_rule_is_built_only_when_read(monkeypatch):
     import polystab.functionals
 
@@ -607,16 +618,16 @@ def test_graded_rule_is_built_only_when_read(monkeypatch):
     assert rep.status == "relatively-unstable"
     assert calls == []
     # the certificate reads it once, on the sweep's evaluator, for the A_o
-    # samples (the A_o evaluator's Mabuchi energy takes it one end at a
-    # time), and gets the constants the eager rule gave
+    # samples (the Mabuchi energy of u_o takes it one end at a time), and
+    # gets the constants the eager rule gave
     P = interval()
     rep = analyze_stability(P, extremal_affine(P), 1 / 16)
     assert calls == [1]
     cert = rep.certificates
     got = (cert.a_o_sup, cert.c_o, cert.c_prime, cert.r_bound, cert.r_small,
            cert.epsilon_prime, cert.c_const, cert.epsilon)
-    assert got == pytest.approx((2.100000000060387, 0.9999998537143773, 0.25, 1.5250000000150967,
-                                 0.16393442622788532, 0.25, 2.8082886249035424, 1.0), rel=1e-12)
+    assert got == pytest.approx((2.100000000060387, 0.9999998631559914, 0.25, 1.5250000000150967,
+                                 0.16393442622788532, 0.25, 2.8082886343451565, 1.0), rel=1e-12)
 
 
 def test_certificate_requires_positive_lambda():
@@ -626,15 +637,21 @@ def test_certificate_requires_positive_lambda():
         properness_certificate(P, 2.0, -0.1, m)
 
 
-def test_certificate_bound_on_random_normalized_mesh_functions():
+def _guillemin_type_samples(P, p_o, seed, count):
+    """normalize(u_o + q, p_o) for random convex quadratics q vanishing at p_o."""
+    rng, u_o = np.random.default_rng(seed), guillemin_potential(P)
+    for _ in range(count):
+        yield normalize(_plus_quadratic(u_o, p_o, _random_spd(rng, P.dimension)), p_o)
+
+
+def test_certificate_bound_on_guillemin_type_samples():
     P = interval()
     m = make_mesh(P, 1 / 32)
     rep = lp_stability_estimate(P, 2.0, m, p_o=[0.5], refine=False)
     ev = FunctionalEvaluator(P, 2.0)
     cert = properness_certificate(P, 2.0, rep.lambda_hat, m, p_o=[0.5], evaluator=ev)
-    rng = np.random.default_rng(101)
-    for _ in range(50):
-        u = random_normalized_mesh_function(m, rng)
+    for u in _guillemin_type_samples(P, rep.p_o, 101, 50):
+        assert u(rep.p_o) == pytest.approx(0.0, abs=1e-12)
         F = ev.mabuchi(u).value
         assert F >= -cert.c_const + cert.epsilon_prime * ev.boundary_norm(u) - 1e-9
     # smallest audit member: F_A(u_o) = -1 >= -C
@@ -648,10 +665,8 @@ def test_theorem_properness_square():
     rep = lp_stability_estimate(P, 4.0, m, refine=False)
     ev = FunctionalEvaluator(P, 4.0)
     cert = properness_certificate(P, 4.0, rep.lambda_hat, m, evaluator=ev)
-    rng = np.random.default_rng(55)
     worst = np.inf
-    for _ in range(20):
-        u = random_normalized_mesh_function(m, rng)
+    for u in _guillemin_type_samples(P, rep.p_o, 55, 20):
         F = ev.mabuchi(u).value
         worst = min(worst, F + cert.c_const)
         assert F >= -cert.c_const - 1e-9
@@ -708,15 +723,25 @@ def test_instability_agreement():
 def test_verify_takes_l_a_of_the_solution_once(P, h, monkeypatch):
     # one graded-block pass per Guillemin-type function: L_A(v), which the
     # identity for u = v, the solution row and the norm-bound row share, and
-    # F_{A_o}(u_o) in the certificate
-    passes, rule_for = [], FunctionalEvaluator._rule_for
+    # the log-det term of u_o in the certificate; the properness-bound samples
+    # take one pass each and are counted apart
+    import polystab.audits
+
+    passes, rule_for, samples = [], FunctionalEvaluator._rule_for, []
 
     def counting(self, u):
         if getattr(u, "guillemin_type", False):
             passes.append(u)
         return rule_for(self, u)
 
+    def sampling(u, p_o):
+        samples.append(normalize(u, p_o))
+        return samples[-1]
+
     monkeypatch.setattr(FunctionalEvaluator, "_rule_for", counting)
+    monkeypatch.setattr(polystab.audits, "normalize", sampling)
     rows = {name: ok for name, ok, _, _ in verify_audits(P, h, 0, audit_count=2)}
     assert rows["ibp-identity"] and rows["linear-functional-of-solution"]
-    assert len(passes) == 2 and passes[0] is not passes[1]
+    assert rows["properness-bound"] and len(samples) == 2
+    others = [u for u in passes if not any(u is s for s in samples)]
+    assert len(others) == 2 and others[0] is not others[1]
