@@ -151,8 +151,8 @@ def _default_segments(P: Polytope):
     return [((c[0] - 0.2 * w, c[1]), (c[0] + 0.2 * w, c[1]))]
 
 
-def solution_norm_bound(P: Polytope, A, lam: float) -> float:
-    """lambda^{-1} n Vol: bound on |v|_b for any solution v (A fixes context)."""
+def solution_norm_bound(P: Polytope, lam: float) -> float:
+    """lambda^{-1} n Vol: bound on |v|_b for any solution v, lambda the constant of its A."""
     if lam <= 0:
         raise NonpositiveLambda("norm bound needs lambda > 0")
     Q = standard_scheme(P, 2)
@@ -214,12 +214,12 @@ def verify_audits(P: Polytope, h: float, seed: int, sigma_scale=1.0, audit_count
 
     # stability + norm bound + certificate audit
     mesh = make_mesh(P, h)
-    lp = lp_stability_estimate(P, A, mesh, refine=False)
+    lp = lp_stability_estimate(P, A, mesh)
     lam = lp.lambda_hat
     threshold = TOLERANCES["status.stable_threshold"]
     yield ("lambda-positive", lam > threshold, lam, threshold)
     if lam > 0:
-        bound = solution_norm_bound(P, A, lam)
+        bound = solution_norm_bound(P, lam)
         yield ("solution-norm-bound", bnorm_solution <= bound + 1e-9,
                bnorm_solution, bound)
         cert = properness_certificate(P, A, lam, mesh, evaluator=ev)

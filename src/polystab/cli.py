@@ -120,7 +120,7 @@ def cmd_stability(args):
     rep.add("lambda_hat", report.lambda_hat)
     rep.add("lambda_hat_refined", report.lambda_hat_refined)
     rep.add("crease_sweep_min", report.crease_sweep_min)
-    # interior-point (or exact simplex) steps at h and h/2: 0 where hinges give the 1D LPs
+    # interior-point (or exact simplex) steps of the LP at h: 0 where hinges give the 1D LP
     rep.add("lp.iterations", report.lp_iterations)
     if report.certificates is not None:
         c = report.certificates
@@ -301,7 +301,7 @@ def build_parser(argv=None):
     commands = {
         "extremal-affine": ("solve the canonical affine field", cmd_extremal_affine,
                             ("degree",), {}),
-        "stability": ("crease sweep plus the cone LP at h and h/2", cmd_stability, ("A", "h"), {
+        "stability": ("crease sweep plus the cone LP at h", cmd_stability, ("A", "h"), {
             "--lp-mode": dict(choices=("float", "exact"), default="float",
                               help="float: interior point with purification; "
                                    "exact: Fraction simplex, for small meshes")}),

@@ -18,9 +18,9 @@ in float mode they are 0 on an interval.  mode="exact" solves the same LP
 with the Fraction Bland simplex of `simplex_lp`, the oracle for small meshes.
 
 The discrete value only upper-bounds the true constant restricted to mesh
-functions, so statuses are evidence, not proofs; refinement monotonicity is
-reported, and the "uniformly-stable" verdict requires the threshold to hold
-across two mesh refinements.
+functions, so statuses are evidence, not proofs.  "uniformly-stable" needs
+the crease sweep's minimum, an upper bound from creases that no P1 cone of a
+mesh holds (Chone and Le Meur, 2001), to clear the threshold as well.
 
 The crease sweep bounds the constant from above by L_A(u) / |u|_b over the
 normalized creases u = normalize((ell)_+, p_o) of a grid of affine ell.  It
@@ -98,6 +98,7 @@ class StabilityReport(Record):
                  tolerances: dict | None = None):
         self.lambda_hat, self.status = lambda_hat, status
         self.mesh_parameter, self.p_o = mesh_parameter, p_o
+        # min(lambda_hat, crease_sweep_min): the least upper bound on lambda the run has
         self.lambda_hat_refined, self.destabilizer = lambda_hat_refined, destabilizer
         self.crease_sweep_min, self.crease_sweep_argmin = crease_sweep_min, crease_sweep_argmin
         self.certificates, self.lp_iterations = certificates, lp_iterations
@@ -360,28 +361,21 @@ def crease_sweep(P: Polytope, A, grid=None, p_o=None, evaluator=None):
 
 
 def lp_stability_estimate(P: Polytope, A, mesh: Mesh, p_o=None, mode="float",
-                          refine=True) -> StabilityReport:
+                          sweep_min=np.inf) -> StabilityReport:
     """Discrete stability constant and witness on the given mesh.
 
-    Solves the cone LP on `mesh`; when `refine` is set, also on the mesh at
-    h/2, normalized at its vertex nearest the coarse p_o (the same point only
-    when the finer grid refines the coarse one in place, see `make_mesh`), and
-    the refined value gates the "uniformly-stable" status.
+    `lambda_hat_refined` = min(lambda_hat, sweep_min), the smaller of two
+    L_A(u) / |u|_b on the normalized cone, gates "uniformly-stable".
     """
     lp = StabilityLP(P, A, mesh, p_o)
     lam, u, iters = lp.minimize_linear_functional(mode=mode)
-    lam2 = None
-    if refine:
-        fine = make_mesh(P, mesh.h / 2.0)
-        lp2 = StabilityLP(P, A, fine, lp.p_o)
-        lam2, _, it2 = lp2.minimize_linear_functional(mode=mode)
-        iters += it2
+    lam2 = min(lam, sweep_min)
 
     if lam < -LAMBDA_ZERO_BAND:
         status = "relatively-unstable"
     elif abs(lam) <= LAMBDA_ZERO_BAND:
         status = "boundary-case"
-    elif lam >= LAMBDA_STABLE_THRESHOLD and (lam2 is None or lam2 >= LAMBDA_STABLE_THRESHOLD):
+    elif lam2 >= LAMBDA_STABLE_THRESHOLD:  # lam2 <= lam
         status = "uniformly-stable"
     else:
         status = "inconclusive"
@@ -462,17 +456,17 @@ def properness_certificate(P: Polytope, A, lam: float, mesh: Mesh, p_o=None,
 
 
 def analyze_stability(P: Polytope, A, h: float, p_o=None, mode="float") -> StabilityReport:
-    """Crease sweep plus the LP at h and h/2; the full report."""
+    """Crease sweep, cone LP at h and the certificate at min(lambda_hat, sweep)."""
     evaluator = FunctionalEvaluator(P, A)
     if p_o is None:
         p_o = center_of_mass(P)
     grid = default_crease_grid(P, resolution=SWEEP_RESOLUTION)
     sweep_min, sweep_arg = crease_sweep(P, A, grid=grid, p_o=p_o, evaluator=evaluator)
     mesh = make_mesh(P, h)
-    report = lp_stability_estimate(P, A, mesh, p_o=p_o, mode=mode, refine=True)
+    report = lp_stability_estimate(P, A, mesh, p_o=p_o, mode=mode, sweep_min=sweep_min)
     report.crease_sweep_min = sweep_min
     report.crease_sweep_argmin = sweep_arg
     if report.status == "uniformly-stable":
         report.certificates = properness_certificate(
-            P, A, report.lambda_hat, mesh, p_o=p_o, evaluator=evaluator, mode=mode)
+            P, A, report.lambda_hat_refined, mesh, p_o=p_o, evaluator=evaluator, mode=mode)
     return report

@@ -572,15 +572,30 @@ def test_exact_mode_reaches_the_certificate(tmp_path, capsys):
     assert "C_prime: 0.25" in capsys.readouterr().out.splitlines()
 
 
+def test_exact_mode_gives_the_float_constants_on_the_square(tmp_path, capsys):
+    # the Bland simplex runs on the one mesh at h = 1/4, 25 vertices
+    path = tmp_path / "square.txt"
+    path.write_text(SQUARE)
+    values = []
+    for mode in ("float", "exact"):
+        assert main(["stability", "--polytope", str(path), "--h", "0.25",
+                     "--lp-mode", mode]) == 0
+        values.append(report_values(capsys.readouterr().out))
+    floats, exact = values
+    assert exact["status"] == floats["status"] == "uniformly-stable"
+    for key in ("lambda_hat", "C_prime"):
+        assert float(exact[key]) == pytest.approx(float(floats[key]), rel=1e-12)
+
+
 @pytest.mark.parametrize("text, argv, calls", [
-    (SQUARE, ["stability", "--A", "affine:-2,12,0", "--h", "0.16666666666666666"], 2),
-    (INTERVAL, ["stability", "--A", "extremal", "--h", "0.0625"], 3)],
+    (SQUARE, ["stability", "--A", "affine:-2,12,0", "--h", "0.16666666666666666"], 1),
+    (INTERVAL, ["stability", "--A", "extremal", "--h", "0.0625"], 2)],
     ids=["stability-unstable-square", "stability-stable-interval"])
 def test_lp_assembles_only_the_weights_its_problems_read(text, argv, calls, tmp_path,
                                                          monkeypatch, capsys):
     # the boundary weights come from the mesh; A's interior weights are
-    # assembled for the LPs at h and h/2, and the unit field's only for the
-    # L1 constant of the certificate, which the stable interval reaches
+    # assembled for the one LP at h, and the unit field's only for the L1
+    # constant of the certificate, which the stable interval reaches
     import polystab.functionals
     import polystab.solver
     import polystab.stability

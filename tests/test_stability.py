@@ -374,7 +374,7 @@ def test_lp_interval_lambda_half():
 def test_lp_interval_instability_witness():
     P = interval()
     m = make_mesh(P, 1 / 64)
-    rep = lp_stability_estimate(P, A_UNSTABLE, m, p_o=[0.5], refine=False)
+    rep = lp_stability_estimate(P, A_UNSTABLE, m, p_o=[0.5])
     assert rep.status == "relatively-unstable"
     assert rep.lambda_hat <= -1 / 30
     ev = FunctionalEvaluator(P, A_UNSTABLE)
@@ -382,21 +382,19 @@ def test_lp_interval_instability_witness():
 
 
 def test_lp_square_stable_across_refinements():
-    P = unit_square()
-    m = make_mesh(P, 1 / 8)
-    rep = lp_stability_estimate(P, 4.0, m)
+    # stable by the LP at h and by its min with the crease sweep, whose upper
+    # bound the LP value stays below
+    rep = analyze_stability(unit_square(), 4.0, 1 / 8)
     assert rep.status == "uniformly-stable"
     assert rep.lambda_hat > 1e-3
     assert rep.lambda_hat_refined > 1e-3
-    # value cross-checked against the crease-sweep upper bound
-    sweep, _ = crease_sweep(P, 4.0)
-    assert rep.lambda_hat <= sweep + 1e-9
+    assert rep.lambda_hat <= rep.crease_sweep_min + 1e-9
 
 
 def test_lp_boundary_case_status():
     P = interval()
     m = make_mesh(P, 1 / 64)
-    rep = lp_stability_estimate(P, A_EXTREMAL_RAY, m, p_o=[0.5], refine=False)
+    rep = lp_stability_estimate(P, A_EXTREMAL_RAY, m, p_o=[0.5])
     assert rep.status == "boundary-case"
     assert abs(rep.lambda_hat) <= 1e-9
 
@@ -422,7 +420,7 @@ def test_cone_contains_representable_creases():
     # mesh-representable normalized creases are LP-feasible: lambdaHat <= ratio
     P = interval()
     m = make_mesh(P, 1 / 16)
-    rep = lp_stability_estimate(P, 2.0, m, p_o=[0.5], refine=False)
+    rep = lp_stability_estimate(P, 2.0, m, p_o=[0.5])
     for t in m.vertices[3:-3, 0]:
         assert rep.lambda_hat <= crease_ratio_oracle_interval(float(t), 2.0) + 1e-9
 
@@ -431,8 +429,7 @@ def test_lambda_monotone_under_refinement():
     P = unit_square()
     lams = []
     for h in (1 / 4, 1 / 8, 1 / 16):
-        rep = lp_stability_estimate(P, 4.0, make_mesh(P, h), p_o=[0.5, 0.5],
-                                    refine=False)
+        rep = lp_stability_estimate(P, 4.0, make_mesh(P, h), p_o=[0.5, 0.5])
         lams.append(rep.lambda_hat)
     assert lams[1] <= lams[0] + 1e-9
     assert lams[2] <= lams[1] + 1e-9
@@ -440,19 +437,80 @@ def test_lambda_monotone_under_refinement():
     lamT = []
     p_o = [0.375, 0.375]  # shared vertex of both meshes
     for h in (1 / 8, 1 / 16):
-        rep = lp_stability_estimate(T, 6.0, make_mesh(T, h), p_o=p_o, refine=False)
+        rep = lp_stability_estimate(T, 6.0, make_mesh(T, h), p_o=p_o)
         lamT.append(rep.lambda_hat)
     assert lamT[1] <= lamT[0] + 1e-9
 
 
 def test_solvable_fixtures_all_stable():
-    # necessity direction: solvable (Delta, A) pairs test stable at both meshes
+    # necessity direction: solvable (Delta, A) pairs test stable by the LP and
+    # by the crease sweep
     for P, A, h in ((interval(), 2.0, 1 / 32), (unit_square(), 4.0, 1 / 8),
                     (standard_simplex(), 6.0, 1 / 8)):
-        rep = lp_stability_estimate(P, A, make_mesh(P, h))
+        rep = analyze_stability(P, A, h)
         assert rep.lambda_hat > 1e-3
         assert rep.lambda_hat_refined > 1e-3
         assert rep.status == "uniformly-stable"
+
+
+OCTAGON = build_polytope([((a, b), c) for a, b, c in (
+    (-0.07135017234771379, -0.018229390897886333, -0.10444890206085022),
+    (0.08776686201811085, -2.7520203549222337, -0.9445889198584387),
+    (0.27113212571294504, -0.03159021783582072, -0.3854910168252808),
+    (0.15355920502810239, 0.005304431246934582, -0.2176813690277003),
+    (0.006846206528727278, 0.0006256034995040238, -0.009753904100045315),
+    (0.8969985666307263, 0.4363470521048174, -1.3249364622682358),
+    (-0.3240010682291723, 2.2072110443816415, -1.9560890409523655),
+    (-1.0209517253417257, 0.1523518324230433, -1.364232234971958))])
+STATUS_FIXTURES = {  # (P, A or None for the extremal field, h, status)
+    "interval": (interval(), None, 1 / 16, "uniformly-stable"),
+    "interval-2+x": (interval(), AffineFunc(2.0, (1.0,)), 1 / 16, "uniformly-stable"),
+    "square": (unit_square(), None, 1 / 16, "uniformly-stable"),
+    "square-affine": (unit_square(), AffineFunc(-2.0, (12.0, 0.0)), 1 / 6,
+                      "relatively-unstable"),
+    "square-quadratic": (unit_square(), parse_field("4 + 12*(x - 1/2)^2", 2), 1 / 4,
+                         "uniformly-stable"),
+    "simplex": (standard_simplex(), None, 1 / 16, "uniformly-stable"),
+    "pentagon-1/8": (PENTAGON, None, 1 / 8, "uniformly-stable"),
+    "pentagon-1/4": (PENTAGON, None, 1 / 4, "uniformly-stable"),
+    "octagon-0.84": (OCTAGON, None, 0.84, "uniformly-stable"),
+    "octagon-0.42": (OCTAGON, None, 0.42, "uniformly-stable"),
+    "octagon-0.3": (OCTAGON, None, 0.3, "uniformly-stable"),
+}
+
+
+@pytest.mark.parametrize("name", list(STATUS_FIXTURES))
+def test_refined_lambda_is_the_lp_value_or_the_sweep_minimum(name):
+    # both are L_A(u) / |u|_b of members of the normalized cone; the statuses
+    # are the ones a second LP on the mesh at h/2 gives as well
+    P, A, h, status = STATUS_FIXTURES[name]
+    rep = analyze_stability(P, extremal_affine(P) if A is None else A, h)
+    assert rep.lambda_hat_refined == min(rep.lambda_hat, rep.crease_sweep_min) <= rep.lambda_hat
+    assert rep.status == status
+
+
+def test_certificate_takes_the_refined_lambda():
+    # on the pentagon at h = 1/8 the sweep's crease beats the LP
+    rep = analyze_stability(PENTAGON, extremal_affine(PENTAGON), 1 / 8)
+    assert rep.lambda_hat_refined == rep.crease_sweep_min < rep.lambda_hat
+    assert rep.certificates.epsilon_prime == pytest.approx(rep.lambda_hat_refined / 2, rel=1e-12)
+    assert rep.certificates.provenance["lambda"] == rep.lambda_hat_refined
+
+
+def test_analyze_stability_builds_one_mesh(monkeypatch):
+    import polystab.stability
+
+    built = []
+
+    def counting(P, h):
+        built.append(h)
+        return make_mesh(P, h)
+
+    monkeypatch.setattr(polystab.stability, "make_mesh", counting)
+    for P, A, h in ((interval(), 2.0, 1 / 16), (unit_square(), 4.0, 1 / 4)):
+        built.clear()
+        analyze_stability(P, A, h)
+        assert built == [h]
 
 
 # -- relative K-polystability ---------------------------------------------------------
@@ -583,7 +641,7 @@ def test_l1_constant_square_bounded_by_crease_family():
 def test_certificate_interval_closed_forms():
     P = interval()
     m = make_mesh(P, 1 / 64)
-    rep = lp_stability_estimate(P, 2.0, m, p_o=[0.5], refine=False)
+    rep = lp_stability_estimate(P, 2.0, m, p_o=[0.5])
     cert = properness_certificate(P, 2.0, rep.lambda_hat, m, p_o=[0.5])
     assert cert.c_o == pytest.approx(1.0, abs=1e-5)
     assert cert.c_prime == pytest.approx(0.25, abs=0.02)
@@ -647,7 +705,7 @@ def _guillemin_type_samples(P, p_o, seed, count):
 def test_certificate_bound_on_guillemin_type_samples():
     P = interval()
     m = make_mesh(P, 1 / 32)
-    rep = lp_stability_estimate(P, 2.0, m, p_o=[0.5], refine=False)
+    rep = lp_stability_estimate(P, 2.0, m, p_o=[0.5])
     ev = FunctionalEvaluator(P, 2.0)
     cert = properness_certificate(P, 2.0, rep.lambda_hat, m, p_o=[0.5], evaluator=ev)
     for u in _guillemin_type_samples(P, rep.p_o, 101, 50):
@@ -662,7 +720,7 @@ def test_certificate_bound_on_guillemin_type_samples():
 def test_theorem_properness_square():
     P = unit_square()
     m = make_mesh(P, 1 / 8)
-    rep = lp_stability_estimate(P, 4.0, m, refine=False)
+    rep = lp_stability_estimate(P, 4.0, m)
     ev = FunctionalEvaluator(P, 4.0)
     cert = properness_certificate(P, 4.0, rep.lambda_hat, m, evaluator=ev)
     worst = np.inf
@@ -676,14 +734,14 @@ def test_theorem_properness_square():
 # -- solution norm bound -----------------------------------------------------------------
 
 def test_solution_norm_bound_values():
-    assert solution_norm_bound(interval(), 2.0, 0.5) == pytest.approx(2.0, rel=1e-12)
+    assert solution_norm_bound(interval(), 0.5) == pytest.approx(2.0, rel=1e-12)
     # doubling the interval doubles n Vol
     from polystab.polytope import build_polytope
 
     P2 = build_polytope([((1.0,), 0.0), ((-1.0,), -2.0)])
-    assert solution_norm_bound(P2, 1.0, 0.5) == pytest.approx(4.0, rel=1e-12)
+    assert solution_norm_bound(P2, 0.5) == pytest.approx(4.0, rel=1e-12)
     with pytest.raises(NonpositiveLambda):
-        solution_norm_bound(interval(), 2.0, 0.0)
+        solution_norm_bound(interval(), 0.0)
 
 
 def test_solution_norm_bound_audit():
@@ -691,14 +749,14 @@ def test_solution_norm_bound_audit():
     P = interval()
     ev = FunctionalEvaluator(P, 2.0)
     uo = guillemin_potential(P)
-    assert abs(ev.boundary_norm(uo)) <= solution_norm_bound(P, 2.0, 0.5)
+    assert abs(ev.boundary_norm(uo)) <= solution_norm_bound(P, 0.5)
     assert ev.linear_functional(uo) == pytest.approx(1.0, abs=1e-6)
     S = unit_square()
     evS = FunctionalEvaluator(S, 4.0)
     uoS = guillemin_potential(S)
     m = make_mesh(S, 1 / 8)
-    rep = lp_stability_estimate(S, 4.0, m, refine=False)
-    bound = solution_norm_bound(S, 4.0, rep.lambda_hat)
+    rep = lp_stability_estimate(S, 4.0, m)
+    bound = solution_norm_bound(S, rep.lambda_hat)
     assert evS.boundary_norm(uoS) <= bound
     # normalized solution obeys the bound too
     v = normalize(uoS, [0.5, 0.5])
@@ -710,10 +768,10 @@ def test_solution_norm_bound_audit():
 def test_instability_agreement():
     P = interval()
     m = make_mesh(P, 1 / 32)
-    rep = lp_stability_estimate(P, A_UNSTABLE, m, p_o=[0.5], refine=False)
+    rep = lp_stability_estimate(P, A_UNSTABLE, m, p_o=[0.5])
     ok, wit = relative_kpolystability_check(P, A_UNSTABLE, m, p_o=[0.5])
     assert rep.lambda_hat < 0 and ok is False and wit is not None
-    rep2 = lp_stability_estimate(P, 2.0, m, p_o=[0.5], refine=False)
+    rep2 = lp_stability_estimate(P, 2.0, m, p_o=[0.5])
     ok2, _ = relative_kpolystability_check(P, 2.0, m, p_o=[0.5])
     assert rep2.lambda_hat > 1e-3 and ok2 is True
 
