@@ -16,12 +16,12 @@ code runs on the first attribute access.
 Every run executes `cli`, `fileio`, `functionals`, `quadrature`, `convex`,
 `mesh`, `polytope`, `_geom`, `_records` and `errors`.  Beyond these:
 
-* `stability` runs `stability` and `simplex_lp`, `cone_lp` on a 2D mesh, and
-  `fields` when --A is not "extremal";
+* `stability` runs `stability`, `cone_lp` on a 2D mesh, `simplex_lp` with
+  --lp-mode exact, and `fields` when --A is not "extremal";
 * `solve` runs `solver`, `hessfit` in 2D, and `fields` in 1D or when --A is
   not "extremal";
-* `verify` runs `audits`, `stability` and `simplex_lp`, with `solver` and
-  `fields` in 1D and `cone_lp` in 2D;
+* `verify` runs `audits` and `stability`, with `solver` and `fields` in 1D
+  and `cone_lp` in 2D;
 * `eval` and `extremal-affine` run only what their operation and --A need.
 
 Without bytecode to reuse, compiling and running the unused ones would cost

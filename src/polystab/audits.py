@@ -26,7 +26,6 @@ from .errors import NonpositiveLambda
 from .functionals import FunctionalEvaluator, extremal_affine
 from .mesh import Mesh, make_mesh
 from .polytope import Polytope, center_of_mass
-from .quadrature import standard_scheme
 from .stability import (
     LAMBDA_ZERO_BAND,
     TOLERANCES,
@@ -155,9 +154,7 @@ def solution_norm_bound(P: Polytope, lam: float) -> float:
     """lambda^{-1} n Vol: bound on |v|_b for any solution v, lambda the constant of its A."""
     if lam <= 0:
         raise NonpositiveLambda("norm bound needs lambda > 0")
-    Q = standard_scheme(P, 2)
-    vol = float(np.dot(Q.interior_weights, np.ones(len(Q.interior_weights))))
-    return P.dimension * vol / lam
+    return P.dimension * float(P.moments[0, 0]) / lam
 
 
 def _random_spd(rng, n):
@@ -196,7 +193,7 @@ def verify_audits(P: Polytope, h: float, seed: int, sigma_scale=1.0, audit_count
                      P.boundary_weights * sigma_scale, P.facet_vertices, P.name, P._scale)
     ev = FunctionalEvaluator(P, A)
     n = P.dimension
-    vol = ev.volume()
+    vol = float(P.moments[0, 0])
 
     # integration-by-parts identity L_A(u) = int v^{ij} u_ij; for u = v its
     # lhs is the one L_A(v), whose call also gives the norm-bound row's |v|_b

@@ -293,7 +293,8 @@ def build_parser(argv=None):
                   'expression, where ^ and ** mean power and unary minus binds '
                   'looser than a power (-x^2 = -(x^2))'),
         "h": dict(type=float, default=1 / 16, help="mesh parameter"),
-        "degree": dict(type=int, default=6, help="quadrature degree"),
+        "degree": dict(type=_checked(int, lambda v: v >= 0, ">= 0"), default=6,
+                       help="quadrature degree"),
         "tol": dict(type=POSITIVE, default=None, help="solver tolerance"),
         "seed": dict(type=int, default=20240, help="seed for randomized audits"),
     }

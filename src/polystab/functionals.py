@@ -43,8 +43,6 @@ from .quadrature import (
     graded_boundary,
     graded_scheme,
     integrate_blocks,
-    integrate_boundary,
-    integrate_interior,
     map_triangles,
     split_scheme,
     standard_scheme,
@@ -195,9 +193,6 @@ class FunctionalEvaluator:
             bn, au = integrate_blocks(u, rim), self._interior(u, blocks)
         return bn, bn - au
 
-    def volume(self) -> float:
-        return integrate_interior(lambda p: np.ones(p.shape[0]), self.polytope, self.scheme)
-
     def mabuchi(self, u) -> MabuchiResult:
         """F_A(u) with a reported truncation estimate for the log-det term."""
         _require_smooth(u, "the Mabuchi energy")
@@ -298,25 +293,24 @@ def _invert(H, det):
 def extremal_affine(P: Polytope, degree: int = DEFAULT_DEGREE, return_residuals=False):
     """The unique affine A with L_A = 0 on all affine functions.
 
-    Solves the (n+1)x(n+1) moment system: Gram matrix of {1, y_i} against dmu,
-    right-hand side their boundary integrals, where y = (x - centroid) / diam
-    is centred at the vertex centroid and scaled by the diameter, so the
-    system's condition does not depend on the position or size of P.
+    Solves the moment system in y = (x - c) / diam, c the vertex centroid, so
+    its condition does not depend on the position or size of P: the Gram
+    matrix of {1, y_i} against dmu is P's exact `moments` rescaled, and the
+    boundary integrals of {1, y_i} are summed over the facets in vertex order
+    (the edge from vertex e, or the endpoint e), each as its sigma-measure
+    times (1, y at its midpoint), exact for affine y.  `degree` (at least 4)
+    sets only the rule of the residuals |L_A(1)|, |L_A(x_i)|.
     """
-    Q = standard_scheme(P, max(degree, 4))
-    n = P.dimension
-    centre = P.vertices.mean(axis=0)
-    diam = np.max(np.linalg.norm(P.vertices[:, None] - P.vertices[None], axis=-1))
-    basis = [lambda p: np.ones(p.shape[0])] + [
-        (lambda i: (lambda p: (p[:, i] - centre[i]) / diam))(i) for i in range(n)
-    ]
-    M = np.empty((n + 1, n + 1))
-    rhs = np.empty(n + 1)
-    for i in range(n + 1):
-        rhs[i] = integrate_boundary(basis[i], P, Q)
-        for j in range(i, n + 1):
-            M[i, j] = M[j, i] = integrate_interior(
-                lambda p: basis[i](p) * basis[j](p), P, Q)
+    n, V = P.dimension, P.vertices
+    c = P.vertex_centroid()
+    diam = np.max(np.linalg.norm(V[:, None] - V[None], axis=-1))
+    fv = np.array(P.facet_vertices)
+    order = np.argsort(np.where(fv[:, -1] == fv[:, 0] + 1, fv[:, 0], fv[:, -1]))
+    ends = V[fv[order]]
+    sigma = P.boundary_weights[order] * (np.hypot(*(ends[:, 1] - ends[:, 0]).T) if n == 2 else 1.0)
+    rhs = sigma @ np.column_stack([np.ones(len(ends)), (ends.mean(axis=1) - c) / diam])
+    scale = np.append(1.0, np.full(n, 1.0 / diam))
+    M = P.moments * np.outer(scale, scale)
     try:
         cond = np.linalg.cond(M)
         if cond > 1e14:
@@ -325,12 +319,10 @@ def extremal_affine(P: Polytope, degree: int = DEFAULT_DEGREE, return_residuals=
     except np.linalg.LinAlgError as exc:
         raise SingularMoments(str(exc)) from exc
     slopes = coeffs[1:] / diam
-    A = AffineFunc(float(coeffs[0] - slopes @ centre), tuple(float(c) for c in slopes))
+    A = AffineFunc(float(coeffs[0] - slopes @ c), tuple(slopes.tolist()))
     if not return_residuals:
         return A
     ev = FunctionalEvaluator(P, A, degree=max(degree, 4))
-    residuals = np.array([abs(ev.linear_functional(AffineFunc(1.0, (0.0,) * n)))] + [
-        abs(ev.linear_functional(AffineFunc(0.0, tuple(1.0 if j == i else 0.0 for j in range(n)))))
-        for i in range(n)
-    ])
-    return A, residuals
+    basis = np.eye(n + 1)  # rows (a0, a) of 1, x_1, ..., x_n
+    return A, np.array([abs(ev.linear_functional(AffineFunc(float(e[0]), tuple(e[1:].tolist()))))
+                        for e in basis])

@@ -13,6 +13,9 @@ two facets of its edges and solved from them; which facets meet at a vertex
 tolerances are the vertex merge, 1e-9 of the tolerance scale `_scale`, and
 the rounding of a facet's (n, c) / |n|, within which a multiple of a facet is
 a repeat of it.
+
+The volume and the center of mass are read off `Polytope.moments`, the exact
+moments of degree <= 2, with no quadrature rule.
 """
 from __future__ import annotations
 
@@ -42,8 +45,8 @@ class Polytope(Frozen):
         vertices (1D: one endpoint; 2D: the two edge endpoints, ascending)
     name : optional label carried through file round-trips
 
-    `vertex_facets` (derived, cached) inverts facet_vertices.  Compared and
-    hashed by identity.
+    `vertex_facets` (derived, cached) inverts facet_vertices, and `moments`
+    (cached) holds the exact moments.  Compared and hashed by identity.
     """
 
     def __init__(self, dimension: int, normals: np.ndarray, offsets: np.ndarray,
@@ -78,6 +81,27 @@ class Polytope(Frozen):
         vf = np.argsort(fv.ravel(), kind="stable").reshape(len(self.vertices), -1) // fv.shape[1]
         vf.flags.writeable = False
         return vf
+
+    @cached_property
+    def moments(self):
+        """Gram matrix of (1, x - c) against dmu, c the vertex centroid ([0, 0] is
+        the volume): the interval's in closed form, a polygon's summed over the
+        fan triangles (c, c + p, c + q), of area T and moments T, T (p + q) / 3
+        and T (p p' + q q' + (p + q)(p + q)') / 12."""
+        if self.dimension == 1:
+            length = float(self.vertices[1, 0] - self.vertices[0, 0])
+            m = np.diag([length, length**3 / 12.0])
+        else:
+            p = self.vertices - self.vertex_centroid()
+            q = np.roll(p, -1, axis=0)
+            area = 0.5 * (p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0])
+            s = p + q
+            m = np.empty((3, 3))
+            m[0, 0] = np.sum(area)
+            m[0, 1:] = m[1:, 0] = area @ s / 3.0
+            m[1:, 1:] = ((p.T * area) @ p + (q.T * area) @ q + (s.T * area) @ s) / 12.0
+        m.flags.writeable = False
+        return m
 
     def facet_segment(self, k):
         """Endpoints of facet k: shape (2, 2) in 2D, (1,) point in 1D."""
@@ -194,19 +218,9 @@ def build_polytope(facets, name=None):
     # coordinates of magnitude max|x| (a few ulps are 1e-15 max|x|)
     scale = float(np.max(np.ptp(vertices, axis=0))) + 1e-3 * float(np.max(np.abs(vertices)))
 
-    normals = normals[keep]
-    offsets = offsets[keep]
-    weights = 1.0 / np.linalg.norm(normals, axis=1)
-    return Polytope(
-        dimension=n,
-        normals=normals,
-        offsets=offsets,
-        vertices=vertices,
-        boundary_weights=weights,
-        facet_vertices=tuple(facet_vertices),
-        name=name,
-        _scale=scale,
-    )
+    normals, offsets = normals[keep], offsets[keep]
+    return Polytope(n, normals, offsets, vertices, 1.0 / np.linalg.norm(normals, axis=1),
+                    tuple(facet_vertices), name=name, _scale=scale)
 
 
 def interval(a=0.0, b=1.0, name=None):
@@ -243,12 +257,6 @@ def delzant_check(P: Polytope) -> bool:
 
 
 def center_of_mass(P: Polytope):
-    """(integral of x dmu) / Vol, computed with exact moment quadrature."""
-    from .quadrature import standard_scheme, integrate_interior
-
-    Q = standard_scheme(P, degree=2)
-    vol = integrate_interior(lambda x: np.ones(x.shape[0]), P, Q)
-    com = np.array(
-        [integrate_interior(lambda x, i=i: x[:, i], P, Q) for i in range(P.dimension)]
-    )
-    return com / vol
+    """(integral of x dmu) / Vol, read off the exact moments `P.moments`."""
+    m = P.moments
+    return P.vertex_centroid() + m[0, 1:] / m[0, 0]

@@ -174,10 +174,6 @@ def _boundary_1d(P):
             tuple(np.array([w]) for w in P.boundary_weights))
 
 
-def _facet_segments(P):
-    return np.array([P.facet_segment(k) for k in range(P.num_facets)])
-
-
 def standard_scheme(P: Polytope, degree: int = DEFAULT_DEGREE) -> QuadratureScheme:
     """Fan decomposition with per-cell rules exact to `degree`."""
     if P.dimension == 1:
@@ -185,7 +181,7 @@ def standard_scheme(P: Polytope, degree: int = DEFAULT_DEGREE) -> QuadratureSche
         bp, bw = _boundary_1d(P)
         nsimp = len(iwts) // ((degree + 2) // 2)
     else:
-        segs = _facet_segments(P)
+        segs = P.vertices[np.array(P.facet_vertices)]
         center = np.broadcast_to(P.vertex_centroid(), (len(segs), 1, 2))
         ipts, iwts = map_triangles(np.concatenate([center, segs], axis=1), degree)
         nsimp = len(segs)
@@ -243,7 +239,7 @@ def graded_blocks(P: Polytope, degree: int = DEFAULT_DEGREE, layers: int = 40,
     ss = _geometric_breaks(tangential_layers)
     tags = np.broadcast_to(np.arange(layers)[:, None, None], (layers, len(ss) - 1, 2))
     step = max(1, _BLOCK_TRIANGLES // tags[0].size)                      # layers per block
-    for a, b in _facet_segments(P):
+    for a, b in P.vertices[np.array(P.facet_vertices)]:
         ring = center + t[:, None, None] * (a + ss[:, None] * (b - a) - center)  # (L+1, S, 2)
         for j in range(0, layers, step):
             k = min(j + step, layers)
@@ -285,7 +281,7 @@ def split_scheme(P: Polytope, lines, degree: int = DEFAULT_DEGREE) -> Quadrature
         ipts, iwts = _interior_1d(P, degree, breaks)
         bp, bw = _boundary_1d(P)
     else:
-        segs = _facet_segments(P)
+        segs = P.vertices[np.array(P.facet_vertices)]
         polys = np.concatenate([np.broadcast_to(P.vertex_centroid(), (len(segs), 1, 2)), segs], 1)
         count = np.full(len(polys), 3)
         for eta, c in lines:

@@ -5,7 +5,8 @@ tolerances; float inputs convert exactly (binary rationals).  Bland's
 entering/leaving rule makes the pivot sequence, and hence the reported optimum
 and optimizer, deterministic and cycle-free.  The dense tableau suits small
 problems (hundreds of variables): `--lp-mode exact` and the tests that check
-the interior-point solver of `cone_lp` against it.
+the interior-point solver of `cone_lp` against it, posed by
+`solve_cone_lp_exact`.
 """
 from __future__ import annotations
 
@@ -107,3 +108,15 @@ def solve_lp(c, A, b, max_iter=None):
     x = np.full(n, Fraction(0), dtype=object)
     x[basis] = T[:-1, -1]
     return LPResult(x, c @ x, it1 + it2)
+
+
+def solve_cone_lp_exact(c, idx, coef, b):
+    """(u, value, iterations) of `cone_lp.solve_cone_lp`'s LP, u and value as
+    floats: `solve_lp` on [C -I; b 0] (u, slack) = (0, 1), C the (idx, coef) rows."""
+    E, U = idx.shape[0], len(c)
+    A_eq = np.zeros((E + 1, U + E))
+    np.add.at(A_eq, (np.repeat(np.arange(E), idx.shape[1]), idx.ravel()), coef.ravel())
+    A_eq[np.arange(E), U + np.arange(E)] = -1.0
+    A_eq[E, :U] = b
+    res = solve_lp(np.concatenate([c, np.zeros(E)]), A_eq, np.eye(E + 1)[E])
+    return np.array([float(v) for v in res.x[:U]]), float(res.value), res.iterations

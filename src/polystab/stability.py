@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import cone_lp
+from . import cone_lp, simplex_lp
 from ._geom import clip_halfplanes, fans
 from ._records import Record
 from .convex import (
@@ -55,7 +55,6 @@ from .functionals import FunctionalEvaluator, as_field, mesh_linear_forms
 from .mesh import Mesh, make_mesh
 from .polytope import Polytope, center_of_mass
 from .quadrature import gauss_rule, map_triangles, standard_scheme
-from .simplex_lp import solve_lp
 
 LAMBDA_STABLE_THRESHOLD = 1e-3
 LAMBDA_ZERO_BAND = 1e-6
@@ -69,6 +68,12 @@ TOLERANCES = {
     "degeneracy.mass_per_length": 1e-6,
     "certificate.sup_safety": 1.05,
 }
+
+
+def __getattr__(name):  # `solve_lp`, as when imported here; only reading it runs simplex_lp
+    if name == "solve_lp":
+        return simplex_lp.solve_lp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PropernessCertificate(Record):
@@ -148,9 +153,7 @@ class StabilityLP:
     def _solve(self, objective, norm_row, mode):
         c, b = objective[self.free], norm_row[self.free]
         if mode == "exact":
-            res = solve_lp(*self._equality_form(c, b))
-            x, value = [float(v) for v in res.x[:len(c)]], float(res.value)
-            iterations = res.iterations
+            x, value, iterations = simplex_lp.solve_cone_lp_exact(c, *self.rows, b)
         elif mode != "float":
             raise ValueError(f"unknown LP mode {mode!r}")
         elif self.mesh.dimension == 1:
@@ -187,16 +190,6 @@ class StabilityLP:
         r = r / (r @ b)
         return r, float(r @ c)
 
-    def _equality_form(self, c, b):
-        """Dense (cost, A, rhs) of [C -I; b 0] (u, slack) = (0, 1) for the exact simplex."""
-        idx, coef = self.rows
-        E, U = idx.shape[0], len(c)
-        A_eq = np.zeros((E + 1, U + E))
-        np.add.at(A_eq, (np.repeat(np.arange(E), idx.shape[1]), idx.ravel()), coef.ravel())
-        A_eq[np.arange(E), U + np.arange(E)] = -1.0
-        A_eq[E, :U] = b
-        return np.concatenate([c, np.zeros(E)]), A_eq, np.eye(E + 1)[E]
-
     def minimize_linear_functional(self, mode="float"):
         """min L_A(u) over the cone with |u|_b = 1."""
         return self._solve(self.b_weights - self.a_weights, self.b_weights, mode)
@@ -226,7 +219,7 @@ def _hinge_sums(t, w):
 # ---------------------------------------------------------------------------
 
 def default_crease_grid(P: Polytope, resolution=64, degree=6):
-    """Affine functions whose creases sweep the polytope.
+    """(C, n + 1) rows (a0, a) of affine functions whose creases sweep the polytope.
 
     1D: kinks at `resolution` uniform interior positions; 2D: lines through
     pairs of boundary quadrature nodes, in the pair order (i, j), i < j.  One
@@ -235,7 +228,8 @@ def default_crease_grid(P: Polytope, resolution=64, degree=6):
     """
     if P.dimension == 1:
         lo, hi = float(P.vertices[0, 0]), float(P.vertices[1, 0])
-        return [AffineFunc(-t, (1.0,)) for t in np.linspace(lo, hi, resolution + 1)[1:-1]]
+        t = np.linspace(lo, hi, resolution + 1)[1:-1]
+        return np.column_stack([-t, np.ones_like(t)])
     nodes = np.vstack(standard_scheme(P, degree).boundary_points)
     i, j = np.triu_indices(len(nodes), k=1)
     d = nodes[j] - nodes[i]
@@ -245,7 +239,7 @@ def default_crease_grid(P: Polytope, resolution=64, degree=6):
     eta = np.column_stack([-d[:, 1], d[:, 0]]) / L[:, None]
     # row by row matmul: the same dot product as eta @ nodes[i] on one pair
     c = (eta[:, None, :] @ nodes[i][:, :, None])[:, 0, 0]
-    return [AffineFunc(-float(ci), tuple(e)) for ci, e in zip(c, eta)]
+    return np.column_stack([-c, eta])
 
 
 def _affine_values(a0, a, x):
@@ -258,7 +252,8 @@ def _affine_values(a0, a, x):
 
 
 def crease_functionals(grid, p_o, evaluator: FunctionalEvaluator):
-    """(|u|_b, L_A(u), a0, a) of u = normalize(crease(ell), p_o) for every ell in grid.
+    """(|u|_b, L_A(u), a0, a) of u = normalize(crease(ell), p_o) for every row
+    ell = (a0, a) of the (C, n + 1) array grid.
 
     Each ell is oriented to be < 0 at p_o or, when |ell(p_o)| <= 1e-12 (the
     tie band of `PLConvexFunc.active_gradients`), to a lexicographically
@@ -281,8 +276,8 @@ def crease_functionals(grid, p_o, evaluator: FunctionalEvaluator):
     Q = evaluator.scheme
     Af = as_field(evaluator.A, P.dimension)
     p = np.atleast_1d(np.asarray(p_o, dtype=float))
-    a0 = np.array([ell.a0 for ell in grid], dtype=float)
-    a = np.array([ell.a for ell in grid], dtype=float).reshape(len(grid), P.dimension)
+    grid = np.asarray(grid, dtype=float).reshape(-1, P.dimension + 1)
+    a0, a = grid[:, 0], grid[:, 1:]
     at_p = _affine_values(a0, a, p[None])[:, 0]
     lead = a[np.arange(len(a)), np.argmax(a != 0.0, axis=1)]
     flip = np.where(np.abs(at_p) <= 1e-12, lead < 0.0, at_p > 0.0)
@@ -325,7 +320,7 @@ def crease_functionals(grid, p_o, evaluator: FunctionalEvaluator):
 
 
 def crease_sweep(P: Polytope, A, grid=None, p_o=None, evaluator=None):
-    """Minimum of L_A over normalized creases in the grid.
+    """Minimum of L_A over normalized creases of the rows (a0, a) of grid.
 
     Every crease is evaluated at once by `crease_functionals` (closed-form
     boundary term, one batched rule for the interior term); only the
@@ -340,7 +335,7 @@ def crease_sweep(P: Polytope, A, grid=None, p_o=None, evaluator=None):
     """
     if grid is None:
         grid = default_crease_grid(P)
-    if not grid:
+    if not len(grid):
         raise EmptyGrid("crease sweep needs a nonempty grid")
     if evaluator is None:
         evaluator = FunctionalEvaluator(P, A)
@@ -379,15 +374,8 @@ def lp_stability_estimate(P: Polytope, A, mesh: Mesh, p_o=None, mode="float",
         status = "uniformly-stable"
     else:
         status = "inconclusive"
-    return StabilityReport(
-        lambda_hat=lam,
-        status=status,
-        mesh_parameter=mesh.h,
-        p_o=lp.p_o.copy(),
-        lambda_hat_refined=lam2,
-        destabilizer=u,
-        lp_iterations=iters,
-    )
+    return StabilityReport(lam, status, mesh.h, lp.p_o.copy(), lambda_hat_refined=lam2,
+                           destabilizer=u, lp_iterations=iters)
 
 
 def l1_boundary_constant(P: Polytope, p_o, mesh: Mesh, mode="float"):
@@ -438,7 +426,7 @@ def properness_certificate(P: Polytope, A, lam: float, mesh: Mesh, p_o=None,
     a_o_vals = evaluator.abreu_operator(u_o, pull_back(sample), h_fd=1e-3)
     a_sup = float(np.max(np.abs(a_o_vals))) * TOLERANCES["certificate.sup_safety"]
 
-    vol = evaluator.volume()
+    vol = float(P.moments[0, 0])
     c_o = -evaluator.mabuchi(u_o).log_det_term - P.dimension * vol
     c_prime, _ = l1_boundary_constant(P, p_o, mesh, mode=mode)
     R = 1.0 + a_sup * c_prime

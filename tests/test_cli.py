@@ -136,7 +136,8 @@ def executed_sources(*argvs):
 def test_solve_runs_no_stability_code_and_stability_no_solver_code(tmp_path):
     # the modules a subcommand may not need are registered lazily, so a run
     # compiles and executes only those it uses: a float 1D stability run with
-    # the extremal field takes its LPs from the hinges and parses no field
+    # the extremal field takes its LPs from the hinges and parses no field,
+    # and no float run executes the exact simplex
     pentagon, interval, square = (tmp_path / f"{n}.txt"
                                   for n in ("pentagon", "interval", "square"))
     pentagon.write_text(PENTAGON)
@@ -148,12 +149,13 @@ def test_solve_runs_no_stability_code_and_stability_no_solver_code(tmp_path):
     assert not ran & {"stability.py", "cone_lp.py", "simplex_lp.py", "audits.py", "fields.py"}
     ran = executed_sources(["stability", "--polytope", str(interval), "--A", "extremal",
                             "--h", "0.0625"])
-    assert {"stability.py", "simplex_lp.py"} <= ran
-    assert not ran & {"cone_lp.py", "fields.py", "hessfit.py", "audits.py", "solver.py"}
+    assert "stability.py" in ran
+    assert not ran & {"cone_lp.py", "simplex_lp.py", "fields.py", "hessfit.py", "audits.py",
+                      "solver.py"}
     ran = executed_sources(["stability", "--polytope", str(square), "--A", "affine:-2,12,0",
                             "--h", "0.25"])
     assert {"stability.py", "cone_lp.py"} <= ran
-    assert not ran & {"audits.py", "solver.py"}
+    assert not ran & {"simplex_lp.py", "audits.py", "solver.py"}
     # verify takes the Mabuchi energy of Guillemin-type functions only, so
     # the Hessian surrogate of mesh functions stays unrun
     for path in (interval, square):
@@ -249,6 +251,8 @@ def test_plfile_of_another_dimension_exits_2_naming_both(tmp_path, capsys):
     ("verify", "sigma-scale", "-1"),
     ("eval", "margin", "nan"),
     ("eval", "margin", "-0.5"),
+    ("eval", "degree", "-1"),             # --degree -5 ran with quadrature.degree: 3
+    ("extremal-affine", "degree", "-1"),
 ])
 def test_bad_numeric_option_exits_2_naming_it(command, option, value, tmp_path, capsys):
     path = tmp_path / "interval.txt"

@@ -110,6 +110,13 @@ def test_extremal_affine_fixtures():
     assert np.max(res) <= 1e-10
 
 
+def test_extremal_affine_is_exact_on_the_interval_and_the_square():
+    # their moments, boundary pieces and midpoints are exact in binary, and so
+    # is the solve of the moment system
+    assert extremal_affine(interval()) == AffineFunc(2.0, (0.0,))
+    assert extremal_affine(unit_square()) == AffineFunc(4.0, (0.0, 0.0))
+
+
 def test_extremal_affine_shifted_interval():
     P = build_polytope([((1.0,), 0.0), ((-1.0,), -2.0)])
     A = extremal_affine(P)
@@ -386,7 +393,7 @@ def test_mesh_linear_forms_1d_match_cell_by_cell_loop():
 
 
 def test_volume(ev_square):
-    assert ev_square.volume() == pytest.approx(1.0, rel=1e-13)
+    assert ev_square.polytope.moments[0, 0] == pytest.approx(1.0, rel=1e-13)
 
 
 def test_mesh_caches_survive_freed_meshes():

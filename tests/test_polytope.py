@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from test_stability import _hull, _lattice_facets, lattice_points
 
 from polystab.errors import EmptyInterior, NonIntegerNormals, UnboundedDomain
+from polystab.functionals import extremal_affine
 from polystab.polytope import (
     build_polytope,
     center_of_mass,
@@ -13,6 +14,7 @@ from polystab.polytope import (
     standard_simplex,
     unit_square,
 )
+from polystab.quadrature import standard_scheme
 
 
 def test_build_interval():
@@ -82,6 +84,39 @@ def test_center_of_mass():
     assert np.allclose(center_of_mass(interval()), [0.5], atol=1e-12)
     assert np.allclose(center_of_mass(unit_square()), [0.5, 0.5], atol=1e-12)
     assert np.allclose(center_of_mass(standard_simplex()), [1 / 3, 1 / 3], atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=lattice_points)
+def test_moments_match_a_degree_2_rule(points):
+    # the Gram matrix of (1, x - c) against dmu, c the vertex centroid, which
+    # the standard rule integrates exactly at degree 2
+    facets = _lattice_facets(points)
+    assume(facets is not None)
+    P = build_polytope(facets)
+    Q = standard_scheme(P, 2)
+    y = np.column_stack([np.ones(len(Q.interior_weights)),
+                         Q.interior_points - P.vertex_centroid()])
+    ref = (y.T * Q.interior_weights) @ y
+    assert np.max(np.abs(P.moments - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=lattice_points, t=st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)))
+def test_a_translation_moves_the_center_of_mass_and_keeps_volume_and_field_slopes(points, t):
+    facets = _lattice_facets(points)
+    assume(facets is not None)
+    t = np.array(t, dtype=float)
+    P = build_polytope(facets)
+    Pt = build_polytope([(h, c + np.dot(h, t)) for h, c in facets])
+    com, com_t = center_of_mass(P), center_of_mass(Pt)
+    diam = np.max(np.ptp(P.vertices, axis=0))
+    assert np.linalg.norm(com_t - (com + t)) <= 1e-9 * max(np.linalg.norm(com + t), diam)
+    assert Pt.moments[0, 0] == pytest.approx(P.moments[0, 0], rel=1e-9)
+    # slopes relative to the size of A: its mean over P per unit length, plus its slope
+    A, A_t = extremal_affine(P), extremal_affine(Pt)
+    size = abs(A.a0 + np.dot(A.a, com)) / diam + np.linalg.norm(A.a)
+    assert np.linalg.norm(np.subtract(A_t.a, A.a)) <= 1e-9 * size
 
 
 def test_gaps_and_distance():

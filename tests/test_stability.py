@@ -92,7 +92,7 @@ def test_crease_sweep_detects_instability():
 
 def test_crease_sweep_skips_trivial_creases():
     # grid of affine functions whose creases are outside or trivial
-    grid = [AffineFunc(-5.0, (1.0,)), AffineFunc(-1.0, (0.0,))]
+    grid = np.array([[-5.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(EmptyGrid):
         crease_sweep(interval(), 2.0, grid=grid, p_o=[0.5])
     with pytest.raises(EmptyGrid):
@@ -128,7 +128,7 @@ def test_sweep_over_one_orientation_per_line(name, monkeypatch):
     P, A = SWEEP_FIXTURES[name]
     A = extremal_affine(P) if A is None else A
     grid = default_crease_grid(P)
-    both = [m for ell in grid for m in (ell, AffineFunc(-ell.a0, tuple(-a for a in ell.a)))]
+    both = np.stack([grid, -grid], axis=1).reshape(-1, grid.shape[1])  # rows ell, -ell
     expected, _ = crease_sweep(P, A, grid=both)
 
     calls = []
@@ -148,12 +148,17 @@ def test_mirror_creases_give_identical_rows(name):
     A = extremal_affine(P) if A is None else A
     p_o = center_of_mass(P)
     grid = default_crease_grid(P)
-    grid += [AffineFunc(-float(np.dot(ell.a, p_o)), ell.a) for ell in grid[:5]]
-    mirror = [AffineFunc(-ell.a0, tuple(-a for a in ell.a)) for ell in grid]
+    grid = np.vstack([grid, np.column_stack([-(grid[:5, 1:] @ p_o), grid[:5, 1:]])])
+    mirror = -grid
     ev = FunctionalEvaluator(P, A)
     for row, mirror_row in zip(crease_functionals(grid, p_o, ev),
                                crease_functionals(mirror, p_o, ev)):
         np.testing.assert_array_equal(row, mirror_row)
+
+
+def _affine(row):
+    """The affine function of a grid row (a0, a)."""
+    return AffineFunc(float(row[0]), tuple(row[1:].tolist()))
 
 
 def _oriented(ell, p_o):
@@ -167,8 +172,8 @@ def _oriented(ell, p_o):
 def _per_crease(P, A, grid, p_o):
     """(|u|_b, L_A(u)) of every normalized crease, one split rule each."""
     ev = FunctionalEvaluator(P, A)
-    return np.array([ev.norm_and_linear(normalize(crease(_oriented(ell, p_o)), p_o))
-                     for ell in grid]).T
+    return np.array([ev.norm_and_linear(normalize(crease(_oriented(_affine(row), p_o)), p_o))
+                     for row in grid]).T
 
 
 def _assert_close(batched, oracle, tol=1e-12):
@@ -200,8 +205,8 @@ def test_default_crease_grid_matches_pairwise_construction(P):
             if L < 1e-12:
                 continue
             eta = np.array([-d[1], d[0]]) / L
-            oracle.append(AffineFunc(-float(eta @ nodes[i]), tuple(eta)))
-    assert default_crease_grid(P) == oracle
+            oracle.append([-float(eta @ nodes[i]), *eta])
+    assert np.array_equal(default_crease_grid(P), np.array(oracle))
 
 
 @pytest.mark.parametrize("P", [unit_square(), PENTAGON], ids=["square", "pentagon"])
@@ -228,7 +233,8 @@ def test_sweep_ties_go_to_the_lexicographically_smallest_crease(name):
     bn, la = _per_crease(P, A, grid, p_o)
     ratio = np.full(len(grid), np.inf)
     np.divide(la, bn, out=ratio, where=bn >= 1e-9)
-    tied = [_oriented(grid[i], p_o) for i in np.flatnonzero(ratio <= ratio.min() + 1e-12)]
+    tied = [_oriented(_affine(grid[i]), p_o)
+            for i in np.flatnonzero(ratio <= ratio.min() + 1e-12)]
     assert len(tied) > 1
     expected = normalize(crease(min(tied, key=lambda ell: (ell.a, ell.a0))), p_o)
     sweep_min, u = crease_sweep(P, A, grid=grid, p_o=p_o)
@@ -280,14 +286,15 @@ directions = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 
 
 def _creases_for(P, p_o, dirs, offsets):
-    """Lines through p_o (exercising the tie rule) and lines offset from P's vertices."""
+    """Rows (a0, a) of lines through p_o (exercising the tie rule) and of lines
+    offset from P's vertices."""
     grid = []
     for d in dirs:
         eta = np.array(d, dtype=float)
-        grid.append(AffineFunc(-float(eta @ p_o), tuple(eta)))
+        grid.append([-float(eta @ p_o), *eta])
         for v, off in zip(P.vertices, offsets):
-            grid.append(AffineFunc(-float(eta @ v) + off, tuple(eta)))
-    return grid
+            grid.append([-float(eta @ v) + off, *eta])
+    return np.array(grid)
 
 
 @settings(max_examples=30, deadline=None)
@@ -320,18 +327,18 @@ def test_crease_linear_functional_is_unimodular_invariant(points, dirs, offsets,
     Minv_T = np.array([[1.0, 0.0], [-float(k), 1.0]])
     t = np.array(t, dtype=float)
 
-    def push(ell):
+    def push(rows):
         # ell(x) = a0 + a . x  ->  ell(M^-1 (y - t)) = a0 - a' . t + a' . y, a' = M^-T a
-        a = Minv_T @ ell.gradient()
-        return AffineFunc(float(ell.a0 - a @ t), tuple(a))
+        a = rows[:, 1:] @ Minv_T.T
+        return np.column_stack([rows[:, 0] - a @ t, a])
 
-    gaps = [push(AffineFunc(-c, tuple(h))) for h, c in zip(P.normals, P.offsets)]
-    Q = build_polytope([(g.a, -g.a0) for g in gaps])
+    gaps = push(np.column_stack([-P.offsets, P.normals]))
+    Q = build_polytope([(g[1:], -g[0]) for g in gaps])
     A = extremal_affine(P)
     grid = _creases_for(P, center_of_mass(P), dirs, offsets)
     _, la, _, _ = crease_functionals(grid, center_of_mass(P), FunctionalEvaluator(P, A))
-    _, la_Q, _, _ = crease_functionals([push(ell) for ell in grid], center_of_mass(Q),
-                                       FunctionalEvaluator(Q, push(A)))
+    A_Q = _affine(push(np.array([[A.a0, *A.a]]))[0])
+    _, la_Q, _, _ = crease_functionals(push(grid), center_of_mass(Q), FunctionalEvaluator(Q, A_Q))
     np.testing.assert_allclose(la_Q, la, rtol=1e-10, atol=1e-10)
 
 
