@@ -35,15 +35,15 @@ from .stability import (
 )
 
 
-def relative_kpolystability_check(P: Polytope, A, mesh: Mesh, p_o=None, mode="float"):
-    """(is_relatively_K_polystable, witness).
+def relative_kpolystability_check(P: Polytope, A, mesh: Mesh, mode="float"):
+    """(is_relatively_K_polystable, witness), normalized at the mesh's point vertex.
 
     Fails either when the cone LP goes negative (witness: its minimizer) or
     when a nontrivial extremal function exists in the discrete cone: the
     mass-normalized LP min L_A(u) s.t. int(u) = 1 reaching <= 1e-9 produces a
     nonzero u with vanishing L_A (witness: that function).
     """
-    lp = StabilityLP(P, A, mesh, p_o)
+    lp = StabilityLP(P, A, mesh)
     lam, u, _ = lp.minimize_linear_functional(mode=mode)
     if lam < -LAMBDA_ZERO_BAND:
         return False, u
@@ -183,7 +183,7 @@ def verify_audits(P: Polytope, h: float, seed: int, sigma_scale=1.0, audit_count
     fail (a consistency tripwire).  Yields (name, passed, measured,
     tolerance) rows.  The properness bound F_A(u) >= -C + eps' |u|_b is checked
     on Guillemin-type u = normalize(u_o + q, p_o), q(x) = (x - p_o)^T D (x - p_o)
-    / 2 for random positive definite D and the LP's normalization vertex p_o.
+    / 2 for random positive definite D, p_o the center of mass.
     """
     rng = np.random.default_rng(seed)
     A = extremal_affine(P)
@@ -210,7 +210,7 @@ def verify_audits(P: Polytope, h: float, seed: int, sigma_scale=1.0, audit_count
            abs(la - n * vol), 1e-6)
 
     # stability + norm bound + certificate audit
-    mesh = make_mesh(P, h)
+    mesh = make_mesh(P, h, point=center_of_mass(P))
     lp = lp_stability_estimate(P, A, mesh)
     lam = lp.lambda_hat
     threshold = TOLERANCES["status.stable_threshold"]

@@ -15,18 +15,14 @@ output.  Exit codes, with the stderr prefix of the failures:
 `python -m polystab.cli` and the `polystab` console script both run `entry`,
 which freezes the live objects (`gc.freeze()`) before and after `main`:
 
-* Before: the imports leave about 32,000 objects that live for the whole run,
-  and every collection of the older generations walked them again.  Each
-  benchmark run (`stability` on the interval and the square, `solve` on the
-  pentagon) made 35 collections, about 5 ms on a 2-core x86 VM with Python
-  3.11; with the import-time heap frozen each makes 1 or 2 (under 0.4 ms).
-  Run as `__main__`, this module keeps the collector off while its imports
-  run; `entry` turns it on once the heap is frozen.  Frozen import-time
-  garbage is never freed, yet the run's own peak memory fell (32.7 to
-  32.4 MB on the interval), since the records no longer import `dataclasses`.
+* Before: the imports leave about 32,000 objects that live for the whole
+  run, which collections of the older generations would walk again and
+  again (a benchmark run makes 1 or 2 collections instead of 35).  Run as
+  `__main__`, this module keeps the collector off while its imports run;
+  `entry` turns it on once the heap is frozen.
 * After: finalization still flushes the streams and runs the atexit
   handlers, but the interpreter's last sweep no longer walks every object
-  left (about 18 ms of a 2D `solve` run).
+  left.
 
 An in-process `import polystab.cli` or `main(argv)` call changes neither the
 collector's state nor its freeze count.  `build_parser(argv)` builds only the
@@ -249,7 +245,7 @@ def cmd_eval(args):
         rep.add("rhs", rhs)
         rep.add("gap", gap)
     elif args.op == "l1-constant":
-        val, _ = stability.l1_boundary_constant(P, center_of_mass(P), make_mesh(P, args.h))
+        val, _ = stability.l1_boundary_constant(P, make_mesh(P, args.h, point=center_of_mass(P)))
         rep.add("value", val)
     _emit(rep, args.out)
     return 0

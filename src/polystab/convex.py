@@ -287,6 +287,14 @@ def components_to_matrices(comp, n):
     return comp[order].T.reshape(-1, n, n)
 
 
+def _vertex_at(mesh: Mesh, p):
+    """Index of the mesh vertex at p exactly: mesh functions normalize at vertices."""
+    hit = np.flatnonzero(np.all(mesh.vertices == np.atleast_1d(p), axis=1))
+    if not len(hit):
+        raise ValueError("normalization point must be a mesh vertex")
+    return int(hit[0])
+
+
 def supporting_affine(u, p_o) -> AffineFunc:
     """A supporting affine function of u at p_o (deterministic subgradient choice).
 
@@ -296,22 +304,13 @@ def supporting_affine(u, p_o) -> AffineFunc:
     if isinstance(u, AffineFunc):
         return u
     if isinstance(u, PLConvexFunc):
-        grads = u.active_gradients(p)
-        g = min((tuple(row) for row in grads))
-        g = np.asarray(g)
-        val = u(p)
+        g, val = np.asarray(min(map(tuple, u.active_gradients(p)))), u(p)
     elif isinstance(u, MeshConvexFunc):
-        vi = u.mesh.nearest_vertex(p)
-        if np.linalg.norm(u.mesh.vertices[vi] - p) > 1e-9 * u.domain._scale:
-            raise ValueError("normalization point must be a mesh vertex")
-        cells = np.where(np.any(u.mesh.cells == vi, axis=1))[0]
-        grads = u.cell_gradients()[cells]
-        g = np.asarray(min(tuple(row) for row in grads))
-        val = u.values[vi]
-        p = u.mesh.vertices[vi]
+        vi = _vertex_at(u.mesh, p)
+        grads = u.cell_gradients()[np.any(u.mesh.cells == vi, axis=1)]
+        g, val = np.asarray(min(map(tuple, grads))), u.values[vi]
     else:
-        g = np.atleast_1d(u.grad(p))
-        val = u(p)
+        g, val = np.atleast_1d(u.grad(p)), u(p)
     return AffineFunc(float(val - g @ p), tuple(g))
 
 
@@ -320,10 +319,8 @@ def normalize(u, p_o):
     ell = supporting_affine(u, p_o)
     if isinstance(u, AffineFunc):
         return AffineFunc.constant(0.0, len(u.a))
-    if isinstance(u, PLConvexFunc):
-        return u.shift(ell)
     if isinstance(u, MeshConvexFunc):
-        vi = u.mesh.nearest_vertex(p_o)
+        vi = _vertex_at(u.mesh, p_o)
         vals = u.values - np.asarray(ell(u.mesh.vertices))
         vals[vi] = 0.0
         vals[(vals < 0.0) & (vals > -1e-9)] = 0.0

@@ -133,9 +133,10 @@ def read_pl_function(path) -> PLConvexFunc:
 # -- mesh functions ------------------------------------------------------------
 
 def mesh_function_to_text(u: MeshConvexFunc) -> str:
-    out = ["# polystab mesh-function"]
-    out.append(polytope_to_text(u.mesh.polytope).strip())
-    out.append(f"h: {_fmt(u.mesh.h)}")
+    out = ["# polystab mesh-function", polytope_to_text(u.mesh.polytope).strip(),
+           f"h: {_fmt(u.mesh.h)}"]
+    if u.mesh.point_vertex is not None:  # the mesh was made through this point
+        out.append("point: " + " ".join(_fmt(v) for v in u.mesh.vertices[u.mesh.point_vertex]))
     if u.p_o_index is not None:
         out.append(f"p_o_index: {u.p_o_index}")
     out.append("values: " + " ".join(_fmt(v) for v in u.values))
@@ -144,14 +145,14 @@ def mesh_function_to_text(u: MeshConvexFunc) -> str:
 
 def mesh_function_from_text(text: str) -> MeshConvexFunc:
     poly_entries = []
-    h = None
-    p_o = None
-    values = None
+    h = p_o = point = values = None
     for key, rest in _entries(text):
         if key in ("dimension", "name", "facet"):
             poly_entries.append((key, rest))
         elif key == "h":
             (h,) = _numbers(key, rest)
+        elif key == "point":
+            point = _numbers(key, rest)
         elif key == "p_o_index":
             p_o = int(rest)
         elif key == "values":
@@ -161,7 +162,7 @@ def mesh_function_from_text(text: str) -> MeshConvexFunc:
     if h is None or values is None:
         raise ValueError("mesh-function file needs h and values")
     P = _polytope(poly_entries)
-    mesh = make_mesh(P, h)
+    mesh = make_mesh(P, h, point=point)
     if mesh.num_vertices != len(values):
         raise ValueError("value count does not match the deterministic mesh")
     return MeshConvexFunc(mesh, values, p_o_index=p_o)

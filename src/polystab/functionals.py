@@ -153,14 +153,19 @@ class FunctionalEvaluator:
             self._forms[mesh] = mesh_linear_forms(mesh, self.A, self.degree)
         return self._forms[mesh]
 
-    def _rule_for(self, u):
-        """(interior, boundary) blocks of u's rule; the graded one comes per facet fan."""
+    def _rule_for(self, u, cached=False):
+        """(interior, boundary) blocks of u's rule.  The graded one comes a few
+        layers of a facet fan at a time, or with `cached` in the same blocks of
+        the evaluator's whole `graded` rule, built once."""
         P, d = self.polytope, self.degree
-        if isinstance(u, SmoothConvexFunc) and u.guillemin_type:
+        graded = isinstance(u, SmoothConvexFunc) and u.guillemin_type
+        if graded and not cached:
             return graded_blocks(P, d, GRADED_LAYERS), zip(*graded_boundary(P, d))
-        Q = split_scheme(P, u.kink_lines(), d) if isinstance(u, PLConvexFunc) else self.scheme
-        return ([(Q.interior_points, Q.interior_weights, Q.interior_layers)],
-                zip(Q.boundary_points, Q.boundary_weights))
+        Q = (self.graded if graded else split_scheme(P, u.kink_lines(), d)
+             if isinstance(u, PLConvexFunc) else self.scheme)
+        parts = (np.split(a, Q.meta.get("block_ends", [])[:-1])
+                 for a in (Q.interior_points, Q.interior_weights, Q.interior_layers))
+        return list(zip(*parts)), zip(Q.boundary_points, Q.boundary_weights)
 
     # -- functionals ---------------------------------------------------------
 
@@ -197,7 +202,7 @@ class FunctionalEvaluator:
         """F_A(u) with a reported truncation estimate for the log-det term."""
         _require_smooth(u, "the Mabuchi energy")
         # one pass: the log-det term, its tail beyond TRUNCATION_COMPARE layers, A u
-        blocks, rim = self._rule_for(u)
+        blocks, rim = self._rule_for(u, cached=True)
         term = tail = au = 0.0
         for pts, wts, lay in blocks:
             det = _dets(u.hess(pts))

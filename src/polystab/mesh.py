@@ -6,12 +6,14 @@ a facet at a crossing, two facets at a vertex of P (a crossing within the
 clipping tolerance of a corner or a vertex of P takes its key), and gets its
 coordinates once, from a (lines, facets) table.  Cells inside P get the "/"
 split; cut cells are clipped facet by facet as rows of keys, then fanned.
-Vertices are numbered by the first appearance of their keys.  The mesh
-parameter h is the grid spacing (maximum edge length in the max-norm), which
-reproduces the 9-vertex / 8-triangle unit-square mesh at h = 1/2.  The grid
-has ceil(size / h) cells a side, so halving h refines every cell in place
-(and coarse piecewise-linear functions remain representable) only when
-size / h is an integer; otherwise the finer grid is a different one.
+Vertices are numbered by the first appearance of their keys.  The grid has
+ceil(size / h) cells a side (the 9-vertex / 8-triangle unit square at
+h = 1/2), plus, given a point, a line of each direction through it (1D: a
+break) unless a grid line lies within 1e-12 of P's scale, so the point is a
+vertex, `point_vertex`, and every spacing stays <= h.  Halving h refines
+every cell in place (coarse piecewise-linear functions remain
+representable) only when size / h is an integer, the point's lines being in
+both grids; otherwise the finer grid is a different one.
 """
 from __future__ import annotations
 
@@ -40,19 +42,20 @@ class Mesh(Frozen):
     it hashes by identity, so other objects' per-mesh caches can key on it.
 
     vertices (V, n); cells (M, n+1) int; hinges (E, 3) in 1D, (E, 4) in 2D;
-    grid_shape (nx, ny, x0, y0, sx, sy) for 2D point location; cell_index
-    (nx+2, ny+2, k) the ids of the cells cut from each grid square, -1 padded,
-    with a one-square halo so neighbour lookups need no bounds checks;
-    boundary_edges (B, 3) rows (a, b, facet id) per boundary edge (a, b),
-    a < b, sorted (2D).
+    grid_shape (xs, ys) the ascending grid lines, for 2D point location;
+    cell_index (nx+2, ny+2, k) the ids of the cells cut from each grid square,
+    -1 padded, with a one-square halo so neighbour lookups need no bounds
+    checks; boundary_edges (B, 3) rows (a, b, facet id) per boundary edge
+    (a, b), a < b, sorted (2D); point_vertex the vertex at make_mesh's point.
     """
 
     def __init__(self, polytope: Polytope, h: float, vertices, cells, hinges,
                  boundary_facets: dict, grid_shape: tuple = (), cell_index=None,
-                 boundary_edges=None):
+                 boundary_edges=None, point_vertex=None):
         vars(self).update(polytope=polytope, h=h, vertices=vertices, cells=cells, hinges=hinges,
                           boundary_facets=boundary_facets, grid_shape=grid_shape,
-                          cell_index=cell_index, boundary_edges=boundary_edges)
+                          cell_index=cell_index, boundary_edges=boundary_edges,
+                          point_vertex=point_vertex)
 
     @property
     def dimension(self):
@@ -100,14 +103,6 @@ class Mesh(Frozen):
         b.flags.writeable = False
         return b
 
-    def nearest_vertex(self, point):
-        """The vertex nearest `point`; of those within 1e-12 of P's tolerance
-        scale of the least distance, the lexicographically smallest, so a near
-        tie does not turn on the last bits of the coordinates."""
-        d = np.linalg.norm(self.vertices - np.asarray(point, dtype=float), axis=1)
-        near = np.flatnonzero(d <= d.min() + 1e-12 * self.polytope._scale)
-        return int(near[np.lexsort(self.vertices[near].T[::-1])[0]])
-
     # -- point location ------------------------------------------------------
 
     def locate(self, points):
@@ -127,9 +122,8 @@ class Mesh(Frozen):
             inside = (t >= -1e-9) & (t <= 1.0 + 1e-9)
             ids[inside], bary[inside] = j[inside], np.column_stack([1.0 - t, t])[inside]
             return ids, bary
-        nx, ny, x0, y0, sx, sy = self.grid_shape
-        ix = np.clip(((pts[:, 0] - x0) / sx).astype(int), 0, nx - 1) + 1  # halo offset
-        iy = np.clip(((pts[:, 1] - y0) / sy).astype(int), 0, ny - 1) + 1
+        ix, iy = (np.clip(np.searchsorted(t, pts[:, k], "right") - 1, 0, len(t) - 2) + 1
+                  for k, t in enumerate(self.grid_shape))  # + 1: the halo offset
         # first hit in (neighbour square, slot) order; unresolved points stay -1
         todo = np.arange(m)
         for dx, dy in ((0, 0), (-1, 0), (0, -1), (1, 0), (0, 1), (-1, -1), (1, 1), (-1, 1), (1, -1)):
@@ -158,29 +152,53 @@ class Mesh(Frozen):
         return np.column_stack([1.0 - l1 - l2, l1, l2])
 
 
-def make_mesh(P: Polytope, h: float) -> Mesh:
-    """Boundary-conforming mesh with grid spacing <= h; deterministic."""
+def _nearest(lines, t):
+    """Index of the line of the ascending `lines` nearest each t."""
+    k = np.clip(np.searchsorted(lines, t), 1, len(lines) - 1)
+    return np.where(t - lines[k - 1] <= lines[k] - t, k - 1, k)
+
+
+def _through(lines, point, d, tol):
+    """(lines, k): the ascending grid lines of axis d with lines[k] at coordinate
+    d of the point, inserted unless a line lies within tol; (lines, None) with
+    no point."""
+    if point is None:
+        return lines, None
+    k = int(_nearest(lines, point[d]))
+    if abs(lines[k] - point[d]) > tol:
+        k = int(np.searchsorted(lines, point[d]))
+        lines = np.insert(lines, k, point[d])
+    return lines, k
+
+
+def make_mesh(P: Polytope, h: float, point=None) -> Mesh:
+    """Boundary-conforming mesh with grid spacing <= h, through `point` if given."""
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"mesh parameter h must be finite and positive, not {h!r}")
     lo, hi = P.vertices.min(axis=0), P.vertices.max(axis=0)
     # the cell counts allow for vertices off by 1e-10 of P._scale (size plus rounding reach)
     shrink = 1.0 - 1e-10 * P._scale / float(np.max(hi - lo))
+    stol = 1e-12 * P._scale
+    if point is not None and np.any(P.gaps(point) < -stol * np.linalg.norm(P.normals, axis=1)):
+        raise ValueError(f"mesh point {np.asarray(point).tolist()} lies outside P")
     if P.dimension == 1:
         ncell = int(np.ceil((hi[0] - lo[0]) / h * shrink))
         if ncell + 1 > VERTEX_CAP:
             raise MeshTooFine(f"{ncell + 1} vertices exceed the cap {VERTEX_CAP}")
-        vertices = np.linspace(lo[0], hi[0], ncell + 1)[:, None]
+        xs, at = _through(np.linspace(lo[0], hi[0], ncell + 1), point, 0, stol)
+        ncell = len(xs) - 1
         cells = np.column_stack([np.arange(ncell), np.arange(1, ncell + 1)])
         hinges = np.column_stack([np.arange(ncell - 1), np.arange(1, ncell), np.arange(2, ncell + 1)])
         (k0,), (k1,) = P.vertex_facets.tolist()  # the ends are P's vertices, ascending
-        bfacets = {0: (k0,), ncell: (k1,)}
-        return Mesh(P, h, vertices, cells, hinges, bfacets)
+        return Mesh(P, h, xs[:, None], cells, hinges, {0: (k0,), ncell: (k1,)}, point_vertex=at)
 
     (xlo, ylo), (nx, ny) = lo, (int(np.ceil(d / h * shrink)) for d in hi - lo)
     if (nx + 1) * (ny + 1) > VERTEX_CAP:
         raise MeshTooFine(f"{(nx + 1) * (ny + 1)} grid vertices exceed the cap {VERTEX_CAP}")
     sx, sy = (hi[0] - xlo) / nx, (hi[1] - ylo) / ny
-    xs, ys = xlo + sx * np.arange(nx + 1), ylo + sy * np.arange(ny + 1)
+    (xs, ip), (ys, jp) = (_through(lines, point, d, stol) for d, lines in
+                          enumerate((xlo + sx * np.arange(nx + 1), ylo + sy * np.arange(ny + 1))))
+    nx, ny = len(xs) - 1, len(ys) - 1
     n, c, K, F, NC = P.normals, P.offsets, len(P.offsets), nx + ny + 2, (nx + 1) * (ny + 1)
     tol = 1e-12 * P._scale * np.linalg.norm(n, axis=1)
 
@@ -199,9 +217,8 @@ def make_mesh(P: Polytope, h: float) -> Mesh:
     key = NC + np.arange(F + K)[:, None] * K + np.arange(K)
     key[F:] = np.minimum(key[F:], key[F:].T)
     # vertex v of P (facets k1, k2) is a corner on both, and a grid line through v meets both at v
-    (k1, k2), (vx, vy), stol = P.vertex_facets.T, P.vertices.T, 1e-12 * P._scale
-    i, j = (np.clip(np.rint((t - t0) / s).astype(int), 0, m) for t, t0, s, m in
-            ((vx, xlo, sx, nx), (vy, ylo, sy, ny)))
+    (k1, k2), (vx, vy) = P.vertex_facets.T, P.vertices.T
+    i, j = _nearest(xs, vx), _nearest(ys, vy)
     meet[F + k1, k2] = meet[F + k2, k1] = P.vertices
     pkey = np.where(on[i, j, k1] & on[i, j, k2], corner[i, j], key[F + k1, k2])
     key[F + k1, k2] = key[F + k2, k1] = pkey
@@ -269,6 +286,7 @@ def make_mesh(P: Polytope, h: float) -> Mesh:
     hinges = np.column_stack([key[two] // V, key[two] % V, opp[two], opp[two + 1]])
     ea, eb = key[one] // V, key[one] % V
     bfacets = {v: tuple(np.flatnonzero(on[v]).tolist()) for v in np.flatnonzero(on.any(1)).tolist()}
-    return Mesh(P, h, vertices, cells, hinges, bfacets,
-                grid_shape=(nx, ny, xlo, ylo, sx, sy), cell_index=buckets,
-                boundary_edges=np.column_stack([ea, eb, np.argmax(on[ea] & on[eb], axis=1)]))
+    at = None if point is None else int(np.flatnonzero(vkey == corner[ip, jp])[0])
+    return Mesh(P, h, vertices, cells, hinges, bfacets, grid_shape=(xs, ys), cell_index=buckets,
+                boundary_edges=np.column_stack([ea, eb, np.argmax(on[ea] & on[eb], axis=1)]),
+                point_vertex=at)

@@ -19,12 +19,7 @@ triangle batches (and per-triangle tags) and call it once:
   toward the boundary; each point records its parent mesh cell in
   interior_cells (-1 in the schemes above), so mesh data can be interpolated
   there without locating the point again; mesh_graded_triangles gives its 2D
-  triangles unmapped, for callers that map them a block at a time.  It is
-  built from whole arrays too: the facets of every mesh vertex and the
-  boundary edges are read from the mesh's names, not from gaps, edge strips
-  take one broadcast per tangential pattern, and the quadtree toward boundary
-  vertices is a loop over levels in which each boundary vertex's corner child
-  passes down by construction, not by a tolerance test.
+  triangles unmapped, for callers that map them a block at a time.
 
 Boundary integrals use the facet-weighted measure dsigma = dS / |h_k|.
 """
@@ -262,12 +257,13 @@ def graded_scheme(P: Polytope, degree: int = DEFAULT_DEGREE, layers: int = 40,
     dropped, and per-point layer indices let callers compare truncation depths.
     Boundary rules get the same two-sided tangential grading (corners carry the
     boundary singularities of Guillemin-type integrands).  The interior rule
-    concatenates graded_blocks."""
-    ipts, iwts, ilay = map(np.concatenate, zip(*graded_blocks(P, degree, layers, tangential_layers)))
+    concatenates graded_blocks; meta["block_ends"] holds where each block ends."""
+    blocks = list(graded_blocks(P, degree, layers, tangential_layers))
+    ipts, iwts, ilay = map(np.concatenate, zip(*blocks))
     bp, bw = graded_boundary(P, degree, tangential_layers)
-    return QuadratureScheme(P.dimension, degree, ipts, iwts, ilay, bp, bw,
-                            kind="graded",
-                            meta={"layers": layers, "tangential_layers": tangential_layers})
+    return QuadratureScheme(P.dimension, degree, ipts, iwts, ilay, bp, bw, kind="graded",
+                            meta={"layers": layers, "tangential_layers": tangential_layers,
+                                  "block_ends": np.cumsum([len(w) for _, w, _ in blocks])})
 
 
 def split_scheme(P: Polytope, lines, degree: int = DEFAULT_DEGREE) -> QuadratureScheme:

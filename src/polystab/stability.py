@@ -4,34 +4,26 @@ lambdaHat is the minimum of L_A(u) over the discrete normalized cone
 
     { u mesh-convex : u >= 0, u(p_o) = 0, |u|_b = 1 },
 
-solved as a linear program whose objective and normalization row come from the
-same vertex-weight assembly the functional evaluator uses.  Its convexity rows
+p_o the mesh's `point_vertex`: `analyze_stability` makes its mesh with grid
+lines through p_o (default: the center of mass), so the cone is normalized at
+p_o itself at every h.  The LP's objective and normalization row come from
+the vertex-weight assembly the functional evaluator uses; its convexity rows
 stay sparse, three or four vertices each.  The default mode="float" takes it
-in closed form on an interval: there the cone is spanned by the hinges
+in closed form on an interval, where the cone is spanned by the hinges
 (x - t)_+ and (t - x)_+ at the mesh vertices on either side of p_o, so the
-minimum is the best hinge (Donaldson, J. Differential Geom. 62, 2002).  On a
-polygon it runs the interior-point method of `cone_lp` (Mehrotra steps on the
-normal matrix of the rows), then purifies: the last iterate is projected onto
-the constraints it identifies as active, which gives the optimum to rounding.
-The reported `lp_iterations` count the interior-point (or simplex) steps, so
-in float mode they are 0 on an interval.  mode="exact" solves the same LP
-with the Fraction Bland simplex of `simplex_lp`, the oracle for small meshes.
+minimum is the best hinge (Donaldson, J. Differential Geom. 62, 2002); on a
+polygon it runs the interior-point method of `cone_lp`.  `lp_iterations`
+counts the interior-point (or simplex) steps, 0 on an interval in float
+mode.  mode="exact" solves the same LP with the Fraction Bland simplex of
+`simplex_lp`, the oracle for small meshes.
 
 The discrete value only upper-bounds the true constant restricted to mesh
 functions, so statuses are evidence, not proofs.  "uniformly-stable" needs
 the crease sweep's minimum, an upper bound from creases that no P1 cone of a
-mesh holds (Chone and Le Meur, 2001), to clear the threshold as well.
-
-The crease sweep bounds the constant from above by L_A(u) / |u|_b over the
-normalized creases u = normalize((ell)_+, p_o) of a grid of affine ell.  It
-evaluates the whole grid at once: u = (ell)_+ - s, where s is the supporting
-affine function at p_o (zero unless ell(p_o) lies within 1e-12 of 0 and the
-gradient of ell is lexicographically negative, the tie rule of `normalize`),
-and both functionals are linear.  The boundary integral of (ell)_+ over each
-facet segment has a closed form in the values of ell at its ends; the
-interior integral of A ell over P clipped to {ell >= 0} comes from one
-batched clip of P by every ell and one quadrature call on the fan triangles of
-the clipped polygons.  The audits that `polystab verify` runs are in `audits`.
+mesh holds (Chone and Le Meur, 2001), to clear the threshold as well.  The
+sweep takes L_A(u) / |u|_b over the normalized creases u = normalize((ell)_+,
+p_o) of a grid of affine ell, all at once (`crease_functionals`).  The audits
+that `polystab verify` runs are in `audits`.
 """
 from __future__ import annotations
 
@@ -115,7 +107,8 @@ class StabilityReport(Record):
 # ---------------------------------------------------------------------------
 
 class StabilityLP:
-    """Shared assembly for the cone LPs on one mesh.
+    """Shared assembly for the cone LPs on one mesh, normalized at p_o, the
+    mesh's `point_vertex`, which must be strictly interior.
 
     `rows = (idx, coef)` are the mesh's convexity rows over the free vertices.
     An entry of p_o gets coefficient 0 at a column already in its row, so each
@@ -124,18 +117,13 @@ class StabilityLP:
     problem reads them.
     """
 
-    def __init__(self, P: Polytope, A, mesh: Mesh, p_o=None):
-        self.polytope = P
-        self.A = A
-        self.mesh = mesh
-        if p_o is None:
-            p_o = center_of_mass(P)
-        self.p_o_index = mesh.nearest_vertex(p_o)
-        if self.p_o_index in mesh.boundary_facets:
-            raise ValueError("normalization vertex p_o must be strictly interior")
-        self.p_o = mesh.vertices[self.p_o_index]
+    def __init__(self, P: Polytope, A, mesh: Mesh):
+        self.polytope, self.A, self.mesh = P, A, mesh
+        po = self.p_o_index = mesh.point_vertex
+        if po is None or po in mesh.boundary_facets:
+            raise ValueError("normalization vertex p_o must be the mesh's point, strictly interior")
+        self.p_o = mesh.vertices[po]
         idx, coef = mesh.convexity_rows
-        po = self.p_o_index
         col = idx - (idx > po)
         other = np.take_along_axis(col, np.argmax(idx != po, axis=1)[:, None], axis=1)
         self.rows = (np.where(idx == po, other, col), np.where(idx == po, 0.0, coef))
@@ -218,19 +206,19 @@ def _hinge_sums(t, w):
 # operations
 # ---------------------------------------------------------------------------
 
-def default_crease_grid(P: Polytope, resolution=64, degree=6):
+def default_crease_grid(P: Polytope, resolution=64, scheme=None):
     """(C, n + 1) rows (a0, a) of affine functions whose creases sweep the polytope.
 
     1D: kinks at `resolution` uniform interior positions; 2D: lines through
-    pairs of boundary quadrature nodes, in the pair order (i, j), i < j.  One
-    orientation per line: ell and -ell have the same normalized crease (see
-    `crease_sweep`).
+    pairs of the boundary nodes of `scheme` (default: the degree-6 standard
+    rule of P), in the pair order (i, j), i < j.  One orientation per line:
+    ell and -ell have the same normalized crease (see `crease_sweep`).
     """
     if P.dimension == 1:
         lo, hi = float(P.vertices[0, 0]), float(P.vertices[1, 0])
         t = np.linspace(lo, hi, resolution + 1)[1:-1]
         return np.column_stack([-t, np.ones_like(t)])
-    nodes = np.vstack(standard_scheme(P, degree).boundary_points)
+    nodes = np.vstack((scheme or standard_scheme(P, 6)).boundary_points)
     i, j = np.triu_indices(len(nodes), k=1)
     d = nodes[j] - nodes[i]
     L = np.hypot(d[:, 0], d[:, 1])
@@ -355,14 +343,14 @@ def crease_sweep(P: Polytope, A, grid=None, p_o=None, evaluator=None):
     return best, normalize(crease(AffineFunc(float(a0[i]), tuple(a[i].tolist()))), p_o)
 
 
-def lp_stability_estimate(P: Polytope, A, mesh: Mesh, p_o=None, mode="float",
+def lp_stability_estimate(P: Polytope, A, mesh: Mesh, mode="float",
                           sweep_min=np.inf) -> StabilityReport:
-    """Discrete stability constant and witness on the given mesh.
+    """Discrete stability constant and witness on the mesh, normalized at its point p_o.
 
     `lambda_hat_refined` = min(lambda_hat, sweep_min), the smaller of two
     L_A(u) / |u|_b on the normalized cone, gates "uniformly-stable".
     """
-    lp = StabilityLP(P, A, mesh, p_o)
+    lp = StabilityLP(P, A, mesh)
     lam, u, iters = lp.minimize_linear_functional(mode=mode)
     lam2 = min(lam, sweep_min)
 
@@ -378,14 +366,12 @@ def lp_stability_estimate(P: Polytope, A, mesh: Mesh, p_o=None, mode="float",
                            destabilizer=u, lp_iterations=iters)
 
 
-def l1_boundary_constant(P: Polytope, p_o, mesh: Mesh, mode="float"):
-    """C' with |u|_L1 <= C' |u|_b on the discrete normalized cone (an LP max)."""
-    lp = StabilityLP(P, 0.0, mesh, p_o)
-    value, u, _ = lp.maximize_mass(mode=mode)
-    return value, u
+def l1_boundary_constant(P: Polytope, mesh: Mesh, mode="float"):
+    """(C', maximizer): |u|_L1 <= C' |u|_b on the cone normalized at the mesh's point."""
+    return StabilityLP(P, 0.0, mesh).maximize_mass(mode=mode)[:2]
 
 
-def properness_certificate(P: Polytope, A, lam: float, mesh: Mesh, p_o=None,
+def properness_certificate(P: Polytope, A, lam: float, mesh: Mesh,
                            evaluator: FunctionalEvaluator | None = None,
                            mode="float") -> PropernessCertificate:
     """Theorem-4.8-style constants from lambda and the Guillemin reference.
@@ -396,9 +382,9 @@ def properness_certificate(P: Polytope, A, lam: float, mesh: Mesh, p_o=None,
     safety factor.  C_o = -F_{A_o}(u_o) = int log det Hess u_o dmu - n Vol,
     since L_{A_o}(u_o) = int u_o^{ij} (u_o)_{ij} dmu = n Vol for A_o = S(u_o);
     the log-det integral is the Mabuchi pass of u_o on the graded rule, so A_o
-    itself is never integrated.  C' solves the L1-vs-boundary LP,
-    R = 1 + sup|A_o| C', r = lambda / (2R), eps' = lambda/2,
-    C = C_o - n Vol log r, eps = eps' / C'.  `mode` is the LP mode for C'.
+    itself is never integrated.  C' solves the L1-vs-boundary LP on the mesh,
+    normalized at its point vertex p_o; R = 1 + sup|A_o| C', r = lambda / (2R),
+    eps' = lambda/2, C = C_o - n Vol log r, eps = eps' / C'.  `mode` is the LP mode for C'.
     """
     if lam <= 0:
         raise NonpositiveLambda("properness certificate needs lambda > 0")
@@ -428,7 +414,7 @@ def properness_certificate(P: Polytope, A, lam: float, mesh: Mesh, p_o=None,
 
     vol = float(P.moments[0, 0])
     c_o = -evaluator.mabuchi(u_o).log_det_term - P.dimension * vol
-    c_prime, _ = l1_boundary_constant(P, p_o, mesh, mode=mode)
+    c_prime, _ = l1_boundary_constant(P, mesh, mode=mode)
     R = 1.0 + a_sup * c_prime
     r = lam / (2.0 * R)
     eps_prime = lam - r * R
@@ -444,17 +430,17 @@ def properness_certificate(P: Polytope, A, lam: float, mesh: Mesh, p_o=None,
 
 
 def analyze_stability(P: Polytope, A, h: float, p_o=None, mode="float") -> StabilityReport:
-    """Crease sweep, cone LP at h and the certificate at min(lambda_hat, sweep)."""
+    """Crease sweep and cone LP at p_o (default: center of mass), then the certificate."""
     evaluator = FunctionalEvaluator(P, A)
     if p_o is None:
         p_o = center_of_mass(P)
-    grid = default_crease_grid(P, resolution=SWEEP_RESOLUTION)
+    grid = default_crease_grid(P, resolution=SWEEP_RESOLUTION, scheme=evaluator.scheme)
     sweep_min, sweep_arg = crease_sweep(P, A, grid=grid, p_o=p_o, evaluator=evaluator)
-    mesh = make_mesh(P, h)
-    report = lp_stability_estimate(P, A, mesh, p_o=p_o, mode=mode, sweep_min=sweep_min)
+    mesh = make_mesh(P, h, point=p_o)
+    report = lp_stability_estimate(P, A, mesh, mode=mode, sweep_min=sweep_min)
     report.crease_sweep_min = sweep_min
     report.crease_sweep_argmin = sweep_arg
     if report.status == "uniformly-stable":
         report.certificates = properness_certificate(
-            P, A, report.lambda_hat_refined, mesh, p_o=p_o, evaluator=evaluator, mode=mode)
+            P, A, report.lambda_hat_refined, mesh, evaluator=evaluator, mode=mode)
     return report

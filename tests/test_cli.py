@@ -11,7 +11,8 @@ import polystab
 from polystab.cli import build_parser, main
 from polystab.convex import AffineFunc, crease
 from polystab.errors import LPNotConverged
-from polystab.fileio import write_pl_function
+from polystab.fileio import read_polytope, write_pl_function
+from polystab.polytope import center_of_mass
 
 PENTAGON = """# polystab polytope
 dimension: 2
@@ -638,3 +639,16 @@ def test_verify_builds_the_convexity_rows_once_per_mesh(tmp_path, monkeypatch, c
     path.write_text(SQUARE)
     assert main(["verify", "--polytope", str(path), "--h", "0.25"]) == 0
     assert built and len(built) == len(set(built))
+
+
+@pytest.mark.parametrize("text, h", [(PENTAGON, "0.25"), (PENTAGON, "2"), (SIMPLEX, "0.25")],
+                         ids=["pentagon", "pentagon-h2", "simplex"])
+def test_stability_report_normalizes_at_the_center_of_mass(text, h, tmp_path, capsys):
+    # the report's p_o is the center of mass itself, bit for bit, not a mesh
+    # vertex near it; at h = 2 the pentagon's uniform grid has no interior
+    # vertex, and the lines through p_o give one
+    path = tmp_path / "p.txt"
+    path.write_text(text)
+    assert main(["stability", "--polytope", str(path), "--h", h]) == 0
+    p_o = " ".join(repr(float(v)) for v in center_of_mass(read_polytope(str(path))))
+    assert report_values(capsys.readouterr().out)["p_o"] == p_o

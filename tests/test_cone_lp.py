@@ -53,7 +53,7 @@ def interior_point(lp, problem):
                          ids=["interval", "square", "simplex"])
 @pytest.mark.parametrize("problem", PROBLEMS)
 def test_interior_point_matches_exact_simplex(P, A, h, problem):
-    lp = StabilityLP(P, A, make_mesh(P, h))
+    lp = StabilityLP(P, A, make_mesh(P, h, point=center_of_mass(P)))
     vf, uf = interior_point(lp, problem)
     vx, _, _ = getattr(lp, problem)(mode="exact")
     assert abs(vf - vx) <= 1e-10
@@ -68,7 +68,7 @@ def test_interior_point_matches_exact_simplex_on_intervals(a, w, c0, c1):
     # A(x) = (c0 + c1 (x - a) / w) / w keeps L_A of order one at every width
     P = interval(a, a + w)
     A = AffineFunc((c0 - c1 * a / w) / w, (c1 / w**2,))
-    lp = StabilityLP(P, A, make_mesh(P, w / 8))
+    lp = StabilityLP(P, A, make_mesh(P, w / 8, point=center_of_mass(P)))
     vf, uf = interior_point(lp, "minimize_linear_functional")
     vx, _, _ = lp.minimize_linear_functional(mode="exact")
     assert abs(vf - vx) <= 1e-10 * max(1.0, abs(vx))
@@ -84,17 +84,20 @@ def test_interior_point_matches_exact_simplex_on_intervals(a, w, c0, c1):
                         st.sampled_from([0.0, -6.0, 2.5])))
 def test_hinges_give_the_cone_lp_optimum_on_intervals(a, w, cells, at, coeffs):
     # A = (c0 + c1 s + c2 s^2) / w in s = (x - a) / w, affine or quadratic,
-    # keeps L_A of order one at every width; p_o is any interior vertex
+    # keeps L_A of order one at every width; p_o is any interior vertex of
+    # the uniform mesh, so the mesh through p_o is that mesh
     c0, c1, c2 = coeffs
     P = interval(a, a + w)
-    mesh = make_mesh(P, w / cells)
+    uniform = make_mesh(P, w / cells)
+    p_o = uniform.vertices[1 + round(at * (uniform.num_vertices - 3))]
+    mesh = make_mesh(P, w / cells, point=p_o)
+    assert np.array_equal(mesh.vertices, uniform.vertices)
 
     def A(pts):
         s = (pts[:, 0] - a) / w
         return (c0 + c1 * s + c2 * s * s) / w
 
-    p_o = mesh.vertices[1 + round(at * (mesh.num_vertices - 3))]
-    lp = StabilityLP(P, A, mesh, p_o=p_o)
+    lp = StabilityLP(P, A, mesh)
     for problem in PROBLEMS:
         objective, row, _ = problem_rows(lp, problem)
         value, u, steps = getattr(lp, problem)()
@@ -114,10 +117,10 @@ def test_hinges_give_the_interval_constants_exactly():
     # lambda-hat = 1/2 and C' = 1/4 with no rounding left
     P = interval()
     for h in (1 / 16, 1 / 32):
-        mesh = make_mesh(P, h)
+        mesh = make_mesh(P, h, point=center_of_mass(P))
         report = lp_stability_estimate(P, extremal_affine(P), mesh)
         assert (report.lambda_hat, report.lambda_hat_refined, report.lp_iterations) == (0.5, 0.5, 0)
-        assert l1_boundary_constant(P, center_of_mass(P), mesh)[0] == 0.25
+        assert l1_boundary_constant(P, mesh)[0] == 0.25
 
 
 @pytest.mark.parametrize("P, A, h, delta", [
@@ -132,7 +135,7 @@ def test_nearly_extremal_field_reaches_the_exact_optimum(P, A, h, delta):
     a0, slope = A
     centre = P.vertices.mean(axis=0)
     field = AffineFunc(a0 - delta * float(np.dot(slope, centre)), tuple(delta * np.array(slope)))
-    lp = StabilityLP(P, field, make_mesh(P, h))
+    lp = StabilityLP(P, field, make_mesh(P, h, point=center_of_mass(P)))
     for problem in PROBLEMS:
         vf, uf = interior_point(lp, problem)
         vx, _, _ = getattr(lp, problem)(mode="exact")
@@ -148,7 +151,7 @@ def test_failed_purification_raises(monkeypatch, P, field, h):
     # the nearly extremal interval leaves the iteration on the stall rule,
     # its dual residual unconverged; the square converges.  With the check on
     # the purified vertex made impossible, neither returns a point
-    lp = StabilityLP(P, field, make_mesh(P, h))
+    lp = StabilityLP(P, field, make_mesh(P, h, point=center_of_mass(P)))
     monkeypatch.setattr(cone_lp, "FEAS_TOL", -1.0)
     with pytest.raises(LPNotConverged):
         interior_point(lp, "minimize_linear_functional")
@@ -159,14 +162,15 @@ def test_purified_vertex_above_the_iterate_raises(monkeypatch):
     # ends at a feasible vertex whose objective is worse than the iterate's
     purify = cone_lp._purify
     monkeypatch.setattr(cone_lp, "_purify", lambda C, b, c, *rest: purify(C, b, -c, *rest))
-    lp = StabilityLP(interval(), AffineFunc(2.0 - 5e-7, (1e-6,)), make_mesh(interval(), 1 / 16))
+    lp = StabilityLP(interval(), AffineFunc(2.0 - 5e-7, (1e-6,)),
+                     make_mesh(interval(), 1 / 16, point=[0.5]))
     with pytest.raises(LPNotConverged):
         interior_point(lp, "minimize_linear_functional")
 
 
 def test_iteration_cap_raises(monkeypatch):
     P = unit_square()
-    lp = StabilityLP(P, 4.0, make_mesh(P, 1 / 4))
+    lp = StabilityLP(P, 4.0, make_mesh(P, 1 / 4, point=center_of_mass(P)))
     monkeypatch.setattr(cone_lp, "MAX_ITER", 2)
     with pytest.raises(LPNotConverged):
         lp.minimize_linear_functional()

@@ -107,3 +107,19 @@ def test_mesh_function_rejects_a_wrong_value_count():
     text = mesh_function_to_text(u).replace("values: 0.0 ", "values: ", 1)
     with pytest.raises(ValueError, match="value count"):
         mesh_function_from_text(text)
+
+
+def test_stability_witness_reads_back_on_the_mesh_through_p_o(tmp_path, capsys):
+    # the pentagon's witness lives on the mesh with grid lines through p_o; its
+    # file names that point, so the reader builds the same mesh
+    polytope = tmp_path / "pentagon.txt"
+    write_polytope(build_polytope([((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, 0.0), -3.0),
+                                   ((0.0, -1.0), -2.0), ((-1.0, -1.0), -4.0)]), polytope)
+    out = str(tmp_path / "stability.txt")
+    assert cli.main(["stability", "--polytope", str(polytope), "--h", "0.25", "--out", out]) == 0
+    text = open(out + ".witness").read()
+    assert "point: 1.393939393939394 0.9393939393939394\n" in text
+    back = read_mesh_function(out + ".witness")
+    assert back.p_o_index == back.mesh.point_vertex and back.values[back.p_o_index] == 0.0
+    assert back.mesh.vertices[back.p_o_index].tolist() == [1.393939393939394, 0.9393939393939394]
+    assert mesh_function_to_text(back) == text

@@ -160,9 +160,10 @@ def test_mabuchi_guillemin_square(ev_square):
                                interval(-0.5, 2.0)],
                          ids=["pentagon", "square", "simplex", "interval"])
 def test_guillemin_integrals_stream_the_graded_rule(P, monkeypatch):
-    # |u_o|_b, L_A(u_o) and F_A(u_o) are summed one facet fan at a time and
-    # agree with sums over the whole graded rule; the evaluator builds
-    # neither that rule nor the standard one to get them
+    # |u_o|_b and L_A(u_o) are summed one facet fan at a time and agree with
+    # sums over the whole graded rule; the evaluator builds neither that rule
+    # nor the standard one to get them.  F_A(u_o) reads the evaluator's whole
+    # graded rule, built once however many energies are taken
     import polystab.functionals
 
     A, u = extremal_affine(P), guillemin_potential(P)
@@ -181,18 +182,22 @@ def test_guillemin_integrals_stream_the_graded_rule(P, monkeypatch):
     def unbuilt(*args, **kwargs):
         raise AssertionError("a whole rule was built")
 
-    monkeypatch.setattr(polystab.functionals, "graded_scheme", unbuilt)
+    built = []
+    monkeypatch.setattr(polystab.functionals, "graded_scheme",
+                        lambda *args, **kwargs: built.append(args) or G)
     monkeypatch.setattr(polystab.functionals, "standard_scheme", unbuilt)
     ev = FunctionalEvaluator(P, A)
     assert ev.norm_and_linear(u) == pytest.approx((bn, lin), rel=1e-13)
     assert ev.boundary_norm(u) == pytest.approx(bn, rel=1e-13)
     assert ev.linear_functional(u) == pytest.approx(lin, rel=1e-13)
+    assert built == [] and "graded" not in vars(ev)
     m = ev.mabuchi(u)
     assert m.log_det_term == pytest.approx(term, rel=1e-13)
-    assert m.linear_term == ev.linear_functional(u)
+    assert m.linear_term == ev.linear_functional(u)  # the streamed blocks, in order
     assert m.value == pytest.approx(term + lin, rel=1e-13)
     assert m.truncation_estimate == pytest.approx(trunc, rel=1e-13)
-    assert "graded" not in vars(ev) and "scheme" not in vars(ev)
+    assert ev.mabuchi(u).value == m.value
+    assert len(built) == 1 and ev.graded is G and "scheme" not in vars(ev)
 
 
 def test_mabuchi_scaling_identity(ev_interval):

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,13 +9,16 @@ from hypothesis import strategies as st
 from polystab._geom import clip_halfplanes, fans, polygon_area
 from polystab.convex import MeshConvexFunc, normalize
 from polystab.errors import MeshTooFine
+from polystab.fileio import read_polytope
 from polystab.functionals import extremal_affine
 from polystab.hessfit import HessianSurrogate
 from polystab.mesh import make_mesh
 from polystab.polytope import build_polytope, center_of_mass, interval, standard_simplex, unit_square
 from polystab.stability import StabilityLP, lp_stability_estimate
 
-from test_stability import _hull, _lattice_polygon, lattice_points
+from test_stability import _hull, _lattice_facets, _lattice_polygon, lattice_points
+
+INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
 PENTAGON = [((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, 0.0), -3.0),
             ((0.0, -1.0), -2.0), ((-1.0, -1.0), -4.0)]
@@ -79,11 +85,6 @@ def test_locate_boundary_and_interior():
     assert np.min(bary) >= -1e-9
     recovered = np.einsum("ijk,ij->ik", m.vertices[m.cells[ids]], bary)
     assert np.allclose(recovered, pts, atol=1e-12)
-
-
-def test_nearest_vertex():
-    m = make_mesh(unit_square(), 1 / 4)
-    assert np.allclose(m.vertices[m.nearest_vertex([0.5, 0.5])], [0.5, 0.5])
 
 
 @pytest.mark.parametrize("s", [1e-13, 1e-12, 1e-11, 1e4])
@@ -205,8 +206,7 @@ def test_moving_the_polygon_moves_its_mesh_and_keeps_lambda_hat(polygon, move):
         assert len({(m.num_vertices, len(m.cells), len(m.hinges)) for m in meshes}) == 1
     lam = []
     for Q in (P, moved):
-        m = make_mesh(Q, 0.3 * size)
-        assume(m.nearest_vertex(center_of_mass(Q)) not in m.boundary_facets)
+        m = make_mesh(Q, 0.3 * size, point=center_of_mass(Q))
         lam.append(lp_stability_estimate(Q, extremal_affine(Q), m).lambda_hat)
     assert abs(lam[0] - lam[1]) <= 1e-9
 
@@ -539,17 +539,16 @@ def test_convexity_rows_match_the_reference_formulas(P, h):
 @pytest.mark.parametrize("h", [1 / 5, 1 / 8])
 @MESH_FIXTURES
 def test_margins_are_the_lp_rows_applied_to_the_values(P, h):
-    m = make_mesh(P, h)
-    # a random quadratic with a linear part, normalized at the vertex nearest
-    # the center of mass
+    m = make_mesh(P, h, point=center_of_mass(P))
+    # a random quadratic with a linear part, normalized at the center of mass
     rng = np.random.default_rng(3)
     n = P.dimension
     x = m.vertices - rng.uniform(0.2, 0.8, size=n)
     vals = np.sum(rng.uniform(0.5, 6.0, n) * x * x, axis=1) + x @ rng.uniform(-2.0, 2.0, n)
-    u = normalize(MeshConvexFunc(m, vals), m.vertices[m.nearest_vertex(center_of_mass(P))])
-    lp = StabilityLP(P, 1.0, m, p_o=m.vertices[u.p_o_index])
+    u = normalize(MeshConvexFunc(m, vals), m.vertices[m.point_vertex])
+    lp = StabilityLP(P, 1.0, m)
     idx, coef = lp.rows
-    assert u.values[lp.p_o_index] == 0.0
+    assert u.p_o_index == lp.p_o_index == m.point_vertex and u.values[m.point_vertex] == 0.0
     np.testing.assert_allclose(np.sum(u.values[lp.free][idx] * coef, axis=1),
                                u.convexity_margins(), rtol=0, atol=1e-12)
     if P.dimension == 1:  # the rows are the slope differences at the interior vertices
@@ -563,21 +562,68 @@ def test_meshes_hash_by_identity():
     assert a != b and len({a, b, a}) == 2
 
 
-@pytest.mark.parametrize("point", [(0.25, 0.5), (0.75, 0.3), (0.6, 0.25), (0.1, 0.75)])
-def test_nearest_vertex_breaks_ties_by_coordinates(point):
-    # a point equidistant from two vertices gets the lexicographically smaller
-    # one, in P and in P moved far from the origin alike
-    t = 1e3
-    moved = build_polytope([((1.0, 0.0), t), ((0.0, 1.0), t), ((-1.0, 0.0), -(t + 1.0)),
-                            ((0.0, -1.0), -(t + 1.0))])
-    picks = []
-    for Q, shift in ((unit_square(), 0.0), (moved, t)):
-        m = make_mesh(Q, 0.5)
-        p = np.asarray(point) + shift
-        d = np.linalg.norm(m.vertices - p, axis=1)
-        tied = m.vertices[np.abs(d - d.min()) <= 1e-9] - shift
-        assert len(tied) == 2
-        v = m.vertices[m.nearest_vertex(p)] - shift
-        assert tuple(v) == min(map(tuple, tied))
-        picks.append(tuple(v))
-    assert picks[0] == picks[1]
+# -- meshes through a point ---------------------------------------------------------
+
+def _digest(m):
+    """First 16 hex digits of the sha256 of the mesh's arrays and boundary facets."""
+    arrays = [m.vertices.astype("<f8"), m.cells.astype("<i8"), m.hinges.astype("<i8")]
+    if m.dimension == 2:
+        arrays += [m.cell_index.astype("<i8"), m.boundary_edges.astype("<i8")]
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(repr(sorted(m.boundary_facets.items())).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name, h, vertices, digest", [
+    ("square", 1 / 6, 49, "586edfa30ae92924"),
+    ("interval", 1 / 16, 17, "cb536f714d2f8a8e"),
+    ("pentagon", 0.2, 161, "0d64c1b72f3406ab"),
+])
+def test_mesh_without_a_point_keeps_its_arrays(name, h, vertices, digest):
+    # the benchmark inputs' meshes: with no point, vertices, cells, hinges,
+    # cell buckets, boundary edges and facets are the uniform grid's, bit for bit
+    m = make_mesh(read_polytope(INPUTS / f"{name}.txt"), h)
+    assert (m.num_vertices, _digest(m), m.point_vertex) == (vertices, digest, None)
+
+
+def test_mesh_through_a_point_adds_one_line_each_way():
+    P = unit_square()
+    m = make_mesh(P, 1 / 4, point=[0.3, 0.5])  # x = 0.3 is new, y = 0.5 a grid line
+    xs, ys = m.grid_shape
+    assert xs.tolist() == [0.0, 0.25, 0.3, 0.5, 0.75, 1.0] and len(ys) == 5
+    assert m.num_vertices == 30 and m.vertices[m.point_vertex].tolist() == [0.3, 0.5]
+    # a coordinate within 1e-12 of P's scale of a grid line takes that line
+    near = make_mesh(P, 1 / 4, point=[0.5 + 1e-14, 0.5])
+    assert near.num_vertices == 25 and near.vertices[near.point_vertex].tolist() == [0.5, 0.5]
+    line = make_mesh(interval(), 1 / 4, point=[0.3])
+    assert line.vertices[:, 0].tolist() == [0.0, 0.25, 0.3, 0.5, 0.75, 1.0]
+    assert line.point_vertex == 2 and len(line.hinges) == 4
+    with pytest.raises(ValueError, match="outside"):
+        make_mesh(P, 1 / 4, point=[1.5, 0.5])
+
+
+@settings(max_examples=25, deadline=None)
+@given(points=lattice_points, move=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+       cells=st.sampled_from([2, 3, 5]))
+def test_mesh_through_the_center_of_mass_moves_with_the_polygon(points, move, cells):
+    # the center of mass is an interior vertex at the point, cells are found
+    # on the non-uniform grid, and lambda-hat of Q and Q + t agree
+    facets = _lattice_facets(points)
+    assume(facets is not None)
+    lam = []
+    for t in ((0.0, 0.0), move):
+        Q = build_polytope([(n, c + float(np.dot(n, t))) for n, c in facets])
+        p = center_of_mass(Q)
+        m = make_mesh(Q, float(np.max(np.ptp(Q.vertices, axis=0))) / cells, point=p)
+        assert m.point_vertex not in m.boundary_facets
+        np.testing.assert_allclose(m.vertices[m.point_vertex], p, rtol=0, atol=1e-12 * Q._scale)
+        centroids = m.vertices[m.cells].mean(axis=1)
+        ids, bary = m.locate(centroids)
+        assert np.all(ids >= 0)
+        np.testing.assert_allclose(np.einsum("ijk,ij->ik", m.vertices[m.cells[ids]], bary),
+                                   centroids, rtol=0, atol=1e-12 * Q._scale)
+        lam.append(lp_stability_estimate(Q, extremal_affine(Q), m).lambda_hat)
+    assert abs(lam[0] - lam[1]) <= 1e-9

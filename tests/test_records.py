@@ -19,7 +19,7 @@ SIGNATURES = {
     Polytope: "dimension normals offsets vertices boundary_weights facet_vertices "
               "name=None _scale=1.0",
     Mesh: "polytope h vertices cells hinges boundary_facets grid_shape=() cell_index=None "
-          "boundary_edges=None",
+          "boundary_edges=None point_vertex=None",
     QuadratureScheme: "dimension degree interior_points interior_weights interior_layers "
                       "boundary_points boundary_weights kind='standard' meta=None "
                       "interior_cells=None",

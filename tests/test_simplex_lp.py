@@ -77,8 +77,8 @@ def test_float_vs_exact_on_stability_instance():
     from polystab.stability import StabilityLP
 
     P = interval()
-    m = make_mesh(P, 1 / 8)
-    lp = StabilityLP(P, 2.0, m, p_o=[0.5])
+    m = make_mesh(P, 1 / 8, point=[0.5])
+    lp = StabilityLP(P, 2.0, m)
     vf, _, _ = lp.minimize_linear_functional(mode="float")
     vx, _, _ = lp.minimize_linear_functional(mode="exact")
     assert vf == pytest.approx(float(vx), abs=1e-12)

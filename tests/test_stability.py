@@ -367,8 +367,8 @@ def test_extremal_field_annihilates_affine_functions(s, points, a):
 
 def test_lp_interval_lambda_half():
     P = interval()
-    m = make_mesh(P, 1 / 64)
-    rep = lp_stability_estimate(P, 2.0, m, p_o=[0.5])
+    m = make_mesh(P, 1 / 64, point=[0.5])
+    rep = lp_stability_estimate(P, 2.0, m)
     assert 0.48 <= rep.lambda_hat <= 0.52
     assert rep.status == "uniformly-stable"
     d = rep.destabilizer
@@ -380,8 +380,8 @@ def test_lp_interval_lambda_half():
 
 def test_lp_interval_instability_witness():
     P = interval()
-    m = make_mesh(P, 1 / 64)
-    rep = lp_stability_estimate(P, A_UNSTABLE, m, p_o=[0.5])
+    m = make_mesh(P, 1 / 64, point=[0.5])
+    rep = lp_stability_estimate(P, A_UNSTABLE, m)
     assert rep.status == "relatively-unstable"
     assert rep.lambda_hat <= -1 / 30
     ev = FunctionalEvaluator(P, A_UNSTABLE)
@@ -400,8 +400,8 @@ def test_lp_square_stable_across_refinements():
 
 def test_lp_boundary_case_status():
     P = interval()
-    m = make_mesh(P, 1 / 64)
-    rep = lp_stability_estimate(P, A_EXTREMAL_RAY, m, p_o=[0.5])
+    m = make_mesh(P, 1 / 64, point=[0.5])
+    rep = lp_stability_estimate(P, A_EXTREMAL_RAY, m)
     assert rep.status == "boundary-case"
     assert abs(rep.lambda_hat) <= 1e-9
 
@@ -412,7 +412,7 @@ def test_lp_boundary_case_status():
 def test_lp_rows_span_no_more_columns_than_their_hinges(P, h):
     # the entries of p_o carry coefficient 0 at a column already in their row,
     # so the rows are the convexity rows with p_o's column deleted
-    mesh = make_mesh(P, h)
+    mesh = make_mesh(P, h, point=center_of_mass(P))
     lp = StabilityLP(P, 0.0, mesh)
     idx, coef = lp.rows
     assert np.all(np.ptp(idx, axis=1) <= np.ptp(mesh.hinges, axis=1))
@@ -426,8 +426,8 @@ def test_lp_rows_span_no_more_columns_than_their_hinges(P, h):
 def test_cone_contains_representable_creases():
     # mesh-representable normalized creases are LP-feasible: lambdaHat <= ratio
     P = interval()
-    m = make_mesh(P, 1 / 16)
-    rep = lp_stability_estimate(P, 2.0, m, p_o=[0.5])
+    m = make_mesh(P, 1 / 16, point=[0.5])
+    rep = lp_stability_estimate(P, 2.0, m)
     for t in m.vertices[3:-3, 0]:
         assert rep.lambda_hat <= crease_ratio_oracle_interval(float(t), 2.0) + 1e-9
 
@@ -436,7 +436,7 @@ def test_lambda_monotone_under_refinement():
     P = unit_square()
     lams = []
     for h in (1 / 4, 1 / 8, 1 / 16):
-        rep = lp_stability_estimate(P, 4.0, make_mesh(P, h), p_o=[0.5, 0.5])
+        rep = lp_stability_estimate(P, 4.0, make_mesh(P, h, point=[0.5, 0.5]))
         lams.append(rep.lambda_hat)
     assert lams[1] <= lams[0] + 1e-9
     assert lams[2] <= lams[1] + 1e-9
@@ -444,9 +444,21 @@ def test_lambda_monotone_under_refinement():
     lamT = []
     p_o = [0.375, 0.375]  # shared vertex of both meshes
     for h in (1 / 8, 1 / 16):
-        rep = lp_stability_estimate(T, 6.0, make_mesh(T, h), p_o=p_o)
+        rep = lp_stability_estimate(T, 6.0, make_mesh(T, h, point=p_o))
         lamT.append(rep.lambda_hat)
     assert lamT[1] <= lamT[0] + 1e-9
+
+
+@pytest.mark.parametrize("h", [2.0, 1.0, 1 / 4, 1 / 8])
+def test_pentagon_lambda_hat_is_normalized_at_the_center_of_mass_at_every_h(h):
+    # the mesh has grid lines through p_o, so the LP normalizes at p_o itself
+    # and lambda-hat does not move with h (at the nearest vertex it read
+    # 0.19857 at h = 1 and 0.27232 at h = 1/8, and h = 2 had no interior vertex)
+    p_o = center_of_mass(PENTAGON)
+    rep = lp_stability_estimate(PENTAGON, extremal_affine(PENTAGON),
+                                make_mesh(PENTAGON, h, point=p_o))
+    assert np.array_equal(rep.p_o, p_o)
+    assert rep.lambda_hat == pytest.approx(0.26688215637225, abs=1e-9)
 
 
 def test_solvable_fixtures_all_stable():
@@ -509,25 +521,25 @@ def test_analyze_stability_builds_one_mesh(monkeypatch):
 
     built = []
 
-    def counting(P, h):
-        built.append(h)
-        return make_mesh(P, h)
+    def counting(P, h, point=None):
+        built.append((h, tuple(point)))
+        return make_mesh(P, h, point=point)
 
     monkeypatch.setattr(polystab.stability, "make_mesh", counting)
     for P, A, h in ((interval(), 2.0, 1 / 16), (unit_square(), 4.0, 1 / 4)):
         built.clear()
         analyze_stability(P, A, h)
-        assert built == [h]
+        assert built == [(h, tuple(center_of_mass(P)))]
 
 
 # -- relative K-polystability ---------------------------------------------------------
 
 def test_relative_kpolystability_fixtures():
     P = interval()
-    m = make_mesh(P, 1 / 64)
-    ok, wit = relative_kpolystability_check(P, 2.0, m, p_o=[0.5])
+    m = make_mesh(P, 1 / 64, point=[0.5])
+    ok, wit = relative_kpolystability_check(P, 2.0, m)
     assert ok is True and wit is None
-    ok, wit = relative_kpolystability_check(P, A_UNSTABLE, m, p_o=[0.5])
+    ok, wit = relative_kpolystability_check(P, A_UNSTABLE, m)
     assert ok is False
     ev = FunctionalEvaluator(P, A_UNSTABLE)
     assert ev.linear_functional(wit) < 0
@@ -542,8 +554,8 @@ def test_relative_kpolystability_nontrivial_extremal():
     for t in (0.25, 0.4, 0.6, 0.8):
         u = normalize(crease(AffineFunc(-t, (1.0,))), [0.5])
         assert ev.linear_functional(u) > 0
-    m = make_mesh(P, 1 / 64)
-    ok, wit = relative_kpolystability_check(P, A_EXTREMAL_RAY, m, p_o=[0.5])
+    m = make_mesh(P, 1 / 64, point=[0.5])
+    ok, wit = relative_kpolystability_check(P, A_EXTREMAL_RAY, m)
     assert ok is False
     assert wit is not None
     # witness is (up to scaling) the crease at 1/2: mass 1, L_A ~ 0
@@ -624,17 +636,18 @@ def test_scripted_sequences_in_2d():
 
 def test_l1_constant_interval():
     P = interval()
-    m = make_mesh(P, 1 / 64)
-    cp, maximizer = l1_boundary_constant(P, [0.5], m)
+    m = make_mesh(P, 1 / 64, point=[0.5])
+    cp, maximizer = l1_boundary_constant(P, m)
     assert cp == pytest.approx(0.25, abs=1e-9)
     # the maximizer is the midpoint crease, mass (1-t)/2 at boundary norm 1
-    assert maximizer.values[m.nearest_vertex([0.5])] == 0.0
+    assert m.vertices[m.point_vertex].tolist() == [0.5]
+    assert maximizer.values[m.point_vertex] == 0.0
 
 
 def test_l1_constant_square_bounded_by_crease_family():
     P = unit_square()
-    m = make_mesh(P, 1 / 8)
-    cp, _ = l1_boundary_constant(P, [0.5, 0.5], m)
+    m = make_mesh(P, 1 / 8, point=[0.5, 0.5])
+    cp, _ = l1_boundary_constant(P, m)
     assert 0.0 < cp <= np.sqrt(2.0) / 2  # diam / 2
     # crease lower bound: the max over normalized axis creases
     ev = FunctionalEvaluator(P, 1.0)
@@ -647,9 +660,9 @@ def test_l1_constant_square_bounded_by_crease_family():
 
 def test_certificate_interval_closed_forms():
     P = interval()
-    m = make_mesh(P, 1 / 64)
-    rep = lp_stability_estimate(P, 2.0, m, p_o=[0.5])
-    cert = properness_certificate(P, 2.0, rep.lambda_hat, m, p_o=[0.5])
+    m = make_mesh(P, 1 / 64, point=[0.5])
+    rep = lp_stability_estimate(P, 2.0, m)
+    cert = properness_certificate(P, 2.0, rep.lambda_hat, m)
     assert cert.c_o == pytest.approx(1.0, abs=1e-5)
     assert cert.c_prime == pytest.approx(0.25, abs=0.02)
     assert cert.r_bound == pytest.approx(1.5, abs=0.05)
@@ -667,7 +680,7 @@ def test_certificate_interval_closed_forms():
 def test_c_o_is_the_log_det_integral_of_u_o_less_n_vol(P, c_o):
     # C_o = -F_{A_o}(u_o) = int log det Hess u_o - n Vol, by L_{A_o}(u_o) = n Vol;
     # the values are the closed-form integrals of log det Hess u_o less n Vol
-    cert = properness_certificate(P, 4.0, 0.5, make_mesh(P, 1 / 4))
+    cert = properness_certificate(P, 4.0, 0.5, make_mesh(P, 1 / 4, point=center_of_mass(P)))
     assert cert.c_o == pytest.approx(c_o, abs=2e-7)
 
 
@@ -683,8 +696,8 @@ def test_graded_rule_is_built_only_when_read(monkeypatch):
     assert rep.status == "relatively-unstable"
     assert calls == []
     # the certificate reads it once, on the sweep's evaluator, for the A_o
-    # samples (the Mabuchi energy of u_o takes it one end at a time), and
-    # gets the constants the eager rule gave
+    # samples and the Mabuchi energy of u_o, and gets the constants the
+    # eager rule gave
     P = interval()
     rep = analyze_stability(P, extremal_affine(P), 1 / 16)
     assert calls == [1]
@@ -697,7 +710,7 @@ def test_graded_rule_is_built_only_when_read(monkeypatch):
 
 def test_certificate_requires_positive_lambda():
     P = interval()
-    m = make_mesh(P, 1 / 16)
+    m = make_mesh(P, 1 / 16, point=[0.5])
     with pytest.raises(NonpositiveLambda):
         properness_certificate(P, 2.0, -0.1, m)
 
@@ -711,10 +724,10 @@ def _guillemin_type_samples(P, p_o, seed, count):
 
 def test_certificate_bound_on_guillemin_type_samples():
     P = interval()
-    m = make_mesh(P, 1 / 32)
-    rep = lp_stability_estimate(P, 2.0, m, p_o=[0.5])
+    m = make_mesh(P, 1 / 32, point=[0.5])
+    rep = lp_stability_estimate(P, 2.0, m)
     ev = FunctionalEvaluator(P, 2.0)
-    cert = properness_certificate(P, 2.0, rep.lambda_hat, m, p_o=[0.5], evaluator=ev)
+    cert = properness_certificate(P, 2.0, rep.lambda_hat, m, evaluator=ev)
     for u in _guillemin_type_samples(P, rep.p_o, 101, 50):
         assert u(rep.p_o) == pytest.approx(0.0, abs=1e-12)
         F = ev.mabuchi(u).value
@@ -726,7 +739,7 @@ def test_certificate_bound_on_guillemin_type_samples():
 
 def test_theorem_properness_square():
     P = unit_square()
-    m = make_mesh(P, 1 / 8)
+    m = make_mesh(P, 1 / 8, point=[0.5, 0.5])
     rep = lp_stability_estimate(P, 4.0, m)
     ev = FunctionalEvaluator(P, 4.0)
     cert = properness_certificate(P, 4.0, rep.lambda_hat, m, evaluator=ev)
@@ -761,7 +774,7 @@ def test_solution_norm_bound_audit():
     S = unit_square()
     evS = FunctionalEvaluator(S, 4.0)
     uoS = guillemin_potential(S)
-    m = make_mesh(S, 1 / 8)
+    m = make_mesh(S, 1 / 8, point=[0.5, 0.5])
     rep = lp_stability_estimate(S, 4.0, m)
     bound = solution_norm_bound(S, rep.lambda_hat)
     assert evS.boundary_norm(uoS) <= bound
@@ -774,12 +787,12 @@ def test_solution_norm_bound_audit():
 
 def test_instability_agreement():
     P = interval()
-    m = make_mesh(P, 1 / 32)
-    rep = lp_stability_estimate(P, A_UNSTABLE, m, p_o=[0.5])
-    ok, wit = relative_kpolystability_check(P, A_UNSTABLE, m, p_o=[0.5])
+    m = make_mesh(P, 1 / 32, point=[0.5])
+    rep = lp_stability_estimate(P, A_UNSTABLE, m)
+    ok, wit = relative_kpolystability_check(P, A_UNSTABLE, m)
     assert rep.lambda_hat < 0 and ok is False and wit is not None
-    rep2 = lp_stability_estimate(P, 2.0, m, p_o=[0.5])
-    ok2, _ = relative_kpolystability_check(P, 2.0, m, p_o=[0.5])
+    rep2 = lp_stability_estimate(P, 2.0, m)
+    ok2, _ = relative_kpolystability_check(P, 2.0, m)
     assert rep2.lambda_hat > 1e-3 and ok2 is True
 
 
@@ -794,10 +807,10 @@ def test_verify_takes_l_a_of_the_solution_once(P, h, monkeypatch):
 
     passes, rule_for, samples = [], FunctionalEvaluator._rule_for, []
 
-    def counting(self, u):
+    def counting(self, u, *args, **kwargs):
         if getattr(u, "guillemin_type", False):
             passes.append(u)
-        return rule_for(self, u)
+        return rule_for(self, u, *args, **kwargs)
 
     def sampling(u, p_o):
         samples.append(normalize(u, p_o))
