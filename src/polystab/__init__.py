@@ -54,10 +54,10 @@ _EXPORTS = {
     "cone_lp": "ConeLPResult solve_cone_lp",
     "simplex_lp": "LPResult solve_lp",
     "stability": "PropernessCertificate StabilityReport analyze_stability crease_functionals "
-                 "crease_sweep default_crease_grid l1_boundary_constant lp_stability_estimate "
-                 "properness_certificate",
-    "audits": "DegeneracyReport degeneracy_diagnostic relative_kpolystability_check "
-              "scripted_sequences solution_norm_bound verify_audits",
+                 "crease_sweep default_crease_grid lp_stability_estimate properness_certificate "
+                 "ray_bounds",
+    "audits": "DegeneracyReport degeneracy_diagnostic scripted_sequences solution_norm_bound "
+              "verify_audits",
     "solver": "Compatibility1D SolverState residual solve_1d solve_2d_descent",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -2,10 +2,10 @@
 
 `verify_audits` runs the checks `polystab verify` reports: the
 integration-by-parts identity and L_A(v) = n Vol for the solution v, a
-positive lambda-hat, the norm bound lambda^{-1} n Vol on |v|_b, the
-properness bound on random Guillemin-type functions, and the degeneracy
-diagnostics on the built-in sequences.  `relative_kpolystability_check`
-tests the discrete cone for destabilizers and nontrivial extremal functions.
+positive lambda-hat, and, from the lower bound on lambda of
+`stability.ray_bounds`, the norm bound lambda^{-1} n Vol on |v|_b and the
+properness bound on random Guillemin-type functions; and the degeneracy
+diagnostics on the built-in sequences.
 """
 from __future__ import annotations
 
@@ -24,33 +24,9 @@ from .convex import (
 )
 from .errors import NonpositiveLambda
 from .functionals import FunctionalEvaluator, extremal_affine
-from .mesh import Mesh, make_mesh
+from .mesh import make_mesh
 from .polytope import Polytope, center_of_mass
-from .stability import (
-    LAMBDA_ZERO_BAND,
-    TOLERANCES,
-    StabilityLP,
-    lp_stability_estimate,
-    properness_certificate,
-)
-
-
-def relative_kpolystability_check(P: Polytope, A, mesh: Mesh, mode="float"):
-    """(is_relatively_K_polystable, witness), normalized at the mesh's point vertex.
-
-    Fails either when the cone LP goes negative (witness: its minimizer) or
-    when a nontrivial extremal function exists in the discrete cone: the
-    mass-normalized LP min L_A(u) s.t. int(u) = 1 reaching <= 1e-9 produces a
-    nonzero u with vanishing L_A (witness: that function).
-    """
-    lp = StabilityLP(P, A, mesh)
-    lam, u, _ = lp.minimize_linear_functional(mode=mode)
-    if lam < -LAMBDA_ZERO_BAND:
-        return False, u
-    m2, w, _ = lp.minimize_linear_functional_mass(mode=mode)
-    if m2 <= 1e-9:
-        return False, w
-    return True, None
+from .stability import TOLERANCES, lp_stability_estimate, properness_certificate, ray_bounds
 
 
 class DegeneracyReport(Record):
@@ -181,8 +157,9 @@ def verify_audits(P: Polytope, h: float, seed: int, sigma_scale=1.0, audit_count
     boundary weights scaled by `sigma_scale`, while A and v stay those of P
     as given; a scale other than 1 breaks the identities, so the suite must
     fail (a consistency tripwire).  Yields (name, passed, measured,
-    tolerance) rows.  The properness bound F_A(u) >= -C + eps' |u|_b is checked
-    on Guillemin-type u = normalize(u_o + q, p_o), q(x) = (x - p_o)^T D (x - p_o)
+    tolerance) rows.  The norm bound and the properness bound F_A(u) >= -C +
+    eps' |u|_b, run when `ray_bounds` gives lambda_lower > 0, check
+    Guillemin-type u = normalize(u_o + q, p_o), q(x) = (x - p_o)^T D (x - p_o)
     / 2 for random positive definite D, p_o the center of mass.
     """
     rng = np.random.default_rng(seed)
@@ -212,14 +189,14 @@ def verify_audits(P: Polytope, h: float, seed: int, sigma_scale=1.0, audit_count
     # stability + norm bound + certificate audit
     mesh = make_mesh(P, h, point=center_of_mass(P))
     lp = lp_stability_estimate(P, A, mesh)
-    lam = lp.lambda_hat
     threshold = TOLERANCES["status.stable_threshold"]
-    yield ("lambda-positive", lam > threshold, lam, threshold)
-    if lam > 0:
+    yield ("lambda-positive", lp.lambda_hat > threshold, lp.lambda_hat, threshold)
+    lam, c_prime = ray_bounds(P, A, lp.p_o)
+    if (lam or 0.0) > 0.0:
         bound = solution_norm_bound(P, lam)
         yield ("solution-norm-bound", bnorm_solution <= bound + 1e-9,
                bnorm_solution, bound)
-        cert = properness_certificate(P, A, lam, mesh, evaluator=ev)
+        cert = properness_certificate(P, A, lam, c_prime, evaluator=ev)
         u_o = guillemin_potential(P)
         samples = (normalize(_plus_quadratic(u_o, lp.p_o, _random_spd(rng, n)), lp.p_o)
                    for _ in range(audit_count))

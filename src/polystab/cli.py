@@ -116,6 +116,7 @@ def cmd_stability(args):
     rep.add("lambda_hat", report.lambda_hat)
     rep.add("lambda_hat_refined", report.lambda_hat_refined)
     rep.add("crease_sweep_min", report.crease_sweep_min)
+    rep.add("lambda_lower", "none" if report.lambda_lower is None else report.lambda_lower)
     # interior-point (or exact simplex) steps of the LP at h: 0 where hinges give the 1D LP
     rep.add("lp.iterations", report.lp_iterations)
     if report.certificates is not None:
@@ -244,9 +245,8 @@ def cmd_eval(args):
         rep.add("lhs", lhs)
         rep.add("rhs", rhs)
         rep.add("gap", gap)
-    elif args.op == "l1-constant":
-        val, _ = stability.l1_boundary_constant(P, make_mesh(P, args.h, point=center_of_mass(P)))
-        rep.add("value", val)
+    elif args.op == "l1-constant":  # the ray bound C' >= |u|_L1 / |u|_b at the center of mass
+        rep.add("value", stability.ray_bounds(P, 1.0, center_of_mass(P))[1])
     _emit(rep, args.out)
     return 0
 
@@ -307,10 +307,12 @@ def build_parser(argv=None):
             "--sigma-scale": dict(type=POSITIVE, default=1.0,
                                   help="scale boundary weights (consistency tripwire)"),
             "--audit-count": dict(type=_checked(int, lambda v: v >= 1, ">= 1"), default=50)}),
-        "eval": ("evaluate one functional", cmd_eval, ("A", "h", "degree"), {
+        "eval": ("evaluate one functional", cmd_eval, ("A", "degree"), {
             "--op": dict(required=True,
                          choices=("boundary-norm", "linear-functional", "mabuchi",
-                                  "extremal-affine", "abreu-residual", "ibp", "l1-constant")),
+                                  "extremal-affine", "abreu-residual", "ibp", "l1-constant"),
+                         help="l1-constant: the upper bound max_F delta_F(p_o) / (n + 1) "
+                              "on |u|_L1 / |u|_b, p_o the center of mass"),
             "--u": dict(default=None,
                         help='"guillemin", "crease:<affine expr>", or "plfile:<path>"'),
             "--margin": dict(type=_checked(float, lambda v: np.isfinite(v) and v >= 0,

@@ -17,9 +17,9 @@ free (a field A close to the extremal one makes L_A nearly zero on affine
 functions) is below what the normal matrix resolves, so purification then
 moves down c within that face to a vertex, adding each constraint it meets.
 The purified point is returned when it passes the feasibility check and its
-objective is no worse than the iterate's; otherwise LPNotConverged is raised,
-so no point outside the cone and no vertex of a wrongly identified face is
-ever returned.
+objective is no worse than the iterate's or, where that is lower, the dual
+objective; otherwise LPNotConverged is raised, so no point outside the cone
+and no vertex of a wrongly identified face is ever returned.
 """
 from __future__ import annotations
 
@@ -183,8 +183,9 @@ def solve_cone_lp(c, idx, coef, b) -> ConeLPResult:
     scale = np.max(np.abs(v))
     feasible = (np.min(C @ v) >= -FEAS_TOL * scale and np.min(v) >= -FEAS_TOL * scale
                 and abs(b @ v - 1.0) <= FEAS_TOL)
-    # purification moves down c, so a higher objective means a wrong active set
-    if not feasible or cs @ v > cs @ u + STOP_TOL * (np.abs(cs) @ u):
+    # purification moves down c, so a higher objective means a wrong active set;
+    # an iterate just outside the cone can sit below the dual objective tau
+    if not feasible or cs @ v > max(cs @ u, tau) + STOP_TOL * (np.abs(cs) @ u):
         raise LPNotConverged("cone LP: the purified vertex fails its feasibility "
                              "or objective check")
     v = v / bscale

@@ -1,33 +1,27 @@
-"""Stability analysis: the discrete uniform-stability constant and certificates.
+"""Stability analysis: bounds on the uniform-stability constant, and the certificate.
 
-lambdaHat is the minimum of L_A(u) over the discrete normalized cone
+lambda is the infimum of L_A(u) / |u|_b over convex u >= 0 with u(p_o) = 0,
+and a run brackets it:
 
-    { u mesh-convex : u >= 0, u(p_o) = 0, |u|_b = 1 },
+    lambda_lower <= lambda <= lambda_hat_refined = min(lambda_hat, crease_sweep_min).
 
-p_o the mesh's `point_vertex`: `analyze_stability` makes its mesh with grid
-lines through p_o (default: the center of mass), so the cone is normalized at
-p_o itself at every h.  The LP's objective and normalization row come from
-the vertex-weight assembly the functional evaluator uses; its convexity rows
-stay sparse, three or four vertices each.  The default mode="float" takes it
-in closed form on an interval, where the cone is spanned by the hinges
-(x - t)_+ and (t - x)_+ at the mesh vertices on either side of p_o, so the
-minimum is the best hinge (Donaldson, J. Differential Geom. 62, 2002); on a
-polygon it runs the interior-point method of `cone_lp`.  `lp_iterations`
-counts the interior-point (or simplex) steps, 0 on an interval in float
-mode.  mode="exact" solves the same LP with the Fraction Bland simplex of
-`simplex_lp`, the oracle for small meshes.
-
-The discrete value only upper-bounds the true constant restricted to mesh
-functions, so statuses are evidence, not proofs.  "uniformly-stable" needs
-the crease sweep's minimum, an upper bound from creases that no P1 cone of a
-mesh holds (Chone and Le Meur, 2001), to clear the threshold as well.  The
-sweep takes L_A(u) / |u|_b over the normalized creases u = normalize((ell)_+,
-p_o) of a grid of affine ell, all at once (`crease_functionals`).  The audits
-that `polystab verify` runs are in `audits`.
+`ray_bounds` gives lambda_lower, and an upper bound on C' = sup |u|_L1 / |u|_b,
+in closed form; the properness certificate is built from these two.
+lambda_hat is the minimum over mesh-convex u (`StabilityLP`), normalized at
+the mesh's `point_vertex`: `analyze_stability` puts grid lines through p_o
+(default: the center of mass).  The LP's rows come from the vertex weights the
+functional evaluator uses and the sparse convexity rows of the mesh.
+mode="float" takes the best hinge on an interval (Donaldson, J. Differential
+Geom. 62, 2002) and runs the interior-point method of `cone_lp` on a polygon;
+mode="exact" runs the Fraction simplex of `simplex_lp`, the oracle for small
+meshes.  `lp_iterations` counts the steps (0 on an interval in float mode).
+The crease sweep takes L_A(u) / |u|_b of the normalized creases
+u = normalize((ell)_+, p_o) of a grid of affine ell at once
+(`crease_functionals`), which no P1 cone of a mesh holds (Chone and Le Meur,
+2001).  The upper bounds hold up to rounding and quadrature, and the statuses
+read them, so statuses are evidence, not proofs.
 """
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -78,7 +72,7 @@ class PropernessCertificate(Record):
         self.c_o = c_o                      # -F_{A_o}(u_o) = int log det Hess u_o - n Vol
         self.c_prime = c_prime              # |u|_L1 <= c_prime |u|_b on the normalized cone
         self.r_bound = r_bound              # R with L_{A_o}(u) <= R |u|_b
-        self.r_small = r_small              # chosen r in (0, lambda/R)
+        self.r_small = r_small              # chosen r in (0, lambda/R), lambda a lower bound
         self.epsilon_prime = epsilon_prime  # lambda - r R
         self.c_const = c_const              # C = C_o - n Vol log r
         self.epsilon = epsilon              # eps = eps' / c_prime
@@ -99,6 +93,7 @@ class StabilityReport(Record):
         self.lambda_hat_refined, self.destabilizer = lambda_hat_refined, destabilizer
         self.crease_sweep_min, self.crease_sweep_argmin = crease_sweep_min, crease_sweep_argmin
         self.certificates, self.lp_iterations = certificates, lp_iterations
+        self.lambda_lower = None  # `ray_bounds`' lower bound on lambda, set by analyze_stability
         self.tolerances = dict(TOLERANCES) if tolerances is None else tolerances
 
 
@@ -107,18 +102,17 @@ class StabilityReport(Record):
 # ---------------------------------------------------------------------------
 
 class StabilityLP:
-    """Shared assembly for the cone LPs on one mesh, normalized at p_o, the
-    mesh's `point_vertex`, which must be strictly interior.
+    """The cone LP min L_A(u) s.t. |u|_b = 1 on one mesh, normalized at p_o,
+    the mesh's `point_vertex`, which must be strictly interior.
 
     `rows = (idx, coef)` are the mesh's convexity rows over the free vertices.
     An entry of p_o gets coefficient 0 at a column already in its row, so each
-    row spans no more columns than its hinge.  The interior weights of A and
-    of the unit field (`a_weights`, `mass_weights`) are assembled when a
-    problem reads them.
+    row spans no more columns than its hinge.  `a_weights` are the interior
+    weights of A, `b_weights` the boundary weights.
     """
 
     def __init__(self, P: Polytope, A, mesh: Mesh):
-        self.polytope, self.A, self.mesh = P, A, mesh
+        self.mesh = mesh
         po = self.p_o_index = mesh.point_vertex
         if po is None or po in mesh.boundary_facets:
             raise ValueError("normalization vertex p_o must be the mesh's point, strictly interior")
@@ -128,18 +122,12 @@ class StabilityLP:
         other = np.take_along_axis(col, np.argmax(idx != po, axis=1)[:, None], axis=1)
         self.rows = (np.where(idx == po, other, col), np.where(idx == po, 0.0, coef))
         self.b_weights = mesh.boundary_vertex_weights
+        self.a_weights = mesh_linear_forms(mesh, A, degree=6)[1]
         self.free = np.delete(np.arange(mesh.num_vertices), po)
 
-    @cached_property
-    def a_weights(self):
-        return mesh_linear_forms(self.mesh, self.A, degree=6)[1]
-
-    @cached_property
-    def mass_weights(self):
-        return mesh_linear_forms(self.mesh, 1.0, degree=6)[1]
-
-    def _solve(self, objective, norm_row, mode):
-        c, b = objective[self.free], norm_row[self.free]
+    def minimize_linear_functional(self, mode="float"):
+        """(min L_A(u) over the cone with |u|_b = 1, its minimizer, the LP's steps)."""
+        c, b = (self.b_weights - self.a_weights)[self.free], self.b_weights[self.free]
         if mode == "exact":
             x, value, iterations = simplex_lp.solve_cone_lp_exact(c, *self.rows, b)
         elif mode != "float":
@@ -177,19 +165,6 @@ class StabilityLP:
         r = np.maximum(x - t[po + i], 0.0) if i < n_up else np.maximum(t[i - n_up] - x, 0.0)
         r = r / (r @ b)
         return r, float(r @ c)
-
-    def minimize_linear_functional(self, mode="float"):
-        """min L_A(u) over the cone with |u|_b = 1."""
-        return self._solve(self.b_weights - self.a_weights, self.b_weights, mode)
-
-    def minimize_linear_functional_mass(self, mode="float"):
-        """min L_A(u) over the cone with int(u) dmu = 1."""
-        return self._solve(self.b_weights - self.a_weights, self.mass_weights, mode)
-
-    def maximize_mass(self, mode="float"):
-        """max int(u) dmu over the cone with |u|_b = 1."""
-        value, u, it = self._solve(-self.mass_weights, self.b_weights, mode)
-        return -value, u, it
 
 
 def _hinge_sums(t, w):
@@ -366,15 +341,58 @@ def lp_stability_estimate(P: Polytope, A, mesh: Mesh, mode="float",
                            destabilizer=u, lp_iterations=iters)
 
 
-def l1_boundary_constant(P: Polytope, mesh: Mesh, mode="float"):
-    """(C', maximizer): |u|_L1 <= C' |u|_b on the cone normalized at the mesh's point."""
-    return StabilityLP(P, 0.0, mesh).maximize_mass(mode=mode)[:2]
+def _max_along(a0, g, H, x, e):
+    """Per row, max over s in [0, 1] of a0 + g.y + y.H y / 2 at y = x + s e."""
+    c0, c1 = a0 + x @ g + 0.5 * np.sum((x @ H) * x, axis=1), np.sum((g + x @ H) * e, axis=1)
+    c2 = 0.5 * np.sum((e @ H) * e, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(c2 < 0.0, np.clip(-0.5 * c1 / c2, 0.0, 1.0), 0.0)  # the critical point
+    return np.max([c0, c0 + c1 + c2, c0 + s * (c1 + s * c2)], axis=0)
 
 
-def properness_certificate(P: Polytope, A, lam: float, mesh: Mesh,
-                           evaluator: FunctionalEvaluator | None = None,
-                           mode="float") -> PropernessCertificate:
-    """Theorem-4.8-style constants from lambda and the Guillemin reference.
+def ray_bounds(P: Polytope, A, p_o):
+    """(lambda_lower, c_prime_upper), with lambda >= lambda_lower and C' <= c_prime_upper.
+
+    Convex u >= 0 = u(p_o) has u(p_o + t (b - p_o)) <= t u(b) on the ray to a
+    boundary point b (Donaldson, J. Differential Geom. 62, 2002), and dmu =
+    t^(n-1) dt delta_F dsigma(b) on the cone over facet F, delta_F the
+    distance from p_o to F over the density of dsigma.  So for A >= 0 on P,
+    lambda >= 1 - sup w, w(b) = delta_F int_0^1 A(p_o + t (b - p_o)) t^n dt,
+    and A = 1 gives C' <= max_F delta_F / (n + 1).  lambda_lower is None
+    unless A is a number, an AffineFunc or a QuadraticPoly with A >= 0 on P;
+    then w and A are quadratics along each facet, with closed-form extremes.
+    """
+    n = P.dimension
+    p = np.asarray(p_o, dtype=float).reshape(n)
+    delta = P.gaps(p) / (np.linalg.norm(P.normals, axis=1) * P.boundary_weights)
+    c_prime = float(np.max(delta)) / (n + 1)
+    if isinstance(A, (int, float)):
+        A = AffineFunc(float(A), (0.0,) * n)
+    # (c0, cx, cy, cxx, cxy, cyy) of a QuadraticPoly, or of an AffineFunc padded with zeros
+    affine = isinstance(A, AffineFunc)
+    coeffs = (A.a0, *A.a, 0.0, 0.0, 0.0, 0.0)[:6] if affine else getattr(A, "coeffs", None)
+    if coeffs is None:
+        return None, c_prime
+    a0, cx, cy, cxx, cxy, cyy = map(float, coeffs)
+    g, H = np.array([cx, cy])[:n], np.array([[2.0 * cxx, cxy], [cxy, 2.0 * cyy]])[:n, :n]
+    ends = P.vertices[np.asarray(P.facet_vertices)]  # (K, n, n): a facet's one or two ends
+    edges = ends if n == 2 else P.vertices[None]
+    a_min = -np.max(_max_along(-a0, -g, -H, edges[:, 0], edges[:, 1] - edges[:, 0]))
+    if n == 2 and np.linalg.det(H) != 0.0 and np.all(P.gaps(x := np.linalg.solve(H, -g)) >= 0):
+        a_min = min(a_min, a0 + 0.5 * (g @ x))  # A at its critical point x
+    if a_min < 0.0:
+        return None, c_prime
+    # w(b) / delta_F: the t^n-moments of A's Taylor terms at p_o, a quadratic in b - p_o
+    A_p, g_p = a0 + p @ g + 0.5 * p @ H @ p, g + H @ p
+    w = delta * _max_along(A_p / (n + 1), g_p / (n + 2), H / (n + 3),
+                           ends[:, 0] - p, ends[:, -1] - ends[:, 0])
+    return 1.0 - float(np.max(w)), c_prime
+
+
+def properness_certificate(P: Polytope, A, lam: float, c_prime: float,
+                           evaluator: FunctionalEvaluator | None = None
+                           ) -> PropernessCertificate:
+    """Theorem-4.8-style constants from lambda, C' and the Guillemin reference.
 
     A_o = S(u_o) is sampled on a graded interior grid (finite differences
     cannot reach the boundary, so queries inside FD_MARGIN are pulled back
@@ -382,9 +400,10 @@ def properness_certificate(P: Polytope, A, lam: float, mesh: Mesh,
     safety factor.  C_o = -F_{A_o}(u_o) = int log det Hess u_o dmu - n Vol,
     since L_{A_o}(u_o) = int u_o^{ij} (u_o)_{ij} dmu = n Vol for A_o = S(u_o);
     the log-det integral is the Mabuchi pass of u_o on the graded rule, so A_o
-    itself is never integrated.  C' solves the L1-vs-boundary LP on the mesh,
-    normalized at its point vertex p_o; R = 1 + sup|A_o| C', r = lambda / (2R),
-    eps' = lambda/2, C = C_o - n Vol log r, eps = eps' / C'.  `mode` is the LP mode for C'.
+    itself is never integrated.  lambda and C' must bound the stability
+    constant from below and |u|_L1 / |u|_b from above, as `ray_bounds` does;
+    R = 1 + sup|A_o| C', r = lambda / (2R), eps' = lambda/2,
+    C = C_o - n Vol log r, eps = eps' / C'.
     """
     if lam <= 0:
         raise NonpositiveLambda("properness certificate needs lambda > 0")
@@ -414,7 +433,6 @@ def properness_certificate(P: Polytope, A, lam: float, mesh: Mesh,
 
     vol = float(P.moments[0, 0])
     c_o = -evaluator.mabuchi(u_o).log_det_term - P.dimension * vol
-    c_prime, _ = l1_boundary_constant(P, mesh, mode=mode)
     R = 1.0 + a_sup * c_prime
     r = lam / (2.0 * R)
     eps_prime = lam - r * R
@@ -424,13 +442,15 @@ def properness_certificate(P: Polytope, A, lam: float, mesh: Mesh,
         a_o_sup=a_sup, c_o=c_o, c_prime=c_prime, r_bound=R, r_small=r,
         epsilon_prime=eps_prime, c_const=c_const, epsilon=eps,
         provenance={
-            "lambda": lam, "mesh_h": mesh.h, "fd_margin": FD_MARGIN,
+            "lambda": lam, "fd_margin": FD_MARGIN,
             "sup_samples": int(len(sample)), "volume": vol,
         })
 
 
 def analyze_stability(P: Polytope, A, h: float, p_o=None, mode="float") -> StabilityReport:
-    """Crease sweep and cone LP at p_o (default: center of mass), then the certificate."""
+    """Crease sweep, cone LP and ray bounds at p_o (default: center of mass);
+    the certificate, from `ray_bounds`, when the status is "uniformly-stable"
+    and lambda_lower > 0."""
     evaluator = FunctionalEvaluator(P, A)
     if p_o is None:
         p_o = center_of_mass(P)
@@ -438,9 +458,9 @@ def analyze_stability(P: Polytope, A, h: float, p_o=None, mode="float") -> Stabi
     sweep_min, sweep_arg = crease_sweep(P, A, grid=grid, p_o=p_o, evaluator=evaluator)
     mesh = make_mesh(P, h, point=p_o)
     report = lp_stability_estimate(P, A, mesh, mode=mode, sweep_min=sweep_min)
-    report.crease_sweep_min = sweep_min
-    report.crease_sweep_argmin = sweep_arg
-    if report.status == "uniformly-stable":
+    report.crease_sweep_min, report.crease_sweep_argmin = sweep_min, sweep_arg
+    report.lambda_lower, c_prime = ray_bounds(P, A, p_o)
+    if report.status == "uniformly-stable" and (report.lambda_lower or 0.0) > 0.0:
         report.certificates = properness_certificate(
-            P, A, report.lambda_hat_refined, mesh, evaluator=evaluator, mode=mode)
+            P, A, report.lambda_lower, c_prime, evaluator=evaluator)
     return report

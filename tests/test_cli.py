@@ -490,11 +490,36 @@ def test_extremal_affine_on_the_simplex(tmp_path, capsys):
 def test_eval_op_on_the_interval(op, tmp_path, capsys):
     path = tmp_path / "interval.txt"
     path.write_text(INTERVAL)
-    assert main(["eval", "--polytope", str(path), "--op", op, "--h", "0.125"]) == 0
+    assert main(["eval", "--polytope", str(path), "--op", op]) == 0
     lines = capsys.readouterr().out.splitlines()
     results = [line.split(": ", 1) for line in lines[lines.index(f"op: {op}") + 3:] if line]
     assert results
     assert all(np.isfinite(float(value)) for _, value in results)
+
+
+@pytest.mark.parametrize("text, value", [(INTERVAL, 0.25), (PENTAGON, 5 / 9)],
+                         ids=["interval", "pentagon"])
+def test_eval_l1_constant_is_the_ray_bound(text, value, tmp_path, capsys):
+    # max_F delta_F(p_o) / (n + 1) at the center of mass, with no mesh
+    path = tmp_path / "p.txt"
+    path.write_text(text)
+    assert main(["eval", "--polytope", str(path), "--op", "l1-constant"]) == 0
+    assert float(report_values(capsys.readouterr().out)["value"]) == pytest.approx(value,
+                                                                                  abs=1e-14)
+
+
+@pytest.mark.parametrize("text, argv, line", [
+    (INTERVAL, ["--h", "0.0625"], "lambda_lower: 0.5"),
+    (SQUARE, ["--A", "affine:-2,12,0", "--h", "0.25"], "lambda_lower: none")],
+    ids=["interval", "square-sign-change"])
+def test_stability_report_prints_lambda_lower(text, argv, line, tmp_path, capsys):
+    # "none" where A changes sign on P: no lower bound and no certificate
+    path = tmp_path / "p.txt"
+    path.write_text(text)
+    assert main(["stability", "--polytope", str(path)] + argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert line in out
+    assert ("[certificate]" in out) == line.endswith("0.5")
 
 
 def test_eval_unknown_u_exits_2(tmp_path, capsys):
@@ -569,7 +594,7 @@ def test_verify_passes_on_a_weighted_interval(tmp_path, capsys):
 
 
 def test_exact_mode_reaches_the_certificate(tmp_path, capsys):
-    # the L1 constant of [0, 1] is 1/4; the exact simplex gives it without rounding
+    # the L1 constant of [0, 1] is 1/4, which the ray bound gives exactly
     path = tmp_path / "interval.txt"
     path.write_text(INTERVAL)
     assert main(["stability", "--polytope", str(path), "--h", "0.0625",
@@ -594,13 +619,13 @@ def test_exact_mode_gives_the_float_constants_on_the_square(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, argv, calls", [
     (SQUARE, ["stability", "--A", "affine:-2,12,0", "--h", "0.16666666666666666"], 1),
-    (INTERVAL, ["stability", "--A", "extremal", "--h", "0.0625"], 2)],
+    (INTERVAL, ["stability", "--A", "extremal", "--h", "0.0625"], 1)],
     ids=["stability-unstable-square", "stability-stable-interval"])
 def test_lp_assembles_only_the_weights_its_problems_read(text, argv, calls, tmp_path,
                                                          monkeypatch, capsys):
     # the boundary weights come from the mesh; A's interior weights are
-    # assembled for the one LP at h, and the unit field's only for the L1
-    # constant of the certificate, which the stable interval reaches
+    # assembled for the one LP at h.  The certificate of the stable interval
+    # takes C' from the ray bound, so no unit-field weights are assembled
     import polystab.functionals
     import polystab.solver
     import polystab.stability
@@ -620,8 +645,8 @@ def test_lp_assembles_only_the_weights_its_problems_read(text, argv, calls, tmp_
 
 
 def test_verify_builds_the_convexity_rows_once_per_mesh(tmp_path, monkeypatch, capsys):
-    # the LP, the discrete convexity test of every audit sample and the L1
-    # constant all read the rows the mesh keeps
+    # the LP and the discrete convexity test of every audit sample read the
+    # rows the mesh keeps
     from functools import cached_property
 
     from polystab.mesh import Mesh

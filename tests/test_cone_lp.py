@@ -4,19 +4,30 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polystab.cone_lp as cone_lp
+from polystab import simplex_lp
 from polystab.convex import AffineFunc, MeshConvexFunc
 from polystab.errors import LPNotConverged
-from polystab.functionals import extremal_affine
+from polystab.functionals import extremal_affine, mesh_linear_forms
 from polystab.mesh import make_mesh
 from polystab.polytope import center_of_mass, interval, standard_simplex, unit_square
-from polystab.stability import (
-    TOLERANCES,
-    StabilityLP,
-    l1_boundary_constant,
-    lp_stability_estimate,
-)
+from polystab.stability import TOLERANCES, StabilityLP, lp_stability_estimate, ray_bounds
 
-PROBLEMS = ("minimize_linear_functional", "minimize_linear_functional_mass", "maximize_mass")
+
+def _mass(lp):
+    """The vertex weights of int(u) dmu on the LP's mesh."""
+    return mesh_linear_forms(lp.mesh, 1.0, degree=6)[1]
+
+
+# the LP shapes the cone solvers cover, on the rows of a StabilityLP: name ->
+# (objective, normalization row, sign), the value being sign * min
+# objective.u over the cone with row.u = 1.  The first is the StabilityLP's
+# own problem; the other two (L_A per unit mass, and C' as the largest mass
+# per unit |u|_b) are posed here directly
+PROBLEMS = {
+    "minimize_linear_functional": lambda lp: (lp.b_weights - lp.a_weights, lp.b_weights, 1.0),
+    "minimize_linear_functional_mass": lambda lp: (lp.b_weights - lp.a_weights, _mass(lp), 1.0),
+    "maximize_mass": lambda lp: (-_mass(lp), lp.b_weights, -1.0),
+}
 
 
 def _in_cone(lp, u, tol=1e-12):
@@ -29,23 +40,37 @@ def _in_cone(lp, u, tol=1e-12):
             and np.min(rows) >= -tol * scale)
 
 
-def problem_rows(lp, problem):
-    """(objective, normalization row, sign) of a StabilityLP problem: its value
-    is sign * min objective.u over the cone with row.u = 1."""
-    return {"minimize_linear_functional": (lp.b_weights - lp.a_weights, lp.b_weights, 1.0),
-            "minimize_linear_functional_mass": (lp.b_weights - lp.a_weights, lp.mass_weights, 1.0),
-            "maximize_mass": (-lp.mass_weights, lp.b_weights, -1.0)}[problem]
+def _posed(lp, problem):
+    """(c, b, sign) of `problem` on the free vertices of `lp`."""
+    objective, row, sign = PROBLEMS[problem](lp)
+    return objective[lp.free], row[lp.free], sign
+
+
+def _mesh_function(lp, x):
+    values = np.zeros(lp.mesh.num_vertices)
+    values[lp.free] = x
+    return MeshConvexFunc(lp.mesh, values, p_o_index=lp.p_o_index)
 
 
 def interior_point(lp, problem):
-    """(value, u) of `problem` from `solve_cone_lp` on the rows of `lp`, as the
-    StabilityLP method reports them; called directly, since on an interval
-    the method takes the hinges instead."""
-    objective, row, sign = problem_rows(lp, problem)
-    res = cone_lp.solve_cone_lp(objective[lp.free], *lp.rows, row[lp.free])
-    values = np.zeros(lp.mesh.num_vertices)
-    values[lp.free] = res.u
-    return sign * res.value, MeshConvexFunc(lp.mesh, values, p_o_index=lp.p_o_index)
+    """(value, u) of `problem` from `solve_cone_lp` on the rows of `lp`;
+    called directly, since on an interval StabilityLP takes the hinges."""
+    c, b, sign = _posed(lp, problem)
+    res = cone_lp.solve_cone_lp(c, *lp.rows, b)
+    return sign * res.value, _mesh_function(lp, res.u)
+
+
+def exact(lp, problem):
+    """The value of `problem` from the Fraction simplex."""
+    c, b, sign = _posed(lp, problem)
+    return sign * simplex_lp.solve_cone_lp_exact(c, *lp.rows, b)[1]
+
+
+def best_hinge(lp, problem):
+    """(value, u) of `problem` on an interval from the hinges that span its cone."""
+    c, b, sign = _posed(lp, problem)
+    x, value = lp._best_hinge(c, b)
+    return sign * value, _mesh_function(lp, x)
 
 
 @pytest.mark.parametrize("P, A, h", [(interval(), 2.0, 1 / 8), (unit_square(), 4.0, 1 / 4),
@@ -55,8 +80,7 @@ def interior_point(lp, problem):
 def test_interior_point_matches_exact_simplex(P, A, h, problem):
     lp = StabilityLP(P, A, make_mesh(P, h, point=center_of_mass(P)))
     vf, uf = interior_point(lp, problem)
-    vx, _, _ = getattr(lp, problem)(mode="exact")
-    assert abs(vf - vx) <= 1e-10
+    assert abs(vf - exact(lp, problem)) <= 1e-10
     assert _in_cone(lp, uf)
 
 
@@ -78,6 +102,7 @@ def test_interior_point_matches_exact_simplex_on_intervals(a, w, c0, c1):
 @settings(max_examples=40, deadline=None)
 @example(a=0.0, w=1.0, cells=16, at=0.5, coeffs=(2.0 - 5e-7, 1e-6, 0.0))  # nearly extremal
 @example(a=1e3, w=1e-3, cells=7, at=0.0, coeffs=(1.0, -3.0, 4.0))
+@example(a=0.0, w=1.0, cells=24, at=0.4375, coeffs=(0.5, 0.1875, 2.5))  # iterate outside the cone
 @given(a=st.floats(-1e3, 1e3), w=st.floats(1e-3, 1e3), cells=st.integers(2, 24),
        at=st.floats(0.0, 1.0),
        coeffs=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
@@ -98,29 +123,46 @@ def test_hinges_give_the_cone_lp_optimum_on_intervals(a, w, cells, at, coeffs):
         return (c0 + c1 * s + c2 * s * s) / w
 
     lp = StabilityLP(P, A, mesh)
+    value, _, steps = lp.minimize_linear_functional()
+    assert (value, steps) == (best_hinge(lp, "minimize_linear_functional")[0], 0)
     for problem in PROBLEMS:
-        objective, row, _ = problem_rows(lp, problem)
-        value, u, steps = getattr(lp, problem)()
-        assert steps == 0
+        objective, row, _ = PROBLEMS[problem](lp)
+        value, u = best_hinge(lp, problem)
         assert _in_cone(lp, u)
         assert abs(row @ u.values - 1.0) <= 1e-12
         ref, ref_u = interior_point(lp, problem)
         scale = np.abs(objective) @ np.abs(ref_u.values)  # the size of c.u's terms
         assert abs(value - ref) <= 1e-9 * scale
         if mesh.num_vertices <= 9:
-            exact, _, _ = getattr(lp, problem)(mode="exact")
-            assert abs(value - exact) <= 1e-12 * scale
+            assert abs(value - exact(lp, problem)) <= 1e-12 * scale
+
+
+def test_an_iterate_just_outside_the_cone_passes_the_objective_check():
+    # [0, 1] at h = 1/24, p_o = 11/24, A = 0.5 + 0.1875 x + 2.5 x^2, per unit
+    # mass: the last iterate has b.u - 1 = 1e-11 and min Cu = -5e-13, so its
+    # objective is 4e-10 (relative) below the optimum that the purified
+    # vertex and the best hinge reach
+    P = interval()
+    lp = StabilityLP(P, lambda pts: 0.5 + 0.1875 * pts[:, 0] + 2.5 * pts[:, 0] ** 2,
+                     make_mesh(P, 1 / 24, point=[11 / 24]))
+    c, b, _ = _posed(lp, "minimize_linear_functional_mass")
+    res = cone_lp.solve_cone_lp(c, *lp.rows, b)
+    x, value = lp._best_hinge(c, b)
+    assert abs(res.value - value) <= 1e-9 * (np.abs(c) @ x)
+    assert _in_cone(lp, _mesh_function(lp, res.u))
 
 
 def test_hinges_give_the_interval_constants_exactly():
     # on [0, 1] with A = 2 at h = 1/16 and 1/32 the best hinge is (x - 1/2)_+:
-    # lambda-hat = 1/2 and C' = 1/4 with no rounding left
+    # lambda-hat = 1/2 and the C' LP's 1/4 with no rounding left, as the ray
+    # bounds give them
     P = interval()
     for h in (1 / 16, 1 / 32):
         mesh = make_mesh(P, h, point=center_of_mass(P))
         report = lp_stability_estimate(P, extremal_affine(P), mesh)
         assert (report.lambda_hat, report.lambda_hat_refined, report.lp_iterations) == (0.5, 0.5, 0)
-        assert l1_boundary_constant(P, mesh)[0] == 0.25
+        assert best_hinge(StabilityLP(P, 2.0, mesh), "maximize_mass")[0] == 0.25
+    assert ray_bounds(P, extremal_affine(P), [0.5]) == (0.5, 0.25)
 
 
 @pytest.mark.parametrize("P, A, h, delta", [
@@ -138,7 +180,7 @@ def test_nearly_extremal_field_reaches_the_exact_optimum(P, A, h, delta):
     lp = StabilityLP(P, field, make_mesh(P, h, point=center_of_mass(P)))
     for problem in PROBLEMS:
         vf, uf = interior_point(lp, problem)
-        vx, _, _ = getattr(lp, problem)(mode="exact")
+        vx = exact(lp, problem)
         assert abs(vf - vx) <= 1e-10 * max(1.0, abs(vx))
         assert _in_cone(lp, uf)
 

@@ -6,7 +6,8 @@ import pytest
 
 import polystab
 
-# every name `polystab/__init__.py` re-exported when it imported them eagerly
+# every name `polystab/__init__.py` re-exported when it imported them eagerly,
+# less the two removed with the mass-normalized and C' LPs, plus `ray_bounds`
 EXPORTED = """
 AffineFunc Compatibility1D ConeLPResult DegeneracyReport EmptyGrid EmptyInterior
 EvaluationOutsideDomain FunctionalEvaluator IncompatibleA LPInfeasible LPNotConverged
@@ -17,9 +18,9 @@ QuadraticPoly QuadratureScheme SegmentTouchesBoundary SingularHessian SingularMo
 SmoothConvexFunc SolverState StabilityReport UnboundedDomain analyze_stability
 build_polytope center_of_mass crease crease_functionals crease_sweep default_crease_grid
 degeneracy_diagnostic delzant_check extremal_affine graded_scheme guillemin_potential
-integrate_boundary integrate_interior interval l1_boundary_constant lp_stability_estimate
+integrate_boundary integrate_interior interval lp_stability_estimate
 make_mesh mesh_graded_scheme mesh_linear_forms normalize parse_field
-properness_certificate relative_kpolystability_check
+properness_certificate ray_bounds
 residual scripted_sequences segment_ma_measure solution_norm_bound solve_1d
 solve_2d_descent solve_cone_lp solve_lp split_scheme standard_scheme standard_simplex
 supporting_affine unit_square verify_audits
@@ -27,7 +28,7 @@ supporting_affine unit_square verify_audits
 
 
 def test_the_export_list_is_complete():
-    assert len(EXPORTED) == len(set(EXPORTED)) == 75
+    assert len(EXPORTED) == len(set(EXPORTED)) == 74
 
 
 @pytest.mark.parametrize("name", EXPORTED)
@@ -55,3 +56,11 @@ def test_submodules_are_attributes_after_a_bare_import():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=120, check=True).stdout
     assert out.split() == ["True", "True"]
+
+
+@pytest.mark.parametrize("name", ["l1_boundary_constant", "relative_kpolystability_check"])
+def test_names_removed_with_the_mass_lps_are_gone(name):
+    # C' comes from `ray_bounds` in closed form; neither LP is posed any more
+    assert name not in dir(polystab)
+    with pytest.raises(AttributeError):
+        getattr(polystab, name)
