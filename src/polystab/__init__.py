@@ -4,8 +4,9 @@ A run executes only the modules its subcommand uses.  These are registered
 lazily: each is in `sys.modules` and on this package from the start, but its
 code runs on the first attribute access.
 
-* `stability` -- lambda-hat, the crease sweep and the properness certificate;
-* `cone_lp` -- the interior-point cone LP, which only 2D meshes need;
+* `stability` -- the exact lambda of an interval; lambda-hat and the crease
+  sweep of a polygon; the properness certificate;
+* `cone_lp` -- the interior-point cone LP, which only polygons need;
 * `simplex_lp` -- the Fraction simplex of `--lp-mode exact`;
 * `audits` -- the checks `polystab verify` runs;
 * `solver` -- the Abreu-equation solve;
@@ -16,12 +17,13 @@ code runs on the first attribute access.
 Every run executes `cli`, `fileio`, `functionals`, `quadrature`, `convex`,
 `mesh`, `polytope`, `_geom`, `_records` and `errors`.  Beyond these:
 
-* `stability` runs `stability`, `cone_lp` on a 2D mesh, `simplex_lp` with
-  --lp-mode exact, and `fields` when --A is not "extremal";
-* `solve` runs `solver`, `hessfit` in 2D, and `fields` in 1D or when --A is
+* `stability` runs `stability`, on a polygon `cone_lp` or, with --lp-mode
+  exact, `simplex_lp` (an interval solves no LP), and `fields` when --A is
   not "extremal";
-* `verify` runs `audits` and `stability`, with `solver` and `fields` in 1D
-  and `cone_lp` in 2D;
+* `solve` runs `solver`, `hessfit` in 2D, and `fields` when --A is not
+  "extremal";
+* `verify` runs `audits` and `stability`, with `solver` in 1D and `cone_lp`
+  in 2D;
 * `eval` and `extremal-affine` run only what their operation and --A need.
 
 Without bytecode to reuse, compiling and running the unused ones would cost
@@ -54,8 +56,8 @@ _EXPORTS = {
     "cone_lp": "ConeLPResult solve_cone_lp",
     "simplex_lp": "LPResult solve_lp",
     "stability": "PropernessCertificate StabilityReport analyze_stability crease_functionals "
-                 "crease_sweep default_crease_grid lp_stability_estimate properness_certificate "
-                 "ray_bounds",
+                 "crease_sweep default_crease_grid hinge_minimum lp_stability_estimate "
+                 "properness_certificate ray_bounds",
     "audits": "DegeneracyReport degeneracy_diagnostic scripted_sequences solution_norm_bound "
               "verify_audits",
     "solver": "Compatibility1D SolverState residual solve_1d solve_2d_descent",

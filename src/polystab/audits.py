@@ -2,10 +2,10 @@
 
 `verify_audits` runs the checks `polystab verify` reports: the
 integration-by-parts identity and L_A(v) = n Vol for the solution v, a
-positive lambda-hat, and, from the lower bound on lambda of
-`stability.ray_bounds`, the norm bound lambda^{-1} n Vol on |v|_b and the
-properness bound on random Guillemin-type functions; and the degeneracy
-diagnostics on the built-in sequences.
+positive lambda-hat, and, from the lower bound on lambda and the certificate
+of `stability.analyze_stability`, the norm bound lambda^{-1} n Vol on |v|_b
+and the properness bound on random Guillemin-type functions; and the
+degeneracy diagnostics on the built-in sequences.
 """
 from __future__ import annotations
 
@@ -24,9 +24,8 @@ from .convex import (
 )
 from .errors import NonpositiveLambda
 from .functionals import FunctionalEvaluator, extremal_affine
-from .mesh import make_mesh
 from .polytope import Polytope, center_of_mass
-from .stability import TOLERANCES, lp_stability_estimate, properness_certificate, ray_bounds
+from .stability import TOLERANCES, analyze_stability
 
 
 class DegeneracyReport(Record):
@@ -157,10 +156,12 @@ def verify_audits(P: Polytope, h: float, seed: int, sigma_scale=1.0, audit_count
     boundary weights scaled by `sigma_scale`, while A and v stay those of P
     as given; a scale other than 1 breaks the identities, so the suite must
     fail (a consistency tripwire).  Yields (name, passed, measured,
-    tolerance) rows.  The norm bound and the properness bound F_A(u) >= -C +
-    eps' |u|_b, run when `ray_bounds` gives lambda_lower > 0, check
-    Guillemin-type u = normalize(u_o + q, p_o), q(x) = (x - p_o)^T D (x - p_o)
-    / 2 for random positive definite D, p_o the center of mass.
+    tolerance) rows.  lambda-hat, lambda_lower and the certificate are those
+    of `analyze_stability` at the center of mass p_o: on an interval lambda
+    is exact and h is only checked.  The norm bound and the properness bound
+    F_A(u) >= -C + eps' |u|_b, run when there is a certificate, check
+    Guillemin-type u = normalize(u_o + q, p_o), q(x) = (x - p_o)^T D (x -
+    p_o) / 2 for random positive definite D.
     """
     rng = np.random.default_rng(seed)
     A = extremal_affine(P)
@@ -187,16 +188,14 @@ def verify_audits(P: Polytope, h: float, seed: int, sigma_scale=1.0, audit_count
            abs(la - n * vol), 1e-6)
 
     # stability + norm bound + certificate audit
-    mesh = make_mesh(P, h, point=center_of_mass(P))
-    lp = lp_stability_estimate(P, A, mesh)
+    lp = analyze_stability(P, A, h)
     threshold = TOLERANCES["status.stable_threshold"]
     yield ("lambda-positive", lp.lambda_hat > threshold, lp.lambda_hat, threshold)
-    lam, c_prime = ray_bounds(P, A, lp.p_o)
-    if (lam or 0.0) > 0.0:
-        bound = solution_norm_bound(P, lam)
+    cert = lp.certificates
+    if cert is not None:
+        bound = solution_norm_bound(P, lp.lambda_lower)
         yield ("solution-norm-bound", bnorm_solution <= bound + 1e-9,
                bnorm_solution, bound)
-        cert = properness_certificate(P, A, lam, c_prime, evaluator=ev)
         u_o = guillemin_potential(P)
         samples = (normalize(_plus_quadratic(u_o, lp.p_o, _random_spd(rng, n)), lp.p_o)
                    for _ in range(audit_count))

@@ -49,6 +49,7 @@ from .fileio import (
     read_polytope,
     tolerance_section,
     write_mesh_function,
+    write_pl_function,
 )
 from .functionals import GRADED_LAYERS, FunctionalEvaluator, extremal_affine
 from .mesh import make_mesh
@@ -117,7 +118,7 @@ def cmd_stability(args):
     rep.add("lambda_hat_refined", report.lambda_hat_refined)
     rep.add("crease_sweep_min", report.crease_sweep_min)
     rep.add("lambda_lower", "none" if report.lambda_lower is None else report.lambda_lower)
-    # interior-point (or exact simplex) steps of the LP at h: 0 where hinges give the 1D LP
+    # interior-point (or exact simplex) steps of the LP at h: 0 on an interval, which has none
     rep.add("lp.iterations", report.lp_iterations)
     if report.certificates is not None:
         c = report.certificates
@@ -127,8 +128,9 @@ def cmd_stability(args):
                          ("C", c.c_const), ("epsilon", c.epsilon)):
             rep.add(key, val)
     if report.destabilizer is not None and args.out:
-        witness_path = args.out + ".witness"
-        write_mesh_function(report.destabilizer, witness_path)
+        witness_path = args.out + ".witness"  # an interval's best hinge, or the LP's minimizer
+        write = write_pl_function if P.dimension == 1 else write_mesh_function
+        write(report.destabilizer, witness_path)
         rep.add("witness.file", witness_path)
     tolerance_section(rep, report.tolerances)
     _emit(rep, args.out)
@@ -288,7 +290,8 @@ def build_parser(argv=None):
                   'or a polynomial of degree <= 2 in x[,y] written as a Python '
                   'expression, where ^ and ** mean power and unary minus binds '
                   'looser than a power (-x^2 = -(x^2))'),
-        "h": dict(type=float, default=1 / 16, help="mesh parameter"),
+        "h": dict(type=float, default=1 / 16,
+                  help="mesh parameter; an interval needs no mesh, so there it has no effect"),
         "degree": dict(type=_checked(int, lambda v: v >= 0, ">= 0"), default=6,
                        help="quadrature degree"),
         "tol": dict(type=POSITIVE, default=None, help="solver tolerance"),
@@ -298,10 +301,12 @@ def build_parser(argv=None):
     commands = {
         "extremal-affine": ("solve the canonical affine field", cmd_extremal_affine,
                             ("degree",), {}),
-        "stability": ("crease sweep plus the cone LP at h", cmd_stability, ("A", "h"), {
+        "stability": ("exact lambda on an interval; crease sweep plus the cone LP at h "
+                      "on a polygon", cmd_stability, ("A", "h"), {
             "--lp-mode": dict(choices=("float", "exact"), default="float",
                               help="float: interior point with purification; "
-                                   "exact: Fraction simplex, for small meshes")}),
+                                   "exact: Fraction simplex, for small meshes; "
+                                   "no effect on an interval, which solves no LP")}),
         "solve": ("solve the 4th-order equation", cmd_solve, ("A", "h", "tol"), {}),
         "verify": ("run the built-in audit suite", cmd_verify, ("h", "seed"), {
             "--sigma-scale": dict(type=POSITIVE, default=1.0,

@@ -80,6 +80,17 @@ def field_degree(A):
     return getattr(A, "degree", None)
 
 
+def field_coefficients(A):
+    """(c0, cx, cy, cxx, cxy, cyy) of a number, an AffineFunc (padded with
+    zeros) or a QuadraticPoly; None for any other A."""
+    if isinstance(A, (int, float)):
+        return (float(A),) + (0.0,) * 5
+    if isinstance(A, AffineFunc):
+        return tuple(map(float, (A.a0, *A.a, 0.0, 0.0, 0.0, 0.0)[:6]))
+    coeffs = getattr(A, "coeffs", None)
+    return None if coeffs is None else tuple(map(float, coeffs))
+
+
 def mesh_linear_forms(mesh: Mesh, A, degree=DEFAULT_DEGREE):
     """Vertex weight vectors (b, a) with |u|_b = b.u and int(A u) = a.u for mesh u.
 

@@ -171,10 +171,15 @@ def _through(lines, point, d, tol):
     return lines, k
 
 
-def make_mesh(P: Polytope, h: float, point=None) -> Mesh:
-    """Boundary-conforming mesh with grid spacing <= h, through `point` if given."""
+def check_mesh_parameter(h: float):
+    """ValueError unless the mesh parameter h is finite and positive."""
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"mesh parameter h must be finite and positive, not {h!r}")
+
+
+def make_mesh(P: Polytope, h: float, point=None) -> Mesh:
+    """Boundary-conforming mesh with grid spacing <= h, through `point` if given."""
+    check_mesh_parameter(h)
     lo, hi = P.vertices.min(axis=0), P.vertices.max(axis=0)
     # the cell counts allow for vertices off by 1e-10 of P._scale (size plus rounding reach)
     shrink = 1.0 - 1e-10 * P._scale / float(np.max(hi - lo))

@@ -14,12 +14,12 @@ from math import comb
 
 import numpy as np
 
-from . import fields, hessfit
+from . import hessfit
 from ._geom import sorted_unique
 from ._records import Record
 from .convex import SmoothConvexFunc, guillemin_hessian, guillemin_potential
 from .errors import EmptyGrid, IncompatibleA, LineSearchStall, LostConvexity, NonpositiveW
-from .functionals import FunctionalEvaluator, as_field, field_degree, mesh_linear_forms
+from .functionals import FunctionalEvaluator, as_field, field_coefficients, mesh_linear_forms
 from .mesh import Mesh
 from .polytope import Polytope, center_of_mass
 from .quadrature import (gauss_rule, map_triangle_blocks, map_triangles, mesh_graded_triangles,
@@ -72,16 +72,11 @@ def solve_1d(P: Polytope, A, p_o=None, tol=COMPAT_TOL):
     q = float(P.vertices[1, 0])
     w_left, w_right = P.boundary_weights[P.vertex_facets[:, 0]].tolist()
 
-    deg = field_degree(A)
-    if deg is None:
+    coeffs = field_coefficients(A)
+    if coeffs is None:
         raise ValueError("solve_1d needs a polynomial field A")
     # exact polynomial integration: w = w_left (x-p) - C(x), C'' = A, C(p) = C'(p) = 0
-    if isinstance(A, fields.QuadraticPoly):
-        base = [A.coeffs[0], A.coeffs[1], A.coeffs[3]]
-    elif deg == 0:
-        base = [float(as_field(A, 1)(np.array([[p]]))[0])]
-    else:  # AffineFunc
-        base = [A.a0, A.a[0]]
+    base = [coeffs[0], coeffs[1], coeffs[3]]
     # rewrite A in s = x - p so the initial conditions sit at s = 0
     shifted = np.zeros(len(base))
     for k, c in enumerate(base):

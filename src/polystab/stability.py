@@ -1,7 +1,9 @@
 """Stability analysis: bounds on the uniform-stability constant, and the certificate.
 
-lambda is the infimum of L_A(u) / |u|_b over convex u >= 0 with u(p_o) = 0,
-and a run brackets it:
+lambda is the infimum of L_A(u) / |u|_b over convex u >= 0 with u(p_o) = 0.
+On an interval it is exact: that cone is spanned by hinges, and
+`hinge_minimum` takes the least hinge ratio in closed form, so a run there
+builds no mesh, LP or crease grid.  On a polygon a run brackets it:
 
     lambda_lower <= lambda <= lambda_hat_refined = min(lambda_hat, crease_sweep_min).
 
@@ -11,15 +13,13 @@ lambda_hat is the minimum over mesh-convex u (`StabilityLP`), normalized at
 the mesh's `point_vertex`: `analyze_stability` puts grid lines through p_o
 (default: the center of mass).  The LP's rows come from the vertex weights the
 functional evaluator uses and the sparse convexity rows of the mesh.
-mode="float" takes the best hinge on an interval (Donaldson, J. Differential
-Geom. 62, 2002) and runs the interior-point method of `cone_lp` on a polygon;
-mode="exact" runs the Fraction simplex of `simplex_lp`, the oracle for small
-meshes.  `lp_iterations` counts the steps (0 on an interval in float mode).
-The crease sweep takes L_A(u) / |u|_b of the normalized creases
-u = normalize((ell)_+, p_o) of a grid of affine ell at once
-(`crease_functionals`), which no P1 cone of a mesh holds (Chone and Le Meur,
-2001).  The upper bounds hold up to rounding and quadrature, and the statuses
-read them, so statuses are evidence, not proofs.
+mode="float" runs the interior-point method of `cone_lp`; mode="exact" runs
+the Fraction simplex of `simplex_lp`, the oracle for small meshes.
+`lp_iterations` counts the steps.  The crease sweep takes L_A(u) / |u|_b of
+the normalized creases u = normalize((ell)_+, p_o) of a grid of affine ell at
+once (`crease_functionals`), which no P1 cone of a mesh holds (Chone and Le
+Meur, 2001).  The upper bounds hold up to rounding and quadrature, and the
+statuses read them, so statuses are evidence, not proofs.
 """
 from __future__ import annotations
 
@@ -37,15 +37,14 @@ from .convex import (
     normalize,
 )
 from .errors import EmptyGrid, NonpositiveLambda
-from .functionals import FunctionalEvaluator, as_field, mesh_linear_forms
-from .mesh import Mesh, make_mesh
+from .functionals import FunctionalEvaluator, as_field, field_coefficients, mesh_linear_forms
+from .mesh import Mesh, check_mesh_parameter, make_mesh
 from .polytope import Polytope, center_of_mass
-from .quadrature import gauss_rule, map_triangles, standard_scheme
+from .quadrature import map_triangles, standard_scheme
 
 LAMBDA_STABLE_THRESHOLD = 1e-3
 LAMBDA_ZERO_BAND = 1e-6
 FD_MARGIN = 2e-2        # the certificate's finite differences stay this far inside P
-SWEEP_RESOLUTION = 64   # the 1D crease grid's kinks
 TOLERANCES = {
     "lp.feasibility": 1e-9,  # cone_lp.FEAS_TOL, written out so that 1D runs never load cone_lp
     "status.stable_threshold": LAMBDA_STABLE_THRESHOLD,
@@ -103,7 +102,8 @@ class StabilityReport(Record):
 
 class StabilityLP:
     """The cone LP min L_A(u) s.t. |u|_b = 1 on one mesh, normalized at p_o,
-    the mesh's `point_vertex`, which must be strictly interior.
+    the mesh's `point_vertex`, which must be strictly interior.  A stability
+    run poses it only on a polygon; on an interval mesh it is the same LP.
 
     `rows = (idx, coef)` are the mesh's convexity rows over the free vertices.
     An entry of p_o gets coefficient 0 at a column already in its row, so each
@@ -130,69 +130,36 @@ class StabilityLP:
         c, b = (self.b_weights - self.a_weights)[self.free], self.b_weights[self.free]
         if mode == "exact":
             x, value, iterations = simplex_lp.solve_cone_lp_exact(c, *self.rows, b)
-        elif mode != "float":
-            raise ValueError(f"unknown LP mode {mode!r}")
-        elif self.mesh.dimension == 1:
-            x, value = self._best_hinge(c, b)
-            iterations = 0
-        else:
+        elif mode == "float":
             res = cone_lp.solve_cone_lp(c, *self.rows, b)
             x, value, iterations = res.u, res.value, res.iterations
+        else:
+            raise ValueError(f"unknown LP mode {mode!r}")
         values = np.zeros(self.mesh.num_vertices)
         values[self.free] = x
         u = MeshConvexFunc(self.mesh, values, p_o_index=self.p_o_index)
         return value, u, iterations
-
-    def _best_hinge(self, c, b):
-        """(x, value): the 1D LP's optimum, read off the hinges that span its cone.
-
-        u >= 0 with u(p_o) = 0 makes p_o a minimum of the convex u, so u is a
-        nonnegative sum of (x - t)_+ over the vertices t >= p_o and (t - x)_+
-        over t <= p_o: its slopes at p_o and its slope jumps.  Scaled to
-        b.r = 1, the hinges r with b.r > 0 are the vertices of the feasible
-        set (the others are zero), and the least c.r among them is the
-        minimum.  The ratios c.r / b.r of all hinges take O(V) running sums
-        (`_hinge_sums`); only the best hinge is formed.
-        """
-        t = self.mesh.vertices[:, 0]  # ascending
-        po = self.p_o_index
-        (c_up, c_down), (b_up, b_down) = (_hinge_sums(t, np.insert(w, po, 0.0)) for w in (c, b))
-        num = np.concatenate([c_up[po:], c_down[:po + 1]])
-        den = np.concatenate([b_up[po:], b_down[:po + 1]])
-        ratio = np.divide(num, den, out=np.full(len(den), np.inf), where=den > 0.0)
-        i, n_up = int(np.argmin(ratio)), len(t) - po
-        x = t[self.free]
-        r = np.maximum(x - t[po + i], 0.0) if i < n_up else np.maximum(t[i - n_up] - x, 0.0)
-        r = r / (r @ b)
-        return r, float(r @ c)
-
-
-def _hinge_sums(t, w):
-    """(up, down): sum_j w_j (t_j - t_k)_+ and sum_j w_j (t_k - t_j)_+ for every
-    vertex k of the ascending t, as running sums of each gap t_{m+1} - t_m
-    times the weight on its far side from t_k."""
-    gap = np.diff(t)
-    up = np.cumsum((gap * np.cumsum(w[::-1])[::-1][1:])[::-1])[::-1]
-    down = np.cumsum(gap * np.cumsum(w)[:-1])
-    return np.append(up, 0.0), np.insert(down, 0, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
-def default_crease_grid(P: Polytope, resolution=64, scheme=None):
-    """(C, n + 1) rows (a0, a) of affine functions whose creases sweep the polytope.
+def _polygon_only(P: Polytope, what: str):
+    if P.dimension != 2:
+        raise ValueError(f"{what} needs a polygon: on an interval the hinges give "
+                         "lambda exactly (hinge_minimum)")
 
-    1D: kinks at `resolution` uniform interior positions; 2D: lines through
-    pairs of the boundary nodes of `scheme` (default: the degree-6 standard
-    rule of P), in the pair order (i, j), i < j.  One orientation per line:
-    ell and -ell have the same normalized crease (see `crease_sweep`).
+
+def default_crease_grid(P: Polytope, scheme=None):
+    """(C, 3) rows (a0, a) of affine functions whose creases sweep the polygon P.
+
+    The lines through pairs of the boundary nodes of `scheme` (default: the
+    degree-6 standard rule of P), in the pair order (i, j), i < j.  One
+    orientation per line: ell and -ell have the same normalized crease (see
+    `crease_sweep`).  An interval raises ValueError.
     """
-    if P.dimension == 1:
-        lo, hi = float(P.vertices[0, 0]), float(P.vertices[1, 0])
-        t = np.linspace(lo, hi, resolution + 1)[1:-1]
-        return np.column_stack([-t, np.ones_like(t)])
+    _polygon_only(P, "the crease grid")
     nodes = np.vstack((scheme or standard_scheme(P, 6)).boundary_points)
     i, j = np.triu_indices(len(nodes), k=1)
     d = nodes[j] - nodes[i]
@@ -216,7 +183,8 @@ def _affine_values(a0, a, x):
 
 def crease_functionals(grid, p_o, evaluator: FunctionalEvaluator):
     """(|u|_b, L_A(u), a0, a) of u = normalize(crease(ell), p_o) for every row
-    ell = (a0, a) of the (C, n + 1) array grid.
+    ell = (a0, a) of the (C, 3) array grid, on a polygon (an interval raises
+    ValueError).
 
     Each ell is oriented to be < 0 at p_o or, when |ell(p_o)| <= 1e-12 (the
     tie band of `PLConvexFunc.active_gradients`), to a lexicographically
@@ -228,18 +196,17 @@ def crease_functionals(grid, p_o, evaluator: FunctionalEvaluator):
     * boundary: on a facet segment whose ends take the values g_A, g_B,
       the mean of (ell)_+ is (g_A + g_B)/2 when both are >= 0,
       g^2 / (2 |g_A - g_B|) for the positive one g on a sign change, else 0;
-      in 1D it is (ell)_+ at the endpoint;
     * interior: A ell over P clipped to {ell >= 0}, with one rule of
       `evaluator.degree` on all the clipped polygons' fan triangles at once
       (one `clip_halfplanes` call on copies of P and one `map_triangles`
-      call), or in 1D one Gauss rule per crease on the
-      part of the interval where ell >= 0.
+      call).
     """
     P = evaluator.polytope
+    _polygon_only(P, "crease_functionals")
     Q = evaluator.scheme
-    Af = as_field(evaluator.A, P.dimension)
-    p = np.atleast_1d(np.asarray(p_o, dtype=float))
-    grid = np.asarray(grid, dtype=float).reshape(-1, P.dimension + 1)
+    Af = as_field(evaluator.A, 2)
+    p = np.asarray(p_o, dtype=float).reshape(2)
+    grid = np.asarray(grid, dtype=float).reshape(-1, 3)
     a0, a = grid[:, 0], grid[:, 1:]
     at_p = _affine_values(a0, a, p[None])[:, 0]
     lead = a[np.arange(len(a)), np.argmax(a != 0.0, axis=1)]
@@ -247,37 +214,22 @@ def crease_functionals(grid, p_o, evaluator: FunctionalEvaluator):
     sign = np.where(flip, -1.0, 1.0)
     a0, a, c = sign * a0, sign[:, None] * a, np.maximum(sign * at_p, 0.0)
 
-    bw = np.concatenate(Q.boundary_weights)
-    if P.dimension == 1:
-        bpts = np.vstack(Q.boundary_points)
-        b_plus = np.sum(np.maximum(_affine_values(a0, a, bpts), 0.0) * bw, axis=1)
-        lo, hi = float(P.vertices[0, 0]), float(P.vertices[1, 0])
-        slope = a[:, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kink = np.clip(-a0 / slope, lo, hi)
-        left = np.where(slope > 0.0, kink, lo)
-        right = np.where(slope < 0.0, kink, np.where(slope > 0.0, hi, lo))
-        t, wt = gauss_rule((evaluator.degree + 2) // 2)
-        x = (left[:, None] + t * (right - left)[:, None])[..., None]
-        w = wt * (right - left)[:, None]
-    else:
-        V = P.vertices
-        fv = np.array(P.facet_vertices)
-        gv = _affine_values(a0, a, V)
-        gA, gB = gv[:, fv[:, 0]], gv[:, fv[:, 1]]
-        g_lo, g_hi = np.minimum(gA, gB), np.maximum(gA, gB)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mean = np.where(g_lo >= 0.0, 0.5 * (gA + gB),
-                            np.where(g_hi > 0.0, 0.5 * g_hi * g_hi / (g_hi - g_lo), 0.0))
-        seg = V[fv[:, 1]] - V[fv[:, 0]]
-        b_plus = np.sum(mean * (P.boundary_weights * np.hypot(seg[:, 0], seg[:, 1])), axis=1)
-        C, m = gv.shape
-        clipped, _, _ = clip_halfplanes(np.broadcast_to(V, (C, m, 2)), np.full(C, m), a, -a0)
-        x, w = map_triangles(fans(clipped), evaluator.degree)
-        x, w = x.reshape(len(a0), -1, 2), w.reshape(len(a0), -1)
-    interior = np.sum(w * Af(x.reshape(-1, P.dimension)).reshape(w.shape)
-                      * _affine_values(a0, a, x), axis=1)
-    bn = b_plus - c * np.sum(bw)
+    V = P.vertices
+    fv = np.array(P.facet_vertices)
+    gv = _affine_values(a0, a, V)
+    gA, gB = gv[:, fv[:, 0]], gv[:, fv[:, 1]]
+    g_lo, g_hi = np.minimum(gA, gB), np.maximum(gA, gB)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = np.where(g_lo >= 0.0, 0.5 * (gA + gB),
+                        np.where(g_hi > 0.0, 0.5 * g_hi * g_hi / (g_hi - g_lo), 0.0))
+    seg = V[fv[:, 1]] - V[fv[:, 0]]
+    b_plus = np.sum(mean * (P.boundary_weights * np.hypot(seg[:, 0], seg[:, 1])), axis=1)
+    C, m = gv.shape
+    clipped, _, _ = clip_halfplanes(np.broadcast_to(V, (C, m, 2)), np.full(C, m), a, -a0)
+    x, w = map_triangles(fans(clipped), evaluator.degree)
+    x, w = x.reshape(len(a0), -1, 2), w.reshape(len(a0), -1)
+    interior = np.sum(w * Af(x.reshape(-1, 2)).reshape(w.shape) * _affine_values(a0, a, x), axis=1)
+    bn = b_plus - c * np.sum(np.concatenate(Q.boundary_weights))
     int_A = np.sum(Q.interior_weights * Af(Q.interior_points))
     return bn, bn - (interior - c * int_A), a0, a
 
@@ -295,7 +247,9 @@ def crease_sweep(P: Polytope, A, grid=None, p_o=None, evaluator=None):
     symmetric polytope do, and the tie goes to the lexicographically smallest
     oriented (a, a0), so the minimizer does not depend on rounding or on the
     order of the grid.  Returns (min ratio, minimizing normalized crease).
+    An interval raises ValueError.
     """
+    _polygon_only(P, "the crease sweep")
     if grid is None:
         grid = default_crease_grid(P)
     if not len(grid):
@@ -328,17 +282,64 @@ def lp_stability_estimate(P: Polytope, A, mesh: Mesh, mode="float",
     lp = StabilityLP(P, A, mesh)
     lam, u, iters = lp.minimize_linear_functional(mode=mode)
     lam2 = min(lam, sweep_min)
+    return StabilityReport(lam, _status(lam, lam2), mesh.h, lp.p_o.copy(),
+                           lambda_hat_refined=lam2, destabilizer=u, lp_iterations=iters)
 
+
+def _status(lam, lam2):
+    """The verdict of lambda_hat = lam and lambda_hat_refined = lam2 <= lam."""
     if lam < -LAMBDA_ZERO_BAND:
-        status = "relatively-unstable"
-    elif abs(lam) <= LAMBDA_ZERO_BAND:
-        status = "boundary-case"
-    elif lam2 >= LAMBDA_STABLE_THRESHOLD:  # lam2 <= lam
-        status = "uniformly-stable"
-    else:
-        status = "inconclusive"
-    return StabilityReport(lam, status, mesh.h, lp.p_o.copy(), lambda_hat_refined=lam2,
-                           destabilizer=u, lp_iterations=iters)
+        return "relatively-unstable"
+    if abs(lam) <= LAMBDA_ZERO_BAND:
+        return "boundary-case"
+    return "uniformly-stable" if lam2 >= LAMBDA_STABLE_THRESHOLD else "inconclusive"
+
+
+def hinge_minimum(P: Polytope, A, p_o):
+    """(lambda, u): the stability constant of an interval, exactly, and the
+    hinge u >= 0 = u(p_o) whose L_A(u) / |u|_b is lambda.
+
+    Convex u >= 0 = u(p_o) on an interval is a nonnegative sum of the hinges
+    (x - t)_+, t >= p_o, and (t - x)_+, t <= p_o (Donaldson, J. Differential
+    Geom. 62, 2002), so lambda is their least ratio L_A(u) / |u|_b.  At the
+    right end b, with dsigma-weight w_b there, d = b - t and A(b - y) =
+    al0 + al1 y + al2 y^2, the ratio is 1 - q(d) / w_b, q(d) = al0 d / 2 +
+    al1 d^2 / 6 + al2 d^3 / 12; the left end mirrors it.  Its least value is
+    at d = b - p_o, at a root of q' in (0, b - p_o), or in the limit d -> 0,
+    where it is 1 and u is the hinge vanishing at the right end.  Ties go to
+    the right end, then to d = b - p_o.  A must be a number, an AffineFunc or
+    a QuadraticPoly, and p_o inside P (else ValueError).
+    """
+    if P.dimension != 1:
+        raise ValueError("hinge_minimum needs an interval")
+    coeffs = field_coefficients(A)
+    if coeffs is None:
+        raise ValueError("hinge_minimum needs a polynomial field A")
+    c0, c1, c2 = coeffs[0], coeffs[1], coeffs[3]
+    p = float(np.ravel(p_o)[0])
+    ends = P.vertices[np.asarray(P.facet_vertices)[:, 0], 0]
+    if not ends.min() < p < ends.max():
+        raise ValueError(f"p_o = {p!r} must lie strictly inside the interval")
+    candidates = []  # (ratio, d, end e, s): the hinge (s (x - t))_+ with t = e - s d
+    for e, w_e in sorted(zip(ends.tolist(), P.boundary_weights.tolist()), reverse=True):
+        s = 1.0 if e > p else -1.0
+        al0, al1, al2 = c0 + e * (c1 + c2 * e), -s * (c1 + 2.0 * c2 * e), c2
+        reach = s * (e - p)
+        ds = [reach] + [r for r in _real_roots(al2 / 4.0, al1 / 3.0, al0 / 2.0) if 0.0 < r < reach]
+        candidates += [(1.0 - d * (al0 / 2.0 + d * (al1 / 6.0 + d * al2 / 12.0)) / w_e, d, e, s)
+                       for d in ds]
+    ratio, d, e, s = min(candidates + [(1.0, 0.0, float(ends.max()), 1.0)], key=lambda c: c[0])
+    return ratio, crease(AffineFunc(d - s * e, (s,)))
+
+
+def _real_roots(a, b, c):
+    """The distinct real roots of a x^2 + b x + c, by the formula that does not
+    cancel; none when a = b = 0."""
+    if a == 0.0:
+        return [-c / b] if b != 0.0 else []
+    disc = b * b - 4.0 * a * c
+    q = -0.5 * (b + np.copysign(np.sqrt(disc), b)) if disc > 0.0 else 0.0
+    return [q / a, c / q] if q != 0.0 else []
 
 
 def _max_along(a0, g, H, x, e):
@@ -358,30 +359,27 @@ def ray_bounds(P: Polytope, A, p_o):
     t^(n-1) dt delta_F dsigma(b) on the cone over facet F, delta_F the
     distance from p_o to F over the density of dsigma.  So for A >= 0 on P,
     lambda >= 1 - sup w, w(b) = delta_F int_0^1 A(p_o + t (b - p_o)) t^n dt,
-    and A = 1 gives C' <= max_F delta_F / (n + 1).  lambda_lower is None
-    unless A is a number, an AffineFunc or a QuadraticPoly with A >= 0 on P;
-    then w and A are quadratics along each facet, with closed-form extremes.
+    and A = 1 gives C' <= max_F delta_F / (n + 1).  Any other A bounds it
+    through A - m, m = min(0, min_P A): that is >= 0 on P, and int A u <=
+    int (A - m) u for u >= 0.  lambda_lower is None unless A is a number, an
+    AffineFunc or a QuadraticPoly; then w and A are quadratics along each
+    facet, with closed-form extremes.
     """
     n = P.dimension
     p = np.asarray(p_o, dtype=float).reshape(n)
     delta = P.gaps(p) / (np.linalg.norm(P.normals, axis=1) * P.boundary_weights)
     c_prime = float(np.max(delta)) / (n + 1)
-    if isinstance(A, (int, float)):
-        A = AffineFunc(float(A), (0.0,) * n)
-    # (c0, cx, cy, cxx, cxy, cyy) of a QuadraticPoly, or of an AffineFunc padded with zeros
-    affine = isinstance(A, AffineFunc)
-    coeffs = (A.a0, *A.a, 0.0, 0.0, 0.0, 0.0)[:6] if affine else getattr(A, "coeffs", None)
+    coeffs = field_coefficients(A)
     if coeffs is None:
         return None, c_prime
-    a0, cx, cy, cxx, cxy, cyy = map(float, coeffs)
+    a0, cx, cy, cxx, cxy, cyy = coeffs
     g, H = np.array([cx, cy])[:n], np.array([[2.0 * cxx, cxy], [cxy, 2.0 * cyy]])[:n, :n]
     ends = P.vertices[np.asarray(P.facet_vertices)]  # (K, n, n): a facet's one or two ends
     edges = ends if n == 2 else P.vertices[None]
     a_min = -np.max(_max_along(-a0, -g, -H, edges[:, 0], edges[:, 1] - edges[:, 0]))
     if n == 2 and np.linalg.det(H) != 0.0 and np.all(P.gaps(x := np.linalg.solve(H, -g)) >= 0):
         a_min = min(a_min, a0 + 0.5 * (g @ x))  # A at its critical point x
-    if a_min < 0.0:
-        return None, c_prime
+    a0 -= min(0.0, a_min)
     # w(b) / delta_F: the t^n-moments of A's Taylor terms at p_o, a quadratic in b - p_o
     A_p, g_p = a0 + p @ g + 0.5 * p @ H @ p, g + H @ p
     w = delta * _max_along(A_p / (n + 1), g_p / (n + 2), H / (n + 3),
@@ -448,19 +446,32 @@ def properness_certificate(P: Polytope, A, lam: float, c_prime: float,
 
 
 def analyze_stability(P: Polytope, A, h: float, p_o=None, mode="float") -> StabilityReport:
-    """Crease sweep, cone LP and ray bounds at p_o (default: center of mass);
-    the certificate, from `ray_bounds`, when the status is "uniformly-stable"
-    and lambda_lower > 0."""
+    """lambda_hat, lambda_hat_refined, crease_sweep_min, lambda_lower and the
+    status at p_o (default: center of mass); the certificate, from
+    lambda_lower and `ray_bounds`' C', when the status is "uniformly-stable"
+    and lambda_lower > 0.
+
+    On an interval all four are the exact lambda of `hinge_minimum`, and h is
+    only checked; on a polygon they come from the crease sweep, the cone LP on
+    the mesh through p_o at h, and `ray_bounds`.
+    """
     evaluator = FunctionalEvaluator(P, A)
     if p_o is None:
         p_o = center_of_mass(P)
-    grid = default_crease_grid(P, resolution=SWEEP_RESOLUTION, scheme=evaluator.scheme)
-    sweep_min, sweep_arg = crease_sweep(P, A, grid=grid, p_o=p_o, evaluator=evaluator)
-    mesh = make_mesh(P, h, point=p_o)
-    report = lp_stability_estimate(P, A, mesh, mode=mode, sweep_min=sweep_min)
-    report.crease_sweep_min, report.crease_sweep_argmin = sweep_min, sweep_arg
-    report.lambda_lower, c_prime = ray_bounds(P, A, p_o)
-    if report.status == "uniformly-stable" and (report.lambda_lower or 0.0) > 0.0:
-        report.certificates = properness_certificate(
-            P, A, report.lambda_lower, c_prime, evaluator=evaluator)
+    lower, c_prime = ray_bounds(P, A, p_o)
+    if P.dimension == 1:
+        check_mesh_parameter(h)
+        lower, u = hinge_minimum(P, A, p_o)
+        report = StabilityReport(lower, _status(lower, lower), h,
+                                 np.array(p_o, dtype=float).reshape(1), lambda_hat_refined=lower,
+                                 destabilizer=u, crease_sweep_min=lower, crease_sweep_argmin=u)
+    else:
+        grid = default_crease_grid(P, scheme=evaluator.scheme)
+        sweep_min, sweep_arg = crease_sweep(P, A, grid=grid, p_o=p_o, evaluator=evaluator)
+        report = lp_stability_estimate(P, A, make_mesh(P, h, point=p_o), mode=mode,
+                                       sweep_min=sweep_min)
+        report.crease_sweep_min, report.crease_sweep_argmin = sweep_min, sweep_arg
+    report.lambda_lower = lower
+    if report.status == "uniformly-stable" and (lower or 0.0) > 0.0:
+        report.certificates = properness_certificate(P, A, lower, c_prime, evaluator=evaluator)
     return report

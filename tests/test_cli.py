@@ -136,8 +136,8 @@ def executed_sources(*argvs):
 
 def test_solve_runs_no_stability_code_and_stability_no_solver_code(tmp_path):
     # the modules a subcommand may not need are registered lazily, so a run
-    # compiles and executes only those it uses: a float 1D stability run with
-    # the extremal field takes its LPs from the hinges and parses no field,
+    # compiles and executes only those it uses: a 1D stability run with the
+    # extremal field takes lambda from the hinges and parses no field,
     # and no float run executes the exact simplex
     pentagon, interval, square = (tmp_path / f"{n}.txt"
                                   for n in ("pentagon", "interval", "square"))
@@ -146,7 +146,7 @@ def test_solve_runs_no_stability_code_and_stability_no_solver_code(tmp_path):
     square.write_text(SQUARE)
     ran = executed_sources(["solve", "--polytope", str(pentagon), "--h", "0.2"])
     assert "solver.py" in ran
-    # the solver reaches fields.QuadraticPoly only inside solve_1d
+    # the solver reads a field's coefficients without the field parser
     assert not ran & {"stability.py", "cone_lp.py", "simplex_lp.py", "audits.py", "fields.py"}
     ran = executed_sources(["stability", "--polytope", str(interval), "--A", "extremal",
                             "--h", "0.0625"])
@@ -444,8 +444,8 @@ def test_incompatible_1d_field_exits_4(tmp_path, capsys):
 
 
 def test_stability_report_prints_lp_iterations_identically(tmp_path, capsys):
-    # the square's cone LPs take interior-point steps; the interval's LPs
-    # are read off the hinges and take none
+    # the square's cone LPs take interior-point steps; the interval solves
+    # no LP, since its lambda is read off the hinges
     steps = {}
     for name, text, h in (("square", SQUARE, "0.25"), ("interval", INTERVAL, "0.0625")):
         path = tmp_path / f"{name}.txt"
@@ -510,10 +510,11 @@ def test_eval_l1_constant_is_the_ray_bound(text, value, tmp_path, capsys):
 
 @pytest.mark.parametrize("text, argv, line", [
     (INTERVAL, ["--h", "0.0625"], "lambda_lower: 0.5"),
-    (SQUARE, ["--A", "affine:-2,12,0", "--h", "0.25"], "lambda_lower: none")],
+    (SQUARE, ["--A", "affine:-2,12,0", "--h", "0.25"], "lambda_lower: -0.75")],
     ids=["interval", "square-sign-change"])
 def test_stability_report_prints_lambda_lower(text, argv, line, tmp_path, capsys):
-    # "none" where A changes sign on P: no lower bound and no certificate
+    # where A changes sign on P the bound is that of A - min_P A, here
+    # negative, and no certificate follows
     path = tmp_path / "p.txt"
     path.write_text(text)
     assert main(["stability", "--polytope", str(path)] + argv) == 0
@@ -619,13 +620,13 @@ def test_exact_mode_gives_the_float_constants_on_the_square(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, argv, calls", [
     (SQUARE, ["stability", "--A", "affine:-2,12,0", "--h", "0.16666666666666666"], 1),
-    (INTERVAL, ["stability", "--A", "extremal", "--h", "0.0625"], 1)],
+    (INTERVAL, ["stability", "--A", "extremal", "--h", "0.0625"], 0)],
     ids=["stability-unstable-square", "stability-stable-interval"])
 def test_lp_assembles_only_the_weights_its_problems_read(text, argv, calls, tmp_path,
                                                          monkeypatch, capsys):
     # the boundary weights come from the mesh; A's interior weights are
-    # assembled for the one LP at h.  The certificate of the stable interval
-    # takes C' from the ray bound, so no unit-field weights are assembled
+    # assembled for the one LP at h.  The stable interval solves no LP, and
+    # its certificate takes C' from the ray bound, so it assembles none
     import polystab.functionals
     import polystab.solver
     import polystab.stability
@@ -664,6 +665,36 @@ def test_verify_builds_the_convexity_rows_once_per_mesh(tmp_path, monkeypatch, c
     path.write_text(SQUARE)
     assert main(["verify", "--polytope", str(path), "--h", "0.25"]) == 0
     assert built and len(built) == len(set(built))
+
+
+def test_interval_stability_is_exact_at_every_h_and_writes_its_hinge(tmp_path, capsys):
+    # A = -7 + 9x on [0, 1]: lambda = 5/6, from the hinge kinked at x = 2/3,
+    # whatever h is (the mesh LP read 0.84375 at h = 1/4 and 0.833984375 at
+    # h = 1/16); the witness is that hinge, a pl-function eval reads back.
+    # h is still checked
+    path = tmp_path / "interval.txt"
+    path.write_text(INTERVAL)
+    reports = []
+    for h in ("0.25", "0.0625"):
+        out = tmp_path / f"report-{h}.txt"
+        assert main(["stability", "--polytope", str(path), "--A", "affine:-7,9", "--h", h,
+                     "--out", str(out)]) == 0
+        reports.append(capsys.readouterr().out)
+    values = report_values(reports[0])
+    for key in ("lambda_hat", "lambda_hat_refined", "crease_sweep_min", "lambda_lower"):
+        assert float(values[key]) == pytest.approx(5 / 6, abs=1e-12)
+    assert values["status"] == "uniformly-stable" and "[certificate]" in reports[0]
+    same = [[line for line in r.splitlines() if not line.startswith(("h: ", "witness.file: "))]
+            for r in reports]
+    assert same[0] == same[1]
+    ratio = []
+    for op in ("linear-functional", "boundary-norm"):
+        assert main(["eval", "--polytope", str(path), "--A", "affine:-7,9", "--op", op,
+                     "--u", f"plfile:{values['witness.file']}"]) == 0
+        ratio.append(float(report_values(capsys.readouterr().out)["value"]))
+    assert ratio[0] / ratio[1] == pytest.approx(float(values["lambda_hat"]), abs=1e-12)
+    assert main(["stability", "--polytope", str(path), "--h", "nan"]) == 2
+    assert "mesh parameter h must be finite and positive, not nan" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, h", [(PENTAGON, "0.25"), (PENTAGON, "2"), (SIMPLEX, "0.25")],

@@ -10,7 +10,13 @@ from polystab.errors import LPNotConverged
 from polystab.functionals import extremal_affine, mesh_linear_forms
 from polystab.mesh import make_mesh
 from polystab.polytope import center_of_mass, interval, standard_simplex, unit_square
-from polystab.stability import TOLERANCES, StabilityLP, lp_stability_estimate, ray_bounds
+from polystab.stability import (
+    TOLERANCES,
+    StabilityLP,
+    analyze_stability,
+    lp_stability_estimate,
+    ray_bounds,
+)
 
 
 def _mass(lp):
@@ -53,8 +59,7 @@ def _mesh_function(lp, x):
 
 
 def interior_point(lp, problem):
-    """(value, u) of `problem` from `solve_cone_lp` on the rows of `lp`;
-    called directly, since on an interval StabilityLP takes the hinges."""
+    """(value, u) of `problem` from `solve_cone_lp` on the rows of `lp`."""
     c, b, sign = _posed(lp, problem)
     res = cone_lp.solve_cone_lp(c, *lp.rows, b)
     return sign * res.value, _mesh_function(lp, res.u)
@@ -66,10 +71,27 @@ def exact(lp, problem):
     return sign * simplex_lp.solve_cone_lp_exact(c, *lp.rows, b)[1]
 
 
+def _best_hinge(lp, c, b):
+    """(x, value): min c.x over the 1D cone with b.x = 1, by an O(V^2) scan.
+
+    u >= 0 with u(p_o) = 0 makes p_o a minimum of the convex u, so u is a
+    nonnegative sum of the hinges (x - t)_+ at the vertices t >= p_o and
+    (t - x)_+ at t <= p_o.  Scaled to b.r = 1, the hinges r with b.r > 0 are
+    the vertices of the feasible set, and the least c.r / b.r is the minimum.
+    """
+    t, x = lp.mesh.vertices[:, 0], lp.mesh.vertices[lp.free, 0]
+    p = lp.p_o[0]
+    hinges = np.vstack([np.maximum(x - t[t >= p, None], 0.0), np.maximum(t[t <= p, None] - x, 0.0)])
+    hinges = hinges[hinges @ b > 0.0]
+    r = hinges[np.argmin((hinges @ c) / (hinges @ b))]
+    r = r / (r @ b)
+    return r, float(r @ c)
+
+
 def best_hinge(lp, problem):
     """(value, u) of `problem` on an interval from the hinges that span its cone."""
     c, b, sign = _posed(lp, problem)
-    x, value = lp._best_hinge(c, b)
+    x, value = _best_hinge(lp, c, b)
     return sign * value, _mesh_function(lp, x)
 
 
@@ -123,8 +145,6 @@ def test_hinges_give_the_cone_lp_optimum_on_intervals(a, w, cells, at, coeffs):
         return (c0 + c1 * s + c2 * s * s) / w
 
     lp = StabilityLP(P, A, mesh)
-    value, _, steps = lp.minimize_linear_functional()
-    assert (value, steps) == (best_hinge(lp, "minimize_linear_functional")[0], 0)
     for problem in PROBLEMS:
         objective, row, _ = PROBLEMS[problem](lp)
         value, u = best_hinge(lp, problem)
@@ -147,21 +167,26 @@ def test_an_iterate_just_outside_the_cone_passes_the_objective_check():
                      make_mesh(P, 1 / 24, point=[11 / 24]))
     c, b, _ = _posed(lp, "minimize_linear_functional_mass")
     res = cone_lp.solve_cone_lp(c, *lp.rows, b)
-    x, value = lp._best_hinge(c, b)
+    x, value = _best_hinge(lp, c, b)
     assert abs(res.value - value) <= 1e-9 * (np.abs(c) @ x)
     assert _in_cone(lp, _mesh_function(lp, res.u))
 
 
 def test_hinges_give_the_interval_constants_exactly():
-    # on [0, 1] with A = 2 at h = 1/16 and 1/32 the best hinge is (x - 1/2)_+:
-    # lambda-hat = 1/2 and the C' LP's 1/4 with no rounding left, as the ray
-    # bounds give them
+    # on [0, 1] with A = 2 the best hinge is (x - 1/2)_+: a stability run
+    # reads lambda = 1/2 off it with no LP, and C' = 1/4 from the ray bound;
+    # the cone LP at h = 1/16 and 1/32 reaches both within its tolerance, and
+    # its best mesh hinges give them with no rounding left
     P = interval()
+    report = analyze_stability(P, extremal_affine(P), 1 / 16)
+    assert (report.lambda_hat, report.lambda_hat_refined, report.lp_iterations) == (0.5, 0.5, 0)
     for h in (1 / 16, 1 / 32):
         mesh = make_mesh(P, h, point=center_of_mass(P))
         report = lp_stability_estimate(P, extremal_affine(P), mesh)
-        assert (report.lambda_hat, report.lambda_hat_refined, report.lp_iterations) == (0.5, 0.5, 0)
-        assert best_hinge(StabilityLP(P, 2.0, mesh), "maximize_mass")[0] == 0.25
+        assert abs(report.lambda_hat - 0.5) <= 1e-9 and report.lp_iterations > 0
+        lp = StabilityLP(P, 2.0, mesh)
+        assert best_hinge(lp, "minimize_linear_functional")[0] == 0.5
+        assert best_hinge(lp, "maximize_mass")[0] == 0.25
     assert ray_bounds(P, extremal_affine(P), [0.5]) == (0.5, 0.25)
 
 

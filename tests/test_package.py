@@ -7,7 +7,8 @@ import pytest
 import polystab
 
 # every name `polystab/__init__.py` re-exported when it imported them eagerly,
-# less the two removed with the mass-normalized and C' LPs, plus `ray_bounds`
+# less the two removed with the mass-normalized and C' LPs, plus `ray_bounds` and
+# `hinge_minimum`
 EXPORTED = """
 AffineFunc Compatibility1D ConeLPResult DegeneracyReport EmptyGrid EmptyInterior
 EvaluationOutsideDomain FunctionalEvaluator IncompatibleA LPInfeasible LPNotConverged
@@ -18,7 +19,7 @@ QuadraticPoly QuadratureScheme SegmentTouchesBoundary SingularHessian SingularMo
 SmoothConvexFunc SolverState StabilityReport UnboundedDomain analyze_stability
 build_polytope center_of_mass crease crease_functionals crease_sweep default_crease_grid
 degeneracy_diagnostic delzant_check extremal_affine graded_scheme guillemin_potential
-integrate_boundary integrate_interior interval lp_stability_estimate
+hinge_minimum integrate_boundary integrate_interior interval lp_stability_estimate
 make_mesh mesh_graded_scheme mesh_linear_forms normalize parse_field
 properness_certificate ray_bounds
 residual scripted_sequences segment_ma_measure solution_norm_bound solve_1d
@@ -28,7 +29,7 @@ supporting_affine unit_square verify_audits
 
 
 def test_the_export_list_is_complete():
-    assert len(EXPORTED) == len(set(EXPORTED)) == 74
+    assert len(EXPORTED) == len(set(EXPORTED)) == 75
 
 
 @pytest.mark.parametrize("name", EXPORTED)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import polystab.cone_lp as cone_lp
@@ -19,7 +19,7 @@ from polystab.convex import (
     normalize,
 )
 from polystab.errors import EmptyGrid, NonpositiveLambda
-from polystab.fields import parse_field
+from polystab.fields import QuadraticPoly, parse_field
 from polystab.functionals import (
     FunctionalEvaluator,
     as_field,
@@ -42,6 +42,7 @@ from polystab.stability import (
     crease_functionals,
     crease_sweep,
     default_crease_grid,
+    hinge_minimum,
     lp_stability_estimate,
     properness_certificate,
     ray_bounds,
@@ -51,53 +52,76 @@ A_UNSTABLE = AffineFunc(2.0 - 3.5, (7.0,))  # 2 + 7(x - 1/2)
 A_EXTREMAL_RAY = parse_field("48*x^2 - 48*x + 10", 1)
 
 
-def crease_ratio_oracle_interval(t, A):
-    """L_A(normalized crease at t) / |.|_b on [0, 1] by direct 1D integration.
+def crease_ratio_oracle_interval(t, A, P=None, p_o=0.5):
+    """L_A(u) / |u|_b of the normalized crease u = normalize(max(0, x - t), p_o)
+    on the interval P (default [0, 1]), for a kink t or an array of them, by
+    direct 1D integration.
 
-    u = normalize(max(0, x - t), p_o = 1/2) is linear away from its kink t, so
-    the Gauss rule is split at t and at p_o.  On each piece A u is a
-    polynomial of degree deg(A) + 1, and a rule of (deg(A) + 3) // 2 points
-    integrates it exactly; the result is exact for polynomial A.
+    u is the hinge (x - t)_+ for t >= p_o and (t - x)_+ below, linear where it
+    is positive.  There A u is a polynomial of degree deg(A) + 1, and a Gauss
+    rule of (deg(A) + 3) // 2 points integrates it exactly; the result is
+    exact for polynomial A.  |u|_b sums the dsigma-weight times u at each end.
     """
-    p_o = 0.5
-    npts = (field_degree(A) + 3) // 2  # 2 npts - 1 >= deg(A) + 1
-    x, w = gauss_rule(npts)
-    Af = as_field(A, 1)
-    u = normalize(crease(AffineFunc(-t, (1.0,))), [p_o])
-    bn = float(u(np.array([0.0]))) + float(u(np.array([1.0])))
-    la = bn
-    cuts = np.unique([0.0, t, p_o, 1.0])
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        pts = (a + (b - a) * x)[:, None]
-        la -= (b - a) * float(w @ (Af(pts) * u(pts)))
-    return la / bn
+    P = interval() if P is None else P
+    lo, hi = float(P.vertices.min()), float(P.vertices.max())
+    kinks = np.atleast_1d(np.asarray(t, dtype=float))
+    right = kinks >= p_o
+    start, stop = np.where(right, kinks, lo), np.where(right, hi, kinks)
+    x, w = gauss_rule((field_degree(A) + 3) // 2)  # 2 npts - 1 >= deg(A) + 1
+    pts = start[:, None] + (stop - start)[:, None] * x
+    u = np.where(right[:, None], pts - kinks[:, None], kinks[:, None] - pts)
+    interior = (stop - start) * np.sum(w * as_field(A, 1)(pts.reshape(-1, 1)).reshape(pts.shape)
+                                       * u, axis=1)
+    ends = P.vertices[np.asarray(P.facet_vertices)[:, 0], 0]
+    bn = sum(w_e * np.maximum(np.where(right, e - kinks, kinks - e), 0.0)
+             for e, w_e in zip(ends, P.boundary_weights))
+    ratio = (bn - interior) / bn
+    return float(ratio[0]) if np.ndim(t) == 0 else ratio
 
 
 # -- crease sweep -----------------------------------------------------------------
 
 def test_crease_sweep_interval_minimum():
-    ratio, arg = crease_sweep(interval(), 2.0, p_o=[0.5])
-    assert ratio == pytest.approx(0.5, abs=1e-6)
-    # the minimizer is the crease kinked at the midpoint
-    assert arg(np.array([0.5])) == pytest.approx(0.0, abs=1e-12)
-    assert arg(np.array([1.0])) == pytest.approx(0.5, abs=1e-9)
+    # the interval's minimum is the hinge minimum, the crease kinked at the
+    # midpoint, exactly; the crease sweep refuses the interval
+    ratio, arg = hinge_minimum(interval(), 2.0, [0.5])
+    assert ratio == 0.5
+    assert arg(np.array([0.5])) == 0.0
+    assert arg(np.array([1.0])) == 0.5
+    with pytest.raises(ValueError, match="needs a polygon"):
+        crease_sweep(interval(), 2.0, p_o=[0.5])
 
 
 def test_crease_sweep_detects_instability():
-    ev = FunctionalEvaluator(interval(), A_UNSTABLE)
-    u = normalize(crease(AffineFunc(-0.5, (1.0,))), [0.5])
-    assert ev.linear_functional(u) == pytest.approx(-1 / 24, abs=1e-12)
-    ratio, _ = crease_sweep(interval(), A_UNSTABLE, p_o=[0.5])
-    assert ratio <= -1 / 12 + 1e-9
+    # A = -2 + 12 x on the unit square: L_A < 0 on the crease kinked along
+    # x = 1/2, and the sweep finds a negative ratio too
+    P, A = unit_square(), AffineFunc(-2.0, (12.0, 0.0))
+    u = normalize(crease(AffineFunc(-0.5, (1.0, 0.0))), [0.5, 0.5])
+    assert FunctionalEvaluator(P, A).linear_functional(u) == pytest.approx(-1 / 4, abs=1e-12)
+    ratio, _ = crease_sweep(P, A, p_o=[0.5, 0.5])
+    assert ratio < -0.3
 
 
 def test_crease_sweep_skips_trivial_creases():
-    # grid of affine functions whose creases are outside or trivial
-    grid = np.array([[-5.0, 1.0], [-1.0, 0.0]])
+    # grid of affine functions whose creases are outside the square or trivial
+    grid = np.array([[-5.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
     with pytest.raises(EmptyGrid):
-        crease_sweep(interval(), 2.0, grid=grid, p_o=[0.5])
+        crease_sweep(unit_square(), 4.0, grid=grid, p_o=[0.5, 0.5])
     with pytest.raises(EmptyGrid):
-        crease_sweep(interval(), 2.0, grid=[], p_o=[0.5])
+        crease_sweep(unit_square(), 4.0, grid=[], p_o=[0.5, 0.5])
+
+
+@pytest.mark.parametrize("call", [
+    lambda P, ev: default_crease_grid(P),
+    lambda P, ev: crease_functionals([[-0.5, 1.0]], [0.5], ev),
+    lambda P, ev: crease_sweep(P, 2.0, p_o=[0.5]),
+    lambda P, ev: crease_sweep(P, 2.0, grid=[], p_o=[0.5]),
+], ids=["default_crease_grid", "crease_functionals", "crease_sweep", "crease_sweep-empty"])
+def test_crease_functions_refuse_an_interval(call):
+    # an interval's lambda is exact from the hinges, so its creases are never swept
+    P = interval()
+    with pytest.raises(ValueError, match="needs a polygon"):
+        call(P, FunctionalEvaluator(P, 2.0))
 
 
 def test_crease_ratio_matches_closed_form():
@@ -108,11 +132,90 @@ def test_crease_ratio_matches_closed_form():
         assert crease_ratio_oracle_interval(t, 2.0) == pytest.approx(1 - t, abs=1e-12)
 
 
+# -- hinge minimum ----------------------------------------------------------------------
+
+WEIGHTED_INTERVAL = build_polytope([((1.0,), 0.0), ((-2.0,), -2.0)])  # weight 1/2 at x = 1
+
+
+@pytest.mark.parametrize("P, A, lam, kink", [
+    (interval(), 2.0, 0.5, 0.5),
+    (WEIGHTED_INTERVAL, extremal_affine(WEIGHTED_INTERVAL), 0.375, 0.5),
+    (interval(), AffineFunc(-7.0, (9.0,)), 5 / 6, 2 / 3),
+    (interval(), -1.0, 1.0, 1.0),
+], ids=["extremal", "weighted-extremal", "affine-kink-2/3", "negative-constant"])
+def test_hinge_minimum_exact_values(P, A, lam, kink):
+    # the best hinge of A = -7 + 9x kinks at t = 2/3, inside (p_o, 1); for
+    # A = -1 every hinge ratio exceeds 1, and the infimum 1 is the limit of
+    # hinges vanishing at an end (on a mesh at h = 1/16 the LP read 1.03125
+    # and the 64-kink crease grid 1.0078125)
+    p_o = center_of_mass(P)
+    value, u = hinge_minimum(P, A, p_o)
+    assert value == pytest.approx(lam, abs=1e-15)
+    assert u(p_o) == 0.0 and u(np.array([kink])) == 0.0
+    ev = FunctionalEvaluator(P, A)
+    if lam < 1.0:
+        assert ev.linear_functional(u) / ev.boundary_norm(u) == pytest.approx(lam, abs=1e-12)
+        assert u(np.array([kink + 1e-3])) > 0.0 or u(np.array([kink - 1e-3])) > 0.0
+    else:
+        assert ev.boundary_norm(u) == 0.0
+    if P is WEIGHTED_INTERVAL:
+        assert value == ray_bounds(P, A, p_o)[0]
+
+
+def test_hinge_minimum_needs_a_polynomial_field_on_an_interval_and_p_o_inside():
+    with pytest.raises(ValueError, match="polynomial"):
+        hinge_minimum(interval(), lambda pts: np.full(len(pts), 2.0), [0.5])
+    with pytest.raises(ValueError, match="interval"):
+        hinge_minimum(unit_square(), 4.0, [0.5, 0.5])
+    for p_o in (0.0, 1.5):
+        with pytest.raises(ValueError, match="strictly inside"):
+            hinge_minimum(interval(), 2.0, [p_o])
+
+
+@settings(max_examples=40, deadline=None)
+@example(a=0.0, w=1.0, at=0.5, coeffs=(2.0, 0.0, 0.0), cells=16)
+@example(a=-1.5, w=3.0, at=0.3, coeffs=(1.0, 4.0, -6.0), cells=7)  # the left hinge at p_o
+@example(a=-1.5, w=3.0, at=0.3, coeffs=(1.0, 4.0, -3.0), cells=7)  # A >= 0 on P
+@example(a=2.0, w=0.5, at=0.75, coeffs=(-1.0, 0.0, 0.0), cells=5)  # the limit d -> 0
+@given(a=st.floats(-3.0, 3.0), w=st.floats(0.25, 4.0), at=st.floats(0.05, 0.95),
+       coeffs=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+       cells=st.integers(2, 12))
+def test_hinge_minimum_is_the_least_hinge_ratio(a, w, at, coeffs, cells):
+    # on P = [a, a + w] with A(x) = A0(s) / w, A0(s) = c0 + c1 s + c2 s^2 and
+    # s = (x - a) / w, so that L_A stays of order one at every width: the
+    # closed form sits below the cone LP on a mesh through p_o and below every
+    # hinge of a dense kink scan, within 1e-6 of the scan's minimum, and it
+    # equals the value on [0, 1] with A0 and p_o = at (moving or dilating P)
+    c0, c1, c2 = coeffs
+    P, p_o = interval(a, a + w), a + at * w
+    A = QuadraticPoly(1, (c0 / w - c1 * a / w**2 + c2 * a * a / w**3,
+                          c1 / w**2 - 2.0 * c2 * a / w**3, 0.0, c2 / w**3, 0.0, 0.0))
+    lam, _ = hinge_minimum(P, A, [p_o])
+    lp = lp_stability_estimate(P, A, make_mesh(P, w / cells, point=[p_o]))
+    assert lam <= lp.lambda_hat + 1e-12
+    # kinks on a uniform grid, and close to the ends and just below p_o (the
+    # scan's hinge at p_o itself is the right one)
+    near = w * np.geomspace(1e-9, 1e-3, 7)
+    kinks = np.concatenate([a + w * np.linspace(0.0, 1.0, 8001)[1:-1], [p_o],
+                            a + near, a + w - near, p_o - near])
+    scan = crease_ratio_oracle_interval(kinks, A, P, p_o)
+    assert lam <= scan.min() + 1e-12
+    assert lam >= scan.min() - 1e-6
+    unit = hinge_minimum(interval(), QuadraticPoly(1, (c0, c1, 0.0, c2, 0.0, 0.0)), [at])[0]
+    assert lam == pytest.approx(unit, rel=1e-12, abs=1e-12)
+    # the ray bound is below lambda, and equal to it where A >= 0 on P
+    lower = ray_bounds(P, A, [p_o])[0]
+    assert lower <= lam + 1e-12
+    a0_values = [c0, c0 + c1 + c2]  # A0 at s = 0, 1 and at its interior minimum
+    if c2 > 0.0 and 0.0 < -c1 / (2.0 * c2) < 1.0:
+        a0_values.append(c0 - c1 * c1 / (4.0 * c2))
+    if min(a0_values) >= 0.0:
+        assert lower == pytest.approx(lam, abs=1e-12)
+
+
 PENTAGON = build_polytope([((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, 0.0), -3.0),
                            ((0.0, -1.0), -2.0), ((-1.0, -1.0), -4.0)])
 SWEEP_FIXTURES = {
-    "interval": (interval(), None),
-    "interval-unstable": (interval(), A_UNSTABLE),
     "square": (unit_square(), AffineFunc(-2.0, (12.0, 0.0))),
     "square-constant": (unit_square(), 4.0),
     "pentagon": (PENTAGON, None),
@@ -546,10 +649,34 @@ def test_analyze_stability_builds_one_mesh(monkeypatch):
         return make_mesh(P, h, point=point)
 
     monkeypatch.setattr(polystab.stability, "make_mesh", counting)
-    for P, A, h in ((interval(), 2.0, 1 / 16), (unit_square(), 4.0, 1 / 4)):
-        built.clear()
-        analyze_stability(P, A, h)
-        assert built == [(h, tuple(center_of_mass(P)))]
+    P, h = unit_square(), 1 / 4
+    analyze_stability(P, 4.0, h)
+    assert built == [(h, tuple(center_of_mass(P)))]
+
+
+def test_interval_runs_build_no_mesh_lp_or_crease_grid(monkeypatch):
+    # stability and verify on an interval take lambda from the hinges alone;
+    # on the square each of these runs once
+    import sys
+
+    import polystab.stability
+
+    calls = []
+    names = ("make_mesh", "mesh_linear_forms", "StabilityLP", "crease_sweep")
+    originals = {name: getattr(polystab.stability, name) for name in names}
+    for module in [m for n, m in list(sys.modules.items()) if n.startswith("polystab.")]:
+        for name, fn in originals.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, lambda *args, _name=name, _fn=fn, **kwargs:
+                                    calls.append(_name) or _fn(*args, **kwargs))
+    P = interval()
+    for A in (extremal_affine(P), AffineFunc(-7.0, (9.0,)), A_UNSTABLE):
+        analyze_stability(P, A, 1 / 16)
+    rows = {name: ok for name, ok, _, _ in verify_audits(P, 1 / 16, 0, audit_count=2)}
+    assert all(rows.values())
+    assert calls == []
+    analyze_stability(unit_square(), 4.0, 1 / 4)
+    assert sorted(calls) == sorted(names)
 
 
 # -- degeneracy diagnostics ------------------------------------------------------------
@@ -717,9 +844,14 @@ def test_ray_bound_of_a_quadratic_field_is_the_sampled_sup(P, field):
     (interval(), "48*x^2 - 48*x + 11.9"),                      # negative at the midpoint
 ], ids=["square-affine", "square-bowl", "pentagon-cap", "interval"])
 def test_ray_bound_of_a_field_that_changes_sign_is_none(P, field):
-    lower, upper = ray_bounds(P, parse_field(field, P.dimension), center_of_mass(P))
-    assert lower is None
-    assert upper == ray_bounds(P, 1.0, center_of_mass(P))[1]
+    # no longer None: the bound of A - min_P A holds for A too, below lambda-hat
+    A, p_o = parse_field(field, P.dimension), center_of_mass(P)
+    lower, upper = ray_bounds(P, A, p_o)
+    size = float(np.max(np.ptp(P.vertices, axis=0)))
+    lam = (hinge_minimum(P, A, p_o)[0] if P.dimension == 1
+           else lp_stability_estimate(P, A, make_mesh(P, size / 4, point=p_o)).lambda_hat)
+    assert lower <= lam + 1e-12
+    assert upper == ray_bounds(P, 1.0, p_o)[1]
 
 
 def test_ray_bound_of_an_unknown_field_is_none():
@@ -752,13 +884,14 @@ def test_ray_bound_on_c_prime_is_above_the_lp(name):
 @settings(max_examples=15, deadline=None)
 @given(points=lattice_points, s=st.sampled_from([0.25, 0.5, 1.0]))
 def test_ray_bounds_bracket_the_lp_on_lattice_polygons(points, s):
-    # A = s (A_P - min(A_P, 0) + 1/10), an affine field > 0 on P, so that
-    # lambda_lower is defined: it is <= min(lambda-hat, crease sweep), and
-    # c_prime_upper >= the C' LP, on a coarse mesh through p_o
+    # A = s (A_P - min(A_P, 0)), an affine field >= 0 on P and zero at a
+    # vertex when A_P is negative somewhere, where its closed-form minimum
+    # rounds to about -1e-16: lambda_lower is <= min(lambda-hat, crease
+    # sweep), and c_prime_upper >= the C' LP, on a coarse mesh through p_o
     P = _lattice_polygon(points)
     assume(P is not None)
     A_P = extremal_affine(P)
-    low = min(0.0, float(np.min(A_P(P.vertices)))) - 0.1
+    low = min(0.0, float(np.min(A_P(P.vertices))))
     A = AffineFunc(s * (A_P.a0 - low), tuple(s * a for a in A_P.a))
     p_o = center_of_mass(P)
     mesh = make_mesh(P, float(np.max(np.ptp(P.vertices, axis=0))) / 4, point=p_o)
@@ -772,19 +905,18 @@ def test_ray_bounds_bracket_the_lp_on_lattice_polygons(points, s):
 
 def test_certificate_interval_closed_forms():
     P = interval()
-    m = make_mesh(P, 1 / 64, point=[0.5])
-    rep = lp_stability_estimate(P, 2.0, m)
-    cert = properness_certificate(P, 2.0, *ray_bounds(P, 2.0, rep.p_o))
-    assert rep.lambda_hat == 0.5
+    lam, _ = hinge_minimum(P, 2.0, [0.5])
+    cert = properness_certificate(P, 2.0, *ray_bounds(P, 2.0, [0.5]))
+    assert lam == 0.5
     assert cert.c_o == pytest.approx(1.0, abs=1e-5)
     assert cert.c_prime == 0.25
     assert cert.r_bound == pytest.approx(1.5, abs=0.05)
-    assert cert.epsilon_prime == pytest.approx(rep.lambda_hat / 2)
-    assert cert.r_small == pytest.approx(rep.lambda_hat / (2 * cert.r_bound))
+    assert cert.epsilon_prime == pytest.approx(lam / 2)
+    assert cert.r_small == pytest.approx(lam / (2 * cert.r_bound))
     assert cert.c_const == pytest.approx(cert.c_o - np.log(cert.r_small), abs=1e-9)
     assert cert.epsilon == pytest.approx(cert.epsilon_prime / cert.c_prime)
     assert cert.epsilon_prime > 0
-    assert cert.r_small < rep.lambda_hat / cert.r_bound
+    assert cert.r_small < lam / cert.r_bound
 
 
 @pytest.mark.parametrize("P, c_o", [(interval(), 1.0), (unit_square(), 2.0),
@@ -899,14 +1031,14 @@ def test_solution_norm_bound_audit():
 # -- consistency between the two stability notions -----------------------------------------
 
 def test_instability_agreement():
-    # the LP, the crease sweep and the ray bound agree on the sign of lambda
+    # the LP, the hinge minimum and the ray bound agree on the sign of lambda
     P = interval()
     m = make_mesh(P, 1 / 32, point=[0.5])
     rep = lp_stability_estimate(P, A_UNSTABLE, m)
-    assert rep.lambda_hat < 0 and crease_sweep(P, A_UNSTABLE, p_o=[0.5])[0] < 0
-    assert ray_bounds(P, A_UNSTABLE, [0.5])[0] is None  # A_UNSTABLE < 0 near x = 0
+    lam = hinge_minimum(P, A_UNSTABLE, [0.5])[0]
+    assert ray_bounds(P, A_UNSTABLE, [0.5])[0] <= lam <= rep.lambda_hat < 0
     rep2 = lp_stability_estimate(P, 2.0, m)
-    assert rep2.lambda_hat > 1e-3 and crease_sweep(P, 2.0, p_o=[0.5])[0] > 1e-3
+    assert rep2.lambda_hat > 1e-3 and hinge_minimum(P, 2.0, [0.5])[0] > 1e-3
     assert ray_bounds(P, 2.0, [0.5])[0] > 1e-3
 
 
