@@ -25,8 +25,7 @@ which freezes the live objects (`gc.freeze()`) before and after `main`:
   left.
 
 An in-process `import polystab.cli` or `main(argv)` call changes neither the
-collector's state nor its freeze count.  `build_parser(argv)` builds only the
-subcommand the command line names, about 0.5 ms less than all five.
+collector's state nor its freeze count.
 """
 from __future__ import annotations
 
@@ -52,7 +51,7 @@ from .fileio import (
     write_pl_function,
 )
 from .functionals import GRADED_LAYERS, FunctionalEvaluator, extremal_affine
-from .mesh import make_mesh
+from .mesh import check_mesh_parameter, make_mesh
 from .polytope import center_of_mass
 
 # exception types -> (exit code, stderr prefix); the first match wins
@@ -144,6 +143,7 @@ def cmd_solve(args):
     rep.add("A", args.A)
     tol = {} if args.tol is None else {"tol": args.tol}
     if P.dimension == 1:
+        check_mesh_parameter(args.h)  # an interval needs no mesh, but h is still checked
         u, compat = solver.solve_1d(P, A, **tol)
         sup, l2, _ = solver.residual(u, A, P, margin=0.05)
         rep.add("method", "1d-integration")
@@ -267,24 +267,8 @@ def _checked(kind, ok, rule):
 POSITIVE = _checked(float, lambda v: np.isfinite(v) and v > 0, "finite and > 0")
 
 
-class _NeedsFullParser(Exception):
-    """A parser holding one subcommand met an error; the full parser reports it."""
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _NeedsFullParser
-
-
-def build_parser(argv=None):
-    """The CLI parser, with only the subcommand parser that argv[0] names.
-
-    That parser's help, usage and error texts are those of the full parser.
-    The top-level usage lists every subcommand, so any error raises
-    _NeedsFullParser instead, and `main` parses again with all five.  With
-    no argv, or an argv[0] that names no subcommand (--help, --version, an
-    unknown command), all five are built.
-    """
+def build_parser():
+    """The CLI parser with its five subcommands."""
     options = {
         "A": dict(default="extremal", help='scalar field: "extremal", "affine:c0,c1[,c2]", '
                   'or a polynomial of degree <= 2 in x[,y] written as a Python '
@@ -323,15 +307,11 @@ def build_parser(argv=None):
             "--margin": dict(type=_checked(float, lambda v: np.isfinite(v) and v >= 0,
                                            "finite and >= 0"), default=0.05)}),
     }
-    only = argv[0] if argv and argv[0] in commands else None
-    p = (_OneCommandParser if only else argparse.ArgumentParser)(
-        prog="polystab", description="Stability and canonical-potential toolkit "
-                                     "for convex polytopes")
+    p = argparse.ArgumentParser(prog="polystab", description="Stability and canonical-potential "
+                                                             "toolkit for convex polytopes")
     p.add_argument("--version", action="version", version=f"polystab {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
     for name, (help_text, fn, names, own) in commands.items():
-        if only not in (None, name):
-            continue
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--polytope", required=True, help="polytope file")
         for option in names:  # only the options the command reads
@@ -344,11 +324,7 @@ def build_parser(argv=None):
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    try:
-        args = build_parser(argv).parse_args(argv)
-    except _NeedsFullParser:
-        args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except Exception as exc:

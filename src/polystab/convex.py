@@ -175,8 +175,6 @@ class MeshConvexFunc:
         m = self.mesh
         v = m.vertices[m.cells]
         u = self.values[m.cells]
-        if self.dimension == 1:
-            return ((u[:, 1] - u[:, 0]) / (v[:, 1, 0] - v[:, 0, 0]))[:, None]
         e1 = v[:, 1] - v[:, 0]
         e2 = v[:, 2] - v[:, 0]
         det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]

@@ -47,7 +47,6 @@ from .quadrature import (
     split_scheme,
     standard_scheme,
     triangle_rule,  # noqa: F401  (perfbench/tests patch and restore it here)
-    _segments,
 )
 
 GRADED_LAYERS = 40
@@ -102,10 +101,7 @@ def mesh_linear_forms(mesh: Mesh, A, degree=DEFAULT_DEGREE):
     Af = as_field(A, mesh.dimension)
     a = np.zeros(mesh.num_vertices)
     M = len(mesh.cells)
-    if mesh.dimension == 1:
-        p, w = _segments(mesh.vertices[mesh.cells, 0], degree)
-    else:
-        p, w = map_triangles(mesh.vertices[mesh.cells], degree)
+    p, w = map_triangles(mesh.vertices[mesh.cells], degree)
     q = len(w) // M
     wA = (w * Af(p)).reshape(M, 1, q)
     lam = np.ascontiguousarray(mesh.barycentric(np.repeat(np.arange(M), q), p).T)

@@ -1,4 +1,4 @@
-"""Discrete Hessian surrogate for mesh functions.
+"""Discrete Hessian surrogate for functions on a polygon's mesh.
 
 Piecewise-linear interpolants have distributional Hessians, so second
 derivatives come from two linear maps, applied in turn and never multiplied
@@ -23,8 +23,7 @@ class HessianSurrogate:
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        n = mesh.dimension
-        self.ncomp = 1 if n == 1 else 3  # (xx,) or (xx, xy, yy)
+        self.ncomp = 3  # (xx, xy, yy)
         V = mesh.num_vertices
 
         # rings: every ordered pair of distinct vertices of a cell, once,
@@ -42,7 +41,7 @@ class HessianSurrogate:
         S = 1 + deg.max()
         self.star_idx = np.repeat(np.arange(V)[:, None], S, axis=1)
         self.star_op = np.zeros((V, self.ncomp, S))
-        valid = deg + 1 >= (3 if n == 1 else 6)
+        valid = deg + 1 >= 6
         if not valid.any():
             raise ValueError("mesh too coarse for quadric fits")
         for d in sorted_unique(deg[valid]):
@@ -51,11 +50,8 @@ class HessianSurrogate:
             dx = mesh.vertices[star] - mesh.vertices[vs, None]
             s = np.maximum(np.max(np.abs(dx), axis=(1, 2)), 1e-300)[:, None, None]
             x, one = dx / s, np.ones(star.shape)
-            if n == 1:
-                B = np.stack([one, x[..., 0], 0.5 * x[..., 0] ** 2], axis=-1)
-            else:
-                x, y = x[..., 0], x[..., 1]
-                B = np.stack([one, x, y, 0.5 * x ** 2, x * y, 0.5 * y ** 2], axis=-1)
+            x, y = x[..., 0], x[..., 1]
+            B = np.stack([one, x, y, 0.5 * x ** 2, x * y, 0.5 * y ** 2], axis=-1)
             self.star_idx[vs, :d + 1] = star
             self.star_op[vs, :, :d + 1] = np.linalg.pinv(B, rcond=1e-10)[:, -self.ncomp:] / s**2
 
@@ -94,8 +90,8 @@ class HessianSurrogate:
 class PointOperator:
     """(ncomp*m, V) map: per-vertex fits, then interpolation at m points.
 
-    cells: (m,) the points' mesh cells; bary: (n+1, m) their barycentric
-    weights; tri: (n+1, m) the cells' vertices.
+    cells: (m,) the points' mesh cells; bary: (3, m) their barycentric
+    weights; tri: (3, m) the cells' vertices.
     """
 
     def __init__(self, surrogate: HessianSurrogate, cells, bary):

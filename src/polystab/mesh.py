@@ -1,6 +1,6 @@
-"""Boundary-conforming meshes of polytopes.
+"""Boundary-conforming meshes of polygons.
 
-2D meshes are structured grids over the bounding box.  Each vertex is named
+A mesh is a structured grid over the bounding box.  Each vertex is named
 by the two lines meeting there, grid lines at a cell corner, a grid line and
 a facet at a crossing, two facets at a vertex of P (a crossing within the
 clipping tolerance of a corner or a vertex of P takes its key), and gets its
@@ -8,12 +8,14 @@ coordinates once, from a (lines, facets) table.  Cells inside P get the "/"
 split; cut cells are clipped facet by facet as rows of keys, then fanned.
 Vertices are numbered by the first appearance of their keys.  The grid has
 ceil(size / h) cells a side (the 9-vertex / 8-triangle unit square at
-h = 1/2), plus, given a point, a line of each direction through it (1D: a
-break) unless a grid line lies within 1e-12 of P's scale, so the point is a
-vertex, `point_vertex`, and every spacing stays <= h.  Halving h refines
-every cell in place (coarse piecewise-linear functions remain
-representable) only when size / h is an integer, the point's lines being in
-both grids; otherwise the finer grid is a different one.
+h = 1/2), plus, given a point, a line of each direction through it unless
+a grid line lies within 1e-12 of P's scale, so the point is a vertex,
+`point_vertex`, and every spacing stays <= h.  Halving h refines every cell
+in place (coarse piecewise-linear functions remain representable) only when
+size / h is an integer, the point's lines being in both grids; otherwise the
+finer grid is a different one.  An interval has no mesh: the hinges give
+its stability constant (`stability.hinge_minimum`), `solver.solve_1d` its
+solution.
 """
 from __future__ import annotations
 
@@ -30,28 +32,28 @@ VERTEX_CAP = 200_000
 
 
 class Mesh(Frozen):
-    """Triangulation (1D: partition into segments) of a polytope.
+    """Triangulation of a polygon.
 
-    cells are positively oriented index triples (pairs in 1D); hinges describe
-    the convexity stencils: in 1D rows (left, mid, right) per interior vertex,
-    in 2D rows (p, q, r, s) per interior edge (p, q) with opposite vertices r
-    and s.  boundary_facets maps vertex index -> tuple of facet ids it lies on;
-    in 2D, boundary_edges lists each boundary edge with the facet it lies on.
-    A 2D vertex is named by the two lines that meet there, and its facets are
-    read from them.  Arrays derived from the mesh are cached on it, read-only;
-    it hashes by identity, so other objects' per-mesh caches can key on it.
+    cells are positively oriented index triples; hinges describe the
+    convexity stencils, rows (p, q, r, s) per interior edge (p, q) with
+    opposite vertices r and s.  boundary_facets maps vertex index -> tuple of
+    facet ids it lies on; boundary_edges lists each boundary edge with the
+    facet it lies on.  A vertex is named by the two lines that meet there,
+    and its facets are read from them.  Arrays derived from the mesh are
+    cached on it, read-only; it hashes by identity, so other objects'
+    per-mesh caches can key on it.
 
-    vertices (V, n); cells (M, n+1) int; hinges (E, 3) in 1D, (E, 4) in 2D;
-    grid_shape (xs, ys) the ascending grid lines, for 2D point location;
-    cell_index (nx+2, ny+2, k) the ids of the cells cut from each grid square,
-    -1 padded, with a one-square halo so neighbour lookups need no bounds
-    checks; boundary_edges (B, 3) rows (a, b, facet id) per boundary edge
-    (a, b), a < b, sorted (2D); point_vertex the vertex at make_mesh's point.
+    vertices (V, 2); cells (M, 3) int; hinges (E, 4); grid_shape (xs, ys)
+    the ascending grid lines, for point location; cell_index (nx+2, ny+2, k)
+    the ids of the cells cut from each grid square, -1 padded, with a
+    one-square halo so neighbour lookups need no bounds checks;
+    boundary_edges (B, 3) rows (a, b, facet id) per boundary edge (a, b),
+    a < b, sorted; point_vertex the vertex at make_mesh's point.
     """
 
     def __init__(self, polytope: Polytope, h: float, vertices, cells, hinges,
-                 boundary_facets: dict, grid_shape: tuple = (), cell_index=None,
-                 boundary_edges=None, point_vertex=None):
+                 boundary_facets: dict, grid_shape: tuple, cell_index, boundary_edges,
+                 point_vertex=None):
         vars(self).update(polytope=polytope, h=h, vertices=vertices, cells=cells, hinges=hinges,
                           boundary_facets=boundary_facets, grid_shape=grid_shape,
                           cell_index=cell_index, boundary_edges=boundary_edges,
@@ -68,38 +70,27 @@ class Mesh(Frozen):
     @cached_property
     def convexity_rows(self):
         """(idx, coef), one row per hinge: sum(coef * u[idx]) >= 0 iff u is convex
-        there.  1D: the slope difference at mid; 2D: u_s - alpha u_p - beta u_q
-        - gamma u_r, with (alpha, beta, gamma) the barycentric coordinates of s
-        in triangle (p, q, r)."""
+        there: u_s - alpha u_p - beta u_q - gamma u_r, with (alpha, beta, gamma)
+        the barycentric coordinates of s in triangle (p, q, r)."""
         idx = self.hinges
-        if self.dimension == 1:
-            x = self.vertices[idx, 0]
-            left, right = 1.0 / (x[:, 1] - x[:, 0]), 1.0 / (x[:, 2] - x[:, 1])
-            coef = np.column_stack([left, -(left + right), right])
-        else:
-            vp, vq, vr, vs = (self.vertices[idx[:, k]] for k in range(4))
-            e1, e2, rhs = vq - vp, vr - vp, vs - vp
-            det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-            beta = (rhs[:, 0] * e2[:, 1] - rhs[:, 1] * e2[:, 0]) / det
-            gamma = (-rhs[:, 0] * e1[:, 1] + rhs[:, 1] * e1[:, 0]) / det
-            coef = np.column_stack([-(1.0 - beta - gamma), -beta, -gamma, np.ones(len(idx))])
+        vp, vq, vr, vs = (self.vertices[idx[:, k]] for k in range(4))
+        e1, e2, rhs = vq - vp, vr - vp, vs - vp
+        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        beta = (rhs[:, 0] * e2[:, 1] - rhs[:, 1] * e2[:, 0]) / det
+        gamma = (-rhs[:, 0] * e1[:, 1] + rhs[:, 1] * e1[:, 0]) / det
+        coef = np.column_stack([-(1.0 - beta - gamma), -beta, -gamma, np.ones(len(idx))])
         coef.flags.writeable = False
         return idx, coef
 
     @cached_property
     def boundary_vertex_weights(self):
         """(V,) weights b with the integral of u dsigma = b . u for PL u (exact)."""
+        # each boundary edge puts half its sigma-length on both ends
+        a, c, k = self.boundary_edges.T
         w = self.polytope.boundary_weights
-        if self.dimension == 1:
-            b = np.zeros(self.num_vertices)
-            for v, facets in self.boundary_facets.items():
-                b[v] = w[list(facets)].sum()
-        else:
-            # each boundary edge puts half its sigma-length on both ends
-            a, c, k = self.boundary_edges.T
-            half = 0.5 * np.linalg.norm(self.vertices[c] - self.vertices[a], axis=1) * w[k]
-            b = np.bincount(np.column_stack([a, c]).ravel(), weights=np.repeat(half, 2),
-                            minlength=self.num_vertices)
+        half = 0.5 * np.linalg.norm(self.vertices[c] - self.vertices[a], axis=1) * w[k]
+        b = np.bincount(np.column_stack([a, c]).ravel(), weights=np.repeat(half, 2),
+                        minlength=self.num_vertices)
         b.flags.writeable = False
         return b
 
@@ -108,20 +99,13 @@ class Mesh(Frozen):
     def locate(self, points):
         """Containing cell and barycentric coordinates for each point.
 
-        Returns (cell_ids, bary) with bary shape (m, n+1).  Points on the
+        Returns (cell_ids, bary) with bary shape (m, 3).  Points on the
         boundary resolve to an adjacent cell; points outside get cell -1.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         m = pts.shape[0]
         ids = np.full(m, -1, dtype=int)
-        bary = np.zeros((m, self.dimension + 1))
-        if self.dimension == 1:
-            xs = self.vertices[:, 0]
-            j = np.clip(np.searchsorted(xs, pts[:, 0], side="right") - 1, 0, len(xs) - 2)
-            t = (pts[:, 0] - xs[j]) / (xs[j + 1] - xs[j])
-            inside = (t >= -1e-9) & (t <= 1.0 + 1e-9)
-            ids[inside], bary[inside] = j[inside], np.column_stack([1.0 - t, t])[inside]
-            return ids, bary
+        bary = np.zeros((m, 3))
         ix, iy = (np.clip(np.searchsorted(t, pts[:, k], "right") - 1, 0, len(t) - 2) + 1
                   for k, t in enumerate(self.grid_shape))  # + 1: the halo offset
         # first hit in (neighbour square, slot) order; unresolved points stay -1
@@ -138,12 +122,9 @@ class Mesh(Frozen):
         return ids, bary
 
     def barycentric(self, cell_ids, points):
-        """(m, n+1) barycentric coordinates of points[i] in cell cell_ids[i]."""
+        """(m, 3) barycentric coordinates of points[i] in cell cell_ids[i]."""
         v = self.vertices[self.cells[np.asarray(cell_ids, dtype=int)]]
         pts = np.asarray(points, dtype=float)
-        if self.dimension == 1:
-            t = (pts[:, 0] - v[:, 0, 0]) / (v[:, 1, 0] - v[:, 0, 0])
-            return np.column_stack([1.0 - t, t])
         e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
         rhs = pts - v[:, 0]
         det = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
@@ -178,7 +159,11 @@ def check_mesh_parameter(h: float):
 
 
 def make_mesh(P: Polytope, h: float, point=None) -> Mesh:
-    """Boundary-conforming mesh with grid spacing <= h, through `point` if given."""
+    """Boundary-conforming mesh of the polygon P with grid spacing <= h,
+    through `point` if given.  An interval raises ValueError."""
+    if P.dimension != 2:
+        raise ValueError("make_mesh needs a polygon: on an interval the hinges give lambda "
+                         "exactly (hinge_minimum) and solve_1d the solution, with no mesh")
     check_mesh_parameter(h)
     lo, hi = P.vertices.min(axis=0), P.vertices.max(axis=0)
     # the cell counts allow for vertices off by 1e-10 of P._scale (size plus rounding reach)
@@ -186,17 +171,6 @@ def make_mesh(P: Polytope, h: float, point=None) -> Mesh:
     stol = 1e-12 * P._scale
     if point is not None and np.any(P.gaps(point) < -stol * np.linalg.norm(P.normals, axis=1)):
         raise ValueError(f"mesh point {np.asarray(point).tolist()} lies outside P")
-    if P.dimension == 1:
-        ncell = int(np.ceil((hi[0] - lo[0]) / h * shrink))
-        if ncell + 1 > VERTEX_CAP:
-            raise MeshTooFine(f"{ncell + 1} vertices exceed the cap {VERTEX_CAP}")
-        xs, at = _through(np.linspace(lo[0], hi[0], ncell + 1), point, 0, stol)
-        ncell = len(xs) - 1
-        cells = np.column_stack([np.arange(ncell), np.arange(1, ncell + 1)])
-        hinges = np.column_stack([np.arange(ncell - 1), np.arange(1, ncell), np.arange(2, ncell + 1)])
-        (k0,), (k1,) = P.vertex_facets.tolist()  # the ends are P's vertices, ascending
-        return Mesh(P, h, xs[:, None], cells, hinges, {0: (k0,), ncell: (k1,)}, point_vertex=at)
-
     (xlo, ylo), (nx, ny) = lo, (int(np.ceil(d / h * shrink)) for d in hi - lo)
     if (nx + 1) * (ny + 1) > VERTEX_CAP:
         raise MeshTooFine(f"{(nx + 1) * (ny + 1)} grid vertices exceed the cap {VERTEX_CAP}")

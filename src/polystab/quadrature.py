@@ -18,7 +18,7 @@ triangle batches (and per-triangle tags) and call it once:
 * mesh_graded_scheme -- rules subordinate to the cells of a mesh, graded
   toward the boundary; each point records its parent mesh cell in
   interior_cells (-1 in the schemes above), so mesh data can be interpolated
-  there without locating the point again; mesh_graded_triangles gives its 2D
+  there without locating the point again; mesh_graded_triangles gives its
   triangles unmapped, for callers that map them a block at a time.
 
 Boundary integrals use the facet-weighted measure dsigma = dS / |h_k|.
@@ -314,29 +314,8 @@ def _facet_counts(mesh):
     return count
 
 
-def _mesh_graded_1d(mesh, degree, layers):
-    """Whole free cells, and layers (ratio 1/2) toward every cell end on the boundary."""
-    ends = mesh.vertices[mesh.cells, 0]                                   # (M, 2)
-    on = _facet_counts(mesh)[mesh.cells] > 0
-    free = np.flatnonzero(~on.any(axis=1))
-    ab, lay, cel = [ends[free]], [np.zeros_like(free)], [free]
-    scale = 2.0 ** -np.arange(layers + 1)
-    for k in (0, 1):
-        c = np.flatnonzero(on[:, k])
-        e = ends[c, k]
-        # layers run toward the midpoint when both ends are on the boundary
-        far = np.where(on[c].all(axis=1), 0.5 * (ends[c, 0] + ends[c, 1]), ends[c, 1 - k])
-        x = e[:, None] + (far - e)[:, None] * scale                      # e + (far - e) 2^-j
-        ab.append(np.sort(np.stack([x[:, 1:], x[:, :-1]], axis=-1), axis=-1).reshape(-1, 2))
-        lay.append(np.tile(np.arange(layers), len(c)))
-        cel.append(np.repeat(c, layers))
-    ab, lay, cel = (np.concatenate(z) for z in (ab, lay, cel))
-    pts, wts = _segments(ab, degree)
-    return pts, wts, *(np.repeat(tag, len(wts) // len(ab)) for tag in (lay, cel))
-
-
 def mesh_graded_triangles(mesh, layers: int = 30, tangential_layers: int = 16):
-    """The 2D mesh-graded rule before mapping: triangles (T, 3, 2) in rule
+    """The mesh-graded rule before mapping: triangles (T, 3, 2) in rule
     order with their (T,) layers and parent cells.
 
     map_triangles on them, or on any run of them, gives the rule's points
@@ -424,19 +403,16 @@ def mesh_graded_scheme(mesh, degree: int = DEFAULT_DEGREE, layers: int = 30,
     boundary_edges), so no tolerance is involved.  Cells with an edge on the
     boundary get geometric layers (ratio 1/2) toward that edge, tangentially
     refined toward endpoints on two facets; corner cells and cells with a
-    boundary-opposite vertex are first split at the centroid.  Cells touching the boundary only at vertices get a quadtree
-    whose levels are built one batch at a time: each boundary vertex's
-    corner child passes down and the other children are emitted, so levels
-    2 to layers - 1 hold equal counts.  No loop runs over cells.  The slivers
-    beyond `layers` are dropped and carry the layer bookkeeping for
-    truncation estimates.
+    boundary-opposite vertex are first split at the centroid.  Cells touching
+    the boundary only at vertices get a quadtree whose levels are built one
+    batch at a time: each boundary vertex's corner child passes down and the
+    other children are emitted, so levels 2 to layers - 1 hold equal counts.
+    No loop runs over cells.  The slivers beyond `layers` are dropped and
+    carry the layer bookkeeping for truncation estimates.
     """
-    if mesh.dimension == 1:
-        ipts, iwts, ilay, icell = _mesh_graded_1d(mesh, degree, layers)
-    else:
-        tris, lay, cell = mesh_graded_triangles(mesh, layers, tangential_layers)
-        ipts, iwts = map_triangles(tris, degree)
-        ilay, icell = (np.repeat(tag, triangle_points(degree)) for tag in (lay, cell))
+    tris, lay, cell = mesh_graded_triangles(mesh, layers, tangential_layers)
+    ipts, iwts = map_triangles(tris, degree)
+    ilay, icell = (np.repeat(tag, triangle_points(degree)) for tag in (lay, cell))
     bp, bw = graded_boundary(mesh.polytope, degree, tangential_layers)
     return QuadratureScheme(mesh.dimension, degree, ipts, iwts, ilay, bp, bw,
                             kind="mesh-graded",

@@ -101,9 +101,9 @@ class StabilityReport(Record):
 # ---------------------------------------------------------------------------
 
 class StabilityLP:
-    """The cone LP min L_A(u) s.t. |u|_b = 1 on one mesh, normalized at p_o,
-    the mesh's `point_vertex`, which must be strictly interior.  A stability
-    run poses it only on a polygon; on an interval mesh it is the same LP.
+    """The cone LP min L_A(u) s.t. |u|_b = 1 on one mesh of a polygon,
+    normalized at p_o, the mesh's `point_vertex`, which must be strictly
+    interior.
 
     `rows = (idx, coef)` are the mesh's convexity rows over the free vertices.
     An entry of p_o gets coefficient 0 at a column already in its row, so each

@@ -221,9 +221,9 @@ def test_normalize_invariant_under_affine_shift():
 
 
 def test_normalize_mesh_function():
-    m = make_mesh(interval(), 1 / 8)
-    u = MeshConvexFunc(m, (m.vertices[:, 0] - 0.3) ** 2 + 2.0)
-    n = normalize(u, [0.5])
+    m = make_mesh(unit_square(), 1 / 8)
+    u = MeshConvexFunc(m, np.sum((m.vertices - [0.3, 0.4]) ** 2, axis=1) + 2.0)
+    n = normalize(u, [0.5, 0.5])
     assert n.values.min() >= 0.0
     assert n.values[n.p_o_index] == 0.0
     assert n.is_discretely_convex()
@@ -291,20 +291,20 @@ def test_ma_2d_along_segment():
 
 
 def test_mesh_function_discrete_convexity_matches_segment_masses():
-    m = make_mesh(interval(), 1 / 16)
+    m = make_mesh(unit_square(), 1 / 16)
     vals = np.abs(m.vertices[:, 0] - 0.5)
     u = MeshConvexFunc(m, vals)
     assert u.is_discretely_convex()
     rng = np.random.default_rng(11)
     for _ in range(10):
-        a, b = np.sort(rng.uniform(0.05, 0.95, size=2))
-        if b - a < 0.05:
+        a, b = rng.uniform(0.05, 0.95, size=(2, 2))
+        if np.linalg.norm(b - a) < 0.05:
             continue
-        assert segment_ma_measure(u, [a], [b], m.polytope) >= -1e-12
+        assert segment_ma_measure(u, a, b, m.polytope) >= -1e-12
     bad = vals.copy()
-    bad[8] += 0.2  # break convexity at an interior vertex
+    v = int(np.flatnonzero(np.all(m.vertices == 0.5, axis=1))[0])
+    bad[v] += 0.2  # break convexity at an interior vertex
     ub = MeshConvexFunc(m, bad)
     assert not ub.is_discretely_convex()
-    # a segment bracketing only the concave kink certifies the violation
-    x8 = m.vertices[8, 0]
-    assert segment_ma_measure(ub, [x8 - 0.01], [x8 + 0.01], m.polytope) < 0
+    # a segment across only the concave bump certifies the violation
+    assert segment_ma_measure(ub, [0.49, 0.5], [0.51, 0.5], m.polytope) < 0

@@ -11,15 +11,20 @@ from polystab.convex import (
     guillemin_potential,
 )
 from polystab.errors import NeedsSmoothFunction, NonConvexAtQuadraturePoint, SingularHessian
-from polystab.functionals import FunctionalEvaluator, extremal_affine, mesh_linear_forms
+from polystab.functionals import (
+    FunctionalEvaluator,
+    as_field,
+    extremal_affine,
+    mesh_linear_forms,
+)
 from polystab.mesh import make_mesh
 from polystab.polytope import build_polytope, interval, standard_simplex, unit_square
 from polystab.quadrature import (
     DEFAULT_DEGREE,
-    gauss_rule,
     graded_scheme,
     integrate_boundary,
     integrate_interior,
+    map_triangles,
 )
 
 PENTAGON = [((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, 0.0), -3.0),
@@ -247,17 +252,19 @@ def test_mabuchi_gradient_check():
 def test_mabuchi_and_ibp_of_a_mesh_function_need_a_smooth_function():
     # F_A is +infinity on a piecewise-linear function, so a mesh function gets
     # the error a PLConvexFunc gets; its linear functional is still defined
-    for P in (interval(), unit_square()):
+    S = unit_square()
+    m = make_mesh(S, 1 / 8)
+    u = MeshConvexFunc(m, np.sum((m.vertices - 0.4) ** 2, axis=1))
+    for P, pls in ((interval(), [crease(AffineFunc(-0.4, (1.0,)))]),
+                   (S, [u, crease(AffineFunc(-0.4, (1.0, 1.0)))])):
         ev = FunctionalEvaluator(P, 2.0)
-        m = make_mesh(P, 1 / 8)
-        u = MeshConvexFunc(m, np.sum((m.vertices - 0.4) ** 2, axis=1))
         v = guillemin_potential(P)
-        for pl in (u, crease(AffineFunc(-0.4, (1.0,) * P.dimension))):
+        for pl in pls:
             with pytest.raises(NeedsSmoothFunction):
                 ev.mabuchi(pl)
             with pytest.raises(NeedsSmoothFunction):
                 ev.ibp_integral(v, pl)
-        assert np.isfinite(ev.linear_functional(u))
+    assert np.isfinite(ev.linear_functional(u))
 
 
 # -- Abreu operator ---------------------------------------------------------------
@@ -379,21 +386,18 @@ def test_mesh_linear_forms_match_evaluator():
     assert ev.interior_integral(u) == pytest.approx(float(a @ vals), abs=1e-13)
 
 
-def test_mesh_linear_forms_1d_match_cell_by_cell_loop():
-    # the 1D assembly is one batch over cells; this loop is the reference,
-    # with the same arithmetic on each cell
-    P = interval(-0.5, 2.0)
+def test_mesh_linear_forms_match_cell_by_cell_loop():
+    # the assembly is one batch over cells; this loop is the reference, one
+    # np.dot per cell and vertex, added in cell order
+    P = build_polytope(PENTAGON)
     m = make_mesh(P, 0.3)
-    A = AffineFunc(1.5, (-2.0,))
-    t, w = gauss_rule((DEFAULT_DEGREE + 2) // 2)
+    A = AffineFunc(1.5, (-2.0, 0.5))
     ref = np.zeros(m.num_vertices)
-    for c0, c1 in m.cells:
-        x0, x1 = m.vertices[c0, 0], m.vertices[c1, 0]
-        p = x0 + t * (x1 - x0)
-        wA = w * abs(x1 - x0) * A(p[:, None])
-        s = (p - x0) / (x1 - x0)
-        ref[c0] += np.dot(wA, 1.0 - s)
-        ref[c1] += np.dot(wA, s)
+    for k, cell in enumerate(m.cells):
+        p, w = map_triangles(m.vertices[cell][None], DEFAULT_DEGREE)
+        wA = w * as_field(A, 2)(p)
+        for v, lam in zip(cell, np.ascontiguousarray(m.barycentric(np.full(len(w), k), p).T)):
+            ref[v] += np.dot(wA, lam)
     assert np.array_equal(mesh_linear_forms(m, A)[1], ref)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from polystab._geom import clip_halfplanes, fans, polygon_area
 from polystab.convex import MeshConvexFunc, normalize
 from polystab.errors import MeshTooFine
-from polystab.fileio import read_polytope
+from polystab.fileio import mesh_function_from_text, read_polytope
 from polystab.functionals import extremal_affine
 from polystab.hessfit import HessianSurrogate
 from polystab.mesh import make_mesh
@@ -24,12 +24,27 @@ PENTAGON = [((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0), ((-1.0, 0.0), -3.0),
             ((0.0, -1.0), -2.0), ((-1.0, -1.0), -4.0)]
 
 
-def test_interval_mesh():
-    m = make_mesh(interval(), 0.25)
-    assert m.num_vertices == 5
-    assert np.allclose(m.vertices.ravel(), [0, 0.25, 0.5, 0.75, 1.0])
-    assert len(m.hinges) == 3
-    assert set(m.boundary_facets) == {0, 4}
+# a mesh-function file of [0, 1] at h = 1/4 through 1/2, as `stability --out`
+# wrote an interval's witness before intervals had no mesh
+INTERVAL_MESH_FUNCTION = """# polystab mesh-function
+# polystab polytope
+dimension: 1
+facet: 1.0 0.0
+facet: -1.0 -1.0
+h: 0.25
+point: 0.5
+p_o_index: 2
+values: 0.5 0.25 0.0 0.25 0.5
+"""
+
+
+def test_an_interval_has_no_mesh():
+    # the hinges give an interval's lambda and solve_1d its solution, so
+    # make_mesh refuses an interval, and so does reading a mesh function on one
+    with pytest.raises(ValueError, match="needs a polygon.*hinge_minimum.*solve_1d"):
+        make_mesh(interval(), 0.25)
+    with pytest.raises(ValueError, match="needs a polygon.*hinge_minimum.*solve_1d"):
+        mesh_function_from_text(INTERVAL_MESH_FUNCTION)
 
 
 def test_square_mesh_h_half():
@@ -64,8 +79,6 @@ def test_interior_edges_have_two_triangles():
 
 
 def test_mesh_too_fine():
-    with pytest.raises(MeshTooFine):
-        make_mesh(interval(), 1e-7)
     with pytest.raises(MeshTooFine):
         make_mesh(unit_square(), 1e-4)
 
@@ -117,25 +130,6 @@ def test_mesh_far_from_the_origin(origin, s):
     assert np.array_equal(m.hinges, unit.hinges)
     assert np.array_equal(m.boundary_edges, unit.boundary_edges)
     assert m.boundary_facets == unit.boundary_facets
-
-
-@pytest.mark.parametrize("origin, s", [(0.0, 0.01), (1e4, 0.01), (-5e3, 1e-3), (0.0, 1e-6),
-                                       (0.0, 1e-12)])
-def test_interval_mesh_is_scale_free(origin, s):
-    # the 1D cell count has the 2D branch's slack, so [origin, origin + s] at
-    # h = s/4 gets the unit interval's 4 cells wherever it sits
-    m, unit = make_mesh(interval(origin, origin + s), s / 4), make_mesh(interval(), 0.25)
-    assert m.num_vertices == 5
-    np.testing.assert_allclose(m.vertices, origin + s * unit.vertices,
-                               rtol=0, atol=1e-12 * max(abs(origin), s))
-    assert np.array_equal(m.cells, unit.cells)
-    assert np.array_equal(m.hinges, unit.hinges)
-    assert m.boundary_facets == unit.boundary_facets
-
-
-@pytest.mark.parametrize("h, nv", [(1 / 16, 17), (1 / 32, 33), (0.3, 5)])
-def test_interval_mesh_vertex_counts(h, nv):
-    assert make_mesh(interval(), h).num_vertices == nv
 
 
 @pytest.mark.parametrize("origin, s", [(0.0, 1.0), (0.0, 1e-9), (1e4, 0.01)])
@@ -503,13 +497,8 @@ def test_mesh_and_fits_match_the_loops_on_lattice_polygons(points, n):
 
 def loop_convexity_rows(mesh):
     """Reference convexity rows, written out apart from `Mesh.convexity_rows`:
-    the 1D slope-difference stencil, and in 2D the vertex s of every hinge in
-    the barycentric frame of triangle (p, q, r)."""
+    the vertex s of every hinge in the barycentric frame of triangle (p, q, r)."""
     idx = mesh.hinges
-    if mesh.dimension == 1:
-        x = mesh.vertices[idx, 0]
-        left, right = 1.0 / (x[:, 1] - x[:, 0]), 1.0 / (x[:, 2] - x[:, 1])
-        return idx, np.column_stack([left, -(left + right), right])
     vp, vq, vr, vs = (mesh.vertices[idx[:, k]] for k in range(4))
     e1, e2, rhs = vq - vp, vr - vp, vs - vp
     det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
@@ -520,8 +509,8 @@ def loop_convexity_rows(mesh):
 
 
 MESH_FIXTURES = pytest.mark.parametrize(
-    "P", [interval(), unit_square(), standard_simplex(), build_polytope(PENTAGON)],
-    ids=["interval", "square", "simplex", "pentagon"])
+    "P", [unit_square(), standard_simplex(), build_polytope(PENTAGON)],
+    ids=["square", "simplex", "pentagon"])
 
 
 @pytest.mark.parametrize("h", [1 / 5, 1 / 8])
@@ -551,10 +540,6 @@ def test_margins_are_the_lp_rows_applied_to_the_values(P, h):
     assert u.p_o_index == lp.p_o_index == m.point_vertex and u.values[m.point_vertex] == 0.0
     np.testing.assert_allclose(np.sum(u.values[lp.free][idx] * coef, axis=1),
                                u.convexity_margins(), rtol=0, atol=1e-12)
-    if P.dimension == 1:  # the rows are the slope differences at the interior vertices
-        x, v = m.vertices[:, 0], u.values
-        slopes = np.diff(v) / np.diff(x)
-        np.testing.assert_allclose(u.convexity_margins(), np.diff(slopes), rtol=1e-12, atol=1e-12)
 
 
 def test_meshes_hash_by_identity():
@@ -566,9 +551,8 @@ def test_meshes_hash_by_identity():
 
 def _digest(m):
     """First 16 hex digits of the sha256 of the mesh's arrays and boundary facets."""
-    arrays = [m.vertices.astype("<f8"), m.cells.astype("<i8"), m.hinges.astype("<i8")]
-    if m.dimension == 2:
-        arrays += [m.cell_index.astype("<i8"), m.boundary_edges.astype("<i8")]
+    arrays = [m.vertices.astype("<f8"), m.cells.astype("<i8"), m.hinges.astype("<i8"),
+              m.cell_index.astype("<i8"), m.boundary_edges.astype("<i8")]
     h = hashlib.sha256()
     for a in arrays:
         h.update(repr(a.shape).encode())
@@ -579,7 +563,6 @@ def _digest(m):
 
 @pytest.mark.parametrize("name, h, vertices, digest", [
     ("square", 1 / 6, 49, "586edfa30ae92924"),
-    ("interval", 1 / 16, 17, "cb536f714d2f8a8e"),
     ("pentagon", 0.2, 161, "0d64c1b72f3406ab"),
 ])
 def test_mesh_without_a_point_keeps_its_arrays(name, h, vertices, digest):
@@ -598,9 +581,6 @@ def test_mesh_through_a_point_adds_one_line_each_way():
     # a coordinate within 1e-12 of P's scale of a grid line takes that line
     near = make_mesh(P, 1 / 4, point=[0.5 + 1e-14, 0.5])
     assert near.num_vertices == 25 and near.vertices[near.point_vertex].tolist() == [0.5, 0.5]
-    line = make_mesh(interval(), 1 / 4, point=[0.3])
-    assert line.vertices[:, 0].tolist() == [0.0, 0.25, 0.3, 0.5, 0.75, 1.0]
-    assert line.point_vertex == 2 and len(line.hinges) == 4
     with pytest.raises(ValueError, match="outside"):
         make_mesh(P, 1 / 4, point=[1.5, 0.5])
 

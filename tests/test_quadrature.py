@@ -336,29 +336,13 @@ def test_point_operator_with_cells_matches_locate(pentagon_mesh_graded):
     assert np.array_equal(with_cells.bary, located.bary)
 
 
-def test_point_operator_with_cells_matches_locate_1d():
-    mesh = make_mesh(interval(), 1 / 8)
-    Q = mesh_graded_scheme(mesh)
-    sur = HessianSurrogate(mesh)
-    assert np.array_equal(Q.interior_cells, mesh.locate(Q.interior_points)[0])
-    with_cells = sur.point_operator(Q.interior_points, Q.interior_cells)
-    located = sur.point_operator(Q.interior_points)
-    assert np.array_equal(with_cells.tri, located.tri)
-    assert np.array_equal(with_cells.bary, located.bary)
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_point_operator_transpose_is_the_adjoint(dim, pentagon_mesh_graded):
+def test_point_operator_transpose_is_the_adjoint(pentagon_mesh_graded):
     # <z, op @ v> = <op.rmatvec(z), v> checks the hand-written transpose
     # against the forward map, which no other test does
-    if dim == 1:
-        mesh = make_mesh(interval(), 1 / 8)
-        Q = mesh_graded_scheme(mesh)
-    else:
-        mesh, Q = pentagon_mesh_graded
+    mesh, Q = pentagon_mesh_graded
     sur = HessianSurrogate(mesh)
     op = sur.point_operator(Q.interior_points, Q.interior_cells)
-    rng = np.random.default_rng(dim)
+    rng = np.random.default_rng(2)
     for _ in range(3):
         v = rng.standard_normal(mesh.num_vertices)
         z = rng.standard_normal((sur.ncomp, len(Q.interior_weights)))
@@ -381,27 +365,6 @@ def recursive_mesh_graded(mesh, degree=DEFAULT_DEGREE, layers=30, tangential_lay
     is carried down to every triangle the recursion makes: a piece keeps the
     facets of the mesh vertices it keeps, and the boundary edge it keeps.
     """
-    if mesh.dimension == 1:
-        t, w = gauss_rule((degree + 2) // 2)
-        rows = []
-
-        def emit_seg(a, b, level, cell):
-            rows.extend((a + ti * (b - a), wi * abs(b - a), level, cell) for ti, wi in zip(t, w))
-
-        for ci, (ia, ib) in enumerate(mesh.cells):
-            a, b = float(mesh.vertices[ia, 0]), float(mesh.vertices[ib, 0])
-            on_a, on_b = ia in mesh.boundary_facets, ib in mesh.boundary_facets
-            if not on_a and not on_b:
-                emit_seg(a, b, 0, ci)
-                continue
-            mid = 0.5 * (a + b) if (on_a and on_b) else (b if on_a else a)
-            for e, touch in ((a, on_a), (b, on_b)):
-                for j in range(layers if touch else 0):
-                    hi = e + (mid - e) * 2.0 ** (-j)
-                    lo = e + (mid - e) * 2.0 ** (-(j + 1))
-                    emit_seg(min(lo, hi), max(lo, hi), j, ci)
-        return np.array(rows)
-
     tris, levels, cells = [], [], []
     boundary_edges = {(a, b) for a, b, _ in mesh.boundary_edges.tolist()}
 
@@ -470,10 +433,10 @@ def _rows(Q):
 
 
 @pytest.mark.parametrize("h", [1 / 5, 1 / 8])
-@pytest.mark.parametrize("name", ["pentagon", "square", "simplex", "interval"])
+@pytest.mark.parametrize("name", ["pentagon", "square", "simplex"])
 def test_mesh_graded_scheme_matches_recursive_oracle(name, h):
     P = {"pentagon": lambda: build_polytope(PENTAGON), "square": unit_square,
-         "simplex": standard_simplex, "interval": interval}[name]()
+         "simplex": standard_simplex}[name]()
     mesh = make_mesh(P, h)
     Q = mesh_graded_scheme(mesh, layers=20, tangential_layers=8)
     expected = _sorted_rows(recursive_mesh_graded(mesh, layers=20, tangential_layers=8))
@@ -536,8 +499,8 @@ def test_mesh_graded_levels_hold_equal_counts():
 
 
 @pytest.mark.parametrize("layers", [5, 30])
-@pytest.mark.parametrize("P, h", [(build_polytope(PENTAGON), 1 / 5), (unit_square(), 1 / 8),
-                                  (interval(), 1 / 8)], ids=["pentagon", "square", "interval"])
+@pytest.mark.parametrize("P, h", [(build_polytope(PENTAGON), 1 / 5), (unit_square(), 1 / 8)],
+                         ids=["pentagon", "square"])
 def test_mesh_graded_scheme_makes_at_most_two_gaps_calls(P, h, layers, monkeypatch):
     mesh = make_mesh(P, h)
     calls = []

@@ -13,13 +13,14 @@ from polystab.quadrature import QuadratureScheme, standard_scheme
 from polystab.solver import SolverState
 from polystab.stability import TOLERANCES, PropernessCertificate, StabilityReport
 
-# the constructor parameters and defaults the @dataclass versions had
-# (a mutable default, then made by a factory, is now None)
+# the constructor parameters and defaults the @dataclass versions had (a
+# mutable default, then made by a factory, is now None), except that a
+# mesh's grid arrays, which only an interval's mesh went without, are required
 SIGNATURES = {
     Polytope: "dimension normals offsets vertices boundary_weights facet_vertices "
               "name=None _scale=1.0",
-    Mesh: "polytope h vertices cells hinges boundary_facets grid_shape=() cell_index=None "
-          "boundary_edges=None point_vertex=None",
+    Mesh: "polytope h vertices cells hinges boundary_facets grid_shape cell_index "
+          "boundary_edges point_vertex=None",
     QuadratureScheme: "dimension degree interior_points interior_weights interior_layers "
                       "boundary_points boundary_weights kind='standard' meta=None "
                       "interior_cells=None",
@@ -85,7 +86,7 @@ def test_assigning_a_field_of_a_frozen_record_raises():
 
 
 def test_mutable_defaults_are_fresh_for_each_instance():
-    mesh = make_mesh(interval(0.0, 1.0), 0.5)
+    mesh = make_mesh(unit_square(), 0.5)
     s, t = (SolverState(mesh, np.arange(1), np.zeros(1)) for _ in range(2))
     for name in ("energy_history", "residual_history", "meta"):
         assert getattr(s, name) is not getattr(t, name)

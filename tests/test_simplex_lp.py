@@ -72,14 +72,13 @@ def test_bland_handles_cycling_prone_problem():
 
 
 def test_float_vs_exact_on_stability_instance():
-    from polystab.mesh import make_mesh
-    from polystab.polytope import interval
-    from polystab.stability import StabilityLP
+    from polystab.cone_lp import solve_cone_lp
+    from polystab.simplex_lp import solve_cone_lp_exact
+    from test_cone_lp import hinge_lp
 
-    P = interval()
-    m = make_mesh(P, 1 / 8, point=[0.5])
-    lp = StabilityLP(P, 2.0, m)
-    vf, _, _ = lp.minimize_linear_functional(mode="float")
-    vx, _, _ = lp.minimize_linear_functional(mode="exact")
+    # the stability LP of [0, 1] with A = 2 at h = 1/8, normalized at 1/2
+    c, idx, coef, b = hinge_lp(np.linspace(0.0, 1.0, 9), 4, 2.0, (1.0, 1.0))
+    vf = solve_cone_lp(c, idx, coef, b).value
+    vx = solve_cone_lp_exact(c, idx, coef, b)[1]
     assert vf == pytest.approx(float(vx), abs=1e-12)
     assert float(vx) == pytest.approx(0.5, abs=1e-12)

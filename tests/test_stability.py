@@ -14,6 +14,7 @@ from polystab.audits import (
 )
 from polystab.convex import (
     AffineFunc,
+    PLConvexFunc,
     crease,
     guillemin_potential,
     normalize,
@@ -38,6 +39,7 @@ from polystab.polytope import (
 from polystab.quadrature import gauss_rule, standard_scheme
 from polystab.stability import (
     StabilityLP,
+    _status,
     analyze_stability,
     crease_functionals,
     crease_sweep,
@@ -47,6 +49,7 @@ from polystab.stability import (
     properness_certificate,
     ray_bounds,
 )
+from test_cone_lp import hinge_lp
 
 A_UNSTABLE = AffineFunc(2.0 - 3.5, (7.0,))  # 2 + 7(x - 1/2)
 A_EXTREMAL_RAY = parse_field("48*x^2 - 48*x + 10", 1)
@@ -183,7 +186,7 @@ def test_hinge_minimum_needs_a_polynomial_field_on_an_interval_and_p_o_inside():
 def test_hinge_minimum_is_the_least_hinge_ratio(a, w, at, coeffs, cells):
     # on P = [a, a + w] with A(x) = A0(s) / w, A0(s) = c0 + c1 s + c2 s^2 and
     # s = (x - a) / w, so that L_A stays of order one at every width: the
-    # closed form sits below the cone LP on a mesh through p_o and below every
+    # closed form sits below the cone LP on a grid through p_o and below every
     # hinge of a dense kink scan, within 1e-6 of the scan's minimum, and it
     # equals the value on [0, 1] with A0 and p_o = at (moving or dilating P)
     c0, c1, c2 = coeffs
@@ -191,8 +194,9 @@ def test_hinge_minimum_is_the_least_hinge_ratio(a, w, at, coeffs, cells):
     A = QuadraticPoly(1, (c0 / w - c1 * a / w**2 + c2 * a * a / w**3,
                           c1 / w**2 - 2.0 * c2 * a / w**3, 0.0, c2 / w**3, 0.0, 0.0))
     lam, _ = hinge_minimum(P, A, [p_o])
-    lp = lp_stability_estimate(P, A, make_mesh(P, w / cells, point=[p_o]))
-    assert lam <= lp.lambda_hat + 1e-12
+    (lo, hi), k = P.vertices[:, 0], min(max(1, round(at * cells)), cells - 1)
+    x = np.concatenate([np.linspace(lo, p_o, k + 1), np.linspace(p_o, hi, cells - k + 1)[1:]])
+    assert lam <= cone_lp.solve_cone_lp(*hinge_lp(x, k, A, P.boundary_weights)).value + 1e-12
     # kinks on a uniform grid, and close to the ends and just below p_o (the
     # scan's hinge at p_o itself is the right one)
     near = w * np.geomspace(1e-9, 1e-3, 7)
@@ -469,27 +473,51 @@ def test_extremal_field_annihilates_affine_functions(s, points, a):
 
 # -- LP stability estimate -----------------------------------------------------------
 
+def interval_lp(A, cells):
+    """(value, x, u) of the cone LP of [0, 1] on `cells` uniform cells,
+    normalized at 1/2: its minimizer x over the free vertices and u, the
+    convex function that interpolates it."""
+    grid = np.linspace(0.0, 1.0, cells + 1)
+    c, idx, coef, b = hinge_lp(grid, cells // 2, A, (1.0, 1.0))
+    res = cone_lp.solve_cone_lp(c, idx, coef, b)
+    v = np.insert(res.u, cells // 2, 0.0)
+    slope = np.diff(v) / np.diff(grid)
+    u = PLConvexFunc(tuple(AffineFunc(v[i] - s * grid[i], (s,)) for i, s in enumerate(slope)))
+    return res.value, res.u, u
+
+
 def test_lp_interval_lambda_half():
-    P = interval()
-    m = make_mesh(P, 1 / 64, point=[0.5])
-    rep = lp_stability_estimate(P, 2.0, m)
-    assert 0.48 <= rep.lambda_hat <= 0.52
-    assert rep.status == "uniformly-stable"
-    d = rep.destabilizer
-    bn = float(m.boundary_vertex_weights @ d.values)
-    assert bn == pytest.approx(1.0, abs=1e-9)
-    assert d.values.min() >= -1e-12
-    assert d.values[d.p_o_index] == 0.0
+    lam, x, u = interval_lp(2.0, 64)
+    assert 0.48 <= lam <= 0.52
+    assert _status(lam, lam) == "uniformly-stable"
+    assert FunctionalEvaluator(interval(), 2.0).boundary_norm(u) == pytest.approx(1.0, abs=1e-9)
+    assert x.min() >= -1e-12
 
 
 def test_lp_interval_instability_witness():
-    P = interval()
-    m = make_mesh(P, 1 / 64, point=[0.5])
-    rep = lp_stability_estimate(P, A_UNSTABLE, m)
-    assert rep.status == "relatively-unstable"
-    assert rep.lambda_hat <= -1 / 30
-    ev = FunctionalEvaluator(P, A_UNSTABLE)
-    assert ev.linear_functional(rep.destabilizer) == pytest.approx(rep.lambda_hat, abs=1e-9)
+    lam, _, u = interval_lp(A_UNSTABLE, 64)
+    assert _status(lam, lam) == "relatively-unstable"
+    assert lam <= -1 / 30
+    ev = FunctionalEvaluator(interval(), A_UNSTABLE)
+    assert ev.linear_functional(u) == pytest.approx(lam, abs=1e-9)
+
+
+@pytest.mark.parametrize("A, status", [(4.0, "uniformly-stable"),
+                                       (AffineFunc(-2.0, (12.0, 0.0)), "relatively-unstable")],
+                         ids=["stable", "unstable"])
+def test_lp_destabilizer_is_a_normalized_witness_on_the_square(A, status):
+    # the LP's minimizer is >= 0, zero at p_o and of unit |u|_b, and the
+    # evaluator's L_A of it is lambda-hat
+    P = unit_square()
+    m = make_mesh(P, 1 / 6, point=[0.5, 0.5])
+    rep = lp_stability_estimate(P, A, m)
+    assert rep.status == status
+    d = rep.destabilizer
+    assert float(m.boundary_vertex_weights @ d.values) == pytest.approx(1.0, abs=1e-9)
+    assert d.values.min() >= -1e-12
+    assert d.values[d.p_o_index] == 0.0
+    ev = FunctionalEvaluator(P, A)
+    assert ev.linear_functional(d) == pytest.approx(rep.lambda_hat, abs=1e-9)
 
 
 def test_lp_square_stable_across_refinements():
@@ -503,16 +531,13 @@ def test_lp_square_stable_across_refinements():
 
 
 def test_lp_boundary_case_status():
-    P = interval()
-    m = make_mesh(P, 1 / 64, point=[0.5])
-    rep = lp_stability_estimate(P, A_EXTREMAL_RAY, m)
-    assert rep.status == "boundary-case"
-    assert abs(rep.lambda_hat) <= 1e-9
+    lam, _, _ = interval_lp(A_EXTREMAL_RAY, 64)
+    assert _status(lam, lam) == "boundary-case"
+    assert abs(lam) <= 1e-9
 
 
-@pytest.mark.parametrize("P, h", [(interval(), 1 / 16), (unit_square(), 1 / 12),
-                                  (standard_simplex(), 1 / 8), (PENTAGON, 1 / 5)],
-                         ids=["interval", "square", "simplex", "pentagon"])
+@pytest.mark.parametrize("P, h", [(unit_square(), 1 / 12), (standard_simplex(), 1 / 8),
+                                  (PENTAGON, 1 / 5)], ids=["square", "simplex", "pentagon"])
 def test_lp_rows_span_no_more_columns_than_their_hinges(P, h):
     # the entries of p_o carry coefficient 0 at a column already in their row,
     # so the rows are the convexity rows with p_o's column deleted
@@ -528,12 +553,10 @@ def test_lp_rows_span_no_more_columns_than_their_hinges(P, h):
 
 
 def test_cone_contains_representable_creases():
-    # mesh-representable normalized creases are LP-feasible: lambdaHat <= ratio
-    P = interval()
-    m = make_mesh(P, 1 / 16, point=[0.5])
-    rep = lp_stability_estimate(P, 2.0, m)
-    for t in m.vertices[3:-3, 0]:
-        assert rep.lambda_hat <= crease_ratio_oracle_interval(float(t), 2.0) + 1e-9
+    # grid-representable normalized creases are LP-feasible: lambdaHat <= ratio
+    lam, _, _ = interval_lp(2.0, 16)
+    for t in np.linspace(0.0, 1.0, 17)[3:-3]:
+        assert lam <= crease_ratio_oracle_interval(float(t), 2.0) + 1e-9
 
 
 def test_lambda_monotone_under_refinement():
@@ -759,15 +782,20 @@ def l1_lp(P, mesh):
     return -res.value, values
 
 
+def l1_hinge_lp(P, cells):
+    """The C' LP value of the interval P on `hinge_lp`'s uniform grid of
+    `cells` cells (an even count), normalized at its midpoint; hinge_lp's c
+    with no boundary weights and A = 1 is minus the mass."""
+    x = np.linspace(*P.vertices[:, 0], cells + 1)
+    _, idx, coef, b = hinge_lp(x, cells // 2, 1.0, P.boundary_weights)
+    return -cone_lp.solve_cone_lp(hinge_lp(x, cells // 2, 1.0, (0.0, 0.0))[0], idx, coef, b).value
+
+
 def test_l1_constant_interval():
     P = interval()
-    m = make_mesh(P, 1 / 64, point=[0.5])
-    cp, maximizer = l1_lp(P, m)
-    assert cp == pytest.approx(0.25, abs=1e-9)
+    assert l1_hinge_lp(P, 64) == pytest.approx(0.25, abs=1e-9)
     # the maximizer is a midpoint crease, mass 1/4 at boundary norm 1, which
     # the ray bound reaches exactly
-    assert m.vertices[m.point_vertex].tolist() == [0.5]
-    assert maximizer[m.point_vertex] == 0.0
     assert ray_bounds(P, 2.0, [0.5]) == (0.5, 0.25)
 
 
@@ -877,7 +905,7 @@ def test_ray_bound_on_c_prime_is_above_the_lp(name):
          "simplex": standard_simplex(), "octagon": OCTAGON}[name]
     p_o = center_of_mass(P)
     size = float(np.max(np.ptp(P.vertices, axis=0)))
-    cp, _ = l1_lp(P, make_mesh(P, size / 8, point=p_o))
+    cp = l1_hinge_lp(P, 8) if P.dimension == 1 else l1_lp(P, make_mesh(P, size / 8, point=p_o))[0]
     assert ray_bounds(P, 1.0, p_o)[1] >= cp - 1e-12
 
 
@@ -966,13 +994,11 @@ def _guillemin_type_samples(P, p_o, seed, count):
 
 
 def test_certificate_bound_on_guillemin_type_samples():
-    P = interval()
-    m = make_mesh(P, 1 / 32, point=[0.5])
-    rep = lp_stability_estimate(P, 2.0, m)
+    P, p_o = interval(), np.array([0.5])
     ev = FunctionalEvaluator(P, 2.0)
-    cert = properness_certificate(P, 2.0, *ray_bounds(P, 2.0, rep.p_o), evaluator=ev)
-    for u in _guillemin_type_samples(P, rep.p_o, 101, 50):
-        assert u(rep.p_o) == pytest.approx(0.0, abs=1e-12)
+    cert = properness_certificate(P, 2.0, *ray_bounds(P, 2.0, p_o), evaluator=ev)
+    for u in _guillemin_type_samples(P, p_o, 101, 50):
+        assert u(p_o) == pytest.approx(0.0, abs=1e-12)
         F = ev.mabuchi(u).value
         assert F >= -cert.c_const + cert.epsilon_prime * ev.boundary_norm(u) - 1e-9
     # smallest audit member: F_A(u_o) = -1 >= -C
@@ -1033,12 +1059,9 @@ def test_solution_norm_bound_audit():
 def test_instability_agreement():
     # the LP, the hinge minimum and the ray bound agree on the sign of lambda
     P = interval()
-    m = make_mesh(P, 1 / 32, point=[0.5])
-    rep = lp_stability_estimate(P, A_UNSTABLE, m)
     lam = hinge_minimum(P, A_UNSTABLE, [0.5])[0]
-    assert ray_bounds(P, A_UNSTABLE, [0.5])[0] <= lam <= rep.lambda_hat < 0
-    rep2 = lp_stability_estimate(P, 2.0, m)
-    assert rep2.lambda_hat > 1e-3 and hinge_minimum(P, 2.0, [0.5])[0] > 1e-3
+    assert ray_bounds(P, A_UNSTABLE, [0.5])[0] <= lam <= interval_lp(A_UNSTABLE, 32)[0] < 0
+    assert interval_lp(2.0, 32)[0] > 1e-3 and hinge_minimum(P, 2.0, [0.5])[0] > 1e-3
     assert ray_bounds(P, 2.0, [0.5])[0] > 1e-3
 
 
