@@ -6,10 +6,10 @@ Four representations:
 * PLConvexFunc    -- max of finitely many affine pieces;
 * SmoothConvexFunc-- value/gradient/Hessian evaluators on the interior, with a
   flag for Guillemin-type boundary behaviour (u - u_o smooth up to the closure);
-* MeshConvexFunc  -- per-vertex values of a piecewise-linear interpolant on a
-  mesh, the discrete surrogate for the limit classes.  Boundary traces of the
-  surrogate are always the continuous extension; boundary discontinuities of
-  the limit class are not representable.
+* MeshConvexFunc  -- per-vertex values of a P1 function on a mesh, the
+  unknowns of the discrete cone LP and of the 2D solve.  It is a record, not
+  a function of a point: supporting_affine, normalize and segment_ma_measure
+  take the other three and raise TypeError for it.
 """
 from __future__ import annotations
 
@@ -144,7 +144,8 @@ class SmoothConvexFunc:
 
 
 class MeshConvexFunc:
-    """Piecewise-linear function from per-vertex values on a mesh."""
+    """Per-vertex values of a P1 function on a mesh, and p_o_index, the
+    vertex where it is normalized (None when it is not)."""
 
     def __init__(self, mesh: Mesh, values, p_o_index=None):
         self.mesh = mesh
@@ -153,44 +154,11 @@ class MeshConvexFunc:
             raise ValueError("one value per mesh vertex required")
         self.p_o_index = p_o_index
 
-    @property
-    def dimension(self):
-        return self.mesh.dimension
 
-    @property
-    def domain(self):
-        return self.mesh.polytope
-
-    def __call__(self, x):
-        pts, single = _pts(x, self.dimension)
-        ids, bary = self.mesh.locate(pts)
-        if np.any(ids < 0):
-            bad = pts[ids < 0][0]
-            raise EvaluationOutsideDomain(f"point {bad} is outside the mesh")
-        vals = np.sum(self.values[self.mesh.cells[ids]] * bary, axis=1)
-        return _unwrap(vals, single)
-
-    def cell_gradients(self):
-        """(M, n) gradient of the affine interpolant per cell."""
-        m = self.mesh
-        v = m.vertices[m.cells]
-        u = self.values[m.cells]
-        e1 = v[:, 1] - v[:, 0]
-        e2 = v[:, 2] - v[:, 0]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        du1 = u[:, 1] - u[:, 0]
-        du2 = u[:, 2] - u[:, 0]
-        gx = (du1 * e2[:, 1] - du2 * e1[:, 1]) / det
-        gy = (-du1 * e2[:, 0] + du2 * e1[:, 0]) / det
-        return np.column_stack([gx, gy])
-
-    def convexity_margins(self):
-        """Per-hinge slack of the discrete convexity inequalities (>= 0 iff convex)."""
-        idx, coef = self.mesh.convexity_rows
-        return np.sum(self.values[idx] * coef, axis=1)
-
-    def is_discretely_convex(self, slack=1e-12):
-        return bool(np.min(self.convexity_margins(), initial=np.inf) >= -slack)
+def _require_pointwise(u, what):
+    if isinstance(u, MeshConvexFunc):
+        raise TypeError(f"{what} reads u at points, which a {type(u).__name__} "
+                        "does not have: it holds only its vertex values")
 
 
 # ---------------------------------------------------------------------------
@@ -285,28 +253,17 @@ def components_to_matrices(comp, n):
     return comp[order].T.reshape(-1, n, n)
 
 
-def _vertex_at(mesh: Mesh, p):
-    """Index of the mesh vertex at p exactly: mesh functions normalize at vertices."""
-    hit = np.flatnonzero(np.all(mesh.vertices == np.atleast_1d(p), axis=1))
-    if not len(hit):
-        raise ValueError("normalization point must be a mesh vertex")
-    return int(hit[0])
-
-
 def supporting_affine(u, p_o) -> AffineFunc:
     """A supporting affine function of u at p_o (deterministic subgradient choice).
 
     At kinks the lexicographically smallest extreme subgradient is used.
     """
+    _require_pointwise(u, "supporting_affine")
     p = np.atleast_1d(np.asarray(p_o, dtype=float))
     if isinstance(u, AffineFunc):
         return u
     if isinstance(u, PLConvexFunc):
         g, val = np.asarray(min(map(tuple, u.active_gradients(p)))), u(p)
-    elif isinstance(u, MeshConvexFunc):
-        vi = _vertex_at(u.mesh, p)
-        grads = u.cell_gradients()[np.any(u.mesh.cells == vi, axis=1)]
-        g, val = np.asarray(min(map(tuple, grads))), u.values[vi]
     else:
         g, val = np.atleast_1d(u.grad(p)), u(p)
     return AffineFunc(float(val - g @ p), tuple(g))
@@ -317,12 +274,6 @@ def normalize(u, p_o):
     ell = supporting_affine(u, p_o)
     if isinstance(u, AffineFunc):
         return AffineFunc.constant(0.0, len(u.a))
-    if isinstance(u, MeshConvexFunc):
-        vi = _vertex_at(u.mesh, p_o)
-        vals = u.values - np.asarray(ell(u.mesh.vertices))
-        vals[vi] = 0.0
-        vals[(vals < 0.0) & (vals > -1e-9)] = 0.0
-        return MeshConvexFunc(u.mesh, vals, p_o_index=vi)
     return u.shift(ell)
 
 
@@ -342,17 +293,6 @@ def _directional(u, point, direction, forward=True):
     if isinstance(u, PLConvexFunc):
         grads = u.active_gradients(p) @ d
         return float(np.max(grads)) if forward else float(np.min(grads))
-    if isinstance(u, MeshConvexFunc):
-        # exact piece slope by halving until two difference quotients agree
-        t = 1e-3
-        prev = None
-        for _ in range(50):
-            q = (u(p + sgn * t * d) - u(p)) / (sgn * t)
-            if prev is not None and abs(q - prev) <= 1e-12 * max(1.0, abs(q)):
-                return float(q)
-            prev = q
-            t *= 0.5
-        return float(prev)
     # smooth: one-sided stencil at 1e-4 with one Richardson step
     h = 1e-4
     d1 = (u(p + sgn * h * d) - u(p)) / (sgn * h)
@@ -367,6 +307,7 @@ def segment_ma_measure(u, a, b, P: Polytope | None = None, tol=1e-9) -> float:
     nonnegative for convex u.  The segment closure must stay strictly inside
     the polytope.
     """
+    _require_pointwise(u, "segment_ma_measure")
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if P is None:

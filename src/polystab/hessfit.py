@@ -4,9 +4,11 @@ Piecewise-linear interpolants have distributional Hessians, so second
 derivatives come from two linear maps, applied in turn and never multiplied
 out: least-squares quadric fits over each vertex star (the vertex and its
 1-ring) give per-vertex Hessians, which are then interpolated linearly inside
-each cell.  The rings come from the cell array, and the stars of one size
-share one stacked pseudo-inverse.  Both maps are linear in the vertex values, so gradients and
-Hessians of log-det terms follow in closed form from their transposes.
+each cell.  Points come with the cells that hold them (a mesh-graded scheme's
+interior_cells), so none is located in the mesh.  The rings come from the cell
+array, and the stars of one size share one stacked pseudo-inverse.  Both maps
+are linear in the vertex values, so gradients and Hessians of log-det terms
+follow in closed form from their transposes.
 """
 from __future__ import annotations
 
@@ -62,20 +64,17 @@ class HessianSurrogate:
         self.star_idx[bad] = self.star_idx[donor]
         self.star_op[bad] = self.star_op[donor]
 
-    def point_operator(self, points, cells=None):
+    def point_operator(self, points, cells):
         """PointOperator: vertex values -> Hessian components at given points.
 
-        Per-vertex fits are interpolated with the barycentric weights of the
-        containing cell (cells[i] when given, e.g. a mesh-graded scheme's
-        interior_cells; else Mesh.locate).
+        Per-vertex fits are interpolated with the barycentric weights of
+        cells[i], the mesh cell holding points[i] (a mesh-graded scheme's
+        interior_cells).
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if cells is None:
-            ids, bary = self.mesh.locate(pts)
-        else:
-            ids, bary = np.asarray(cells, dtype=int), self.mesh.barycentric(cells, pts)
+        ids = np.asarray(cells, dtype=int)
         if np.any(ids < 0):
             raise ValueError("point outside mesh in Hessian assembly")
+        bary = self.mesh.barycentric(ids, np.atleast_2d(np.asarray(points, dtype=float)))
         return PointOperator(self, ids, np.ascontiguousarray(bary.T))
 
     def reads(self, columns):

@@ -5,16 +5,16 @@ cached collapsed-tensor reference rule onto a whole (T, 3, 2) batch of
 triangles in a few broadcast operations.  The scheme builders only produce
 triangle batches (and per-triangle tags) and call it once:
 
-* standard_scheme    -- fan decomposition with rules exact for polynomials up
-  to the requested degree (both interior and boundary);
+* split_scheme       -- fan decomposition with rules exact for polynomials up
+  to the requested degree (both interior and boundary), its cells pre-split
+  along given lines, one batched clip of every cell per line, making
+  piecewise-linear integrands piecewise-polynomial per cell; standard_scheme
+  is split_scheme with no lines;
 * graded_scheme      -- geometric refinement toward every facet (ratio 1/2)
   for integrands with logarithmic boundary singularities; carries per-point
   layer indices so truncation can be estimated by comparing layer depths;
   graded_blocks yields its interior rule a few layers of one facet fan at a
   time;
-* split_scheme       -- standard scheme whose cells are pre-split along given
-  lines, one batched clip of every cell per line, making piecewise-linear
-  integrands piecewise-polynomial per cell;
 * mesh_graded_scheme -- rules subordinate to the cells of a mesh, graded
   toward the boundary; each point records its parent mesh cell in
   interior_cells (-1 in the schemes above), so mesh data can be interpolated
@@ -170,20 +170,8 @@ def _boundary_1d(P):
 
 
 def standard_scheme(P: Polytope, degree: int = DEFAULT_DEGREE) -> QuadratureScheme:
-    """Fan decomposition with per-cell rules exact to `degree`."""
-    if P.dimension == 1:
-        ipts, iwts = _interior_1d(P, degree, [])
-        bp, bw = _boundary_1d(P)
-        nsimp = len(iwts) // ((degree + 2) // 2)
-    else:
-        segs = P.vertices[np.array(P.facet_vertices)]
-        center = np.broadcast_to(P.vertex_centroid(), (len(segs), 1, 2))
-        ipts, iwts = map_triangles(np.concatenate([center, segs], axis=1), degree)
-        nsimp = len(segs)
-        bp, bw = _boundary_2d(P, degree, [[]] * P.num_facets)
-    layers = np.full(len(iwts), -1, dtype=int)
-    return QuadratureScheme(P.dimension, degree, ipts, iwts, layers, bp, bw,
-                            kind="standard", meta={"num_simplices": nsimp})
+    """Fan decomposition with per-cell rules exact to `degree`: split_scheme with no lines."""
+    return split_scheme(P, (), degree)
 
 
 def _boundary_2d(P, degree, s_breaks):
@@ -267,7 +255,8 @@ def graded_scheme(P: Polytope, degree: int = DEFAULT_DEGREE, layers: int = 40,
 
 
 def split_scheme(P: Polytope, lines, degree: int = DEFAULT_DEGREE) -> QuadratureScheme:
-    """Standard scheme pre-split along lines {eta.x = c}, given as (eta, c) pairs.
+    """Fan decomposition from the vertex centroid with per-cell rules exact to
+    `degree`, its cells pre-split along lines {eta.x = c}, given as (eta, c) pairs.
 
     Piecewise-linear functions with kinks on those lines are polynomial on
     every cell, so the rule integrates (PL x polynomial) data exactly.

@@ -334,12 +334,16 @@ def hinge_minimum(P: Polytope, A, p_o):
 
 def _real_roots(a, b, c):
     """The distinct real roots of a x^2 + b x + c, by the formula that does not
-    cancel; none when a = b = 0."""
-    if a == 0.0:
-        return [-c / b] if b != 0.0 else []
-    disc = b * b - 4.0 * a * c
-    q = -0.5 * (b + np.copysign(np.sqrt(disc), b)) if disc > 0.0 else 0.0
-    return [q / a, c / q] if q != 0.0 else []
+    cancel; none when a = b = 0.  An a so small that the large root q / a
+    overflows is taken as 0: the linear case, whose one root is the small one."""
+    if a != 0.0:
+        disc = b * b - 4.0 * a * c
+        q = -0.5 * (b + np.copysign(np.sqrt(disc), b)) if disc > 0.0 else 0.0
+        with np.errstate(over="ignore"):
+            large = q / a
+        if np.isfinite(large):
+            return [large, c / q] if q != 0.0 else []
+    return [-c / b] if b != 0.0 else []
 
 
 def _max_along(a0, g, H, x, e):

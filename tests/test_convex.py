@@ -11,6 +11,7 @@ from polystab.convex import (
     guillemin_potential,
     normalize,
     segment_ma_measure,
+    supporting_affine,
 )
 from polystab.errors import EvaluationOutsideDomain, SegmentTouchesBoundary
 from polystab.mesh import make_mesh
@@ -220,15 +221,6 @@ def test_normalize_invariant_under_affine_shift():
         assert np.max(np.abs(n1(xs) - n2(xs))) <= 1e-12
 
 
-def test_normalize_mesh_function():
-    m = make_mesh(unit_square(), 1 / 8)
-    u = MeshConvexFunc(m, np.sum((m.vertices - [0.3, 0.4]) ** 2, axis=1) + 2.0)
-    n = normalize(u, [0.5, 0.5])
-    assert n.values.min() >= 0.0
-    assert n.values[n.p_o_index] == 0.0
-    assert n.is_discretely_convex()
-
-
 # -- crease ---------------------------------------------------------------------
 
 def test_crease_examples():
@@ -290,21 +282,27 @@ def test_ma_2d_along_segment():
     assert segment_ma_measure(u, a, b, P) == pytest.approx(expect, rel=1e-12)
 
 
-def test_mesh_function_discrete_convexity_matches_segment_masses():
+def test_convexity_rows_hold_on_a_convex_function_and_fail_at_a_bump():
     m = make_mesh(unit_square(), 1 / 16)
+    idx, coef = m.convexity_rows
     vals = np.abs(m.vertices[:, 0] - 0.5)
-    u = MeshConvexFunc(m, vals)
-    assert u.is_discretely_convex()
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        a, b = rng.uniform(0.05, 0.95, size=(2, 2))
-        if np.linalg.norm(b - a) < 0.05:
-            continue
-        assert segment_ma_measure(u, a, b, m.polytope) >= -1e-12
+    assert np.min(np.sum(vals[idx] * coef, axis=1)) >= -1e-12
     bad = vals.copy()
     v = int(np.flatnonzero(np.all(m.vertices == 0.5, axis=1))[0])
     bad[v] += 0.2  # break convexity at an interior vertex
-    ub = MeshConvexFunc(m, bad)
-    assert not ub.is_discretely_convex()
-    # a segment across only the concave bump certifies the violation
-    assert segment_ma_measure(ub, [0.49, 0.5], [0.51, 0.5], m.polytope) < 0
+    margins = np.sum(bad[idx] * coef, axis=1)
+    # the violated rows are hinges at the bump's vertex, which certify it
+    assert np.min(margins) < 0.0
+    assert np.all(np.any(idx[margins < -1e-12] == v, axis=1))
+
+
+def test_mesh_functions_are_not_read_at_points():
+    # a MeshConvexFunc is its vertex values: what reads u at points names it
+    m = make_mesh(unit_square(), 1 / 4)
+    u = MeshConvexFunc(m, np.sum((m.vertices - 0.5) ** 2, axis=1))
+    calls = (lambda: supporting_affine(u, [0.5, 0.5]), lambda: normalize(u, [0.5, 0.5]),
+             lambda: segment_ma_measure(u, [0.4, 0.5], [0.6, 0.5], m.polytope),
+             lambda: segment_ma_measure(u, [0.4, 0.5], [0.6, 0.5]))
+    for call in calls:
+        with pytest.raises(TypeError, match="MeshConvexFunc"):
+            call()

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polystab._geom import clip_halfplanes, fans, polygon_area
-from polystab.convex import MeshConvexFunc, normalize
 from polystab.errors import MeshTooFine
 from polystab.fileio import mesh_function_from_text, read_polytope
 from polystab.functionals import extremal_affine
@@ -528,18 +527,21 @@ def test_convexity_rows_match_the_reference_formulas(P, h):
 @pytest.mark.parametrize("h", [1 / 5, 1 / 8])
 @MESH_FIXTURES
 def test_margins_are_the_lp_rows_applied_to_the_values(P, h):
+    # the LP drops the column of p_o, where its unknowns vanish: on values
+    # with u(p_o) = 0 its rows give the mesh's convexity margins
     m = make_mesh(P, h, point=center_of_mass(P))
-    # a random quadratic with a linear part, normalized at the center of mass
+    # a random quadratic with a linear part, shifted to vanish at the center of mass
     rng = np.random.default_rng(3)
     n = P.dimension
     x = m.vertices - rng.uniform(0.2, 0.8, size=n)
     vals = np.sum(rng.uniform(0.5, 6.0, n) * x * x, axis=1) + x @ rng.uniform(-2.0, 2.0, n)
-    u = normalize(MeshConvexFunc(m, vals), m.vertices[m.point_vertex])
+    vals -= vals[m.point_vertex]
     lp = StabilityLP(P, 1.0, m)
     idx, coef = lp.rows
-    assert u.p_o_index == lp.p_o_index == m.point_vertex and u.values[m.point_vertex] == 0.0
-    np.testing.assert_allclose(np.sum(u.values[lp.free][idx] * coef, axis=1),
-                               u.convexity_margins(), rtol=0, atol=1e-12)
+    full_idx, full_coef = m.convexity_rows
+    assert lp.p_o_index == m.point_vertex
+    np.testing.assert_allclose(np.sum(vals[lp.free][idx] * coef, axis=1),
+                               np.sum(vals[full_idx] * full_coef, axis=1), rtol=0, atol=1e-12)
 
 
 def test_meshes_hash_by_identity():

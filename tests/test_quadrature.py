@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -134,6 +135,27 @@ def test_divergence_theorem_consistency():
                 lhs += flux * float(np.dot(wts, ell(pts)))
             rhs = integrate_interior(lambda x: (a @ V) * np.ones(len(x)), P, Q)
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def _scheme_digest(Q):
+    h = hashlib.sha256()
+    for a in (Q.interior_points, Q.interior_weights, Q.interior_layers, Q.interior_cells,
+              *Q.boundary_points, *Q.boundary_weights):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_standard_scheme_is_the_split_scheme_with_no_lines():
+    # the digest of the pentagon's degree-6 rule as the fan builder made it
+    # before it became split_scheme with no lines
+    P = build_polytope(PENTAGON)
+    pinned = "0cf1ae518dbc296b76e51b122052c2b68a9c150a2405b8dc3195a0e319d8ab35"
+    assert _scheme_digest(standard_scheme(P, 6)) == pinned
+    assert _scheme_digest(split_scheme(P, (), 6)) == pinned
+    for R in (interval(), unit_square(), P):
+        for degree in (4, 6, 8):
+            assert _scheme_digest(standard_scheme(R, degree)) == \
+                _scheme_digest(split_scheme(R, (), degree))
 
 
 def test_split_scheme_integrates_creases_exactly():
@@ -330,10 +352,12 @@ def test_point_operator_with_cells_matches_locate(pentagon_mesh_graded):
     mesh, Q = pentagon_mesh_graded
     sur = HessianSurrogate(mesh)
     with_cells = sur.point_operator(Q.interior_points, Q.interior_cells)
-    located = sur.point_operator(Q.interior_points)
+    ids, bary = mesh.locate(Q.interior_points)
+    located = sur.point_operator(Q.interior_points, ids)
     assert with_cells.shape == located.shape
     assert np.array_equal(with_cells.tri, located.tri)
     assert np.array_equal(with_cells.bary, located.bary)
+    assert np.array_equal(located.bary, bary.T)
 
 
 def test_point_operator_transpose_is_the_adjoint(pentagon_mesh_graded):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -173,6 +175,17 @@ def test_hinge_minimum_needs_a_polynomial_field_on_an_interval_and_p_o_inside():
     for p_o in (0.0, 1.5):
         with pytest.raises(ValueError, match="strictly inside"):
             hinge_minimum(interval(), 2.0, [p_o])
+
+
+def test_hinge_minimum_takes_a_subnormal_quadratic_coefficient_as_linear():
+    # A = 2x + c x^2 with c subnormal: the large root of the ratio's
+    # derivative, of order 1 / c, overflows; it is dropped without a warning
+    A = QuadraticPoly(1, (0.0, 2.0, 0.0, 1.1125369292536007e-308, 0.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, u = hinge_minimum(interval(), A, [0.5])
+    assert lam == 0.5833333333333333
+    assert u == crease(AffineFunc(-0.5, (1.0,)))
 
 
 @settings(max_examples=40, deadline=None)
